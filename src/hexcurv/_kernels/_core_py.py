@@ -1,25 +1,21 @@
-"""Pure-Python per-face evaluation kernel.
+"""Scalar per-face evaluation kernel: the scalar reference for tests.
 
 Given one hexagonal face's edge rules, weights and factor values, computes
 the three boundary-arc lengths and, on request, the 3x3 derivative matrix
-of the arcs with respect to the u-coordinates.  This is the hot path of the
-curvature map and the Newton solver; the compiled twin in ``_core_cy.pyx``
-implements the identical algorithm.
+of the arcs with respect to the u-coordinates.  The batched kernel in
+``hexcurv._kernels`` runs the same algorithm on all faces at once; this
+module checks it and backs the chain-rule oracle.
 
 Status codes: 0 ok, 1 degenerate edge (cosh l <= 1), 2 degenerate split,
-3 degenerate face center, 4 singular height.  Branch codes: 0 time-like,
+3 degenerate face center, 4 singular height, 5 factors outside the
+evaluable range or the edge rule's domain.  Branch codes: 0 time-like,
 1 space-like, 2 light-like face center.
 """
 
 import math
 
-TAU_CAUSAL = 1e-10
-
-OK, BAD_EDGE, BAD_SPLIT, BAD_CENTER, BAD_HEIGHT, BAD_RANGE = 0, 1, 2, 3, 4, 5
-
-# factor magnitudes beyond this overflow the double-precision pipeline
-F_LIMIT = 150.0
-TIME, SPACE, LIGHT = 0, 1, 2
+from . import BAD_CENTER, BAD_EDGE, BAD_HEIGHT, BAD_RANGE, BAD_SPLIT, OK
+from . import F_LIMIT, LIGHT, SPACE, TAU_CAUSAL, TIME
 
 
 def _edge_state(code, aa, ab, fa, fb, eta):

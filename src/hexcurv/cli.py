@@ -11,28 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 
 from . import __version__, hexagon, mesh, solver
-from ._kernels import BACKEND
 from .conformal import u_from_f
-from .curvature import assemble_jacobian, curvature_map, face_derivatives
+from .curvature import curvature_and_jacobian, curvature_map
 from .errors import HexcurvError
 from .lorentz import CausalClass
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def thread_cap() -> int:
-    """Value of the HEXCURV_THREADS cap (0 = auto); evaluation is serial."""
-    try:
-        return max(0, int(os.environ.get("HEXCURV_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 def _read_mesh(path):
@@ -90,7 +80,7 @@ def cmd_curvature(args):
 def cmd_jacobian(args):
     tri, spec = _read_mesh(args.mesh)
     f = _read_records(args.factors, "f")
-    lam = assemble_jacobian(spec, tri, f)
+    lam = curvature_and_jacobian(spec, tri, f)[1]
     entries = []
     for i in range(tri.n_boundary):
         for j in range(tri.n_boundary):
@@ -266,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    thread_cap()  # validates the environment variable early
     try:
         return args.func(args)
     except HexcurvError as exc:

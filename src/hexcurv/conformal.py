@@ -11,9 +11,10 @@ sign-flipped edge rule on the two edges at that component).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
+from ._kernels import edge_state
 from .errors import (
     DomainViolation,
     FamilyConstraint,
@@ -39,16 +40,14 @@ class StructureSpec:
     """Family tag plus all per-vertex / per-edge weights.
 
     alpha maps boundary components to {-1, 0, 1}; eta maps edge ids to the
-    symmetric edge weight; special lists the distinguished boundary
-    components of the mixed families (empty otherwise).  c_shift holds the
-    per-oriented-edge additive constants of the A3/B3 rules, fixed to zero.
+    symmetric edge weight, a finite real; special lists the distinguished
+    boundary components of the mixed families (empty otherwise).
     """
 
     family: str
     alpha: Mapping[int, int]
     eta: Mapping[int, float]
     special: frozenset = frozenset()
-    c_shift: Mapping[tuple, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -56,9 +55,9 @@ class StructureSpec:
         for i, a in self.alpha.items():
             if a not in (-1, 0, 1):
                 raise FamilyConstraint(f"alpha[{i}]={a} outside {{-1,0,1}}")
-        for key, c in dict(self.c_shift).items():
-            if c != 0.0:
-                raise FamilyConstraint(f"c_shift{key}={c}; only 0 is supported")
+        for e, w in self.eta.items():
+            if not math.isfinite(w):
+                raise FamilyConstraint(f"eta[{e}]={w} is not finite")
 
     def is_special(self, i) -> bool:
         return i in self.special
@@ -67,18 +66,17 @@ class StructureSpec:
         return self.family.startswith("Mixed")
 
 
+def rule_code(family: str, flipped):
+    """Edge rule code of a family; flipped (bool or bool array) picks B."""
+    return _BASE_CODE[family] + _B_OFFSET * flipped
+
+
 def edge_code(spec: StructureSpec, a, b) -> int:
     """Edge rule code for the edge joining boundary components a and b."""
-    base = _BASE_CODE[spec.family]
     sa, sb = spec.is_special(a), spec.is_special(b)
     if sa and sb:
         raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
-    return base + _B_OFFSET if (sa or sb) else base
-
-
-def _xfac(alpha: int, f: float) -> float:
-    # 1 + alpha e^{2f}; the square-root factor of the A1/B1 rules.
-    return 1.0 + alpha * math.exp(2.0 * f)
+    return rule_code(spec.family, sa or sb)
 
 
 def _require_factor_domain(spec: StructureSpec, i, fi: float) -> None:
@@ -99,26 +97,22 @@ def factors_in_domain(spec: StructureSpec, f: Mapping[int, float]) -> None:
         _require_factor_domain(spec, i, fi)
 
 
-def cosh_edge_length(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
-    """cosh of the edge length under the family rule; may be <= 1."""
+def _edge_rule(spec: StructureSpec, edge, f: Mapping[int, float]) -> tuple:
+    """(cosh l, partial ratio) of one edge under the family rule."""
     i, j = edge.a, edge.b
     fi, fj = f[i], f[j]
     _require_factor_domain(spec, i, fi)
     _require_factor_domain(spec, j, fj)
-    eta = spec.eta[edge.id]
-    code = edge_code(spec, i, j)
-    ee = eta * math.exp(fi + fj)
-    if code == EDGE_A1:
-        return -math.sqrt(_xfac(spec.alpha[i], fi) * _xfac(spec.alpha[j], fj)) + ee
-    if code == EDGE_B1:
-        return math.sqrt(_xfac(spec.alpha[i], fi) * _xfac(spec.alpha[j], fj)) + ee
-    if code == EDGE_A2:
-        return math.sqrt(math.expm1(2.0 * fi) * math.expm1(2.0 * fj)) + ee
-    if code == EDGE_B2:
-        return -math.sqrt(math.expm1(2.0 * fi) * math.expm1(2.0 * fj)) + ee
-    if code == EDGE_A3:
-        return -math.cosh(fj - fi) + ee
-    return math.cosh(fj - fi) + ee  # EDGE_B3
+    ok, ch, rho = edge_state(edge_code(spec, i, j), spec.alpha[i], spec.alpha[j],
+                             fi, fj, spec.eta[edge.id])
+    if not ok:
+        raise DomainViolation(f"square-root argument non-positive on edge {edge.id}")
+    return float(ch), float(rho)
+
+
+def cosh_edge_length(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
+    """cosh of the edge length under the family rule; may be <= 1."""
+    return _edge_rule(spec, edge, f)[0]
 
 
 def edge_length(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
@@ -137,24 +131,7 @@ def partial_ratio(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
     Positive on A-type edges; negative on B-type edges regardless of which
     endpoint is the special one (the two orientations are reciprocal).
     """
-    i, j = edge.a, edge.b
-    fi, fj = f[i], f[j]
-    _require_factor_domain(spec, i, fi)
-    _require_factor_domain(spec, j, fj)
-    code = edge_code(spec, i, j)
-    if code in (EDGE_A3, EDGE_B3):
-        rho = math.exp(fi - fj)
-        return -rho if code == EDGE_B3 else rho
-    if code in (EDGE_A1, EDGE_B1):
-        xi, xj = _xfac(spec.alpha[i], fi), _xfac(spec.alpha[j], fj)
-    else:  # A2 / B2 rules: both factors are e^{2f} - 1
-        xi, xj = math.expm1(2.0 * fi), math.expm1(2.0 * fj)
-    if xi <= 0.0 or xj <= 0.0:
-        raise DomainViolation(
-            f"square-root argument non-positive on edge {edge.id}: {xi}, {xj}"
-        )
-    rho = math.sqrt(xi / xj)
-    return -rho if code >= EDGE_B1 else rho
+    return _edge_rule(spec, edge, f)[1]
 
 
 # -- change of variables ---------------------------------------------------
@@ -245,7 +222,7 @@ def dfdu(spec: StructureSpec, i, f: Mapping[int, float]) -> float:
     if fam in ("A2", "MixedII"):
         v = math.expm1(2.0 * fi)
         return sign * math.sqrt(v)
-    v = _xfac(spec.alpha[i], fi)
+    v = 1.0 + spec.alpha[i] * math.exp(2.0 * fi)
     if v < 0.0:
         raise DomainViolation(f"1 + alpha e^(2f) negative at component {i}")
     return sign * math.sqrt(v)

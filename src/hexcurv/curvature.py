@@ -19,20 +19,11 @@ import numpy as np
 import scipy.linalg
 
 from . import tol
-from ._kernels import (
-    BAD_CENTER,
-    BAD_EDGE,
-    BAD_HEIGHT,
-    BAD_RANGE,
-    BAD_SPLIT,
-    LIGHT,
-    SPACE,
-    TIME,
-    face_eval,
-    face_theta,
-)
-from .conformal import StructureSpec, dfdu, edge_code
+from ._kernels import _NEXT, BAD_EDGE, BAD_RANGE, LIGHT, OK, SPACE, TIME
+from ._kernels import BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, face_eval, face_theta
+from .conformal import StructureSpec, dfdu, edge_code, rule_code
 from .errors import (
+    FamilyConstraint,
     IncompatibleSplits,
     InconsistentRatio,
     NotAdmissible,
@@ -40,62 +31,76 @@ from .errors import (
 )
 
 _BRANCH_NAME = {TIME: "time-like", SPACE: "space-like", LIGHT: "light-like"}
+_ERRORS = {
+    BAD_EDGE: (NotAdmissible, "edge position {} degenerates"),
+    BAD_SPLIT: (InconsistentRatio, "split {} degenerates"),
+    BAD_CENTER: (IncompatibleSplits, "no face center"),
+    BAD_HEIGHT: (SingularHeight, "face center sits on edge geodesic {}"),
+    BAD_RANGE: (NotAdmissible, "factor magnitudes exceed the evaluable range"),
+}
+_ONE_FACE = np.array([[0, 1, 2]])
 
 
-@dataclass(frozen=True)
-class FaceProgram:
-    """Kernel-ready parameters of one face."""
+def _inputs(spec: StructureSpec, f, vids, eids, vert, epos) -> tuple:
+    """Kernel inputs of the faces with corners vids[vert] and edges eids[epos].
 
-    face_id: int
-    vertices: tuple
-    codes: tuple
-    alphas: tuple
-    etas: tuple
-
-
-def face_program(spec: StructureSpec, tri, face) -> FaceProgram:
-    vi, vj, vk = face.vertices
-    pairs = ((vi, vj), (vj, vk), (vk, vi))
-    codes = tuple(edge_code(spec, a, b) for a, b in pairs)
-    etas = tuple(spec.eta[eid] for eid in face.edge_ids)
-    alphas = tuple(spec.alpha[v] for v in face.vertices)
-    return FaceProgram(face.id, face.vertices, codes, alphas, etas)
+    Returns (vert, codes, alphas, etas, factors, double): factors is
+    indexed like vids, and double flags edges joining two special
+    components.
+    """
+    alpha = np.array([spec.alpha[v] for v in vids], dtype=float)
+    special = np.array([v in spec.special for v in vids], dtype=bool)
+    eta = np.array([spec.eta[e] for e in eids], dtype=float)
+    fv = np.array([f[v] for v in vids], dtype=float)
+    sa, sb = special[vert], special[vert[:, _NEXT]]
+    codes = rule_code(spec.family, sa | sb)
+    return vert, codes, alpha[vert], eta[epos], fv, sa & sb
 
 
-def programs(spec: StructureSpec, tri) -> list:
-    return [face_program(spec, tri, face) for face in tri.faces]
+def _mesh_inputs(spec: StructureSpec, tri, f) -> tuple:
+    vert, epos, eids = tri.face_arrays
+    return _inputs(spec, f, range(tri.n_boundary), eids, vert, epos)
 
 
-def _raise_status(status, bad, face_id):
-    if status == BAD_EDGE:
-        raise NotAdmissible(
-            f"face {face_id}: edge position {bad} degenerates", edge=bad
-        )
-    if status == BAD_SPLIT:
-        raise InconsistentRatio(f"face {face_id}: split {bad} degenerates")
-    if status == BAD_CENTER:
-        raise IncompatibleSplits(f"face {face_id}: no face center")
-    if status == BAD_HEIGHT:
-        raise SingularHeight(
-            f"face {face_id}: face center sits on edge geodesic {bad}"
-        )
-    if status == BAD_RANGE:
-        raise NotAdmissible(
-            f"face {face_id}: factor magnitudes exceed the evaluable range"
-        )
+def _face_inputs(spec: StructureSpec, face, f) -> tuple:
+    return _inputs(spec, f, face.vertices, face.edge_ids, _ONE_FACE, _ONE_FACE)
 
 
-def _face_f(prog: FaceProgram, f) -> tuple:
-    return (f[prog.vertices[0]], f[prog.vertices[1]], f[prog.vertices[2]])
+def _raise_first(faces, status, bad, double):
+    """Raise for the first failing face, and its first failing check."""
+    failing = (status != OK) | double.any(axis=1)
+    if not failing.any():
+        return
+    k = int(np.argmax(failing))
+    face = faces[k]
+    if double[k].any():
+        m = int(np.argmax(double[k]))
+        a, b = face.vertices[m], face.vertices[_NEXT[m]]
+        raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
+    cls, text = _ERRORS[int(status[k])]
+    exc = cls(f"face {face.id}: " + text.format(int(bad[k])))
+    if status[k] == BAD_EDGE:
+        exc.edge = int(bad[k])
+    raise exc
+
+
+def face_edge_args(spec: StructureSpec, face, f) -> list:
+    """(code, alpha_a, alpha_b, f_a, f_b, eta) of each edge of one face."""
+    vs = face.vertices
+    return [
+        (edge_code(spec, vs[m], vs[_NEXT[m]]), spec.alpha[vs[m]],
+         spec.alpha[vs[_NEXT[m]]], f[vs[m]], f[vs[_NEXT[m]]],
+         spec.eta[face.edge_ids[m]])
+        for m in range(3)
+    ]
 
 
 def face_angles(spec: StructureSpec, tri, face, f) -> tuple:
     """Boundary-arc triple of one face at factor values f."""
-    prog = face_program(spec, tri, face)
-    status, bad, theta = face_theta(prog.codes, prog.alphas, prog.etas, _face_f(prog, f))
-    if status:
-        _raise_status(status, bad, prog.face_id)
-    return theta
+    vert, codes, alphas, etas, fv, double = _face_inputs(spec, face, f)
+    status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
+    _raise_first([face], status, bad, double)
+    return tuple(theta[0].tolist())
 
 
 @dataclass
@@ -108,16 +113,15 @@ class FaceDerivatives:
 
 
 def face_derivatives(spec: StructureSpec, tri, face, f) -> FaceDerivatives:
-    prog = face_program(spec, tri, face)
-    fv = _face_f(prog, f)
+    vert, codes, alphas, etas, fv, double = _face_inputs(spec, face, f)
     status, bad, theta, jac, branch, sigma = face_eval(
-        prog.codes, prog.alphas, prog.etas, fv, (1.0, 1.0, 1.0)
+        vert, codes, alphas, etas, fv, np.ones(3)
     )
-    if status:
-        _raise_status(status, bad, prog.face_id)
-    m = np.array(jac)
-    du = np.array([dfdu(spec, v, f) for v in prog.vertices])
-    return FaceDerivatives(theta, m, m * du[np.newaxis, :], _BRANCH_NAME[branch], sigma)
+    _raise_first([face], status, bad, double)
+    m = jac[0]
+    du = np.array([dfdu(spec, v, f) for v in face.vertices])
+    return FaceDerivatives(tuple(theta[0].tolist()), m, m * du[np.newaxis, :],
+                           _BRANCH_NAME[int(branch[0])], float(sigma[0]))
 
 
 def dtheta_df(spec: StructureSpec, tri, face, f) -> np.ndarray:
@@ -135,19 +139,13 @@ def dtheta_df_chain(spec: StructureSpec, tri, face, f) -> np.ndarray:
     length-vs-factor derivatives read off the edge splits (the hyper-ideal
     split branch contributes a bounded reciprocal slope).
     """
-    prog = face_program(spec, tri, face)
-    fv = _face_f(prog, f)
     ch, coth_ab, coth_ba = [], [], []
     from ._kernels import _core_py as _ref
 
-    for m2 in range(3):
-        a, b = ((0, 1), (1, 2), (2, 0))[m2]
-        ok, c, rho = _ref._edge_state(
-            prog.codes[m2], prog.alphas[a], prog.alphas[b], fv[a], fv[b],
-            prog.etas[m2],
-        )
+    for m2, args in enumerate(face_edge_args(spec, face, f)):
+        ok, c, rho = _ref._edge_state(*args)
         if not ok or c <= 1.0:
-            raise NotAdmissible(f"face {prog.face_id}: edge {m2} degenerates")
+            raise NotAdmissible(f"face {face.id}: edge {m2} degenerates")
         s = math.sqrt((c - 1.0) * (c + 1.0))
         num, den = rho * s, 1.0 + rho * c
         if abs(num) < abs(den):
@@ -161,7 +159,7 @@ def dtheta_df_chain(spec: StructureSpec, tri, face, f) -> np.ndarray:
             l = math.acosh(c)
             coth_ba.append(math.tanh(l - x_ab))
         else:
-            raise InconsistentRatio(f"face {prog.face_id}: split {m2} degenerates")
+            raise InconsistentRatio(f"face {face.id}: split {m2} degenerates")
         ch.append(c)
     sh = [math.sqrt((c - 1.0) * (c + 1.0)) for c in ch]
     # opposite-side lengths: L_a is the side not touching corner a
@@ -188,46 +186,31 @@ def dtheta_df_chain(spec: StructureSpec, tri, face, f) -> np.ndarray:
     return dthdl @ dldf
 
 
+def _arc_sums(vert, theta, n) -> np.ndarray:
+    """Arcs summed per boundary component in face order."""
+    K = np.bincount(vert.ravel(), weights=theta.ravel(), minlength=n)
+    return K.astype(float, copy=False)  # without faces bincount gives ints
+
+
 def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     """Total boundary-arc length per boundary component."""
-    K = np.zeros(tri.n_boundary)
-    for face in tri.faces:
-        theta = face_angles(spec, tri, face, f)
-        for corner, v in enumerate(face.vertices):
-            K[v] += theta[corner]
-    return K
-
-
-def assemble_jacobian(spec: StructureSpec, tri, f) -> np.ndarray:
-    """Global derivative of the curvature vector with respect to u."""
-    lam = np.zeros((tri.n_boundary, tri.n_boundary))
-    for face in tri.faces:
-        fd = face_derivatives(spec, tri, face, f)
-        idx = face.vertices
-        for a in range(3):
-            for b in range(3):
-                lam[idx[a], idx[b]] += fd.jac_u[a, b]
-    return lam
+    vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
+    status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
+    _raise_first(tri.faces, status, bad, double)
+    return _arc_sums(vert, theta, tri.n_boundary)
 
 
 def curvature_and_jacobian(spec: StructureSpec, tri, f):
-    """One-pass evaluation of K and its u-Jacobian (solver hot path)."""
-    K = np.zeros(tri.n_boundary)
-    lam = np.zeros((tri.n_boundary, tri.n_boundary))
-    du = {v: dfdu(spec, v, f) for v in range(tri.n_boundary)}
-    for prog in programs(spec, tri):
-        fv = _face_f(prog, f)
-        status, bad, theta, jac, branch, sigma = face_eval(
-            prog.codes, prog.alphas, prog.etas, fv, (1.0, 1.0, 1.0)
-        )
-        if status:
-            _raise_status(status, bad, prog.face_id)
-        idx = prog.vertices
-        for a in range(3):
-            K[idx[a]] += theta[a]
-            ja = jac[a]
-            for b in range(3):
-                lam[idx[a], idx[b]] += ja[b] * du[idx[b]]
+    """K and its u-Jacobian (dense N x N) in one kernel pass."""
+    n = tri.n_boundary
+    du = np.array([dfdu(spec, v, f) for v in range(n)], dtype=float)
+    vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
+    status, bad, theta, jac, _, _ = face_eval(vert, codes, alphas, etas, fv, du)
+    _raise_first(tri.faces, status, bad, double)
+    K = _arc_sums(vert, theta, n)
+    # np.zeros maps its pages lazily; only pages holding entries get touched
+    lam = np.zeros((n, n))
+    np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
     return K, lam
 
 

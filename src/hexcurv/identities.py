@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import curvature, mesh, solver
+from ._kernels import edge_state
 from .conformal import StructureSpec, admissible, chart, dfdu, f_from_u
 from .errors import HexcurvError
 from .hexagon import HexagonGeometry
@@ -82,18 +83,15 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
     return out
 
 
+def _face_edges(spec, face, f):
+    """(ok, cosh l, partial ratio) arrays of the three edges of one face."""
+    return edge_state(*map(np.array, zip(*curvature.face_edge_args(spec, face, f))))
+
+
 def split_values(spec, tri, face, f):
     """Complex-extended partial lengths (d_ab, d_ba) per face edge."""
-    from ._kernels import _core_py as ker
-
-    prog = curvature.face_program(spec, tri, face)
-    fv = tuple(f[v] for v in prog.vertices)
     out = []
-    for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-        ok, c, rho = ker._edge_state(
-            prog.codes[m], prog.alphas[a], prog.alphas[b], fv[a], fv[b],
-            prog.etas[m],
-        )
+    for ok, c, rho in zip(*(x.tolist() for x in _face_edges(spec, face, f))):
         if not ok or c <= 1.0:
             raise HexcurvError("inadmissible sample")
         l = math.acosh(c)
@@ -172,18 +170,7 @@ def run_suite(family: str, samples: int, rng) -> dict:
 
 
 def _edge_coshes(spec, tri, face, f):
-    from ._kernels import _core_py as ker
-
-    prog = curvature.face_program(spec, tri, face)
-    fv = tuple(f[v] for v in prog.vertices)
-    out = []
-    for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-        ok, c, _ = ker._edge_state(
-            prog.codes[m], prog.alphas[a], prog.alphas[b], fv[a], fv[b],
-            prog.etas[m],
-        )
-        out.append(c)
-    return out
+    return _face_edges(spec, face, f)[1].tolist()
 
 
 def _fd_residual(spec, tri, face, f, fd, step=1e-6):

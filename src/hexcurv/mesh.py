@@ -16,6 +16,9 @@ may repeat a boundary component (validation warns, does not reject).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .conformal import StructureSpec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
@@ -95,6 +98,17 @@ class Triangulation:
                 "closed-surface count 2|E| = 3|F| fails; "
                 "add the open-edges flag to accept"
             )
+
+    @cached_property
+    def face_arrays(self) -> tuple:
+        """(F x 3 vertex ids, F x 3 positions of the face edges in the edge-id
+        list, that list) in face order; built on first use."""
+        eids = [e.id for e in self.edges]
+        pos = {eid: k for k, eid in enumerate(eids)}
+        vert = np.array([f.vertices for f in self.faces], dtype=np.intp)
+        epos = np.array([[pos[e] for e in f.edge_ids] for f in self.faces],
+                        dtype=np.intp)
+        return vert.reshape(-1, 3), epos.reshape(-1, 3), eids
 
     def face_edges(self, face: Face):
         return [self.edge_by_id[eid] for eid in face.edge_ids]

@@ -3,8 +3,10 @@
 import math
 import random
 
-from hexcurv import solver
+from hexcurv import curvature, solver
 from hexcurv.conformal import StructureSpec, admissible, chart, f_from_u
+from hexcurv.errors import HexcurvError
+from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.mesh import Edge, Face, Triangulation, pair_of_pants, single_face
 
 
@@ -155,3 +157,70 @@ def sample_admissible_f(spec, tri, rng, n=1, scale=1.0):
 
 
 ALL_FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
+
+
+def branch_samples(rng, want, families=ALL_FAMILIES, cap=40000):
+    """(spec, f) samples bucketed by the face-center causal branch."""
+    tri = single_face()
+    buckets = {"time-like": [], "space-like": []}
+    tries = 0
+    while (min(len(b) for b in buckets.values()) < want) and tries < cap:
+        tries += 1
+        fam = rng.choice(families)
+        spec = stock_spec(fam)
+        pts = sample_face_points(spec, tri, rng, 1, scale=1.2)
+        if not pts:
+            continue
+        f = f_from_u(spec, pts[0])
+        try:
+            fd = curvature.face_derivatives(spec, tri, tri.faces[0], f)
+        except HexcurvError:
+            continue
+        if fd.branch in buckets and len(buckets[fd.branch]) < want:
+            buckets[fd.branch].append((spec, f, fd))
+    return buckets
+
+
+def light_like_samples(rng, want, cap=4000):
+    """Bisect between branches to land within the causal tolerance band."""
+    tri = single_face()
+    face = tri.faces[0]
+    out = []
+    tries = 0
+    while len(out) < want and tries < cap:
+        tries += 1
+        fam = rng.choice(("A1", "A2", "MixedII", "MixedIII"))
+        spec = stock_spec(fam)
+        pts = sample_face_points(spec, tri, rng, 2, scale=1.2)
+        if len(pts) < 2:
+            continue
+        f0, f1 = (f_from_u(spec, p) for p in pts)
+        try:
+            s0 = curvature.face_derivatives(spec, tri, face, f0).sigma
+            s1 = curvature.face_derivatives(spec, tri, face, f1).sigma
+        except HexcurvError:
+            continue
+        if s0 * s1 >= 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(70):
+            mid = 0.5 * (lo + hi)
+            fm = {i: f0[i] + mid * (f1[i] - f0[i]) for i in f0}
+            try:
+                sm = curvature.face_derivatives(spec, tri, face, fm).sigma
+            except HexcurvError:
+                break
+            if abs(sm) <= 1e-12:
+                break
+            if (sm > 0) == (s1 > 0):
+                hi = mid
+            else:
+                lo = mid
+        fm = {i: f0[i] + 0.5 * (lo + hi) * (f1[i] - f0[i]) for i in f0}
+        try:
+            fd = curvature.face_derivatives(spec, tri, face, fm)
+        except HexcurvError:
+            continue
+        if fd.branch == "light-like":
+            out.append((spec, fm, fd))
+    return out

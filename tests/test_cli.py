@@ -45,6 +45,19 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_weight_rejected(tmp_path, capsys, weight):
+    p = tmp_path / "bad.mesh"
+    p.write_text(PANTS.replace("e 1 1 2 eta=3", f"e 1 1 2 eta={weight}"))
+    fpath = tmp_path / "factors.txt"
+    fpath.write_text("f 0 0.0\nf 1 0.0\nf 2 0.0\n")
+    assert main(["validate", str(p)]) == 1
+    assert "eta[1]" in capsys.readouterr().err
+    assert main(["curvature", str(p), "--factors", str(fpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
 def test_usage_error_exit_code(pants_file):
     with pytest.raises(SystemExit) as err:
         main(["validate", pants_file, "--bogus"])

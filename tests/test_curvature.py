@@ -6,10 +6,18 @@ import pytest
 
 from hexcurv import curvature, mesh, solver
 from hexcurv.conformal import StructureSpec, dfdu, f_from_u, u_from_f
-from hexcurv.errors import HexcurvError, NotAdmissible
+from hexcurv._kernels import _core_py
+from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
-from helpers import ALL_FAMILIES, make_spec, sample_admissible_f, sphere_triangulation
+from helpers import (
+    ALL_FAMILIES,
+    branch_samples,
+    light_like_samples,
+    make_spec,
+    sample_admissible_f,
+    sphere_triangulation,
+)
 
 ACOSH2 = math.acosh(2.0)
 
@@ -44,6 +52,52 @@ def test_face_angles_inadmissible():
         curvature.face_angles(spec, tri, tri.faces[0], {0: -2.0, 1: -2.0, 2: 0.0})
 
 
+def test_first_failing_face_and_check_are_reported():
+    # two disjoint faces: face 7 degenerates at edge positions 1 and 2,
+    # face 3 has a factor outside the evaluable range
+    edges = [mesh.Edge(10 + k, a, b) for k, (a, b) in
+             enumerate(((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))]
+    a = mesh.Face(7, (0, 1, 2), (10, 11, 12))
+    b = mesh.Face(3, (3, 4, 5), (13, 14, 15))
+    spec = StructureSpec("A1", {i: 0 for i in range(6)},
+                         {10: 3.0, 11: 1.5, 12: 1.0, 13: 3.0, 14: 3.0, 15: 3.0})
+    f = {0: 0.0, 1: 0.0, 2: 0.0, 3: 200.0, 4: 0.0, 5: 0.0}
+    for faces, match, edge in (
+        ([a, b], "face 7: edge position 1 degenerates", 1),
+        ([b, a], "face 3: factor magnitudes exceed", None),
+    ):
+        tri = mesh.Triangulation(6, edges, faces, open_edges=True)
+        for evaluate in (curvature.curvature_map, curvature.curvature_and_jacobian):
+            with pytest.raises(NotAdmissible, match=match) as err:
+                evaluate(spec, tri, f)
+            assert err.value.edge == edge
+
+
+def test_error_names_first_failure_of_the_per_face_loop():
+    rng = random.Random(11)
+    tri = sphere_triangulation(30, rng)
+    spec = make_spec("A1", tri, rng)
+    failed = 0
+    for _ in range(30):
+        f = {i: rng.uniform(-2.5, 0.5) for i in range(tri.n_boundary)}
+        expected = None
+        for face in tri.faces:
+            args = curvature.face_edge_args(spec, face, f)
+            status, bad, _ = _core_py.face_theta(
+                [a[0] for a in args], [spec.alpha[v] for v in face.vertices],
+                [a[5] for a in args], [f[v] for v in face.vertices])
+            if status:
+                expected = f"face {face.id}: edge position {bad} "
+                break
+        if expected is None:
+            curvature.curvature_map(spec, tri, f)
+            continue
+        failed += 1
+        with pytest.raises(NotAdmissible, match=expected):
+            curvature.curvature_map(spec, tri, f)
+    assert failed > 10
+
+
 def test_pair_of_pants_curvature():
     tri = mesh.pair_of_pants()
     K = curvature.curvature_map(pants_spec(), tri, {i: 0.0 for i in range(3)})
@@ -62,73 +116,6 @@ def test_curvature_face_order_invariance():
     )
     K2 = curvature.curvature_map(spec, shuffled, f)
     assert np.allclose(K, K2, atol=0.0)
-
-
-def branch_samples(rng, want, families=ALL_FAMILIES, cap=40000):
-    """(spec, f) samples bucketed by the face-center causal branch."""
-    tri = mesh.single_face()
-    buckets = {"time-like": [], "space-like": []}
-    tries = 0
-    while (min(len(b) for b in buckets.values()) < want) and tries < cap:
-        tries += 1
-        fam = rng.choice(families)
-        spec = stock_spec(fam)
-        pts = sample_face_points(spec, tri, rng, 1, scale=1.2)
-        if not pts:
-            continue
-        f = f_from_u(spec, pts[0])
-        try:
-            fd = curvature.face_derivatives(spec, tri, tri.faces[0], f)
-        except HexcurvError:
-            continue
-        if fd.branch in buckets and len(buckets[fd.branch]) < want:
-            buckets[fd.branch].append((spec, f, fd))
-    return buckets
-
-
-def light_like_samples(rng, want, cap=4000):
-    """Bisect between branches to land within the causal tolerance band."""
-    tri = mesh.single_face()
-    face = tri.faces[0]
-    out = []
-    tries = 0
-    while len(out) < want and tries < cap:
-        tries += 1
-        fam = rng.choice(("A1", "A2", "MixedII", "MixedIII"))
-        spec = stock_spec(fam)
-        pts = sample_face_points(spec, tri, rng, 2, scale=1.2)
-        if len(pts) < 2:
-            continue
-        f0, f1 = (f_from_u(spec, p) for p in pts)
-        try:
-            s0 = curvature.face_derivatives(spec, tri, face, f0).sigma
-            s1 = curvature.face_derivatives(spec, tri, face, f1).sigma
-        except HexcurvError:
-            continue
-        if s0 * s1 >= 0.0:
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            fm = {i: f0[i] + mid * (f1[i] - f0[i]) for i in f0}
-            try:
-                sm = curvature.face_derivatives(spec, tri, face, fm).sigma
-            except HexcurvError:
-                break
-            if abs(sm) <= 1e-12:
-                break
-            if (sm > 0) == (s1 > 0):
-                hi = mid
-            else:
-                lo = mid
-        fm = {i: f0[i] + 0.5 * (lo + hi) * (f1[i] - f0[i]) for i in f0}
-        try:
-            fd = curvature.face_derivatives(spec, tri, face, fm)
-        except HexcurvError:
-            continue
-        if fd.branch == "light-like":
-            out.append((spec, fm, fd))
-    return out
 
 
 def fd_matrix(spec, tri, face, f, step=1e-6):
@@ -215,13 +202,13 @@ def test_face_jacobian_symmetry_independent_entries():
                 assert np.linalg.det(jac) < 0.0
 
 
-def test_assemble_jacobian_matches_fd_in_u():
+def test_jacobian_matches_fd_in_u():
     rng = random.Random(6)
     for fam in ALL_FAMILIES:
         tri = mesh.pair_of_pants()
         spec = make_spec(fam, tri, rng)
         for f in sample_admissible_f(spec, tri, rng, 10, scale=0.5):
-            lam = curvature.assemble_jacobian(spec, tri, f)
+            lam = curvature.curvature_and_jacobian(spec, tri, f)[1]
             assert np.max(np.abs(lam - lam.T)) < 1e-11
             u0 = u_from_f(spec, f)
             h = 1e-6
@@ -251,7 +238,7 @@ def test_negative_definite_families():
 
 def test_global_jacobian_definite_and_circulant_on_pants():
     tri = mesh.pair_of_pants()
-    lam = curvature.assemble_jacobian(pants_spec(), tri, {i: 0.0 for i in range(3)})
+    lam = curvature.curvature_and_jacobian(pants_spec(), tri, {i: 0.0 for i in range(3)})[1]
     assert curvature.is_negative_definite(lam)
     assert lam[0, 0] == pytest.approx(lam[1, 1], abs=1e-12)
     assert lam[0, 1] == pytest.approx(lam[1, 2], abs=1e-12)
