@@ -14,6 +14,8 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import __version__, hexagon, mesh, solver
 from .conformal import u_from_f
 from .curvature import curvature_and_jacobian, curvature_map
@@ -30,17 +32,24 @@ def _read_mesh(path):
         return mesh.parse(fh.read())
 
 
-def _read_records(path, tag):
-    out = {}
+def _read_records(path, tag, n):
+    """{id: value} from '<tag> <id> <value>' lines, one per component 0..n-1."""
+    out, ids = {}, []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if parts[0] != tag or len(parts) != 3:
-                raise HexcurvError(f"{path}: expected '{tag} <id> <value>' records")
-            out[int(parts[1])] = float(parts[2])
+            try:
+                if parts[0] != tag or len(parts) != 3:
+                    raise ValueError(raw)
+                ids.append(int(parts[1]))
+                out[ids[-1]] = float(parts[2])
+            except ValueError:
+                raise HexcurvError(
+                    f"{path}: expected '{tag} <id> <value>' records") from None
+    if sorted(ids) != list(range(n)):
+        raise HexcurvError(f"{path}: needs one record per component 0..{n - 1}")
     return out
 
 
@@ -70,7 +79,7 @@ def cmd_validate(args):
 
 def cmd_curvature(args):
     tri, spec = _read_mesh(args.mesh)
-    f = _read_records(args.factors, "f")
+    f = _read_records(args.factors, "f", tri.n_boundary)
     K = curvature_map(spec, tri, f)
     doc = {"K": {str(i): K[i] for i in range(tri.n_boundary)}}
     _emit(args, doc, [f"K {i} {_fmt(K[i])}" for i in range(tri.n_boundary)])
@@ -79,13 +88,12 @@ def cmd_curvature(args):
 
 def cmd_jacobian(args):
     tri, spec = _read_mesh(args.mesh)
-    f = _read_records(args.factors, "f")
-    lam = curvature_and_jacobian(spec, tri, f)[1]
-    entries = []
-    for i in range(tri.n_boundary):
-        for j in range(tri.n_boundary):
-            if lam[i, j] != 0.0:
-                entries.append((i, j, lam[i, j]))
+    f = _read_records(args.factors, "f", tri.n_boundary)
+    lam = curvature_and_jacobian(spec, tri, f)[1].tocoo()
+    order = np.lexsort((lam.col, lam.row))
+    entries = [(i, j, v) for i, j, v in zip(lam.row[order].tolist(),
+                                            lam.col[order].tolist(),
+                                            lam.data[order].tolist()) if v != 0.0]
     doc = {"entries": [[i, j, v] for i, j, v in entries]}
     _emit(args, doc, [f"L {i} {j} {_fmt(v)}" for i, j, v in entries])
     return 0
@@ -167,10 +175,10 @@ def cmd_check_identities(args):
 
 def cmd_solve(args):
     tri, spec = _read_mesh(args.mesh)
-    target = _read_records(args.target, "K")
+    target = _read_records(args.target, "K", tri.n_boundary)
     opts = solver.SolveOptions(tol_K=args.tol, max_iter=args.max_iter)
     if args.initial:
-        opts.initial = _read_records(args.initial, "f")
+        opts.initial = _read_records(args.initial, "f", tri.n_boundary)
     f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
     lines = [f"f {i} {_fmt(f[i])}" for i in range(tri.n_boundary)]
     report_lines = [
@@ -201,6 +209,13 @@ def cmd_solve(args):
     }
     _emit(args, doc, lines)
     return 0
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-identities", help="randomized identity suites")
     sp.add_argument("--family", default="A1")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=positive_int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_check_identities)
@@ -258,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HexcurvError as exc:
+    except (HexcurvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ._kernels import edge_state
 from .errors import (
     DomainViolation,
@@ -238,14 +240,6 @@ class PairBound:
     b: int
     lo: float
     hi: float
-    label: str
-
-    def slack(self, u: Mapping[int, float]) -> float:
-        s = u[self.a] + u[self.b]
-        return min(s - self.lo, self.hi - s)
-
-    def holds(self, u: Mapping[int, float]) -> bool:
-        return self.slack(u) > 0.0
 
 
 def _a1_pair_bound(aa: int, ab: int, eta: float):
@@ -270,7 +264,6 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
     eta = spec.eta[edge.id]
     code = edge_code(spec, i, j)
     lo, hi = -math.inf, math.inf
-    tag = f"edge {edge.id}"
     if code == EDGE_A1:
         lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
     elif code == EDGE_A2:
@@ -308,39 +301,42 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
             lo, hi = -math.acosh(eta), math.acosh(eta)
     if lo == -math.inf and hi == math.inf:
         return None
-    return PairBound(i, j, lo, hi, tag)
+    return PairBound(i, j, lo, hi)
+
+
+def polytope(spec: StructureSpec, tri) -> tuple:
+    """The admissible polytope of (spec, tri) as arrays (lo, hi, a, b,
+    pair_lo, pair_hi, edge): the chart lo < u_i < hi of every component, and
+    pair_lo < u_a + u_b < pair_hi for every constrained edge, in edge order.
+    tri keeps the polytope of the last spec object it was used with."""
+    if tri.polytope_memo is None or tri.polytope_memo[0] is not spec:
+        charts = [chart(spec, i) for i in range(tri.n_boundary)]
+        pairs = np.array([(pb.a, pb.b, e.id, pb.lo, pb.hi) for e in tri.edges
+                          if (pb := edge_constraint(spec, e)) is not None])
+        a, b, edge, pair_lo, pair_hi = pairs.reshape(-1, 5).T.copy()
+        a, b, edge = a.astype(np.intp), b.astype(np.intp), edge.astype(np.intp)
+        tri.polytope_memo = (spec, (np.array([c.lo for c in charts]),
+                                    np.array([c.hi for c in charts]),
+                                    a, b, pair_lo, pair_hi, edge))
+    return tri.polytope_memo[1]
 
 
 @dataclass
 class Admissibility:
     ok: bool
-    violations: list  # of (face_id or None, description)
+    violations: list  # names of the violated charts and edge constraints
 
 
 def admissible(spec: StructureSpec, tri, u: Mapping[int, float]) -> Admissibility:
-    """Check chart membership and every per-face edge constraint.
-
-    Returns all violated constraints; chart violations are reported with
-    face id None.
-    """
-    violations = []
-    for i in u:
-        ch = chart(spec, i)
-        if not ch.contains(u[i]):
-            violations.append((None, f"u[{i}]={u[i]} outside chart ({ch.lo}, {ch.hi})"))
-    if violations:
-        return Admissibility(False, violations)
-    bounds = {e.id: edge_constraint(spec, e) for e in tri.edges}
-    for face in tri.faces:
-        for eid in face.edge_ids:
-            pb = bounds[eid]
-            if pb is not None and not pb.holds(u):
-                s = u[pb.a] + u[pb.b]
-                violations.append(
-                    (face.id, f"{pb.label}: u[{pb.a}]+u[{pb.b}]={s} "
-                              f"not in ({pb.lo}, {pb.hi})")
-                )
-    return Admissibility(not violations, violations)
+    """Check chart membership, then every edge constraint."""
+    lo, hi, a, b, pair_lo, pair_hi, edge = polytope(spec, tri)
+    uv = np.array([u[i] for i in range(tri.n_boundary)], dtype=float)
+    bad = ~((lo < uv) & (uv < hi))
+    if bad.any():
+        return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(bad)])
+    s = uv[a] + uv[b]
+    bad = ~((pair_lo < s) & (s < pair_hi))
+    return Admissibility(not bad.any(), [f"edge {e}" for e in edge[bad]])
 
 
 # -- family / weight validation ---------------------------------------------

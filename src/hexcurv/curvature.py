@@ -2,7 +2,7 @@
 
 Per-face boundary-arc lengths, the curvature vector (total arc length per
 boundary component), per-face 3x3 derivative matrices in both f and u
-coordinates, global Jacobian assembly, and definiteness checks.
+coordinates, sparse global Jacobian assembly, and definiteness checks.
 
 The release derivative path runs through the evaluation kernel (edge
 splits, hyperboloid embedding, face-center distance ratios, and the
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import tol
 from ._kernels import _NEXT, BAD_EDGE, BAD_RANGE, LIGHT, OK, SPACE, TIME
@@ -186,10 +187,10 @@ def dtheta_df_chain(spec: StructureSpec, tri, face, f) -> np.ndarray:
     return dthdl @ dldf
 
 
-def _arc_sums(vert, theta, n) -> np.ndarray:
-    """Arcs summed per boundary component in face order."""
-    K = np.bincount(vert.ravel(), weights=theta.ravel(), minlength=n)
-    return K.astype(float, copy=False)  # without faces bincount gives ints
+def _sums(index, values, n) -> np.ndarray:
+    """values summed per index; each sum adds its values in input order."""
+    out = np.bincount(index.ravel(), weights=values.ravel(), minlength=n)
+    return out.astype(float, copy=False)  # without faces bincount gives ints
 
 
 def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
@@ -197,21 +198,21 @@ def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
     status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
     _raise_first(tri.faces, status, bad, double)
-    return _arc_sums(vert, theta, tri.n_boundary)
+    return _sums(vert, theta, tri.n_boundary)
 
 
 def curvature_and_jacobian(spec: StructureSpec, tri, f):
-    """K and its u-Jacobian (dense N x N) in one kernel pass."""
+    """K and its u-Jacobian (N x N scipy CSC array, one stored entry per
+    pair of components that share a face) in one kernel pass."""
     n = tri.n_boundary
     du = np.array([dfdu(spec, v, f) for v in range(n)], dtype=float)
     vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
     status, bad, theta, jac, _, _ = face_eval(vert, codes, alphas, etas, fv, du)
     _raise_first(tri.faces, status, bad, double)
-    K = _arc_sums(vert, theta, n)
-    # np.zeros maps its pages lazily; only pages holding entries get touched
-    lam = np.zeros((n, n))
-    np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
-    return K, lam
+    slot, rows, colptr = tri.jacobian_pattern
+    data = _sums(slot, jac, len(rows))
+    return _sums(vert, theta, n), scipy.sparse.csc_array((data, rows, colptr),
+                                                          shape=(n, n))
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

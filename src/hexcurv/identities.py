@@ -14,7 +14,7 @@ import numpy as np
 
 from . import curvature, mesh, solver
 from ._kernels import edge_state
-from .conformal import StructureSpec, admissible, chart, dfdu, f_from_u
+from .conformal import StructureSpec, f_from_u, polytope
 from .errors import HexcurvError
 from .hexagon import HexagonGeometry
 from .lorentz import CausalClass
@@ -28,7 +28,6 @@ def _sgn(v):
 
 def stock_spec(family: str) -> StructureSpec:
     """A representative single-face spec per family for randomized suites."""
-    tri = mesh.single_face()
     al0 = { i: 0 for i in range(3)}
     if family == "A1":
         return StructureSpec("A1", {0: 0, 1: 1, 2: 0}, {0: 3.0, 1: 2.5, 2: 2.0})
@@ -56,17 +55,18 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
     >= min_slack, so derivative magnitudes stay moderate (fixed-step
     finite differences and absolute residual bounds need that).
     """
-    from .conformal import edge_constraint
-
     u0 = solver.default_initial(spec, tri)
-    bounds = [b for b in (edge_constraint(spec, e) for e in tri.edges) if b]
+    poly = [x.tolist() for x in polytope(spec, tri)]
+    (lo, hi), pairs = poly[:2], list(zip(*poly[2:6]))
 
-    def slack_ok(u):
+    def slacks(u):  # python floats: most draws fail early, on a single face
         for i, ui in u.items():
-            ch = chart(spec, i)
-            if ui - ch.lo < min_slack or ch.hi - ui < min_slack:
-                return False
-        return all(pb.slack(u) >= min_slack for pb in bounds)
+            yield ui - lo[i]
+            yield hi[i] - ui
+        for a, b, pair_lo, pair_hi in pairs:
+            s = u[a] + u[b]
+            yield s - pair_lo
+            yield pair_hi - s
 
     out = []
     tries = 0
@@ -75,10 +75,9 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
         s = scale * rng.uniform(0.05, 1.0)
         u = {}
         for i in u0:
-            ch = chart(spec, i)
             ui = u0[i] + rng.uniform(-s, s)
-            u[i] = ui if ch.contains(ui) else u0[i]
-        if slack_ok(u) and admissible(spec, tri, u).ok:
+            u[i] = ui if lo[i] < ui < hi[i] else u0[i]
+        if all(x >= min_slack and x > 0.0 for x in slacks(u)):
             out.append(u)
     return out
 

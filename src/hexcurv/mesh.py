@@ -48,6 +48,8 @@ class Triangulation:
     open_edges: bool = False
     warnings: list = field(default_factory=list)
     edge_by_id: dict = field(init=False)
+    # (spec, its polytope arrays), kept by conformal.polytope
+    polytope_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edge_by_id = {e.id: e for e in self.edges}
@@ -109,6 +111,19 @@ class Triangulation:
         epos = np.array([[pos[e] for e in f.edge_ids] for f in self.faces],
                         dtype=np.intp)
         return vert.reshape(-1, 3), epos.reshape(-1, 3), eids
+
+    @cached_property
+    def jacobian_pattern(self) -> tuple:
+        """(slot of each F x 3 x 3 face-block entry, row indices, column
+        pointers) of the u-Jacobian in canonical CSC form, built on first use;
+        entries at one (row, column), as in a face repeating a component,
+        share a slot."""
+        vert, n = self.face_arrays[0], self.n_boundary
+        keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
+        keys, slot = np.unique(keys, return_inverse=True)
+        colptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=colptr[1:])
+        return slot, keys % n, colptr
 
     def face_edges(self, face: Face):
         return [self.edge_by_id[eid] for eid in face.edge_ids]

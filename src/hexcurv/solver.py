@@ -2,9 +2,10 @@
 
 Inverts the curvature map: given a positive target vector, finds the
 factors whose boundary curvatures match it.  Works in the u-coordinates,
-where the Jacobian is symmetric negative definite, with backtracking
-damping that keeps iterates inside the admissible polytope and the
-residual strictly decreasing.
+where the Jacobian is symmetric and, outside the hyper-ideal split
+windows, negative definite.  Each Newton step factors the sparse
+Jacobian once; backtracking damping keeps iterates inside the admissible
+polytope and the residual strictly decreasing.
 """
 
 from __future__ import annotations
@@ -13,18 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
-from .conformal import (
-    StructureSpec,
-    admissible,
-    chart,
-    edge_constraint,
-    f_from_u,
-    u_from_f,
-)
+from .conformal import StructureSpec, admissible, f_from_u, polytope, u_from_f
 from .curvature import curvature_and_jacobian, curvature_map, face_angles
 from .errors import (
     HexcurvError,
@@ -33,8 +25,6 @@ from .errors import (
     NotConverged,
     PathLeavesDomain,
 )
-
-DENSE_LIMIT = 512
 
 
 @dataclass
@@ -86,8 +76,7 @@ def existence_unproven(spec: StructureSpec, tri) -> bool:
     return False
 
 
-def _chart_margin(ch) -> tuple:
-    lo, hi = ch.lo, ch.hi
+def _chart_margin(lo: float, hi: float) -> tuple:
     if math.isinf(lo) and math.isinf(hi):
         return lo, hi
     width = hi - lo
@@ -103,40 +92,40 @@ def default_initial(spec: StructureSpec, tri) -> dict:
     the pairwise constraints, nudging both coordinates of a violated pair
     toward the constraint's interior.
     """
+    poly = [x.tolist() for x in polytope(spec, tri)]
+    charts, bounds = list(zip(*poly[:2])), list(zip(*poly[2:6]))
     u = {}
-    for i in range(tri.n_boundary):
-        ch = chart(spec, i)
-        if math.isinf(ch.lo) and math.isinf(ch.hi):
+    for i, (lo, hi) in enumerate(charts):
+        if math.isinf(lo) and math.isinf(hi):
             u[i] = 0.0
-        elif math.isinf(ch.hi):
-            u[i] = ch.lo + 0.5
-        elif math.isinf(ch.lo):
-            u[i] = ch.hi - 0.5
+        elif math.isinf(hi):
+            u[i] = lo + 0.5
+        elif math.isinf(lo):
+            u[i] = hi - 0.5
         else:
-            u[i] = 0.5 * (ch.lo + ch.hi)
-    bounds = [b for b in (edge_constraint(spec, e) for e in tri.edges) if b]
+            u[i] = 0.5 * (lo + hi)
+    margins = [_chart_margin(lo, hi) for lo, hi in charts]
     for _ in range(100):
         moved = False
-        for pb in bounds:
-            s = u[pb.a] + u[pb.b]
-            if math.isinf(pb.hi):
+        for a, b, lo, hi in bounds:
+            s = u[a] + u[b]
+            if math.isinf(hi):
                 margin = 0.5
-                target = pb.lo + margin if s <= pb.lo + 0.25 * margin else None
-            elif math.isinf(pb.lo):
+                target = lo + margin if s <= lo + 0.25 * margin else None
+            elif math.isinf(lo):
                 margin = 0.5
-                target = pb.hi - margin if s >= pb.hi - 0.25 * margin else None
+                target = hi - margin if s >= hi - 0.25 * margin else None
             else:
-                mid = 0.5 * (pb.lo + pb.hi)
-                width = pb.hi - pb.lo
-                target = mid if min(s - pb.lo, pb.hi - s) <= 0.05 * width else None
+                mid = 0.5 * (lo + hi)
+                width = hi - lo
+                target = mid if min(s - lo, hi - s) <= 0.05 * width else None
             if target is not None:
                 delta = 0.5 * (target - s)
-                u[pb.a] += delta
-                if pb.b != pb.a:
-                    u[pb.b] += delta
+                u[a] += delta
+                if b != a:
+                    u[b] += delta
                 moved = True
-        for i in range(tri.n_boundary):
-            lo, hi = _chart_margin(chart(spec, i))
+        for i, (lo, hi) in enumerate(margins):
             clamped = min(max(u[i], lo), hi)
             if clamped != u[i]:
                 u[i] = clamped
@@ -151,21 +140,22 @@ def default_initial(spec: StructureSpec, tri) -> dict:
     )
 
 
-def _solve_step(lam: np.ndarray, g: np.ndarray, report: SolveReport) -> np.ndarray:
-    n = lam.shape[0]
-    if n > DENSE_LIMIT:
-        sp = scipy.sparse.csc_matrix(lam)
-        return scipy.sparse.linalg.spsolve(sp, g)
-    try:
-        c, low = scipy.linalg.cho_factor(-lam)
-        return -scipy.linalg.cho_solve((c, low), g)
-    except np.linalg.LinAlgError:
-        # Jacobian not negative definite (hyper-ideal edge-center window);
-        # fall back to a symmetric indefinite factorization.
-        note = "jacobian indefinite at an iterate; used symmetric-indefinite solve"
+def _solve_step(lam, g: np.ndarray, report: SolveReport) -> np.ndarray:
+    """lam^-1 g from one sparse LU factorization of the symmetric lam.
+
+    Pivots stay on the diagonal unless one is exactly zero, which no
+    definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
+    Sylvester's law of inertia lam is negative definite exactly when every
+    pivot in D is negative; otherwise (a hyper-ideal split window) the
+    report notes it.
+    """
+    lu = scipy.sparse.linalg.splu(lam, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() < 0.0)):
+        note = "jacobian indefinite at an iterate"
         if note not in report.notes:
             report.notes.append(note)
-        return scipy.linalg.solve(lam, g, assume_a="sym")
+    return lu.solve(g)
 
 
 def solve_prescribed_curvature(

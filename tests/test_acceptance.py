@@ -200,7 +200,7 @@ def test_criterion_05_jacobian_symmetry():
         tri_m = sphere_triangulation(20, rng)
         spec = make_spec(fam, tri_m, rng)
         for f in sample_admissible_f(spec, tri_m, rng, 5, scale=0.5):
-            lam = curvature.curvature_and_jacobian(spec, tri_m, f)[1]
+            lam = curvature.curvature_and_jacobian(spec, tri_m, f)[1].toarray()
             worst_global = max(worst_global, float(np.max(np.abs(lam - lam.T))))
     assert worst_global < 1e-11
     report(5, f"asymmetry: face {worst_face:.2e}, assembled {worst_global:.2e}")
@@ -251,7 +251,7 @@ def test_criterion_06_negative_definiteness():
         spec_m = make_spec(fam, tri_m, rng,
                            regime="definite" if fam == "MixedI" else "default")
         for f in sample_admissible_f(spec_m, tri_m, rng, 3, scale=0.5):
-            lam = curvature.curvature_and_jacobian(spec_m, tri_m, f)[1]
+            lam = curvature.curvature_and_jacobian(spec_m, tri_m, f)[1].toarray()
             assert curvature.is_negative_definite(lam), fam
     report(6, "1000 face samples per family all negative definite "
               f"(near-boundary counts {counts})")

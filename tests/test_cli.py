@@ -131,3 +131,36 @@ def test_solve_json_with_initial(pants_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["converged"] is True
     assert abs(doc["f"]["0"]) < 1e-8
+
+
+def test_missing_file_is_an_error(pants_file, tmp_path, capsys):
+    missing = str(tmp_path / "nowhere.txt")
+    assert main(["validate", missing]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["curvature", pants_file, "--factors", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("records, message", [
+    ("f 0 0.0\nf 1 0.0\n", "one record per component 0..2"),  # missing
+    ("f 0 0.0\nf 1 0.0\nf 2 0.0\nf 3 0.0\n", "one record per component"),  # unknown
+    ("f 0 0.0\nf 1 0.0\nf 2 0.0\nf 1 0.5\n", "one record per component"),  # twice
+    ("f 0 0.0\nf one 0.0\nf 2 0.0\n", "expected 'f <id> <value>' records"),
+])
+def test_factor_records_name_each_component_once(pants_file, tmp_path, capsys,
+                                                 records, message):
+    fpath = tmp_path / "factors.txt"
+    fpath.write_text(records)
+    for command in ("curvature", "jacobian"):
+        assert main([command, pants_file, "--factors", str(fpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "two"])
+def test_check_identities_needs_positive_samples(samples, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check-identities", "--samples", samples])
+    assert err.value.code == 2
+    assert "--samples" in capsys.readouterr().err

@@ -137,6 +137,26 @@ def test_admissible_examples():
     assert cf.admissible(spec2, tri, u).ok
 
 
+def test_admissible_names_each_violated_bound_once():
+    tri = mesh.pair_of_pants()  # each edge borders both faces
+    loose = cf.StructureSpec("A1", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    tight = cf.StructureSpec("A1", {i: 0 for i in range(3)}, {i: 1.0 for i in range(3)})
+    a3 = cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
+    u = {i: 0.0 for i in range(3)}  # u_a + u_b = 0 lies above log(2/3), below log 2
+    for _ in range(2):  # the mesh keeps the polytope of the last spec only
+        assert cf.admissible(loose, tri, u).ok
+        res = cf.admissible(tight, tri, u)
+        assert not res.ok and res.violations == ["edge 0", "edge 1", "edge 2"]
+        res = cf.admissible(a3, tri, {0: 1.0, 1: -1.0, 2: 1.0})
+        assert not res.ok and res.violations == ["chart of u[0]", "chart of u[2]"]
+    # B-edges at a special alpha=0 component bound u_a + u_b from above
+    mixed = cf.StructureSpec("MixedI", {0: 0, 1: -1, 2: -1}, {0: 2.0, 1: 3.0, 2: 2.0},
+                             special=frozenset({0}))
+    assert cf.admissible(mixed, tri, {0: 1.0, 1: -0.5, 2: -0.5}).ok
+    res = cf.admissible(mixed, tri, {0: 1.0, 1: -0.2, 2: -0.5})
+    assert not res.ok and res.violations == ["edge 0"]
+
+
 def test_admissible_matches_edge_lengths():
     # membership agrees with per-edge positivity everywhere sampled
     rng = random.Random(2)

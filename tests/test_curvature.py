@@ -6,7 +6,7 @@ import pytest
 
 from hexcurv import curvature, mesh, solver
 from hexcurv.conformal import StructureSpec, dfdu, f_from_u, u_from_f
-from hexcurv._kernels import _core_py
+from hexcurv._kernels import _core_py, face_eval
 from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
@@ -208,7 +208,7 @@ def test_jacobian_matches_fd_in_u():
         tri = mesh.pair_of_pants()
         spec = make_spec(fam, tri, rng)
         for f in sample_admissible_f(spec, tri, rng, 10, scale=0.5):
-            lam = curvature.curvature_and_jacobian(spec, tri, f)[1]
+            lam = curvature.curvature_and_jacobian(spec, tri, f)[1].toarray()
             assert np.max(np.abs(lam - lam.T)) < 1e-11
             u0 = u_from_f(spec, f)
             h = 1e-6
@@ -238,7 +238,7 @@ def test_negative_definite_families():
 
 def test_global_jacobian_definite_and_circulant_on_pants():
     tri = mesh.pair_of_pants()
-    lam = curvature.curvature_and_jacobian(pants_spec(), tri, {i: 0.0 for i in range(3)})[1]
+    lam = curvature.curvature_and_jacobian(pants_spec(), tri, {i: 0.0 for i in range(3)})[1].toarray()
     assert curvature.is_negative_definite(lam)
     assert lam[0, 0] == pytest.approx(lam[1, 1], abs=1e-12)
     assert lam[0, 1] == pytest.approx(lam[1, 2], abs=1e-12)
@@ -249,3 +249,33 @@ def test_branch_coverage_statistics():
     rng = random.Random(8)
     buckets = branch_samples(rng, 5)
     assert all(len(b) == 5 for b in buckets.values())
+
+
+def _dense_jacobian(spec, tri, f):
+    """The u-Jacobian summed densely from the kernel's face blocks."""
+    vert, codes, alphas, etas, fv, _ = curvature._mesh_inputs(spec, tri, f)
+    du = np.array([dfdu(spec, v, f) for v in range(tri.n_boundary)])
+    jac = face_eval(vert, codes, alphas, etas, fv, du)[3]
+    lam = np.zeros((tri.n_boundary, tri.n_boundary))
+    np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
+    return lam
+
+
+def test_sparse_jacobian_equals_dense_face_sum_bit_for_bit():
+    rng = random.Random(12)
+    sphere = sphere_triangulation(40, rng)
+    # both faces repeat component 0, so one face adds into J[0, 0] four times
+    edges = [mesh.Edge(0, 0, 0), mesh.Edge(1, 0, 1), mesh.Edge(2, 1, 0)]
+    repeated = mesh.Triangulation(2, edges, [mesh.Face(0, (0, 0, 1), (0, 1, 2)),
+                                             mesh.Face(1, (0, 0, 1), (0, 1, 2))])
+    cases = [(sphere, make_spec(fam, sphere, rng, regime="definite"))
+             for fam in ALL_FAMILIES]
+    cases.append((repeated, StructureSpec("A3", {0: 0, 1: 0},
+                                          {0: 4.0, 1: 5.0, 2: 6.0})))
+    for tri, spec in cases:
+        for f in sample_admissible_f(spec, tri, rng, 2, scale=0.5):
+            lam = curvature.curvature_and_jacobian(spec, tri, f)[1]
+            assert lam.format == "csc" and lam.has_canonical_format
+            assert lam.shape == (tri.n_boundary, tri.n_boundary)
+            assert lam.toarray().tobytes() == _dense_jacobian(spec, tri, f).tobytes()
+    assert repeated.jacobian_pattern[1].tolist() == [0, 1, 0, 1]

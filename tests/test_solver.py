@@ -2,6 +2,7 @@ import math
 import random
 
 import numpy as np
+import scipy.sparse
 import pytest
 
 from hexcurv import curvature, mesh, solver
@@ -212,3 +213,79 @@ def test_energy_path_leaves_domain():
     bad = {i: -3.0 for i in u0}
     with pytest.raises(PathLeavesDomain):
         solver.energy_face(spec, tri, tri.faces[0], u0, bad)
+
+
+def _tridiagonal(n, diag, off):
+    return scipy.sparse.diags_array([off, diag, off], offsets=[-1, 0, 1],
+                                    shape=(n, n), format="csc")
+
+
+def _sphere_jacobian(n, shifted):
+    """An A3 sphere Jacobian (negative definite); shifted, it is indefinite:
+    minus the midpoint of its widest eigenvalue gap past the 100 lowest."""
+    rng = random.Random(n)
+    tri = sphere_triangulation(n, rng)
+    spec = make_spec("A3", tri, rng)
+    lam = curvature.curvature_and_jacobian(
+        spec, tri, sample_admissible_f(spec, tri, rng, 1, scale=0.5)[0])[1]
+    if not shifted:
+        return lam
+    ev = np.linalg.eigvalsh(lam.toarray())[100:]
+    k = int(np.argmax(np.diff(ev)))
+    mid = scipy.sparse.diags_array(np.full(n, 0.5 * (ev[k] + ev[k + 1])), format="csc")
+    return (lam - mid).tocsc()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _tridiagonal(40, -3.0, 1.0), id="definite-40"),
+    pytest.param(lambda: _tridiagonal(600, -3.0, 1.0), id="definite-600"),
+    pytest.param(lambda: _tridiagonal(40, -1.0, 1.0), id="indefinite-40"),
+    pytest.param(lambda: _tridiagonal(600, -1.0, 1.0), id="indefinite-600"),
+    pytest.param(lambda: _tridiagonal(2, 0.0, 1.0), id="zero-diagonal-2"),
+    # pivots off the diagonal, all negative
+    pytest.param(lambda: _tridiagonal(2, 0.0, -1.0), id="zero-diagonal-negative-2"),
+    pytest.param(lambda: _tridiagonal(600, 0.0, 1.0), id="zero-diagonal-600"),
+    pytest.param(lambda: _sphere_jacobian(600, shifted=False), id="sphere-600"),
+    pytest.param(lambda: _sphere_jacobian(600, shifted=True), id="sphere-shifted-600"),
+])
+def test_newton_step_notes_exactly_the_indefinite_jacobians(make):
+    lam = make()
+    g = np.random.default_rng(lam.shape[0]).standard_normal(lam.shape[0])
+    report = solver.SolveReport(False, 0, math.inf)
+    step = solver._solve_step(lam, g, report)
+    assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
+    definite = np.linalg.eigvalsh(lam.toarray()).max() < 0.0
+    assert report.notes == ([] if definite else ["jacobian indefinite at an iterate"])
+
+
+def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
+    """Roundtrip solve as in test_rigidity_roundtrip_all_families; also
+    returns the largest eigenvalue of every Jacobian the solve factored."""
+    rng = random.Random(seed)
+    spec = make_spec(fam, tri, rng)
+    f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
+    K0 = curvature.curvature_map(spec, tri, f0)
+    tops = []
+
+    def recording(*args):
+        K, lam = curvature.curvature_and_jacobian(*args)
+        tops.append(np.linalg.eigvalsh(lam.toarray()).max())
+        return K, lam
+
+    monkeypatch.setattr(solver, "curvature_and_jacobian", recording)
+    _, rep = solver.solve_prescribed_curvature(
+        spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
+    assert rep.converged
+    return rep, tops[:-1]  # the Jacobian at the solution is not factored
+
+
+def test_indefinite_note_follows_the_jacobians(monkeypatch):
+    # the default MixedI window sits in the hyper-ideal split regime
+    rep, tops = _solve_recording_jacobians("MixedI", mesh.pair_of_pants(), 0,
+                                           monkeypatch)
+    assert max(tops) > 0.0
+    assert "jacobian indefinite at an iterate" in rep.notes
+    rep, tops = _solve_recording_jacobians(
+        "A3", sphere_triangulation(10, random.Random(0)), 0, monkeypatch)
+    assert max(tops) < 0.0
+    assert not any("indefinite" in note for note in rep.notes)
