@@ -17,10 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__, hexagon, mesh, solver
-from .conformal import u_from_f
 from .curvature import curvature_and_jacobian, curvature_map
 from .errors import HexcurvError
-from .lorentz import CausalClass
 
 
 def _fmt(x: float) -> str:
@@ -33,7 +31,8 @@ def _read_mesh(path):
 
 
 def _read_records(path, tag, n):
-    """{id: value} from '<tag> <id> <value>' lines, one per component 0..n-1."""
+    """{id: value} from '<tag> <id> <value>' lines, one per component 0..n-1,
+    each value finite."""
     out, ids = {}, []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -50,6 +49,9 @@ def _read_records(path, tag, n):
                     f"{path}: expected '{tag} <id> <value>' records") from None
     if sorted(ids) != list(range(n)):
         raise HexcurvError(f"{path}: needs one record per component 0..{n - 1}")
+    bad = [i for i in ids if not math.isfinite(out[i])]
+    if bad:
+        raise HexcurvError(f"{path}: value of '{tag} {bad[0]}' is not finite")
     return out
 
 

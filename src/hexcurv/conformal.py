@@ -1,7 +1,11 @@
 """The six conformal structure families on ideal edges.
 
 Per-edge length formulas, partial-length ratios, the per-vertex change of
-variables u <-> f, its derivative factors, and admissible-space membership.
+variables u <-> f and df/du on arrays (ChangeOfVariables), and
+admissible-space membership.  spec_arrays(spec, tri) derives the arrays of
+a spec on a mesh once; the mesh keeps those of the last spec it was used
+with.  Functions taking u or f accept a mapping or an array indexed by
+component; f_from_u and u_from_f map dicts to dicts at the API boundary.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -11,12 +15,13 @@ sign-flipped edge rule on the two edges at that component).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ._kernels import edge_state
+from ._kernels import _NEXT, F_LIMIT, edge_state
 from .errors import (
     DomainViolation,
     FamilyConstraint,
@@ -81,30 +86,11 @@ def edge_code(spec: StructureSpec, a, b) -> int:
     return rule_code(spec.family, sa or sb)
 
 
-def _require_factor_domain(spec: StructureSpec, i, fi: float) -> None:
-    fam = spec.family
-    if fam in ("A2", "MixedII"):
-        if fi <= 0.0:
-            raise DomainViolation(f"f[{i}]={fi} must be positive for {fam}")
-    elif fam in ("A1", "MixedI") and spec.alpha[i] == -1:
-        if fi >= 0.0:
-            raise DomainViolation(f"f[{i}]={fi} must be negative when alpha=-1")
-
-
-def factors_in_domain(spec: StructureSpec, f: Mapping[int, float]) -> None:
-    """Raise DomainViolation unless every factor lies in the family domain."""
-    for i, fi in f.items():
-        if not math.isfinite(fi):
-            raise DomainViolation(f"f[{i}] is not finite")
-        _require_factor_domain(spec, i, fi)
-
-
 def _edge_rule(spec: StructureSpec, edge, f: Mapping[int, float]) -> tuple:
     """(cosh l, partial ratio) of one edge under the family rule."""
     i, j = edge.a, edge.b
     fi, fj = f[i], f[j]
-    _require_factor_domain(spec, i, fi)
-    _require_factor_domain(spec, j, fj)
+    ChangeOfVariables(spec, (i, j)).check_factors(np.array([fi, fj], dtype=float))
     ok, ch, rho = edge_state(edge_code(spec, i, j), spec.alpha[i], spec.alpha[j],
                              fi, fj, spec.eta[edge.id])
     if not ok:
@@ -155,79 +141,103 @@ _POS = Chart(0.0, math.inf)
 _TRIG = Chart(-math.pi / 2.0, 0.0)
 
 
+# Laws of the change of variables.  With s = 1 on special components and
+# s = -1 elsewhere, and v = s u: f = F(v), u = s H(f) and df/du = -s G(f).
+_EXP, _SIN, _COS, _LIN, _COSH, _SINH = range(6)
+_LAWS = (  # (F, H, G, domain of f, chart of a plain component, of a special one)
+    (lambda v: -np.log(v), lambda f: np.exp(-f), np.exp, _REAL, _NEG, _POS),
+    (lambda v: -np.log(np.sin(v)), lambda f: np.arcsin(np.exp(-f)),
+     lambda f: np.sqrt(np.expm1(2.0 * f)), _POS, _TRIG, _TRIG),
+    (lambda v: -np.log(np.cos(v)), lambda f: -np.arccos(np.exp(-f)),
+     lambda f: np.sqrt(np.expm1(2.0 * f)), _POS, _TRIG, _TRIG),
+    (np.negative, np.negative, np.ones_like, _REAL, _REAL, _REAL),
+    (lambda v: -np.log(np.cosh(v)), lambda f: np.arccosh(np.exp(-f)),
+     lambda f: np.sqrt(1.0 - np.exp(2.0 * f)), _NEG, _NEG, _POS),
+    (lambda v: -np.log(np.sinh(v)), lambda f: np.arcsinh(np.exp(-f)),
+     lambda f: np.sqrt(1.0 + np.exp(2.0 * f)), _REAL, _NEG, _POS),
+)
+_BOUNDS = np.array([[(c.lo, c.hi) for c in law[3:]] for law in _LAWS])
+_EXP_MAX = math.log(sys.float_info.max)  # exp, cosh and sinh overflow beyond
+
+
+def _law(spec: StructureSpec, i) -> int:
+    if spec.family in ("A3", "MixedIII"):
+        return _EXP
+    if spec.family in ("A2", "MixedII"):
+        return _COS if spec.is_special(i) else _SIN
+    return (_LIN, _SINH, _COSH)[spec.alpha[i]]
+
+
 def chart(spec: StructureSpec, i) -> Chart:
     """The u-domain of boundary component i under the family chart."""
-    fam = spec.family
-    if fam in ("A2", "MixedII"):
-        return _TRIG
-    if fam in ("A3", "MixedIII"):
-        return _POS if spec.is_special(i) else _NEG
-    if spec.alpha[i] == 0:
-        return _REAL
-    return _POS if spec.is_special(i) else _NEG
+    return _LAWS[_law(spec, i)][5 if spec.is_special(i) else 4]
 
 
-def u_of_f(spec: StructureSpec, i, fi: float) -> float:
-    """The u-coordinate of component i at factor value fi."""
-    _require_factor_domain(spec, i, fi)
-    fam = spec.family
-    sp = spec.is_special(i)
-    if fam in ("A3", "MixedIII"):
-        return math.exp(-fi) if sp else -math.exp(-fi)
-    if fam in ("A2", "MixedII"):
-        # e^f = 1/cos u (special) or -1/sin u, both on (-pi/2, 0)
-        return -math.acos(math.exp(-fi)) if sp else -math.asin(math.exp(-fi))
-    a = spec.alpha[i]
-    if a == 0:
-        return -fi if sp else fi
-    if a == -1:
-        u = math.acosh(math.exp(-fi))
-        return u if sp else -u
-    u = math.asinh(math.exp(-fi))
-    return u if sp else -u
+class ChangeOfVariables:
+    """u <-> f and df/du of the components ids of a spec, on float arrays
+    indexed like ids.  Each map checks its whole input first and raises
+    DomainViolation for the first component outside its open domain; then
+    each law runs on its own components only, so no numpy warning fires."""
+
+    def __init__(self, spec: StructureSpec, ids):
+        self.family, self.ids = spec.family, ids
+        special = np.array([spec.is_special(i) for i in ids], dtype=np.intp)
+        self.law = np.array([_law(spec, i) for i in ids], dtype=np.intp)
+        self.sign = 2.0 * special - 1.0
+        self.f_lo, self.f_hi = _BOUNDS[self.law, 0].T
+        self.lo, self.hi = _BOUNDS[self.law, 1 + special].T
+        self.groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
+
+    def _require(self, name: str, x, lo, hi) -> None:
+        bad = ~((lo < x) & (x < hi))  # NaN fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainViolation(f"{name}[{self.ids[k]}]={x[k]} outside "
+                                  f"({lo[k]}, {hi[k]}) for {self.family}")
+
+    def _apply(self, which: int, x) -> np.ndarray:
+        out = np.empty(len(x))
+        for law, idx in self.groups:
+            out[idx] = _LAWS[law][which](x[idx])
+        return out
+
+    def check_factors(self, f) -> None:
+        self._require("f", f, self.f_lo, self.f_hi)
+
+    def to_f(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        big = np.where(self.law >= _COSH, _EXP_MAX, np.inf)  # cosh, sinh overflow beyond
+        self._require("u", u, np.maximum(self.lo, -big), np.minimum(self.hi, big))
+        return self._apply(0, self.sign * u)
+
+    def to_u(self, f) -> np.ndarray:
+        f = np.asarray(f, dtype=float)
+        # exp(-f) overflows below -_EXP_MAX in every law but the linear one
+        lo = np.where(self.law == _LIN, self.f_lo, np.maximum(self.f_lo, -_EXP_MAX))
+        self._require("f", f, lo, self.f_hi)
+        return self.sign * self._apply(1, f)
+
+    def derivative(self, f) -> np.ndarray:
+        """df/du; filler where |f| > F_LIMIT, which the kernel rejects."""
+        f = np.asarray(f, dtype=float)
+        self.check_factors(f)
+        return -self.sign * self._apply(2, np.where(np.abs(f) <= F_LIMIT, f, 0.0))
 
 
-def f_of_u(spec: StructureSpec, i, ui: float) -> float:
-    """Inverse of u_of_f; DomainViolation outside the chart."""
-    if not chart(spec, i).contains(ui):
-        raise DomainViolation(f"u[{i}]={ui} outside chart for {spec.family}")
-    fam = spec.family
-    sp = spec.is_special(i)
-    if fam in ("A3", "MixedIII"):
-        return -math.log(ui) if sp else -math.log(-ui)
-    if fam in ("A2", "MixedII"):
-        return -math.log(math.cos(ui)) if sp else -math.log(-math.sin(ui))
-    a = spec.alpha[i]
-    if a == 0:
-        return -ui if sp else ui
-    if a == -1:
-        return -math.log(math.cosh(ui))
-    return -math.log(abs(math.sinh(ui)))
+def component_values(x, n: int) -> np.ndarray:
+    """x[0], ..., x[n-1] as a float array; x is a mapping or an array
+    indexed by component."""
+    if isinstance(x, np.ndarray) and x.shape == (n,):
+        return x.astype(float, copy=False)
+    return np.array([x[i] for i in range(n)], dtype=float)
 
 
 def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> dict:
-    return {i: u_of_f(spec, i, fi) for i, fi in f.items()}
+    return dict(zip(f, ChangeOfVariables(spec, list(f)).to_u(list(f.values())).tolist()))
 
 
 def f_from_u(spec: StructureSpec, u: Mapping[int, float]) -> dict:
-    return {i: f_of_u(spec, i, ui) for i, ui in u.items()}
-
-
-def dfdu(spec: StructureSpec, i, f: Mapping[int, float]) -> float:
-    """Diagonal derivative df_i/du_i of the change of variables."""
-    fi = f[i]
-    _require_factor_domain(spec, i, fi)
-    fam = spec.family
-    sign = -1.0 if spec.is_special(i) else 1.0
-    if fam in ("A3", "MixedIII"):
-        return sign * math.exp(fi)
-    if fam in ("A2", "MixedII"):
-        v = math.expm1(2.0 * fi)
-        return sign * math.sqrt(v)
-    v = 1.0 + spec.alpha[i] * math.exp(2.0 * fi)
-    if v < 0.0:
-        raise DomainViolation(f"1 + alpha e^(2f) negative at component {i}")
-    return sign * math.sqrt(v)
+    return dict(zip(u, ChangeOfVariables(spec, list(u)).to_f(list(u.values())).tolist()))
 
 
 # -- admissible-space membership --------------------------------------------
@@ -264,61 +274,94 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
     eta = spec.eta[edge.id]
     code = edge_code(spec, i, j)
     lo, hi = -math.inf, math.inf
-    if code == EDGE_A1:
-        lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
-    elif code == EDGE_A2:
-        # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
-        if eta < 1.0:
-            lo = -math.acos(-eta)
-    elif code == EDGE_A3:
-        lo = -math.sqrt(2.0 * eta)
-    elif code == EDGE_B3:
-        if eta <= 0.0:
-            lo = math.sqrt(-2.0 * eta)
-    elif code == EDGE_B2:
-        if eta <= 1.0:
-            lo = -math.asin(min(eta, 1.0))
-    else:  # EDGE_B1: depends on the alpha pair, special endpoint first
-        s, m = (i, j) if spec.is_special(i) else (j, i)
-        asm = (spec.alpha[s], spec.alpha[m])
-        if asm == (0, 0) or asm == (1, 1):
-            pass  # eta range validated separately; no u constraint
-        elif asm == (1, 0):
-            if eta < 0.0:
-                hi = math.log(-1.0 / eta)
-        elif asm == (-1, 0):
-            lo = math.log(1.0 / eta)
-        elif asm == (0, 1):
-            if eta < 0.0:
-                lo = math.log(-eta)
-        elif asm == (-1, 1):
-            lo = math.asinh(-eta)
-        elif asm == (0, -1):
-            hi = math.log(eta)
-        elif asm == (1, -1):
-            hi = math.asinh(eta)
-        else:  # (-1, -1)
-            lo, hi = -math.acosh(eta), math.acosh(eta)
+    try:
+        if code == EDGE_A1:
+            lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
+        elif code == EDGE_A2:
+            # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
+            if eta < 1.0:
+                lo = -math.acos(-eta)
+        elif code == EDGE_A3:
+            lo = -math.sqrt(2.0 * eta)
+        elif code == EDGE_B3:
+            if eta <= 0.0:
+                lo = math.sqrt(-2.0 * eta)
+        elif code == EDGE_B2:
+            if eta <= 1.0:
+                lo = -math.asin(min(eta, 1.0))
+        else:  # EDGE_B1: depends on the alpha pair, special endpoint first
+            s, m = (i, j) if spec.is_special(i) else (j, i)
+            asm = (spec.alpha[s], spec.alpha[m])
+            if asm == (0, 0) or asm == (1, 1):
+                pass  # eta range validated separately; no u constraint
+            elif asm == (1, 0):
+                if eta < 0.0:
+                    hi = math.log(-1.0 / eta)
+            elif asm == (-1, 0):
+                lo = math.log(1.0 / eta)
+            elif asm == (0, 1):
+                if eta < 0.0:
+                    lo = math.log(-eta)
+            elif asm == (-1, 1):
+                lo = math.asinh(-eta)
+            elif asm == (0, -1):
+                hi = math.log(eta)
+            elif asm == (1, -1):
+                hi = math.asinh(eta)
+            else:  # (-1, -1)
+                lo, hi = -math.acosh(eta), math.acosh(eta)
+    except (ValueError, ZeroDivisionError):  # math rejects such weights
+        raise FamilyConstraint(
+            f"edge {edge.id}: weight {eta} outside the range of its edge rule"
+        ) from None
     if lo == -math.inf and hi == math.inf:
         return None
     return PairBound(i, j, lo, hi)
 
 
+def kernel_inputs(spec: StructureSpec, vids, eids, vert, epos) -> tuple:
+    """(vert, codes, alphas, etas, double): the evaluation kernel's F x 3
+    inputs for faces with corners vids[vert] and edges eids[epos]; double
+    flags edges joining two special components."""
+    alpha = np.array([spec.alpha[v] for v in vids], dtype=float)
+    special = np.array([spec.is_special(v) for v in vids], dtype=bool)
+    eta = np.array([spec.eta[e] for e in eids], dtype=float)
+    sa, sb = special[vert], special[vert[:, _NEXT]]
+    return vert, rule_code(spec.family, sa | sb), alpha[vert], eta[epos], sa & sb
+
+
+class SpecArrays:
+    """The arrays of one spec on one mesh: cov, the change of variables of
+    every component; kernel, the kernel_inputs of every face in face order;
+    polytope, set by polytope() on first use."""
+
+    def __init__(self, spec: StructureSpec, tri):
+        self.spec, self.polytope = spec, None
+        self.cov = ChangeOfVariables(spec, range(tri.n_boundary))
+        vert, epos, eids = tri.face_arrays
+        self.kernel = kernel_inputs(spec, range(tri.n_boundary), eids, vert, epos)
+
+
+def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
+    """The SpecArrays of (spec, tri), built on first use; tri keeps those of
+    the last spec object it was used with."""
+    if tri.spec_memo is None or tri.spec_memo.spec is not spec:
+        tri.spec_memo = SpecArrays(spec, tri)
+    return tri.spec_memo
+
+
 def polytope(spec: StructureSpec, tri) -> tuple:
     """The admissible polytope of (spec, tri) as arrays (lo, hi, a, b,
     pair_lo, pair_hi, edge): the chart lo < u_i < hi of every component, and
-    pair_lo < u_a + u_b < pair_hi for every constrained edge, in edge order.
-    tri keeps the polytope of the last spec object it was used with."""
-    if tri.polytope_memo is None or tri.polytope_memo[0] is not spec:
-        charts = [chart(spec, i) for i in range(tri.n_boundary)]
+    pair_lo < u_a + u_b < pair_hi for every constrained edge, in edge order."""
+    arrays = spec_arrays(spec, tri)
+    if arrays.polytope is None:
         pairs = np.array([(pb.a, pb.b, e.id, pb.lo, pb.hi) for e in tri.edges
                           if (pb := edge_constraint(spec, e)) is not None])
         a, b, edge, pair_lo, pair_hi = pairs.reshape(-1, 5).T.copy()
         a, b, edge = a.astype(np.intp), b.astype(np.intp), edge.astype(np.intp)
-        tri.polytope_memo = (spec, (np.array([c.lo for c in charts]),
-                                    np.array([c.hi for c in charts]),
-                                    a, b, pair_lo, pair_hi, edge))
-    return tri.polytope_memo[1]
+        arrays.polytope = (arrays.cov.lo, arrays.cov.hi, a, b, pair_lo, pair_hi, edge)
+    return arrays.polytope
 
 
 @dataclass
@@ -327,10 +370,11 @@ class Admissibility:
     violations: list  # names of the violated charts and edge constraints
 
 
-def admissible(spec: StructureSpec, tri, u: Mapping[int, float]) -> Admissibility:
-    """Check chart membership, then every edge constraint."""
+def admissible(spec: StructureSpec, tri, u) -> Admissibility:
+    """Check chart membership, then every edge constraint; u is a mapping
+    or an array indexed by component."""
     lo, hi, a, b, pair_lo, pair_hi, edge = polytope(spec, tri)
-    uv = np.array([u[i] for i in range(tri.n_boundary)], dtype=float)
+    uv = component_values(u, tri.n_boundary)
     bad = ~((lo < uv) & (uv < hi))
     if bad.any():
         return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(bad)])

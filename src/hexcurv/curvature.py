@@ -7,7 +7,9 @@ coordinates, sparse global Jacobian assembly, and definiteness checks.
 The release derivative path runs through the evaluation kernel (edge
 splits, hyperboloid embedding, face-center distance ratios, and the
 reciprocal-cosh identity for the diagonal).  An independent chain-rule
-path through the cosine law is kept as the test oracle.
+path through the cosine law is kept as the test oracle.  The mesh-wide
+maps read the kernel inputs from conformal.spec_arrays, so only f is
+converted per call; f is a mapping or an array indexed by component.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from . import tol
 from ._kernels import _NEXT, BAD_EDGE, BAD_RANGE, LIGHT, OK, SPACE, TIME
 from ._kernels import BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, face_eval, face_theta
-from .conformal import StructureSpec, dfdu, edge_code, rule_code
+from .conformal import ChangeOfVariables, StructureSpec, component_values, edge_code
+from .conformal import kernel_inputs, spec_arrays
 from .errors import (
     FamilyConstraint,
     IncompatibleSplits,
@@ -42,29 +44,10 @@ _ERRORS = {
 _ONE_FACE = np.array([[0, 1, 2]])
 
 
-def _inputs(spec: StructureSpec, f, vids, eids, vert, epos) -> tuple:
-    """Kernel inputs of the faces with corners vids[vert] and edges eids[epos].
-
-    Returns (vert, codes, alphas, etas, factors, double): factors is
-    indexed like vids, and double flags edges joining two special
-    components.
-    """
-    alpha = np.array([spec.alpha[v] for v in vids], dtype=float)
-    special = np.array([v in spec.special for v in vids], dtype=bool)
-    eta = np.array([spec.eta[e] for e in eids], dtype=float)
-    fv = np.array([f[v] for v in vids], dtype=float)
-    sa, sb = special[vert], special[vert[:, _NEXT]]
-    codes = rule_code(spec.family, sa | sb)
-    return vert, codes, alpha[vert], eta[epos], fv, sa & sb
-
-
-def _mesh_inputs(spec: StructureSpec, tri, f) -> tuple:
-    vert, epos, eids = tri.face_arrays
-    return _inputs(spec, f, range(tri.n_boundary), eids, vert, epos)
-
-
 def _face_inputs(spec: StructureSpec, face, f) -> tuple:
-    return _inputs(spec, f, face.vertices, face.edge_ids, _ONE_FACE, _ONE_FACE)
+    """(kernel inputs, factors) of one face, its corners indexed 0, 1, 2."""
+    fv = np.array([f[v] for v in face.vertices], dtype=float)
+    return kernel_inputs(spec, face.vertices, face.edge_ids, _ONE_FACE, _ONE_FACE), fv
 
 
 def _raise_first(faces, status, bad, double):
@@ -98,7 +81,7 @@ def face_edge_args(spec: StructureSpec, face, f) -> list:
 
 def face_angles(spec: StructureSpec, tri, face, f) -> tuple:
     """Boundary-arc triple of one face at factor values f."""
-    vert, codes, alphas, etas, fv, double = _face_inputs(spec, face, f)
+    (vert, codes, alphas, etas, double), fv = _face_inputs(spec, face, f)
     status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
     _raise_first([face], status, bad, double)
     return tuple(theta[0].tolist())
@@ -114,13 +97,13 @@ class FaceDerivatives:
 
 
 def face_derivatives(spec: StructureSpec, tri, face, f) -> FaceDerivatives:
-    vert, codes, alphas, etas, fv, double = _face_inputs(spec, face, f)
+    (vert, codes, alphas, etas, double), fv = _face_inputs(spec, face, f)
     status, bad, theta, jac, branch, sigma = face_eval(
         vert, codes, alphas, etas, fv, np.ones(3)
     )
     _raise_first([face], status, bad, double)
     m = jac[0]
-    du = np.array([dfdu(spec, v, f) for v in face.vertices])
+    du = ChangeOfVariables(spec, face.vertices).derivative(fv)
     return FaceDerivatives(tuple(theta[0].tolist()), m, m * du[np.newaxis, :],
                            _BRANCH_NAME[int(branch[0])], float(sigma[0]))
 
@@ -195,7 +178,8 @@ def _sums(index, values, n) -> np.ndarray:
 
 def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     """Total boundary-arc length per boundary component."""
-    vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
+    vert, codes, alphas, etas, double = spec_arrays(spec, tri).kernel
+    fv = component_values(f, tri.n_boundary)
     status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
     _raise_first(tri.faces, status, bad, double)
     return _sums(vert, theta, tri.n_boundary)
@@ -205,8 +189,9 @@ def curvature_and_jacobian(spec: StructureSpec, tri, f):
     """K and its u-Jacobian (N x N scipy CSC array, one stored entry per
     pair of components that share a face) in one kernel pass."""
     n = tri.n_boundary
-    du = np.array([dfdu(spec, v, f) for v in range(n)], dtype=float)
-    vert, codes, alphas, etas, fv, double = _mesh_inputs(spec, tri, f)
+    arrays, fv = spec_arrays(spec, tri), component_values(f, n)
+    du = arrays.cov.derivative(fv)
+    vert, codes, alphas, etas, double = arrays.kernel
     status, bad, theta, jac, _, _ = face_eval(vert, codes, alphas, etas, fv, du)
     _raise_first(tri.faces, status, bad, double)
     slot, rows, colptr = tri.jacobian_pattern
@@ -216,12 +201,8 @@ def curvature_and_jacobian(spec: StructureSpec, tri, f):
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:
-    """Definiteness via symmetric eigen/factorization with a scaled margin."""
+    """Whether every eigenvalue of the symmetrized dense matrix lies below
+    -TAU_EIG * max(1, ||mat||)."""
     mat = np.asarray(mat, dtype=float)
-    norm = np.linalg.norm(mat)
-    margin = tol.TAU_EIG * max(1.0, norm)
-    if mat.shape[0] <= 3:
-        return bool(np.linalg.eigvalsh((mat + mat.T) / 2.0).max() < -margin)
-    _, d, _ = scipy.linalg.ldl((mat + mat.T) / 2.0)
-    pivots = np.linalg.eigvalsh(d) if d.ndim == 2 else d
-    return bool(pivots.max() < -margin)
+    margin = tol.TAU_EIG * max(1.0, np.linalg.norm(mat))
+    return bool(np.linalg.eigvalsh((mat + mat.T) / 2.0).max() < -margin)

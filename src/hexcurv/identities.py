@@ -14,7 +14,7 @@ import numpy as np
 
 from . import curvature, mesh, solver
 from ._kernels import edge_state
-from .conformal import StructureSpec, f_from_u, polytope
+from .conformal import StructureSpec, component_values, polytope, spec_arrays
 from .errors import HexcurvError
 from .hexagon import HexagonGeometry
 from .lorentz import CausalClass
@@ -129,8 +129,9 @@ def run_suite(family: str, samples: int, rng) -> dict:
         "negative-definite": [0, 0.0, 1.0],
     }
     points = sample_face_points(spec, tri, rng, samples)
+    cov = spec_arrays(spec, tri).cov
     for u in points:
-        f = f_from_u(spec, u)
+        f = cov.to_f(component_values(u, tri.n_boundary))
         try:
             sp = split_values(spec, tri, face, f)
             fd = curvature.face_derivatives(spec, tri, face, f)
@@ -176,7 +177,7 @@ def _fd_residual(spec, tri, face, f, fd, step=1e-6):
     idx = face.vertices
     worst = 0.0
     for col, v in enumerate(idx):
-        fp, fm = dict(f), dict(f)
+        fp, fm = f.copy(), f.copy()
         fp[v] += step
         fm[v] -= step
         try:

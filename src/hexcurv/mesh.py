@@ -48,8 +48,8 @@ class Triangulation:
     open_edges: bool = False
     warnings: list = field(default_factory=list)
     edge_by_id: dict = field(init=False)
-    # (spec, its polytope arrays), kept by conformal.polytope
-    polytope_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the conformal.SpecArrays of the last spec, kept by conformal.spec_arrays
+    spec_memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edge_by_id = {e.id: e for e in self.edges}

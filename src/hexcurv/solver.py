@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .conformal import StructureSpec, admissible, f_from_u, polytope, u_from_f
+from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
 from .curvature import curvature_and_jacobian, curvature_map, face_angles
 from .errors import (
     HexcurvError,
@@ -168,7 +168,8 @@ def solve_prescribed_curvature(
     when the iteration or damping budget runs out.
     """
     opts = opts or SolveOptions()
-    tgt = np.array([target[i] for i in range(tri.n_boundary)], dtype=float)
+    n = tri.n_boundary
+    tgt = component_values(target, n)
     if np.any(tgt <= 0.0) or not np.all(np.isfinite(tgt)):
         raise HexcurvError("target curvatures must be positive reals")
 
@@ -180,14 +181,15 @@ def solve_prescribed_curvature(
             "a failed solve is not evidence either way about the target"
         )
 
+    cov = spec_arrays(spec, tri).cov
     if opts.initial is not None:
-        u = u_from_f(spec, opts.initial)
+        u = cov.to_u(component_values(opts.initial, n))
         if not admissible(spec, tri, u).ok:
             raise NoFeasibleStart("user initial point is not admissible")
     else:
-        u = default_initial(spec, tri)
+        u = component_values(default_initial(spec, tri), n)
 
-    f = f_from_u(spec, u)
+    f = cov.to_f(u)
     K, lam = curvature_and_jacobian(spec, tri, f)
     res = float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
@@ -198,20 +200,20 @@ def solve_prescribed_curvature(
         if res <= opts.tol_K:
             report.converged = True
             report.quad_constant = _quad_constant(report.trajectory)
-            return f, report
+            return dict(enumerate(f.tolist())), report
         step = _solve_step(lam, K - tgt, report)
         lam_scale = 1.0
         accepted = False
         for _ in range(opts.max_halvings):
-            u_trial = {i: u[i] - lam_scale * step[i] for i in u}
+            u_trial = u - lam_scale * step
             if not admissible(spec, tri, u_trial).ok:
                 report.boundary_hits += 1
                 lam_scale *= opts.damping
                 continue
             try:
-                f_trial = f_from_u(spec, u_trial)
+                f_trial = cov.to_f(u_trial)
                 K_trial = curvature_map(spec, tri, f_trial)
-            except (HexcurvError, OverflowError, ValueError):
+            except HexcurvError:
                 report.boundary_hits += 1
                 lam_scale *= opts.damping
                 continue
@@ -226,7 +228,7 @@ def solve_prescribed_curvature(
             report.residual = res
             raise NotConverged(
                 f"damping budget exhausted at residual {res}",
-                factors=f, report=report,
+                factors=dict(enumerate(f.tolist())), report=report,
             )
         K, lam = curvature_and_jacobian(spec, tri, f)
         res = float(np.max(np.abs(K - tgt)))
@@ -237,10 +239,10 @@ def solve_prescribed_curvature(
     if res <= opts.tol_K:
         report.converged = True
         report.quad_constant = _quad_constant(report.trajectory)
-        return f, report
+        return dict(enumerate(f.tolist())), report
     raise NotConverged(
         f"no convergence in {opts.max_iter} iterations (residual {res})",
-        factors=f, report=report,
+        factors=dict(enumerate(f.tolist())), report=report,
     )
 
 
@@ -266,20 +268,18 @@ def energy_face(spec: StructureSpec, tri, face, u_from, u_to, tol=1e-9) -> float
     the closed-form symmetry of the Jacobian makes the 1-form exact, so
     the result is path independent.
     """
-    idx = face.vertices
-    a = np.array([u_from[v] for v in idx], dtype=float)
-    b = np.array([u_to[v] for v in idx], dtype=float)
-    dvec = b - a
+    idx = list(face.vertices)
+    start = component_values(u_from, tri.n_boundary)
+    dvec = component_values(u_to, tri.n_boundary)[idx] - start[idx]
+    cov = spec_arrays(spec, tri).cov
 
     def integrand(t):
-        uc = a + t * dvec
-        upoint = dict(u_from)
-        for pos, v in enumerate(idx):
-            upoint[v] = uc[pos]
+        upoint = start.copy()
+        upoint[idx] += t * dvec
         if not admissible(spec, tri, upoint).ok:
             raise PathLeavesDomain("integration segment exits the face polytope")
         try:
-            theta = face_angles(spec, tri, face, f_from_u(spec, upoint))
+            theta = face_angles(spec, tri, face, cov.to_f(upoint))
         except NotAdmissible as exc:
             raise PathLeavesDomain(str(exc)) from exc
         return sum(theta[pos] * dvec[pos] for pos in range(3))

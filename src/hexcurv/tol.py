@@ -13,12 +13,6 @@ TAU_NORM = 1e-9
 # Span degeneracy of vector pairs (relative to input scale).
 TAU_RANK = 1e-12
 
-# Orthogonality / plane-membership residuals.
-TAU_RESID = 1e-12
-
-# Hexagon cosine-law residual bound.
-TAU_LAW = 1e-10
-
 # Triple sinh compatibility residual bound.
 TAU_COMPAT = 1e-9
 

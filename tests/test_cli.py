@@ -158,6 +158,25 @@ def test_factor_records_name_each_component_once(pants_file, tmp_path, capsys,
         assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option, tag", [("--factors", "f"), ("--target", "K"),
+                                         ("--initial", "f")])
+def test_non_finite_records_name_their_file(pants_file, tmp_path, capsys, option,
+                                            tag, value):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{tag} 0 1.0\n{tag} 1 {value}\n{tag} 2 1.0\n")
+    target = tmp_path / "K.txt"
+    target.write_text("K 0 1.0\nK 1 1.0\nK 2 1.0\n")
+    args = {"--factors": ["curvature", pants_file, "--factors", str(bad)],
+            "--target": ["solve", pants_file, "--target", str(bad)],
+            "--initial": ["solve", pants_file, "--target", str(target),
+                          "--initial", str(bad)]}[option]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: value of '{tag} 1' is not finite" in captured.err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3", "two"])
 def test_check_identities_needs_positive_samples(samples, capsys):
     with pytest.raises(SystemExit) as err:

@@ -1,10 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hexcurv import conformal as cf
-from hexcurv import mesh
+from hexcurv import curvature, mesh, solver
 from hexcurv.errors import (
     DomainViolation,
     FamilyConstraint,
@@ -69,12 +70,12 @@ def test_partial_ratio_mixed_negative():
 
 def test_u_change_examples():
     spec3 = spec1("A3", {0: 0}, {})
-    assert cf.u_of_f(spec3, 0, 0.0) == pytest.approx(-1.0, abs=1e-15)
+    assert cf.u_from_f(spec3, {0: 0.0})[0] == pytest.approx(-1.0, abs=1e-15)
     spec1p = spec1("A1", {0: 1}, {})
     u = -math.asinh(1.0)
-    assert cf.f_of_u(spec1p, 0, u) == pytest.approx(0.0, abs=1e-14)
+    assert cf.f_from_u(spec1p, {0: u})[0] == pytest.approx(0.0, abs=1e-14)
     spec2 = spec1("A2", {0: -1}, {})
-    assert cf.f_of_u(spec2, 0, -math.pi / 6.0) == pytest.approx(
+    assert cf.f_from_u(spec2, {0: -math.pi / 6.0})[0] == pytest.approx(
         math.log(2.0), abs=1e-14
     )
 
@@ -84,40 +85,49 @@ def test_u_roundtrip_all_families():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
+        ids, us = [], []
         for _ in range(10000):
             i = rng.randrange(3)
             ch = cf.chart(spec, i)
             lo = ch.lo if math.isfinite(ch.lo) else -4.0
             hi = ch.hi if math.isfinite(ch.hi) else 4.0
             pad = 1e-3 * (hi - lo)
-            ui = rng.uniform(lo + pad, hi - pad)
-            fi = cf.f_of_u(spec, i, ui)
-            assert abs(cf.u_of_f(spec, i, fi) - ui) < 1e-12 * max(1.0, abs(ui))
+            ids.append(i)
+            us.append(rng.uniform(lo + pad, hi - pad))
+        cov = cf.ChangeOfVariables(spec, ids)  # one lane per draw
+        u = np.array(us)
+        back = cov.to_u(cov.to_f(u))
+        assert np.all(np.abs(back - u) < 1e-12 * np.maximum(1.0, np.abs(u)))
 
 
 def test_dfdu_examples_and_fd():
+    def dfdu(spec, f):
+        return cf.ChangeOfVariables(spec, [0]).derivative(np.array([f]))[0]
+
     spec3 = spec1("A3", {0: 0}, {})
-    assert cf.dfdu(spec3, 0, {0: 0.0}) == pytest.approx(1.0)
+    assert dfdu(spec3, 0.0) == pytest.approx(1.0)
     specm = spec1("MixedIII", {0: 0}, {}, special=(0,))
-    assert cf.dfdu(specm, 0, {0: 0.0}) == pytest.approx(-1.0)
+    assert dfdu(specm, 0.0) == pytest.approx(-1.0)
     spec1p = spec1("A1", {0: 1}, {})
-    assert cf.dfdu(spec1p, 0, {0: 0.0}) == pytest.approx(math.sqrt(2.0))
+    assert dfdu(spec1p, 0.0) == pytest.approx(math.sqrt(2.0))
 
     rng = random.Random(1)
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
+        cov = cf.ChangeOfVariables(spec, range(3))
         for u in sample_admissible_u(spec, tri, rng, 30):
-            f = cf.f_from_u(spec, u)
+            u = np.array([u[i] for i in range(3)])
+            df = cov.derivative(cov.to_f(u))
             for i in range(3):
                 h = 1e-7
-                up, um = dict(u), dict(u)
+                up, um = u.copy(), u.copy()
                 up[i] += h
                 um[i] -= h
                 if not (cf.chart(spec, i).contains(up[i]) and cf.chart(spec, i).contains(um[i])):
                     continue
-                num = (cf.f_of_u(spec, i, up[i]) - cf.f_of_u(spec, i, um[i])) / (2 * h)
-                assert cf.dfdu(spec, i, f) == pytest.approx(num, rel=1e-7, abs=1e-7)
+                num = (cov.to_f(up)[i] - cov.to_f(um)[i]) / (2 * h)
+                assert df[i] == pytest.approx(num, rel=1e-7, abs=1e-7)
 
 
 def test_admissible_examples():
@@ -143,18 +153,74 @@ def test_admissible_names_each_violated_bound_once():
     tight = cf.StructureSpec("A1", {i: 0 for i in range(3)}, {i: 1.0 for i in range(3)})
     a3 = cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
     u = {i: 0.0 for i in range(3)}  # u_a + u_b = 0 lies above log(2/3), below log 2
-    for _ in range(2):  # the mesh keeps the polytope of the last spec only
+    f = {i: 0.5 for i in range(3)}  # evaluable under all three specs
+    for _ in range(2):  # the mesh keeps the arrays of the last spec only
         assert cf.admissible(loose, tri, u).ok
         res = cf.admissible(tight, tri, u)
         assert not res.ok and res.violations == ["edge 0", "edge 1", "edge 2"]
         res = cf.admissible(a3, tri, {0: 1.0, 1: -1.0, 2: 1.0})
         assert not res.ok and res.violations == ["chart of u[0]", "chart of u[2]"]
+        for spec in (loose, tight, a3):  # K and J follow the spec as well
+            K, J = curvature.curvature_and_jacobian(spec, tri, f)
+            K0, J0 = curvature.curvature_and_jacobian(spec, mesh.pair_of_pants(), f)
+            assert K.tobytes() == K0.tobytes()
+            assert curvature.curvature_map(spec, tri, f).tobytes() == K0.tobytes()
+            assert J.toarray().tobytes() == J0.toarray().tobytes()
     # B-edges at a special alpha=0 component bound u_a + u_b from above
     mixed = cf.StructureSpec("MixedI", {0: 0, 1: -1, 2: -1}, {0: 2.0, 1: 3.0, 2: 2.0},
                              special=frozenset({0}))
     assert cf.admissible(mixed, tri, {0: 1.0, 1: -0.5, 2: -0.5}).ok
     res = cf.admissible(mixed, tri, {0: 1.0, 1: -0.2, 2: -0.5})
     assert not res.ok and res.violations == ["edge 0"]
+
+
+@pytest.mark.parametrize("alpha, eta", [
+    ((0, 1, 1), 0.5),  # A1 rule at alphas (1, 1): acosh of a weight below 1
+    ((0, -1, 0), -1.0),  # alphas (-1, 0): log of a negative weight
+    ((0, 0, 0), 0.0),  # alphas (0, 0): log of 2 / 0
+    (None, -1.0),  # A3 rule: square root of a negative weight
+])
+def test_weight_outside_its_edge_rule_is_a_family_constraint(alpha, eta):
+    tri = mesh.pair_of_pants()  # edge 1 joins components 1 and 2
+    weights = {0: 3.0, 1: eta, 2: 3.0}
+    spec = (cf.StructureSpec("A3", {i: 0 for i in range(3)}, weights) if alpha is None
+            else cf.StructureSpec("A1", dict(enumerate(alpha)), weights))
+    calls = [
+        lambda: cf.polytope(spec, tri),
+        lambda: solver.default_initial(spec, tri),
+        lambda: cf.admissible(spec, tri, {i: -1.0 for i in range(3)}),
+        lambda: solver.solve_prescribed_curvature(spec, tri, {i: 1.0 for i in range(3)}),
+    ]
+    for call in calls:
+        with pytest.raises(FamilyConstraint, match=r"^edge 1: weight"):
+            call()
+
+
+def test_change_of_variables_names_the_first_bad_component():
+    tri = mesh.pair_of_pants()
+    a3 = cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    with pytest.raises(DomainViolation, match=r"^u\[1\]=0.5 outside \(-inf, 0.0\) for A3"):
+        cf.f_from_u(a3, {0: -1.0, 1: 0.5, 2: 0.0})
+    a2 = cf.StructureSpec("A2", {i: -1 for i in range(3)}, {i: -0.25 for i in range(3)})
+    a1 = cf.StructureSpec("A1", {0: 0, 1: -1, 2: -1}, {i: 3.0 for i in range(3)})
+    cases = [
+        (a2, {0: 0.3, 1: 0.0, 2: -1.0}, r"^f\[1\]=0.0 outside \(0.0, inf\) for A2"),
+        (a1, {0: 0.3, 1: 0.5, 2: 0.0}, r"^f\[1\]=0.5 outside \(\S+, 0.0\) for A1"),
+        (a3, {0: 0.1, 1: math.nan, 2: math.inf}, r"^f\[1\]=nan outside \(\S+, inf\) for A3"),
+        (a2, {0: 0.3, 1: -math.inf, 2: 0.3}, r"^f\[1\]=-inf outside \(0.0, inf\) for A2"),
+    ]
+    for spec, f, message in cases:
+        with pytest.raises(DomainViolation, match=message):
+            cf.u_from_f(spec, f)
+        with pytest.raises(DomainViolation, match=message):
+            curvature.curvature_and_jacobian(spec, tri, f)
+    # where exp, cosh or sinh would overflow: an error, not a warning or traceback
+    with pytest.raises(DomainViolation, match=r"^u\[1\]=-800.0 outside"):
+        cf.f_from_u(a1, {0: 0.0, 1: -800.0, 2: -1.0})
+    with pytest.raises(DomainViolation, match=r"^f\[0\]=-800.0 outside"):
+        cf.u_from_f(a3, {0: -800.0, 1: 0.0, 2: 0.0})
+    with pytest.raises(NotAdmissible, match="exceed the evaluable range"):
+        curvature.curvature_and_jacobian(a3, tri, {0: 400.0, 1: 0.0, 2: 0.0})
 
 
 def test_admissible_matches_edge_lengths():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hexcurv import curvature, mesh, solver
-from hexcurv.conformal import StructureSpec, dfdu, f_from_u, u_from_f
+from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
 from hexcurv._kernels import _core_py, face_eval
 from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
@@ -253,9 +253,10 @@ def test_branch_coverage_statistics():
 
 def _dense_jacobian(spec, tri, f):
     """The u-Jacobian summed densely from the kernel's face blocks."""
-    vert, codes, alphas, etas, fv, _ = curvature._mesh_inputs(spec, tri, f)
-    du = np.array([dfdu(spec, v, f) for v in range(tri.n_boundary)])
-    jac = face_eval(vert, codes, alphas, etas, fv, du)[3]
+    arrays = spec_arrays(spec, tri)
+    vert, codes, alphas, etas, _ = arrays.kernel
+    fv = np.array([f[v] for v in range(tri.n_boundary)])
+    jac = face_eval(vert, codes, alphas, etas, fv, arrays.cov.derivative(fv))[3]
     lam = np.zeros((tri.n_boundary, tri.n_boundary))
     np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
     return lam
@@ -279,3 +280,17 @@ def test_sparse_jacobian_equals_dense_face_sum_bit_for_bit():
             assert lam.shape == (tri.n_boundary, tri.n_boundary)
             assert lam.toarray().tobytes() == _dense_jacobian(spec, tri, f).tobytes()
     assert repeated.jacobian_pattern[1].tolist() == [0, 1, 0, 1]
+
+
+def test_dict_and_array_factors_give_identical_results():
+    rng = random.Random(13)
+    tri = sphere_triangulation(40, rng)
+    for fam in ALL_FAMILIES:
+        spec = make_spec(fam, tri, rng, regime="definite")
+        f = sample_admissible_f(spec, tri, rng, 1, scale=0.5)[0]
+        fa = np.array([f[i] for i in range(tri.n_boundary)])
+        K, J = curvature.curvature_and_jacobian(spec, tri, f)
+        Ka, Ja = curvature.curvature_and_jacobian(spec, tri, fa)
+        assert Ka.tobytes() == K.tobytes()
+        assert curvature.curvature_map(spec, tri, fa).tobytes() == K.tobytes()
+        assert Ja.toarray().tobytes() == J.toarray().tobytes()
