@@ -1,10 +1,12 @@
 """Batched per-face evaluation kernel and the six edge rules.
 
-Evaluates the boundary arcs of F hexagonal faces in one numpy pass and, on
-request, their 3x3 derivative matrices in the u-coordinates together with
-the causal branch and normalized causal value of each face center.  Masks
-select the edge rule and the split kind lane by lane.  ``_core_py`` holds
-the scalar reference for tests.
+Evaluates F hexagonal faces in two numpy passes.  The theta stage
+(face_theta) gives the boundary arcs and keeps the edge data the second
+stage reuses; the derivative stage (face_eval) turns that record into the
+3x3 derivative matrices in the u-coordinates together with the causal
+branch and normalized causal value of each face center, without a second
+theta pass.  Masks select the edge rule and the split kind lane by lane.
+``_core_py`` holds the scalar reference for tests.
 
 Inputs are F x 3 arrays of face vertex ids, edge codes (edge m joins
 corners m and m + 1 mod 3), corner alphas and edge weights, plus factor
@@ -17,6 +19,8 @@ failing check in the order range, edge, split, center, height, with the
 edge position for per-edge checks (else -1); later steps mask its lanes
 out.  Branch codes: 0 time-like, 1 space-like, 2 light-like face center.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +102,24 @@ def _edot(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def _arcs(vert, codes, alphas, etas, f):
-    """Status, bad position, theta and the edge data the derivatives reuse."""
+class Arcs(NamedTuple):
+    """The theta stage of every face: status and bad position (see the
+    module docstring), the F x 3 arcs theta, and the face vertex ids and
+    edge data (cosh and sinh of the edges, partial ratios, cosh of the
+    arcs) that the derivative stage reuses."""
+
+    status: np.ndarray
+    bad: np.ndarray
+    theta: np.ndarray
+    vert: np.ndarray
+    ch: np.ndarray
+    sh: np.ndarray
+    rho: np.ndarray
+    chth: np.ndarray
+
+
+def face_theta(vert, codes, alphas, etas, f) -> Arcs:
+    """The theta stage of every face; theta is F x 3."""
     fv = np.asarray(f, dtype=float)[vert]
     status = np.zeros(len(fv), dtype=np.int64)
     bad = np.full(len(fv), -1, dtype=np.int64)
@@ -115,23 +135,20 @@ def _arcs(vert, codes, alphas, etas, f):
     chth = np.maximum(
         1.0, (ch[:, _NEXT] + ch[:, _P] * ch[:, _Q]) / (sh[:, _P] * sh[:, _Q])
     )
-    return status, bad, np.arccosh(chth), ch, sh, rho, chth
+    return Arcs(status, bad, np.arccosh(chth), vert, ch, sh, rho, chth)
 
 
-def face_theta(vert, codes, alphas, etas, f):
-    """(status, bad position, theta) of every face; theta is F x 3."""
-    return _arcs(vert, codes, alphas, etas, f)[:3]
-
-
-def face_eval(vert, codes, alphas, etas, f, du):
-    """Full evaluation of every face.
+def face_eval(arcs: Arcs, du):
+    """The derivative stage of every face, from its theta stage.
 
     du holds df/du per vertex id.  Returns (status, bad position, theta,
-    jac, branch, sigma): jac[k, a, b] = d theta_a / d u of corner b of
-    face k, and sigma is the normalized causal value of the face center.
+    jac, branch, sigma): status and bad extend those of arcs with the
+    derivative checks, jac[k, a, b] = d theta_a / d u of corner b of face
+    k, and sigma is the normalized causal value of the face center.
     Entries of failed faces are filler.
     """
-    status, bad, theta, ch, sh, rho, chth = _arcs(vert, codes, alphas, etas, f)
+    theta, vert, ch, sh, rho, chth = arcs[2:]
+    status, bad = arcs.status.copy(), arcs.bad.copy()
 
     # edge splits: kind 0 puts the edge center on the geodesic, kind 1
     # (hyper-ideal center) uses the real partial offsets

@@ -220,6 +220,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def positive_float(text: str) -> float:
+    x = float(text)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hexcurv",
@@ -261,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve a prescribed-curvature problem")
     sp.add_argument("mesh")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=100)
+    sp.add_argument("--tol", type=positive_float, default=1e-10)
+    sp.add_argument("--max-iter", type=positive_int, default=100)
     sp.add_argument("--initial")
     sp.add_argument("--report")
     sp.add_argument("--json", action="store_true")

@@ -333,10 +333,11 @@ def kernel_inputs(spec: StructureSpec, vids, eids, vert, epos) -> tuple:
 class SpecArrays:
     """The arrays of one spec on one mesh: cov, the change of variables of
     every component; kernel, the kernel_inputs of every face in face order;
-    polytope, set by polytope() on first use."""
+    polytope, set by polytope() on first use; start, the default start in
+    u, set by solver.default_initial on first use."""
 
     def __init__(self, spec: StructureSpec, tri):
-        self.spec, self.polytope = spec, None
+        self.spec, self.polytope, self.start = spec, None, None
         self.cov = ChangeOfVariables(spec, range(tri.n_boundary))
         vert, epos, eids = tri.face_arrays
         self.kernel = kernel_inputs(spec, range(tri.n_boundary), eids, vert, epos)

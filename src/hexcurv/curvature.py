@@ -10,6 +10,9 @@ reciprocal-cosh identity for the diagonal).  An independent chain-rule
 path through the cosine law is kept as the test oracle.  The mesh-wide
 maps read the kernel inputs from conformal.spec_arrays, so only f is
 converted per call; f is a mapping or an array indexed by component.
+curvature_and_arcs keeps the kernel's theta stage beside K, and
+jacobian_from_arcs builds the Jacobian from it without a second theta
+pass; the Newton solver evaluates each trial point that way.
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ def face_edge_args(spec: StructureSpec, face, f) -> list:
 def face_angles(spec: StructureSpec, tri, face, f) -> tuple:
     """Boundary-arc triple of one face at factor values f."""
     (vert, codes, alphas, etas, double), fv = _face_inputs(spec, face, f)
-    status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
-    _raise_first([face], status, bad, double)
-    return tuple(theta[0].tolist())
+    arcs = face_theta(vert, codes, alphas, etas, fv)
+    _raise_first([face], arcs.status, arcs.bad, double)
+    return tuple(arcs.theta[0].tolist())
 
 
 @dataclass
@@ -99,7 +102,7 @@ class FaceDerivatives:
 def face_derivatives(spec: StructureSpec, tri, face, f) -> FaceDerivatives:
     (vert, codes, alphas, etas, double), fv = _face_inputs(spec, face, f)
     status, bad, theta, jac, branch, sigma = face_eval(
-        vert, codes, alphas, etas, fv, np.ones(3)
+        face_theta(vert, codes, alphas, etas, fv), np.ones(3)
     )
     _raise_first([face], status, bad, double)
     m = jac[0]
@@ -176,28 +179,43 @@ def _sums(index, values, n) -> np.ndarray:
     return out.astype(float, copy=False)  # without faces bincount gives ints
 
 
+def _arcs(spec: StructureSpec, tri, f):
+    vert, codes, alphas, etas, _ = spec_arrays(spec, tri).kernel
+    return face_theta(vert, codes, alphas, etas, component_values(f, tri.n_boundary))
+
+
+def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
+    """(K, arcs): the total boundary-arc length per boundary component and
+    the kernel's theta stage, which jacobian_from_arcs reuses."""
+    arcs = _arcs(spec, tri, f)
+    _raise_first(tri.faces, arcs.status, arcs.bad, spec_arrays(spec, tri).kernel[4])
+    return _sums(arcs.vert, arcs.theta, tri.n_boundary), arcs
+
+
 def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     """Total boundary-arc length per boundary component."""
-    vert, codes, alphas, etas, double = spec_arrays(spec, tri).kernel
-    fv = component_values(f, tri.n_boundary)
-    status, bad, theta = face_theta(vert, codes, alphas, etas, fv)
-    _raise_first(tri.faces, status, bad, double)
-    return _sums(vert, theta, tri.n_boundary)
+    return curvature_and_arcs(spec, tri, f)[0]
+
+
+def jacobian_from_arcs(spec: StructureSpec, tri, arcs, du):
+    """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
+    components that share a face) from the theta stage at f; du is df/du
+    at f.  Raises for the first failing face of either stage."""
+    status, bad, _, jac, _, _ = face_eval(arcs, du)
+    _raise_first(tri.faces, status, bad, spec_arrays(spec, tri).kernel[4])
+    slot, rows, colptr = tri.jacobian_pattern
+    n = tri.n_boundary
+    return scipy.sparse.csc_array((_sums(slot, jac, len(rows)), rows, colptr),
+                                  shape=(n, n))
 
 
 def curvature_and_jacobian(spec: StructureSpec, tri, f):
-    """K and its u-Jacobian (N x N scipy CSC array, one stored entry per
-    pair of components that share a face) in one kernel pass."""
-    n = tri.n_boundary
-    arrays, fv = spec_arrays(spec, tri), component_values(f, n)
-    du = arrays.cov.derivative(fv)
-    vert, codes, alphas, etas, double = arrays.kernel
-    status, bad, theta, jac, _, _ = face_eval(vert, codes, alphas, etas, fv, du)
-    _raise_first(tri.faces, status, bad, double)
-    slot, rows, colptr = tri.jacobian_pattern
-    data = _sums(slot, jac, len(rows))
-    return _sums(vert, theta, n), scipy.sparse.csc_array((data, rows, colptr),
-                                                          shape=(n, n))
+    """K and its u-Jacobian from one theta pass."""
+    fv = component_values(f, tri.n_boundary)
+    du = spec_arrays(spec, tri).cov.derivative(fv)
+    arcs = _arcs(spec, tri, fv)
+    return (_sums(arcs.vert, arcs.theta, tri.n_boundary),
+            jacobian_from_arcs(spec, tri, arcs, du))
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

@@ -19,11 +19,43 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .conformal import StructureSpec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
 
 FORMAT_VERSION = 1
+
+
+def elimination_order(rows, colptr) -> tuple:
+    """(order, gather, rows, column pointers) of a square pattern given in
+    canonical CSC form.
+
+    order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
+    minimum-degree order of A + A^T, then its elimination-tree postorder),
+    as an index array: P A P^T = A[order][:, order].  A's CSC data indexed
+    by gather is the CSC data of P A P^T under the returned rows and column
+    pointers.  The order depends on the pattern alone, so it is read off a
+    column diagonally dominant matrix with the pattern plus the diagonal,
+    which factors without pivoting.
+    """
+    n = len(colptr) - 1
+    col = np.repeat(np.arange(n), np.diff(colptr))
+    off, diag = rows != col, np.arange(n)
+    data = np.concatenate((np.full(off.sum(), -1.0),
+                           np.bincount(col[off], minlength=n) + 1.0))
+    dominant = scipy.sparse.csc_array(
+        (data, (np.concatenate((rows[off], diag)), np.concatenate((col[off], diag)))),
+        shape=(n, n))
+    position = scipy.sparse.linalg.splu(
+        dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True}).perm_c
+    new_rows, new_cols = position[rows], position[col]
+    gather = np.lexsort((new_rows, new_cols))
+    new_colptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(new_cols, minlength=n), out=new_colptr[1:])
+    return np.argsort(position), gather, new_rows[gather], new_colptr
 
 
 @dataclass(frozen=True)
@@ -117,13 +149,21 @@ class Triangulation:
         """(slot of each F x 3 x 3 face-block entry, row indices, column
         pointers) of the u-Jacobian in canonical CSC form, built on first use;
         entries at one (row, column), as in a face repeating a component,
-        share a slot."""
+        share a slot.  It depends on the mesh alone, so every spec shares it,
+        as does jacobian_order; the arrays that depend on the spec are kept
+        on spec_memo."""
         vert, n = self.face_arrays[0], self.n_boundary
         keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
         keys, slot = np.unique(keys, return_inverse=True)
         colptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=colptr[1:])
         return slot, keys % n, colptr
+
+    @cached_property
+    def jacobian_order(self) -> tuple:
+        """elimination_order of jacobian_pattern, built on first use: the
+        Newton solver factors every Jacobian of this mesh in that order."""
+        return elimination_order(*self.jacobian_pattern[1:])
 
     def face_edges(self, face: Face):
         return [self.edge_by_id[eid] for eid in face.edge_ids]

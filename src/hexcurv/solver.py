@@ -6,6 +6,13 @@ where the Jacobian is symmetric and, outside the hyper-ideal split
 windows, negative definite.  Each Newton step factors the sparse
 Jacobian once; backtracking damping keeps iterates inside the admissible
 polytope and the residual strictly decreasing.
+
+What stays fixed is built once and kept.  Per mesh: the Jacobian's
+pattern and its elimination order (Triangulation.jacobian_pattern and
+jacobian_order).  Per (spec, mesh): the default start, beside the spec's
+other arrays on conformal.spec_arrays.  Per iterate, one theta pass of the
+kernel gives the trial's residual and, once the trial is accepted and a
+step is needed, the Jacobian.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
-from .curvature import curvature_and_jacobian, curvature_map, face_angles
+from .curvature import curvature_and_arcs, face_angles, jacobian_from_arcs
 from .errors import (
     HexcurvError,
     NoFeasibleStart,
@@ -36,8 +44,10 @@ class SolveOptions:
     initial: dict | None = None  # factor values; None selects the family default
 
     def __post_init__(self):
-        if not self.tol_K > 0.0:
-            raise ValueError("tol_K must be positive")
+        if not (self.tol_K > 0.0 and math.isfinite(self.tol_K)):
+            raise ValueError("tol_K must be positive and finite")
+        if self.max_iter < 1 or self.max_halvings < 1:
+            raise ValueError("max_iter and max_halvings must be at least 1")
         if not (0.0 < self.damping < 1.0):
             raise ValueError("damping factor must lie in (0, 1)")
 
@@ -86,12 +96,20 @@ def _chart_margin(lo: float, hi: float) -> tuple:
 
 
 def default_initial(spec: StructureSpec, tri) -> dict:
-    """A point strictly inside every face polytope.
+    """A point strictly inside every face polytope, as a new dict.
 
     Starts from per-chart base points and repairs feasibility by sweeping
     the pairwise constraints, nudging both coordinates of a violated pair
-    toward the constraint's interior.
+    toward the constraint's interior.  The point is found once per (spec,
+    mesh) and kept as an array on spec_arrays(spec, tri).start.
     """
+    arrays = spec_arrays(spec, tri)
+    if arrays.start is None:
+        arrays.start = np.array(list(_repaired_start(spec, tri).values()))
+    return dict(enumerate(arrays.start.tolist()))
+
+
+def _repaired_start(spec: StructureSpec, tri) -> dict:
     poly = [x.tolist() for x in polytope(spec, tri)]
     charts, bounds = list(zip(*poly[:2])), list(zip(*poly[2:6]))
     u = {}
@@ -140,22 +158,29 @@ def default_initial(spec: StructureSpec, tri) -> dict:
     )
 
 
-def _solve_step(lam, g: np.ndarray, report: SolveReport) -> np.ndarray:
+def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple) -> np.ndarray:
     """lam^-1 g from one sparse LU factorization of the symmetric lam.
 
+    order is mesh.elimination_order of lam's pattern: lam's data is
+    gathered into P lam P^T = lam[perm][:, perm], which SuperLU factors in
+    its natural order.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
     report notes it.
     """
-    lu = scipy.sparse.linalg.splu(lam, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True})
+    perm, gather, rows, colptr = order
+    lu = scipy.sparse.linalg.splu(
+        scipy.sparse.csc_array((lam.data[gather], rows, colptr), shape=lam.shape),
+        permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
         if note not in report.notes:
             report.notes.append(note)
-    return lu.solve(g)
+    step = np.empty(len(g))
+    step[perm] = lu.solve(g[perm])
+    return step
 
 
 def solve_prescribed_curvature(
@@ -190,7 +215,7 @@ def solve_prescribed_curvature(
         u = component_values(default_initial(spec, tri), n)
 
     f = cov.to_f(u)
-    K, lam = curvature_and_jacobian(spec, tri, f)
+    K, arcs = curvature_and_arcs(spec, tri, f)
     res = float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
 
@@ -201,37 +226,34 @@ def solve_prescribed_curvature(
             report.converged = True
             report.quad_constant = _quad_constant(report.trajectory)
             return dict(enumerate(f.tolist())), report
-        step = _solve_step(lam, K - tgt, report)
+        # the Jacobian, its LU and the arcs behind it are freed before any trial
+        step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
+                           K - tgt, report, tri.jacobian_order)
+        arcs = None
         lam_scale = 1.0
-        accepted = False
         for _ in range(opts.max_halvings):
             u_trial = u - lam_scale * step
+            lam_scale *= opts.damping
             if not admissible(spec, tri, u_trial).ok:
                 report.boundary_hits += 1
-                lam_scale *= opts.damping
                 continue
             try:
                 f_trial = cov.to_f(u_trial)
-                K_trial = curvature_map(spec, tri, f_trial)
+                K_trial, arcs = curvature_and_arcs(spec, tri, f_trial)
             except HexcurvError:
                 report.boundary_hits += 1
-                lam_scale *= opts.damping
                 continue
             res_trial = float(np.max(np.abs(K_trial - tgt)))
             if res_trial < res:
-                u, f = u_trial, f_trial
-                res = res_trial
-                accepted = True
+                u, f, K, res = u_trial, f_trial, K_trial, res_trial
                 break
-            lam_scale *= opts.damping
-        if not accepted:
+            arcs = None  # no rejected trial's arrays stay alive
+        else:
             report.residual = res
             raise NotConverged(
                 f"damping budget exhausted at residual {res}",
                 factors=dict(enumerate(f.tolist())), report=report,
             )
-        K, lam = curvature_and_jacobian(spec, tri, f)
-        res = float(np.max(np.abs(K - tgt)))
         report.trajectory.append(res)
 
     report.iterations = opts.max_iter

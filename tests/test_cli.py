@@ -183,3 +183,18 @@ def test_check_identities_needs_positive_samples(samples, capsys):
         main(["check-identities", "--samples", samples])
     assert err.value.code == 2
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--tol", "tiny"], ["--max-iter", "-3"], ["--max-iter", "0"], ["--max-iter", "2.5"],
+])
+def test_solve_needs_positive_tolerance_and_iteration_budget(pants_file, tmp_path,
+                                                           capsys, option):
+    tpath = tmp_path / "target.txt"
+    tpath.write_text("K 0 1.0\nK 1 1.0\nK 2 1.0\n")
+    with pytest.raises(SystemExit) as err:
+        main(["solve", pants_file, "--target", str(tpath), *option])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and option[0] in captured.err

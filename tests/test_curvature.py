@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hexcurv import curvature, mesh, solver
 from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
-from hexcurv._kernels import _core_py, face_eval
+from hexcurv._kernels import _core_py, face_eval, face_theta
 from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
@@ -256,7 +258,7 @@ def _dense_jacobian(spec, tri, f):
     arrays = spec_arrays(spec, tri)
     vert, codes, alphas, etas, _ = arrays.kernel
     fv = np.array([f[v] for v in range(tri.n_boundary)])
-    jac = face_eval(vert, codes, alphas, etas, fv, arrays.cov.derivative(fv))[3]
+    jac = face_eval(face_theta(vert, codes, alphas, etas, fv), arrays.cov.derivative(fv))[3]
     lam = np.zeros((tri.n_boundary, tri.n_boundary))
     np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
     return lam
@@ -294,3 +296,23 @@ def test_dict_and_array_factors_give_identical_results():
         assert Ka.tobytes() == K.tobytes()
         assert curvature.curvature_map(spec, tri, fa).tobytes() == K.tobytes()
         assert Ja.toarray().tobytes() == J.toarray().tobytes()
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_jacobian_order_is_superlus_mmd_order(n):
+    rng = random.Random(n)
+    tri = sphere_triangulation(n, rng)
+    order, gather, rows, colptr = tri.jacobian_order
+    for fam in ALL_FAMILIES:
+        spec = make_spec(fam, tri, rng, regime="definite")
+        for f in sample_admissible_f(spec, tri, rng, 2, scale=0.5):
+            lam = curvature.curvature_and_jacobian(spec, tri, f)[1]
+            lu = scipy.sparse.linalg.splu(lam, permc_spec="MMD_AT_PLUS_A",
+                                          diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True})
+            assert np.array_equal(np.argsort(lu.perm_c), order)
+            permuted = scipy.sparse.csc_array((lam.data[gather], rows, colptr),
+                                              shape=lam.shape)
+            assert permuted.has_canonical_format
+            assert permuted.toarray().tobytes() == \
+                lam.toarray()[np.ix_(order, order)].tobytes()

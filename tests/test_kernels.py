@@ -70,11 +70,11 @@ def _face_row(rng, spec, face, f):
 
 
 def _batched(rows):
-    """Both batched kernels on scalar-kernel rows, one face per row."""
+    """Both stages of the batched kernel on scalar-kernel rows, one face per row."""
     vert = np.arange(3 * len(rows)).reshape(-1, 3)
     codes, al, et, f, du = (np.array([r[i] for r in rows]) for i in range(5))
-    args = (vert, codes, al.astype(float), et, f.ravel())
-    return kern.face_theta(*args), kern.face_eval(*args, du.ravel())
+    arcs = kern.face_theta(vert, codes, al.astype(float), et, f.ravel())
+    return arcs[:3], kern.face_eval(arcs, du.ravel())
 
 
 # -- first-order difference bound ----------------------------------------------

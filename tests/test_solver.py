@@ -252,7 +252,7 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make):
     lam = make()
     g = np.random.default_rng(lam.shape[0]).standard_normal(lam.shape[0])
     report = solver.SolveReport(False, 0, math.inf)
-    step = solver._solve_step(lam, g, report)
+    step = solver._solve_step(lam, g, report, mesh.elimination_order(lam.indices, lam.indptr))
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
     definite = np.linalg.eigvalsh(lam.toarray()).max() < 0.0
     assert report.notes == ([] if definite else ["jacobian indefinite at an iterate"])
@@ -266,17 +266,17 @@ def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
     f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
     K0 = curvature.curvature_map(spec, tri, f0)
     tops = []
+    step = solver._solve_step
 
-    def recording(*args):
-        K, lam = curvature.curvature_and_jacobian(*args)
+    def recording(lam, *args):
         tops.append(np.linalg.eigvalsh(lam.toarray()).max())
-        return K, lam
+        return step(lam, *args)
 
-    monkeypatch.setattr(solver, "curvature_and_jacobian", recording)
+    monkeypatch.setattr(solver, "_solve_step", recording)
     _, rep = solver.solve_prescribed_curvature(
         spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
     assert rep.converged
-    return rep, tops[:-1]  # the Jacobian at the solution is not factored
+    return rep, tops
 
 
 def test_indefinite_note_follows_the_jacobians(monkeypatch):
@@ -289,3 +289,100 @@ def test_indefinite_note_follows_the_jacobians(monkeypatch):
         "A3", sphere_triangulation(10, random.Random(0)), 0, monkeypatch)
     assert max(tops) < 0.0
     assert not any("indefinite" in note for note in rep.notes)
+
+
+def _roundtrip_problems():
+    """(spec, mesh, target) of the rigidity roundtrips, six families on two meshes."""
+    rng = random.Random(0)
+    for fam in ALL_FAMILIES:
+        for tri in (mesh.pair_of_pants(), sphere_triangulation(10, rng)):
+            spec = make_spec(fam, tri, rng)
+            f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
+            yield spec, tri, curvature.curvature_map(spec, tri, f0)
+
+
+def _counting(counts, key, fn, counts_if=lambda out: True):
+    def counted(*args):
+        out = fn(*args)
+        counts[key] += counts_if(out)
+        return out
+    return counted
+
+
+def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
+    rejected = 0
+    for spec, tri, target in _roundtrip_problems():
+        solver.default_initial(spec, tri)  # kept, so admissible() sees only trials
+        counts = {"theta": 0, "jacobian": 0, "trials": 0}
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "face_theta",
+                      _counting(counts, "theta", curvature.face_theta))
+            m.setattr(curvature, "face_eval",
+                      _counting(counts, "jacobian", curvature.face_eval))
+            m.setattr(solver, "admissible", _counting(counts, "trials", solver.admissible,
+                                                      lambda out: out.ok))
+            _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        assert rep.converged
+        assert counts["theta"] == counts["trials"] + 1
+        assert counts["jacobian"] == rep.iterations
+        rejected += counts["trials"] - rep.iterations
+    assert rejected > 0  # some trials were evaluated and rejected
+
+
+def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
+    for spec, tri, target in _roundtrip_problems():
+        events = []
+        evaluate, step = solver.curvature_and_arcs, solver._solve_step
+
+        def recording_evaluate(spec_, tri_, f):
+            out = evaluate(spec_, tri_, f)
+            events.append(("eval", np.array(f), out[0]))
+            return out
+
+        def recording_step(lam, g, *args):
+            events.append(("step", lam, g))
+            return step(lam, g, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "curvature_and_arcs", recording_evaluate)
+            m.setattr(solver, "_solve_step", recording_step)
+            f_final, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        steps = [k for k, e in enumerate(events) if e[0] == "step"]
+        assert len(steps) == rep.iterations
+        for k in steps:
+            _, f, K = events[k - 1]  # the accepted trial, or the start
+            _, lam, g = events[k]
+            K_ref, J_ref = curvature.curvature_and_jacobian(spec, tri, f)
+            assert K.tobytes() == K_ref.tobytes()
+            assert g.tobytes() == (K_ref - target).tobytes()
+            assert lam.toarray().tobytes() == J_ref.toarray().tobytes()
+        K_final = curvature.curvature_map(spec, tri, f_final)
+        assert rep.residual == float(np.max(np.abs(K_final - target)))
+
+
+def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
+    rng = random.Random(21)
+    tri = sphere_triangulation(30, rng)
+    specs = [make_spec(fam, tri, rng) for fam in ("A1", "A3", "MixedIII")]
+    # each reference on a fresh copy of the mesh, which keeps nothing yet
+    fresh = [solver.default_initial(spec, sphere_triangulation(30, random.Random(21)))
+             for spec in specs]
+    builds = []
+    repair = solver._repaired_start
+    monkeypatch.setattr(solver, "_repaired_start",
+                        lambda spec, tri_: builds.append(spec) or repair(spec, tri_))
+    for k in (0, 1, 0, 0, 2, 2, 1):
+        u = solver.default_initial(specs[k], tri)
+        assert u == fresh[k]
+        u[0] += 1.0  # the caller's dict is its own
+        del u[1]
+    assert builds == [specs[k] for k in (0, 1, 0, 2, 1)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol_K": 0.0}, {"tol_K": -1.0}, {"tol_K": math.nan}, {"tol_K": math.inf},
+    {"max_iter": 0}, {"max_iter": -3}, {"max_halvings": 0},
+])
+def test_solve_options_reject_unusable_budgets(kwargs):
+    with pytest.raises(ValueError):
+        solver.SolveOptions(**kwargs)
