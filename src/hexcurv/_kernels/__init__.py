@@ -1,34 +1,49 @@
 """Batched per-face evaluation kernel and the six edge rules.
 
 Evaluates F hexagonal faces in two numpy passes.  The theta stage
-(face_theta) gives the boundary arcs and keeps the edge data the second
-stage reuses; the derivative stage (face_eval) turns that record into the
-3x3 derivative matrices in the u-coordinates together with the causal
-branch and normalized causal value of each face center, without a second
-theta pass.  Masks select the edge rule and the split kind lane by lane.
-``_core_py`` holds the scalar reference for tests.
+(face_theta) gives the boundary arcs by the hexagon cosine law
+
+    cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
+
+(side o opposite corner a, sides p and q at it) and keeps the edge data
+the second stage reuses.  The derivative stage (face_eval) differentiates
+that law by the chain rule J = dtheta/dl . dl/df . df/du, without a
+second theta pass:
+
+    d theta_a / d l_o = sinh l_o / (sinh theta_a sinh l_p sinh l_q)
+    d theta_a / d l_b = -cosh theta_c * d theta_a / d l_o   (b = p, q)
+
+with c the other end of side b.  For an edge rule cosh l = s root +
+eta e^{f_a + f_b}, sinh l * dl/df_a = s droot/df_a + eta e^{f_a + f_b}
+equals cosh l + 1/rho, with rho the partial ratio of edge_state, and
+sinh l * dl/df_b equals cosh l + rho.  All nine entries of each face are
+computed.  The stage is singular only where sinh l or sinh theta
+vanishes, and the theta stage rejects both, so it has no status of its
+own.  The paper's face-center formula is the diagnostic
+center.face_centers; _core_py is the scalar reference of both stages.
 
 Inputs are F x 3 arrays of face vertex ids, edge codes (edge m joins
 corners m and m + 1 mod 3), corner alphas and edge weights, plus factor
 values indexed by vertex id.
 
-Status codes: 0 ok, 1 degenerate edge (cosh l <= 1), 2 degenerate split,
-3 degenerate face center, 4 singular height, 5 factors outside the
-evaluable range or the edge rule's domain.  A face reports its first
-failing check in the order range, edge, split, center, height, with the
-edge position for per-edge checks (else -1); later steps mask its lanes
-out.  Branch codes: 0 time-like, 1 space-like, 2 light-like face center.
+Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
+5 factors outside the evaluable range or the edge rule's domain, 6
+vanishing arc (cosh theta <= 1, which only rounding reaches).  The
+face-center diagnostic adds 2 degenerate split, 3 degenerate face center
+and 4 singular height.  A face reports its first failing check in the
+order range, edge, arc, split, center, height, with the edge or corner
+position for per-edge and per-arc checks (else -1); later steps mask its
+lanes out.  Branch codes: 0 time-like, 1 space-like, 2 light-like face
+center.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ..tol import TAU_CAUSAL
-
 BACKEND = "numpy"
 
-OK, BAD_EDGE, BAD_SPLIT, BAD_CENTER, BAD_HEIGHT, BAD_RANGE = range(6)
+OK, BAD_EDGE, BAD_SPLIT, BAD_CENTER, BAD_HEIGHT, BAD_RANGE, BAD_ARC = range(7)
 TIME, SPACE, LIGHT = range(3)
 
 # factor magnitudes beyond this overflow the double-precision pipeline
@@ -74,39 +89,13 @@ def _fail(status, bad, fails):
     bad[hit] = pos[hit]
 
 
-def _div(a, b, where):
-    """a / b on the lanes in where, 0 elsewhere (masked lanes may divide by 0).
-
-    a has the shape of the result; b and where broadcast to it.
-    """
-    return np.divide(a, b, out=np.zeros(a.shape), where=where)
-
-
-def _cross(x, y):
-    # Lorentzian cross product over the last axis: Euclidean cross pushed
-    # through diag(1, 1, -1).
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    out = np.empty(x.shape)
-    out[..., 0] = x1 * y2 - x2 * y1
-    out[..., 1] = x2 * y0 - x0 * y2
-    out[..., 2] = -(x0 * y1 - x1 * y0)
-    return out
-
-
-def _mdot(x, y):
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] - x[..., 2] * y[..., 2]
-
-
-def _edot(x, y):
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-
-
 class Arcs(NamedTuple):
     """The theta stage of every face: status and bad position (see the
     module docstring), the F x 3 arcs theta, and the face vertex ids and
     edge data (cosh and sinh of the edges, partial ratios, cosh of the
-    arcs) that the derivative stage reuses."""
+    arcs) that the derivative stage reuses.  Failed faces carry finite
+    filler: the regular hexagon's edges, or cosh theta = 2 at a vanishing
+    arc; rho is 0 on edges outside their rule's domain."""
 
     status: np.ndarray
     bad: np.ndarray
@@ -132,93 +121,34 @@ def face_theta(vert, codes, alphas, etas, f) -> Arcs:
     ch = np.where((status == OK)[:, None], ch, 2.0)
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
     # cosine law: corner a lies between edges a and a - 1, opposite edge a + 1
-    chth = np.maximum(
-        1.0, (ch[:, _NEXT] + ch[:, _P] * ch[:, _Q]) / (sh[:, _P] * sh[:, _Q])
-    )
+    chth = (ch[:, _NEXT] + ch[:, _P] * ch[:, _Q]) / (sh[:, _P] * sh[:, _Q])
+    if not chth.min(initial=2.0) > 1.0:
+        arc = chth > 1.0
+        _fail(status, bad, np.where(arc, OK, BAD_ARC))
+        chth = np.where(arc, chth, 2.0)
     return Arcs(status, bad, np.arccosh(chth), vert, ch, sh, rho, chth)
 
 
 def face_eval(arcs: Arcs, du):
     """The derivative stage of every face, from its theta stage.
 
-    du holds df/du per vertex id.  Returns (status, bad position, theta,
-    jac, branch, sigma): status and bad extend those of arcs with the
-    derivative checks, jac[k, a, b] = d theta_a / d u of corner b of face
-    k, and sigma is the normalized causal value of the face center.
-    Entries of failed faces are filler.
+    du holds df/du per vertex id.  Returns jac, F x 3 x 3 with
+    jac[k, a, b] = d theta_a / d u of corner b of face k; entries of
+    failed faces are filler.
     """
-    theta, vert, ch, sh, rho, chth = arcs[2:]
-    status, bad = arcs.status.copy(), arcs.bad.copy()
-
-    # edge splits: kind 0 puts the edge center on the geodesic, kind 1
-    # (hyper-ideal center) uses the real partial offsets
-    num = rho * sh
-    den = 1.0 + rho * ch
-    k0 = np.abs(num) < np.abs(den)
-    k1 = np.abs(num) > np.abs(den)
-    _fail(status, bad, np.where(k0 | k1, OK, BAD_SPLIT))
-    live = (status == OK)[:, None]
-    k0 &= live
-    k1 &= live
-    t = _div(num, den, k0)
-    w = _div(den, num, k1)
-    x = np.where(k1, w, t)
-    inv = 1.0 / np.sqrt(1.0 - x * x)
-    # kind 0: sinh of the signed partials; kind 1: cosh of the offsets
-    dab = np.where(k1, inv, t * inv)
-    dba = np.where(k1, ch - sh * w, sh - ch * t) * inv
-    r1, r2 = -dab, np.where(k1, dba, -dba)
-
-    # canonical embedding: v0 on the x1 axis, v1 in the x1-x3 plane
-    shth0 = np.sqrt((chth[:, 0] - 1.0) * (chth[:, 0] + 1.0))
-    v = np.zeros((len(ch), 3, 3))
-    v[:, 0, 0] = 1.0
-    v[:, 1, 0] = -ch[:, 0]
-    v[:, 1, 2] = sh[:, 0]
-    v[:, 2, 0] = -ch[:, 2]
-    v[:, 2, 1] = sh[:, 2] * shth0
-    v[:, 2, 2] = sh[:, 2] * chth[:, 0]
-    # polar vectors, normalized space-like, oriented so p_r * v_r < 0
-    p = _cross(v[:, _NEXT], v[:, _PREV]) / sh[:, _NEXT, None]
-
-    s2 = sh * sh
-    ca = -(r1 + ch * r2) / s2
-    cb = -(r2 + ch * r1) / s2
-    centers = ca[..., None] * v + cb[..., None] * v[:, _NEXT]
-
-    n1 = _cross(p[:, 2], centers[:, 0])
-    n2 = _cross(p[:, 1], centers[:, 2])
-    craw = _cross(n1, n2)
-    nrm = np.sqrt(_edot(craw, craw))
-    scale = np.sqrt(_edot(n1, n1) * _edot(n2, n2))
-    flat = (nrm <= 1e-14 * scale) | (nrm == 0.0)
-    status[(status == OK) & flat] = BAD_CENTER
-    live = status == OK
-    chat = _div(craw, nrm[:, None], live[:, None])
-    sigma = _mdot(chat, chat)
-    branch = np.where(
-        np.abs(sigma) <= TAU_CAUSAL, LIGHT, np.where(sigma < 0.0, TIME, SPACE)
-    )
-
-    # derivative factor per edge: tanh(h)^beta as a normalization-free ratio
-    hnum = _mdot(p[:, _PREV], chat[:, None])
-    hden = _mdot(centers, chat[:, None])
-    ratio = _div(hnum, hden, live[:, None] & (hden != 0.0))
-    ratio = np.where((branch == LIGHT)[:, None], np.copysign(1.0, ratio), ratio)
-    steep = (branch == SPACE)[:, None] & (np.abs(ratio) > 1e12)
-    _fail(status, bad, np.where((hden == 0.0) | steep, BAD_HEIGHT, OK))
-
-    # Rows divide by the partial at the opposite endpoint.  For an edge
-    # with a hyper-ideal center the two partials carry conjugate imaginary
-    # offsets, so the entry dividing by the first-endpoint partial takes
-    # the opposite sign in the real form.
-    live = (status == OK)[:, None]
-    sg = np.where(k1, 1.0, -1.0)
-    m_ab = _div(-ratio, dba * sh, live)
-    m_ba = _div(sg * ratio, dab * sh, live)
-    m = np.empty((len(ch), 3, 3))
-    m[:, _ROWS, _NEXT] = m_ab
-    m[:, _NEXT, _ROWS] = m_ba
-    m[:, _ROWS, _ROWS] = ch * m_ba + ch[:, _PREV] * m_ab[:, _PREV]
-    jac = m * np.asarray(du, dtype=float)[vert][:, None, :]
-    return status, bad, theta, jac, branch, sigma
+    ch, sh, rho, chth = arcs[4:]
+    shth = np.sqrt((chth - 1.0) * (chth + 1.0))
+    # dtheta/dl: row a, column = edge; edge a + 1 is opposite corner a
+    d = sh[:, _NEXT] / (shth * sh * sh[:, _PREV])
+    dl = np.empty((len(ch), 3, 3))
+    dl[:, _ROWS, _NEXT] = d
+    dl[:, _ROWS, _ROWS] = -chth[:, _NEXT] * d
+    dl[:, _ROWS, _PREV] = -chth[:, _PREV] * d
+    # dl/df . df/du of each edge at its first and second endpoint; column b
+    # collects edge b, which starts at corner b, and edge b - 1, which ends there
+    duv = np.asarray(du, dtype=float)[arcs.vert]
+    # 1/rho, with 1 where a failed face's edge left its rule's domain (rho 0)
+    inv = np.divide(1.0, rho, out=np.ones(rho.shape), where=rho != 0.0)
+    first = (ch + inv) / sh * duv
+    second = (ch + rho) / sh * duv[:, _NEXT]
+    return dl * first[:, None, :] + dl[:, :, _PREV] * second[:, None, _PREV]

@@ -8,6 +8,7 @@ Used by the check-identities subcommand and by the test suite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -26,8 +27,12 @@ def _sgn(v):
     return 0 if abs(v) <= _SIGN_TOL else (1 if v > 0 else -1)
 
 
+@functools.cache
 def stock_spec(family: str) -> StructureSpec:
-    """A representative single-face spec per family for randomized suites."""
+    """A representative single-face spec per family for randomized suites.
+
+    One shared object per family: a mesh keeps the spec_arrays of the last
+    spec object used on it, so repeated draws of one family reuse them."""
     al0 = { i: 0 for i in range(3)}
     if family == "A1":
         return StructureSpec("A1", {0: 0, 1: 1, 2: 0}, {0: 3.0, 1: 2.5, 2: 2.0})
@@ -125,6 +130,7 @@ def run_suite(family: str, samples: int, rng) -> dict:
         "compatibility": [0, 0.0, 1e-10],
         "finite-difference": [0, 0.0, 1e-5],
         "reciprocal-cosh-diagonal": [0, 0.0, 1e-10],
+        "center-distance-formula": [0, 0.0, 1e-9],
         "u-symmetry": [0, 0.0, 1e-12],
         "negative-definite": [0, 0.0, 1.0],
     }
@@ -135,13 +141,18 @@ def run_suite(family: str, samples: int, rng) -> dict:
         try:
             sp = split_values(spec, tri, face, f)
             fd = curvature.face_derivatives(spec, tri, face, f)
-            mc = curvature.dtheta_df_chain(spec, tri, face, f)
         except HexcurvError:
             continue
         c = res["compatibility"]
         c[0] += 1
         c[1] = max(c[1], compatibility_residual_general(sp))
-        # diagonal identity, on the chain-rule matrix
+        # the paper's center-distance matrix against the cosine-law one
+        mc = fd.dtheta_df
+        g = res["center-distance-formula"]
+        g[0] += 1
+        g[1] = max(g[1], float(np.max(np.abs(fd.center_df - mc)))
+                   / max(1.0, float(np.max(np.abs(mc)))))
+        # diagonal identity, on the cosine-law matrix
         g = res["reciprocal-cosh-diagonal"]
         lcosh = _edge_coshes(spec, tri, face, f)
         worst = max(

@@ -115,6 +115,11 @@ class Triangulation:
                 self.warnings.append(
                     f"face {face.id} repeats a boundary component"
                 )
+        # a component on no face has K identically 0 and an empty Jacobian row
+        on_faces = {v for face in self.faces for v in face.vertices}
+        orphans = [v for v in range(self.n_boundary) if v not in on_faces]
+        if orphans:
+            raise DanglingReference(f"boundary component {orphans[0]} lies on no face")
         for e in self.edges:
             if not (0 <= e.a < self.n_boundary and 0 <= e.b < self.n_boundary):
                 raise DanglingReference(f"edge {e.id} references unknown vertex")

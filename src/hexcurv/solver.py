@@ -190,7 +190,8 @@ def solve_prescribed_curvature(
 
     target maps boundary components to positive reals (dict or array).
     Returns (f, report); raises NotConverged with the best iterate attached
-    when the iteration or damping budget runs out.
+    when the iteration or damping budget runs out or a Jacobian is exactly
+    singular.
     """
     opts = opts or SolveOptions()
     n = tri.n_boundary
@@ -227,8 +228,15 @@ def solve_prescribed_curvature(
             report.quad_constant = _quad_constant(report.trajectory)
             return dict(enumerate(f.tolist())), report
         # the Jacobian, its LU and the arcs behind it are freed before any trial
-        step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
-                           K - tgt, report, tri.jacobian_order)
+        try:
+            step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
+                               K - tgt, report, tri.jacobian_order)
+        except RuntimeError:  # SuperLU met an exactly zero pivot
+            report.residual = res
+            raise NotConverged(
+                f"jacobian exactly singular at residual {res}",
+                factors=dict(enumerate(f.tolist())), report=report,
+            ) from None
         arcs = None
         lam_scale = 1.0
         for _ in range(opts.max_halvings):

@@ -157,17 +157,25 @@ def sample_admissible_f(spec, tri, rng, n=1, scale=1.0):
 
 
 ALL_FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
+_FACE_MESHES = {}
+
+
+def face_mesh(spec):
+    """One single-face mesh per family.  A mesh keeps the arrays of the last
+    spec used on it, so draws that alternate families on one mesh would
+    rebuild them on every switch."""
+    return _FACE_MESHES.setdefault(spec.family, single_face())
 
 
 def branch_samples(rng, want, families=ALL_FAMILIES, cap=40000):
     """(spec, f) samples bucketed by the face-center causal branch."""
-    tri = single_face()
     buckets = {"time-like": [], "space-like": []}
     tries = 0
     while (min(len(b) for b in buckets.values()) < want) and tries < cap:
         tries += 1
         fam = rng.choice(families)
         spec = stock_spec(fam)
+        tri = face_mesh(spec)
         pts = sample_face_points(spec, tri, rng, 1, scale=1.2)
         if not pts:
             continue
@@ -183,14 +191,14 @@ def branch_samples(rng, want, families=ALL_FAMILIES, cap=40000):
 
 def light_like_samples(rng, want, cap=4000):
     """Bisect between branches to land within the causal tolerance band."""
-    tri = single_face()
-    face = tri.faces[0]
+    face = single_face().faces[0]
     out = []
     tries = 0
     while len(out) < want and tries < cap:
         tries += 1
         fam = rng.choice(("A1", "A2", "MixedII", "MixedIII"))
         spec = stock_spec(fam)
+        tri = face_mesh(spec)
         pts = sample_face_points(spec, tri, rng, 2, scale=1.2)
         if len(pts) < 2:
             continue

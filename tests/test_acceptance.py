@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from hexcurv import curvature, hexagon as hx, mesh, solver
+from hexcurv._kernels import SPACE, TIME, Arcs, face_eval
+from hexcurv._kernels.center import face_centers
 from hexcurv.conformal import (
     StructureSpec,
     admissible,
@@ -31,7 +33,13 @@ from hexcurv.identities import (
 )
 from hexcurv.lorentz import CausalClass, minkowski_dot
 
-from helpers import ALL_FAMILIES, make_spec, sample_admissible_f, sphere_triangulation
+from helpers import (
+    ALL_FAMILIES,
+    face_mesh,
+    make_spec,
+    sample_admissible_f,
+    sphere_triangulation,
+)
 
 ACOSH2 = math.acosh(2.0)
 
@@ -88,32 +96,34 @@ def _rel_err(a, b):
 
 def test_criterion_03_angle_variation_vs_fd_per_branch():
     rng = random.Random(3)
-    tri = mesh.single_face()
-    face = tri.faces[0]
+    face = mesh.single_face().faces[0]
     want = 300
     buckets = {"time-like": [], "space-like": []}
     tries = 0
     while min(map(len, buckets.values())) < want and tries < 80000:
         tries += 1
         spec = stock_spec(rng.choice(ALL_FAMILIES))
-        pts = sample_face_points(spec, tri, rng, 1, scale=1.2)
+        pts = sample_face_points(spec, face_mesh(spec), rng, 1, scale=1.2)
         if not pts:
             continue
         f = f_from_u(spec, pts[0])
         try:
-            fd = curvature.face_derivatives(spec, tri, face, f)
+            fd = curvature.face_derivatives(spec, face_mesh(spec), face, f)
         except HexcurvError:
             continue
         if fd.branch in buckets and len(buckets[fd.branch]) < want:
             buckets[fd.branch].append((spec, f, fd))
-    worst = {}
+    worst, center = {}, {}
     for name, bucket in buckets.items():
         assert len(bucket) == want, name
         w = 0.0
         for spec, f, fd in bucket:
-            w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, tri, face, f)))
+            w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, face_mesh(spec), face, f)))
         assert w < 1e-5, name
         worst[name] = w
+        # the paper's center-distance formula reproduces the cosine-law matrix
+        center[name] = max(_rel_err(fd.center_df, fd.dtheta_df) for _, _, fd in bucket)
+        assert center[name] < 1e-9, name
 
     # light-like branch by bisecting sign changes of the causal value
     light = []
@@ -121,13 +131,13 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
     while len(light) < want and tries < 20000:
         tries += 1
         spec = stock_spec(rng.choice(("A1", "A2", "MixedII", "MixedIII")))
-        pts = sample_face_points(spec, tri, rng, 2, scale=1.2)
+        pts = sample_face_points(spec, face_mesh(spec), rng, 2, scale=1.2)
         if len(pts) < 2:
             continue
         f0, f1 = (f_from_u(spec, p) for p in pts)
         try:
-            s0 = curvature.face_derivatives(spec, tri, face, f0).sigma
-            s1 = curvature.face_derivatives(spec, tri, face, f1).sigma
+            s0 = curvature.face_derivatives(spec, face_mesh(spec), face, f0).sigma
+            s1 = curvature.face_derivatives(spec, face_mesh(spec), face, f1).sigma
         except HexcurvError:
             continue
         if s0 * s1 >= 0.0:
@@ -138,7 +148,7 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
             mid = 0.5 * (lo + hi)
             fm = {i: f0[i] + mid * (f1[i] - f0[i]) for i in f0}
             try:
-                sm = curvature.face_derivatives(spec, tri, face, fm).sigma
+                sm = curvature.face_derivatives(spec, face_mesh(spec), face, fm).sigma
             except HexcurvError:
                 break
             if abs(sm) <= 1e-12:
@@ -148,7 +158,7 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
             else:
                 lo = mid
         try:
-            fd = curvature.face_derivatives(spec, tri, face, fm)
+            fd = curvature.face_derivatives(spec, face_mesh(spec), face, fm)
         except HexcurvError:
             continue
         if fd.branch == "light-like":
@@ -156,11 +166,15 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
     assert len(light) == want
     w = 0.0
     for spec, f, fd in light:
-        w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, tri, face, f)))
+        w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, face_mesh(spec), face, f)))
     assert w < 1e-3
     worst["light-like"] = w
+    center["light-like"] = max(_rel_err(fd.center_df, fd.dtheta_df) for _, _, fd in light)
+    assert center["light-like"] < 1e-9
     report(3, "rel err vs central differences: "
-              + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
+              + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
+              + "; center-distance vs cosine-law matrix: "
+              + ", ".join(f"{k} {v:.2e}" for k, v in center.items()))
 
 
 def test_criterion_04_two_term_cosh_diagonal_identity():
@@ -173,7 +187,7 @@ def test_criterion_04_two_term_cosh_diagonal_identity():
         spec = stock_spec(fam)
         for u in sample_face_points(spec, tri, rng, 150):
             f = f_from_u(spec, u)
-            mc = curvature.dtheta_df_chain(spec, tri, tri.faces[0], f)
+            mc = curvature.dtheta_df(spec, tri, tri.faces[0], f)
             ch = _edge_coshes(spec, tri, tri.faces[0], f)
             worst = max(
                 worst,
@@ -320,8 +334,20 @@ def _random_geometry(rng):
     else:
         r1 = -rng.uniform(0.05, 0.95) * e[0]
         r2 = -rng.uniform(0.05, 0.95) * e[1]
-    splits = hx.splits_from_ratios(lens, (r1, r2, 1.0 / (r1 * r2)))
-    return hx.build_hexagon(lens, splits)
+    ratios = (r1, r2, 1.0 / (r1 * r2))
+    return hx.build_hexagon(lens, hx.splits_from_ratios(lens, ratios)), ratios
+
+
+def _hexagon_arcs(lengths, ratios):
+    """The kernel's theta stage of hexagons given by side lengths and
+    partial ratios, one face per row."""
+    ch = np.cosh(np.array(lengths))
+    sh = np.sqrt((ch - 1.0) * (ch + 1.0))
+    nxt, p, q = [1, 2, 0], [0, 0, 1], [2, 1, 2]
+    chth = (ch[:, nxt] + ch[:, p] * ch[:, q]) / (sh[:, p] * sh[:, q])
+    n = len(ch)
+    return Arcs(np.zeros(n, dtype=np.int64), np.full(n, -1), np.arccosh(chth),
+                np.arange(3 * n).reshape(-1, 3), ch, sh, np.array(ratios), chth)
 
 
 def test_criterion_09_center_distance_identity_suite():
@@ -329,11 +355,12 @@ def test_criterion_09_center_distance_identity_suite():
     want = 500
     counts = {"time": 0, "space": 0}
     worst = {"time": 0.0, "space": 0.0}
+    drawn = []  # (lengths, ratios, class) of the counted hexagons
     tries = 0
     while min(counts.values()) < want and tries < 300000:
         tries += 1
         try:
-            g = _random_geometry(rng)
+            g, ratios = _random_geometry(rng)
         except HexcurvError:
             continue
         assert sign_coherence_ok(g)
@@ -356,10 +383,25 @@ def test_criterion_09_center_distance_identity_suite():
             tag, resid = space_like_residual(g)
             assert tag in ("one-negative", "two-negative")
             worst["space"] = max(worst["space"], resid)
+        else:
+            continue
+        drawn.append((g.lengths.as_tuple(), ratios, g.center_class))
     assert counts["time"] == want and counts["space"] == want
     assert worst["time"] < 1e-8 and worst["space"] < 1e-8
+    # the kernel's face-center diagnostic on the same hexagons finds the same
+    # class, and its derivative matrix is the cosine-law one
+    lengths, ratios, classes = zip(*drawn)
+    arcs = _hexagon_arcs(lengths, ratios)
+    status, _, branch, _, m = face_centers(arcs)
+    jac = face_eval(arcs, np.ones(arcs.vert.size))
+    assert not status.any()
+    assert branch.tolist() == [TIME if c is CausalClass.TIME_LIKE else SPACE
+                               for c in classes]
+    agree = max(_rel_err(a, b) for a, b in zip(m, jac))
+    assert agree < 1e-9
     report(9, f"500 hexagons per class, residuals time {worst['time']:.2e} "
-              f"space {worst['space']:.2e}, all classified")
+              f"space {worst['space']:.2e}, all classified; center-distance vs "
+              f"cosine-law matrix {agree:.2e}")
 
 
 def test_criterion_10_embedding_contracts():

@@ -58,6 +58,20 @@ def test_non_finite_weight_rejected(tmp_path, capsys, weight):
     assert captured.out == "" and "not finite" in captured.err
 
 
+def test_component_on_no_face_is_a_domain_error(tmp_path, capsys):
+    # its K is identically 0, so a solve would factor a singular Jacobian
+    p = tmp_path / "orphan.mesh"
+    p.write_text(PANTS.replace("v 2 alpha=0\n", "v 2 alpha=0\nv 3 alpha=0\n"))
+    tpath = tmp_path / "target.txt"
+    tpath.write_text("K 0 2.0\nK 1 2.0\nK 2 2.0\nK 3 2.0\n")
+    for argv in (["validate", str(p)], ["solve", str(p), "--target", str(tpath)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "boundary component 3 lies on no face" in captured.err
+
+
 def test_usage_error_exit_code(pants_file):
     with pytest.raises(SystemExit) as err:
         main(["validate", pants_file, "--bogus"])

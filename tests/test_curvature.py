@@ -168,13 +168,14 @@ def test_chain_rule_oracle_agreement():
         spec = stock_spec(fam)
         for u in sample_face_points(spec, tri, rng, 50):
             f = f_from_u(spec, u)
-            geo = curvature.dtheta_df(spec, tri, tri.faces[0], f)
-            chain = curvature.dtheta_df_chain(spec, tri, tri.faces[0], f)
+            # the paper's center-distance matrix against the cosine-law one
+            geo = curvature.face_derivatives(spec, tri, tri.faces[0], f).center_df
+            chain = curvature.dtheta_df(spec, tri, tri.faces[0], f)
             assert np.max(np.abs(geo - chain)) < 1e-9 * max(1.0, np.max(np.abs(chain)))
 
 
 def test_reciprocal_cosh_diagonal_identity():
-    # diagonals of the chain-rule matrix satisfy the two-term cosh relation
+    # diagonals of the cosine-law matrix satisfy the two-term cosh relation
     rng = random.Random(4)
     tri = mesh.single_face()
     from hexcurv.identities import _edge_coshes
@@ -183,7 +184,7 @@ def test_reciprocal_cosh_diagonal_identity():
         spec = stock_spec(fam)
         for u in sample_face_points(spec, tri, rng, 60):
             f = f_from_u(spec, u)
-            mc = curvature.dtheta_df_chain(spec, tri, tri.faces[0], f)
+            mc = curvature.dtheta_df(spec, tri, tri.faces[0], f)
             ch = _edge_coshes(spec, tri, tri.faces[0], f)
             assert abs(mc[0, 0] - (ch[0] * mc[1, 0] + ch[2] * mc[2, 0])) < 1e-10
             assert abs(mc[1, 1] - (ch[0] * mc[0, 1] + ch[1] * mc[2, 1])) < 1e-10
@@ -258,7 +259,7 @@ def _dense_jacobian(spec, tri, f):
     arrays = spec_arrays(spec, tri)
     vert, codes, alphas, etas, _ = arrays.kernel
     fv = np.array([f[v] for v in range(tri.n_boundary)])
-    jac = face_eval(face_theta(vert, codes, alphas, etas, fv), arrays.cov.derivative(fv))[3]
+    jac = face_eval(face_theta(vert, codes, alphas, etas, fv), arrays.cov.derivative(fv))
     lam = np.zeros((tri.n_boundary, tri.n_boundary))
     np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
     return lam

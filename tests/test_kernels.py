@@ -1,4 +1,5 @@
-"""The batched kernel against the scalar reference kernel ``_core_py``.
+"""The batched kernel against the scalar reference kernel ``_core_py``, and
+the face-center diagnostic against the cosine-law Jacobian.
 
 Both kernels run the same sequence of floating-point operations per face,
 so they differ only where that sequence calls an elementary function:
@@ -17,8 +18,7 @@ over the recorded results z: u_z = 1 for exp, expm1 and cosh, 2 for
 arccosh, 1 for an arithmetic operation or square root with a differing
 input, 0 for negation and abs.  Results computed from the face's inputs
 alone agree exactly and carry no term.  The factor 2 covers second-order
-effects.  Face-center branches are compared only where |sigma| lies
-farther than tol(sigma) from the light-like band edge TAU_CAUSAL.
+effects.
 """
 
 import math
@@ -30,6 +30,7 @@ import scipy.sparse.linalg
 
 from hexcurv import _kernels as kern
 from hexcurv._kernels import _core_py
+from hexcurv._kernels.center import face_centers
 from hexcurv.curvature import face_edge_args
 from hexcurv.mesh import single_face
 from hexcurv.tol import TAU_CAUSAL
@@ -70,11 +71,12 @@ def _face_row(rng, spec, face, f):
 
 
 def _batched(rows):
-    """Both stages of the batched kernel on scalar-kernel rows, one face per row."""
+    """Both stages of the batched kernel and its face-center diagnostic on
+    scalar-kernel rows, one face per row."""
     vert = np.arange(3 * len(rows)).reshape(-1, 3)
     codes, al, et, f, du = (np.array([r[i] for r in rows]) for i in range(5))
     arcs = kern.face_theta(vert, codes, al.astype(float), et, f.ravel())
-    return arcs[:3], kern.face_eval(arcs, du.ravel())
+    return arcs, kern.face_eval(arcs, du.ravel()), face_centers(arcs)
 
 
 # -- first-order difference bound ----------------------------------------------
@@ -156,16 +158,16 @@ class _TapedMath:
         return self.tape.rec(math.sqrt(x), 1, ((x, 0.5 / math.sqrt(x)),))
 
 
-def _outputs(res):
-    theta, jac, sigma = res[2], res[3], res[5]
-    return list(theta) + [x for row in jac for x in row] + [sigma]
+def _release_outputs(res):
+    """theta and jac of a scalar face_eval result."""
+    return list(res[2]) + [x for row in res[3] for x in row]
 
 
-def _tolerance(monkeypatch, row):
-    """tol of (theta, jac, sigma) of one valid face, by the bound above."""
+def _tolerance(monkeypatch, fn, outputs, row):
+    """tol of outputs(fn(*row)) of one valid face, by the bound above."""
     tape = _Tape()
     monkeypatch.setattr(_core_py, "math", _TapedMath(tape))
-    ys = _outputs(_core_py.face_eval(*row))
+    ys = outputs(fn(*row))
     monkeypatch.setattr(_core_py, "math", math)
     # result z = sum of dz/dparent * parent + its own difference:
     # (I - D) z = delta, so dy/dz is row y of (I - D)^-1
@@ -194,37 +196,45 @@ def _rows(rng):
 def test_batched_matches_scalar_reference(monkeypatch):
     rng = random.Random(0)
     rows = _rows(rng)
-    (st_t, bad_t, th_t), (st, bad, th, jac, br, sg) = _batched(rows)
-    codes_seen, kinds_seen, branches_seen = set(), set(), set()
+    arcs, jac, _ = _batched(rows)
+    codes_seen, kinds_seen = set(), set()
     worst, compared = 0.0, 0
     for k, row in enumerate(rows):
         ref = _core_py.face_eval(*row)
-        ref_t = _core_py.face_theta(*row[:4])
-        assert (st[k], bad[k]) == ref[:2], k
-        assert (st_t[k], bad_t[k]) == ref_t[:2], k
+        assert (arcs.status[k], arcs.bad[k]) == ref[:2], k
         if ref[0] != kern.OK:
             continue
-        # K-only and K+J evaluations share their theta code
-        assert np.array_equal(th_t[k], th[k])
-        tol = _tolerance(monkeypatch, row)
-        got = np.concatenate((th[k], jac[k].ravel(), [sg[k]]))
-        err = np.abs(got - _outputs(ref))
+        tol = _tolerance(monkeypatch, _core_py.face_eval, _release_outputs, row)
+        got = np.concatenate((arcs.theta[k], jac[k].ravel()))
+        err = np.abs(got - _release_outputs(ref))
         assert np.all(err <= tol), (k, err / tol)
         worst = max(worst, float(np.max(err / tol)))
-        if abs(abs(ref[5]) - TAU_CAUSAL) > tol[-1]:
-            assert br[k] == ref[4], k
-            branches_seen.add(ref[4])
         compared += 1
         codes_seen.update(row[0])
-        for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            _, c, rho = _core_py._edge_state(
-                row[0][m], row[1][a], row[1][b], row[3][a], row[3][b], row[2][m])
-            kinds_seen.add(_core_py._split(rho, c, math.sqrt((c - 1.0) * (c + 1.0)))[0])
+        # split kind of each edge: hyper-ideal edge center where |num| > |den|
+        num, den = arcs.rho[k] * arcs.sh[k], 1.0 + arcs.rho[k] * arcs.ch[k]
+        kinds_seen.update((np.abs(num) > np.abs(den)).astype(int).tolist())
     assert compared > 700
     assert codes_seen == set(range(6))
     assert kinds_seen == {0, 1}
-    assert branches_seen == {kern.TIME, kern.SPACE, kern.LIGHT}
     print(f"worst error / tolerance {worst:.3f} over {compared} faces")
+
+
+def test_face_centers_reproduce_the_cosine_law_jacobian():
+    # the paper's center-distance matrix, on every face of the reference rows
+    # whose center exists: all six edge rules, both split kinds and all
+    # three causal branches
+    rng = random.Random(0)
+    rows = _rows(rng)
+    arcs, jac, (status, _, branch, sigma, m) = _batched(rows)
+    du = np.array([r[4] for r in rows])
+    live = status == kern.OK
+    assert live.sum() > 700
+    assert set(branch[live].tolist()) == {kern.TIME, kern.SPACE, kern.LIGHT}
+    assert np.all(np.abs(sigma[branch == kern.LIGHT]) <= TAU_CAUSAL)
+    m_u = m * du[:, None, :]
+    err = np.abs(m_u - jac) / np.maximum(1e-8, np.maximum(np.abs(m_u), np.abs(jac)))
+    assert err[live].max() < 1e-9
 
 
 def test_status_codes_match():
@@ -235,14 +245,22 @@ def test_status_codes_match():
         ((0, 0, 0), (0, 0, 0), (3.0, 3.0, 3.0), (200.0, 0.0, 0.0), (1.0,) * 3),
         # domain violation in the square-root rule
         ((1, 1, 1), (-1, -1, -1), (3.0,) * 3, (-0.5, 0.5, 0.5), (1.0,) * 3),
+        # two long edges at corner 0 round its arc to zero
+        ((0, 0, 0), (0, 0, 0), (3.0, 3.0, 3.0), (20.0, 0.0, 0.0), (1.0,) * 3),
         # a valid face between failing ones
         ((0, 0, 0), (0, 0, 0), (3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (1.0,) * 3),
     ]
-    (st_t, bad_t, _), (st, bad, *_rest) = _batched(rows)
-    assert st.tolist() == [kern.BAD_EDGE, kern.BAD_RANGE, kern.BAD_RANGE, kern.OK]
+    arcs, jac, (st_c, bad_c, *_rest) = _batched(rows)
+    assert arcs.status.tolist() == [kern.BAD_EDGE, kern.BAD_RANGE, kern.BAD_RANGE,
+                                    kern.BAD_ARC, kern.OK]
+    assert arcs.bad[3] == 0
+    # failed faces carry finite filler, so the derivative stage never divides by 0
+    assert np.all(np.isfinite(arcs.theta)) and np.all(np.isfinite(jac))
     for k, row in enumerate(rows):
-        assert (st[k], bad[k]) == _core_py.face_eval(*row)[:2]
-        assert (st_t[k], bad_t[k]) == _core_py.face_theta(*row[:4])[:2]
+        assert (arcs.status[k], arcs.bad[k]) == _core_py.face_eval(*row)[:2]
+        assert (arcs.status[k], arcs.bad[k]) == _core_py.face_theta(*row[:4])[:2]
+    # the diagnostic keeps the theta stage's first failure
+    assert st_c.tolist() == arcs.status.tolist() and bad_c.tolist() == arcs.bad.tolist()
 
 
 def test_edge_state_domain_matches_scalar_rules():
@@ -257,3 +275,27 @@ def test_edge_state_domain_matches_scalar_rules():
     assert ok.tolist() == [_core_py._edge_state(*a)[0] for a in args]
     assert 0 < ok.sum() < len(args)
     assert not np.any(ch[~ok]) and not np.any(rho[~ok])
+
+
+def test_edge_partials_are_the_length_derivatives():
+    # sinh l dl/df_a = cosh l + 1/rho and sinh l dl/df_b = cosh l + rho, the
+    # closed forms the derivative stage reads off edge_state, for all six rules
+    rng = random.Random(2)
+    args = []
+    for code in range(6):
+        for _ in range(200):
+            al = (rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)))
+            args.append((code, *al, rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0),
+                         rng.uniform(-3.0, 3.0)))
+    ok, ch, _ = kern.edge_state(*map(np.array, zip(*args)))
+    args = [a for a, k, c in zip(args, ok, ch) if k and c > 1.1]
+    assert {a[0] for a in args} == set(range(6))
+    code, aa, ab, fa, fb, eta = map(np.array, zip(*args))
+    _, ch, rho = kern.edge_state(code, aa, ab, fa, fb, eta)
+    sh = np.sqrt((ch - 1.0) * (ch + 1.0))
+    h = 1e-6
+    for closed, dfa, dfb in (((ch + 1.0 / rho) / sh, h, 0.0), ((ch + rho) / sh, 0.0, h)):
+        plus = kern.edge_state(code, aa, ab, fa + dfa, fb + dfb, eta)[1]
+        minus = kern.edge_state(code, aa, ab, fa - dfa, fb - dfb, eta)[1]
+        fd = (np.arccosh(plus) - np.arccosh(minus)) / (2.0 * h)
+        assert np.max(np.abs(closed - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6

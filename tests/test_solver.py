@@ -6,6 +6,7 @@ import scipy.sparse
 import pytest
 
 from hexcurv import curvature, mesh, solver
+from hexcurv._kernels import BAD_ARC, OK
 from hexcurv.conformal import StructureSpec, admissible, f_from_u, u_from_f
 from hexcurv.errors import HexcurvError, NoFeasibleStart, NotConverged, PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
@@ -171,6 +172,66 @@ def test_not_converged_carries_best_iterate():
         )
     assert err.value.factors is not None
     assert err.value.report.trajectory
+
+
+@pytest.mark.parametrize("fam", ["A1", "A3", "MixedIII", "MixedI"])
+def test_hard_targets_return_or_raise_not_converged(fam):
+    # 5 K0 from the default start, on the N=40 meshes of the hard-target
+    # probe.  A Jacobian built from the face centers raised SingularHeight or
+    # InconsistentRatio at accepted iterates here and leaked a divide by zero
+    # (an error under the RuntimeWarning filter); a solve must return or end
+    # with NotConverged and its best iterate.
+    for seed in range(6):
+        rng = random.Random(1000 * seed + 40)
+        tri = sphere_triangulation(40, rng)
+        spec = make_spec(fam, tri, rng, regime="definite" if fam == "MixedI" else "default")
+        K0 = curvature.curvature_map(spec, tri,
+                                     f_from_u(spec, solver.default_initial(spec, tri)))
+        try:
+            solver.solve_prescribed_curvature(spec, tri, 5.0 * K0)
+        except NotConverged as err:
+            assert err.factors is not None and err.report.trajectory
+
+
+def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
+    # arcs of 5e-10 lie below what cosh theta resolves in doubles, so the
+    # solve meets trial points whose arcs round to zero: the theta stage
+    # reports them, the solver rejects them and builds no Jacobian there
+    statuses, built = [], []
+    theta, jacobian = curvature.face_theta, curvature.face_eval
+
+    def recording_theta(*args):
+        arcs = theta(*args)
+        statuses.append(arcs.status.tolist())
+        return arcs
+
+    monkeypatch.setattr(curvature, "face_theta", recording_theta)
+    monkeypatch.setattr(curvature, "face_eval", lambda arcs, du: built.append(
+        arcs.status.tolist()) or jacobian(arcs, du))
+    with pytest.raises(NotConverged) as err:
+        solver.solve_prescribed_curvature(pants_spec(), mesh.pair_of_pants(),
+                                          {i: 1e-9 for i in range(3)})
+    assert any(BAD_ARC in st for st in statuses)
+    assert built and all(st == [OK, OK] for st in built)
+    assert err.value.factors is not None
+    K = curvature.curvature_map(pants_spec(), mesh.pair_of_pants(), err.value.factors)
+    assert np.max(np.abs(K - 1e-9)) == err.value.report.residual
+
+
+def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
+    build = solver.jacobian_from_arcs
+
+    def zero_first_row_and_column(*args):
+        lam = build(*args)
+        cols = np.repeat(np.arange(lam.shape[1]), np.diff(lam.indptr))
+        lam.data[(lam.indices == 0) | (cols == 0)] = 0.0
+        return lam
+
+    monkeypatch.setattr(solver, "jacobian_from_arcs", zero_first_row_and_column)
+    with pytest.raises(NotConverged, match="exactly singular") as err:
+        solver.solve_prescribed_curvature(pants_spec(), mesh.pair_of_pants(),
+                                          {i: 2.0 for i in range(3)})
+    assert err.value.factors is not None and err.value.report.trajectory
 
 
 def test_energy_zero_segment_and_path_independence():
