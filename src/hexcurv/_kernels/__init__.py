@@ -94,8 +94,8 @@ class Arcs(NamedTuple):
     module docstring), the F x 3 arcs theta, and the face vertex ids and
     edge data (cosh and sinh of the edges, partial ratios, cosh of the
     arcs) that the derivative stage reuses.  Failed faces carry finite
-    filler: the regular hexagon's edges, or cosh theta = 2 at a vanishing
-    arc; rho is 0 on edges outside their rule's domain."""
+    filler: the regular hexagon's edges with partial ratio 1, or cosh
+    theta = 2 at a vanishing arc."""
 
     status: np.ndarray
     bad: np.ndarray
@@ -117,8 +117,10 @@ def face_theta(vert, codes, alphas, etas, f) -> Arcs:
     fv = np.where(in_range[:, None], fv, 0.0)
     ok, ch, rho = edge_state(codes, alphas, alphas[:, _NEXT], fv, fv[:, _NEXT], etas)
     _fail(status, bad, np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE))
-    # masked faces evaluate the regular hexagon
-    ch = np.where((status == OK)[:, None], ch, 2.0)
+    # masked faces evaluate the regular hexagon, split at its edge midpoints
+    if status.any():
+        live = (status == OK)[:, None]
+        ch, rho = np.where(live, ch, 2.0), np.where(live, rho, 1.0)
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
     # cosine law: corner a lies between edges a and a - 1, opposite edge a + 1
     chth = (ch[:, _NEXT] + ch[:, _P] * ch[:, _Q]) / (sh[:, _P] * sh[:, _Q])
@@ -147,8 +149,6 @@ def face_eval(arcs: Arcs, du):
     # dl/df . df/du of each edge at its first and second endpoint; column b
     # collects edge b, which starts at corner b, and edge b - 1, which ends there
     duv = np.asarray(du, dtype=float)[arcs.vert]
-    # 1/rho, with 1 where a failed face's edge left its rule's domain (rho 0)
-    inv = np.divide(1.0, rho, out=np.ones(rho.shape), where=rho != 0.0)
-    first = (ch + inv) / sh * duv
+    first = (ch + 1.0 / rho) / sh * duv
     second = (ch + rho) / sh * duv[:, _NEXT]
     return dl * first[:, None, :] + dl[:, :, _PREV] * second[:, None, _PREV]

@@ -6,7 +6,8 @@ partial ratio, embeds each face in the hyperboloid model, meets the edge
 perpendiculars in the face center, and derives d theta / d f from the
 signed distances of the center to the edge geodesics.  Its matrix equals
 the cosine-law one of face_eval wherever the center exists; the identity
-suites check the two against each other.  Status codes extend those of
+suites check the two against each other, and the test suite holds a
+scalar twin of this function.  Status codes extend those of
 the theta stage with BAD_SPLIT, BAD_CENTER and BAD_HEIGHT (see the
 package docstring).
 """

@@ -158,8 +158,9 @@ def _repaired_start(spec: StructureSpec, tri) -> dict:
     )
 
 
-def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple) -> np.ndarray:
-    """lam^-1 g from one sparse LU factorization of the symmetric lam.
+def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
+    """lam^-1 g from one sparse LU factorization of the symmetric lam, or
+    None where SuperLU finds lam exactly singular.
 
     order is mesh.elimination_order of lam's pattern: lam's data is
     gathered into P lam P^T = lam[perm][:, perm], which SuperLU factors in
@@ -171,9 +172,14 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple) -> np.nda
     report notes it.
     """
     perm, gather, rows, colptr = order
-    lu = scipy.sparse.linalg.splu(
-        scipy.sparse.csc_array((lam.data[gather], rows, colptr), shape=lam.shape),
-        permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_array((lam.data[gather], rows, colptr), shape=lam.shape),
+            permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as err:
+        if "exactly singular" not in str(err):
+            raise
+        return None
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
         if note not in report.notes:
@@ -228,15 +234,13 @@ def solve_prescribed_curvature(
             report.quad_constant = _quad_constant(report.trajectory)
             return dict(enumerate(f.tolist())), report
         # the Jacobian, its LU and the arcs behind it are freed before any trial
-        try:
-            step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
-                               K - tgt, report, tri.jacobian_order)
-        except RuntimeError:  # SuperLU met an exactly zero pivot
-            report.residual = res
+        step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
+                           K - tgt, report, tri.jacobian_order)
+        if step is None:
             raise NotConverged(
                 f"jacobian exactly singular at residual {res}",
                 factors=dict(enumerate(f.tolist())), report=report,
-            ) from None
+            )
         arcs = None
         lam_scale = 1.0
         for _ in range(opts.max_halvings):

@@ -1,0 +1,156 @@
+"""Scalar twin of the face-center diagnostic ``hexcurv._kernels.center``.
+
+face_centers runs the edge splits, the embedding, the face center and the
+center-distance derivative formula on one face, with the operation
+sequence of the batched diagnostic, from the scalar theta stage of
+``_core_py``.  test_kernels compares the two face by face.
+"""
+
+import math
+
+from hexcurv._kernels import BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, LIGHT, OK, SPACE, TIME
+from hexcurv._kernels import _core_py
+from hexcurv.tol import TAU_CAUSAL
+
+
+def _split(rho, ch, sh):
+    """Split one edge of cosh/sinh (ch, sh) at partial ratio rho.
+
+    Returns (kind, D_ab, D_ba, r1, r2): for kind 0 (edge center on the
+    geodesic) D are the sinh of the signed partials and (r1, r2) the
+    time-like center conditions; for kind 1 (hyper-ideal edge center) D are
+    the cosh of the real partial offsets and (r1, r2) the space-like center
+    conditions.  Kind -1 signals a degenerate split.
+    """
+    num = rho * sh
+    den = 1.0 + rho * ch
+    if abs(num) < abs(den):
+        t = num / den
+        inv = 1.0 / math.sqrt(1.0 - t * t)
+        sd_ab = t * inv
+        sd_ba = (sh - ch * t) * inv
+        return 0, sd_ab, sd_ba, -sd_ab, -sd_ba
+    if abs(num) > abs(den):
+        w = den / num
+        inv = 1.0 / math.sqrt(1.0 - w * w)
+        ch_ab = inv
+        ch_ba = (ch - sh * w) * inv
+        return 1, ch_ab, ch_ba, -ch_ab, ch_ba
+    return -1, 0.0, 0.0, 0.0, 0.0
+
+
+def _cross(x, y):
+    # Lorentzian cross product: Euclidean cross pushed through diag(1,1,-1).
+    return (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        -(x[0] * y[1] - x[1] * y[0]),
+    )
+
+
+def _mdot(x, y):
+    return x[0] * y[0] + x[1] * y[1] - x[2] * y[2]
+
+
+def face_centers(codes, alphas, etas, f):
+    """(status, bad index, branch, sigma, m) of one face, as the batched
+    diagnostic gives them: m[a][b] = d theta_a / d f_b by the
+    center-distance formula.  On non-zero status the trailing fields are
+    filler."""
+    status, bad, ch, sh, rho, chth = _core_py._theta_stage(codes, alphas, etas, f)
+    fail = (-1, 0.0, ((0.0,) * 3,) * 3)
+    if status != OK:
+        return (status, bad) + fail
+    pairs = ((0, 1), (1, 2), (2, 0))
+
+    kind = [0, 0, 0]
+    dab = [0.0, 0.0, 0.0]
+    dba = [0.0, 0.0, 0.0]
+    rhs = [(0.0, 0.0)] * 3
+    for m in range(3):
+        k, da, db, r1, r2 = _split(rho[m], ch[m], sh[m])
+        if k < 0:
+            return (BAD_SPLIT, m) + fail
+        kind[m] = k
+        dab[m] = da
+        dba[m] = db
+        rhs[m] = (r1, r2)
+
+    # canonical embedding: v0 on the x1 axis, v1 in the x1-x3 plane
+    shth0 = math.sqrt((chth[0] - 1.0) * (chth[0] + 1.0))
+    v = (
+        (1.0, 0.0, 0.0),
+        (-ch[0], 0.0, sh[0]),
+        (-ch[2], sh[2] * shth0, sh[2] * chth[0]),
+    )
+    # polar vectors, normalized space-like, oriented so p_r * v_r < 0
+    c12 = _cross(v[1], v[2])
+    c20 = _cross(v[2], v[0])
+    c01 = _cross(v[0], v[1])
+    p = (
+        (c12[0] / sh[1], c12[1] / sh[1], c12[2] / sh[1]),
+        (c20[0] / sh[2], c20[1] / sh[2], c20[2] / sh[2]),
+        (c01[0] / sh[0], c01[1] / sh[0], c01[2] / sh[0]),
+    )
+
+    centers = [None, None, None]
+    for m in range(3):
+        a, b = pairs[m]
+        r1, r2 = rhs[m]
+        s2 = sh[m] * sh[m]
+        ca = -(r1 + ch[m] * r2) / s2
+        cb = -(r2 + ch[m] * r1) / s2
+        va, vb = v[a], v[b]
+        centers[m] = (
+            ca * va[0] + cb * vb[0],
+            ca * va[1] + cb * vb[1],
+            ca * va[2] + cb * vb[2],
+        )
+
+    n1 = _cross(p[2], centers[0])
+    n2 = _cross(p[1], centers[2])
+    craw = _cross(n1, n2)
+    nrm = math.sqrt(craw[0] ** 2 + craw[1] ** 2 + craw[2] ** 2)
+    scale = math.sqrt(
+        (n1[0] ** 2 + n1[1] ** 2 + n1[2] ** 2)
+        * (n2[0] ** 2 + n2[1] ** 2 + n2[2] ** 2)
+    )
+    if nrm <= 1e-14 * scale or nrm == 0.0:
+        return (BAD_CENTER, -1) + fail
+    chat = (craw[0] / nrm, craw[1] / nrm, craw[2] / nrm)
+    sigma = _mdot(chat, chat)
+    if abs(sigma) <= TAU_CAUSAL:
+        branch = LIGHT
+    elif sigma < 0.0:
+        branch = TIME
+    else:
+        branch = SPACE
+
+    # derivative factor per edge: tanh(h)^beta as a normalization-free ratio
+    opp = (2, 0, 1)
+    ratio = [0.0, 0.0, 0.0]
+    for m in range(3):
+        num = _mdot(p[opp[m]], chat)
+        den = _mdot(centers[m], chat)
+        if den == 0.0:
+            return (BAD_HEIGHT, m) + fail
+        r = num / den
+        if branch == LIGHT:
+            r = math.copysign(1.0, r)
+        elif branch == SPACE and abs(r) > 1e12:
+            return (BAD_HEIGHT, m) + fail
+        ratio[m] = r
+
+    # an edge with a hyper-ideal center flips the sign of the entry that
+    # divides by its first-endpoint partial
+    sg = [1.0 if k == 1 else -1.0 for k in kind]
+    m01 = -ratio[0] / (dba[0] * sh[0])
+    m10 = sg[0] * ratio[0] / (dab[0] * sh[0])
+    m12 = -ratio[1] / (dba[1] * sh[1])
+    m21 = sg[1] * ratio[1] / (dab[1] * sh[1])
+    m20 = -ratio[2] / (dba[2] * sh[2])
+    m02 = sg[2] * ratio[2] / (dab[2] * sh[2])
+    m00 = ch[0] * m10 + ch[2] * m20
+    m11 = ch[0] * m01 + ch[1] * m21
+    m22 = ch[2] * m02 + ch[1] * m12
+    return OK, -1, branch, sigma, ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))

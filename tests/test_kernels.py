@@ -1,8 +1,10 @@
-"""The batched kernel against the scalar reference kernel ``_core_py``, and
-the face-center diagnostic against the cosine-law Jacobian.
+"""The batched kernel against the scalar reference kernel ``_core_py``, the
+face-center diagnostic against its scalar twin ``center_ref``, and the
+diagnostic's matrix against the cosine-law Jacobian.
 
-Both kernels run the same sequence of floating-point operations per face,
-so they differ only where that sequence calls an elementary function:
+Batched and scalar code run the same sequence of floating-point operations
+per face, so they differ only where that sequence calls an elementary
+function:
 numpy's exp, expm1 and cosh differ from libm's by up to 1 ulp, and
 arccosh by up to 2 ulp (numpy 2.4 against glibc 2.36 on x86-64, 2e5
 random draws; sqrt matched exactly).  From there the difference
@@ -18,7 +20,8 @@ over the recorded results z: u_z = 1 for exp, expm1 and cosh, 2 for
 arccosh, 1 for an arithmetic operation or square root with a differing
 input, 0 for negation and abs.  Results computed from the face's inputs
 alone agree exactly and carry no term.  The factor 2 covers second-order
-effects.
+effects.  Face-center branches are compared only where |sigma| lies
+farther than tol(sigma) from the light-like band edge TAU_CAUSAL.
 """
 
 import math
@@ -35,6 +38,7 @@ from hexcurv.curvature import face_edge_args
 from hexcurv.mesh import single_face
 from hexcurv.tol import TAU_CAUSAL
 
+import center_ref
 from helpers import branch_samples, light_like_samples
 
 EPS = np.finfo(float).eps
@@ -158,17 +162,25 @@ class _TapedMath:
         return self.tape.rec(math.sqrt(x), 1, ((x, 0.5 / math.sqrt(x)),))
 
 
-def _release_outputs(res):
-    """theta and jac of a scalar face_eval result."""
-    return list(res[2]) + [x for row in res[3] for x in row]
+def _outputs(row, center):
+    """theta and jac of the scalar release stages at row, then sigma and the
+    center-distance matrix of the scalar diagnostic if center."""
+    ref = _core_py.face_eval(*row)
+    ys = list(ref[2]) + [x for r in ref[3] for x in r]
+    if center:
+        ref = center_ref.face_centers(*row[:4])
+        ys += [ref[3]] + [x for r in ref[4] for x in r]
+    return ys
 
 
-def _tolerance(monkeypatch, fn, outputs, row):
-    """tol of outputs(fn(*row)) of one valid face, by the bound above."""
+def _tolerance(monkeypatch, row, center):
+    """tol of _outputs(row, center) of one valid face, by the bound above."""
     tape = _Tape()
-    monkeypatch.setattr(_core_py, "math", _TapedMath(tape))
-    ys = outputs(fn(*row))
-    monkeypatch.setattr(_core_py, "math", math)
+    for mod in (_core_py, center_ref):
+        monkeypatch.setattr(mod, "math", _TapedMath(tape))
+    ys = _outputs(row, center)
+    for mod in (_core_py, center_ref):
+        monkeypatch.setattr(mod, "math", math)
     # result z = sum of dz/dparent * parent + its own difference:
     # (I - D) z = delta, so dy/dz is row y of (I - D)^-1
     n = len(tape)
@@ -196,28 +208,43 @@ def _rows(rng):
 def test_batched_matches_scalar_reference(monkeypatch):
     rng = random.Random(0)
     rows = _rows(rng)
-    arcs, jac, _ = _batched(rows)
-    codes_seen, kinds_seen = set(), set()
-    worst, compared = 0.0, 0
+    arcs, jac, (st_c, bad_c, branch, sigma, m) = _batched(rows)
+    codes_seen, kinds_seen, branches_seen = set(), set(), set()
+    failures_seen = set()
+    worst, compared, centered = 0.0, 0, 0
     for k, row in enumerate(rows):
         ref = _core_py.face_eval(*row)
+        ref_c = center_ref.face_centers(*row[:4])
         assert (arcs.status[k], arcs.bad[k]) == ref[:2], k
+        assert (st_c[k], bad_c[k]) == ref_c[:2], k
+        failures_seen.add(ref_c[0])
         if ref[0] != kern.OK:
             continue
-        tol = _tolerance(monkeypatch, _core_py.face_eval, _release_outputs, row)
-        got = np.concatenate((arcs.theta[k], jac[k].ravel()))
-        err = np.abs(got - _release_outputs(ref))
+        center = ref_c[0] == kern.OK
+        tol = _tolerance(monkeypatch, row, center)
+        got = [arcs.theta[k], jac[k].ravel()]
+        if center:
+            got += [sigma[k:k + 1], m[k].ravel()]
+        err = np.abs(np.concatenate(got) - _outputs(row, center))
         assert np.all(err <= tol), (k, err / tol)
         worst = max(worst, float(np.max(err / tol)))
+        # branches where sigma lies farther than its tol from the band edge
+        if center and abs(abs(ref_c[3]) - TAU_CAUSAL) > tol[12]:
+            assert branch[k] == ref_c[2], k
+            branches_seen.add(ref_c[2])
         compared += 1
+        centered += center
         codes_seen.update(row[0])
-        # split kind of each edge: hyper-ideal edge center where |num| > |den|
-        num, den = arcs.rho[k] * arcs.sh[k], 1.0 + arcs.rho[k] * arcs.ch[k]
-        kinds_seen.update((np.abs(num) > np.abs(den)).astype(int).tolist())
-    assert compared > 700
+        for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            _, c, rho = _core_py._edge_state(
+                row[0][e], row[1][a], row[1][b], row[3][a], row[3][b], row[2][e])
+            kinds_seen.add(center_ref._split(rho, c, math.sqrt((c - 1.0) * (c + 1.0)))[0])
+    assert compared > 700 and centered > 700
     assert codes_seen == set(range(6))
     assert kinds_seen == {0, 1}
-    print(f"worst error / tolerance {worst:.3f} over {compared} faces")
+    assert branches_seen == {kern.TIME, kern.SPACE, kern.LIGHT}
+    print(f"worst error / tolerance {worst:.3f} over {compared} faces, "
+          f"{centered} with a center; statuses {sorted(failures_seen)}")
 
 
 def test_face_centers_reproduce_the_cosine_law_jacobian():
@@ -249,18 +276,23 @@ def test_status_codes_match():
         ((0, 0, 0), (0, 0, 0), (3.0, 3.0, 3.0), (20.0, 0.0, 0.0), (1.0,) * 3),
         # a valid face between failing ones
         ((0, 0, 0), (0, 0, 0), (3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (1.0,) * 3),
+        # edge 0 of cosh l = 5/4 at partial ratio -1/2: rho (cosh l + sinh l)
+        # = -1 puts its edge center exactly at infinity
+        ((5, 5, 5), (0, 0, 0), (0.0, 3.0, 3.0), (0.0, math.log(2.0), 0.0), (1.0,) * 3),
     ]
     arcs, jac, (st_c, bad_c, *_rest) = _batched(rows)
     assert arcs.status.tolist() == [kern.BAD_EDGE, kern.BAD_RANGE, kern.BAD_RANGE,
-                                    kern.BAD_ARC, kern.OK]
+                                    kern.BAD_ARC, kern.OK, kern.OK]
     assert arcs.bad[3] == 0
     # failed faces carry finite filler, so the derivative stage never divides by 0
     assert np.all(np.isfinite(arcs.theta)) and np.all(np.isfinite(jac))
+    # the diagnostic keeps the theta stage's first failure
+    assert st_c.tolist() == arcs.status.tolist()[:-1] + [kern.BAD_SPLIT]
+    assert bad_c.tolist() == arcs.bad.tolist()[:-1] + [0]
     for k, row in enumerate(rows):
         assert (arcs.status[k], arcs.bad[k]) == _core_py.face_eval(*row)[:2]
         assert (arcs.status[k], arcs.bad[k]) == _core_py.face_theta(*row[:4])[:2]
-    # the diagnostic keeps the theta stage's first failure
-    assert st_c.tolist() == arcs.status.tolist() and bad_c.tolist() == arcs.bad.tolist()
+        assert (st_c[k], bad_c[k]) == center_ref.face_centers(*row[:4])[:2]
 
 
 def test_edge_state_domain_matches_scalar_rules():

@@ -234,6 +234,19 @@ def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
     assert err.value.factors is not None and err.value.report.trajectory
 
 
+def test_other_factorization_errors_propagate(monkeypatch):
+    # only SuperLU's zero-pivot verdict is a non-convergence; any other
+    # error of the factorization is a fault and keeps its type
+    def failing_splu(*args, **kwargs):
+        raise RuntimeError("some other failure")
+
+    tri = mesh.pair_of_pants()
+    tri.jacobian_order  # the mesh's own SuperLU call comes first
+    monkeypatch.setattr(solver.scipy.sparse.linalg, "splu", failing_splu)
+    with pytest.raises(RuntimeError, match="some other failure"):
+        solver.solve_prescribed_curvature(pants_spec(), tri, {i: 2.0 for i in range(3)})
+
+
 def test_energy_zero_segment_and_path_independence():
     rng = random.Random(4)
     tri = mesh.single_face()
