@@ -20,7 +20,8 @@ sinh l * dl/df_b equals cosh l + rho.  All nine entries of each face are
 computed.  The stage is singular only where sinh l or sinh theta
 vanishes, and the theta stage rejects both, so it has no status of its
 own.  The paper's face-center formula is the diagnostic
-center.face_centers; _core_py is the scalar reference of both stages.
+center.face_centers.  The test suite holds the scalar reference of both
+stages and of the diagnostic.
 
 Inputs are F x 3 arrays of face vertex ids, edge codes (edge m joins
 corners m and m + 1 mod 3), corner alphas and edge weights, plus factor

@@ -9,7 +9,7 @@ the cosine-law one of face_eval wherever the center exists; the identity
 suites check the two against each other, and the test suite holds a
 scalar twin of this function.  Status codes extend those of
 the theta stage with BAD_SPLIT, BAD_CENTER and BAD_HEIGHT (see the
-package docstring).
+package docstring); callers read them, and no evaluation raises for them.
 """
 
 import numpy as np

@@ -1,11 +1,13 @@
 """The six conformal structure families on ideal edges.
 
-Per-edge length formulas, partial-length ratios, the per-vertex change of
-variables u <-> f and df/du on arrays (ChangeOfVariables), and
-admissible-space membership.  spec_arrays(spec, tri) derives the arrays of
-a spec on a mesh once; the mesh keeps those of the last spec it was used
-with.  Functions taking u or f accept a mapping or an array indexed by
-component; f_from_u and u_from_f map dicts to dicts at the API boundary.
+The edge rule code of every edge, the per-vertex change of variables
+u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
+membership.  The edge rules themselves live once, in _kernels.edge_state.
+spec_arrays(spec, tri) derives the arrays of a spec on a mesh once, the
+evaluation kernel's inputs among them; the mesh keeps those of the last
+spec it was used with.  Functions taking u or f accept a mapping or an
+array indexed by component; f_from_u and u_from_f map dicts to dicts at
+the API boundary.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -21,13 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._kernels import _NEXT, F_LIMIT, edge_state
-from .errors import (
-    DomainViolation,
-    FamilyConstraint,
-    NotAdmissible,
-    UnsupportedWeightRange,
-)
+from ._kernels import _NEXT, F_LIMIT
+from .errors import DomainViolation, FamilyConstraint, UnsupportedWeightRange
 
 FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 
@@ -84,42 +81,6 @@ def edge_code(spec: StructureSpec, a, b) -> int:
     if sa and sb:
         raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
     return rule_code(spec.family, sa or sb)
-
-
-def _edge_rule(spec: StructureSpec, edge, f: Mapping[int, float]) -> tuple:
-    """(cosh l, partial ratio) of one edge under the family rule."""
-    i, j = edge.a, edge.b
-    fi, fj = f[i], f[j]
-    ChangeOfVariables(spec, (i, j)).check_factors(np.array([fi, fj], dtype=float))
-    ok, ch, rho = edge_state(edge_code(spec, i, j), spec.alpha[i], spec.alpha[j],
-                             fi, fj, spec.eta[edge.id])
-    if not ok:
-        raise DomainViolation(f"square-root argument non-positive on edge {edge.id}")
-    return float(ch), float(rho)
-
-
-def cosh_edge_length(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
-    """cosh of the edge length under the family rule; may be <= 1."""
-    return _edge_rule(spec, edge, f)[0]
-
-
-def edge_length(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
-    """Edge length l > 0, or NotAdmissible when the edge degenerates."""
-    ch = cosh_edge_length(spec, edge, f)
-    if ch <= 1.0:
-        raise NotAdmissible(
-            f"edge {edge.id} degenerates: cosh l = {ch} <= 1", edge=edge.id
-        )
-    return math.acosh(ch)
-
-
-def partial_ratio(spec: StructureSpec, edge, f: Mapping[int, float]) -> float:
-    """Ratio sinh d_ab / sinh d_ba of the partial lengths, oriented a -> b.
-
-    Positive on A-type edges; negative on B-type edges regardless of which
-    endpoint is the special one (the two orientations are reciprocal).
-    """
-    return _edge_rule(spec, edge, f)[1]
 
 
 # -- change of variables ---------------------------------------------------
@@ -201,9 +162,6 @@ class ChangeOfVariables:
             out[idx] = _LAWS[law][which](x[idx])
         return out
 
-    def check_factors(self, f) -> None:
-        self._require("f", f, self.f_lo, self.f_hi)
-
     def to_f(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         big = np.where(self.law >= _COSH, _EXP_MAX, np.inf)  # cosh, sinh overflow beyond
@@ -220,7 +178,7 @@ class ChangeOfVariables:
     def derivative(self, f) -> np.ndarray:
         """df/du; filler where |f| > F_LIMIT, which the kernel rejects."""
         f = np.asarray(f, dtype=float)
-        self.check_factors(f)
+        self._require("f", f, self.f_lo, self.f_hi)
         return -self.sign * self._apply(2, np.where(np.abs(f) <= F_LIMIT, f, 0.0))
 
 
@@ -319,28 +277,25 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
     return PairBound(i, j, lo, hi)
 
 
-def kernel_inputs(spec: StructureSpec, vids, eids, vert, epos) -> tuple:
-    """(vert, codes, alphas, etas, double): the evaluation kernel's F x 3
-    inputs for faces with corners vids[vert] and edges eids[epos]; double
-    flags edges joining two special components."""
-    alpha = np.array([spec.alpha[v] for v in vids], dtype=float)
-    special = np.array([spec.is_special(v) for v in vids], dtype=bool)
-    eta = np.array([spec.eta[e] for e in eids], dtype=float)
-    sa, sb = special[vert], special[vert[:, _NEXT]]
-    return vert, rule_code(spec.family, sa | sb), alpha[vert], eta[epos], sa & sb
-
-
 class SpecArrays:
     """The arrays of one spec on one mesh: cov, the change of variables of
-    every component; kernel, the kernel_inputs of every face in face order;
-    polytope, set by polytope() on first use; start, the default start in
-    u, set by solver.default_initial on first use."""
+    every component; kernel, the evaluation kernel's F x 3 inputs (vert,
+    codes, alphas, etas, double) of every face in face order, with double
+    flagging edges that join two special components; polytope, set by
+    polytope() on first use; start, the default start in u, set by
+    solver.default_initial on first use."""
 
     def __init__(self, spec: StructureSpec, tri):
         self.spec, self.polytope, self.start = spec, None, None
-        self.cov = ChangeOfVariables(spec, range(tri.n_boundary))
+        n = tri.n_boundary
+        self.cov = ChangeOfVariables(spec, range(n))
         vert, epos, eids = tri.face_arrays
-        self.kernel = kernel_inputs(spec, range(tri.n_boundary), eids, vert, epos)
+        alpha = np.array([spec.alpha[v] for v in range(n)], dtype=float)
+        special = np.array([spec.is_special(v) for v in range(n)], dtype=bool)
+        eta = np.array([spec.eta[e] for e in eids], dtype=float)
+        sa, sb = special[vert], special[vert[:, _NEXT]]
+        self.kernel = (vert, rule_code(spec.family, sa | sb), alpha[vert], eta[epos],
+                       sa & sb)
 
 
 def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:

@@ -49,18 +49,6 @@ class DualCenterOutside(HexcurvError):
     """A dual edge center falls outside the hyperbolic plane."""
 
 
-class SingularHeight(HexcurvError):
-    """Face center sits on an edge geodesic; coth-branch derivative undefined."""
-
-
-class DegenerateSpan(HexcurvError):
-    """A vector pair fails to span a 2-dimensional subspace."""
-
-
-class CoincidentPlanes(HexcurvError):
-    """Two subspaces coincide; their intersection is not a line."""
-
-
 class FamilyConstraint(HexcurvError):
     """Structure weights or special-vertex layout violate family rules."""
 

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from . import curvature, mesh, solver
-from ._kernels import edge_state
+from ._kernels import OK, face_eval
+from ._kernels.center import face_centers
 from .conformal import StructureSpec, component_values, polytope, spec_arrays
 from .errors import HexcurvError
 from .hexagon import HexagonGeometry
@@ -87,20 +88,14 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
     return out
 
 
-def _face_edges(spec, face, f):
-    """(ok, cosh l, partial ratio) arrays of the three edges of one face."""
-    return edge_state(*map(np.array, zip(*curvature.face_edge_args(spec, face, f))))
-
-
-def split_values(spec, tri, face, f):
-    """Complex-extended partial lengths (d_ab, d_ba) per face edge."""
+def split_values(ch, rho):
+    """Complex-extended partial lengths (d_ab, d_ba) of each edge of one
+    face, from its cosh l and partial ratio (arcs.ch and arcs.rho)."""
     out = []
-    for ok, c, rho in zip(*(x.tolist() for x in _face_edges(spec, face, f))):
-        if not ok or c <= 1.0:
-            raise HexcurvError("inadmissible sample")
+    for c, r in zip(np.asarray(ch).tolist(), np.asarray(rho).tolist()):
         l = math.acosh(c)
         s = math.sqrt((c - 1.0) * (c + 1.0))
-        num, den = rho * s, 1.0 + rho * c
+        num, den = r * s, 1.0 + r * c
         if abs(num) < abs(den):
             d_ab = math.atanh(num / den)
             out.append((complex(d_ab), complex(l - d_ab)))
@@ -121,11 +116,12 @@ def compatibility_residual_general(splits) -> float:
 def run_suite(family: str, samples: int, rng) -> dict:
     """Run every residual suite for one family.
 
-    Returns {check name: (count, worst residual, bound)}.
+    Each sample is the single-face mesh's record at one admissible point;
+    samples whose theta stage or face center fails are skipped.  Returns
+    {check name: (count, worst residual, bound)}.
     """
     spec = stock_spec(family)
     tri = mesh.single_face()
-    face = tri.faces[0]
     res = {
         "compatibility": [0, 0.0, 1e-10],
         "finite-difference": [0, 0.0, 1e-5],
@@ -139,22 +135,25 @@ def run_suite(family: str, samples: int, rng) -> dict:
     for u in points:
         f = cov.to_f(component_values(u, tri.n_boundary))
         try:
-            sp = split_values(spec, tri, face, f)
-            fd = curvature.face_derivatives(spec, tri, face, f)
+            _, arcs = curvature.curvature_and_arcs(spec, tri, f)
+            status, _, _, _, center = face_centers(arcs)
+            if status[0] != OK:
+                continue
+            sp = split_values(arcs.ch[0], arcs.rho[0])
         except HexcurvError:
             continue
         c = res["compatibility"]
         c[0] += 1
         c[1] = max(c[1], compatibility_residual_general(sp))
         # the paper's center-distance matrix against the cosine-law one
-        mc = fd.dtheta_df
+        mc = face_eval(arcs, np.ones(3))[0]
         g = res["center-distance-formula"]
         g[0] += 1
-        g[1] = max(g[1], float(np.max(np.abs(fd.center_df - mc)))
+        g[1] = max(g[1], float(np.max(np.abs(center[0] - mc)))
                    / max(1.0, float(np.max(np.abs(mc)))))
         # diagonal identity, on the cosine-law matrix
         g = res["reciprocal-cosh-diagonal"]
-        lcosh = _edge_coshes(spec, tri, face, f)
+        lcosh = arcs.ch[0].tolist()
         worst = max(
             abs(mc[0, 0] - (lcosh[0] * mc[1, 0] + lcosh[2] * mc[2, 0])),
             abs(mc[1, 1] - (lcosh[0] * mc[0, 1] + lcosh[1] * mc[2, 1])),
@@ -162,9 +161,9 @@ def run_suite(family: str, samples: int, rng) -> dict:
         )
         g[0] += 1
         g[1] = max(g[1], worst)
-        # symmetry of independently computed u-derivatives
+        # symmetry and definiteness of the release u-Jacobian
         s = res["u-symmetry"]
-        jac = fd.jac_u
+        jac = curvature.jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)).toarray()
         s[0] += 1
         s[1] = max(s[1], float(np.max(np.abs(jac - jac.T))))
         nd = res["negative-definite"]
@@ -172,7 +171,7 @@ def run_suite(family: str, samples: int, rng) -> dict:
         if not curvature.is_negative_definite(jac):
             nd[1] = max(nd[1], 2.0)
         # finite differences of the arcs against the analytic matrix
-        fdres = _fd_residual(spec, tri, face, f, fd)
+        fdres = _fd_residual(spec, tri, f, mc)
         if fdres is not None:
             d = res["finite-difference"]
             d[0] += 1
@@ -180,25 +179,22 @@ def run_suite(family: str, samples: int, rng) -> dict:
     return {k: tuple(v) for k, v in res.items()}
 
 
-def _edge_coshes(spec, tri, face, f):
-    return _face_edges(spec, face, f)[1].tolist()
-
-
-def _fd_residual(spec, tri, face, f, fd, step=1e-6):
-    idx = face.vertices
+def _fd_residual(spec, tri, f, mc, step=1e-6):
+    """Worst relative gap between mc = d theta / d f of the single face and
+    central differences of its arcs, or None where a perturbed point fails."""
     worst = 0.0
-    for col, v in enumerate(idx):
+    for col in range(3):
         fp, fm = f.copy(), f.copy()
-        fp[v] += step
-        fm[v] -= step
+        fp[col] += step
+        fm[col] -= step
         try:
-            tp = curvature.face_angles(spec, tri, face, fp)
-            tm = curvature.face_angles(spec, tri, face, fm)
+            tp = curvature.curvature_map(spec, tri, fp)
+            tm = curvature.curvature_map(spec, tri, fm)
         except HexcurvError:
             return None
         for row in range(3):
             num = (tp[row] - tm[row]) / (2.0 * step)
-            an = fd.dtheta_df[row, col]
+            an = mc[row, col]
             worst = max(worst, abs(an - num) / max(1e-8, abs(an), abs(num)))
     return worst
 

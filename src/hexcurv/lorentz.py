@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import tol
-from .errors import CoincidentPlanes, DegenerateSpan, DomainViolation
+from .errors import DomainViolation
 
 
 class CausalClass(Enum):
@@ -75,40 +75,3 @@ def causal_class(a: MinkowskiVec, tau: float = tol.TAU_CAUSAL) -> CausalClass:
     if abs(q) <= tau:
         return CausalClass.LIGHT_LIKE
     return CausalClass.TIME_LIKE if q < 0.0 else CausalClass.SPACE_LIKE
-
-
-def dist_point_to_geodesic(y: MinkowskiVec, z: MinkowskiVec) -> float:
-    """Signed distance from a hyperboloid point y to the geodesic carried by z.
-
-    y must be time-like with y*y = -1 and z space-like with z*z = 1.  Returns
-    s with sinh s = -(y*z); the sign is negative exactly when y*z > 0, i.e.
-    when y and z sit on the same side of the geodesic plane.
-    """
-    if abs(minkowski_dot(y, y) + 1.0) > tol.TAU_NORM:
-        raise DomainViolation("y must be a unit time-like vector (y*y = -1)")
-    if abs(minkowski_dot(z, z) - 1.0) > tol.TAU_NORM:
-        raise DomainViolation("z must be a unit space-like vector (z*z = 1)")
-    return math.asinh(-minkowski_dot(y, z))
-
-
-def plane_intersection(
-    p: tuple[MinkowskiVec, MinkowskiVec],
-    q: tuple[MinkowskiVec, MinkowskiVec],
-) -> MinkowskiVec:
-    """Vector spanning the line where Span(p) and Span(q) meet.
-
-    Computed as (p1 x p2) x (q1 x q2) with the Lorentzian cross product; the
-    result is Lorentz-orthogonal to both plane normals.
-    """
-    scale_p = max(v.euclidean_norm() for v in p)
-    scale_q = max(v.euclidean_norm() for v in q)
-    n1 = minkowski_cross(p[0], p[1])
-    n2 = minkowski_cross(q[0], q[1])
-    if scale_p == 0.0 or n1.euclidean_norm() <= tol.TAU_RANK * scale_p * scale_p:
-        raise DegenerateSpan("first pair is linearly dependent")
-    if scale_q == 0.0 or n2.euclidean_norm() <= tol.TAU_RANK * scale_q * scale_q:
-        raise DegenerateSpan("second pair is linearly dependent")
-    line = minkowski_cross(n1, n2)
-    if line.euclidean_norm() <= tol.TAU_RANK * n1.euclidean_norm() * n2.euclidean_norm():
-        raise CoincidentPlanes("the two subspaces coincide")
-    return line

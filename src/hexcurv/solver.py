@@ -24,8 +24,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._kernels import face_theta
 from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
-from .curvature import curvature_and_arcs, face_angles, jacobian_from_arcs
+from .curvature import _raise_first, curvature_and_arcs, jacobian_from_arcs
 from .errors import (
     HexcurvError,
     NoFeasibleStart,
@@ -305,17 +306,21 @@ def energy_face(spec: StructureSpec, tri, face, u_from, u_to, tol=1e-9) -> float
     idx = list(face.vertices)
     start = component_values(u_from, tri.n_boundary)
     dvec = component_values(u_to, tri.n_boundary)[idx] - start[idx]
-    cov = spec_arrays(spec, tri).cov
+    arrays = spec_arrays(spec, tri)
+    k = tri.faces.index(face)
+    vert, codes, alphas, etas, double = (x[k:k + 1] for x in arrays.kernel)
 
     def integrand(t):
         upoint = start.copy()
         upoint[idx] += t * dvec
         if not admissible(spec, tri, upoint).ok:
             raise PathLeavesDomain("integration segment exits the face polytope")
+        arcs = face_theta(vert, codes, alphas, etas, arrays.cov.to_f(upoint))
         try:
-            theta = face_angles(spec, tri, face, cov.to_f(upoint))
+            _raise_first([face], arcs.status, arcs.bad, double)
         except NotAdmissible as exc:
             raise PathLeavesDomain(str(exc)) from exc
+        theta = arcs.theta[0].tolist()
         return sum(theta[pos] * dvec[pos] for pos in range(3))
 
     prev = None

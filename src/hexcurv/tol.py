@@ -7,12 +7,6 @@ here so the tolerance story stays auditable in one place.
 # Causal bucketing of |x*x| for (Euclidean-normalized) face centers.
 TAU_CAUSAL = 1e-10
 
-# Unit-norm preconditions on hyperboloid / de Sitter inputs.
-TAU_NORM = 1e-9
-
-# Span degeneracy of vector pairs (relative to input scale).
-TAU_RANK = 1e-12
-
 # Triple sinh compatibility residual bound.
 TAU_COMPAT = 1e-9
 

@@ -1,11 +1,13 @@
-"""Shared fixtures: mesh generators, structure specs, admissible samplers."""
+"""Shared fixtures: mesh generators, structure specs, admissible samplers,
+and single-face samples evaluated as batches of disjoint faces."""
 
-import math
-import random
+import numpy as np
 
-from hexcurv import curvature, solver
-from hexcurv.conformal import StructureSpec, admissible, chart, f_from_u
-from hexcurv.errors import HexcurvError
+from hexcurv import solver
+from hexcurv._kernels import LIGHT, OK, SPACE, TIME, face_eval, face_theta
+from hexcurv._kernels.center import face_centers
+from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
+from hexcurv.conformal import spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.mesh import Edge, Face, Triangulation, pair_of_pants, single_face
 
@@ -157,6 +159,7 @@ def sample_admissible_f(spec, tri, rng, n=1, scale=1.0):
 
 
 ALL_FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
+BRANCH = {TIME: "time-like", SPACE: "space-like", LIGHT: "light-like"}
 _FACE_MESHES = {}
 
 
@@ -164,71 +167,128 @@ def face_mesh(spec):
     """One single-face mesh per family.  A mesh keeps the arrays of the last
     spec used on it, so draws that alternate families on one mesh would
     rebuild them on every switch."""
-    return _FACE_MESHES.setdefault(spec.family, single_face())
+    if spec.family not in _FACE_MESHES:
+        _FACE_MESHES[spec.family] = single_face()
+    return _FACE_MESHES[spec.family]
 
 
-def branch_samples(rng, want, families=ALL_FAMILIES, cap=40000):
-    """(spec, f) samples bucketed by the face-center causal branch."""
+def face_f(spec, u):
+    """The factors of a single-face sample at u, as an array."""
+    return spec_arrays(spec, face_mesh(spec)).cov.to_f(component_values(u, 3))
+
+
+def stack_faces(samples):
+    """The theta stage of single-face samples [(spec, f), ...] stacked as
+    disjoint faces, in one kernel call: face k takes the record of its
+    spec's face mesh and has corners 3k, 3k + 1 and 3k + 2."""
+    rows = [spec_arrays(spec, face_mesh(spec)).kernel for spec, _ in samples]
+    codes, alphas, etas = (np.array([r[i][0] for r in rows]).reshape(-1, 3)
+                           for i in (1, 2, 3))
+    f = np.array([component_values(f, 3) for _, f in samples]).ravel()
+    return face_theta(np.arange(f.size).reshape(-1, 3), codes, alphas, etas, f)
+
+
+def face_jacobians(samples):
+    """The u-Jacobian of every single-face sample, which must evaluate."""
+    arcs = stack_faces(samples)
+    assert not arcs.status.any()
+    du = [spec_arrays(spec, face_mesh(spec)).cov.derivative(component_values(f, 3))
+          for spec, f in samples]
+    return face_eval(arcs, np.ravel(du))
+
+
+def fd_dtheta_df(samples, step=1e-6):
+    """Central differences of the arcs in f of every single-face sample,
+    which must evaluate at each shifted point."""
+    shifted = []
+    for spec, f in samples:
+        f = component_values(f, 3)
+        for col in range(3):
+            fp, fm = f.copy(), f.copy()
+            fp[col] += step
+            fm[col] -= step
+            shifted += [(spec, fp), (spec, fm)]
+    arcs = stack_faces(shifted)
+    assert not arcs.status.any()
+    theta = arcs.theta.reshape(-1, 3, 2, 3)  # sample, column, sign, row
+    return ((theta[:, :, 0] - theta[:, :, 1]) / (2 * step)).transpose(0, 2, 1)
+
+
+def _draw_batches(rng, draw, cap, size=500):
+    """Lists of (candidate, state of rng after drawing it) for cap calls of
+    draw(rng), size at a time.  A caller that stops after some candidate
+    sets rng back to that state, so the stream continues as if candidates
+    had been drawn one at a time until then."""
+    while cap > 0:
+        batch = [(draw(rng), rng.getstate()) for _ in range(min(size, cap))]
+        cap -= len(batch)
+        yield batch
+
+
+def branch_samples(rng, want, cap=40000):
+    """(spec, f) samples bucketed by the face-center causal branch: those a
+    loop drawing one face at a time keeps until both buckets are full."""
     buckets = {"time-like": [], "space-like": []}
-    tries = 0
-    while (min(len(b) for b in buckets.values()) < want) and tries < cap:
-        tries += 1
-        fam = rng.choice(families)
-        spec = stock_spec(fam)
-        tri = face_mesh(spec)
-        pts = sample_face_points(spec, tri, rng, 1, scale=1.2)
-        if not pts:
-            continue
-        f = f_from_u(spec, pts[0])
-        try:
-            fd = curvature.face_derivatives(spec, tri, tri.faces[0], f)
-        except HexcurvError:
-            continue
-        if fd.branch in buckets and len(buckets[fd.branch]) < want:
-            buckets[fd.branch].append((spec, f, fd))
+
+    def draw(rng):
+        spec = stock_spec(rng.choice(ALL_FAMILIES))
+        pts = sample_face_points(spec, face_mesh(spec), rng, 1, scale=1.2)
+        return (spec, face_f(spec, pts[0])) if pts else None
+
+    for batch in _draw_batches(rng, draw, cap):
+        drawn = [(c, state) for c, state in batch if c is not None]
+        status, _, branch, _, _ = face_centers(stack_faces([c for c, _ in drawn]))
+        for (c, state), ok, code in zip(drawn, status == OK, branch.tolist()):
+            bucket = buckets.get(BRANCH[code])
+            if ok and bucket is not None and len(bucket) < want:
+                bucket.append(c)
+                if min(map(len, buckets.values())) >= want:
+                    rng.setstate(state)
+                    return buckets
     return buckets
 
 
 def light_like_samples(rng, want, cap=4000):
-    """Bisect between branches to land within the causal tolerance band."""
-    face = single_face().faces[0]
+    """(spec, f) samples with a light-like face center: a loop drawing one
+    pair of faces at a time bisects between those whose causal values
+    differ in sign.  The bisections of a batch run in lockstep."""
     out = []
-    tries = 0
-    while len(out) < want and tries < cap:
-        tries += 1
-        fam = rng.choice(("A1", "A2", "MixedII", "MixedIII"))
-        spec = stock_spec(fam)
-        tri = face_mesh(spec)
-        pts = sample_face_points(spec, tri, rng, 2, scale=1.2)
-        if len(pts) < 2:
-            continue
-        f0, f1 = (f_from_u(spec, p) for p in pts)
-        try:
-            s0 = curvature.face_derivatives(spec, tri, face, f0).sigma
-            s1 = curvature.face_derivatives(spec, tri, face, f1).sigma
-        except HexcurvError:
-            continue
-        if s0 * s1 >= 0.0:
-            continue
-        lo, hi = 0.0, 1.0
+
+    def draw(rng):
+        spec = stock_spec(rng.choice(("A1", "A2", "MixedII", "MixedIII")))
+        pts = sample_face_points(spec, face_mesh(spec), rng, 2, scale=1.2)
+        return (spec, *(face_f(spec, p) for p in pts)) if len(pts) == 2 else None
+
+    def centers(specs, f):
+        status, _, branch, sigma, _ = face_centers(stack_faces(list(zip(specs, f))))
+        return status == OK, branch, sigma
+
+    for batch in _draw_batches(rng, draw, cap):
+        drawn = [(c, state) for c, state in batch if c is not None]
+        specs = [c[0] for c, _ in drawn]
+        f0, f1 = (np.array([c[k] for c, _ in drawn]).reshape(-1, 3) for k in (1, 2))
+        ok0, _, s0 = centers(specs, f0)
+        ok1, _, s1 = centers(specs, f1)
+        bisected = ok0 & ok1 & ~(s0 * s1 >= 0.0)
+        live = bisected.copy()
+        lo, hi = np.zeros(len(drawn)), np.ones(len(drawn))
         for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            fm = {i: f0[i] + mid * (f1[i] - f0[i]) for i in f0}
-            try:
-                sm = curvature.face_derivatives(spec, tri, face, fm).sigma
-            except HexcurvError:
+            k = np.flatnonzero(live)
+            if not k.size:
                 break
-            if abs(sm) <= 1e-12:
-                break
-            if (sm > 0) == (s1 > 0):
-                hi = mid
-            else:
-                lo = mid
-        fm = {i: f0[i] + 0.5 * (lo + hi) * (f1[i] - f0[i]) for i in f0}
-        try:
-            fd = curvature.face_derivatives(spec, tri, face, fm)
-        except HexcurvError:
-            continue
-        if fd.branch == "light-like":
-            out.append((spec, fm, fd))
+            mid = 0.5 * (lo[k] + hi[k])
+            ok, _, sm = centers([specs[j] for j in k],
+                                f0[k] + mid[:, None] * (f1[k] - f0[k]))
+            go = ok & ~(np.abs(sm) <= 1e-12)  # a failing or light-like mid ends
+            live[k] = go
+            up = (sm > 0) == (s1[k] > 0)
+            hi[k[go & up]] = mid[go & up]
+            lo[k[go & ~up]] = mid[go & ~up]
+        fm = f0 + (0.5 * (lo + hi))[:, None] * (f1 - f0)
+        ok, branch, _ = centers(specs, fm)
+        for j in np.flatnonzero(bisected & ok & (branch == LIGHT)):
+            out.append((specs[j], fm[j]))
+            if len(out) >= want:
+                rng.setstate(drawn[j][1])
+                return out
     return out

@@ -13,14 +13,7 @@ import pytest
 from hexcurv import curvature, hexagon as hx, mesh, solver
 from hexcurv._kernels import SPACE, TIME, Arcs, face_eval
 from hexcurv._kernels.center import face_centers
-from hexcurv.conformal import (
-    StructureSpec,
-    admissible,
-    chart,
-    edge_constraint,
-    f_from_u,
-    u_from_f,
-)
+from hexcurv.conformal import admissible, chart, edge_constraint
 from hexcurv.errors import HexcurvError
 from hexcurv.identities import (
     compatibility_residual_general,
@@ -35,10 +28,15 @@ from hexcurv.lorentz import CausalClass, minkowski_dot
 
 from helpers import (
     ALL_FAMILIES,
-    face_mesh,
+    branch_samples,
+    face_f,
+    face_jacobians,
+    fd_dtheta_df,
+    light_like_samples,
     make_spec,
     sample_admissible_f,
     sphere_triangulation,
+    stack_faces,
 )
 
 ACOSH2 = math.acosh(2.0)
@@ -69,25 +67,13 @@ def test_criterion_02_compatibility_all_families():
         spec = stock_spec(fam)
         pts = sample_face_points(spec, tri, rng, 1000)
         assert len(pts) == 1000, fam
-        for u in pts:
-            f = f_from_u(spec, u)
-            resid = compatibility_residual_general(split_values(spec, tri, tri.faces[0], f))
+        arcs = stack_faces([(spec, face_f(spec, u)) for u in pts])
+        assert not arcs.status.any(), fam
+        for ch, rho in zip(arcs.ch, arcs.rho):
+            resid = compatibility_residual_general(split_values(ch, rho))
             assert resid < 1e-10, fam
             worst = max(worst, resid)
     report(2, f"worst split-product residual {worst:.2e} over 1000 faces x 6 families")
-
-
-def _fd_matrix(spec, tri, face, f, step=1e-6):
-    out = np.zeros((3, 3))
-    for col, v in enumerate(face.vertices):
-        fp, fm = dict(f), dict(f)
-        fp[v] += step
-        fm[v] -= step
-        tp = curvature.face_angles(spec, tri, face, fp)
-        tm = curvature.face_angles(spec, tri, face, fm)
-        for row in range(3):
-            out[row, col] = (tp[row] - tm[row]) / (2 * step)
-    return out
 
 
 def _rel_err(a, b):
@@ -96,81 +82,22 @@ def _rel_err(a, b):
 
 def test_criterion_03_angle_variation_vs_fd_per_branch():
     rng = random.Random(3)
-    face = mesh.single_face().faces[0]
     want = 300
-    buckets = {"time-like": [], "space-like": []}
-    tries = 0
-    while min(map(len, buckets.values())) < want and tries < 80000:
-        tries += 1
-        spec = stock_spec(rng.choice(ALL_FAMILIES))
-        pts = sample_face_points(spec, face_mesh(spec), rng, 1, scale=1.2)
-        if not pts:
-            continue
-        f = f_from_u(spec, pts[0])
-        try:
-            fd = curvature.face_derivatives(spec, face_mesh(spec), face, f)
-        except HexcurvError:
-            continue
-        if fd.branch in buckets and len(buckets[fd.branch]) < want:
-            buckets[fd.branch].append((spec, f, fd))
+    buckets = branch_samples(rng, want, cap=80000)
+    # light-like branch by bisecting sign changes of the causal value
+    buckets["light-like"] = light_like_samples(rng, want, cap=20000)
     worst, center = {}, {}
     for name, bucket in buckets.items():
         assert len(bucket) == want, name
-        w = 0.0
-        for spec, f, fd in bucket:
-            w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, face_mesh(spec), face, f)))
-        assert w < 1e-5, name
-        worst[name] = w
+        arcs = stack_faces(bucket)
+        status, _, _, _, m_center = face_centers(arcs)
+        assert not status.any(), name
+        m = face_eval(arcs, np.ones(arcs.vert.size))
+        worst[name] = max(map(_rel_err, m, fd_dtheta_df(bucket)))
+        assert worst[name] < (1e-3 if name == "light-like" else 1e-5), name
         # the paper's center-distance formula reproduces the cosine-law matrix
-        center[name] = max(_rel_err(fd.center_df, fd.dtheta_df) for _, _, fd in bucket)
+        center[name] = max(map(_rel_err, m_center, m))
         assert center[name] < 1e-9, name
-
-    # light-like branch by bisecting sign changes of the causal value
-    light = []
-    tries = 0
-    while len(light) < want and tries < 20000:
-        tries += 1
-        spec = stock_spec(rng.choice(("A1", "A2", "MixedII", "MixedIII")))
-        pts = sample_face_points(spec, face_mesh(spec), rng, 2, scale=1.2)
-        if len(pts) < 2:
-            continue
-        f0, f1 = (f_from_u(spec, p) for p in pts)
-        try:
-            s0 = curvature.face_derivatives(spec, face_mesh(spec), face, f0).sigma
-            s1 = curvature.face_derivatives(spec, face_mesh(spec), face, f1).sigma
-        except HexcurvError:
-            continue
-        if s0 * s1 >= 0.0:
-            continue
-        lo, hi = 0.0, 1.0
-        fm = f0
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            fm = {i: f0[i] + mid * (f1[i] - f0[i]) for i in f0}
-            try:
-                sm = curvature.face_derivatives(spec, face_mesh(spec), face, fm).sigma
-            except HexcurvError:
-                break
-            if abs(sm) <= 1e-12:
-                break
-            if (sm > 0) == (s1 > 0):
-                hi = mid
-            else:
-                lo = mid
-        try:
-            fd = curvature.face_derivatives(spec, face_mesh(spec), face, fm)
-        except HexcurvError:
-            continue
-        if fd.branch == "light-like":
-            light.append((spec, fm, fd))
-    assert len(light) == want
-    w = 0.0
-    for spec, f, fd in light:
-        w = max(w, _rel_err(fd.dtheta_df, _fd_matrix(spec, face_mesh(spec), face, f)))
-    assert w < 1e-3
-    worst["light-like"] = w
-    center["light-like"] = max(_rel_err(fd.center_df, fd.dtheta_df) for _, _, fd in light)
-    assert center["light-like"] < 1e-9
     report(3, "rel err vs central differences: "
               + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
               + "; center-distance vs cosine-law matrix: "
@@ -178,17 +105,15 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
 
 
 def test_criterion_04_two_term_cosh_diagonal_identity():
-    from hexcurv.identities import _edge_coshes
-
     rng = random.Random(4)
     tri = mesh.single_face()
     worst = 0.0
     for fam in ALL_FAMILIES:
         spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 150):
-            f = f_from_u(spec, u)
-            mc = curvature.dtheta_df(spec, tri, tri.faces[0], f)
-            ch = _edge_coshes(spec, tri, tri.faces[0], f)
+        arcs = stack_faces([(spec, face_f(spec, u))
+                            for u in sample_face_points(spec, tri, rng, 150)])
+        assert not arcs.status.any(), fam
+        for mc, ch in zip(face_eval(arcs, np.ones(arcs.vert.size)), arcs.ch.tolist()):
             worst = max(
                 worst,
                 abs(mc[0, 0] - (ch[0] * mc[1, 0] + ch[2] * mc[2, 0])),
@@ -205,9 +130,9 @@ def test_criterion_05_jacobian_symmetry():
     worst_face = 0.0
     for fam in ALL_FAMILIES:
         spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 200):
-            jac = curvature.face_jacobian_u(spec, tri, tri.faces[0], f_from_u(spec, u))
-            worst_face = max(worst_face, float(np.max(np.abs(jac - jac.T))))
+        jac = face_jacobians([(spec, face_f(spec, u))
+                              for u in sample_face_points(spec, tri, rng, 200)])
+        worst_face = max(worst_face, float(np.max(np.abs(jac - jac.transpose(0, 2, 1)))))
     assert worst_face < 1e-12
     worst_global = 0.0
     for fam in ALL_FAMILIES:
@@ -256,9 +181,9 @@ def test_criterion_06_negative_definiteness():
             if k % 5 == 0:
                 v = _near_boundary_point(spec, tri, u, rng)
                 if v is not None:
-                    u = v
+                    pts[k] = v
                     near += 1
-            jac = curvature.face_jacobian_u(spec, tri, tri.faces[0], f_from_u(spec, u))
+        for jac in face_jacobians([(spec, face_f(spec, u)) for u in pts]):
             assert curvature.is_negative_definite(jac), fam
         counts[fam] = near
         tri_m = sphere_triangulation(16, rng)

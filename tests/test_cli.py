@@ -110,12 +110,12 @@ def test_hexagon_with_ratios(capsys):
     assert math.sinh(d_ij) / math.sinh(d_ji) == pytest.approx(2.0, abs=1e-10)
 
 
-def test_check_identities_seeded_reproducible(capsys):
-    assert main(["check-identities", "--family", "A3", "--samples", "40",
-                 "--seed", "11"]) == 0
+@pytest.mark.parametrize("family", ["A1", "A2", "A3", "MixedI", "MixedII", "MixedIII"])
+def test_check_identities_seeded_reproducible(family, capsys):
+    args = ["check-identities", "--family", family, "--samples", "40", "--seed", "11"]
+    assert main(args) == 0
     first = capsys.readouterr().out
-    assert main(["check-identities", "--family", "A3", "--samples", "40",
-                 "--seed", "11"]) == 0
+    assert main(args) == 0
     assert capsys.readouterr().out == first
 
 

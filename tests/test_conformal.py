@@ -6,12 +6,14 @@ import pytest
 
 from hexcurv import conformal as cf
 from hexcurv import curvature, mesh, solver
+from hexcurv._kernels import _NEXT, edge_state
 from hexcurv.errors import (
     DomainViolation,
     FamilyConstraint,
     NotAdmissible,
     UnsupportedWeightRange,
 )
+from hexcurv.hexagon import split_edge
 from hexcurv.mesh import Edge
 
 from helpers import ALL_FAMILIES, make_spec, sample_admissible_u, sphere_triangulation
@@ -24,17 +26,36 @@ def spec1(family, alphas, etas, special=()):
 E01 = Edge(0, 0, 1)
 
 
+def edge_rule(spec, edge, f):
+    """(cosh l, partial ratio oriented a -> b) of one edge by the kernel's
+    edge rules."""
+    a, b = edge.a, edge.b
+    ok, ch, rho = edge_state(cf.edge_code(spec, a, b), spec.alpha[a], spec.alpha[b],
+                             f[a], f[b], spec.eta[edge.id])
+    assert ok
+    return float(ch), float(rho)
+
+
+def face_edge_rules(spec, tri, fs):
+    """(ok, cosh l, partial ratio) of the edges of a single-face mesh at
+    every row of factors fs, in one call: edge m runs from corner m to
+    corner m + 1."""
+    vert, codes, alphas, etas, _ = cf.spec_arrays(spec, tri).kernel
+    fv = np.asarray(fs)[:, vert[0]]
+    return edge_state(codes, alphas, alphas[:, _NEXT], fv, fv[:, _NEXT], etas)
+
+
 def test_edge_length_a1_plain():
     spec = spec1("A1", {0: 0, 1: 0}, {0: 3.0})
-    f = {0: 0.0, 1: 0.0}
-    assert cf.cosh_edge_length(spec, E01, f) == pytest.approx(2.0, abs=1e-15)
-    assert cf.edge_length(spec, E01, f) == pytest.approx(math.acosh(2.0), abs=1e-15)
+    ch, _ = edge_rule(spec, E01, {0: 0.0, 1: 0.0})
+    assert ch == pytest.approx(2.0, abs=1e-15)
+    assert math.acosh(ch) == pytest.approx(math.acosh(2.0), abs=1e-15)
 
 
 def test_edge_length_a2_example():
     spec = spec1("A2", {0: -1, 1: -1}, {0: -0.25})
     f = {0: math.log(2.0), 1: math.log(2.0)}
-    assert cf.cosh_edge_length(spec, E01, f) == pytest.approx(2.0, abs=1e-12)
+    assert edge_rule(spec, E01, f)[0] == pytest.approx(2.0, abs=1e-12)
     # admissibility cross-check in u: cos(u0+u1) > -eta
     u = cf.u_from_f(spec, f)
     assert u[0] == pytest.approx(-math.pi / 6.0, abs=1e-12)
@@ -43,27 +64,29 @@ def test_edge_length_a2_example():
 
 
 def test_edge_length_boundary_rejected():
-    spec = spec1("A1", {0: 0, 1: 0}, {0: 2.0})
-    with pytest.raises(NotAdmissible):
-        cf.edge_length(spec, E01, {0: 0.0, 1: 0.0})
+    # cosh l = -1 + 2 = 1 on every edge
+    spec = spec1("A1", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
+    with pytest.raises(NotAdmissible, match="edge position 0 degenerates") as err:
+        curvature.curvature_map(spec, mesh.single_face(), {i: 0.0 for i in range(3)})
+    assert err.value.edge == 0
 
 
 def test_partial_ratio_symmetry_and_a3():
     spec = spec1("A1", {0: 1, 1: 1}, {0: 3.0})
-    assert cf.partial_ratio(spec, E01, {0: 0.3, 1: 0.3}) == pytest.approx(1.0)
+    assert edge_rule(spec, E01, {0: 0.3, 1: 0.3})[1] == pytest.approx(1.0)
     spec3 = spec1("A3", {0: 0, 1: 0}, {0: 3.0})
-    assert cf.partial_ratio(spec3, E01, {0: 1.0, 1: 0.0}) == pytest.approx(
+    assert edge_rule(spec3, E01, {0: 1.0, 1: 0.0})[1] == pytest.approx(
         math.e, abs=1e-12
     )
 
 
 def test_partial_ratio_mixed_negative():
     spec = spec1("MixedIII", {0: 0, 1: 0}, {0: -4.0}, special=(0,))
-    rho = cf.partial_ratio(spec, E01, {0: 1.0, 1: 0.0})
+    rho = edge_rule(spec, E01, {0: 1.0, 1: 0.0})[1]
     assert rho == pytest.approx(-math.e, abs=1e-12)
     # reversed orientation gives the reciprocal
     e10 = Edge(0, 1, 0)
-    assert cf.partial_ratio(spec, e10, {0: 1.0, 1: 0.0}) == pytest.approx(
+    assert edge_rule(spec, e10, {0: 1.0, 1: 0.0})[1] == pytest.approx(
         -1.0 / math.e, abs=1e-12
     )
 
@@ -229,19 +252,18 @@ def test_admissible_matches_edge_lengths():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
-        hits = 0
+        us = []
         for _ in range(800):
             u0 = sample_admissible_u(spec, tri, rng, 1)[0]
             u = {i: u0[i] + rng.uniform(-1.5, 1.5) for i in u0}
-            if not all(cf.chart(spec, i).contains(u[i]) for i in u):
-                continue
-            f = cf.f_from_u(spec, u)
-            ok_lengths = True
-            try:
-                for e in tri.edges:
-                    cf.edge_length(spec, e, f)
-            except NotAdmissible:
-                ok_lengths = False
+            if all(cf.chart(spec, i).contains(u[i]) for i in u):
+                us.append(u)
+        assert len(us) > 100
+        cov = cf.spec_arrays(spec, tri).cov
+        ok, ch, _ = face_edge_rules(spec, tri, [cov.to_f(cf.component_values(u, 3))
+                                               for u in us])
+        assert ok.all()
+        for u, ok_lengths in zip(us, (ch > 1.0).all(axis=1)):
             ok_member = cf.admissible(spec, tri, u).ok
             if fam == "MixedII":
                 # the sine constraint at weight 1 has a second, non-convex
@@ -249,33 +271,32 @@ def test_admissible_matches_edge_lengths():
                 assert not ok_member or ok_lengths
             else:
                 assert ok_member == ok_lengths
-            hits += 1
-        assert hits > 100
 
 
 def test_length_factor_derivative_is_coth_split():
     # d l / d f_a equals coth d_ab read off the split, on-geodesic case
     rng = random.Random(3)
     tri = mesh.single_face()
+    h = 1e-6
     for fam in ("A1", "A2", "A3", "MixedIII"):
         spec = make_spec(fam, tri, rng)
-        from hexcurv import solver
-
-        for u in sample_admissible_u(spec, tri, rng, 40):
-            f = cf.f_from_u(spec, u)
-            for e in tri.edges:
-                l = cf.edge_length(spec, e, f)
-                rho = cf.partial_ratio(spec, e, f)
-                num, den = rho * math.sinh(l), 1.0 + rho * math.cosh(l)
-                h = 1e-6
-                fp, fm = dict(f), dict(f)
-                fp[e.a] += h
-                fm[e.a] -= h
-                fd = (cf.edge_length(spec, e, fp) - cf.edge_length(spec, e, fm)) / (2 * h)
+        cov = cf.spec_arrays(spec, tri).cov
+        fs = np.array([cov.to_f(cf.component_values(u, 3))
+                       for u in sample_admissible_u(spec, tri, rng, 40)])
+        ok, ch, rho = face_edge_rules(spec, tri, fs)
+        assert ok.all() and (ch > 1.0).all()
+        for m in range(3):  # edge m runs from corner m to corner m + 1
+            fp, fm = fs.copy(), fs.copy()
+            fp[:, m] += h
+            fm[:, m] -= h
+            chp, chm = (face_edge_rules(spec, tri, x)[1][:, m] for x in (fp, fm))
+            assert (chp > 1.0).all() and (chm > 1.0).all()
+            for c, r, cp, cm in zip(*(x.tolist() for x in (ch[:, m], rho[:, m], chp, chm))):
+                l = math.acosh(c)
+                num, den = r * math.sinh(l), 1.0 + r * math.cosh(l)
+                fd = (math.acosh(cp) - math.acosh(cm)) / (2 * h)
                 if abs(num) < abs(den):
-                    from hexcurv.hexagon import split_edge
-
-                    d = split_edge(l, rho)
+                    d = split_edge(l, r)
                     assert fd == pytest.approx(1.0 / math.tanh(d.d_ab), rel=1e-6)
                 else:
                     x = math.atanh(den / num)

@@ -8,17 +8,23 @@ import scipy.sparse.linalg
 
 from hexcurv import curvature, mesh, solver
 from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
-from hexcurv._kernels import _core_py, face_eval, face_theta
+from hexcurv._kernels import face_eval, face_theta
+from hexcurv._kernels.center import face_centers
 from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
+import scalar_ref
 from helpers import (
     ALL_FAMILIES,
     branch_samples,
+    face_f,
+    face_jacobians,
+    fd_dtheta_df,
     light_like_samples,
     make_spec,
     sample_admissible_f,
     sphere_triangulation,
+    stack_faces,
 )
 
 ACOSH2 = math.acosh(2.0)
@@ -30,8 +36,8 @@ def pants_spec():
 
 def test_face_angles_regular():
     tri = mesh.pair_of_pants()
-    theta = curvature.face_angles(pants_spec(), tri, tri.faces[0], {i: 0.0 for i in range(3)})
-    for th in theta:
+    arcs = curvature.curvature_and_arcs(pants_spec(), tri, {i: 0.0 for i in range(3)})[1]
+    for th in arcs.theta[0]:
         assert th == pytest.approx(ACOSH2, abs=1e-14)
 
 
@@ -41,7 +47,8 @@ def test_face_angles_near_boundary_blowup():
     eps = 1e-10
     spec = StructureSpec("A1", {i: 0 for i in range(3)},
                          {0: 2.0 + eps, 1: 3.0, 2: 3.0})
-    theta = curvature.face_angles(spec, tri, tri.faces[0], {i: 0.0 for i in range(3)})
+    # on one face K is the arc triple
+    theta = curvature.curvature_map(spec, tri, {i: 0.0 for i in range(3)})
     # arcs at the endpoints of the degenerating edge explode
     assert theta[0] > 10.0 and theta[1] > 10.0
     assert all(map(math.isfinite, theta))
@@ -51,7 +58,7 @@ def test_face_angles_inadmissible():
     tri = mesh.single_face()
     spec = StructureSpec("A1", {i: 0 for i in range(3)}, {i: 1.5 for i in range(3)})
     with pytest.raises(NotAdmissible):
-        curvature.face_angles(spec, tri, tri.faces[0], {0: -2.0, 1: -2.0, 2: 0.0})
+        curvature.curvature_map(spec, tri, {0: -2.0, 1: -2.0, 2: 0.0})
 
 
 def test_first_failing_face_and_check_are_reported():
@@ -83,11 +90,10 @@ def test_error_names_first_failure_of_the_per_face_loop():
     for _ in range(30):
         f = {i: rng.uniform(-2.5, 0.5) for i in range(tri.n_boundary)}
         expected = None
-        for face in tri.faces:
-            args = curvature.face_edge_args(spec, face, f)
-            status, bad, _ = _core_py.face_theta(
-                [a[0] for a in args], [spec.alpha[v] for v in face.vertices],
-                [a[5] for a in args], [f[v] for v in face.vertices])
+        _, codes, _, etas, _ = spec_arrays(spec, tri).kernel
+        for face, fc, fe in zip(tri.faces, codes.tolist(), etas.tolist()):
+            status, bad, _ = scalar_ref.face_theta(
+                fc, [spec.alpha[v] for v in face.vertices], fe, [f[v] for v in face.vertices])
             if status:
                 expected = f"face {face.id}: edge position {bad} "
                 break
@@ -120,72 +126,56 @@ def test_curvature_face_order_invariance():
     assert np.allclose(K, K2, atol=0.0)
 
 
-def fd_matrix(spec, tri, face, f, step=1e-6):
-    out = np.zeros((3, 3))
-    for col, v in enumerate(face.vertices):
-        fp, fm = dict(f), dict(f)
-        fp[v] += step
-        fm[v] -= step
-        tp = curvature.face_angles(spec, tri, face, fp)
-        tm = curvature.face_angles(spec, tri, face, fm)
-        for row in range(3):
-            out[row, col] = (tp[row] - tm[row]) / (2 * step)
-    return out
-
-
 def test_dtheta_df_matches_fd_both_branches():
     rng = random.Random(1)
-    tri = mesh.single_face()
     buckets = branch_samples(rng, 40)
     for name, bucket in buckets.items():
         assert len(bucket) == 40, f"missing {name} samples"
-        for spec, f, fd in bucket:
-            num = fd_matrix(spec, tri, tri.faces[0], f)
-            rel = np.abs(fd.dtheta_df - num) / np.maximum(
-                1e-8, np.maximum(np.abs(num), np.abs(fd.dtheta_df))
-            )
-            assert rel.max() < 1e-5
+        arcs = stack_faces(bucket)
+        an = face_eval(arcs, np.ones(arcs.vert.size))
+        num = fd_dtheta_df(bucket)
+        rel = np.abs(an - num) / np.maximum(1e-8, np.maximum(np.abs(num), np.abs(an)))
+        assert rel.max() < 1e-5
 
 
 def test_dtheta_df_light_like_branch():
     rng = random.Random(2)
-    tri = mesh.single_face()
     samples = light_like_samples(rng, 10)
     assert len(samples) == 10
-    for spec, f, fd in samples:
-        assert abs(fd.sigma) <= 1e-10
-        num = fd_matrix(spec, tri, tri.faces[0], f)
-        rel = np.abs(fd.dtheta_df - num) / np.maximum(
-            1e-8, np.maximum(np.abs(num), np.abs(fd.dtheta_df))
-        )
-        assert rel.max() < 1e-3
+    arcs = stack_faces(samples)
+    assert np.all(np.abs(face_centers(arcs)[3]) <= 1e-10)
+    an = face_eval(arcs, np.ones(arcs.vert.size))
+    num = fd_dtheta_df(samples)
+    rel = np.abs(an - num) / np.maximum(1e-8, np.maximum(np.abs(num), np.abs(an)))
+    assert rel.max() < 1e-3
+
+
+def _family_arcs(rng, n):
+    """(family, theta stage) of n single-face samples of each family."""
+    tri = mesh.single_face()
+    for fam in ALL_FAMILIES:
+        spec = stock_spec(fam)
+        arcs = stack_faces([(spec, face_f(spec, u))
+                            for u in sample_face_points(spec, tri, rng, n)])
+        assert not arcs.status.any(), fam
+        yield spec, arcs
 
 
 def test_chain_rule_oracle_agreement():
     rng = random.Random(3)
-    tri = mesh.single_face()
-    for fam in ALL_FAMILIES:
-        spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 50):
-            f = f_from_u(spec, u)
-            # the paper's center-distance matrix against the cosine-law one
-            geo = curvature.face_derivatives(spec, tri, tri.faces[0], f).center_df
-            chain = curvature.dtheta_df(spec, tri, tri.faces[0], f)
-            assert np.max(np.abs(geo - chain)) < 1e-9 * max(1.0, np.max(np.abs(chain)))
+    for _, arcs in _family_arcs(rng, 50):
+        # the paper's center-distance matrix against the cosine-law one
+        status, _, _, _, geo = face_centers(arcs)
+        assert not status.any()
+        for g, chain in zip(geo, face_eval(arcs, np.ones(arcs.vert.size))):
+            assert np.max(np.abs(g - chain)) < 1e-9 * max(1.0, np.max(np.abs(chain)))
 
 
 def test_reciprocal_cosh_diagonal_identity():
     # diagonals of the cosine-law matrix satisfy the two-term cosh relation
     rng = random.Random(4)
-    tri = mesh.single_face()
-    from hexcurv.identities import _edge_coshes
-
-    for fam in ALL_FAMILIES:
-        spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 60):
-            f = f_from_u(spec, u)
-            mc = curvature.dtheta_df(spec, tri, tri.faces[0], f)
-            ch = _edge_coshes(spec, tri, tri.faces[0], f)
+    for _, arcs in _family_arcs(rng, 60):
+        for mc, ch in zip(face_eval(arcs, np.ones(arcs.vert.size)), arcs.ch.tolist()):
             assert abs(mc[0, 0] - (ch[0] * mc[1, 0] + ch[2] * mc[2, 0])) < 1e-10
             assert abs(mc[1, 1] - (ch[0] * mc[0, 1] + ch[1] * mc[2, 1])) < 1e-10
             assert abs(mc[2, 2] - (ch[2] * mc[0, 2] + ch[1] * mc[1, 2])) < 1e-10
@@ -196,9 +186,8 @@ def test_face_jacobian_symmetry_independent_entries():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 60):
-            f = f_from_u(spec, u)
-            jac = curvature.face_jacobian_u(spec, tri, tri.faces[0], f)
+        pts = sample_face_points(spec, tri, rng, 60)
+        for jac in face_jacobians([(spec, face_f(spec, u)) for u in pts]):
             assert np.max(np.abs(jac - jac.T)) < 1e-12
             # the determinant of a negative definite 3x3 matrix is negative
             if curvature.is_negative_definite(jac):
@@ -233,9 +222,8 @@ def test_negative_definite_families():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = stock_spec(fam)
-        for u in sample_face_points(spec, tri, rng, 100):
-            f = f_from_u(spec, u)
-            jac = curvature.face_jacobian_u(spec, tri, tri.faces[0], f)
+        pts = sample_face_points(spec, tri, rng, 100)
+        for jac in face_jacobians([(spec, face_f(spec, u)) for u in pts]):
             assert curvature.is_negative_definite(jac)
 
 

@@ -1,6 +1,7 @@
-"""The batched kernel against the scalar reference kernel ``_core_py``, the
-face-center diagnostic against its scalar twin ``center_ref``, and the
-diagnostic's matrix against the cosine-law Jacobian.
+"""The batched kernel and its face-center diagnostic against the scalar
+reference ``scalar_ref``, the diagnostic's matrix against the cosine-law
+Jacobian, and that Jacobian against a 40-digit differentiation of the
+cosine law.
 
 Batched and scalar code run the same sequence of floating-point operations
 per face, so they differ only where that sequence calls an elementary
@@ -27,19 +28,20 @@ farther than tol(sigma) from the light-like band edge TAU_CAUSAL.
 import math
 import random
 
+import mpmath
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
 from hexcurv import _kernels as kern
-from hexcurv._kernels import _core_py
 from hexcurv._kernels.center import face_centers
-from hexcurv.curvature import face_edge_args
-from hexcurv.mesh import single_face
+from hexcurv.conformal import spec_arrays
+from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.tol import TAU_CAUSAL
 
-import center_ref
-from helpers import branch_samples, light_like_samples
+import scalar_ref
+from helpers import ALL_FAMILIES, branch_samples, face_f, face_mesh, light_like_samples
+from helpers import stack_faces
 
 EPS = np.finfo(float).eps
 
@@ -62,14 +64,14 @@ def _draw(rng, case):
     return codes, al, et, f, du
 
 
-def _face_row(rng, spec, face, f):
-    """Scalar-kernel arguments of one mesh face at factors f."""
-    args = face_edge_args(spec, face, f)
+def _face_row(rng, spec, f):
+    """Scalar-kernel arguments of a single-face sample at factors f."""
+    _, codes, _, etas, _ = spec_arrays(spec, face_mesh(spec)).kernel
     return (
-        tuple(a[0] for a in args),
-        tuple(spec.alpha[v] for v in face.vertices),
-        tuple(a[5] for a in args),
-        tuple(f[v] for v in face.vertices),
+        tuple(codes[0].tolist()),
+        tuple(spec.alpha[v] for v in range(3)),
+        tuple(etas[0].tolist()),
+        tuple(f.tolist()),
         tuple(rng.uniform(0.5, 2.0) for _ in range(3)),
     )
 
@@ -165,10 +167,10 @@ class _TapedMath:
 def _outputs(row, center):
     """theta and jac of the scalar release stages at row, then sigma and the
     center-distance matrix of the scalar diagnostic if center."""
-    ref = _core_py.face_eval(*row)
+    ref = scalar_ref.face_eval(*row)
     ys = list(ref[2]) + [x for r in ref[3] for x in r]
     if center:
-        ref = center_ref.face_centers(*row[:4])
+        ref = scalar_ref.face_centers(*row[:4])
         ys += [ref[3]] + [x for r in ref[4] for x in r]
     return ys
 
@@ -176,11 +178,9 @@ def _outputs(row, center):
 def _tolerance(monkeypatch, row, center):
     """tol of _outputs(row, center) of one valid face, by the bound above."""
     tape = _Tape()
-    for mod in (_core_py, center_ref):
-        monkeypatch.setattr(mod, "math", _TapedMath(tape))
+    monkeypatch.setattr(scalar_ref, "math", _TapedMath(tape))
     ys = _outputs(row, center)
-    for mod in (_core_py, center_ref):
-        monkeypatch.setattr(mod, "math", math)
+    monkeypatch.setattr(scalar_ref, "math", math)
     # result z = sum of dz/dparent * parent + its own difference:
     # (I - D) z = delta, so dy/dz is row y of (I - D)^-1
     n = len(tape)
@@ -200,8 +200,8 @@ def _rows(rng):
     rows = [_draw(rng, case) for case in CASES for _ in range(200)]
     buckets = branch_samples(rng, 25)
     light = light_like_samples(rng, 10)
-    for spec, f, fd in buckets["time-like"] + buckets["space-like"] + light:
-        rows.append(_face_row(rng, spec, single_face().faces[0], f))
+    for spec, f in buckets["time-like"] + buckets["space-like"] + light:
+        rows.append(_face_row(rng, spec, f))
     return rows
 
 
@@ -213,8 +213,8 @@ def test_batched_matches_scalar_reference(monkeypatch):
     failures_seen = set()
     worst, compared, centered = 0.0, 0, 0
     for k, row in enumerate(rows):
-        ref = _core_py.face_eval(*row)
-        ref_c = center_ref.face_centers(*row[:4])
+        ref = scalar_ref.face_eval(*row)
+        ref_c = scalar_ref.face_centers(*row[:4])
         assert (arcs.status[k], arcs.bad[k]) == ref[:2], k
         assert (st_c[k], bad_c[k]) == ref_c[:2], k
         failures_seen.add(ref_c[0])
@@ -236,9 +236,9 @@ def test_batched_matches_scalar_reference(monkeypatch):
         centered += center
         codes_seen.update(row[0])
         for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            _, c, rho = _core_py._edge_state(
+            _, c, rho = scalar_ref._edge_state(
                 row[0][e], row[1][a], row[1][b], row[3][a], row[3][b], row[2][e])
-            kinds_seen.add(center_ref._split(rho, c, math.sqrt((c - 1.0) * (c + 1.0)))[0])
+            kinds_seen.add(scalar_ref._split(rho, c, math.sqrt((c - 1.0) * (c + 1.0)))[0])
     assert compared > 700 and centered > 700
     assert codes_seen == set(range(6))
     assert kinds_seen == {0, 1}
@@ -290,9 +290,9 @@ def test_status_codes_match():
     assert st_c.tolist() == arcs.status.tolist()[:-1] + [kern.BAD_SPLIT]
     assert bad_c.tolist() == arcs.bad.tolist()[:-1] + [0]
     for k, row in enumerate(rows):
-        assert (arcs.status[k], arcs.bad[k]) == _core_py.face_eval(*row)[:2]
-        assert (arcs.status[k], arcs.bad[k]) == _core_py.face_theta(*row[:4])[:2]
-        assert (st_c[k], bad_c[k]) == center_ref.face_centers(*row[:4])[:2]
+        assert (arcs.status[k], arcs.bad[k]) == scalar_ref.face_eval(*row)[:2]
+        assert (arcs.status[k], arcs.bad[k]) == scalar_ref.face_theta(*row[:4])[:2]
+        assert (st_c[k], bad_c[k]) == scalar_ref.face_centers(*row[:4])[:2]
 
 
 def test_edge_state_domain_matches_scalar_rules():
@@ -304,7 +304,7 @@ def test_edge_state_domain_matches_scalar_rules():
             fa, fb = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
             args.append((code, *al, fa, fb, rng.uniform(-3.0, 3.0)))
     ok, ch, rho = kern.edge_state(*map(np.array, zip(*args)))
-    assert ok.tolist() == [_core_py._edge_state(*a)[0] for a in args]
+    assert ok.tolist() == [scalar_ref._edge_state(*a)[0] for a in args]
     assert 0 < ok.sum() < len(args)
     assert not np.any(ch[~ok]) and not np.any(rho[~ok])
 
@@ -331,3 +331,50 @@ def test_edge_partials_are_the_length_derivatives():
         minus = kern.edge_state(code, aa, ab, fa - dfa, fb - dfb, eta)[1]
         fd = (np.arccosh(plus) - np.arccosh(minus)) / (2.0 * h)
         assert np.max(np.abs(closed - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
+
+
+def _theta_mp(codes, alphas, etas, f):
+    """The arcs of one face in mpmath: the six edge rules, then the cosine
+    law, with nothing taken from the kernel but the rule of each edge."""
+    ch = []
+    for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        if codes[m] % 3 == 0:
+            root = mpmath.sqrt((1 + alphas[a] * mpmath.exp(2 * f[a]))
+                               * (1 + alphas[b] * mpmath.exp(2 * f[b])))
+        elif codes[m] % 3 == 1:
+            root = mpmath.sqrt(mpmath.expm1(2 * f[a]) * mpmath.expm1(2 * f[b]))
+        else:
+            root = mpmath.cosh(f[b] - f[a])
+        ch.append((root if codes[m] % 2 else -root) + etas[m] * mpmath.exp(f[a] + f[b]))
+    sh = [mpmath.sqrt(c * c - 1) for c in ch]
+    # corner a lies between edges a and a - 1, opposite edge a + 1
+    return [mpmath.acosh((ch[(a + 1) % 3] + ch[a] * ch[a - 1]) / (sh[a] * sh[a - 1]))
+            for a in range(3)]
+
+
+def test_release_jacobian_matches_40_digit_cosine_law():
+    # d theta / d f of the derivative stage against mpmath.diff of the arcs
+    # at 40 digits, on the same double inputs: what remains is the rounding
+    # of the release chain rule
+    rng = random.Random(14)
+    samples = []
+    for fam in ALL_FAMILIES:
+        spec = stock_spec(fam)
+        samples += [(spec, face_f(spec, u))
+                    for u in sample_face_points(spec, face_mesh(spec), rng, 10)]
+    arcs = stack_faces(samples)
+    assert len(samples) == 60 and not arcs.status.any()
+    worst = 0.0
+    with mpmath.workdps(40):
+        for (spec, f), jac in zip(samples, kern.face_eval(arcs, np.ones(arcs.vert.size))):
+            _, codes, alphas, etas, _ = spec_arrays(spec, face_mesh(spec)).kernel
+            row = (codes[0].tolist(), alphas[0].tolist(), etas[0].tolist())
+            ref = np.zeros((3, 3))
+            for a in range(3):
+                for b in range(3):
+                    ref[a, b] = mpmath.diff(lambda x: _theta_mp(
+                        *row, [x if c == b else f[c] for c in range(3)])[a], f[b])
+            err = np.max(np.abs(jac - ref)) / np.max(np.abs(ref))
+            assert err < 1e-12, (spec.family, err)
+            worst = max(worst, err)
+    print(f"worst |J - J_40| / max|J_40| {worst:.2e} over 60 faces")

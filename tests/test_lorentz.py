@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from hexcurv.errors import CoincidentPlanes, DegenerateSpan, DomainViolation
+from hexcurv.errors import DomainViolation
 from hexcurv.lorentz import (
     CausalClass,
     MinkowskiVec,
     causal_class,
-    dist_point_to_geodesic,
     minkowski_cross,
     minkowski_dot,
-    plane_intersection,
 )
 
 V = MinkowskiVec
@@ -75,62 +73,6 @@ def test_causal_class_boost_invariant():
         for _ in range(20):
             phi = rng.uniform(-2, 2)
             assert causal_class(boost(phi)(v)) is cls
-
-
-def test_dist_point_to_geodesic():
-    assert dist_point_to_geodesic(V(0, 0, 1), V(1, 0, 0)) == 0.0
-    y = V(0.0, math.sinh(1.0), math.cosh(1.0))
-    assert dist_point_to_geodesic(y, V(0, 1, 0)) == pytest.approx(-1.0, abs=1e-14)
-    # definitional inversion: y*z = -sinh(0.5) means distance 0.5
-    y = V(0.0, math.sinh(0.5), math.cosh(0.5))
-    assert dist_point_to_geodesic(y, V(0, -1, 0)) == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(DomainViolation):
-        dist_point_to_geodesic(V(0, 0, 2), V(1, 0, 0))
-    with pytest.raises(DomainViolation):
-        dist_point_to_geodesic(V(0, 0, 1), V(2, 0, 0))
-
-
-def test_dist_against_direct_minimization():
-    # brute-force the distance from y to the geodesic z-perp by scanning
-    # hyperboloid points on it
-    y = V(0.0, math.sinh(1.0), math.cosh(1.0))
-    z = V(0, 1, 0)
-    best = math.inf
-    for k in range(-40000, 40001):
-        t = k / 10000.0
-        p = V(math.sinh(t), 0.0, math.cosh(t))  # z-perp caries this geodesic
-        best = min(best, math.acosh(max(1.0, -minkowski_dot(y, p))))
-    assert abs(abs(dist_point_to_geodesic(y, z)) - best) < 1e-7
-
-
-def test_plane_intersection_axes():
-    p = (V(1, 0, 0), V(0, 1, 0))
-    q = (V(1, 0, 0), V(0, 0, 1))
-    line = plane_intersection(p, q)
-    assert abs(line.x2) < 1e-15 and abs(line.x3) < 1e-15 and line.x1 != 0.0
-
-
-def test_plane_intersection_errors():
-    a, b = V(1, 0.5, 0), V(0, 1, 0.3)
-    with pytest.raises(DegenerateSpan):
-        plane_intersection((a, 2.0 * a), (a, b))
-    with pytest.raises(CoincidentPlanes):
-        plane_intersection((a, b), (b, a + b))
-
-
-def test_plane_intersection_residual_property():
-    rng = random.Random(3)
-    for _ in range(200):
-        vs = [V(*(rng.uniform(-2, 2) for _ in range(3))) for _ in range(4)]
-        try:
-            line = plane_intersection((vs[0], vs[1]), (vs[2], vs[3]))
-        except (DegenerateSpan, CoincidentPlanes):
-            continue
-        n1 = minkowski_cross(vs[0], vs[1])
-        n2 = minkowski_cross(vs[2], vs[3])
-        s = line.euclidean_norm()
-        assert abs(minkowski_dot(line, n1)) < 1e-12 * s * n1.euclidean_norm()
-        assert abs(minkowski_dot(line, n2)) < 1e-12 * s * n2.euclidean_norm()
 
 
 def test_right_angle_identity():

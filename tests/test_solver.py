@@ -274,10 +274,27 @@ def test_energy_concavity_along_segment():
     slopes = []
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         u = {i: a[i] + t * dvec[i] for i in a}
-        theta = curvature.face_angles(spec, tri, face, f_from_u(spec, u))
+        theta = curvature.curvature_map(spec, tri, f_from_u(spec, u))  # one face: K is theta
         slopes.append(sum(theta[p] * dvec[v] for p, v in enumerate(face.vertices)))
     for s0, s1 in zip(slopes, slopes[1:]):
         assert s1 < s0 + 1e-12
+
+
+def test_energy_face_reads_its_own_face_of_the_mesh():
+    # each face of a sphere integrates its own record row: the same face
+    # alone, relabelled 0, 1, 2, gives the same energy
+    rng = random.Random(14)
+    tri = sphere_triangulation(8, rng)
+    spec = make_spec("A3", tri, rng)
+    a, b = sample_admissible_u(spec, tri, rng, 2, scale=0.5)
+    alone = mesh.single_face()
+    for face in tri.faces:
+        vs = face.vertices
+        spec1 = StructureSpec("A3", {i: spec.alpha[v] for i, v in enumerate(vs)},
+                              {i: spec.eta[e] for i, e in enumerate(face.edge_ids)})
+        ua, ub = ({i: u[v] for i, v in enumerate(vs)} for u in (a, b))
+        assert solver.energy_face(spec, tri, face, a, b) == pytest.approx(
+            solver.energy_face(spec1, alone, alone.faces[0], ua, ub), rel=1e-12)
 
 
 def test_energy_path_leaves_domain():
