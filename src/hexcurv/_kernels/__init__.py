@@ -1,31 +1,43 @@
 """Batched per-face evaluation kernel and the six edge rules.
 
-Evaluates F hexagonal faces in two numpy passes.  The theta stage
-(face_theta) gives the boundary arcs by the hexagon cosine law
+Evaluates F hexagonal faces on E edges in two numpy passes over an edge
+program (EdgeProgram), built once per spec and mesh.  Each hexagon side
+l is an edge quantity, fixed by the factors at the edge's two ends, its
+weight and its rule, and an interior edge is a side of two faces.  So the
+theta stage (face_theta) first runs an edge pass: each rule code runs
+once, on its own edges only, and gives cosh l, sinh l and the partial
+ratio rho of every edge.  It then gathers cosh l and sinh l to the face
+sides and applies the hexagon cosine law
 
     cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
 
-(side o opposite corner a, sides p and q at it) and keeps the edge data
-the second stage reuses.  The derivative stage (face_eval) differentiates
-that law by the chain rule J = dtheta/dl . dl/df . df/du, without a
-second theta pass:
+(side o opposite corner a, sides p and q at it).  The derivative stage
+(face_eval) differentiates that law by the chain rule
+J = dtheta/dl . dl/df . df/du, without a second theta pass:
 
     d theta_a / d l_o = sinh l_o / (sinh theta_a sinh l_p sinh l_q)
     d theta_a / d l_b = -cosh theta_c * d theta_a / d l_o   (b = p, q)
 
 with c the other end of side b.  For an edge rule cosh l = s root +
 eta e^{f_a + f_b}, sinh l * dl/df_a = s droot/df_a + eta e^{f_a + f_b}
-equals cosh l + 1/rho, with rho the partial ratio of edge_state, and
-sinh l * dl/df_b equals cosh l + rho.  All nine entries of each face are
-computed.  The stage is singular only where sinh l or sinh theta
-vanishes, and the theta stage rejects both, so it has no status of its
-own.  The paper's face-center formula is the diagnostic
-center.face_centers.  The test suite holds the scalar reference of both
-stages and of the diagnostic.
+equals cosh l + 1/rho, and sinh l * dl/df_b equals cosh l + rho.  The
+stage takes both once per edge and gathers them to the first and second
+corner of each face side.  All nine entries of each face are computed.
+The stage is singular only where sinh l or sinh theta vanishes, and the
+theta stage rejects both, so it has no status of its own.  The paper's
+face-center formula is the diagnostic center.face_centers.  The test
+suite holds the scalar reference of both stages and of the diagnostic.
 
-Inputs are F x 3 arrays of face vertex ids, edge codes (edge m joins
-corners m and m + 1 mod 3), corner alphas and edge weights, plus factor
-values indexed by vertex id.
+Program layout.  vert holds the F x 3 corner ids of the faces; face side m
+runs from corner m to corner m + 1 mod 3.  Edges are sorted by rule code,
+so each code present is one contiguous group.  Per edge the program holds
+its end ids (a, b), its code, the alphas at a and b, its weight, and
+whether it joins two special components.  side maps each face side to its
+edge.  Orientation rule: rho of an edge is sinh d_ab / sinh d_ba, taken
+from a to b; a side that runs from b to a (rev) reads 1/rho, and its
+first corner takes the edge's derivative at b.  rho is the one quantity
+that depends on the direction: cosh l, sinh l and the domain check are
+symmetric in the two ends.
 
 Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
 5 factors outside the evaluable range or the edge rule's domain, 6
@@ -38,6 +50,7 @@ lanes out.  Branch codes: 0 time-like, 1 space-like, 2 light-like face
 center.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +67,31 @@ F_LIMIT = 150.0
 _NEXT = np.array([1, 2, 0])  # second endpoint of edge m
 _PREV = np.array([2, 0, 1])
 _ROWS = np.arange(3)
-_P, _Q = np.array([0, 0, 1]), np.array([2, 1, 2])
+
+_SH_FILL = math.sqrt(3.0)  # sinh of the filler edge, cosh l = 2
+
+
+def _rule(code, aa, ab, fa, fb, eta):
+    """(ok, cosh l, rho) of one edge rule code on its lanes.
+
+    ok is None for the cosh-difference rules, which hold everywhere; the
+    square-root rules evaluate lanes outside their domain on finite
+    filler, which callers mask by ok.
+    """
+    ee = eta * np.exp(fa + fb)
+    if code % 3 == 2:
+        ok, root, rho = None, np.cosh(fb - fa), np.exp(fa - fb)
+    else:
+        if code % 3 == 0:
+            xa, xb = 1.0 + aa * np.exp(2.0 * fa), 1.0 + ab * np.exp(2.0 * fb)
+        else:
+            xa, xb = np.expm1(2.0 * fa), np.expm1(2.0 * fb)
+        ok = (xa > 0.0) & (xb > 0.0)
+        if not ok.all():
+            xa, xb = np.where(ok, xa, 1.0), np.where(ok, xb, 1.0)
+        root, rho = np.sqrt(xa * xb), np.sqrt(xa / xb)
+    ch = root + ee if code % 2 else ee - root
+    return ok, ch, (-rho if code >= 3 else rho)
 
 
 def edge_state(code, aa, ab, fa, fb, eta):
@@ -62,23 +99,61 @@ def edge_state(code, aa, ab, fa, fb, eta):
 
     Arguments broadcast together.  Codes 0-2 are the plain
     sqrt(1 + alpha e^{2f}), sqrt(e^{2f} - 1) and cosh(f_b - f_a) rules,
-    codes 3-5 their sign-flipped versions.  ok is False where the factors
-    leave the rule's domain (a non-positive square-root argument); there
-    cosh l and the ratio are 0.
+    codes 3-5 their sign-flipped versions.  Each code present runs once,
+    on its own lanes.  ok is False where the factors leave the rule's
+    domain (a non-positive square-root argument); there cosh l and the
+    ratio are 0.
     """
-    code = np.asarray(code)
-    rule = code % 3
-    ee = eta * np.exp(fa + fb)
-    xa = np.where(rule == 0, 1.0 + aa * np.exp(2.0 * fa), np.expm1(2.0 * fa))
-    xb = np.where(rule == 0, 1.0 + ab * np.exp(2.0 * fb), np.expm1(2.0 * fb))
-    pos = (xa > 0.0) & (xb > 0.0)
-    ok = pos | (rule == 2)
-    xa, xb = np.where(pos, xa, 1.0), np.where(pos, xb, 1.0)
-    root = np.where(rule == 2, np.cosh(fb - fa), np.sqrt(xa * xb))
-    rho = np.where(rule == 2, np.exp(fa - fb), np.sqrt(xa / xb))
-    ch = np.where(code % 2 == 1, root, -root) + ee
-    rho = np.where(code >= 3, -rho, rho)
+    code, aa, ab, fa, fb, eta = np.broadcast_arrays(code, aa, ab, fa, fb, eta)
+    ok = np.ones(code.shape, dtype=bool)
+    ch, rho = np.zeros(code.shape), np.zeros(code.shape)
+    for c in np.unique(code).tolist():
+        at = code == c
+        good, ch[at], rho[at] = _rule(c, aa[at], ab[at], fa[at], fb[at], eta[at])
+        if good is not None:
+            ok[at] = good
     return ok, np.where(ok, ch, 0.0), np.where(ok, rho, 0.0)
+
+
+class EdgeProgram:
+    """How F faces read E edges (see the module docstring for the layout).
+
+    vert (F x 3) holds the corner ids.  Per edge, sorted by rule code:
+    ends (2 x E) the end ids a and b, codes, alphas (2 x E, at a and b),
+    etas, and pair, whether the edge joins two special components.
+    groups holds (code, slice of its edges) per code present.  side (F x 3)
+    is the edge of each face side and rev whether the side runs from b to
+    a; tail and head index the flattened 2 x E per-end values at the first
+    and second corner of each side.  double is (face, side) of the first
+    face side on an edge that joins two special components, or None.
+
+    The constructor takes vert, then ends, codes, alphas and etas of the
+    edges in any one order, side as indices into that order, and pair.
+    """
+
+    def __init__(self, vert, ends, codes, alphas, etas, side, pair):
+        n = len(codes)
+        order = np.argsort(codes, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        self.vert = np.asarray(vert, dtype=np.intp)
+        self.ends, self.codes, self.alphas, self.etas, self.pair = (
+            np.asarray(x)[..., order] for x in (ends, codes, alphas, etas, pair))
+        self.side = rank[side]
+        self.rev = self.vert != self.ends[0, self.side]
+        self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
+        starts = np.flatnonzero(np.diff(self.codes, prepend=-1)).tolist()
+        self.groups = tuple((int(self.codes[s]), slice(s, t))
+                            for s, t in zip(starts, [*starts[1:], n]))
+        hit = self.pair[self.side]
+        self.double = divmod(int(np.argmax(hit)), 3) if hit.any() else None
+
+    def face(self, k):
+        """The program of face k alone; its corners keep their ids."""
+        edges, side = np.unique(self.side[k], return_inverse=True)
+        return EdgeProgram(self.vert[k:k + 1], self.ends[:, edges], self.codes[edges],
+                           self.alphas[:, edges], self.etas[edges], side.reshape(1, 3),
+                           self.pair[edges])
 
 
 def _fail(status, bad, fails):
@@ -92,44 +167,65 @@ def _fail(status, bad, fails):
 
 class Arcs(NamedTuple):
     """The theta stage of every face: status and bad position (see the
-    module docstring), the F x 3 arcs theta, and the face vertex ids and
-    edge data (cosh and sinh of the edges, partial ratios, cosh of the
-    arcs) that the derivative stage reuses.  Failed faces carry finite
-    filler: the regular hexagon's edges with partial ratio 1, or cosh
-    theta = 2 at a vanishing arc."""
+    module docstring), the F x 3 arcs theta, the program, cosh and sinh of
+    the face sides, cosh of the arcs, and edge, the (cosh l, sinh l, rho)
+    of every program edge, which the derivative stage reuses.  Failed
+    edges carry the filler cosh l = 2 beside a finite non-zero rho, and
+    failed faces the regular hexagon's sides, or cosh theta = 2 at a
+    vanishing arc."""
 
     status: np.ndarray
     bad: np.ndarray
     theta: np.ndarray
-    vert: np.ndarray
+    prog: EdgeProgram
     ch: np.ndarray
     sh: np.ndarray
-    rho: np.ndarray
     chth: np.ndarray
+    edge: tuple
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The F x 3 partial ratio of each face side, taken from its first
+        corner (1 on failed faces), gathered from the edges."""
+        r = self.edge[2][self.prog.side]
+        r = np.where(self.prog.rev, 1.0 / r, r)
+        return np.where((self.status == OK)[:, None], r, 1.0)
 
 
-def face_theta(vert, codes, alphas, etas, f) -> Arcs:
-    """The theta stage of every face; theta is F x 3."""
-    fv = np.asarray(f, dtype=float)[vert]
-    status = np.zeros(len(fv), dtype=np.int64)
-    bad = np.full(len(fv), -1, dtype=np.int64)
-    in_range = (np.abs(fv) <= F_LIMIT).all(axis=1)
-    status[~in_range] = BAD_RANGE
-    fv = np.where(in_range[:, None], fv, 0.0)
-    ok, ch, rho = edge_state(codes, alphas, alphas[:, _NEXT], fv, fv[:, _NEXT], etas)
-    _fail(status, bad, np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE))
-    # masked faces evaluate the regular hexagon, split at its edge midpoints
-    if status.any():
-        live = (status == OK)[:, None]
-        ch, rho = np.where(live, ch, 2.0), np.where(live, rho, 1.0)
+def face_theta(prog: EdgeProgram, f) -> Arcs:
+    """The theta stage of every face of prog at factors f, indexed by
+    vertex id; theta is F x 3."""
+    f = np.asarray(f, dtype=float)
+    status = np.zeros(len(prog.vert), dtype=np.int64)
+    bad = np.full(len(prog.vert), -1, dtype=np.int64)
+    in_range = np.abs(f) <= F_LIMIT
+    if not in_range.all():
+        status[~in_range[prog.vert].all(axis=1)] = BAD_RANGE
+        f = np.where(in_range, f, 0.0)
+    # edge pass: each rule code once, on its own edges
+    (a, b), (aa, ab), n = prog.ends, prog.alphas, len(prog.codes)
+    ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
+    for code, at in prog.groups:
+        good, ch[at], rho[at] = _rule(code, aa[at], ab[at], f[a[at]], f[b[at]],
+                                      prog.etas[at])
+        if good is not None:
+            ok[at] = good
+    if not (ok.all() and ch.min(initial=2.0) > 1.0):
+        fails = np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE)
+        _fail(status, bad, fails[prog.side])
+        ch = np.where(fails == OK, ch, 2.0)
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
-    # cosine law: corner a lies between edges a and a - 1, opposite edge a + 1
-    chth = (ch[:, _NEXT] + ch[:, _P] * ch[:, _Q]) / (sh[:, _P] * sh[:, _Q])
+    chs, shs = ch[prog.side], sh[prog.side]
+    if status.any():  # failed faces evaluate the regular hexagon
+        live = (status == OK)[:, None]
+        chs, shs = np.where(live, chs, 2.0), np.where(live, shs, _SH_FILL)
+    # cosine law: corner a lies between sides a and a - 1, opposite side a + 1
+    chth = (chs[:, _NEXT] + chs * chs[:, _PREV]) / (shs * shs[:, _PREV])
     if not chth.min(initial=2.0) > 1.0:
         arc = chth > 1.0
         _fail(status, bad, np.where(arc, OK, BAD_ARC))
         chth = np.where(arc, chth, 2.0)
-    return Arcs(status, bad, np.arccosh(chth), vert, ch, sh, rho, chth)
+    return Arcs(status, bad, np.arccosh(chth), prog, chs, shs, chth, (ch, sh, rho))
 
 
 def face_eval(arcs: Arcs, du):
@@ -139,17 +235,22 @@ def face_eval(arcs: Arcs, du):
     jac[k, a, b] = d theta_a / d u of corner b of face k; entries of
     failed faces are filler.
     """
-    ch, sh, rho, chth = arcs[4:]
+    sh, chth = arcs.sh, arcs.chth
     shth = np.sqrt((chth - 1.0) * (chth + 1.0))
-    # dtheta/dl: row a, column = edge; edge a + 1 is opposite corner a
+    # dtheta/dl: row a, column = side; side a + 1 is opposite corner a
     d = sh[:, _NEXT] / (shth * sh * sh[:, _PREV])
-    dl = np.empty((len(ch), 3, 3))
+    dl = np.empty((len(sh), 3, 3))
     dl[:, _ROWS, _NEXT] = d
     dl[:, _ROWS, _ROWS] = -chth[:, _NEXT] * d
     dl[:, _ROWS, _PREV] = -chth[:, _PREV] * d
-    # dl/df . df/du of each edge at its first and second endpoint; column b
-    # collects edge b, which starts at corner b, and edge b - 1, which ends there
-    duv = np.asarray(du, dtype=float)[arcs.vert]
-    first = (ch + 1.0 / rho) / sh * duv
-    second = (ch + rho) / sh * duv[:, _NEXT]
+    # dl/df . df/du of each edge at its ends a and b, then at the first and
+    # second corner of each side; column b collects side b, which starts at
+    # corner b, and side b - 1, which ends there
+    ch_e, sh_e, rho_e = arcs.edge
+    g = np.empty((2, len(ch_e)))
+    g[0] = (ch_e + 1.0 / rho_e) / sh_e
+    g[1] = (ch_e + rho_e) / sh_e
+    g *= np.asarray(du, dtype=float)[arcs.prog.ends]
+    g = g.ravel()
+    first, second = g[arcs.prog.tail], g[arcs.prog.head]
     return dl * first[:, None, :] + dl[:, :, _PREV] * second[:, None, _PREV]

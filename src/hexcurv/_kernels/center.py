@@ -55,7 +55,7 @@ def face_centers(arcs: Arcs):
     value, and m[k, a, b] = d theta_a / d f of corner b of face k by the
     center-distance formula.  Entries of failed faces are filler.
     """
-    ch, sh, rho, chth = arcs[4:]
+    ch, sh, rho, chth = arcs.ch, arcs.sh, arcs.rho, arcs.chth
     status, bad = arcs.status.copy(), arcs.bad.copy()
 
     # edge splits: kind 0 puts the edge center on the geodesic, kind 1

@@ -2,10 +2,11 @@
 
 The edge rule code of every edge, the per-vertex change of variables
 u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
-membership.  The edge rules themselves live once, in _kernels.edge_state.
+membership.  The edge rules themselves live once, in _kernels (one
+function per rule code, behind edge_state and the kernel's edge pass).
 spec_arrays(spec, tri) derives the arrays of a spec on a mesh once, the
-evaluation kernel's inputs among them; the mesh keeps those of the last
-spec it was used with.  Functions taking u or f accept a mapping or an
+evaluation kernel's edge program among them; the mesh keeps those of the
+last spec it was used with.  Functions taking u or f accept a mapping or an
 array indexed by component; f_from_u and u_from_f map dicts to dicts at
 the API boundary.
 
@@ -23,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._kernels import _NEXT, F_LIMIT
+from ._kernels import _NEXT, F_LIMIT, EdgeProgram
 from .errors import DomainViolation, FamilyConstraint, UnsupportedWeightRange
 
 FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
@@ -279,11 +280,10 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
 
 class SpecArrays:
     """The arrays of one spec on one mesh: cov, the change of variables of
-    every component; kernel, the evaluation kernel's F x 3 inputs (vert,
-    codes, alphas, etas, double) of every face in face order, with double
-    flagging edges that join two special components; polytope, set by
-    polytope() on first use; start, the default start in u, set by
-    solver.default_initial on first use."""
+    every component; program, the evaluation kernel's EdgeProgram of the
+    faces in face order, each edge oriented the way its first face side
+    runs; polytope, set by polytope() on first use; start, the default
+    start in u, set by solver.default_initial on first use."""
 
     def __init__(self, spec: StructureSpec, tri):
         self.spec, self.polytope, self.start = spec, None, None
@@ -293,9 +293,11 @@ class SpecArrays:
         alpha = np.array([spec.alpha[v] for v in range(n)], dtype=float)
         special = np.array([spec.is_special(v) for v in range(n)], dtype=bool)
         eta = np.array([spec.eta[e] for e in eids], dtype=float)
-        sa, sb = special[vert], special[vert[:, _NEXT]]
-        self.kernel = (vert, rule_code(spec.family, sa | sb), alpha[vert], eta[epos],
-                       sa & sb)
+        first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
+        ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
+        sa, sb = special[ends]
+        self.program = EdgeProgram(vert, ends, rule_code(spec.family, sa | sb),
+                                   alpha[ends], eta, epos, sa & sb)
 
 
 def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:

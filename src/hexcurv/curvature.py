@@ -2,18 +2,22 @@
 
 The curvature vector (total arc length per boundary component), the
 sparse global u-Jacobian, and a definiteness check.  Every face is
-evaluated one way: the kernel inputs of the mesh record
-(conformal.spec_arrays) feed the kernel's theta stage
-(_kernels.face_theta) and its derivative stage (_kernels.face_eval), the
-cosine-law chain rule.  Only f is converted per call; f is a mapping or an
-array indexed by component.  curvature_and_arcs keeps the theta stage
-beside K, and jacobian_from_arcs builds the Jacobian from it without a
-second theta pass; the Newton solver evaluates each trial point that way.
-Only the theta stage can fail, so a point whose K evaluates also has a
-Jacobian.  On a mesh of one face with three distinct corners, K is that
-face's arc triple and the Jacobian its 3 x 3 u-Jacobian; face_eval(arcs,
-ones) gives d theta / d f, and _kernels.center.face_centers(arcs) the
-paper's center-distance formula as a diagnostic.
+evaluated one way: the edge program of the mesh record
+(conformal.spec_arrays(spec, tri).program) feeds the kernel's theta stage
+(_kernels.face_theta), whose edge pass evaluates each edge once by its own
+rule, and its derivative stage (_kernels.face_eval), the cosine-law chain
+rule.  Only f is converted per call; f is a mapping or an array indexed by
+component.  curvature_and_arcs keeps the theta stage beside K, and
+jacobian_from_arcs builds the Jacobian from it without a second theta
+pass; the Newton solver evaluates each trial point that way.  Only the
+theta stage can fail, so a point whose K evaluates also has a Jacobian.
+An edge that joins two special components is found once, when the program
+is built (EdgeProgram.double); evaluation raises FamilyConstraint for it
+unless a face before the one holding it fails first.  On a mesh of one
+face with three distinct corners, K is that face's arc triple and the
+Jacobian its 3 x 3 u-Jacobian; face_eval(arcs, ones) gives d theta / d f,
+and _kernels.center.face_centers(arcs) the paper's center-distance
+formula as a diagnostic.
 """
 
 from __future__ import annotations
@@ -33,17 +37,18 @@ _ERRORS = {
 }
 
 
-def _raise_first(faces, status, bad, double):
-    """Raise for the first failing face, and its first failing check."""
-    failing = (status != OK) | double.any(axis=1)
-    if not failing.any():
-        return
-    k = int(np.argmax(failing))
-    face = faces[k]
-    if double[k].any():
-        m = int(np.argmax(double[k]))
+def _raise_first(faces, arcs):
+    """Raise for the first failing face of arcs, and its first failing check;
+    a face on an edge that joins two special components fails first."""
+    status, bad, double = arcs.status, arcs.bad, arcs.prog.double
+    k = int(np.argmax(status != OK)) if status.any() else len(faces)
+    if double is not None and double[0] <= k:
+        face, m = faces[double[0]], double[1]
         a, b = face.vertices[m], face.vertices[_NEXT[m]]
         raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
+    if k == len(faces):
+        return
+    face = faces[k]
     cls, text = _ERRORS[int(status[k])]
     exc = cls(f"face {face.id}: " + text.format(int(bad[k])))
     if status[k] == BAD_EDGE:
@@ -58,16 +63,15 @@ def _sums(index, values, n) -> np.ndarray:
 
 
 def _arcs(spec: StructureSpec, tri, f):
-    vert, codes, alphas, etas, _ = spec_arrays(spec, tri).kernel
-    return face_theta(vert, codes, alphas, etas, component_values(f, tri.n_boundary))
+    return face_theta(spec_arrays(spec, tri).program, component_values(f, tri.n_boundary))
 
 
 def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
     """(K, arcs): the total boundary-arc length per boundary component and
     the kernel's theta stage, which jacobian_from_arcs reuses."""
     arcs = _arcs(spec, tri, f)
-    _raise_first(tri.faces, arcs.status, arcs.bad, spec_arrays(spec, tri).kernel[4])
-    return _sums(arcs.vert, arcs.theta, tri.n_boundary), arcs
+    _raise_first(tri.faces, arcs)
+    return _sums(arcs.prog.vert, arcs.theta, tri.n_boundary), arcs
 
 
 def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
@@ -75,11 +79,11 @@ def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     return curvature_and_arcs(spec, tri, f)[0]
 
 
-def jacobian_from_arcs(spec: StructureSpec, tri, arcs, du):
+def jacobian_from_arcs(tri, arcs, du):
     """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
     components that share a face) from the theta stage at f; du is df/du
     at f.  Raises for the first failing face of the theta stage."""
-    _raise_first(tri.faces, arcs.status, arcs.bad, spec_arrays(spec, tri).kernel[4])
+    _raise_first(tri.faces, arcs)
     slot, rows, colptr = tri.jacobian_pattern
     n = tri.n_boundary
     jac = face_eval(arcs, du)
@@ -92,8 +96,8 @@ def curvature_and_jacobian(spec: StructureSpec, tri, f):
     fv = component_values(f, tri.n_boundary)
     du = spec_arrays(spec, tri).cov.derivative(fv)
     arcs = _arcs(spec, tri, fv)
-    return (_sums(arcs.vert, arcs.theta, tri.n_boundary),
-            jacobian_from_arcs(spec, tri, arcs, du))
+    return (_sums(arcs.prog.vert, arcs.theta, tri.n_boundary),
+            jacobian_from_arcs(tri, arcs, du))
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

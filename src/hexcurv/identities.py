@@ -163,7 +163,7 @@ def run_suite(family: str, samples: int, rng) -> dict:
         g[1] = max(g[1], worst)
         # symmetry and definiteness of the release u-Jacobian
         s = res["u-symmetry"]
-        jac = curvature.jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)).toarray()
+        jac = curvature.jacobian_from_arcs(tri, arcs, cov.derivative(f)).toarray()
         s[0] += 1
         s[1] = max(s[1], float(np.max(np.abs(jac - jac.T))))
         nd = res["negative-definite"]

@@ -235,7 +235,7 @@ def solve_prescribed_curvature(
             report.quad_constant = _quad_constant(report.trajectory)
             return dict(enumerate(f.tolist())), report
         # the Jacobian, its LU and the arcs behind it are freed before any trial
-        step = _solve_step(jacobian_from_arcs(spec, tri, arcs, cov.derivative(f)),
+        step = _solve_step(jacobian_from_arcs(tri, arcs, cov.derivative(f)),
                            K - tgt, report, tri.jacobian_order)
         if step is None:
             raise NotConverged(
@@ -296,28 +296,30 @@ def _quad_constant(traj) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def energy_face(spec: StructureSpec, tri, face, u_from, u_to, tol=1e-9) -> float:
-    """Line integral of the arc-length 1-form along a straight u-segment.
+def energy_face(spec: StructureSpec, tri, k, u_from, u_to, tol=1e-9) -> float:
+    """Line integral of the arc-length 1-form of face tri.faces[k] along a
+    straight u-segment.
 
     Composite Gauss-Legendre with panel doubling until the value settles;
     the closed-form symmetry of the Jacobian makes the 1-form exact, so
-    the result is path independent.
+    the result is path independent.  Each node runs the theta stage on the
+    program of face k alone.
     """
+    face = tri.faces[k]
     idx = list(face.vertices)
     start = component_values(u_from, tri.n_boundary)
     dvec = component_values(u_to, tri.n_boundary)[idx] - start[idx]
     arrays = spec_arrays(spec, tri)
-    k = tri.faces.index(face)
-    vert, codes, alphas, etas, double = (x[k:k + 1] for x in arrays.kernel)
+    program = arrays.program.face(k)
 
     def integrand(t):
         upoint = start.copy()
         upoint[idx] += t * dvec
         if not admissible(spec, tri, upoint).ok:
             raise PathLeavesDomain("integration segment exits the face polytope")
-        arcs = face_theta(vert, codes, alphas, etas, arrays.cov.to_f(upoint))
+        arcs = face_theta(program, arrays.cov.to_f(upoint))
         try:
-            _raise_first([face], arcs.status, arcs.bad, double)
+            _raise_first([face], arcs)
         except NotAdmissible as exc:
             raise PathLeavesDomain(str(exc)) from exc
         theta = arcs.theta[0].tolist()

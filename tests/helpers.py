@@ -4,7 +4,8 @@ and single-face samples evaluated as batches of disjoint faces."""
 import numpy as np
 
 from hexcurv import solver
-from hexcurv._kernels import LIGHT, OK, SPACE, TIME, face_eval, face_theta
+from hexcurv._kernels import _NEXT, LIGHT, OK, SPACE, TIME, EdgeProgram, face_eval
+from hexcurv._kernels import face_theta
 from hexcurv._kernels.center import face_centers
 from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
@@ -177,15 +178,33 @@ def face_f(spec, u):
     return spec_arrays(spec, face_mesh(spec)).cov.to_f(component_values(u, 3))
 
 
+def disjoint_faces(codes, alphas, etas):
+    """The edge program of K disjoint faces from K x 3 side codes, corner
+    alphas and side weights: face k has corners 3k, 3k + 1 and 3k + 2, and
+    each side is its own edge, run forward."""
+    vert = np.arange(np.size(codes)).reshape(-1, 3)
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 3)
+    ends, ab = (np.stack((x.ravel(), x[:, _NEXT].ravel())) for x in (vert, alphas))
+    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert,
+                       np.zeros(vert.size, dtype=bool))
+
+
+def face_record(spec):
+    """(side codes, corner alphas, side weights) of spec's face mesh, read
+    off its edge program."""
+    prog = spec_arrays(spec, face_mesh(spec)).program
+    side = prog.side[0]
+    return prog.codes[side], prog.alphas[prog.rev[0].astype(int), side], prog.etas[side]
+
+
 def stack_faces(samples):
     """The theta stage of single-face samples [(spec, f), ...] stacked as
     disjoint faces, in one kernel call: face k takes the record of its
     spec's face mesh and has corners 3k, 3k + 1 and 3k + 2."""
-    rows = [spec_arrays(spec, face_mesh(spec)).kernel for spec, _ in samples]
-    codes, alphas, etas = (np.array([r[i][0] for r in rows]).reshape(-1, 3)
-                           for i in (1, 2, 3))
+    rows = [face_record(spec) for spec, _ in samples]
+    codes, alphas, etas = (np.array([r[i] for r in rows]).reshape(-1, 3) for i in range(3))
     f = np.array([component_values(f, 3) for _, f in samples]).ravel()
-    return face_theta(np.arange(f.size).reshape(-1, 3), codes, alphas, etas, f)
+    return face_theta(disjoint_faces(codes, alphas, etas), f)
 
 
 def face_jacobians(samples):

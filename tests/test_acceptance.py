@@ -29,6 +29,7 @@ from hexcurv.lorentz import CausalClass, minkowski_dot
 from helpers import (
     ALL_FAMILIES,
     branch_samples,
+    disjoint_faces,
     face_f,
     face_jacobians,
     fd_dtheta_df,
@@ -92,7 +93,7 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
         arcs = stack_faces(bucket)
         status, _, _, _, m_center = face_centers(arcs)
         assert not status.any(), name
-        m = face_eval(arcs, np.ones(arcs.vert.size))
+        m = face_eval(arcs, np.ones(arcs.theta.size))
         worst[name] = max(map(_rel_err, m, fd_dtheta_df(bucket)))
         assert worst[name] < (1e-3 if name == "light-like" else 1e-5), name
         # the paper's center-distance formula reproduces the cosine-law matrix
@@ -113,7 +114,7 @@ def test_criterion_04_two_term_cosh_diagonal_identity():
         arcs = stack_faces([(spec, face_f(spec, u))
                             for u in sample_face_points(spec, tri, rng, 150)])
         assert not arcs.status.any(), fam
-        for mc, ch in zip(face_eval(arcs, np.ones(arcs.vert.size)), arcs.ch.tolist()):
+        for mc, ch in zip(face_eval(arcs, np.ones(arcs.theta.size)), arcs.ch.tolist()):
             worst = max(
                 worst,
                 abs(mc[0, 0] - (ch[0] * mc[1, 0] + ch[2] * mc[2, 0])),
@@ -271,8 +272,9 @@ def _hexagon_arcs(lengths, ratios):
     nxt, p, q = [1, 2, 0], [0, 0, 1], [2, 1, 2]
     chth = (ch[:, nxt] + ch[:, p] * ch[:, q]) / (sh[:, p] * sh[:, q])
     n = len(ch)
-    return Arcs(np.zeros(n, dtype=np.int64), np.full(n, -1), np.arccosh(chth),
-                np.arange(3 * n).reshape(-1, 3), ch, sh, np.array(ratios), chth)
+    prog = disjoint_faces(np.zeros((n, 3), dtype=int), np.zeros((n, 3)), np.zeros((n, 3)))
+    return Arcs(np.zeros(n, dtype=np.int64), np.full(n, -1), np.arccosh(chth), prog,
+                ch, sh, chth, (ch.ravel(), sh.ravel(), np.ravel(ratios)))
 
 
 def test_criterion_09_center_distance_identity_suite():
@@ -318,7 +320,7 @@ def test_criterion_09_center_distance_identity_suite():
     lengths, ratios, classes = zip(*drawn)
     arcs = _hexagon_arcs(lengths, ratios)
     status, _, branch, _, m = face_centers(arcs)
-    jac = face_eval(arcs, np.ones(arcs.vert.size))
+    jac = face_eval(arcs, np.ones(arcs.theta.size))
     assert not status.any()
     assert branch.tolist() == [TIME if c is CausalClass.TIME_LIKE else SPACE
                                for c in classes]
@@ -372,7 +374,6 @@ def test_criterion_11_convexity_witness():
 def test_criterion_12_energy_path_independence():
     rng = random.Random(12)
     tri = mesh.single_face()
-    face = tri.faces[0]
     worst = 0.0
     done = 0
     fams = ("A1", "A2", "A3", "MixedIII", "MixedI", "MixedII")
@@ -383,9 +384,9 @@ def test_criterion_12_energy_path_independence():
             continue
         a, b, c = pts
         try:
-            direct = solver.energy_face(spec, tri, face, a, b)
-            legs = solver.energy_face(spec, tri, face, a, c) + solver.energy_face(
-                spec, tri, face, c, b
+            direct = solver.energy_face(spec, tri, 0, a, b)
+            legs = solver.energy_face(spec, tri, 0, a, c) + solver.energy_face(
+                spec, tri, 0, c, b
             )
         except HexcurvError:
             continue

@@ -6,7 +6,7 @@ import pytest
 
 from hexcurv import conformal as cf
 from hexcurv import curvature, mesh, solver
-from hexcurv._kernels import _NEXT, edge_state
+from hexcurv._kernels import edge_state
 from hexcurv.errors import (
     DomainViolation,
     FamilyConstraint,
@@ -40,9 +40,11 @@ def face_edge_rules(spec, tri, fs):
     """(ok, cosh l, partial ratio) of the edges of a single-face mesh at
     every row of factors fs, in one call: edge m runs from corner m to
     corner m + 1."""
-    vert, codes, alphas, etas, _ = cf.spec_arrays(spec, tri).kernel
-    fv = np.asarray(fs)[:, vert[0]]
-    return edge_state(codes, alphas, alphas[:, _NEXT], fv, fv[:, _NEXT], etas)
+    prog = cf.spec_arrays(spec, tri).program
+    side = prog.side[0]
+    assert not prog.rev.any()  # each edge runs the way its one face side does
+    fa, fb = (np.asarray(fs)[:, e] for e in prog.ends[:, side])
+    return edge_state(prog.codes[side], *prog.alphas[:, side], fa, fb, prog.etas[side])
 
 
 def test_edge_length_a1_plain():

@@ -10,7 +10,7 @@ from hexcurv import curvature, mesh, solver
 from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
 from hexcurv._kernels import face_eval, face_theta
 from hexcurv._kernels.center import face_centers
-from hexcurv.errors import NotAdmissible
+from hexcurv.errors import FamilyConstraint, NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
 import scalar_ref
@@ -82,6 +82,32 @@ def test_first_failing_face_and_check_are_reported():
             assert err.value.edge == edge
 
 
+def test_edge_joining_two_special_components_is_found_once_and_raised_in_face_order():
+    # face 7 has the edge (1,2) between two special components at side 1,
+    # face 3 a factor outside the evaluable range; the edge program records
+    # the first such side when it is built, and evaluation raises for
+    # whichever face comes first
+    edges = [mesh.Edge(10 + k, a, b) for k, (a, b) in
+             enumerate(((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))]
+    a = mesh.Face(7, (0, 1, 2), (10, 11, 12))
+    b = mesh.Face(3, (3, 4, 5), (13, 14, 15))
+    spec = StructureSpec("MixedIII", {i: 0 for i in range(6)},
+                         {10 + k: 3.0 for k in range(6)}, special=frozenset({1, 2}))
+    out = {0: 0.0, 1: 0.0, 2: 0.0, 3: 200.0, 4: 0.0, 5: 0.0}
+    double = (FamilyConstraint, r"^edge \(1,2\) joins two special components$")
+    for faces, f, (cls, match) in (
+        ([a, b], out, double),
+        ([b, a], out, (NotAdmissible, "^face 3: factor magnitudes exceed")),
+        ([b, a], {i: 0.0 for i in range(6)}, double),
+        ([a, b], {**out, 0: 200.0}, double),  # the edge comes before the range
+    ):
+        tri = mesh.Triangulation(6, edges, faces, open_edges=True)
+        assert spec_arrays(spec, tri).program.double == (faces.index(a), 1)
+        for evaluate in (curvature.curvature_map, curvature.curvature_and_jacobian):
+            with pytest.raises(cls, match=match):
+                evaluate(spec, tri, f)
+
+
 def test_error_names_first_failure_of_the_per_face_loop():
     rng = random.Random(11)
     tri = sphere_triangulation(30, rng)
@@ -90,7 +116,8 @@ def test_error_names_first_failure_of_the_per_face_loop():
     for _ in range(30):
         f = {i: rng.uniform(-2.5, 0.5) for i in range(tri.n_boundary)}
         expected = None
-        _, codes, _, etas, _ = spec_arrays(spec, tri).kernel
+        prog = spec_arrays(spec, tri).program
+        codes, etas = prog.codes[prog.side], prog.etas[prog.side]
         for face, fc, fe in zip(tri.faces, codes.tolist(), etas.tolist()):
             status, bad, _ = scalar_ref.face_theta(
                 fc, [spec.alpha[v] for v in face.vertices], fe, [f[v] for v in face.vertices])
@@ -132,7 +159,7 @@ def test_dtheta_df_matches_fd_both_branches():
     for name, bucket in buckets.items():
         assert len(bucket) == 40, f"missing {name} samples"
         arcs = stack_faces(bucket)
-        an = face_eval(arcs, np.ones(arcs.vert.size))
+        an = face_eval(arcs, np.ones(arcs.theta.size))
         num = fd_dtheta_df(bucket)
         rel = np.abs(an - num) / np.maximum(1e-8, np.maximum(np.abs(num), np.abs(an)))
         assert rel.max() < 1e-5
@@ -144,7 +171,7 @@ def test_dtheta_df_light_like_branch():
     assert len(samples) == 10
     arcs = stack_faces(samples)
     assert np.all(np.abs(face_centers(arcs)[3]) <= 1e-10)
-    an = face_eval(arcs, np.ones(arcs.vert.size))
+    an = face_eval(arcs, np.ones(arcs.theta.size))
     num = fd_dtheta_df(samples)
     rel = np.abs(an - num) / np.maximum(1e-8, np.maximum(np.abs(num), np.abs(an)))
     assert rel.max() < 1e-3
@@ -167,7 +194,7 @@ def test_chain_rule_oracle_agreement():
         # the paper's center-distance matrix against the cosine-law one
         status, _, _, _, geo = face_centers(arcs)
         assert not status.any()
-        for g, chain in zip(geo, face_eval(arcs, np.ones(arcs.vert.size))):
+        for g, chain in zip(geo, face_eval(arcs, np.ones(arcs.theta.size))):
             assert np.max(np.abs(g - chain)) < 1e-9 * max(1.0, np.max(np.abs(chain)))
 
 
@@ -175,7 +202,7 @@ def test_reciprocal_cosh_diagonal_identity():
     # diagonals of the cosine-law matrix satisfy the two-term cosh relation
     rng = random.Random(4)
     for _, arcs in _family_arcs(rng, 60):
-        for mc, ch in zip(face_eval(arcs, np.ones(arcs.vert.size)), arcs.ch.tolist()):
+        for mc, ch in zip(face_eval(arcs, np.ones(arcs.theta.size)), arcs.ch.tolist()):
             assert abs(mc[0, 0] - (ch[0] * mc[1, 0] + ch[2] * mc[2, 0])) < 1e-10
             assert abs(mc[1, 1] - (ch[0] * mc[0, 1] + ch[1] * mc[2, 1])) < 1e-10
             assert abs(mc[2, 2] - (ch[2] * mc[0, 2] + ch[1] * mc[1, 2])) < 1e-10
@@ -245,9 +272,9 @@ def test_branch_coverage_statistics():
 def _dense_jacobian(spec, tri, f):
     """The u-Jacobian summed densely from the kernel's face blocks."""
     arrays = spec_arrays(spec, tri)
-    vert, codes, alphas, etas, _ = arrays.kernel
+    vert = arrays.program.vert
     fv = np.array([f[v] for v in range(tri.n_boundary)])
-    jac = face_eval(face_theta(vert, codes, alphas, etas, fv), arrays.cov.derivative(fv))
+    jac = face_eval(face_theta(arrays.program, fv), arrays.cov.derivative(fv))
     lam = np.zeros((tri.n_boundary, tri.n_boundary))
     np.add.at(lam, (vert[:, :, None], vert[:, None, :]), jac)
     return lam

@@ -35,13 +35,15 @@ import scipy.sparse.linalg
 
 from hexcurv import _kernels as kern
 from hexcurv._kernels.center import face_centers
-from hexcurv.conformal import spec_arrays
+from hexcurv.conformal import StructureSpec, edge_code, spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
+from hexcurv.mesh import pair_of_pants
 from hexcurv.tol import TAU_CAUSAL
 
 import scalar_ref
-from helpers import ALL_FAMILIES, branch_samples, face_f, face_mesh, light_like_samples
-from helpers import stack_faces
+from helpers import ALL_FAMILIES, branch_samples, disjoint_faces, face_f, face_mesh
+from helpers import face_record, light_like_samples, make_spec, sample_admissible_f
+from helpers import sphere_triangulation, stack_faces
 
 EPS = np.finfo(float).eps
 
@@ -66,11 +68,11 @@ def _draw(rng, case):
 
 def _face_row(rng, spec, f):
     """Scalar-kernel arguments of a single-face sample at factors f."""
-    _, codes, _, etas, _ = spec_arrays(spec, face_mesh(spec)).kernel
+    codes, _, etas = face_record(spec)
     return (
-        tuple(codes[0].tolist()),
+        tuple(codes.tolist()),
         tuple(spec.alpha[v] for v in range(3)),
-        tuple(etas[0].tolist()),
+        tuple(etas.tolist()),
         tuple(f.tolist()),
         tuple(rng.uniform(0.5, 2.0) for _ in range(3)),
     )
@@ -79,9 +81,8 @@ def _face_row(rng, spec, f):
 def _batched(rows):
     """Both stages of the batched kernel and its face-center diagnostic on
     scalar-kernel rows, one face per row."""
-    vert = np.arange(3 * len(rows)).reshape(-1, 3)
     codes, al, et, f, du = (np.array([r[i] for r in rows]) for i in range(5))
-    arcs = kern.face_theta(vert, codes, al.astype(float), et, f.ravel())
+    arcs = kern.face_theta(disjoint_faces(codes, al, et), f.ravel())
     return arcs, kern.face_eval(arcs, du.ravel()), face_centers(arcs)
 
 
@@ -175,11 +176,11 @@ def _outputs(row, center):
     return ys
 
 
-def _tolerance(monkeypatch, row, center):
-    """tol of _outputs(row, center) of one valid face, by the bound above."""
+def _tolerance(monkeypatch, outputs):
+    """tol of the scalar results outputs() returns, by the bound above."""
     tape = _Tape()
     monkeypatch.setattr(scalar_ref, "math", _TapedMath(tape))
-    ys = _outputs(row, center)
+    ys = outputs()
     monkeypatch.setattr(scalar_ref, "math", math)
     # result z = sum of dz/dparent * parent + its own difference:
     # (I - D) z = delta, so dy/dz is row y of (I - D)^-1
@@ -221,7 +222,7 @@ def test_batched_matches_scalar_reference(monkeypatch):
         if ref[0] != kern.OK:
             continue
         center = ref_c[0] == kern.OK
-        tol = _tolerance(monkeypatch, row, center)
+        tol = _tolerance(monkeypatch, lambda: _outputs(row, center))
         got = [arcs.theta[k], jac[k].ravel()]
         if center:
             got += [sigma[k:k + 1], m[k].ravel()]
@@ -295,7 +296,9 @@ def test_status_codes_match():
         assert (st_c[k], bad_c[k]) == scalar_ref.face_centers(*row[:4])[:2]
 
 
-def test_edge_state_domain_matches_scalar_rules():
+def test_edge_state_domain_matches_scalar_rules(monkeypatch):
+    # all six codes interleave in one call, so each lane must reach its own
+    # rule; ch and rho match the scalar rules within the first-order bound
     rng = random.Random(1)
     args = []
     for code in range(6):
@@ -303,10 +306,101 @@ def test_edge_state_domain_matches_scalar_rules():
             al = (rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1)))
             fa, fb = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
             args.append((code, *al, fa, fb, rng.uniform(-3.0, 3.0)))
+    rng.shuffle(args)
+    codes = [a[0] for a in args]
+    assert sum(x != y for x, y in zip(codes, codes[1:])) > 900
     ok, ch, rho = kern.edge_state(*map(np.array, zip(*args)))
     assert ok.tolist() == [scalar_ref._edge_state(*a)[0] for a in args]
     assert 0 < ok.sum() < len(args)
     assert not np.any(ch[~ok]) and not np.any(rho[~ok])
+    worst = 0.0
+    for k in np.flatnonzero(ok):
+        tol = _tolerance(monkeypatch, lambda: scalar_ref._edge_state(*args[k])[1:])
+        err = np.abs([ch[k], rho[k]] - np.array(scalar_ref._edge_state(*args[k])[1:]))
+        assert np.all(err <= tol), (args[k], err / tol)
+        worst = max(worst, float(np.max(err / tol)))
+    assert {args[k][0] for k in np.flatnonzero(ok)} == set(range(6))
+    print(f"worst error / tolerance {worst:.3f} over {ok.sum()} lanes")
+
+
+def _face_rows(spec, tri):
+    """(side codes, corner alphas, side weights) of every face of tri, read
+    off the mesh record, not the edge program."""
+    rows = [([edge_code(spec, v[m], v[(m + 1) % 3]) for m in range(3)],
+             [spec.alpha[x] for x in v], [spec.eta[e] for e in face.edge_ids])
+            for face in tri.faces for v in [face.vertices]]
+    return [np.array(x) for x in zip(*rows)]
+
+
+def _closed_meshes():
+    """A seeded sphere per family, then the pair of pants, whose two faces
+    run each edge the same way."""
+    rng = random.Random(21)
+    out = []
+    for fam in ALL_FAMILIES:
+        tri = sphere_triangulation(14, rng)
+        spec = make_spec(fam, tri, rng, regime="definite")
+        out.append((tri, spec, sample_admissible_f(spec, tri, rng, 2, scale=0.5)))
+    pants = StructureSpec("A1", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    out.append((pair_of_pants(), pants, [{0: 0.0, 1: 0.0, 2: 0.0},
+                                         {0: 0.3, 1: -0.2, 2: 0.1}]))
+    return out
+
+
+def test_shared_edges_match_disjoint_faces():
+    # each edge of a closed mesh is evaluated once and read by two face
+    # sides, on a sphere in opposite directions; the same faces as disjoint
+    # faces evaluate every side on its own, run forward
+    for tri, spec, points in _closed_meshes():
+        prog = spec_arrays(spec, tri).program
+        assert len(prog.codes) == len(tri.edges) == 1.5 * len(tri.faces)
+        assert np.all(np.bincount(prog.side.ravel()) == 2)
+        if len(tri.faces) > 2:
+            assert prog.rev.sum() == len(tri.edges)  # one reversed side per edge
+        else:
+            assert not prog.rev.any()
+        alone = disjoint_faces(*_face_rows(spec, tri))
+        cov = spec_arrays(spec, tri).cov
+        for f in points:
+            fv = np.array([f[i] for i in range(tri.n_boundary)])
+            arcs = kern.face_theta(prog, fv)
+            split = kern.face_theta(alone, fv[prog.vert].ravel())
+            assert not arcs.status.any() and not split.status.any()
+            assert arcs.theta.tobytes() == split.theta.tobytes(), spec.family
+            assert arcs.ch.tobytes() == split.ch.tobytes()
+            # a reversed side reads 1/rho of its edge
+            assert np.all(np.abs(arcs.rho - split.rho) <= 2 * EPS * np.abs(split.rho))
+            du = cov.derivative(fv)
+            jac = kern.face_eval(arcs, du)
+            jac_split = kern.face_eval(split, du[prog.vert].ravel())
+            err = np.max(np.abs(jac - jac_split)) / np.max(np.abs(jac))
+            assert err <= 1e-14, (spec.family, err)
+
+
+def test_a_failing_shared_edge_fails_both_faces():
+    # an edge that degenerates, or a corner outside its rule's domain, fails
+    # every face on it at that face's own side position, as the scalar
+    # reference evaluating each face alone reports
+    for tri in (sphere_triangulation(14, random.Random(22)), pair_of_pants()):
+        n = tri.n_boundary
+        edge = tri.edges[0]
+        alpha = {i: 0 for i in range(n)}
+        degenerate = StructureSpec("A1", alpha, {e.id: 1.5 if e is edge else 3.0
+                                                 for e in tri.edges})
+        outside = StructureSpec("A1", {**alpha, edge.a: -1},
+                                {e.id: 3.0 for e in tri.edges})
+        f = np.zeros(n)
+        f[edge.a] = 0.1  # 1 - e^{0.2} < 0 at the alpha = -1 corner
+        for spec, status, hit in (
+                (degenerate, kern.BAD_EDGE, [edge.id in x.edge_ids for x in tri.faces]),
+                (outside, kern.BAD_RANGE, [edge.a in x.vertices for x in tri.faces])):
+            arcs = kern.face_theta(spec_arrays(spec, tri).program, f)
+            ref = [scalar_ref.face_theta(*row, f[list(face.vertices)])[:2]
+                   for face, *row in zip(tri.faces, *_face_rows(spec, tri))]
+            assert list(zip(arcs.status.tolist(), arcs.bad.tolist())) == ref
+            assert (arcs.status[hit] == status).all() and not arcs.status[~np.array(hit)].any()
+            assert np.all(np.isfinite(arcs.theta))
+            assert np.all(np.isfinite(kern.face_eval(arcs, np.ones(n))))
 
 
 def test_edge_partials_are_the_length_derivatives():
@@ -366,9 +460,8 @@ def test_release_jacobian_matches_40_digit_cosine_law():
     assert len(samples) == 60 and not arcs.status.any()
     worst = 0.0
     with mpmath.workdps(40):
-        for (spec, f), jac in zip(samples, kern.face_eval(arcs, np.ones(arcs.vert.size))):
-            _, codes, alphas, etas, _ = spec_arrays(spec, face_mesh(spec)).kernel
-            row = (codes[0].tolist(), alphas[0].tolist(), etas[0].tolist())
+        for (spec, f), jac in zip(samples, kern.face_eval(arcs, np.ones(arcs.theta.size))):
+            row = [x.tolist() for x in face_record(spec)]
             ref = np.zeros((3, 3))
             for a in range(3):
                 for b in range(3):

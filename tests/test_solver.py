@@ -252,14 +252,13 @@ def test_energy_zero_segment_and_path_independence():
     tri = mesh.single_face()
     for fam in ("A1", "A3", "MixedIII"):
         spec = make_spec(fam, tri, rng)
-        face = tri.faces[0]
         pts = sample_admissible_u(spec, tri, rng, 3, scale=0.4)
         a, b, c = pts
-        assert solver.energy_face(spec, tri, face, a, a) == pytest.approx(0.0, abs=1e-12)
+        assert solver.energy_face(spec, tri, 0, a, a) == pytest.approx(0.0, abs=1e-12)
         mid = {i: 0.5 * (a[i] + c[i]) for i in a}
-        direct = solver.energy_face(spec, tri, face, a, b)
-        legs = solver.energy_face(spec, tri, face, a, c) + solver.energy_face(
-            spec, tri, face, c, b
+        direct = solver.energy_face(spec, tri, 0, a, b)
+        legs = solver.energy_face(spec, tri, 0, a, c) + solver.energy_face(
+            spec, tri, 0, c, b
         )
         assert abs(direct - legs) < 1e-8
 
@@ -288,13 +287,13 @@ def test_energy_face_reads_its_own_face_of_the_mesh():
     spec = make_spec("A3", tri, rng)
     a, b = sample_admissible_u(spec, tri, rng, 2, scale=0.5)
     alone = mesh.single_face()
-    for face in tri.faces:
+    for k, face in enumerate(tri.faces):
         vs = face.vertices
         spec1 = StructureSpec("A3", {i: spec.alpha[v] for i, v in enumerate(vs)},
                               {i: spec.eta[e] for i, e in enumerate(face.edge_ids)})
         ua, ub = ({i: u[v] for i, v in enumerate(vs)} for u in (a, b))
-        assert solver.energy_face(spec, tri, face, a, b) == pytest.approx(
-            solver.energy_face(spec1, alone, alone.faces[0], ua, ub), rel=1e-12)
+        assert solver.energy_face(spec, tri, k, a, b) == pytest.approx(
+            solver.energy_face(spec1, alone, 0, ua, ub), rel=1e-12)
 
 
 def test_energy_path_leaves_domain():
@@ -303,7 +302,7 @@ def test_energy_path_leaves_domain():
     u0 = solver.default_initial(spec, tri)
     bad = {i: -3.0 for i in u0}
     with pytest.raises(PathLeavesDomain):
-        solver.energy_face(spec, tri, tri.faces[0], u0, bad)
+        solver.energy_face(spec, tri, 0, u0, bad)
 
 
 def _tridiagonal(n, diag, off):
