@@ -13,31 +13,22 @@ sides and applies the hexagon cosine law
 
 (side o opposite corner a, sides p and q at it).  The derivative stage
 (face_eval) differentiates that law by the chain rule
-J = dtheta/dl . dl/df . df/du, without a second theta pass:
-
-    d theta_a / d l_o = sinh l_o / (sinh theta_a sinh l_p sinh l_q)
-    d theta_a / d l_b = -cosh theta_c * d theta_a / d l_o   (b = p, q)
-
-with c the other end of side b.  For an edge rule cosh l = s root +
+J = dtheta/dl . dl/df . df/du, without a second theta pass; its docstring
+gives the three entries per corner.  For an edge rule cosh l = s root +
 eta e^{f_a + f_b}, sinh l * dl/df_a = s droot/df_a + eta e^{f_a + f_b}
-equals cosh l + 1/rho, and sinh l * dl/df_b equals cosh l + rho.  The
-stage takes both once per edge and gathers them to the first and second
-corner of each face side.  All nine entries of each face are computed.
-The stage is singular only where sinh l or sinh theta vanishes, and the
-theta stage rejects both, so it has no status of its own.  The paper's
-face-center formula is the diagnostic center.face_centers.  The test
-suite holds the scalar reference of both stages and of the diagnostic.
+equals cosh l + 1/rho, and sinh l * dl/df_b equals cosh l + rho; the
+stage takes both once per edge.  It is singular only where sinh l or
+sinh theta vanishes, which the theta stage rejects, so it has no status
+of its own.  The paper's face-center formula is the diagnostic
+center.face_centers; the test suite holds a scalar reference of it and
+of both stages.
 
-Program layout.  vert holds the F x 3 corner ids of the faces; face side m
-runs from corner m to corner m + 1 mod 3.  Edges are sorted by rule code,
-so each code present is one contiguous group.  Per edge the program holds
-its end ids (a, b), its code, the alphas at a and b, its weight, and
-whether it joins two special components.  side maps each face side to its
-edge.  Orientation rule: rho of an edge is sinh d_ab / sinh d_ba, taken
-from a to b; a side that runs from b to a (rev) reads 1/rho, and its
-first corner takes the edge's derivative at b.  rho is the one quantity
-that depends on the direction: cosh l, sinh l and the domain check are
-symmetric in the two ends.
+Layout.  Both stages work on 3 x F face-side arrays: row m is side m or
+corner m of every face, so the shifts a + 1 and a - 1 pick whole rows.
+Side m runs from corner m to corner m + 1 mod 3; corner a lies between
+sides a and a - 1, opposite side a + 1.  rho of an edge is sinh d_ab /
+sinh d_ba, taken from its end a to its end b; a side that runs from b to
+a reads 1/rho, and its first corner takes the edge's derivative at b.
 
 Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
 5 factors outside the evaluable range or the edge rule's domain, 6
@@ -121,14 +112,14 @@ class EdgeProgram:
     vert (F x 3) holds the corner ids.  Per edge, sorted by rule code:
     ends (2 x E) the end ids a and b, codes, alphas (2 x E, at a and b),
     etas, and pair, whether the edge joins two special components.
-    groups holds (code, slice of its edges) per code present.  side (F x 3)
+    groups holds (code, slice of its edges) per code present.  side (3 x F)
     is the edge of each face side and rev whether the side runs from b to
     a; tail and head index the flattened 2 x E per-end values at the first
     and second corner of each side.  double is (face, side) of the first
     face side on an edge that joins two special components, or None.
 
     The constructor takes vert, then ends, codes, alphas and etas of the
-    edges in any one order, side as indices into that order, and pair.
+    edges in any one order, side (F x 3) as indices into it, and pair.
     """
 
     def __init__(self, vert, ends, codes, alphas, etas, side, pair):
@@ -139,27 +130,27 @@ class EdgeProgram:
         self.vert = np.asarray(vert, dtype=np.intp)
         self.ends, self.codes, self.alphas, self.etas, self.pair = (
             np.asarray(x)[..., order] for x in (ends, codes, alphas, etas, pair))
-        self.side = rank[side]
-        self.rev = self.vert != self.ends[0, self.side]
+        self.side = rank[np.transpose(side)]
+        self.rev = self.vert.T != self.ends[0, self.side]
         self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
         starts = np.flatnonzero(np.diff(self.codes, prepend=-1)).tolist()
         self.groups = tuple((int(self.codes[s]), slice(s, t))
                             for s, t in zip(starts, [*starts[1:], n]))
-        hit = self.pair[self.side]
+        hit = self.pair[self.side].T
         self.double = divmod(int(np.argmax(hit)), 3) if hit.any() else None
 
     def face(self, k):
         """The program of face k alone; its corners keep their ids."""
-        edges, side = np.unique(self.side[k], return_inverse=True)
+        edges, side = np.unique(self.side[:, k], return_inverse=True)
         return EdgeProgram(self.vert[k:k + 1], self.ends[:, edges], self.codes[edges],
                            self.alphas[:, edges], self.etas[edges], side.reshape(1, 3),
                            self.pair[edges])
 
 
 def _fail(status, bad, fails):
-    """Give each face still OK the first non-zero code of fails (F x 3)."""
-    pos = np.argmax(fails != OK, axis=1)
-    code = fails[np.arange(len(fails)), pos]
+    """Give each face still OK the first non-zero code of fails (3 x F)."""
+    pos = np.argmax(fails != OK, axis=0)
+    code = fails[pos, np.arange(len(status))]
     hit = (status == OK) & (code != OK)
     status[hit] = code[hit]
     bad[hit] = pos[hit]
@@ -167,12 +158,12 @@ def _fail(status, bad, fails):
 
 class Arcs(NamedTuple):
     """The theta stage of every face: status and bad position (see the
-    module docstring), the F x 3 arcs theta, the program, cosh and sinh of
-    the face sides, cosh of the arcs, and edge, the (cosh l, sinh l, rho)
-    of every program edge, which the derivative stage reuses.  Failed
-    edges carry the filler cosh l = 2 beside a finite non-zero rho, and
-    failed faces the regular hexagon's sides, or cosh theta = 2 at a
-    vanishing arc."""
+    module docstring), the arcs theta, the program, cosh and sinh of the
+    face sides, cosh of the arcs (all four F x 3 views of 3 x F arrays),
+    and edge, the (cosh l, sinh l, rho) of every program edge, which the
+    derivative stage reuses.  Failed edges carry the filler cosh l = 2
+    beside a finite non-zero rho, and failed faces the regular hexagon's
+    sides, or cosh theta = 2 at a vanishing arc."""
 
     status: np.ndarray
     bad: np.ndarray
@@ -189,7 +180,7 @@ class Arcs(NamedTuple):
         corner (1 on failed faces), gathered from the edges."""
         r = self.edge[2][self.prog.side]
         r = np.where(self.prog.rev, 1.0 / r, r)
-        return np.where((self.status == OK)[:, None], r, 1.0)
+        return np.where(self.status == OK, r, 1.0).T
 
 
 def face_theta(prog: EdgeProgram, f) -> Arcs:
@@ -217,35 +208,36 @@ def face_theta(prog: EdgeProgram, f) -> Arcs:
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
     chs, shs = ch[prog.side], sh[prog.side]
     if status.any():  # failed faces evaluate the regular hexagon
-        live = (status == OK)[:, None]
+        live = status == OK
         chs, shs = np.where(live, chs, 2.0), np.where(live, shs, _SH_FILL)
     # cosine law: corner a lies between sides a and a - 1, opposite side a + 1
-    chth = (chs[:, _NEXT] + chs * chs[:, _PREV]) / (shs * shs[:, _PREV])
+    chth = (chs[_NEXT] + chs * chs[_PREV]) / (shs * shs[_PREV])
     if not chth.min(initial=2.0) > 1.0:
         arc = chth > 1.0
         _fail(status, bad, np.where(arc, OK, BAD_ARC))
         chth = np.where(arc, chth, 2.0)
-    return Arcs(status, bad, np.arccosh(chth), prog, chs, shs, chth, (ch, sh, rho))
+    return Arcs(status, bad, np.arccosh(chth).T, prog, chs.T, shs.T, chth.T,
+                (ch, sh, rho))
 
 
 def face_eval(arcs: Arcs, du):
     """The derivative stage of every face, from its theta stage.
 
     du holds df/du per vertex id.  Returns jac, F x 3 x 3 with
-    jac[k, a, b] = d theta_a / d u of corner b of face k; entries of
-    failed faces are filler.
+    jac[k, a, b] = d theta_a / d u of corner b of face k, all nine entries
+    computed, none mirrored; entries of failed faces are filler.  On the
+    3 x F rows, with c_a = cosh theta_a and first_m, second_m the partials
+    dl_m/du of side m at its first and second corner:
+
+        d_a = d theta_a / d l_{a+1} = sinh l_{a+1} / (sinh theta_a sinh l_a sinh l_{a-1})
+        J[a, a]     = -d_a (c_{a+1} first_a + c_{a-1} second_{a-1})
+        J[a, a + 1] =  d_a (first_{a+1} - c_{a+1} second_a)
+        J[a, a - 1] =  d_a (second_{a+1} - c_{a-1} first_{a-1})
     """
-    sh, chth = arcs.sh, arcs.chth
+    sh, chth = arcs.sh.T, arcs.chth.T
     shth = np.sqrt((chth - 1.0) * (chth + 1.0))
-    # dtheta/dl: row a, column = side; side a + 1 is opposite corner a
-    d = sh[:, _NEXT] / (shth * sh * sh[:, _PREV])
-    dl = np.empty((len(sh), 3, 3))
-    dl[:, _ROWS, _NEXT] = d
-    dl[:, _ROWS, _ROWS] = -chth[:, _NEXT] * d
-    dl[:, _ROWS, _PREV] = -chth[:, _PREV] * d
-    # dl/df . df/du of each edge at its ends a and b, then at the first and
-    # second corner of each side; column b collects side b, which starts at
-    # corner b, and side b - 1, which ends there
+    d = sh[_NEXT] / (shth * sh * sh[_PREV])
+    # dl/df . df/du of each edge at its ends a and b, then at each side's corners
     ch_e, sh_e, rho_e = arcs.edge
     g = np.empty((2, len(ch_e)))
     g[0] = (ch_e + 1.0 / rho_e) / sh_e
@@ -253,4 +245,9 @@ def face_eval(arcs: Arcs, du):
     g *= np.asarray(du, dtype=float)[arcs.prog.ends]
     g = g.ravel()
     first, second = g[arcs.prog.tail], g[arcs.prog.head]
-    return dl * first[:, None, :] + dl[:, :, _PREV] * second[:, None, _PREV]
+    chn, chp = chth[_NEXT], chth[_PREV]
+    jac = np.empty((sh.shape[1], 3, 3))
+    jac[:, _ROWS, _ROWS] = (-d * (chn * first + chp * second[_PREV])).T
+    jac[:, _ROWS, _NEXT] = (d * (first[_NEXT] - chn * second)).T
+    jac[:, _ROWS, _PREV] = (d * (second[_NEXT] - chp * first[_PREV])).T
+    return jac

@@ -64,7 +64,7 @@ def face_centers(arcs: Arcs):
     den = 1.0 + rho * ch
     k0 = np.abs(num) < np.abs(den)
     k1 = np.abs(num) > np.abs(den)
-    _fail(status, bad, np.where(k0 | k1, OK, BAD_SPLIT))
+    _fail(status, bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
     live = (status == OK)[:, None]
     k0 &= live
     k1 &= live
@@ -114,7 +114,7 @@ def face_centers(arcs: Arcs):
     ratio = _div(hnum, hden, live[:, None] & (hden != 0.0))
     ratio = np.where((branch == LIGHT)[:, None], np.copysign(1.0, ratio), ratio)
     steep = (branch == SPACE)[:, None] & (np.abs(ratio) > 1e12)
-    _fail(status, bad, np.where((hden == 0.0) | steep, BAD_HEIGHT, OK))
+    _fail(status, bad, np.where((hden == 0.0) | steep, BAD_HEIGHT, OK).T)
 
     # Rows divide by the partial at the opposite endpoint.  For an edge
     # with a hyper-ideal center the two partials carry conjugate imaginary

@@ -101,13 +101,19 @@ def default_initial(spec: StructureSpec, tri) -> dict:
 
     Starts from per-chart base points and repairs feasibility by sweeping
     the pairwise constraints, nudging both coordinates of a violated pair
-    toward the constraint's interior.  The point is found once per (spec,
-    mesh) and kept as an array on spec_arrays(spec, tri).start.
+    toward the constraint's interior.
     """
+    return dict(enumerate(_kept_start(spec, tri).tolist()))
+
+
+def _kept_start(spec: StructureSpec, tri) -> np.ndarray:
+    """The default start, found once per (spec, mesh) and kept read-only
+    on spec_arrays(spec, tri).start; the solver reads it there."""
     arrays = spec_arrays(spec, tri)
     if arrays.start is None:
         arrays.start = np.array(list(_repaired_start(spec, tri).values()))
-    return dict(enumerate(arrays.start.tolist()))
+        arrays.start.flags.writeable = False
+    return arrays.start
 
 
 def _repaired_start(spec: StructureSpec, tri) -> dict:
@@ -170,13 +176,15 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
-    report notes it.
+    report notes it.  The factor has little fill, so SuperLU's panel
+    bookkeeping dominates: panel_size=1, relax=1 cut it (README).
     """
     perm, gather, rows, colptr = order
     try:
         lu = scipy.sparse.linalg.splu(
             scipy.sparse.csc_array((lam.data[gather], rows, colptr), shape=lam.shape),
-            permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+            options={"SymmetricMode": True})
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
@@ -220,20 +228,22 @@ def solve_prescribed_curvature(
         if not admissible(spec, tri, u).ok:
             raise NoFeasibleStart("user initial point is not admissible")
     else:
-        u = component_values(default_initial(spec, tri), n)
+        u = _kept_start(spec, tri)
 
     f = cov.to_f(u)
     K, arcs = curvature_and_arcs(spec, tri, f)
     res = float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
 
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         report.iterations = it
         report.residual = res
         if res <= opts.tol_K:
             report.converged = True
             report.quad_constant = _quad_constant(report.trajectory)
             return dict(enumerate(f.tolist())), report
+        if it == opts.max_iter:
+            break
         # the Jacobian, its LU and the arcs behind it are freed before any trial
         step = _solve_step(jacobian_from_arcs(tri, arcs, cov.derivative(f)),
                            K - tgt, report, tri.jacobian_order)
@@ -268,13 +278,6 @@ def solve_prescribed_curvature(
                 factors=dict(enumerate(f.tolist())), report=report,
             )
         report.trajectory.append(res)
-
-    report.iterations = opts.max_iter
-    report.residual = res
-    if res <= opts.tol_K:
-        report.converged = True
-        report.quad_constant = _quad_constant(report.trajectory)
-        return dict(enumerate(f.tolist())), report
     raise NotConverged(
         f"no convergence in {opts.max_iter} iterations (residual {res})",
         factors=dict(enumerate(f.tolist())), report=report,

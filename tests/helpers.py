@@ -27,6 +27,43 @@ def sphere_triangulation(n_vertices, rng):
         v = nv
         nv += 1
         faces.extend([(a, b, v), (b, c, v), (c, a, v)])
+    return _triangulation(nv, faces)
+
+
+def flipped_sphere(n_vertices, rng, flips):
+    """sphere_triangulation with flips random edge flips tried on it.
+
+    A flip replaces the edge ab of faces abc and bad by the edge cd; it is
+    skipped where c and d are already adjacent.  Stacked spheres have
+    chordal vertex graphs, so their Jacobians factor without fill in a
+    minimum-degree order; flipped ones need not.
+    """
+    faces = [f.vertices for f in sphere_triangulation(n_vertices, rng).faces]
+    owner = {}  # directed side -> the face it bounds
+
+    def own(k):
+        for m in range(3):
+            owner[faces[k][m], faces[k][m - 2]] = k
+
+    for k in range(len(faces)):
+        own(k)
+    for _ in range(flips):
+        k, m = rng.randrange(len(faces)), rng.randrange(3)
+        a, b, c = faces[k][m], faces[k][m - 2], faces[k][m - 1]
+        j = owner[b, a]
+        d = next(v for v in faces[j] if v not in (a, b))
+        if (c, d) in owner:
+            continue
+        del owner[a, b], owner[b, a]
+        faces[k], faces[j] = (a, d, c), (d, b, c)
+        own(k)
+        own(j)
+    return _triangulation(n_vertices, faces)
+
+
+def _triangulation(nv, faces):
+    """The Triangulation of oriented vertex triples, edges numbered in order
+    of first appearance."""
     edge_ids = {}
     edges = []
 
@@ -193,8 +230,8 @@ def face_record(spec):
     """(side codes, corner alphas, side weights) of spec's face mesh, read
     off its edge program."""
     prog = spec_arrays(spec, face_mesh(spec)).program
-    side = prog.side[0]
-    return prog.codes[side], prog.alphas[prog.rev[0].astype(int), side], prog.etas[side]
+    side = prog.side[:, 0]
+    return prog.codes[side], prog.alphas[prog.rev[:, 0].astype(int), side], prog.etas[side]
 
 
 def stack_faces(samples):

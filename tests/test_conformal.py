@@ -41,7 +41,7 @@ def face_edge_rules(spec, tri, fs):
     every row of factors fs, in one call: edge m runs from corner m to
     corner m + 1."""
     prog = cf.spec_arrays(spec, tri).program
-    side = prog.side[0]
+    side = prog.side[:, 0]
     assert not prog.rev.any()  # each edge runs the way its one face side does
     fa, fb = (np.asarray(fs)[:, e] for e in prog.ends[:, side])
     return edge_state(prog.codes[side], *prog.alphas[:, side], fa, fb, prog.etas[side])

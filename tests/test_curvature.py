@@ -117,7 +117,7 @@ def test_error_names_first_failure_of_the_per_face_loop():
         f = {i: rng.uniform(-2.5, 0.5) for i in range(tri.n_boundary)}
         expected = None
         prog = spec_arrays(spec, tri).program
-        codes, etas = prog.codes[prog.side], prog.etas[prog.side]
+        codes, etas = prog.codes[prog.side.T], prog.etas[prog.side.T]
         for face, fc, fe in zip(tri.faces, codes.tolist(), etas.tolist()):
             status, bad, _ = scalar_ref.face_theta(
                 fc, [spec.alpha[v] for v in face.vertices], fe, [f[v] for v in face.vertices])

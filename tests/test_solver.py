@@ -11,7 +11,8 @@ from hexcurv.conformal import StructureSpec, admissible, f_from_u, u_from_f
 from hexcurv.errors import HexcurvError, NoFeasibleStart, NotConverged, PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
 
-from helpers import ALL_FAMILIES, make_spec, sample_admissible_f, sample_admissible_u, sphere_triangulation
+from helpers import ALL_FAMILIES, flipped_sphere, make_spec, sample_admissible_f, sample_admissible_u
+from helpers import sphere_triangulation
 
 ACOSH2 = math.acosh(2.0)
 
@@ -310,11 +311,12 @@ def _tridiagonal(n, diag, off):
                                     shape=(n, n), format="csc")
 
 
-def _sphere_jacobian(n, shifted):
+def _sphere_jacobian(n, shifted, flips=0):
     """An A3 sphere Jacobian (negative definite); shifted, it is indefinite:
-    minus the midpoint of its widest eigenvalue gap past the 100 lowest."""
+    minus the midpoint of its widest eigenvalue gap past the 100 lowest.
+    With flips, the sphere is flipped_sphere's and its factor has fill."""
     rng = random.Random(n)
-    tri = sphere_triangulation(n, rng)
+    tri = flipped_sphere(n, rng, flips)
     spec = make_spec("A3", tri, rng)
     lam = curvature.curvature_and_jacobian(
         spec, tri, sample_admissible_f(spec, tri, rng, 1, scale=0.5)[0])[1]
@@ -337,6 +339,8 @@ def _sphere_jacobian(n, shifted):
     pytest.param(lambda: _tridiagonal(600, 0.0, 1.0), id="zero-diagonal-600"),
     pytest.param(lambda: _sphere_jacobian(600, shifted=False), id="sphere-600"),
     pytest.param(lambda: _sphere_jacobian(600, shifted=True), id="sphere-shifted-600"),
+    pytest.param(lambda: _sphere_jacobian(600, False, 600), id="flipped-sphere-600"),
+    pytest.param(lambda: _sphere_jacobian(600, True, 600), id="flipped-sphere-shifted-600"),
 ])
 def test_newton_step_notes_exactly_the_indefinite_jacobians(make):
     lam = make()
@@ -346,6 +350,31 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make):
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
     definite = np.linalg.eigvalsh(lam.toarray()).max() < 0.0
     assert report.notes == ([] if definite else ["jacobian indefinite at an iterate"])
+
+
+def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
+    # a stacked sphere's Jacobian factors without fill in its elimination
+    # order; a flipped sphere's takes SuperLU's supernodal updates
+    rng = random.Random(5)
+    tri = flipped_sphere(300, rng, 300)
+    spec = make_spec("A1", tri, rng)
+    f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
+    K0 = curvature.curvature_map(spec, tri, f0)
+    tri.jacobian_order  # the mesh's own SuperLU call comes first
+    factors = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(lam, **kwargs):
+        factors.append((lam, splu(lam, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    f, rep = solver.solve_prescribed_curvature(
+        spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
+    assert rep.converged and rep.iterations == len(factors) > 0
+    assert max(abs(f[i] - f0[i]) for i in f0) < 1e-8
+    for lam, lu in factors:
+        assert lu.L.nnz + lu.U.nnz > lam.nnz + tri.n_boundary
 
 
 def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
@@ -467,6 +496,17 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
         u[0] += 1.0  # the caller's dict is its own
         del u[1]
     assert builds == [specs[k] for k in (0, 1, 0, 2, 1)]
+    # the solver starts from the kept array, with the bits of the dict
+    starts, evaluate = [], solver.curvature_and_arcs
+    monkeypatch.setattr(solver, "curvature_and_arcs",
+                        lambda spec, tri_, f: starts.append(f) or evaluate(spec, tri_, f))
+    for k, spec in enumerate(specs):
+        f = f_from_u(spec, solver.default_initial(spec, tri))
+        target = curvature.curvature_map(spec, tri, f)
+        built = len(builds)
+        _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        assert rep.converged and rep.iterations == 0 and len(builds) == built
+        assert starts[k].tobytes() == np.array(list(f.values())).tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [
