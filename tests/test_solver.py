@@ -496,7 +496,7 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
         u[0] += 1.0  # the caller's dict is its own
         del u[1]
     assert builds == [specs[k] for k in (0, 1, 0, 2, 1)]
-    # the solver starts from the kept array, with the bits of the dict
+    # the solver starts from the kept array, not the dict, with the same bits
     starts, evaluate = [], solver.curvature_and_arcs
     monkeypatch.setattr(solver, "curvature_and_arcs",
                         lambda spec, tri_, f: starts.append(f) or evaluate(spec, tri_, f))
@@ -504,7 +504,9 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
         f = f_from_u(spec, solver.default_initial(spec, tri))
         target = curvature.curvature_map(spec, tri, f)
         built = len(builds)
-        _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "default_initial", None)
+            _, rep = solver.solve_prescribed_curvature(spec, tri, target)
         assert rep.converged and rep.iterations == 0 and len(builds) == built
         assert starts[k].tobytes() == np.array(list(f.values())).tobytes()
 
