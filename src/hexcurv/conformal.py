@@ -283,10 +283,11 @@ class SpecArrays:
     every component; program, the evaluation kernel's EdgeProgram of the
     faces in face order, each edge oriented the way its first face side
     runs; polytope, set by polytope() on first use; start, the default
-    start in u, set by solver.default_initial on first use."""
+    start in u, and unproven, whether no existence theorem covers the
+    configuration, each set by the solver on first use."""
 
     def __init__(self, spec: StructureSpec, tri):
-        self.spec, self.polytope, self.start = spec, None, None
+        self.spec, self.polytope, self.start, self.unproven = spec, None, None, None
         n = tri.n_boundary
         self.cov = ChangeOfVariables(spec, range(n))
         vert, epos, eids = tri.face_arrays

@@ -9,8 +9,12 @@ rule, and its derivative stage (_kernels.face_eval), the cosine-law chain
 rule.  Only f is converted per call; f is a mapping or an array indexed by
 component.  curvature_and_arcs keeps the theta stage beside K, and
 jacobian_from_arcs builds the Jacobian from it without a second theta
-pass; the Newton solver evaluates each trial point that way.  Only the
-theta stage can fail, so a point whose K evaluates also has a Jacobian.
+pass; the Newton solver evaluates each trial point that way.  One helper,
+_jacobian_data, sums the derivative stage's face blocks into CSC data
+under a slot map: the mesh's natural one for jacobian_from_arcs and
+curvature_and_jacobian, the one into the elimination order for the
+solver, with the same bits per entry.  Only the theta stage can fail, so
+a point whose K evaluates also has a Jacobian.
 An edge that joins two special components is found once, when the program
 is built (EdgeProgram.double); evaluation raises FamilyConstraint for it
 unless a face before the one holding it fails first.  On a mesh of one
@@ -79,15 +83,23 @@ def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     return curvature_and_arcs(spec, tri, f)[0]
 
 
+def _jacobian_data(tri, arcs, du, slot) -> np.ndarray:
+    """The CSC data of the u-Jacobian under a slot map of the F x 3 x 3
+    face-block entries: tri.jacobian_pattern's for J, tri.jacobian_factor_slot
+    for P J P^T.  Each entry sums its face-block values in face order, so
+    both maps give the same bits.  Raises for the first failing face of the
+    theta stage."""
+    _raise_first(tri.faces, arcs)
+    return _sums(slot, face_eval(arcs, du), len(tri.jacobian_pattern[1]))
+
+
 def jacobian_from_arcs(tri, arcs, du):
     """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
     components that share a face) from the theta stage at f; du is df/du
     at f.  Raises for the first failing face of the theta stage."""
-    _raise_first(tri.faces, arcs)
     slot, rows, colptr = tri.jacobian_pattern
     n = tri.n_boundary
-    jac = face_eval(arcs, du)
-    return scipy.sparse.csc_array((_sums(slot, jac, len(rows)), rows, colptr),
+    return scipy.sparse.csc_array((_jacobian_data(tri, arcs, du, slot), rows, colptr),
                                   shape=(n, n))
 
 

@@ -29,14 +29,17 @@ FORMAT_VERSION = 1
 
 
 def elimination_order(rows, colptr) -> tuple:
-    """(order, gather, rows, column pointers) of a square pattern given in
-    canonical CSC form.
+    """(order, gather, rows, column pointers, diagonal) of a square pattern
+    given in canonical CSC form.
 
     order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
     minimum-degree order of A + A^T, then its elimination-tree postorder),
     as an index array: P A P^T = A[order][:, order].  A's CSC data indexed
     by gather is the CSC data of P A P^T under the returned rows and column
-    pointers.  The order depends on the pattern alone, so it is read off a
+    pointers (C ints, as SuperLU takes them, so no factorization converts
+    them); diagonal holds the positions of the diagonal entries in that
+    data, column by column, and is shorter than the order where the pattern
+    lacks some.  The order depends on the pattern alone, so it is read off a
     column diagonally dominant matrix with the pattern plus the diagonal,
     which factors without pivoting.
     """
@@ -53,9 +56,11 @@ def elimination_order(rows, colptr) -> tuple:
         options={"SymmetricMode": True}).perm_c
     new_rows, new_cols = position[rows], position[col]
     gather = np.lexsort((new_rows, new_cols))
-    new_colptr = np.zeros(n + 1, dtype=np.intp)
+    new_rows, new_cols = new_rows[gather], new_cols[gather]
+    new_colptr = np.zeros(n + 1, dtype=np.intc)
     np.cumsum(np.bincount(new_cols, minlength=n), out=new_colptr[1:])
-    return np.argsort(position), gather, new_rows[gather], new_colptr
+    return (np.argsort(position), gather, new_rows.astype(np.intc), new_colptr,
+            np.flatnonzero(new_rows == new_cols))
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,8 @@ class Triangulation:
         pointers) of the u-Jacobian in canonical CSC form, built on first use;
         entries at one (row, column), as in a face repeating a component,
         share a slot.  It depends on the mesh alone, so every spec shares it,
-        as does jacobian_order; the arrays that depend on the spec are kept
-        on spec_memo."""
+        as do jacobian_order and jacobian_factor_slot; the arrays that depend
+        on the spec are kept on spec_memo."""
         vert, n = self.face_arrays[0], self.n_boundary
         keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
         keys, slot = np.unique(keys, return_inverse=True)
@@ -167,8 +172,20 @@ class Triangulation:
     @cached_property
     def jacobian_order(self) -> tuple:
         """elimination_order of jacobian_pattern, built on first use: the
-        Newton solver factors every Jacobian of this mesh in that order."""
+        Newton solver factors every Jacobian of this mesh in that order.
+        Every component lies on a face, so the pattern holds the diagonal."""
         return elimination_order(*self.jacobian_pattern[1:])
+
+    @cached_property
+    def jacobian_factor_slot(self) -> np.ndarray:
+        """jacobian_pattern's slot map composed with jacobian_order's gather,
+        built on first use: the slot of each F x 3 x 3 face-block entry in
+        the CSC data of P J P^T, into which the Newton solver sums the face
+        blocks directly.  Every spec shares it."""
+        gather = self.jacobian_order[1]
+        place = np.empty_like(gather)
+        place[gather] = np.arange(len(gather))
+        return place[self.jacobian_pattern[0]]
 
     def face_edges(self, face: Face):
         return [self.edge_by_id[eid] for eid in face.edge_ids]

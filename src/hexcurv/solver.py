@@ -3,16 +3,21 @@
 Inverts the curvature map: given a positive target vector, finds the
 factors whose boundary curvatures match it.  Works in the u-coordinates,
 where the Jacobian is symmetric and, outside the hyper-ideal split
-windows, negative definite.  Each Newton step factors the sparse
-Jacobian once; backtracking damping keeps iterates inside the admissible
-polytope and the residual strictly decreasing.
+windows, negative definite.  Each Newton step sums the face blocks
+straight into the Jacobian permuted to its elimination order, builds one
+sparse array and factors it once; a Gershgorin certificate on that array
+decides definiteness, and only where it fails are the pivots read.
+Backtracking damping keeps iterates inside the admissible polytope and
+the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
-pattern and its elimination order (Triangulation.jacobian_pattern and
-jacobian_order).  Per (spec, mesh): the default start, beside the spec's
-other arrays on conformal.spec_arrays.  Per iterate, one theta pass of the
-kernel gives the trial's residual and, once the trial is accepted and a
-step is needed, the Jacobian.
+pattern, its elimination order with the diagonal positions, and the slot
+map into that order (Triangulation.jacobian_pattern, jacobian_order and
+jacobian_factor_slot).  Per (spec, mesh): the default start and the
+existence verdict, beside the spec's other arrays on
+conformal.spec_arrays.  Per iterate, one theta pass of the kernel gives
+the trial's residual and, once the trial is accepted and a step is
+needed, the Jacobian.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import scipy.sparse.linalg
 
 from ._kernels import face_theta
 from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
-from .curvature import _raise_first, curvature_and_arcs, jacobian_from_arcs
+from .curvature import _jacobian_data, _raise_first, curvature_and_arcs
 from .errors import (
     HexcurvError,
     NoFeasibleStart,
@@ -66,7 +71,15 @@ class SolveReport:
 
 
 def existence_unproven(spec: StructureSpec, tri) -> bool:
-    """Whether the configuration sits outside the proven-solvable classes."""
+    """Whether the configuration sits outside the proven-solvable classes;
+    decided once per (spec, mesh) and kept on spec_arrays(spec, tri)."""
+    arrays = spec_arrays(spec, tri)
+    if arrays.unproven is None:
+        arrays.unproven = _unproven(spec, tri)
+    return arrays.unproven
+
+
+def _unproven(spec: StructureSpec, tri) -> bool:
     fam = spec.family
     if fam == "A3" or fam == "MixedIII":
         return False
@@ -165,35 +178,46 @@ def _repaired_start(spec: StructureSpec, tri) -> dict:
     )
 
 
-def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
+def _solve_step(data, g: np.ndarray, report: SolveReport, order: tuple):
     """lam^-1 g from one sparse LU factorization of the symmetric lam, or
     None where SuperLU finds lam exactly singular.
 
-    order is mesh.elimination_order of lam's pattern: lam's data is
-    gathered into P lam P^T = lam[perm][:, perm], which SuperLU factors in
-    its natural order.
+    order is mesh.elimination_order of lam's pattern, and data the CSC data
+    of P lam P^T = lam[perm][:, perm] under its rows and column pointers,
+    which SuperLU factors in its natural order.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
-    report notes it.  The factor has little fill, so SuperLU's panel
-    bookkeeping dominates: panel_size=1, relax=1 cut it (README).
+    report notes it.  The pivots are read only when a Gershgorin
+    certificate fails.  Where every column j has 2 lam_jj + sum_i |lam_ij| < 0
+    (a negative diagonal, strictly dominant), so does every leading block
+    A_k of P lam P^T, whose eigenvalues then lie in the open left
+    half-plane: det A_k has the sign of (-1)^k, and the k-th pivot,
+    det A_k / det A_(k-1), is negative.  Reading the pivots, which builds L
+    and U, would say nothing new.
+    The factor has little fill, so SuperLU's panel bookkeeping dominates:
+    panel_size=1, relax=1 cut it (README).
     """
-    perm, gather, rows, colptr = order
+    perm, _, rows, colptr, diag = order
+    n = len(g)
     try:
         lu = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_array((lam.data[gather], rows, colptr), shape=lam.shape),
+            scipy.sparse.csc_array((data, rows, colptr), shape=(n, n)),
             permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
             options={"SymmetricMode": True})
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
         return None
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() < 0.0)):
+    certified = len(diag) == n and np.all(
+        2.0 * data[diag] + np.add.reduceat(np.abs(data), colptr[:-1]) < 0.0)
+    if not certified and not (np.array_equal(lu.perm_r, lu.perm_c)
+                              and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
         if note not in report.notes:
             report.notes.append(note)
-    step = np.empty(len(g))
+    step = np.empty(n)
     step[perm] = lu.solve(g[perm])
     return step
 
@@ -245,8 +269,9 @@ def solve_prescribed_curvature(
         if it == opts.max_iter:
             break
         # the Jacobian, its LU and the arcs behind it are freed before any trial
-        step = _solve_step(jacobian_from_arcs(tri, arcs, cov.derivative(f)),
-                           K - tgt, report, tri.jacobian_order)
+        step = _solve_step(
+            _jacobian_data(tri, arcs, cov.derivative(f), tri.jacobian_factor_slot),
+            K - tgt, report, tri.jacobian_order)
         if step is None:
             raise NotConverged(
                 f"jacobian exactly singular at residual {res}",

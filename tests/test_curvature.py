@@ -318,7 +318,10 @@ def test_dict_and_array_factors_give_identical_results():
 def test_jacobian_order_is_superlus_mmd_order(n):
     rng = random.Random(n)
     tri = sphere_triangulation(n, rng)
-    order, gather, rows, colptr = tri.jacobian_order
+    order, gather, rows, colptr, diag = tri.jacobian_order
+    # the diagonal entry of every column, in column order
+    assert np.array_equal(rows[diag], np.arange(n))
+    assert np.all((colptr[:-1] <= diag) & (diag < colptr[1:]))
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng, regime="definite")
         for f in sample_admissible_f(spec, tri, rng, 2, scale=0.5):
@@ -332,3 +335,9 @@ def test_jacobian_order_is_superlus_mmd_order(n):
             assert permuted.has_canonical_format
             assert permuted.toarray().tobytes() == \
                 lam.toarray()[np.ix_(order, order)].tobytes()
+            # the face blocks summed straight into P J P^T give the same bits
+            fv = np.array([f[i] for i in range(n)])
+            arcs = curvature.curvature_and_arcs(spec, tri, fv)[1]
+            data = curvature._jacobian_data(tri, arcs, spec_arrays(spec, tri).cov.derivative(fv),
+                                            tri.jacobian_factor_slot)
+            assert data.tobytes() == permuted.data.tobytes()

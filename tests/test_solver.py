@@ -104,6 +104,35 @@ def test_existence_unproven_flags():
         assert solver.existence_unproven(spec, tri) == want, spec
 
 
+def test_existence_verdict_is_kept_per_spec_and_mesh(monkeypatch):
+    rng = random.Random(23)
+    tri = sphere_triangulation(30, rng)
+    specs = [make_spec(fam, tri, rng) for fam in ALL_FAMILIES]
+    # each reference decided by the full scan on a fresh copy of the mesh
+    fresh = [solver._unproven(spec, sphere_triangulation(30, random.Random(23)))
+             for spec in specs]
+    assert True in fresh and False in fresh
+    builds, scan = [], solver._unproven
+    monkeypatch.setattr(solver, "_unproven",
+                        lambda spec, tri_: builds.append(spec) or scan(spec, tri_))
+    for k in (0, 1, 1, 2, 3, 4, 4, 5, 5, 0):
+        assert solver.existence_unproven(specs[k], tri) == fresh[k]
+    assert builds == [specs[k] for k in (0, 1, 2, 3, 4, 5, 0)]
+    # repeated solves read the kept verdict and note it as before; the mesh
+    # keeps the last spec's, so each other spec's is decided once more
+    note = ("no existence theorem covers this configuration; "
+            "a failed solve is not evidence either way about the target")
+    for k, spec in enumerate(specs):
+        f = f_from_u(spec, solver.default_initial(spec, tri))
+        target = curvature.curvature_map(spec, tri, f)
+        built = len(builds)
+        for _ in range(2):
+            _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+            assert rep.existence_unproven == fresh[k]
+            assert rep.notes == ([note] if fresh[k] else [])
+        assert len(builds) == built + (k != 0)
+
+
 def test_user_initial_and_report_fields():
     tri = mesh.pair_of_pants()
     spec = pants_spec()
@@ -220,18 +249,22 @@ def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
 
 
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
-    build = solver.jacobian_from_arcs
+    build, built = solver._jacobian_data, []
 
-    def zero_first_row_and_column(*args):
-        lam = build(*args)
-        cols = np.repeat(np.arange(lam.shape[1]), np.diff(lam.indptr))
-        lam.data[(lam.indices == 0) | (cols == 0)] = 0.0
-        return lam
+    def zero_first_row_and_column(tri, *args):
+        data = build(tri, *args)
+        order, _, rows, colptr, _ = tri.jacobian_order
+        first = int(np.flatnonzero(order == 0)[0])  # component 0 in factor order
+        cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
+        data[(rows == first) | (cols == first)] = 0.0
+        built.append(data)
+        return data
 
-    monkeypatch.setattr(solver, "jacobian_from_arcs", zero_first_row_and_column)
+    monkeypatch.setattr(solver, "_jacobian_data", zero_first_row_and_column)
     with pytest.raises(NotConverged, match="exactly singular") as err:
         solver.solve_prescribed_curvature(pants_spec(), mesh.pair_of_pants(),
                                           {i: 2.0 for i in range(3)})
+    assert len(built) == 1
     assert err.value.factors is not None and err.value.report.trajectory
 
 
@@ -328,9 +361,35 @@ def _sphere_jacobian(n, shifted, flips=0):
     return (lam - mid).tocsc()
 
 
+def _factored(data, order):
+    """The matrix P lam P^T that _solve_step factors, from its CSC data."""
+    rows, colptr = order[2:4]
+    n = len(colptr) - 1
+    return scipy.sparse.csc_array((data, rows, colptr), shape=(n, n))
+
+
+class _CountingLU:
+    """A SuperLU factorization that records the reads of its pivots: the
+    row and column permutations and the L and U factors, which are built
+    on each read."""
+
+    def __init__(self, lu, reads):
+        self._lu, self._reads = lu, reads
+
+    def __getattr__(self, name):
+        if name in ("perm_r", "perm_c", "L", "U"):
+            self._reads.append(name)
+        return getattr(self._lu, name)
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _tridiagonal(40, -3.0, 1.0), id="definite-40"),
     pytest.param(lambda: _tridiagonal(600, -3.0, 1.0), id="definite-600"),
+    # definite, but not strictly dominant: the pivots decide
+    pytest.param(lambda: _tridiagonal(40, -2.0, 1.0), id="definite-weak-40"),
+    pytest.param(lambda: _tridiagonal(600, -2.0, 1.0), id="definite-weak-600"),
+    # strictly dominant, but with a positive diagonal
+    pytest.param(lambda: _tridiagonal(40, 3.0, 1.0), id="positive-dominant-40"),
     pytest.param(lambda: _tridiagonal(40, -1.0, 1.0), id="indefinite-40"),
     pytest.param(lambda: _tridiagonal(600, -1.0, 1.0), id="indefinite-600"),
     pytest.param(lambda: _tridiagonal(2, 0.0, 1.0), id="zero-diagonal-2"),
@@ -342,14 +401,23 @@ def _sphere_jacobian(n, shifted, flips=0):
     pytest.param(lambda: _sphere_jacobian(600, False, 600), id="flipped-sphere-600"),
     pytest.param(lambda: _sphere_jacobian(600, True, 600), id="flipped-sphere-shifted-600"),
 ])
-def test_newton_step_notes_exactly_the_indefinite_jacobians(make):
+def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     lam = make()
     g = np.random.default_rng(lam.shape[0]).standard_normal(lam.shape[0])
     report = solver.SolveReport(False, 0, math.inf)
-    step = solver._solve_step(lam, g, report, mesh.elimination_order(lam.indices, lam.indptr))
+    order = mesh.elimination_order(lam.indices, lam.indptr)
+    reads, splu = [], scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
+    step = solver._solve_step(lam.data[order[1]], g, report, order)
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
-    definite = np.linalg.eigvalsh(lam.toarray()).max() < 0.0
+    dense = lam.toarray()
+    definite = np.linalg.eigvalsh(dense).max() < 0.0
     assert report.notes == ([] if definite else ["jacobian indefinite at an iterate"])
+    # the pivots are read exactly when the Gershgorin certificate fails, so
+    # L and U are never built for a certified matrix
+    dominant = np.all(2.0 * np.diag(dense) + np.abs(dense).sum(axis=0) < 0.0)
+    assert bool(reads) == (not dominant)
 
 
 def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
@@ -379,35 +447,43 @@ def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
 
 def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
     """Roundtrip solve as in test_rigidity_roundtrip_all_families; also
-    returns the largest eigenvalue of every Jacobian the solve factored."""
+    returns the largest eigenvalue of every Jacobian the solve factored and
+    the reads of their pivots."""
     rng = random.Random(seed)
     spec = make_spec(fam, tri, rng)
     f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
     K0 = curvature.curvature_map(spec, tri, f0)
-    tops = []
-    step = solver._solve_step
+    tops, reads = [], []
+    step, splu = solver._solve_step, scipy.sparse.linalg.splu
 
-    def recording(lam, *args):
-        tops.append(np.linalg.eigvalsh(lam.toarray()).max())
-        return step(lam, *args)
+    def recording(data, g, report, order):
+        tops.append(np.linalg.eigvalsh(_factored(data, order).toarray()).max())
+        return step(data, g, report, order)
 
-    monkeypatch.setattr(solver, "_solve_step", recording)
-    _, rep = solver.solve_prescribed_curvature(
-        spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
+    tri.jacobian_order  # the mesh's own SuperLU call comes first
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_solve_step", recording)
+        m.setattr(scipy.sparse.linalg, "splu",
+                  lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
+        _, rep = solver.solve_prescribed_curvature(
+            spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
     assert rep.converged
-    return rep, tops
+    return rep, tops, reads
 
 
 def test_indefinite_note_follows_the_jacobians(monkeypatch):
     # the default MixedI window sits in the hyper-ideal split regime
-    rep, tops = _solve_recording_jacobians("MixedI", mesh.pair_of_pants(), 0,
-                                           monkeypatch)
+    rep, tops, reads = _solve_recording_jacobians("MixedI", mesh.pair_of_pants(), 0,
+                                                  monkeypatch)
     assert max(tops) > 0.0
     assert "jacobian indefinite at an iterate" in rep.notes
-    rep, tops = _solve_recording_jacobians(
+    assert reads
+    # an A3 sphere's Jacobians are certified: no pivot is read, no L or U built
+    rep, tops, reads = _solve_recording_jacobians(
         "A3", sphere_triangulation(10, random.Random(0)), 0, monkeypatch)
     assert max(tops) < 0.0
     assert not any("indefinite" in note for note in rep.notes)
+    assert len(tops) == rep.iterations > 0 and not reads
 
 
 def _roundtrip_problems():
@@ -421,8 +497,8 @@ def _roundtrip_problems():
 
 
 def _counting(counts, key, fn, counts_if=lambda out: True):
-    def counted(*args):
-        out = fn(*args)
+    def counted(*args, **kwargs):
+        out = fn(*args, **kwargs)
         counts[key] += counts_if(out)
         return out
     return counted
@@ -432,18 +508,21 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
     rejected = 0
     for spec, tri, target in _roundtrip_problems():
         solver.default_initial(spec, tri)  # kept, so admissible() sees only trials
-        counts = {"theta": 0, "jacobian": 0, "trials": 0}
+        tri.jacobian_order  # and the mesh's own sparse build comes first
+        counts = {"theta": 0, "jacobian": 0, "trials": 0, "sparse": 0}
         with monkeypatch.context() as m:
             m.setattr(curvature, "face_theta",
                       _counting(counts, "theta", curvature.face_theta))
             m.setattr(curvature, "face_eval",
                       _counting(counts, "jacobian", curvature.face_eval))
+            m.setattr(scipy.sparse, "csc_array",
+                      _counting(counts, "sparse", scipy.sparse.csc_array))
             m.setattr(solver, "admissible", _counting(counts, "trials", solver.admissible,
                                                       lambda out: out.ok))
             _, rep = solver.solve_prescribed_curvature(spec, tri, target)
         assert rep.converged
         assert counts["theta"] == counts["trials"] + 1
-        assert counts["jacobian"] == rep.iterations
+        assert counts["jacobian"] == counts["sparse"] == rep.iterations
         rejected += counts["trials"] - rep.iterations
     assert rejected > 0  # some trials were evaluated and rejected
 
@@ -458,9 +537,9 @@ def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
             events.append(("eval", np.array(f), out[0]))
             return out
 
-        def recording_step(lam, g, *args):
-            events.append(("step", lam, g))
-            return step(lam, g, *args)
+        def recording_step(data, g, report, order):
+            events.append(("step", _factored(data, order), g))
+            return step(data, g, report, order)
 
         with monkeypatch.context() as m:
             m.setattr(solver, "curvature_and_arcs", recording_evaluate)
@@ -474,7 +553,9 @@ def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
             K_ref, J_ref = curvature.curvature_and_jacobian(spec, tri, f)
             assert K.tobytes() == K_ref.tobytes()
             assert g.tobytes() == (K_ref - target).tobytes()
-            assert lam.toarray().tobytes() == J_ref.toarray().tobytes()
+            # the factored matrix is J permuted into the mesh's elimination order
+            perm = tri.jacobian_order[0]
+            assert lam.toarray().tobytes() == J_ref.toarray()[np.ix_(perm, perm)].tobytes()
         K_final = curvature.curvature_map(spec, tri, f_final)
         assert rep.residual == float(np.max(np.abs(K_final - target)))
 
