@@ -19,9 +19,9 @@ eta e^{f_a + f_b}, sinh l * dl/df_a = s droot/df_a + eta e^{f_a + f_b}
 equals cosh l + 1/rho, and sinh l * dl/df_b equals cosh l + rho; the
 stage takes both once per edge.  It is singular only where sinh l or
 sinh theta vanishes, which the theta stage rejects, so it has no status
-of its own.  The paper's face-center formula is the diagnostic
-center.face_centers; the test suite holds a scalar reference of it and
-of both stages.
+of its own.  center.face_centers gives every face's hexagon geometry
+and the paper's center-distance formula in one record; the test suite
+holds a scalar reference of both stages and of that formula.
 
 Layout.  Both stages work on 3 x F face-side arrays: row m is side m or
 corner m of every face, so the shifts a + 1 and a - 1 pick whole rows.
@@ -33,7 +33,7 @@ a reads 1/rho, and its first corner takes the edge's derivative at b.
 Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
 5 factors outside the evaluable range or the edge rule's domain, 6
 vanishing arc (cosh theta <= 1, which only rounding reaches).  The
-face-center diagnostic adds 2 degenerate split, 3 degenerate face center
+face-center record adds 2 degenerate split, 3 degenerate face center
 and 4 singular height.  A face reports its first failing check in the
 order range, edge, arc, split, center, height, with the edge or corner
 position for per-edge and per-arc checks (else -1); later steps mask its
@@ -145,6 +145,17 @@ class EdgeProgram:
         return EdgeProgram(self.vert[k:k + 1], self.ends[:, edges], self.codes[edges],
                            self.alphas[:, edges], self.etas[edges], side.reshape(1, 3),
                            self.pair[edges])
+
+
+def disjoint_faces(codes, alphas, etas):
+    """The edge program of K disjoint faces from K x 3 side codes, corner
+    alphas and side weights: face k has corners 3k, 3k + 1 and 3k + 2, and
+    each side is its own edge, run forward."""
+    vert = np.arange(np.size(codes)).reshape(-1, 3)
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 3)
+    ends, ab = (np.stack((x.ravel(), x[:, _NEXT].ravel())) for x in (vert, alphas))
+    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert,
+                       np.zeros(vert.size, dtype=bool))
 
 
 def _fail(status, bad, fails):

@@ -16,9 +16,16 @@ import sys
 
 import numpy as np
 
-from . import __version__, hexagon, mesh, solver
+from . import __version__, mesh, solver
+from ._kernels import BAD_CENTER, BAD_SPLIT, LIGHT, SPACE
+from ._kernels.center import DOMAINS, DUAL_OUTSIDE, INCOHERENT, NO_DOMAIN
+from ._kernels.center import face_centers, hexagon_arcs
 from .curvature import curvature_and_jacobian, curvature_map
-from .errors import HexcurvError
+from .errors import DegenerateHexagon, DualCenterOutside, HexcurvError
+from .errors import IncompatibleSplits, InconsistentRatio, UnclassifiableSigns
+from .tol import LEN_MAX, TAU_LEN
+
+_SIDES = ("ij", "jk", "ki")
 
 
 def _fmt(x: float) -> str:
@@ -101,52 +108,83 @@ def cmd_jacobian(args):
     return 0
 
 
+def _three_numbers(text, option):
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != 3 or not all(map(math.isfinite, vals)):
+        raise HexcurvError(f"{option} needs three comma-separated finite numbers")
+    return vals
+
+
+def _hexagon_input(args):
+    """Side lengths and partial ratios of the hexagon command, checked in
+    floats: lengths in (TAU_LEN, LEN_MAX], a cyclic ratio product of 1
+    within 1e-9, and a split of each side whose center lies on its
+    geodesic, |rho sinh l| < |1 + rho cosh l|.  The third ratio is derived
+    from the first two."""
+    lengths = _three_numbers(args.lengths, "--lengths")
+    for name, l in zip(_SIDES, lengths):
+        if not TAU_LEN < l <= LEN_MAX:
+            raise DegenerateHexagon(
+                f"l_{name}={l} must lie in ({TAU_LEN}, {LEN_MAX}]")
+    if not args.ratios:
+        return lengths, [1.0, 1.0, 1.0]
+    ratios = _three_numbers(args.ratios, "--ratios")
+    prod = ratios[0] * ratios[1] * ratios[2]
+    if not abs(prod - 1.0) <= 1e-9:
+        raise IncompatibleSplits(
+            f"ratio cyclic product {prod} != 1; splits would be incompatible")
+    ratios[2] = 1.0 / (ratios[0] * ratios[1])
+    for name, l, rho in zip(_SIDES, lengths, ratios):
+        num, den = rho * math.sinh(l), 1.0 + rho * math.cosh(l)
+        if not abs(num) < abs(den):
+            raise InconsistentRatio(
+                f"|rho sinh l| >= |1 + rho cosh l| on side {name} (l={l}, "
+                f"rho={rho}): no split with its center on the geodesic")
+    return lengths, ratios
+
+
 def cmd_hexagon(args):
-    lens = [float(x) for x in args.lengths.split(",")]
-    if len(lens) != 3:
-        raise HexcurvError("--lengths needs three comma-separated values")
-    lengths = hexagon.HexLengths(*lens)
-    if args.ratios:
-        ratios = [float(x) for x in args.ratios.split(",")]
-        if len(ratios) != 3:
-            raise HexcurvError("--ratios needs three comma-separated values")
-        splits = hexagon.splits_from_ratios(lengths, ratios)
-    else:
-        splits = hexagon.symmetric_splits(lengths)
-    g = hexagon.build_hexagon(lengths, splits)
-    kv = []
-    kv.append(("l_ij", g.lengths.l_ij))
-    kv.append(("l_jk", g.lengths.l_jk))
-    kv.append(("l_ki", g.lengths.l_ki))
-    kv.append(("theta_i", g.angles.theta_i))
-    kv.append(("theta_j", g.angles.theta_j))
-    kv.append(("theta_k", g.angles.theta_k))
-    names = ("ij", "jk", "ki")
-    for name, s in zip(names, g.splits):
-        kv.append((f"d_{name[0]}{name[1]}", s.d_ab))
-        kv.append((f"d_{name[1]}{name[0]}", s.d_ba))
-    for bs in g.dual_splits:
-        kv.append((f"arc_{bs.s}{bs.t}", bs.theta_st))
-        kv.append((f"arc_{bs.t}{bs.s}", bs.theta_ts))
-    for label, vec in (
-        ("v_i", g.vertices[0]), ("v_j", g.vertices[1]), ("v_k", g.vertices[2]),
-        ("polar_i", g.polar[0]), ("polar_j", g.polar[1]), ("polar_k", g.polar[2]),
-        ("c_ij", g.edge_centers[0]), ("c_jk", g.edge_centers[1]),
-        ("c_ki", g.edge_centers[2]), ("center", g.face_center),
-    ):
-        kv.append((f"{label}_x1", vec.x1))
-        kv.append((f"{label}_x2", vec.x2))
-        kv.append((f"{label}_x3", vec.x3))
-    for axis, vals in (("h", g.h), ("q", g.q)):
-        for corner, val in zip("ijk", vals):
-            if val is not None:
-                kv.append((f"{axis}_{corner}", val))
-    doc = {k: v for k, v in kv}
-    doc["center_class"] = g.center_class.value
-    doc["domain"] = g.domain
+    lengths, ratios = _hexagon_input(args)
+    arcs = hexagon_arcs([lengths], [ratios])
+    rec = face_centers(arcs)
+    status, branch, domain = int(rec.status[0]), int(rec.branch[0]), int(rec.domain[0])
+    if status == BAD_CENTER:
+        raise IncompatibleSplits("edge perpendiculars do not meet in a line")
+    if status == BAD_SPLIT or (domain == NO_DOMAIN and branch != LIGHT):
+        raise InconsistentRatio("a side has no split with its center on the geodesic")
+    if domain == DUAL_OUTSIDE:
+        raise DualCenterOutside("a dual center is not inside the hyperbolic plane")
+    if domain == INCOHERENT:
+        raise UnclassifiableSigns("the signs of h and q match no position domain")
+    d, dual = rec.d[0].tolist(), rec.dual[0].tolist()
+    kv = [(f"l_{name}", l) for name, l in zip(_SIDES, lengths)]
+    kv += [(f"theta_{c}", t) for c, t in zip("ijk", arcs.theta[0].tolist())]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        kv.append((f"d_{'ijk'[a]}{'ijk'[b]}", d[a][b]))
+        kv.append((f"d_{'ijk'[b]}{'ijk'[a]}", d[b][a]))
+    for s, t in ((1, 2), (2, 0), (0, 1)):
+        kv.append((f"arc_{s}{t}", dual[s][t]))
+        kv.append((f"arc_{t}{s}", dual[t][s]))
+    vectors = [(f"v_{c}", x) for c, x in zip("ijk", rec.v[0])]
+    vectors += [(f"polar_{c}", x) for c, x in zip("ijk", rec.p[0])]
+    vectors += [(f"c_{name}", x) for name, x in zip(_SIDES, rec.edge_centers[0])]
+    vectors.append(("center", rec.center[0]))
+    for label, vec in vectors:
+        kv += [(f"{label}_x{n}", x) for n, x in enumerate(vec.tolist(), 1)]
+    if domain >= 0:
+        kv += [(f"h_{c}", x) for c, x in zip("ijk", rec.h[0].tolist())]
+        kv += [(f"q_{c}", x) for c, x in zip("ijk", rec.q[0].tolist())]
+    center_class = ("time-like", "space-like", "light-like")[branch]
+    domain = "LightCone" if domain < 0 else DOMAINS[domain][1 + (branch == SPACE)]
+    doc = dict(kv)
+    doc["center_class"] = center_class
+    doc["domain"] = domain
     lines = [f"{k} {_fmt(v)}" for k, v in kv]
-    lines.append(f"center_class {g.center_class.value}")
-    lines.append(f"domain {g.domain}")
+    lines.append(f"center_class {center_class}")
+    lines.append(f"domain {domain}")
     _emit(args, doc, lines)
     return 0
 

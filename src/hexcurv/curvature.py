@@ -20,8 +20,8 @@ is built (EdgeProgram.double); evaluation raises FamilyConstraint for it
 unless a face before the one holding it fails first.  On a mesh of one
 face with three distinct corners, K is that face's arc triple and the
 Jacobian its 3 x 3 u-Jacobian; face_eval(arcs, ones) gives d theta / d f,
-and _kernels.center.face_centers(arcs) the paper's center-distance
-formula as a diagnostic.
+and _kernels.center.face_centers(arcs) the face's hexagon geometry with
+the paper's center-distance formula, which the identity suites check.
 """
 
 from __future__ import annotations

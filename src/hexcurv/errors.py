@@ -18,27 +18,16 @@ class NotAdmissible(HexcurvError):
 
 
 class DegenerateHexagon(HexcurvError):
-    """Hexagon side lengths too small to produce finite boundary arcs."""
-
-
-class NoSolution(HexcurvError):
-    """No valid preimage exists for the requested inversion."""
-
-
-class GramSignature(HexcurvError):
-    """Internal error: embedded Gram matrix lost its (2,1) signature."""
+    """Hexagon side lengths outside the range double precision resolves."""
 
 
 class InconsistentRatio(HexcurvError):
     """No real edge split realizes the requested partial-length ratio."""
 
 
-class NoRealCenter(HexcurvError):
-    """The edge-center linear system has no hyperboloid solution."""
-
-
 class IncompatibleSplits(HexcurvError):
-    """Per-face splits violate the triple sinh compatibility product."""
+    """Edge splits of a hexagon whose ratio product is not 1, or whose edge
+    perpendiculars do not meet."""
 
 
 class UnclassifiableSigns(HexcurvError):

@@ -14,18 +14,11 @@ import math
 import numpy as np
 
 from . import curvature, mesh, solver
-from ._kernels import OK, face_eval
-from ._kernels.center import face_centers
+from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, face_eval
+from ._kernels.center import _sign, face_centers
 from .conformal import StructureSpec, component_values, polytope, spec_arrays
 from .errors import HexcurvError
-from .hexagon import HexagonGeometry
-from .lorentz import CausalClass
-
-_SIGN_TOL = 1e-9
-
-
-def _sgn(v):
-    return 0 if abs(v) <= _SIGN_TOL else (1 if v > 0 else -1)
+from .tol import TAU_SIGN
 
 
 @functools.cache
@@ -136,8 +129,8 @@ def run_suite(family: str, samples: int, rng) -> dict:
         f = cov.to_f(component_values(u, tri.n_boundary))
         try:
             _, arcs = curvature.curvature_and_arcs(spec, tri, f)
-            status, _, _, _, center = face_centers(arcs)
-            if status[0] != OK:
+            rec = face_centers(arcs)
+            if rec.status[0] != OK:
                 continue
             sp = split_values(arcs.ch[0], arcs.rho[0])
         except HexcurvError:
@@ -149,7 +142,7 @@ def run_suite(family: str, samples: int, rng) -> dict:
         mc = face_eval(arcs, np.ones(3))[0]
         g = res["center-distance-formula"]
         g[0] += 1
-        g[1] = max(g[1], float(np.max(np.abs(center[0] - mc)))
+        g[1] = max(g[1], float(np.max(np.abs(rec.m[0] - mc)))
                    / max(1.0, float(np.max(np.abs(mc)))))
         # diagonal identity, on the cosine-law matrix
         g = res["reciprocal-cosh-diagonal"]
@@ -200,96 +193,51 @@ def _fd_residual(spec, tri, f, mc, step=1e-6):
 
 
 # -- hexagon-level identity blocks --------------------------------------------
+#
+# Each block reads a face-center record (Centers) and gives one value per
+# face; it is meaningful on faces with a domain, whose center is time-like
+# or space-like.  For corner a, b runs over the other two corners and c is
+# the third one.
 
-def time_like_residual(geom: HexagonGeometry) -> float:
-    """Worst residual of the time-like center distance identities."""
-    h, q = geom.h, geom.q
-    d, t = geom.edge_partial, geom.arc_partial
-    others = ((1, 2), (2, 0), (0, 1))
-    worst = 0.0
-    for r in range(3):
-        s, t_ = others[r]
-        worst = max(
-            worst,
-            abs(math.sinh(q[r]) - math.cosh(h[s]) * math.sinh(d(r, t_))),
-            abs(math.sinh(q[r]) - math.cosh(h[t_]) * math.sinh(d(r, s))),
-            abs(math.sinh(h[r]) - math.cosh(q[s]) * math.sinh(t(r, t_))),
-            abs(math.sinh(h[r]) - math.cosh(q[t_]) * math.sinh(t(r, s))),
-        )
-    return worst
+_B = np.array([_NEXT, _PREV])
+_C = np.array([_PREV, _NEXT])
+_A = np.array([_ROWS, _ROWS])
 
 
-def space_like_residual(geom: HexagonGeometry):
-    """(block name, worst residual) of the space-like identity blocks.
-
-    Block 'one-negative' covers centers with a single negative distance;
-    'two-negative' covers the paired q/h negative domains.
-    """
-    h, q = geom.h, geom.q
-    d, t = geom.edge_partial, geom.arc_partial
-    negq = [r for r in range(3) if _sgn(q[r]) < 0]
-    negh = [r for r in range(3) if _sgn(h[r]) < 0]
-    S, C = math.sinh, math.cosh
-
-    def block(qq, hh, dd, tt, r, s, t_):
-        return max(
-            abs(C(qq[r]) + S(hh[s]) * S(dd(r, t_))),
-            abs(C(qq[r]) + S(hh[t_]) * S(dd(r, s))),
-            abs(C(qq[s]) - S(hh[r]) * S(dd(s, t_))),
-            abs(C(qq[s]) - S(hh[t_]) * S(dd(s, r))),
-            abs(C(qq[t_]) - S(hh[r]) * S(dd(t_, s))),
-            abs(C(qq[t_]) - S(hh[s]) * S(dd(t_, r))),
-            abs(C(hh[r]) - S(qq[s]) * S(tt(r, t_))),
-            abs(C(hh[r]) - S(qq[t_]) * S(tt(r, s))),
-            abs(C(hh[s]) + S(qq[r]) * S(tt(s, t_))),
-            abs(C(hh[s]) - S(qq[t_]) * S(tt(s, r))),
-            abs(C(hh[t_]) + S(qq[r]) * S(tt(t_, s))),
-            abs(C(hh[t_]) - S(qq[s]) * S(tt(t_, r))),
-        )
-
-    if len(negq) == 1 and not negh:
-        r = negq[0]
-        s, t_ = [x for x in range(3) if x != r]
-        return "one-negative", block(q, h, d, t, r, s, t_)
-    if len(negh) == 1 and not negq:
-        # swapped roles: distances to arcs exchange with distances to edges
-        r = negh[0]
-        s, t_ = [x for x in range(3) if x != r]
-        return "one-negative", block(h, q, t, d, r, s, t_)
-    if len(negq) == 1 and len(negh) == 1 and negq[0] != negh[0]:
-        r, s = negq[0], negh[0]
-        t_ = 3 - r - s
-        worst = max(
-            abs(C(q[r]) - S(h[s]) * S(d(r, t_))),
-            abs(C(q[r]) + S(h[t_]) * S(d(r, s))),
-            abs(C(q[s]) - S(h[r]) * S(d(s, t_))),
-            abs(C(q[s]) - S(h[t_]) * S(d(s, r))),
-            abs(C(q[t_]) - S(h[r]) * S(d(t_, s))),
-            abs(C(q[t_]) + S(h[s]) * S(d(t_, r))),
-            abs(C(h[r]) - S(q[s]) * S(t(r, t_))),
-            abs(C(h[r]) - S(q[t_]) * S(t(r, s))),
-            abs(C(h[s]) - S(q[r]) * S(t(s, t_))),
-            abs(C(h[s]) + S(q[t_]) * S(t(s, r))),
-            abs(C(h[t_]) + S(q[r]) * S(t(t_, s))),
-            abs(C(h[t_]) - S(q[s]) * S(t(t_, r))),
-        )
-        return "two-negative", worst
-    return "unmatched", math.inf
+def time_like_residual(rec) -> np.ndarray:
+    """Worst residual per face of the time-like center-distance identities
+    sinh q_a = cosh h_b sinh d_ac and sinh h_a = cosh q_b sinh theta_ac."""
+    h, q = rec.h, rec.q
+    res = np.maximum(
+        np.abs(np.sinh(q)[:, None] - np.cosh(h[:, _B]) * np.sinh(rec.d[:, _A, _C])),
+        np.abs(np.sinh(h)[:, None] - np.cosh(q[:, _B]) * np.sinh(rec.dual[:, _A, _C])))
+    return res.max(axis=(1, 2))
 
 
-def sign_coherence_ok(geom: HexagonGeometry) -> bool:
-    """Signs of q_r match both edge partials at r; h_r both arc partials."""
-    if geom.center_class is CausalClass.LIGHT_LIKE:
-        return True
-    others = ((1, 2), (2, 0), (0, 1))
-    for r in range(3):
-        s, t_ = others[r]
-        sq = _sgn(geom.q[r])
-        for val in (geom.edge_partial(r, s), geom.edge_partial(r, t_)):
-            if sq and _sgn(val) and _sgn(val) != sq:
-                return False
-        sh = _sgn(geom.h[r])
-        for val in (geom.arc_partial(r, s), geom.arc_partial(r, t_)):
-            if sh and _sgn(val) and _sgn(val) != sh:
-                return False
-    return True
+def space_like_residual(rec) -> np.ndarray:
+    """Worst residual per face of the space-like identity blocks,
+    cosh q_a = e(q_a) e(h_b) sinh h_b sinh d_ac and
+    cosh h_a = e(h_a) e(q_b) sinh q_b sinh theta_ac, where e(x) is -1 for a
+    negative distance and 1 otherwise.  The blocks cover centers with one
+    negative distance, and those with one negative q and one negative h at
+    different corners; other sign patterns read inf."""
+    h, q = rec.h, rec.q
+    eh, eq = np.where(h < -TAU_SIGN, -1.0, 1.0), np.where(q < -TAU_SIGN, -1.0, 1.0)
+    res = np.maximum(
+        np.abs(np.cosh(q)[:, None] - (eq[:, None] * eh[:, _B]) * np.sinh(h[:, _B])
+               * np.sinh(rec.d[:, _A, _C])),
+        np.abs(np.cosh(h)[:, None] - (eh[:, None] * eq[:, _B]) * np.sinh(q[:, _B])
+               * np.sinh(rec.dual[:, _A, _C]))).max(axis=(1, 2))
+    nq, nh = (eq < 0).sum(axis=1), (eh < 0).sum(axis=1)
+    one = nq + nh == 1
+    two = (nq == 1) & (nh == 1) & (np.argmin(eq, axis=1) != np.argmin(eh, axis=1))
+    return np.where(one | two, res, np.inf)
+
+
+def sign_coherence_ok(rec) -> np.ndarray:
+    """Per face: the sign of q_a matches both edge partials at a, and that
+    of h_a both arc partials at a (signs up to TAU_SIGN count as 0)."""
+    conflict = (
+        (_sign(rec.q)[:, None] * _sign(rec.d[:, _A, _B]) < 0.0)
+        | (_sign(rec.h)[:, None] * _sign(rec.dual[:, _A, _B]) < 0.0))
+    return ~conflict.any(axis=(1, 2)) | (rec.branch == LIGHT)

@@ -7,14 +7,15 @@ here so the tolerance story stays auditable in one place.
 # Causal bucketing of |x*x| for (Euclidean-normalized) face centers.
 TAU_CAUSAL = 1e-10
 
-# Triple sinh compatibility residual bound.
-TAU_COMPAT = 1e-9
-
 # Magnitudes below this are sign-agnostic in position classification.
 TAU_SIGN = 1e-9
 
-# Side lengths at or below this are rejected as degenerate.
-TAU_LEN = 1e-8
+# Hexagon side lengths outside (TAU_LEN, LEN_MAX] are rejected as
+# degenerate: below, cosh l - 1 sinks into rounding; above, rounding of
+# cosh l (about e^{2l} eps) moves the hexagon's coordinates by more than
+# the 1e-7 the dual splits are checked to.
+TAU_LEN = 1e-7
+LEN_MAX = 10.0
 
 # Definiteness margin, scaled by matrix norm.
 TAU_EIG = 1e-12

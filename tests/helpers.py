@@ -4,9 +4,9 @@ and single-face samples evaluated as batches of disjoint faces."""
 import numpy as np
 
 from hexcurv import solver
-from hexcurv._kernels import _NEXT, LIGHT, OK, SPACE, TIME, EdgeProgram, face_eval
+from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, SPACE, TIME, disjoint_faces, face_eval
 from hexcurv._kernels import face_theta
-from hexcurv._kernels.center import face_centers
+from hexcurv._kernels.center import _mdot, face_centers
 from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
@@ -215,17 +215,6 @@ def face_f(spec, u):
     return spec_arrays(spec, face_mesh(spec)).cov.to_f(component_values(u, 3))
 
 
-def disjoint_faces(codes, alphas, etas):
-    """The edge program of K disjoint faces from K x 3 side codes, corner
-    alphas and side weights: face k has corners 3k, 3k + 1 and 3k + 2, and
-    each side is its own edge, run forward."""
-    vert = np.arange(np.size(codes)).reshape(-1, 3)
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 3)
-    ends, ab = (np.stack((x.ravel(), x[:, _NEXT].ravel())) for x in (vert, alphas))
-    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert,
-                       np.zeros(vert.size, dtype=bool))
-
-
 def face_record(spec):
     """(side codes, corner alphas, side weights) of spec's face mesh, read
     off its edge program."""
@@ -293,7 +282,7 @@ def branch_samples(rng, want, cap=40000):
 
     for batch in _draw_batches(rng, draw, cap):
         drawn = [(c, state) for c, state in batch if c is not None]
-        status, _, branch, _, _ = face_centers(stack_faces([c for c, _ in drawn]))
+        status, _, branch = face_centers(stack_faces([c for c, _ in drawn]))[:3]
         for (c, state), ok, code in zip(drawn, status == OK, branch.tolist()):
             bucket = buckets.get(BRANCH[code])
             if ok and bucket is not None and len(bucket) < want:
@@ -316,7 +305,7 @@ def light_like_samples(rng, want, cap=4000):
         return (spec, *(face_f(spec, p) for p in pts)) if len(pts) == 2 else None
 
     def centers(specs, f):
-        status, _, branch, sigma, _ = face_centers(stack_faces(list(zip(specs, f))))
+        status, _, branch, sigma = face_centers(stack_faces(list(zip(specs, f))))[:4]
         return status == OK, branch, sigma
 
     for batch in _draw_batches(rng, draw, cap):
@@ -348,3 +337,31 @@ def light_like_samples(rng, want, cap=4000):
                 rng.setstate(drawn[j][1])
                 return out
     return out
+
+
+def embedding_residuals(rec, lengths):
+    """Worst residuals of the embedding contracts over the faces of a
+    face-center record of hexagons with the given F x 3 side lengths:
+    (Gram, polar).  Gram covers v_a . v_b = -cosh l_ab relative to
+    max(1, cosh l_ab) and v_a . v_a = 1 relative to max(1, |v_a|^2), where
+    double-precision dots of cosh-sized components carry ~|v|^2 eps noise;
+    polar covers p_r . v_s = 0 for r != s, relative to |v_s|."""
+    v, p, cl = rec.v, rec.p, np.cosh(lengths)
+    gram = max(np.max(np.abs(_mdot(v, v[:, _NEXT]) + cl) / np.maximum(1.0, cl)),
+               np.max(np.abs(_mdot(v, v) - 1.0) / np.maximum(1.0, np.sum(v * v, axis=2))))
+    polar = max(np.max(np.abs(_mdot(p, w)) / np.linalg.norm(w, axis=2))
+                for w in (v[:, _NEXT], v[:, _PREV]))
+    return float(gram), float(polar)
+
+
+def random_hexagons(rng, n):
+    """Side lengths in [0.3, 2.5] and partial ratios of n random hexagons
+    (F x 3 each, rng a numpy Generator): each of the first two ratios is
+    positive, or negative with its split's center near the corner, and the
+    third closes the cyclic product 1."""
+    lengths = rng.uniform(0.3, 2.5, (n, 3))
+    kind = rng.integers(4, size=n)
+    neg = np.column_stack((kind % 2 == 1, kind >= 2))
+    r = np.where(neg, -rng.uniform(0.05, 0.95, (n, 2)) * np.exp(-lengths[:, :2]),
+                 rng.uniform(0.1, 10.0, (n, 2)))
+    return lengths, np.column_stack((r, 1.0 / (r[:, 0] * r[:, 1])))

@@ -1,5 +1,5 @@
-"""Scalar per-face reference of the batched kernel and its face-center
-diagnostic, for the tests.
+"""Scalar per-face reference of the batched kernel and of the
+center-distance formula in its face-center record, for the tests.
 
 Given one hexagonal face's edge rules, weights and factor values,
 face_theta computes the three boundary-arc lengths and face_eval their
@@ -157,8 +157,8 @@ def _mdot(x, y):
 
 
 def face_centers(codes, alphas, etas, f):
-    """(status, bad index, branch, sigma, m) of one face, as the batched
-    diagnostic gives them: m[a][b] = d theta_a / d f_b by the
+    """(status, bad index, branch, sigma, m) of one face, as the first five
+    fields of the batched face-center record: m[a][b] = d theta_a / d f_b by the
     center-distance formula.  On non-zero status the trailing fields are
     filler."""
     status, bad, ch, sh, rho, chth = _theta_stage(codes, alphas, etas, f)

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from hexcurv import curvature, hexagon as hx, mesh, solver
-from hexcurv._kernels import SPACE, TIME, Arcs, face_eval
-from hexcurv._kernels.center import face_centers
+from hexcurv import curvature, mesh, solver
+from hexcurv._kernels import SPACE, TIME, face_eval
+from hexcurv._kernels.center import DOMAINS, INCOHERENT, face_centers, hexagon_arcs
 from hexcurv.conformal import admissible, chart, edge_constraint
 from hexcurv.errors import HexcurvError
 from hexcurv.identities import (
@@ -24,17 +24,17 @@ from hexcurv.identities import (
     stock_spec,
     time_like_residual,
 )
-from hexcurv.lorentz import CausalClass, minkowski_dot
 
 from helpers import (
     ALL_FAMILIES,
     branch_samples,
-    disjoint_faces,
+    embedding_residuals,
     face_f,
     face_jacobians,
     fd_dtheta_df,
     light_like_samples,
     make_spec,
+    random_hexagons,
     sample_admissible_f,
     sphere_triangulation,
     stack_faces,
@@ -48,13 +48,12 @@ def report(n, text):
 
 
 def test_criterion_01_regular_hexagon_fixed_point():
-    lens = hx.HexLengths(ACOSH2, ACOSH2, ACOSH2)
     best = math.inf
     for _ in range(200):
         t0 = time.perf_counter()
-        angles = hx.angles_from_lengths(lens)
+        theta = hexagon_arcs([[ACOSH2] * 3], [[1.0] * 3]).theta
         best = min(best, time.perf_counter() - t0)
-    worst = max(abs(th - ACOSH2) for th in angles.as_tuple())
+    worst = float(np.max(np.abs(theta - ACOSH2)))
     assert worst < 1e-12
     assert best < 1e-3
     report(1, f"|theta - l| = {worst:.2e}, runtime {best * 1e6:.1f} us")
@@ -91,13 +90,13 @@ def test_criterion_03_angle_variation_vs_fd_per_branch():
     for name, bucket in buckets.items():
         assert len(bucket) == want, name
         arcs = stack_faces(bucket)
-        status, _, _, _, m_center = face_centers(arcs)
-        assert not status.any(), name
+        rec = face_centers(arcs)
+        assert not rec.status.any(), name
         m = face_eval(arcs, np.ones(arcs.theta.size))
         worst[name] = max(map(_rel_err, m, fd_dtheta_df(bucket)))
         assert worst[name] < (1e-3 if name == "light-like" else 1e-5), name
         # the paper's center-distance formula reproduces the cosine-law matrix
-        center[name] = max(map(_rel_err, m_center, m))
+        center[name] = max(map(_rel_err, rec.m, m))
         assert center[name] < 1e-9, name
     report(3, "rel err vs central differences: "
               + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -245,86 +244,28 @@ def test_criterion_08_existence_desk_test():
               f"suite {dt:.1f} s")
 
 
-def _random_geometry(rng):
-    lens = hx.HexLengths(*(rng.uniform(0.3, 2.5) for _ in range(3)))
-    e = [math.exp(-l) for l in lens.as_tuple()]
-    kind = rng.randrange(4)
-    if kind == 0:
-        r1, r2 = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
-    elif kind == 1:
-        r1 = -rng.uniform(0.05, 0.95) * e[0]
-        r2 = rng.uniform(0.1, 10.0)
-    elif kind == 2:
-        r1 = rng.uniform(0.1, 10.0)
-        r2 = -rng.uniform(0.05, 0.95) * e[1]
-    else:
-        r1 = -rng.uniform(0.05, 0.95) * e[0]
-        r2 = -rng.uniform(0.05, 0.95) * e[1]
-    ratios = (r1, r2, 1.0 / (r1 * r2))
-    return hx.build_hexagon(lens, hx.splits_from_ratios(lens, ratios)), ratios
-
-
-def _hexagon_arcs(lengths, ratios):
-    """The kernel's theta stage of hexagons given by side lengths and
-    partial ratios, one face per row."""
-    ch = np.cosh(np.array(lengths))
-    sh = np.sqrt((ch - 1.0) * (ch + 1.0))
-    nxt, p, q = [1, 2, 0], [0, 0, 1], [2, 1, 2]
-    chth = (ch[:, nxt] + ch[:, p] * ch[:, q]) / (sh[:, p] * sh[:, q])
-    n = len(ch)
-    prog = disjoint_faces(np.zeros((n, 3), dtype=int), np.zeros((n, 3)), np.zeros((n, 3)))
-    return Arcs(np.zeros(n, dtype=np.int64), np.full(n, -1), np.arccosh(chth), prog,
-                ch, sh, chth, (ch.ravel(), sh.ravel(), np.ravel(ratios)))
-
-
 def test_criterion_09_center_distance_identity_suite():
-    rng = random.Random(9)
     want = 500
-    counts = {"time": 0, "space": 0}
-    worst = {"time": 0.0, "space": 0.0}
-    drawn = []  # (lengths, ratios, class) of the counted hexagons
-    tries = 0
-    while min(counts.values()) < want and tries < 300000:
-        tries += 1
-        try:
-            g, ratios = _random_geometry(rng)
-        except HexcurvError:
-            continue
-        assert sign_coherence_ok(g)
-        # classification is total and reproduces the observed signs
-        from hexcurv.hexagon import _DOMAIN_SIGNS, _SPACE_LABEL
-
-        if g.center_class is not CausalClass.LIGHT_LIKE:
-            label = g.domain
-            base = label if label in _DOMAIN_SIGNS else next(
-                k for k, v in _SPACE_LABEL.items() if v == label
-            )
-            col = _DOMAIN_SIGNS[base]
-            for val, sign in zip(tuple(g.h) + tuple(g.q), col):
-                assert val * sign > -1e-9
-        if g.center_class is CausalClass.TIME_LIKE and counts["time"] < want:
-            counts["time"] += 1
-            worst["time"] = max(worst["time"], time_like_residual(g))
-        elif g.center_class is CausalClass.SPACE_LIKE and counts["space"] < want:
-            counts["space"] += 1
-            tag, resid = space_like_residual(g)
-            assert tag in ("one-negative", "two-negative")
-            worst["space"] = max(worst["space"], resid)
-        else:
-            continue
-        drawn.append((g.lengths.as_tuple(), ratios, g.center_class))
-    assert counts["time"] == want and counts["space"] == want
+    # the first 500 hexagons per class of 64,000 draws, all evaluated at once
+    arcs = hexagon_arcs(*random_hexagons(np.random.default_rng(9), 64000))
+    rec = face_centers(arcs)
+    placed = rec.domain >= 0
+    assert sign_coherence_ok(rec)[placed].all()
+    # classification is total and reproduces the observed signs
+    assert not (rec.domain == INCOHERENT).any()
+    cols = np.array([signs for signs, _, _ in DOMAINS])[rec.domain[placed]]
+    assert np.all(np.hstack((rec.h, rec.q))[placed] * cols > -1e-9)
+    timelike = np.flatnonzero(placed & (rec.branch == TIME))[:want]
+    spacelike = np.flatnonzero(placed & (rec.branch == SPACE))[:want]
+    assert len(timelike) == want and len(spacelike) == want
+    worst = {"time": time_like_residual(rec)[timelike].max(),
+             "space": space_like_residual(rec)[spacelike].max()}
     assert worst["time"] < 1e-8 and worst["space"] < 1e-8
-    # the kernel's face-center diagnostic on the same hexagons finds the same
-    # class, and its derivative matrix is the cosine-law one
-    lengths, ratios, classes = zip(*drawn)
-    arcs = _hexagon_arcs(lengths, ratios)
-    status, _, branch, _, m = face_centers(arcs)
+    # on the same hexagons the center-distance matrix is the cosine-law one
+    drawn = np.concatenate((timelike, spacelike))
     jac = face_eval(arcs, np.ones(arcs.theta.size))
-    assert not status.any()
-    assert branch.tolist() == [TIME if c is CausalClass.TIME_LIKE else SPACE
-                               for c in classes]
-    agree = max(_rel_err(a, b) for a, b in zip(m, jac))
+    assert not rec.status[drawn].any()
+    agree = max(_rel_err(a, b) for a, b in zip(rec.m[drawn], jac[drawn]))
     assert agree < 1e-9
     report(9, f"500 hexagons per class, residuals time {worst['time']:.2e} "
               f"space {worst['space']:.2e}, all classified; center-distance vs "
@@ -333,26 +274,9 @@ def test_criterion_09_center_distance_identity_suite():
 
 def test_criterion_10_embedding_contracts():
     rng = random.Random(10)
-    worst_gram = 0.0
-    worst_polar = 0.0
-    for _ in range(10000):
-        lens = hx.HexLengths(*(rng.uniform(0.2, 4.0) for _ in range(3)))
-        v = hx.embed(lens)
-        ls = lens.as_tuple()
-        for (a, b), l in zip(((0, 1), (1, 2), (2, 0)), ls):
-            resid = abs(minkowski_dot(v[a], v[b]) + math.cosh(l)) / max(1.0, math.cosh(l))
-            worst_gram = max(worst_gram, resid)
-        for a in range(3):
-            # measured relative to the vector scale: double-precision dots
-            # of cosh(4)-sized components carry ~|v|^2 eps noise
-            scale = max(1.0, v[a].euclidean_norm() ** 2)
-            worst_gram = max(worst_gram, abs(minkowski_dot(v[a], v[a]) - 1.0) / scale)
-        p = hx.polar(*v)
-        for r in range(3):
-            for s in range(3):
-                if r != s:
-                    resid = abs(minkowski_dot(p[r], v[s])) / v[s].euclidean_norm()
-                    worst_polar = max(worst_polar, resid)
+    lengths = np.array([[rng.uniform(0.2, 4.0) for _ in range(3)] for _ in range(10000)])
+    rec = face_centers(hexagon_arcs(lengths, np.ones_like(lengths)))
+    worst_gram, worst_polar = embedding_residuals(rec, lengths)
     assert worst_gram < 1e-11
     assert worst_polar < 1e-11
     report(10, f"10^4 embeddings: gram {worst_gram:.2e}, polar {worst_polar:.2e}")

@@ -1,9 +1,11 @@
 import json
 import math
+import pathlib
 
 import pytest
 
-from hexcurv.cli import main
+from hexcurv import errors
+from hexcurv.cli import build_parser, cmd_hexagon, main
 
 PANTS = """\
 format 1
@@ -108,6 +110,42 @@ def test_hexagon_with_ratios(capsys):
     kv = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
     d_ij, d_ji = float(kv["d_ij"]), float(kv["d_ji"])
     assert math.sinh(d_ij) / math.sinh(d_ji) == pytest.approx(2.0, abs=1e-10)
+
+
+# hexagon --json documents of five inputs, recorded with an independent
+# scalar implementation of the hexagon geometry; the last input has a dual
+# center outside the plane
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "hexagon_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["argv"][2])
+def test_hexagon_golden(case, capsys):
+    assert main(case["argv"]) == case["exit"]
+    if "error" in case:
+        with pytest.raises(getattr(errors, case["error"])):
+            cmd_hexagon(build_parser().parse_args(case["argv"]))
+        return
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.keys() == case["doc"].keys()
+    for key, want in case["doc"].items():
+        if isinstance(want, str):
+            assert doc[key] == want, key
+        else:
+            assert abs(doc[key] - want) <= max(1e-10 * abs(want), 1e-12), key
+
+
+@pytest.mark.parametrize("args", [
+    ["--lengths", "a,b,c"],
+    ["--lengths", "1,1"],
+    ["--lengths", "1000,1,1"],
+    ["--lengths", "nan,1,1"],
+    ["--lengths", "1,1,1", "--ratios", "nan,1,1"],
+    ["--lengths", "1,1,1", "--ratios", "inf,0,1"],
+    ["--lengths", "1,1,1", "--ratios", "0,1,1"],
+])
+def test_hexagon_malformed_input_is_a_domain_error(args, capsys):
+    assert main(["hexagon", *args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("family", ["A1", "A2", "A3", "MixedI", "MixedII", "MixedIII"])

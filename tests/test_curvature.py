@@ -170,7 +170,7 @@ def test_dtheta_df_light_like_branch():
     samples = light_like_samples(rng, 10)
     assert len(samples) == 10
     arcs = stack_faces(samples)
-    assert np.all(np.abs(face_centers(arcs)[3]) <= 1e-10)
+    assert np.all(np.abs(face_centers(arcs).sigma) <= 1e-10)
     an = face_eval(arcs, np.ones(arcs.theta.size))
     num = fd_dtheta_df(samples)
     rel = np.abs(an - num) / np.maximum(1e-8, np.maximum(np.abs(num), np.abs(an)))
@@ -192,9 +192,9 @@ def test_chain_rule_oracle_agreement():
     rng = random.Random(3)
     for _, arcs in _family_arcs(rng, 50):
         # the paper's center-distance matrix against the cosine-law one
-        status, _, _, _, geo = face_centers(arcs)
-        assert not status.any()
-        for g, chain in zip(geo, face_eval(arcs, np.ones(arcs.theta.size))):
+        rec = face_centers(arcs)
+        assert not rec.status.any()
+        for g, chain in zip(rec.m, face_eval(arcs, np.ones(arcs.theta.size))):
             assert np.max(np.abs(g - chain)) < 1e-9 * max(1.0, np.max(np.abs(chain)))
 
 

@@ -1,21 +1,22 @@
+"""One hexagon's geometry: the face-center record of hexagons given by side
+lengths and partial ratios (hexcurv._kernels.center), its contracts, and
+the checks of the hexagon command's input."""
+
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexcurv import hexagon as hx
-from hexcurv.errors import (
-    DegenerateHexagon,
-    IncompatibleSplits,
-    InconsistentRatio,
-    NoSolution,
-)
-from hexcurv.identities import (
-    sign_coherence_ok,
-    space_like_residual,
-    time_like_residual,
-)
-from hexcurv.lorentz import CausalClass, minkowski_dot
+from hexcurv._kernels import SPACE, TIME
+from hexcurv._kernels.center import DOMAINS, _cross, _mdot, face_centers, hexagon_arcs
+from hexcurv.cli import build_parser, cmd_hexagon
+from hexcurv.errors import DegenerateHexagon, IncompatibleSplits, InconsistentRatio
+from hexcurv.identities import sign_coherence_ok, space_like_residual, time_like_residual
+
+from helpers import embedding_residuals, random_hexagons
 
 L2 = math.acosh(2.0)
 
@@ -28,204 +29,173 @@ ORACLE_THETAS = (
 )
 
 
-def random_geometry(rng, max_tries=200):
-    while True:
-        lens = hx.HexLengths(*(rng.uniform(0.3, 2.5) for _ in range(3)))
-        kind = rng.randrange(4)
-        try:
-            e = [math.exp(-l) for l in lens.as_tuple()]
-            if kind == 0:
-                r1, r2 = rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0)
-            elif kind == 1:
-                r1 = -rng.uniform(0.05, 0.95) * e[0]
-                r2 = rng.uniform(0.1, 8.0)
-            elif kind == 2:
-                r1 = rng.uniform(0.1, 8.0)
-                r2 = -rng.uniform(0.05, 0.95) * e[1]
-            else:
-                r1 = -rng.uniform(0.05, 0.95) * e[0]
-                r2 = -rng.uniform(0.05, 0.95) * e[1]
-            splits = hx.splits_from_ratios(lens, (r1, r2, 1.0 / (r1 * r2)))
-            return hx.build_hexagon(lens, splits)
-        except Exception:
-            max_tries -= 1
-            if max_tries <= 0:
-                raise
+def _record(lengths, ratios=(1.0, 1.0, 1.0)):
+    arcs = hexagon_arcs([lengths], [ratios])
+    return arcs, face_centers(arcs)
+
+
+def _hexagon_command(*args):
+    return cmd_hexagon(build_parser().parse_args(["hexagon", *args]))
 
 
 def test_regular_fixed_point():
-    angles = hx.angles_from_lengths(hx.HexLengths(L2, L2, L2))
-    for th in angles.as_tuple():
-        assert abs(th - L2) < 1e-12
+    arcs, _ = _record((L2, L2, L2))
+    assert np.all(np.abs(arcs.theta - L2) < 1e-12)
 
 
 def test_oracle_triple():
-    angles = hx.angles_from_lengths(hx.HexLengths(1.0, 1.5, 2.0))
-    for got, want in zip(angles.as_tuple(), ORACLE_THETAS):
+    arcs, _ = _record((1.0, 1.5, 2.0))
+    for got, want in zip(arcs.theta[0].tolist(), ORACLE_THETAS):
         assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_degenerate_length_rejected():
-    with pytest.raises(DegenerateHexagon):
-        hx.angles_from_lengths(hx.HexLengths(1e-9, 1.5, 2.0))
-    with pytest.raises(DegenerateHexagon):
-        hx.HexLengths(-1.0, 1.0, 1.0)
+    for lengths in ("1e-9,1.5,2.0", "-1.0,1.0,1.0", "1.0,10.5,1.0"):
+        with pytest.raises(DegenerateHexagon):
+            _hexagon_command(f"--lengths={lengths}")
 
 
 def test_lengths_from_angles_roundtrip():
+    # right-angled hexagons are self-dual: the cosine law read with sides
+    # and arcs exchanged gives the sides back
     rng = random.Random(0)
-    for _ in range(300):
-        lens = hx.HexLengths(*(rng.uniform(0.2, 4.0) for _ in range(3)))
-        back = hx.lengths_from_angles(hx.angles_from_lengths(lens))
-        for a, b in zip(lens.as_tuple(), back.as_tuple()):
-            assert abs(a - b) < 1e-10
+    lengths = np.array([[rng.uniform(0.2, 4.0) for _ in range(3)] for _ in range(300)])
+    ones = np.ones_like(lengths)
+    back = hexagon_arcs(hexagon_arcs(lengths, ones).theta, ones).theta
+    # arc a of the dual hexagon is the side opposite the dual's corner a + 1
+    assert np.all(np.abs(back[:, [1, 2, 0]] - lengths) < 1e-10)
 
 
 def test_lengths_from_angles_self_dual():
-    back = hx.lengths_from_angles(hx.HexAngles(L2, L2, L2))
-    for l in back.as_tuple():
-        assert abs(l - L2) < 1e-14
-
-
-def test_lengths_from_angles_rejects_zero():
-    with pytest.raises(NoSolution):
-        hx.lengths_from_angles(hx.HexAngles(0.0, 1.0, 1.0))
+    arcs, _ = _record((L2, L2, L2))
+    assert np.all(np.abs(arcs.theta - L2) < 1e-14)
 
 
 def test_split_edge_symmetric():
-    s = hx.split_edge(L2, 1.0)
-    assert s.d_ab == pytest.approx(L2 / 2.0, abs=1e-15)
-    assert s.d_ba == pytest.approx(L2 / 2.0, abs=1e-15)
+    _, rec = _record((L2, L2, L2))
+    assert rec.d[0, 0, 1] == pytest.approx(L2 / 2.0, abs=1e-15)
+    assert rec.d[0, 1, 0] == pytest.approx(L2 / 2.0, abs=1e-15)
 
 
 def test_split_edge_ratio_contract():
-    s = hx.split_edge(1.0, math.e)
-    assert math.sinh(s.d_ab) / math.sinh(s.d_ba) == pytest.approx(math.e, abs=1e-10)
-    assert s.d_ab + s.d_ba == pytest.approx(1.0, abs=1e-15)
+    _, rec = _record((1.0, 1.0, 1.0), (math.e, 1.0, 1.0 / math.e))
+    d_ab, d_ba = rec.d[0, 0, 1], rec.d[0, 1, 0]
+    assert math.sinh(d_ab) / math.sinh(d_ba) == pytest.approx(math.e, abs=1e-10)
+    assert d_ab + d_ba == pytest.approx(1.0, abs=1e-15)
 
 
 def test_split_edge_inconsistent_band():
-    # |rho sinh l| >= |1 + rho cosh l| for these values
+    # |rho sinh l| >= |1 + rho cosh l| for these values: the center of
+    # side 0 is hyper-ideal, so the face has a center but no domain
     assert abs(-0.5 * math.sinh(2.0)) >= abs(1.0 - 0.5 * math.cosh(2.0))
+    _, rec = _record((2.0, 2.0, 2.0), (-0.5, -2.0, 1.0))
+    assert rec.status[0] == 0 and rec.domain[0] < 0
     with pytest.raises(InconsistentRatio):
-        hx.split_edge(2.0, -0.5)
-    with pytest.raises(InconsistentRatio):
-        hx.split_edge(1.0, 0.0)
+        _hexagon_command("--lengths", "2,2,2", "--ratios=-0.5,-2,1")
 
 
 def test_embed_gram_and_polar():
     rng = random.Random(1)
-    for _ in range(500):
-        lens = hx.HexLengths(*(rng.uniform(0.2, 4.0) for _ in range(3)))
-        v = hx.embed(lens)
-        ls = lens.as_tuple()
-        pairs = ((0, 1, ls[0]), (1, 2, ls[1]), (2, 0, ls[2]))
-        for a, b, l in pairs:
-            assert abs(minkowski_dot(v[a], v[b]) + math.cosh(l)) < 1e-11 * max(1.0, math.cosh(l))
-        for a in range(3):
-            scale = max(1.0, v[a].euclidean_norm() ** 2)
-            assert abs(minkowski_dot(v[a], v[a]) - 1.0) < 1e-11 * scale
-        p = hx.polar(*v)
-        for r in range(3):
-            assert abs(minkowski_dot(p[r], p[r]) - 1.0) < 1e-10
-            for s in range(3):
-                if r != s:
-                    assert abs(minkowski_dot(p[r], v[s])) < 1e-11 * v[s].euclidean_norm()
-            assert minkowski_dot(p[r], v[r]) < 0.0
+    lengths = np.array([[rng.uniform(0.2, 4.0) for _ in range(3)] for _ in range(500)])
+    rec = face_centers(hexagon_arcs(lengths, np.ones_like(lengths)))
+    gram, polar = embedding_residuals(rec, lengths)
+    assert gram < 1e-11 and polar < 1e-11
+    assert np.all(np.abs(_mdot(rec.p, rec.p) - 1.0) < 1e-10)
+    assert np.all(_mdot(rec.p, rec.v) < 0.0)
 
 
 def test_regular_symmetric_geometry():
-    lens = hx.HexLengths(L2, L2, L2)
-    g = hx.build_hexagon(lens, hx.symmetric_splits(lens))
-    assert g.domain == "D13"
-    assert g.center_class is CausalClass.TIME_LIKE
-    for hv, qv in zip(g.h, g.q):
-        assert hv > 0 and qv > 0
-        assert hv == pytest.approx(g.h[0], abs=1e-12)
-        assert qv == pytest.approx(g.q[0], abs=1e-12)
+    arcs, rec = _record((L2, L2, L2))
+    assert DOMAINS[rec.domain[0]][1] == "D13"
+    assert rec.branch[0] == TIME
+    assert np.all(rec.h > 0) and np.all(rec.q > 0)
+    assert np.ptp(rec.h) < 1e-12 and np.ptp(rec.q) < 1e-12
     # edge centers are midpoints: equal distance products to both ends
-    c = g.edge_centers[0]
-    assert minkowski_dot(g.vertices[0], c) == pytest.approx(
-        minkowski_dot(g.vertices[1], c), abs=1e-12
-    )
-    for bs, th in zip(g.dual_splits, g.angles.as_tuple()):
-        assert bs.theta_st == pytest.approx(th / 2.0, abs=1e-9)
-        assert bs.theta_ts == pytest.approx(th / 2.0, abs=1e-9)
+    c = rec.edge_centers[0, 0]
+    assert _mdot(rec.v[0, 0], c) == pytest.approx(_mdot(rec.v[0, 1], c), abs=1e-12)
+    half = arcs.theta[0] / 2.0
+    for s, t in ((1, 2), (2, 0), (0, 1)):
+        assert rec.dual[0, s, t] == pytest.approx(half[3 - s - t], abs=1e-9)
+        assert rec.dual[0, t, s] == pytest.approx(half[3 - s - t], abs=1e-9)
 
 
 def test_edge_center_contract():
     rng = random.Random(2)
     for _ in range(200):
-        l = rng.uniform(0.3, 3.0)
-        rho = rng.uniform(0.2, 5.0)
-        lens = hx.HexLengths(l, 1.0, 1.0)
-        v = hx.embed(lens)
-        split = hx.split_edge(l, rho)
-        c = hx.edge_center(v[0], v[1], split)
-        assert abs(minkowski_dot(c, c) + 1.0) < 1e-10
-        assert c.x3 > 0
-        assert abs(minkowski_dot(v[0], c) + math.sinh(split.d_ab)) < 1e-11 * max(
-            1.0, abs(math.sinh(split.d_ab))
-        )
-        assert abs(minkowski_dot(v[1], c) + math.sinh(split.d_ba)) < 1e-11 * max(
-            1.0, abs(math.sinh(split.d_ba))
-        )
+        l, rho = rng.uniform(0.3, 3.0), rng.uniform(0.2, 5.0)
+        _, rec = _record((l, 1.0, 1.0), (rho, 1.0, 1.0 / rho))
+        v, c = rec.v[0], rec.edge_centers[0, 0]
+        sab, sba = math.sinh(rec.d[0, 0, 1]), math.sinh(rec.d[0, 1, 0])
+        assert abs(_mdot(c, c) + 1.0) < 1e-10
+        assert c[2] > 0
+        assert abs(_mdot(v[0], c) + sab) < 1e-11 * max(1.0, abs(sab))
+        assert abs(_mdot(v[1], c) + sba) < 1e-11 * max(1.0, abs(sba))
 
 
 def test_face_center_plane_permutation_invariance():
-    rng = random.Random(3)
-    from hexcurv.lorentz import minkowski_cross
-
-    for _ in range(100):
-        g = random_geometry(rng)
-        # the center must sit on the third perpendicular's plane too
-        n3 = minkowski_cross(g.polar[0], g.edge_centers[1])
-        c = g.face_center
-        resid = abs(minkowski_dot(c, n3)) / (c.euclidean_norm() * n3.euclidean_norm())
-        assert resid < 1e-10
-        # intersecting a different plane pair recovers the same line
-        n1 = minkowski_cross(g.polar[2], g.edge_centers[0])
-        alt = minkowski_cross(n1, n3)
-        ca = (1.0 / alt.euclidean_norm()) * alt
-        cb = (1.0 / c.euclidean_norm()) * c
-        dist = min((ca - cb).euclidean_norm(), (ca + cb).euclidean_norm())
-        assert dist < 1e-10
+    rec = face_centers(hexagon_arcs(*random_hexagons(np.random.default_rng(3), 600)))
+    keep = rec.domain >= 0
+    assert keep.sum() >= 100
+    p, ec, c = rec.p[keep], rec.edge_centers[keep], rec.center[keep]
+    # the center must sit on the third perpendicular's plane too
+    n3 = _cross(p[:, 0], ec[:, 1])
+    norm = np.linalg.norm
+    assert np.all(np.abs(_mdot(c, n3)) / (norm(c, axis=1) * norm(n3, axis=1)) < 1e-10)
+    # intersecting a different plane pair recovers the same line
+    alt = _cross(_cross(p[:, 2], ec[:, 0]), n3)
+    ca = alt / norm(alt, axis=1)[:, None]
+    cb = c / norm(c, axis=1)[:, None]
+    assert np.all(np.minimum(norm(ca - cb, axis=1), norm(ca + cb, axis=1)) < 1e-10)
 
 
 def test_incompatible_splits_rejected():
-    lens = hx.HexLengths(1.0, 1.2, 1.4)
-    splits = list(hx.symmetric_splits(lens))
-    bad = hx.EdgeSplit(splits[0].d_ab + 1e-3, splits[0].d_ba - 1e-3)
     with pytest.raises(IncompatibleSplits):
-        hx.build_hexagon(lens, (bad, splits[1], splits[2]))
+        _hexagon_command("--lengths", "1.0,1.2,1.4", "--ratios", "2.0,1.5,0.3")
 
 
 def test_identity_suites_and_classification():
-    rng = random.Random(4)
-    counts = {"time": 0, "space": 0}
-    domains = set()
-    for _ in range(2500):
-        try:
-            g = random_geometry(rng, max_tries=1)
-        except Exception:
-            continue
-        domains.add(g.domain)
-        assert sign_coherence_ok(g)
-        if g.center_class is CausalClass.TIME_LIKE:
-            counts["time"] += 1
-            assert g.domain.startswith("D") and g.domain[1:].isdigit()
-            assert time_like_residual(g) < 1e-8
-        elif g.center_class is CausalClass.SPACE_LIKE:
-            counts["space"] += 1
-            tag, resid = space_like_residual(g)
-            assert tag in ("one-negative", "two-negative")
-            assert resid < 1e-8
-    assert counts["time"] >= 200 and counts["space"] >= 20
-    assert "D13" in domains and len(domains) >= 5
+    rec = face_centers(hexagon_arcs(*random_hexagons(np.random.default_rng(4), 2500)))
+    has = rec.domain >= 0
+    time, space = has & (rec.branch == TIME), has & (rec.branch == SPACE)
+    assert sign_coherence_ok(rec)[has].all()
+    assert np.all(time_like_residual(rec)[time] < 1e-8)
+    assert np.all(space_like_residual(rec)[space] < 1e-8)
+    assert time.sum() >= 200 and space.sum() >= 20
+    domains = set(rec.domain[time].tolist())
+    assert 12 in domains and len(domains) >= 5  # D13
 
 
 def test_compatibility_residual_on_valid_splits():
-    rng = random.Random(5)
-    for _ in range(200):
-        g = random_geometry(rng)
-        assert abs(hx.compatibility_residual(g.splits)) < 1e-9
+    rec = face_centers(hexagon_arcs(*random_hexagons(np.random.default_rng(5), 400)))
+    d = np.sinh(rec.d[rec.domain >= 0])
+    first = d[:, 0, 1] * d[:, 1, 2] * d[:, 2, 0]
+    second = d[:, 1, 0] * d[:, 2, 1] * d[:, 0, 2]
+    assert np.all(np.abs(first - second) < 1e-9)
+
+
+_ratio = st.builds(lambda x, sign: sign * math.exp(x), st.floats(-4.0, 4.0),
+                   st.sampled_from((1.0, -1.0)))
+_face = st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 4.0), st.floats(0.2, 4.0),
+                  _ratio, _ratio)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(_face, min_size=10, max_size=30))
+def test_record_properties(faces):
+    # lengths in [0.2, 4], ratios with a cyclic product of 1
+    lengths = np.array([f[:3] for f in faces])
+    ratios = np.array([(r1, r2, 1.0 / (r1 * r2)) for *_, r1, r2 in faces])
+    arcs = hexagon_arcs(lengths, ratios)
+    rec = face_centers(arcs)
+    for name, field in zip(rec._fields, rec):
+        assert not np.isnan(field).any(), name
+    gram, polar = embedding_residuals(rec, lengths)
+    assert gram < 1e-11 and polar < 1e-11
+    has = rec.domain >= 0
+    time, space = has & (rec.branch == TIME), has & (rec.branch == SPACE)
+    assert np.all(time_like_residual(rec)[time] < 1e-8)
+    assert np.all(space_like_residual(rec)[space] < 1e-8)
+    assert np.all(time | space | ~has)
+    # dual partials of every arc sum to its length
+    arcs_sum = rec.dual[:, [1, 2, 0], [2, 0, 1]] + rec.dual[:, [2, 0, 1], [1, 2, 0]]
+    assert np.all(np.abs(arcs_sum - arcs.theta)[has] <= 1e-7)

@@ -1,5 +1,5 @@
-"""The batched kernel and its face-center diagnostic against the scalar
-reference ``scalar_ref``, the diagnostic's matrix against the cosine-law
+"""The batched kernel and its face-center record against the scalar
+reference ``scalar_ref``, the record's matrix against the cosine-law
 Jacobian, and that Jacobian against a 40-digit differentiation of the
 cosine law.
 
@@ -79,7 +79,7 @@ def _face_row(rng, spec, f):
 
 
 def _batched(rows):
-    """Both stages of the batched kernel and its face-center diagnostic on
+    """Both stages of the batched kernel and its face-center record on
     scalar-kernel rows, one face per row."""
     codes, al, et, f, du = (np.array([r[i] for r in rows]) for i in range(5))
     arcs = kern.face_theta(disjoint_faces(codes, al, et), f.ravel())
@@ -167,7 +167,7 @@ class _TapedMath:
 
 def _outputs(row, center):
     """theta and jac of the scalar release stages at row, then sigma and the
-    center-distance matrix of the scalar diagnostic if center."""
+    center-distance matrix of the scalar face center if center."""
     ref = scalar_ref.face_eval(*row)
     ys = list(ref[2]) + [x for r in ref[3] for x in r]
     if center:
@@ -209,7 +209,8 @@ def _rows(rng):
 def test_batched_matches_scalar_reference(monkeypatch):
     rng = random.Random(0)
     rows = _rows(rng)
-    arcs, jac, (st_c, bad_c, branch, sigma, m) = _batched(rows)
+    arcs, jac, rec = _batched(rows)
+    st_c, bad_c, branch, sigma, m = rec[:5]
     codes_seen, kinds_seen, branches_seen = set(), set(), set()
     failures_seen = set()
     worst, compared, centered = 0.0, 0, 0
@@ -254,7 +255,8 @@ def test_face_centers_reproduce_the_cosine_law_jacobian():
     # three causal branches
     rng = random.Random(0)
     rows = _rows(rng)
-    arcs, jac, (status, _, branch, sigma, m) = _batched(rows)
+    arcs, jac, rec = _batched(rows)
+    status, _, branch, sigma, m = rec[:5]
     du = np.array([r[4] for r in rows])
     live = status == kern.OK
     assert live.sum() > 700
@@ -281,13 +283,14 @@ def test_status_codes_match():
         # = -1 puts its edge center exactly at infinity
         ((5, 5, 5), (0, 0, 0), (0.0, 3.0, 3.0), (0.0, math.log(2.0), 0.0), (1.0,) * 3),
     ]
-    arcs, jac, (st_c, bad_c, *_rest) = _batched(rows)
+    arcs, jac, rec = _batched(rows)
+    st_c, bad_c = rec.status, rec.bad
     assert arcs.status.tolist() == [kern.BAD_EDGE, kern.BAD_RANGE, kern.BAD_RANGE,
                                     kern.BAD_ARC, kern.OK, kern.OK]
     assert arcs.bad[3] == 0
     # failed faces carry finite filler, so the derivative stage never divides by 0
     assert np.all(np.isfinite(arcs.theta)) and np.all(np.isfinite(jac))
-    # the diagnostic keeps the theta stage's first failure
+    # the face-center record keeps the theta stage's first failure
     assert st_c.tolist() == arcs.status.tolist()[:-1] + [kern.BAD_SPLIT]
     assert bad_c.tolist() == arcs.bad.tolist()[:-1] + [0]
     for k, row in enumerate(rows):

@@ -1,29 +1,25 @@
+"""Lorentzian products of the face-center kernel (hexcurv._kernels.center),
+and the causal class of face centers in its records."""
+
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hexcurv.errors import DomainViolation
-from hexcurv.lorentz import (
-    CausalClass,
-    MinkowskiVec,
-    causal_class,
-    minkowski_cross,
-    minkowski_dot,
-)
-
-V = MinkowskiVec
+from hexcurv._kernels import LIGHT, SPACE, TIME
+from hexcurv._kernels.center import NO_DOMAIN, _cross, _mdot, face_centers, hexagon_arcs
+from hexcurv.tol import TAU_CAUSAL
 
 
-def boost(phi):
-    c, s = math.cosh(phi), math.sinh(phi)
-    return lambda v: V(c * v.x1 + s * v.x3, v.x2, s * v.x1 + c * v.x3)
+def V(*x):
+    return np.array(x, dtype=float)
 
 
 def test_dot_basics():
-    assert minkowski_dot(V(1, 0, 0), V(1, 0, 0)) == 1.0
-    assert minkowski_dot(V(0, 0, 1), V(0, 0, 1)) == -1.0
-    assert minkowski_dot(V(1, 0, 1), V(1, 0, 1)) == 0.0
+    assert _mdot(V(1, 0, 0), V(1, 0, 0)) == 1.0
+    assert _mdot(V(0, 0, 1), V(0, 0, 1)) == -1.0
+    assert _mdot(V(1, 0, 1), V(1, 0, 1)) == 0.0
 
 
 def test_dot_symmetric_bilinear():
@@ -31,48 +27,66 @@ def test_dot_symmetric_bilinear():
     for _ in range(200):
         a = V(*(rng.uniform(-3, 3) for _ in range(3)))
         b = V(*(rng.uniform(-3, 3) for _ in range(3)))
-        assert minkowski_dot(a, b) == minkowski_dot(b, a)
+        assert _mdot(a, b) == _mdot(b, a)
         s = rng.uniform(-2, 2)
-        assert minkowski_dot(s * a, b) == pytest.approx(s * minkowski_dot(a, b), rel=1e-14)
+        assert _mdot(s * a, b) == pytest.approx(s * _mdot(a, b), rel=1e-14)
 
 
 def test_cross_basis_and_antisymmetry():
-    c = minkowski_cross(V(1, 0, 0), V(0, 1, 0))
-    assert (c.x1, c.x2, c.x3) == (0.0, 0.0, -1.0)
+    assert _cross(V(1, 0, 0), V(0, 1, 0)).tolist() == [0.0, 0.0, -1.0]
     a = V(0.3, -1.2, 0.7)
-    z = minkowski_cross(a, a)
-    assert (z.x1, z.x2, z.x3) == (0.0, 0.0, 0.0)
-    d = minkowski_cross(V(1, 0, 0), V(0, 0, 1))
-    assert minkowski_dot(d, V(1, 0, 0)) == 0.0
+    assert _cross(a, a).tolist() == [0.0, 0.0, 0.0]
+    d = _cross(V(1, 0, 0), V(0, 0, 1))
+    assert _mdot(d, V(1, 0, 0)) == 0.0
 
 
 def test_cross_orthogonality_property():
-    rng = random.Random(1)
-    for _ in range(300):
-        a = V(*(rng.uniform(-2, 2) for _ in range(3)))
-        b = V(*(rng.uniform(-2, 2) for _ in range(3)))
-        c = minkowski_cross(a, b)
-        m = max(1.0, a.euclidean_norm() * b.euclidean_norm())
-        assert abs(minkowski_dot(c, a)) < 1e-13 * m * m
-        assert abs(minkowski_dot(c, b)) < 1e-13 * m * m
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-2, 2, (2, 300, 3))
+    c = _cross(a, b)
+    m = np.maximum(1.0, np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    assert np.all(np.abs(_mdot(c, a)) < 1e-13 * m * m)
+    assert np.all(np.abs(_mdot(c, b)) < 1e-13 * m * m)
+
+
+def _faces_along(t):
+    # one hexagon whose ratios run from 1 (time-like center) at t = 0 to a
+    # space-like center at t = 1; every split stays on its geodesic
+    lengths = (2.14697, 1.96148, 2.05437)
+    r = np.exp(np.outer(t, np.log([0.15306677696454063, 4.883856468517821])))
+    ratios = np.column_stack((r, 1.0 / (r[:, 0] * r[:, 1])))
+    return face_centers(hexagon_arcs(np.tile(lengths, (len(t), 1)), ratios))
 
 
 def test_causal_classification():
-    assert causal_class(V(0, 0, 1)) is CausalClass.TIME_LIKE
-    assert causal_class(V(2, 0, 1)) is CausalClass.SPACE_LIKE
-    assert causal_class(V(1, 0, 1)) is CausalClass.LIGHT_LIKE
-    with pytest.raises(DomainViolation):
-        causal_class(V(math.inf, 0, 0))
+    ends = _faces_along(np.array([0.0, 1.0]))
+    assert ends.branch.tolist() == [TIME, SPACE]
+    lo, hi = 0.0, 1.0
+    for _ in range(60):  # bisect the sign change of the causal value
+        mid = 0.5 * (lo + hi)
+        rec = _faces_along(np.array([mid]))
+        if rec.branch[0] == LIGHT:
+            break
+        lo, hi = (mid, hi) if rec.branch[0] == TIME else (lo, mid)
+    assert rec.branch[0] == LIGHT and abs(rec.sigma[0]) <= TAU_CAUSAL
+    # a light-like center has no domain, h or q
+    assert rec.domain[0] == NO_DOMAIN and not rec.h.any() and not rec.q.any()
 
 
 def test_causal_class_boost_invariant():
-    rng = random.Random(2)
-    vecs = [V(0, 0, 1), V(2, 0, 1), V(1, 0, 1), V(0.3, 0.4, 0.5), V(1, 1, -1.5)]
-    for v in vecs:
-        cls = causal_class(v)
-        for _ in range(20):
-            phi = rng.uniform(-2, 2)
-            assert causal_class(boost(phi)(v)) is cls
+    # relabeling the corners moves the canonical embedding by a Lorentz
+    # transformation: the causal class stays, h and q turn with the corners
+    rng = np.random.default_rng(2)
+    lengths = rng.uniform(0.3, 2.5, (300, 3))
+    r = np.exp(rng.uniform(-2.0, 2.0, (300, 2)))
+    ratios = np.column_stack((r, 1.0 / (r[:, 0] * r[:, 1])))
+    rec = face_centers(hexagon_arcs(lengths, ratios))
+    turned = face_centers(hexagon_arcs(lengths[:, [1, 2, 0]], ratios[:, [1, 2, 0]]))
+    sure = (rec.domain >= 0) & (np.abs(rec.sigma) > 1e-6)
+    assert sure.sum() > 100
+    assert np.array_equal(rec.branch[sure], turned.branch[sure])
+    assert np.allclose(rec.h[sure][:, [1, 2, 0]], turned.h[sure], atol=1e-9)
+    assert np.allclose(rec.q[sure][:, [1, 2, 0]], turned.q[sure], atol=1e-9)
 
 
 def test_right_angle_identity():
@@ -86,6 +100,6 @@ def test_right_angle_identity():
         r, s = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
         y = math.cosh(r) * x + math.sinh(r) * t1
         z = math.sinh(s) * x + math.cosh(s) * t2  # space-like far endpoint
-        lhs = -minkowski_dot(z, y)
-        rhs = minkowski_dot(z, x) * minkowski_dot(x, y)
+        lhs = -_mdot(z, y)
+        rhs = _mdot(z, x) * _mdot(x, y)
         assert abs(lhs - rhs) < 1e-10
