@@ -134,6 +134,15 @@ def test_hexagon_golden(case, capsys):
             assert abs(doc[key] - want) <= max(1e-10 * abs(want), 1e-12), key
 
 
+def test_hexagon_light_like_center(capsys):
+    # ratios bisected to a face center with causal value -2.5e-11
+    assert main(["hexagon", "--lengths", "2.14697,1.96148,2.05437", "--ratios",
+                 "0.15606825739081695,4.80437164047198,1.3336713571643453", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["center_class"], doc["domain"]) == ("light-like", "LightCone")
+    assert not {"h_i", "q_i"} & doc.keys() and "arc_01" in doc
+
+
 @pytest.mark.parametrize("args", [
     ["--lengths", "a,b,c"],
     ["--lengths", "1,1"],
