@@ -177,6 +177,8 @@ def face_centers(arcs: Arcs) -> Centers:
     dab = np.where(k1, inv, t * inv)
     dba = np.where(k1, ch - sh * w, sh - ch * t) * inv
     r1, r2 = -dab, np.where(k1, dba, -dba)
+    # a split center rounded onto an end leaves a zero partial, a divisor below
+    _fail(status, bad, np.where((k0 | k1) & ((dab == 0.0) | (dba == 0.0)), BAD_SPLIT, OK).T)
 
     # canonical embedding: v0 on the x1 axis, v1 in the x1-x3 plane
     shth0 = np.sqrt((chth[:, 0] - 1.0) * (chth[:, 0] + 1.0))

@@ -1,14 +1,15 @@
 """The six conformal structure families on ideal edges.
 
-The edge rule code of every edge, the per-vertex change of variables
+The weight table RULES, which validate_spec, polytope and the existence
+verdict read as arrays over the edges, the per-vertex change of variables
 u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
 membership.  The edge rules themselves live once, in _kernels (one
 function per rule code, behind edge_state and the kernel's edge pass).
 spec_arrays(spec, tri) derives the arrays of a spec on a mesh once, the
 evaluation kernel's edge program among them; the mesh keeps those of the
-last spec it was used with.  Functions taking u or f accept a mapping or an
-array indexed by component; f_from_u and u_from_f map dicts to dicts at
-the API boundary.
+last spec it was used with.  Functions taking u or f accept a mapping or
+an array indexed by component; f_from_u and u_from_f map dicts to dicts
+at the API boundary.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -17,8 +18,10 @@ sign-flipped edge rule on the two edges at that component).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,15 +32,9 @@ from .errors import DomainViolation, FamilyConstraint, UnsupportedWeightRange
 
 FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 
-# Edge rule codes shared with the evaluation kernels.
+# Edge rule codes shared with the evaluation kernels: FAMILIES.index(tag) % 3
+# on plain edges, 3 more on the flipped edges at a special component.
 EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B1, EDGE_B2, EDGE_B3 = range(6)
-
-_BASE_CODE = {
-    "A1": EDGE_A1, "MixedI": EDGE_A1,
-    "A2": EDGE_A2, "MixedII": EDGE_A2,
-    "A3": EDGE_A3, "MixedIII": EDGE_A3,
-}
-_B_OFFSET = 3  # EDGE_B* = EDGE_A* + 3
 
 
 @dataclass(frozen=True)
@@ -63,25 +60,6 @@ class StructureSpec:
         for e, w in self.eta.items():
             if not math.isfinite(w):
                 raise FamilyConstraint(f"eta[{e}]={w} is not finite")
-
-    def is_special(self, i) -> bool:
-        return i in self.special
-
-    def is_mixed(self) -> bool:
-        return self.family.startswith("Mixed")
-
-
-def rule_code(family: str, flipped):
-    """Edge rule code of a family; flipped (bool or bool array) picks B."""
-    return _BASE_CODE[family] + _B_OFFSET * flipped
-
-
-def edge_code(spec: StructureSpec, a, b) -> int:
-    """Edge rule code for the edge joining boundary components a and b."""
-    sa, sb = spec.is_special(a), spec.is_special(b)
-    if sa and sb:
-        raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
-    return rule_code(spec.family, sa or sb)
 
 
 # -- change of variables ---------------------------------------------------
@@ -126,13 +104,13 @@ def _law(spec: StructureSpec, i) -> int:
     if spec.family in ("A3", "MixedIII"):
         return _EXP
     if spec.family in ("A2", "MixedII"):
-        return _COS if spec.is_special(i) else _SIN
+        return _COS if i in spec.special else _SIN
     return (_LIN, _SINH, _COSH)[spec.alpha[i]]
 
 
 def chart(spec: StructureSpec, i) -> Chart:
     """The u-domain of boundary component i under the family chart."""
-    return _LAWS[_law(spec, i)][5 if spec.is_special(i) else 4]
+    return _LAWS[_law(spec, i)][5 if i in spec.special else 4]
 
 
 class ChangeOfVariables:
@@ -143,7 +121,7 @@ class ChangeOfVariables:
 
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
-        special = np.array([spec.is_special(i) for i in ids], dtype=np.intp)
+        special = np.array([i in spec.special for i in ids], dtype=np.intp)
         self.law = np.array([_law(spec, i) for i in ids], dtype=np.intp)
         self.sign = 2.0 * special - 1.0
         self.f_lo, self.f_hi = _BOUNDS[self.law, 0].T
@@ -199,106 +177,149 @@ def f_from_u(spec: StructureSpec, u: Mapping[int, float]) -> dict:
     return dict(zip(u, ChangeOfVariables(spec, list(u)).to_f(list(u.values())).tolist()))
 
 
-# -- admissible-space membership --------------------------------------------
+# -- the weight table --------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairBound:
-    """Open interval constraint lo < u_a + u_b < hi tied to one edge."""
-
-    a: int
-    b: int
-    lo: float
-    hi: float
+def _ge(x: float) -> float:
+    """The window eta >= x, as eta > the float below x."""
+    return math.nextafter(x, -math.inf)
 
 
-def _a1_pair_bound(aa: int, ab: int, eta: float):
-    """Lower bound constant of the plain (non-special) edge rule."""
-    key = frozenset((aa, ab))
-    if key == frozenset((0,)):
-        return math.log(2.0 / eta)
-    if key in (frozenset((0, -1)), frozenset((0, 1))):
-        return math.log(1.0 / eta)
-    if key in (frozenset((-1,)), frozenset((1,))):
-        return -math.acosh(eta)
-    return math.asinh(-eta)  # alphas {1, -1}
+# One row per family group, rule code and alpha pairs, each pair (alpha at
+# the special end, or at end a, alpha at the other end).  Validation admits
+# the weights eta > admit and raises error, a (class, message) pair, for the
+# others.  The pair bound lo(eta) < u_a + u_b < hi(eta) (None: unbounded) is
+# defined for eta > dom; polytope raises for the others.  An existence
+# theorem covers the edge where proven[0] <= eta <= proven[1].
+Rule = namedtuple("Rule", "families code pairs admit error dom lo hi proven")
+
+_ANY, _ALWAYS, _NEVER = -math.inf, (-math.inf, math.inf), (math.inf, -math.inf)
+_ALL = [(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1)]
+_A1, _A3 = ("A1", "MixedI"), ("A3", "MixedIII")
+_PLAIN = (FamilyConstraint, "plain edge weight must be positive")
+_EQUAL = (FamilyConstraint, "weight must exceed 1 for equal alphas")
+_POSITIVE = (FamilyConstraint, "weight must be positive")
+_FLOOR_1 = (FamilyConstraint, "weight below 1")
 
 
-def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
-    """The membership constraint contributed by one edge, or None.
+def _cos_bound(eta):
+    # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
+    return np.where(eta < 1.0, -np.arccos(-eta), -np.inf)
 
-    Exact under the family charts: the constraint holds iff the edge length
-    is real and positive.
-    """
-    i, j = edge.a, edge.b
-    eta = spec.eta[edge.id]
-    code = edge_code(spec, i, j)
-    lo, hi = -math.inf, math.inf
-    try:
-        if code == EDGE_A1:
-            lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
-        elif code == EDGE_A2:
-            # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
-            if eta < 1.0:
-                lo = -math.acos(-eta)
-        elif code == EDGE_A3:
-            lo = -math.sqrt(2.0 * eta)
-        elif code == EDGE_B3:
-            if eta <= 0.0:
-                lo = math.sqrt(-2.0 * eta)
-        elif code == EDGE_B2:
-            if eta <= 1.0:
-                lo = -math.asin(min(eta, 1.0))
-        else:  # EDGE_B1: depends on the alpha pair, special endpoint first
-            s, m = (i, j) if spec.is_special(i) else (j, i)
-            asm = (spec.alpha[s], spec.alpha[m])
-            if asm == (0, 0) or asm == (1, 1):
-                pass  # eta range validated separately; no u constraint
-            elif asm == (1, 0):
-                if eta < 0.0:
-                    hi = math.log(-1.0 / eta)
-            elif asm == (-1, 0):
-                lo = math.log(1.0 / eta)
-            elif asm == (0, 1):
-                if eta < 0.0:
-                    lo = math.log(-eta)
-            elif asm == (-1, 1):
-                lo = math.asinh(-eta)
-            elif asm == (0, -1):
-                hi = math.log(eta)
-            elif asm == (1, -1):
-                hi = math.asinh(eta)
-            else:  # (-1, -1)
-                lo, hi = -math.acosh(eta), math.acosh(eta)
-    except (ValueError, ZeroDivisionError):  # math rejects such weights
-        raise FamilyConstraint(
-            f"edge {edge.id}: weight {eta} outside the range of its edge rule"
-        ) from None
-    if lo == -math.inf and hi == math.inf:
-        return None
-    return PairBound(i, j, lo, hi)
+
+RULES = (
+    # the plain rules; A1's is symmetric in its ends
+    Rule(_A1, EDGE_A1, [(0, 0)], 0.0, _PLAIN, 0.0, lambda eta: np.log(2.0 / eta), None,
+         _ALWAYS),
+    Rule(_A1, EDGE_A1, [(0, 1), (1, 0)], 0.0, _PLAIN, 0.0, lambda eta: np.log(1.0 / eta),
+         None, _ALWAYS),
+    Rule(_A1, EDGE_A1, [(0, -1), (-1, 0)], 0.0, _PLAIN, 0.0,
+         lambda eta: np.log(1.0 / eta), None, _NEVER),
+    Rule(_A1, EDGE_A1, [(1, 1)], 1.0, _EQUAL, _ge(1.0), lambda eta: -np.arccosh(eta), None,
+         _ALWAYS),
+    Rule(_A1, EDGE_A1, [(-1, -1)], 1.0, _EQUAL, _ge(1.0), lambda eta: -np.arccosh(eta),
+         None, _NEVER),
+    Rule(_A1, EDGE_A1, [(1, -1), (-1, 1)], 0.0, _PLAIN, _ANY, lambda eta: np.arcsinh(-eta),
+         None, _NEVER),
+    Rule(("A2",), EDGE_A2, _ALL, _ge(-1.0), (FamilyConstraint, "weight below -1"),
+         _ge(-1.0), _cos_bound, None, (-1.0, 0.0)),
+    Rule(("MixedII",), EDGE_A2, _ALL, _ge(1.0), _FLOOR_1, _ge(-1.0), _cos_bound, None,
+         _NEVER),
+    Rule(_A3, EDGE_A3, _ALL, 0.0, _POSITIVE, _ge(0.0), lambda eta: -np.sqrt(2.0 * eta),
+         None, _ALWAYS),
+    # the flipped rules at a special component
+    Rule(("MixedI",), EDGE_B1, [(0, 0)], 0.0, _POSITIVE, _ANY, None, None, _ALWAYS),
+    Rule(("MixedI",), EDGE_B1, [(1, 1)], -1.0,
+         (UnsupportedWeightRange, "weight <= -1 window excluded"), _ANY, None, None, _ALWAYS),
+    Rule(("MixedI",), EDGE_B1, [(1, 0)], _ge(0.0),
+         (UnsupportedWeightRange, "negative weight window excluded"), _ANY, None,
+         lambda eta: np.where(eta < 0.0, np.log(-1.0 / eta), np.inf), _ALWAYS),
+    Rule(("MixedI",), EDGE_B1, [(-1, 0)], 0.0, _POSITIVE, 0.0,
+         lambda eta: np.log(1.0 / eta), None, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(0, 1)], _ANY, None, _ANY,
+         lambda eta: np.where(eta < 0.0, np.log(-eta), -np.inf), None, _ALWAYS),
+    Rule(("MixedI",), EDGE_B1, [(-1, 1)], _ANY, None, _ANY, lambda eta: np.arcsinh(-eta),
+         None, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(0, -1)], 0.0, _POSITIVE, 0.0, None, np.log, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(1, -1)], _ANY, None, _ANY, None, np.arcsinh, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(-1, -1)], 1.0, (FamilyConstraint, "weight must exceed 1"),
+         _ge(1.0), lambda eta: -np.arccosh(eta), np.arccosh, _NEVER),
+    Rule(("MixedII",), EDGE_B2, _ALL, _ge(1.0), _FLOOR_1, _ge(-1.0),
+         lambda eta: np.where(eta <= 1.0, -np.arcsin(eta), -np.inf), None, _NEVER),
+    Rule(("MixedIII",), EDGE_B3, _ALL, _ANY, None, _ANY,
+         lambda eta: np.where(eta <= 0.0, np.sqrt(-2.0 * eta), -np.inf), None, _ALWAYS),
+)
+
+# The row of each (family, code, alpha pair).  A spec of an A family with
+# special components fails validation; its flipped edges read the rows of
+# the mixed family with the same plain rule.
+_ROW = np.zeros((len(FAMILIES), 6, 3, 3), dtype=np.intp)
+for _k, _rule in enumerate(RULES):
+    for _fam, (_p, _q) in itertools.product(_rule.families, _rule.pairs):
+        _ROW[FAMILIES.index(_fam), _rule.code, _p + 1, _q + 1] = _k
+_ROW[:3, 3:] = _ROW[3:, 3:]
+_ADMIT, _DOM = (np.array([getattr(r, name) for r in RULES]) for name in ("admit", "dom"))
+_PROVEN = np.array([r.proven for r in RULES]).T
+
+# The within-face weight couplings of MixedI and MixedIII, by code 1, 2.
+_COUPLINGS = ((UnsupportedWeightRange, "weight combination outside supported window"),
+              (FamilyConstraint, "incompatible weights on opposite edges"))
+
+# A spec's inputs to RULES on a mesh: per edge in edge-list order its id,
+# ends a and b, rule code, row, weight and whether both ends are special;
+# per component its alpha and whether it is special.
+_Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
+
+
+def _edges(spec: StructureSpec, tri) -> _Edges:
+    n, fam = tri.n_boundary, FAMILIES.index(spec.family)
+    ids, a, b = tri.edge_arrays
+    alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
+    special = np.zeros(n, dtype=bool)
+    special[[v for v in spec.special if v in range(n)]] = True
+    sa, sb = special[a], special[b]
+    code = fam % 3 + 3 * (sa | sb)
+    first = np.where(sb & ~sa, b, a)  # the special end, else a
+    row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
+    eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
+    return _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
+
+
+def _special_faces(tri, edges: _Edges) -> tuple:
+    """Per face: whether exactly one corner c is special; then along the
+    corners c, c + 1, c + 2 their alphas, and the weights of the sides c
+    (from the special corner), c + 1 (between the plain corners) and c + 2
+    (into the special corner), each 3 x F."""
+    vert, epos = tri.face_arrays
+    sp = edges.special[vert]
+    ring = (np.argmax(sp, axis=1)[:, None] + np.arange(3)) % 3
+    return (sp.sum(axis=1) == 1, np.take_along_axis(edges.alpha[vert], ring, 1).T,
+            np.take_along_axis(edges.eta[epos], ring, 1).T)
 
 
 class SpecArrays:
-    """The arrays of one spec on one mesh: cov, the change of variables of
-    every component; program, the evaluation kernel's EdgeProgram of the
-    faces in face order, each edge oriented the way its first face side
-    runs; polytope, set by polytope() on first use; start, the default
-    start in u, and unproven, whether no existence theorem covers the
-    configuration, each set by the solver on first use."""
+    """The arrays of one spec on one mesh: edges, its inputs to RULES;
+    cov, the change of variables of every component; program, the
+    evaluation kernel's EdgeProgram of the faces in face order, each edge
+    oriented the way its first face side runs; unproven, whether no
+    existence theorem covers the configuration; polytope, set by
+    polytope() on first use; start, the default start in u, set by the
+    solver on first use."""
 
     def __init__(self, spec: StructureSpec, tri):
-        self.spec, self.polytope, self.start, self.unproven = spec, None, None, None
-        n = tri.n_boundary
-        self.cov = ChangeOfVariables(spec, range(n))
-        vert, epos, eids = tri.face_arrays
-        alpha = np.array([spec.alpha[v] for v in range(n)], dtype=float)
-        special = np.array([spec.is_special(v) for v in range(n)], dtype=bool)
-        eta = np.array([spec.eta[e] for e in eids], dtype=float)
+        self.spec, self.polytope, self.start = spec, None, None
+        self.edges = e = _edges(spec, tri)
+        self.cov = ChangeOfVariables(spec, range(tri.n_boundary))
+        vert, epos = tri.face_arrays
         first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
         ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
-        sa, sb = special[ends]
-        self.program = EdgeProgram(vert, ends, rule_code(spec.family, sa | sb),
-                                   alpha[ends], eta, epos, sa & sb)
+        self.program = EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta,
+                                   epos, e.double)
+        lo, hi = _PROVEN[:, e.row]
+        self.unproven = not np.all((lo <= e.eta) & (e.eta <= hi))
+        if spec.family == "MixedI" and not self.unproven:
+            # nor where a face at a special component has plain alphas 1, 1
+            one, (_, a1, a2), _ = _special_faces(tri, e)
+            self.unproven = bool(np.any(one & (a1 == 1) & (a2 == 1)))
 
 
 def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
@@ -309,17 +330,36 @@ def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
     return tri.spec_memo
 
 
+# -- admissible-space membership --------------------------------------------
+
 def polytope(spec: StructureSpec, tri) -> tuple:
     """The admissible polytope of (spec, tri) as arrays (lo, hi, a, b,
     pair_lo, pair_hi, edge): the chart lo < u_i < hi of every component, and
-    pair_lo < u_a + u_b < pair_hi for every constrained edge, in edge order."""
+    pair_lo < u_a + u_b < pair_hi for every edge whose pair bound in RULES is
+    finite on either side, in edge-list order.  Raises FamilyConstraint for
+    the first edge that joins two special components or whose weight lies
+    outside the domain of its bound."""
     arrays = spec_arrays(spec, tri)
     if arrays.polytope is None:
-        pairs = np.array([(pb.a, pb.b, e.id, pb.lo, pb.hi) for e in tri.edges
-                          if (pb := edge_constraint(spec, e)) is not None])
-        a, b, edge, pair_lo, pair_hi = pairs.reshape(-1, 5).T.copy()
-        a, b, edge = a.astype(np.intp), b.astype(np.intp), edge.astype(np.intp)
-        arrays.polytope = (arrays.cov.lo, arrays.cov.hi, a, b, pair_lo, pair_hi, edge)
+        e = arrays.edges
+        bad = e.double | ~(e.eta > _DOM[e.row])
+        if bad.any():
+            k = int(np.argmax(bad))
+            if e.double[k]:
+                raise FamilyConstraint(f"edge ({e.a[k]},{e.b[k]}) joins two special components")
+            raise FamilyConstraint(f"edge {e.ids[k]}: weight {float(e.eta[k])} outside "
+                                   "the range of its edge rule")
+        lo, hi = np.full(len(e.eta), -np.inf), np.full(len(e.eta), np.inf)
+        with np.errstate(all="ignore"):  # np.where evaluates both branches
+            for k in np.unique(e.row).tolist():
+                at, rule = e.row == k, RULES[k]
+                if rule.lo is not None:
+                    lo[at] = rule.lo(e.eta[at])
+                if rule.hi is not None:
+                    hi[at] = rule.hi(e.eta[at])
+        keep = (lo > -np.inf) | (hi < np.inf)
+        arrays.polytope = (arrays.cov.lo, arrays.cov.hi, e.a[keep], e.b[keep], lo[keep],
+                           hi[keep], e.ids[keep])
     return arrays.polytope
 
 
@@ -344,155 +384,61 @@ def admissible(spec: StructureSpec, tri, u) -> Admissibility:
 
 # -- family / weight validation ---------------------------------------------
 
-def _face_corners(spec: StructureSpec, face):
-    """(special corner or None, other corners) of one face."""
-    sp = [v for v in face.vertices if spec.is_special(v)]
-    if len(set(sp)) > 1 or len(sp) > 1:
-        raise FamilyConstraint(
-            f"face {face.id} has more than one special component"
-        )
-    if sp:
-        others = [v for v in face.vertices if v != sp[0]]
-        return sp[0], others
-    return None, list(face.vertices)
-
-
-def _check_a1_edge(eta: float, aa: int, ab: int, where: str) -> None:
-    if eta <= 0.0:
-        raise FamilyConstraint(f"{where}: plain edge weight must be positive")
-    if aa == ab and eta <= aa * ab:
-        raise FamilyConstraint(
-            f"{where}: weight must exceed {aa * ab} for equal alphas"
-        )
-
-
-def _check_mixed1_face(spec: StructureSpec, tri, face) -> None:
-    s, others = _face_corners(spec, face)
-    by_pair = {}
-    for eid in face.edge_ids:
-        e = tri.edge_by_id[eid]
-        by_pair.setdefault(frozenset((e.a, e.b)), []).append(e)
-    if s is None:
-        for eid in face.edge_ids:
-            e = tri.edge_by_id[eid]
-            _check_a1_edge(spec.eta[eid], spec.alpha[e.a], spec.alpha[e.b],
-                           f"face {face.id} edge {eid}")
-        return
-    m1, m2 = others
-    a_s, a1, a2 = spec.alpha[s], spec.alpha[m1], spec.alpha[m2]
-    a_edges = [e for e in tri.face_edges(face) if not (spec.is_special(e.a) or spec.is_special(e.b))]
-    b_edges = [e for e in tri.face_edges(face) if spec.is_special(e.a) or spec.is_special(e.b)]
-    for e in a_edges:
-        _check_a1_edge(spec.eta[e.id], spec.alpha[e.a], spec.alpha[e.b],
-                       f"face {face.id} edge {e.id}")
-    b_eta = {}
-    for e in b_edges:
-        m = e.b if spec.is_special(e.a) else e.a
-        b_eta[e.id] = (spec.alpha[m], spec.eta[e.id])
-        eta = spec.eta[e.id]
-        am = spec.alpha[m]
-        where = f"face {face.id} edge {e.id}"
-        if a_s == 0 and am == 0 and eta <= 0.0:
-            raise FamilyConstraint(f"{where}: weight must be positive")
-        if a_s == 1 and am == 0 and eta < 0.0:
-            raise UnsupportedWeightRange(f"{where}: negative weight window excluded")
-        if a_s == -1 and am == 0 and eta <= 0.0:
-            raise FamilyConstraint(f"{where}: weight must be positive")
-        if a_s == 1 and am == 1 and eta <= -1.0:
-            raise UnsupportedWeightRange(f"{where}: weight <= -1 window excluded")
-        if a_s == 0 and am == -1 and eta <= 0.0:
-            raise FamilyConstraint(f"{where}: weight must be positive")
-        if a_s == -1 and am == -1 and eta <= 1.0:
-            raise FamilyConstraint(f"{where}: weight must exceed 1")
-    # side conditions coupling the weights of one face
-    sorted_am = tuple(sorted((a1, a2)))
-    if a_s == 0 and sorted_am == (-1, 1):
-        e_pos = next(e for e in b_edges if b_eta[e.id][0] == 1)
-        e_neg = next(e for e in b_edges if b_eta[e.id][0] == -1)
-        eta_pos, eta_neg = spec.eta[e_pos.id], spec.eta[e_neg.id]
-        if eta_pos < 0.0 and eta_pos + eta_neg <= 0.0:
-            raise UnsupportedWeightRange(
-                f"face {face.id}: weight combination outside supported window"
-            )
-    if a_s == 1 and sorted_am == (-1, 1):
-        e_neg = next(e for e in b_edges if b_eta[e.id][0] == -1)
-        a_edge = a_edges[0]
-        if spec.eta[e_neg.id] + spec.eta[a_edge.id] <= 0.0:
-            raise FamilyConstraint(
-                f"face {face.id}: incompatible weights on opposite edges"
-            )
-    if a_s == -1 and sorted_am == (-1, 1):
-        e_pos = next(e for e in b_edges if b_eta[e.id][0] == 1)
-        if spec.eta[e_pos.id] <= 0.0:
-            raise UnsupportedWeightRange(
-                f"face {face.id} edge {e_pos.id}: non-positive weight excluded"
-            )
-    if a_s == 1 and sorted_am == (-1, -1):
-        for e in b_edges:
-            if spec.eta[e.id] <= 0.0:
-                raise UnsupportedWeightRange(
-                    f"face {face.id} edge {e.id}: non-positive weight excluded"
-                )
+def _couplings(family: str, tri, edges: _Edges) -> np.ndarray:
+    """The code in _COUPLINGS of the coupling each face fails, or 0."""
+    one, (a_s, a1, a2), (e1, e_a, e2) = _special_faces(tri, edges)
+    if family == "MixedIII":  # a side at the special corner: eta <= 0 needs eta <= -e_a
+        return one & ((e1 <= 0.0) & (e_a + e1 > 0.0) | (e2 <= 0.0) & (e_a + e2 > 0.0))
+    # on plain alphas 1 and -1: the weights of the sides at the special corner
+    pos, neg = np.where(a1 == 1, e1, e2), np.where(a1 == 1, e2, e1)
+    opposite = one & (a1 * a2 == -1)
+    return np.where(opposite & (a_s == 1) & (neg + e_a <= 0.0), 2, (
+        opposite & (a_s == 0) & (pos < 0.0) & (pos + neg <= 0.0)
+        | opposite & (a_s == -1) & (pos <= 0.0)
+        | one & (a_s == 1) & (a1 == -1) & (a2 == -1) & ((e1 <= 0.0) | (e2 <= 0.0))))
 
 
 def validate_spec(spec: StructureSpec, tri) -> None:
-    """Family-level weight and special-set validation against a mesh."""
+    """The family, special set and weights of spec on tri, against RULES.
+
+    Raises FamilyConstraint or UnsupportedWeightRange for the first
+    violation: the special set, an edge joining two special components,
+    the alphas A2 and MixedII require, then the weights.  Weights go in
+    edge-list order; on MixedI and MixedIII, whose weights also couple
+    within a face, in face order, and in a face its plain sides, then its
+    sides at the special corner, then the coupling.
+    """
     fam = spec.family
-    if not spec.is_mixed() and spec.special:
+    if spec.special and not fam.startswith("Mixed"):
         raise FamilyConstraint(f"{fam} admits no special components")
     for v in spec.special:
         if v not in spec.alpha:
             raise FamilyConstraint(f"special component {v} is not a vertex")
-    for e in tri.edges:
-        if spec.is_special(e.a) and spec.is_special(e.b):
-            raise FamilyConstraint(f"edge {e.id} joins two special components")
-    for face in tri.faces:
-        _face_corners(spec, face)  # raises on two specials in one face
-
-    if fam in ("A2", "MixedII"):
-        for i, a in spec.alpha.items():
-            if a != -1:
-                raise FamilyConstraint(f"{fam} requires alpha=-1 (component {i})")
-    if fam == "A1":
-        for e in tri.edges:
-            _check_a1_edge(spec.eta[e.id], spec.alpha[e.a], spec.alpha[e.b],
-                           f"edge {e.id}")
-    elif fam == "A2":
-        for e in tri.edges:
-            if spec.eta[e.id] < -1.0:
-                raise FamilyConstraint(f"edge {e.id}: weight below -1")
-    elif fam == "A3":
-        for e in tri.edges:
-            if spec.eta[e.id] <= 0.0:
-                raise FamilyConstraint(f"edge {e.id}: weight must be positive")
-    elif fam == "MixedII":
-        for e in tri.edges:
-            if spec.eta[e.id] < 1.0:
-                raise FamilyConstraint(f"edge {e.id}: weight below 1")
-    elif fam == "MixedIII":
-        for face in tri.faces:
-            s, _ = _face_corners(spec, face)
-            edges = list(tri.face_edges(face))
-            if s is None:
-                for e in edges:
-                    if spec.eta[e.id] <= 0.0:
-                        raise FamilyConstraint(
-                            f"edge {e.id}: weight must be positive"
-                        )
-                continue
-            a_edge = next(e for e in edges
-                          if not (spec.is_special(e.a) or spec.is_special(e.b)))
-            if spec.eta[a_edge.id] <= 0.0:
-                raise FamilyConstraint(
-                    f"face {face.id} edge {a_edge.id}: weight must be positive"
-                )
-            for e in edges:
-                if e.id == a_edge.id:
-                    continue
-                if spec.eta[e.id] <= 0.0 and spec.eta[a_edge.id] + spec.eta[e.id] > 0.0:
-                    raise UnsupportedWeightRange(
-                        f"face {face.id}: weight combination outside supported window"
-                    )
-    elif fam == "MixedI":
-        for face in tri.faces:
-            _check_mixed1_face(spec, tri, face)
+    e = _edges(spec, tri)
+    if e.double.any():
+        raise FamilyConstraint(f"edge {e.ids[np.argmax(e.double)]} joins two special "
+                               "components")
+    if fam in ("A2", "MixedII") and np.any(e.alpha != -1):
+        raise FamilyConstraint(f"{fam} requires alpha=-1 "
+                               f"(component {np.argmax(e.alpha != -1)})")
+    bad = np.where(e.eta > _ADMIT[e.row], 0, e.row + 1)  # 1 + the row
+    if fam not in ("MixedI", "MixedIII"):
+        if bad.any():
+            k = int(np.argmax(bad))
+            cls, text = RULES[e.row[k]].error
+            raise cls(f"edge {e.ids[k]}: {text}")
+        return
+    vert, epos = tri.face_arrays
+    sp = e.special[vert]
+    order = np.zeros((len(vert), 7), dtype=np.intp)
+    np.put_along_axis(order, np.where(sp | sp[:, _NEXT], 3, 0) + np.arange(3),
+                      bad[epos], axis=1)
+    order[:, 6] = _couplings(fam, tri, e)
+    if order.any():
+        k, col = divmod(int(np.argmax(order.ravel() != 0)), 7)
+        face = tri.faces[k]
+        if col == 6:
+            cls, text = _COUPLINGS[order[k, col] - 1]
+            raise cls(f"face {face.id}: {text}")
+        cls, text = RULES[order[k, col] - 1].error
+        raise cls(f"face {face.id} edge {e.ids[epos[k, col % 3]]}: {text}")

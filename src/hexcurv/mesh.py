@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .conformal import StructureSpec
+from .conformal import StructureSpec, validate_spec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
 
 FORMAT_VERSION = 1
@@ -144,15 +145,20 @@ class Triangulation:
             )
 
     @cached_property
+    def edge_arrays(self) -> tuple:
+        """(ids, ends a, ends b) of the edges in edge-list order; built on first use."""
+        return tuple(np.fromiter(map(attrgetter(name), self.edges), np.intp, len(self.edges))
+                     for name in ("id", "a", "b"))
+
+    @cached_property
     def face_arrays(self) -> tuple:
-        """(F x 3 vertex ids, F x 3 positions of the face edges in the edge-id
-        list, that list) in face order; built on first use."""
-        eids = [e.id for e in self.edges]
-        pos = {eid: k for k, eid in enumerate(eids)}
+        """(F x 3 vertex ids, F x 3 positions of the face edges in the edge
+        list) in face order; built on first use."""
+        pos = {eid: k for k, eid in enumerate(self.edge_arrays[0].tolist())}
         vert = np.array([f.vertices for f in self.faces], dtype=np.intp)
         epos = np.array([[pos[e] for e in f.edge_ids] for f in self.faces],
                         dtype=np.intp)
-        return vert.reshape(-1, 3), epos.reshape(-1, 3), eids
+        return vert.reshape(-1, 3), epos.reshape(-1, 3)
 
     @cached_property
     def jacobian_pattern(self) -> tuple:
@@ -186,9 +192,6 @@ class Triangulation:
         place = np.empty_like(gather)
         place[gather] = np.arange(len(gather))
         return place[self.jacobian_pattern[0]]
-
-    def face_edges(self, face: Face):
-        return [self.edge_by_id[eid] for eid in face.edge_ids]
 
     def vertex_star(self, i: int) -> list:
         """All (face, corner index) incidences of boundary component i."""
@@ -266,8 +269,6 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
             raise DanglingReference(f"edge {e.id} references unknown vertex")
     tri = Triangulation(n, edges, faces, open_edges=open_edges)
     spec = StructureSpec(family, alphas, etas, special=special)
-    from .conformal import validate_spec
-
     validate_spec(spec, tri)
     return tri, spec
 

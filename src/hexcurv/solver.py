@@ -13,11 +13,10 @@ the residual strictly decreasing.
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
 pattern, its elimination order with the diagonal positions, and the slot
 map into that order (Triangulation.jacobian_pattern, jacobian_order and
-jacobian_factor_slot).  Per (spec, mesh): the default start and the
-existence verdict, beside the spec's other arrays on
-conformal.spec_arrays.  Per iterate, one theta pass of the kernel gives
-the trial's residual and, once the trial is accepted and a step is
-needed, the Jacobian.
+jacobian_factor_slot).  Per (spec, mesh): the default start, beside the
+spec's other arrays and its existence verdict on conformal.spec_arrays.
+Per iterate, one theta pass of the kernel gives the trial's residual and,
+once the trial is accepted and a step is needed, the Jacobian.
 """
 
 from __future__ import annotations
@@ -41,21 +40,23 @@ from .errors import (
 )
 
 
+# backtracking: each rejected trial scales the step by DAMPING, at most
+# MAX_HALVINGS times per iteration
+DAMPING = 0.5
+MAX_HALVINGS = 60
+
+
 @dataclass
 class SolveOptions:
     tol_K: float = 1e-10
     max_iter: int = 100
-    damping: float = 0.5
-    max_halvings: int = 60
     initial: dict | None = None  # factor values; None selects the family default
 
     def __post_init__(self):
         if not (self.tol_K > 0.0 and math.isfinite(self.tol_K)):
             raise ValueError("tol_K must be positive and finite")
-        if self.max_iter < 1 or self.max_halvings < 1:
-            raise ValueError("max_iter and max_halvings must be at least 1")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping factor must lie in (0, 1)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -68,36 +69,6 @@ class SolveReport:
     existence_unproven: bool = False
     quad_constant: float = float("nan")
     notes: list = field(default_factory=list)
-
-
-def existence_unproven(spec: StructureSpec, tri) -> bool:
-    """Whether the configuration sits outside the proven-solvable classes;
-    decided once per (spec, mesh) and kept on spec_arrays(spec, tri)."""
-    arrays = spec_arrays(spec, tri)
-    if arrays.unproven is None:
-        arrays.unproven = _unproven(spec, tri)
-    return arrays.unproven
-
-
-def _unproven(spec: StructureSpec, tri) -> bool:
-    fam = spec.family
-    if fam == "A3" or fam == "MixedIII":
-        return False
-    if fam == "MixedII":
-        return True
-    if fam == "A1":
-        return any(a == -1 for a in spec.alpha.values())
-    if fam == "A2":
-        return any(not (-1.0 <= spec.eta[e.id] <= 0.0) for e in tri.edges)
-    # MixedI: proven only for alpha in {0,1} with at most one non-special
-    # corner of each special face carrying alpha = 1
-    if any(a == -1 for a in spec.alpha.values()):
-        return True
-    for face in tri.faces:
-        others = [v for v in face.vertices if not spec.is_special(v)]
-        if len(others) == 2 and spec.alpha[others[0]] == spec.alpha[others[1]] == 1:
-            return True
-    return False
 
 
 def _chart_margin(lo: float, hi: float) -> tuple:
@@ -238,15 +209,15 @@ def solve_prescribed_curvature(
     if np.any(tgt <= 0.0) or not np.all(np.isfinite(tgt)):
         raise HexcurvError("target curvatures must be positive reals")
 
-    report = SolveReport(False, 0, math.inf)
-    report.existence_unproven = existence_unproven(spec, tri)
+    arrays = spec_arrays(spec, tri)
+    report = SolveReport(False, 0, math.inf, existence_unproven=arrays.unproven)
     if report.existence_unproven:
         report.notes.append(
             "no existence theorem covers this configuration; "
             "a failed solve is not evidence either way about the target"
         )
 
-    cov = spec_arrays(spec, tri).cov
+    cov = arrays.cov
     if opts.initial is not None:
         u = cov.to_u(component_values(opts.initial, n))
         if not admissible(spec, tri, u).ok:
@@ -279,9 +250,9 @@ def solve_prescribed_curvature(
             )
         arcs = None
         lam_scale = 1.0
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             u_trial = u - lam_scale * step
-            lam_scale *= opts.damping
+            lam_scale *= DAMPING
             if not admissible(spec, tri, u_trial).ok:
                 report.boundary_hits += 1
                 continue

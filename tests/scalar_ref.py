@@ -9,13 +9,20 @@ splits, the embedding, the face center and the center-distance derivative
 formula on one face, with the operation sequence of
 ``hexcurv._kernels.center``.  Status codes are those of the batched
 kernel.  test_kernels compares the batched code with this module face by
-face.
+face.  The module also keeps the scalar walkers that the weight table
+conformal.RULES replaced, as the oracles of test_conformal: edge_code,
+edge_constraint (the pair bound of one edge), validate_spec and unproven
+(the existence verdict).
 """
 
 import math
+from dataclasses import dataclass
 
 from hexcurv._kernels import BAD_ARC, BAD_CENTER, BAD_EDGE, BAD_HEIGHT, BAD_RANGE
 from hexcurv._kernels import BAD_SPLIT, F_LIMIT, LIGHT, OK, SPACE, TIME
+from hexcurv.conformal import EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B2, EDGE_B3, FAMILIES
+from hexcurv.conformal import StructureSpec
+from hexcurv.errors import FamilyConstraint, UnsupportedWeightRange
 from hexcurv.tol import TAU_CAUSAL
 
 
@@ -173,7 +180,7 @@ def face_centers(codes, alphas, etas, f):
     rhs = [(0.0, 0.0)] * 3
     for m in range(3):
         k, da, db, r1, r2 = _split(rho[m], ch[m], sh[m])
-        if k < 0:
+        if k < 0 or da == 0.0 or db == 0.0:
             return (BAD_SPLIT, m) + fail
         kind[m] = k
         dab[m] = da
@@ -258,3 +265,271 @@ def face_centers(codes, alphas, etas, f):
     m11 = ch[0] * m01 + ch[1] * m21
     m22 = ch[2] * m02 + ch[1] * m12
     return OK, -1, branch, sigma, ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22))
+
+
+# -- scalar oracles of the weight table ---------------------------------------
+
+def _face_edges(tri, face):
+    return [tri.edge_by_id[eid] for eid in face.edge_ids]
+
+
+def edge_code(spec: StructureSpec, a, b) -> int:
+    """Edge rule code for the edge joining boundary components a and b."""
+    sa, sb = a in spec.special, b in spec.special
+    if sa and sb:
+        raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
+    return FAMILIES.index(spec.family) % 3 + 3 * (sa or sb)
+
+
+@dataclass(frozen=True)
+class PairBound:
+    """Open interval constraint lo < u_a + u_b < hi tied to one edge."""
+
+    a: int
+    b: int
+    lo: float
+    hi: float
+
+
+def _a1_pair_bound(aa: int, ab: int, eta: float):
+    """Lower bound constant of the plain (non-special) edge rule."""
+    key = frozenset((aa, ab))
+    if key == frozenset((0,)):
+        return math.log(2.0 / eta)
+    if key in (frozenset((0, -1)), frozenset((0, 1))):
+        return math.log(1.0 / eta)
+    if key in (frozenset((-1,)), frozenset((1,))):
+        return -math.acosh(eta)
+    return math.asinh(-eta)  # alphas {1, -1}
+
+
+def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
+    """The membership constraint contributed by one edge, or None.
+
+    Exact under the family charts: the constraint holds iff the edge length
+    is real and positive.
+    """
+    i, j = edge.a, edge.b
+    eta = spec.eta[edge.id]
+    code = edge_code(spec, i, j)
+    lo, hi = -math.inf, math.inf
+    try:
+        if code == EDGE_A1:
+            lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
+        elif code == EDGE_A2:
+            # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
+            if eta < 1.0:
+                lo = -math.acos(-eta)
+        elif code == EDGE_A3:
+            lo = -math.sqrt(2.0 * eta)
+        elif code == EDGE_B3:
+            if eta <= 0.0:
+                lo = math.sqrt(-2.0 * eta)
+        elif code == EDGE_B2:
+            if eta <= 1.0:
+                lo = -math.asin(min(eta, 1.0))
+        else:  # EDGE_B1: depends on the alpha pair, special endpoint first
+            s, m = (i, j) if i in spec.special else (j, i)
+            asm = (spec.alpha[s], spec.alpha[m])
+            if asm == (0, 0) or asm == (1, 1):
+                pass  # eta range validated separately; no u constraint
+            elif asm == (1, 0):
+                if eta < 0.0:
+                    hi = math.log(-1.0 / eta)
+            elif asm == (-1, 0):
+                lo = math.log(1.0 / eta)
+            elif asm == (0, 1):
+                if eta < 0.0:
+                    lo = math.log(-eta)
+            elif asm == (-1, 1):
+                lo = math.asinh(-eta)
+            elif asm == (0, -1):
+                hi = math.log(eta)
+            elif asm == (1, -1):
+                hi = math.asinh(eta)
+            else:  # (-1, -1)
+                lo, hi = -math.acosh(eta), math.acosh(eta)
+    except (ValueError, ZeroDivisionError):  # math rejects such weights
+        raise FamilyConstraint(
+            f"edge {edge.id}: weight {eta} outside the range of its edge rule"
+        ) from None
+    if lo == -math.inf and hi == math.inf:
+        return None
+    return PairBound(i, j, lo, hi)
+
+
+def _face_corners(spec: StructureSpec, face):
+    """(special corner or None, other corners) of one face."""
+    sp = [v for v in face.vertices if v in spec.special]
+    if len(set(sp)) > 1 or len(sp) > 1:
+        raise FamilyConstraint(
+            f"face {face.id} has more than one special component"
+        )
+    if sp:
+        others = [v for v in face.vertices if v != sp[0]]
+        return sp[0], others
+    return None, list(face.vertices)
+
+
+def _check_a1_edge(eta: float, aa: int, ab: int, where: str) -> None:
+    if eta <= 0.0:
+        raise FamilyConstraint(f"{where}: plain edge weight must be positive")
+    if aa == ab and eta <= aa * ab:
+        raise FamilyConstraint(
+            f"{where}: weight must exceed {aa * ab} for equal alphas"
+        )
+
+
+def _check_mixed1_face(spec: StructureSpec, tri, face) -> None:
+    s, others = _face_corners(spec, face)
+    by_pair = {}
+    for eid in face.edge_ids:
+        e = tri.edge_by_id[eid]
+        by_pair.setdefault(frozenset((e.a, e.b)), []).append(e)
+    if s is None:
+        for eid in face.edge_ids:
+            e = tri.edge_by_id[eid]
+            _check_a1_edge(spec.eta[eid], spec.alpha[e.a], spec.alpha[e.b],
+                           f"face {face.id} edge {eid}")
+        return
+    m1, m2 = others
+    a_s, a1, a2 = spec.alpha[s], spec.alpha[m1], spec.alpha[m2]
+    edges = _face_edges(tri, face)
+    a_edges = [e for e in edges if not (e.a in spec.special or e.b in spec.special)]
+    b_edges = [e for e in edges if e.a in spec.special or e.b in spec.special]
+    for e in a_edges:
+        _check_a1_edge(spec.eta[e.id], spec.alpha[e.a], spec.alpha[e.b],
+                       f"face {face.id} edge {e.id}")
+    b_eta = {}
+    for e in b_edges:
+        m = e.b if e.a in spec.special else e.a
+        b_eta[e.id] = (spec.alpha[m], spec.eta[e.id])
+        eta = spec.eta[e.id]
+        am = spec.alpha[m]
+        where = f"face {face.id} edge {e.id}"
+        if a_s == 0 and am == 0 and eta <= 0.0:
+            raise FamilyConstraint(f"{where}: weight must be positive")
+        if a_s == 1 and am == 0 and eta < 0.0:
+            raise UnsupportedWeightRange(f"{where}: negative weight window excluded")
+        if a_s == -1 and am == 0 and eta <= 0.0:
+            raise FamilyConstraint(f"{where}: weight must be positive")
+        if a_s == 1 and am == 1 and eta <= -1.0:
+            raise UnsupportedWeightRange(f"{where}: weight <= -1 window excluded")
+        if a_s == 0 and am == -1 and eta <= 0.0:
+            raise FamilyConstraint(f"{where}: weight must be positive")
+        if a_s == -1 and am == -1 and eta <= 1.0:
+            raise FamilyConstraint(f"{where}: weight must exceed 1")
+    # side conditions coupling the weights of one face
+    sorted_am = tuple(sorted((a1, a2)))
+    if a_s == 0 and sorted_am == (-1, 1):
+        e_pos = next(e for e in b_edges if b_eta[e.id][0] == 1)
+        e_neg = next(e for e in b_edges if b_eta[e.id][0] == -1)
+        eta_pos, eta_neg = spec.eta[e_pos.id], spec.eta[e_neg.id]
+        if eta_pos < 0.0 and eta_pos + eta_neg <= 0.0:
+            raise UnsupportedWeightRange(
+                f"face {face.id}: weight combination outside supported window"
+            )
+    if a_s == 1 and sorted_am == (-1, 1):
+        e_neg = next(e for e in b_edges if b_eta[e.id][0] == -1)
+        a_edge = a_edges[0]
+        if spec.eta[e_neg.id] + spec.eta[a_edge.id] <= 0.0:
+            raise FamilyConstraint(
+                f"face {face.id}: incompatible weights on opposite edges"
+            )
+    if a_s == -1 and sorted_am == (-1, 1):
+        e_pos = next(e for e in b_edges if b_eta[e.id][0] == 1)
+        if spec.eta[e_pos.id] <= 0.0:
+            raise UnsupportedWeightRange(
+                f"face {face.id} edge {e_pos.id}: non-positive weight excluded"
+            )
+    if a_s == 1 and sorted_am == (-1, -1):
+        for e in b_edges:
+            if spec.eta[e.id] <= 0.0:
+                raise UnsupportedWeightRange(
+                    f"face {face.id} edge {e.id}: non-positive weight excluded"
+                )
+
+
+def validate_spec(spec: StructureSpec, tri) -> None:
+    """Family-level weight and special-set validation against a mesh."""
+    fam = spec.family
+    if not fam.startswith("Mixed") and spec.special:
+        raise FamilyConstraint(f"{fam} admits no special components")
+    for v in spec.special:
+        if v not in spec.alpha:
+            raise FamilyConstraint(f"special component {v} is not a vertex")
+    for e in tri.edges:
+        if e.a in spec.special and e.b in spec.special:
+            raise FamilyConstraint(f"edge {e.id} joins two special components")
+    for face in tri.faces:
+        _face_corners(spec, face)  # raises on two specials in one face
+
+    if fam in ("A2", "MixedII"):
+        for i, a in spec.alpha.items():
+            if a != -1:
+                raise FamilyConstraint(f"{fam} requires alpha=-1 (component {i})")
+    if fam == "A1":
+        for e in tri.edges:
+            _check_a1_edge(spec.eta[e.id], spec.alpha[e.a], spec.alpha[e.b],
+                           f"edge {e.id}")
+    elif fam == "A2":
+        for e in tri.edges:
+            if spec.eta[e.id] < -1.0:
+                raise FamilyConstraint(f"edge {e.id}: weight below -1")
+    elif fam == "A3":
+        for e in tri.edges:
+            if spec.eta[e.id] <= 0.0:
+                raise FamilyConstraint(f"edge {e.id}: weight must be positive")
+    elif fam == "MixedII":
+        for e in tri.edges:
+            if spec.eta[e.id] < 1.0:
+                raise FamilyConstraint(f"edge {e.id}: weight below 1")
+    elif fam == "MixedIII":
+        for face in tri.faces:
+            s, _ = _face_corners(spec, face)
+            edges = list(_face_edges(tri, face))
+            if s is None:
+                for e in edges:
+                    if spec.eta[e.id] <= 0.0:
+                        raise FamilyConstraint(
+                            f"edge {e.id}: weight must be positive"
+                        )
+                continue
+            a_edge = next(e for e in edges
+                          if not (e.a in spec.special or e.b in spec.special))
+            if spec.eta[a_edge.id] <= 0.0:
+                raise FamilyConstraint(
+                    f"face {face.id} edge {a_edge.id}: weight must be positive"
+                )
+            for e in edges:
+                if e.id == a_edge.id:
+                    continue
+                if spec.eta[e.id] <= 0.0 and spec.eta[a_edge.id] + spec.eta[e.id] > 0.0:
+                    raise UnsupportedWeightRange(
+                        f"face {face.id}: weight combination outside supported window"
+                    )
+    elif fam == "MixedI":
+        for face in tri.faces:
+            _check_mixed1_face(spec, tri, face)
+
+
+def unproven(spec: StructureSpec, tri) -> bool:
+    """Whether no existence theorem covers (spec, tri)."""
+    fam = spec.family
+    if fam == "A3" or fam == "MixedIII":
+        return False
+    if fam == "MixedII":
+        return True
+    if fam == "A1":
+        return any(a == -1 for a in spec.alpha.values())
+    if fam == "A2":
+        return any(not (-1.0 <= spec.eta[e.id] <= 0.0) for e in tri.edges)
+    # MixedI: proven only for alpha in {0,1} with at most one non-special
+    # corner of each special face carrying alpha = 1
+    if any(a == -1 for a in spec.alpha.values()):
+        return True
+    for face in tri.faces:
+        others = [v for v in face.vertices if v not in spec.special]
+        if len(others) == 2 and spec.alpha[others[0]] == spec.alpha[others[1]] == 1:
+            return True
+    return False

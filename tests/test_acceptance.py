@@ -13,7 +13,7 @@ import pytest
 from hexcurv import curvature, mesh, solver
 from hexcurv._kernels import SPACE, TIME, face_eval
 from hexcurv._kernels.center import DOMAINS, INCOHERENT, face_centers, hexagon_arcs
-from hexcurv.conformal import admissible, chart, edge_constraint
+from hexcurv.conformal import admissible, chart, polytope
 from hexcurv.errors import HexcurvError
 from hexcurv.identities import (
     compatibility_residual_general,
@@ -146,21 +146,21 @@ def test_criterion_05_jacobian_symmetry():
 
 
 def _near_boundary_point(spec, tri, u, rng, slack=1e-4):
-    bounds = [b for b in (edge_constraint(spec, e) for e in tri.edges) if b]
-    if not bounds:
+    _, _, a, b, pair_lo, pair_hi, _ = (x.tolist() for x in polytope(spec, tri))
+    if not a:
         return None
-    pb = rng.choice(bounds)
-    s = u[pb.a] + u[pb.b]
-    if math.isfinite(pb.lo):
-        delta = (pb.lo + slack) - s
-    elif math.isfinite(pb.hi):
-        delta = (pb.hi - slack) - s
+    k = rng.choice(range(len(a)))
+    s = u[a[k]] + u[b[k]]
+    if math.isfinite(pair_lo[k]):
+        delta = (pair_lo[k] + slack) - s
+    elif math.isfinite(pair_hi[k]):
+        delta = (pair_hi[k] - slack) - s
     else:
         return None
     v = dict(u)
-    v[pb.a] += delta / 2.0
-    if pb.b != pb.a:
-        v[pb.b] += delta / 2.0
+    v[a[k]] += delta / 2.0
+    if b[k] != a[k]:
+        v[b[k]] += delta / 2.0
     if not all(chart(spec, i).contains(v[i]) for i in v):
         return None
     if not admissible(spec, tri, v).ok:

@@ -151,6 +151,9 @@ def test_hexagon_light_like_center(capsys):
     ["--lengths", "1,1,1", "--ratios", "nan,1,1"],
     ["--lengths", "1,1,1", "--ratios", "inf,0,1"],
     ["--lengths", "1,1,1", "--ratios", "0,1,1"],
+    # a split center that rounds onto a corner: a zero partial
+    ["--lengths", "4.808229950066189,1.773396123848065,4.329573371247728",
+     "--ratios", "4.0053065999274045e-12,4.858486948276269e-05,5138817487411539.0"],
 ])
 def test_hexagon_malformed_input_is_a_domain_error(args, capsys):
     assert main(["hexagon", *args]) == 1

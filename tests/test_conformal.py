@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcurv import conformal as cf
 from hexcurv import curvature, mesh, solver
@@ -10,11 +13,13 @@ from hexcurv._kernels import edge_state
 from hexcurv.errors import (
     DomainViolation,
     FamilyConstraint,
+    HexcurvError,
     NotAdmissible,
     UnsupportedWeightRange,
 )
 from hexcurv.mesh import Edge
 
+import scalar_ref
 from helpers import ALL_FAMILIES, make_spec, sample_admissible_u, sphere_triangulation
 
 
@@ -29,7 +34,7 @@ def edge_rule(spec, edge, f):
     """(cosh l, partial ratio oriented a -> b) of one edge by the kernel's
     edge rules."""
     a, b = edge.a, edge.b
-    ok, ch, rho = edge_state(cf.edge_code(spec, a, b), spec.alpha[a], spec.alpha[b],
+    ok, ch, rho = edge_state(scalar_ref.edge_code(spec, a, b), spec.alpha[a], spec.alpha[b],
                              f[a], f[b], spec.eta[edge.id])
     assert ok
     return float(ch), float(rho)
@@ -357,3 +362,136 @@ def test_all_make_spec_windows_validate():
             tri = sphere_triangulation(n, rng)
             spec = make_spec(fam, tri, rng)
             cf.validate_spec(spec, tri)
+
+
+# -- the weight table against the scalar oracles in scalar_ref -----------------
+
+_REGIMES = [("A1", "default"), ("A1", "alpha-neg"), ("A2", "default"), ("A2", "eta-pos"),
+            ("A3", "default"), ("MixedI", "default"), ("MixedI", "definite"),
+            ("MixedII", "default"), ("MixedIII", "default")]
+_WEIGHTS = [-6.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 5e-324, -5e-324]
+
+
+def _edited(regime, seed, share):
+    """A make_spec window on a small sphere with a share of its alphas and
+    weights redrawn, to boundary values of the windows or any real weight,
+    and perhaps one more special component, beside another one."""
+    family, regime = regime
+    rng = random.Random(seed)
+    tri = sphere_triangulation(rng.randrange(4, 10), rng)
+    spec = make_spec(family, tri, rng, regime=regime)
+    alpha = {i: rng.choice((-1, 0, 1)) if rng.random() < share else a
+             for i, a in spec.alpha.items()}
+    eta = {e: (rng.choice(_WEIGHTS) if rng.random() < 0.5 else rng.uniform(-8.0, 8.0))
+           if rng.random() < share else w for e, w in spec.eta.items()}
+    special = set(spec.special)
+    if rng.random() < share / 2:
+        special.add(rng.randrange(tri.n_boundary))
+    return tri, cf.StructureSpec(family, alpha, eta, frozenset(special))
+
+
+_edited_specs = st.builds(_edited, st.sampled_from(_REGIMES), st.integers(0, 2**32),
+                          st.sampled_from([0.05, 0.15, 0.4]))
+
+
+def _raised(fn, *args):
+    try:
+        return None, fn(*args)
+    except HexcurvError as exc:
+        return exc, None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edited_specs)
+def test_polytope_matches_scalar_oracle(case):
+    tri, spec = case
+    err, ref = _raised(lambda: [(e, scalar_ref.edge_constraint(spec, e)) for e in tri.edges])
+    got_err, got = _raised(cf.polytope, spec, tri)
+    assert (type(got_err), str(got_err)) == (type(err), str(err))
+    if err is not None:
+        return
+    ref = [(pb.a, pb.b, e.id, pb.lo, pb.hi) for e, pb in ref if pb is not None]
+    a, b, edge, lo, hi = (list(x) for x in zip(*ref)) if ref else ([],) * 5
+    assert (got[2].tolist(), got[3].tolist(), got[6].tolist()) == (a, b, edge)
+    for x, y in ((got[4], lo), (got[5], hi)):  # numpy's libm and math may differ by an ulp
+        y = np.array(y, dtype=float)
+        fin = np.isfinite(y)
+        assert np.array_equal(x[~fin], y[~fin])
+        assert np.all(np.abs(x[fin] - y[fin]) <= 2 * np.spacing(np.abs(y[fin])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edited_specs)
+def test_validate_spec_matches_scalar_oracle(case):
+    tri, spec = case
+    err, _ = _raised(scalar_ref.validate_spec, spec, tri)
+    got, _ = _raised(cf.validate_spec, spec, tri)
+    assert type(got) is type(err), (err, got)
+    if err is None:
+        assert cf.spec_arrays(spec, tri).unproven == scalar_ref.unproven(spec, tri)
+
+
+def test_single_face_windows_match_scalar_oracle():
+    """One face, its corner 0 special in the mixed families, every alpha
+    pattern, and weights from the window boundaries.  On every weight
+    triple validate_spec raises the oracle's class, and the verdict of a
+    valid spec is the oracle's; with one weight varied and the others 2,
+    polytope raises the oracle's message.  Every row of RULES is read, and
+    both error classes come from edges and from couplings."""
+    tri, rows, raised = mesh.single_face(), set(), set()
+    weights = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    for fam in cf.FAMILIES:
+        alphas = {"A1": [(p, q, p) for p in (-1, 0, 1) for q in (-1, 0, 1)],  # every pair
+                  "MixedI": itertools.product((-1, 0, 1), repeat=3),
+                  "A3": [(0,) * 3], "MixedIII": [(0,) * 3]}.get(fam, [(-1,) * 3])
+        special = frozenset({0} if fam.startswith("Mixed") else ())
+        for alpha in alphas:
+            for eta in itertools.product(weights, repeat=3):
+                spec = cf.StructureSpec(fam, dict(enumerate(alpha)), dict(enumerate(eta)),
+                                        special)
+                err, _ = _raised(scalar_ref.validate_spec, spec, tri)
+                got, _ = _raised(cf.validate_spec, spec, tri)
+                assert type(got) is type(err), (spec, err, got)
+                if err is None:
+                    assert cf.spec_arrays(spec, tri).unproven == scalar_ref.unproven(spec, tri)
+                else:
+                    raised.add((type(err), "edge" in str(got).split(":")[0]))
+            for k, w in itertools.product(range(3), weights):
+                eta = {e: w if e == k else 2.0 for e in range(3)}
+                spec = cf.StructureSpec(fam, dict(enumerate(alpha)), eta, special)
+                err, _ = _raised(lambda: [scalar_ref.edge_constraint(spec, e)
+                                          for e in tri.edges])
+                got, _ = _raised(cf.polytope, spec, tri)
+                assert str(got) == str(err)
+                rows.update(cf.spec_arrays(spec, tri).edges.row.tolist())
+    assert rows == set(range(len(cf.RULES)))
+    assert raised == {(FamilyConstraint, True), (UnsupportedWeightRange, True),
+                      (FamilyConstraint, False), (UnsupportedWeightRange, False)}
+
+
+def test_existence_verdict_matches_scalar_oracle_on_every_window():
+    rng = random.Random(12)
+    verdicts = set()
+    for family, regime in _REGIMES:
+        for n in (4, 12, 40):
+            for _ in range(3):
+                tri = sphere_triangulation(n, rng)
+                spec = make_spec(family, tri, rng, regime=regime)
+                want = scalar_ref.unproven(spec, tri)
+                assert cf.spec_arrays(spec, tri).unproven == want, (family, regime, n)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_parse_validates_without_spec_arrays(monkeypatch):
+    """parse validates on its own edge arrays: it builds no edge program and
+    no change of variables, and only MixedI and MixedIII read face arrays."""
+    for name in ("SpecArrays", "EdgeProgram", "ChangeOfVariables"):
+        monkeypatch.setattr(cf, name, None)
+    rng = random.Random(8)
+    for family, regime in _REGIMES:
+        tri = sphere_triangulation(12, rng)
+        tri, _ = mesh.parse(mesh.serialize(tri, make_spec(family, tri, rng, regime=regime)))
+        assert tri.spec_memo is None
+        assert ("face_arrays" in vars(tri)) == (family in ("MixedI", "MixedIII"))
+

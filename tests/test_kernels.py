@@ -35,7 +35,7 @@ import scipy.sparse.linalg
 
 from hexcurv import _kernels as kern
 from hexcurv._kernels.center import face_centers
-from hexcurv.conformal import StructureSpec, edge_code, spec_arrays
+from hexcurv.conformal import StructureSpec, spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.mesh import pair_of_pants
 from hexcurv.tol import TAU_CAUSAL
@@ -329,7 +329,7 @@ def test_edge_state_domain_matches_scalar_rules(monkeypatch):
 def _face_rows(spec, tri):
     """(side codes, corner alphas, side weights) of every face of tri, read
     off the mesh record, not the edge program."""
-    rows = [([edge_code(spec, v[m], v[(m + 1) % 3]) for m in range(3)],
+    rows = [([scalar_ref.edge_code(spec, v[m], v[(m + 1) % 3]) for m in range(3)],
              [spec.alpha[x] for x in v], [spec.eta[e] for e in face.edge_ids])
             for face in tri.faces for v in [face.vertices]]
     return [np.array(x) for x in zip(*rows)]

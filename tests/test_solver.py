@@ -5,12 +5,13 @@ import numpy as np
 import scipy.sparse
 import pytest
 
-from hexcurv import curvature, mesh, solver
+from hexcurv import conformal, curvature, mesh, solver
 from hexcurv._kernels import BAD_ARC, OK
-from hexcurv.conformal import StructureSpec, admissible, f_from_u, u_from_f
+from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
 from hexcurv.errors import HexcurvError, NoFeasibleStart, NotConverged, PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
 
+import scalar_ref
 from helpers import ALL_FAMILIES, flipped_sphere, make_spec, sample_admissible_f, sample_admissible_u
 from helpers import sphere_triangulation
 
@@ -101,31 +102,32 @@ def test_existence_unproven_flags():
                        special=frozenset({0})), False),
     ]
     for spec, want in cases:
-        assert solver.existence_unproven(spec, tri) == want, spec
+        assert spec_arrays(spec, tri).unproven == want, spec
 
 
 def test_existence_verdict_is_kept_per_spec_and_mesh(monkeypatch):
     rng = random.Random(23)
     tri = sphere_triangulation(30, rng)
     specs = [make_spec(fam, tri, rng) for fam in ALL_FAMILIES]
-    # each reference decided by the full scan on a fresh copy of the mesh
-    fresh = [solver._unproven(spec, sphere_triangulation(30, random.Random(23)))
+    # each reference decided by the scalar oracle on a fresh copy of the mesh
+    fresh = [scalar_ref.unproven(spec, sphere_triangulation(30, random.Random(23)))
              for spec in specs]
     assert True in fresh and False in fresh
-    builds, scan = [], solver._unproven
-    monkeypatch.setattr(solver, "_unproven",
-                        lambda spec, tri_: builds.append(spec) or scan(spec, tri_))
+    # the verdict is decided with the rest of the spec's arrays
+    builds, build = [], conformal.SpecArrays
+    monkeypatch.setattr(conformal, "SpecArrays",
+                        lambda spec, tri_: builds.append(spec) or build(spec, tri_))
     for k in (0, 1, 1, 2, 3, 4, 4, 5, 5, 0):
-        assert solver.existence_unproven(specs[k], tri) == fresh[k]
+        assert spec_arrays(specs[k], tri).unproven == fresh[k]
     assert builds == [specs[k] for k in (0, 1, 2, 3, 4, 5, 0)]
     # repeated solves read the kept verdict and note it as before; the mesh
     # keeps the last spec's, so each other spec's is decided once more
     note = ("no existence theorem covers this configuration; "
             "a failed solve is not evidence either way about the target")
     for k, spec in enumerate(specs):
+        built = len(builds)
         f = f_from_u(spec, solver.default_initial(spec, tri))
         target = curvature.curvature_map(spec, tri, f)
-        built = len(builds)
         for _ in range(2):
             _, rep = solver.solve_prescribed_curvature(spec, tri, target)
             assert rep.existence_unproven == fresh[k]
@@ -594,7 +596,7 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol_K": 0.0}, {"tol_K": -1.0}, {"tol_K": math.nan}, {"tol_K": math.inf},
-    {"max_iter": 0}, {"max_iter": -3}, {"max_halvings": 0},
+    {"max_iter": 0}, {"max_iter": -3},
 ])
 def test_solve_options_reject_unusable_budgets(kwargs):
     with pytest.raises(ValueError):
