@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcurv import mesh
 from hexcurv.conformal import StructureSpec
-from hexcurv.errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
+from hexcurv.errors import DanglingReference, FamilyConstraint, HexcurvError, MeshFormatError
+from hexcurv.errors import OutOfRange
 from hexcurv.mesh import Edge, Face, Triangulation
 
 from helpers import make_spec, sphere_triangulation
@@ -128,3 +131,206 @@ def test_face_edge_mismatch_rejected():
     text = PANTS_TEXT.replace("f 1 0 1 2 0 1 2", "f 1 0 1 2 1 0 2")
     with pytest.raises(DanglingReference):
         mesh.parse(text)
+
+
+# -- diagnostics of malformed records ------------------------------------------
+
+@pytest.mark.parametrize("old, new, diagnostics", [
+    ("v 1 alpha=0", "v 1", [(3, "bad v record: 'alpha'")]),
+    ("v 1 alpha=0", "v", [(3, "bad v record: list index out of range")]),
+    ("v 1 alpha=0", "v x alpha=0",
+     [(3, "bad v record: invalid literal for int() with base 10: 'x'")]),
+    ("v 1 alpha=0", "v 1.5 alpha=0",
+     [(3, "bad v record: invalid literal for int() with base 10: '1.5'")]),
+    ("v 1 alpha=0", "v 1 alpha=x",
+     [(3, "bad v record: invalid literal for int() with base 10: 'x'")]),
+    ("v 1 alpha=0", "v 1 beta=0", [(3, "bad v record: 'alpha'")]),
+    ("v 1 alpha=0", "v 1 alpha", [(3, "bad v record: expected key=value, got 'alpha'")]),
+    ("v 1 alpha=0", "v 1 2 alpha=0", [(3, "bad v record: expected key=value, got '2'")]),
+    ("e 1 1 2 eta=3", "e 1 1", [(6, "bad e record: list index out of range")]),
+    ("e 1 1 2 eta=3", "e 1 1 eta=3",
+     [(6, "bad e record: invalid literal for int() with base 10: 'eta=3'")]),
+    ("e 1 1 2 eta=3", "e x 1 2 eta=3",
+     [(6, "bad e record: invalid literal for int() with base 10: 'x'")]),
+    ("e 1 1 2 eta=3", "e 1 1 2", [(6, "bad e record: 'eta'")]),
+    ("e 1 1 2 eta=3", "e 1 1 2 w=3", [(6, "bad e record: 'eta'")]),
+    ("e 1 1 2 eta=3", "e 1 1 2 3", [(6, "bad e record: expected key=value, got '3'")]),
+    ("e 1 1 2 eta=3", "e 1 1 2 eta=x",
+     [(6, "bad e record: could not convert string to float: 'x'")]),
+    ("f 0 0 1 2 0 1 2", "f", [(8, "bad f record: list index out of range")]),
+    ("f 0 0 1 2 0 1 2", "f 0 0 1", [(8, "bad f record: face needs 3 vertices and 3 edges")]),
+    ("f 0 0 1 2 0 1 2", "f 0 0 1 2 0 1",
+     [(8, "bad f record: face needs 3 vertices and 3 edges")]),
+    ("f 0 0 1 2 0 1 2", "f x 0 1 2 0 1 2",
+     [(8, "bad f record: invalid literal for int() with base 10: 'x'")]),
+    ("f 0 0 1 2 0 1 2", "f 0 0 1 2 0 1 x",
+     [(8, "bad f record: invalid literal for int() with base 10: 'x'")]),
+    ("structure family=A1", "structure",
+     [(10, "bad structure record: 'family'"), (0, "missing structure record")]),
+    ("structure family=A1", "structure fam=A1",
+     [(10, "bad structure record: 'family'"), (0, "missing structure record")]),
+    ("structure family=A1", "structure A1",
+     [(10, "bad structure record: expected key=value, got 'A1'"),
+      (0, "missing structure record")]),
+    ("structure family=A1", "structure family=A1 special=x",
+     [(10, "bad structure record: invalid literal for int() with base 10: 'x'")]),
+    ("structure family=A1", "structure family=A1 special=0,,1",
+     [(10, "bad structure record: invalid literal for int() with base 10: ''")]),
+    ("structure family=A1", "# no structure", [(0, "missing structure record")]),
+    ("format 1", "format 2", [(1, "unsupported format version 2")]),
+    ("format 1", "format", [(1, "bad format record: list index out of range")]),
+    ("format 1", "format x",
+     [(1, "bad format record: invalid literal for int() with base 10: 'x'")]),
+    ("v 0 alpha=0", "w 0 alpha=0", [(2, "unknown record 'w'")]),
+])
+def test_malformed_record_diagnostics(old, new, diagnostics):
+    with pytest.raises(MeshFormatError) as err:
+        mesh.parse(PANTS_TEXT.replace(old, new, 1))
+    assert err.value.diagnostics == diagnostics
+
+
+def test_every_bad_line_is_listed_in_line_order():
+    text = (PANTS_TEXT.replace("v 1 alpha=0", "v 1 alpha=x")
+            .replace("f 1 0 1 2 0 1 2", "f 1 0 1")
+            .replace("e 0 0 1 eta=3", "e 0 0 1 eta=y")
+            .replace("format 1", "format 7"))
+    with pytest.raises(MeshFormatError) as err:
+        mesh.parse("# header\n\n" + text)
+    assert [ln for ln, _ in err.value.diagnostics] == [3, 5, 7, 11]
+    assert str(err.value).startswith("line 3: unsupported format version 7; line 5: bad v")
+
+
+@pytest.mark.parametrize("old, new, cls, message", [
+    ("v 2 alpha=0", "v 3 alpha=0", DanglingReference, "vertex ids must be 0..N-1 without gaps"),
+    ("e 2 2 0 eta=3", "e 2 2 5 eta=3", DanglingReference, "edge 2 references unknown vertex"),
+    ("f 1 0 1 2 0 1 2", "f 1 0 1 7 0 1 2", DanglingReference,
+     "face 1 references unknown vertex 7"),
+    ("f 1 0 1 2 0 1 2", "f 1 0 1 2 0 9 2", DanglingReference,
+     "face 1 references unknown edge 9"),
+    ("f 1 0 1 2 0 1 2", "f 1 0 1 2 1 0 2", DanglingReference,
+     "face 1: edge 1 joins (1,2), expected (0,1)"),
+    ("f 1 0 1 2 0 1 2", "f 1 0 2 1 1 2 0", DanglingReference,
+     "face 1: edge 1 joins (1,2), expected (0,2)"),
+])
+def test_structural_diagnostics(old, new, cls, message):
+    with pytest.raises(cls) as err:
+        mesh.parse(PANTS_TEXT.replace(old, new, 1))
+    assert str(err.value) == message
+
+
+def _tri(n, edges, faces, open_edges=False):
+    return Triangulation(n, [Edge(*e) for e in edges],
+                         [Face(f[0], tuple(f[1]), tuple(f[2])) for f in faces], open_edges)
+
+
+_PANTS_EDGES = [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
+
+
+@pytest.mark.parametrize("n, edges, faces, open_edges, cls, message", [
+    (3, _PANTS_EDGES, [(0, (0, 1, 2), (0, 1, 2)), (1, (0, 1), (0, 1, 2))], False,
+     DanglingReference, "face 1 is not a triangle record"),
+    (3, _PANTS_EDGES, [(0, (0, 1, 2), (0, 1, 2)), (1, (0, 1, 2), (0, 1, 2, 0))], False,
+     DanglingReference, "face 1 is not a triangle record"),
+    (3, _PANTS_EDGES, [(0, (0, 1, 2), (0, 1, 2)), (1, (0, 1, -1), (0, 1, 2))], False,
+     DanglingReference, "face 1 references unknown vertex -1"),
+    (3, _PANTS_EDGES, [(4, (0, 1, 2), (0, 5, 2))], True,
+     DanglingReference, "face 4 references unknown edge 5"),
+    (3, _PANTS_EDGES, [(4, (0, 1, 2), (0, 2, 1))], True,
+     DanglingReference, "face 4: edge 2 joins (2,0), expected (1,2)"),
+    # the first failing face, and in a face its vertices, then its sides in order
+    (3, _PANTS_EDGES, [(0, (0, 1, 2), (0, 1, 2)), (5, (0, 1, 2), (9, 1, 2)),
+                       (6, (0, 1, 3), (0, 1, 2))], True,
+     DanglingReference, "face 5 references unknown edge 9"),
+    (3, _PANTS_EDGES, [(5, (0, 1, 2), (1, 9, 2)), (6, (0, 1, 2), (0, 1, 2))], True,
+     DanglingReference, "face 5: edge 1 joins (1,2), expected (0,1)"),
+    (3, _PANTS_EDGES, [(5, (0, 1, 3), (9, 1, 2))], True,
+     DanglingReference, "face 5 references unknown vertex 3"),
+    # faces before components on no face, before edges
+    (4, _PANTS_EDGES + [(3, 0, 7)], [(0, (0, 1, 2), (0, 1, 2))], True,
+     DanglingReference, "boundary component 3 lies on no face"),
+    (3, _PANTS_EDGES + [(3, 0, 7)], [(0, (0, 1, 2), (0, 1, 2))], True,
+     DanglingReference, "edge 3 references unknown vertex"),
+    (3, _PANTS_EDGES + [(3, 0, 1)], [(0, (0, 1, 2), (0, 1, 2))], True,
+     DanglingReference, "edge 3 belongs to 0 faces; expected 1 or 2"),
+    (3, _PANTS_EDGES, [(k, (0, 1, 2), (0, 1, 2)) for k in range(3)], False,
+     DanglingReference, "edge 0 belongs to 3 faces; expected 1 or 2"),
+    (3, _PANTS_EDGES, [(0, (0, 1, 2), (0, 1, 2))], False,
+     FamilyConstraint, "edge 0 is open; add the open-edges flag to accept"),
+])
+def test_triangulation_diagnostics(n, edges, faces, open_edges, cls, message):
+    with pytest.raises(cls) as err:
+        _tri(n, edges, faces, open_edges)
+    assert type(err.value) is cls and str(err.value) == message
+
+
+# -- properties of the text format ---------------------------------------------
+
+_FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
+
+
+def _sphere_mesh(family, n, seed):
+    rng = random.Random(seed)
+    tri = sphere_triangulation(n, rng)
+    return tri, make_spec(family, tri, rng)
+
+
+def _single_face_mesh():
+    return mesh.single_face(), StructureSpec("A1", {0: 0, 1: 1, 2: 0},
+                                             {0: 2.5, 1: 0.75, 2: 1e-3})
+
+
+_meshes = st.one_of(
+    st.builds(_sphere_mesh, st.sampled_from(_FAMILIES), st.integers(4, 40),
+              st.integers(0, 2**32)),
+    st.builds(_single_face_mesh))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_meshes, st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+    ["", "   ", "# a comment", "  # indented comment", " \t"])), max_size=6),
+       st.booleans())
+def test_parse_inverts_serialize(pair, inserts, trailing):
+    """parse(serialize(x)) == x, also with comments and blank lines added."""
+    tri, spec = pair
+    text = mesh.serialize(tri, spec)
+    assert mesh.parse(text) == (tri, spec)
+    lines = text.splitlines()
+    if trailing:
+        lines = [line + "  # note" for line in lines]
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    assert mesh.parse("\n".join(lines)) == (tri, spec)
+
+
+def _mutate(text, draw):
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[k].split()
+    op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "repeat line"]))
+    if op == "repeat line":
+        lines.insert(draw(st.integers(0, len(lines))), lines[k])
+    elif op == "truncate":
+        lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+    else:
+        i, j = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        if op == "drop":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(j, tokens[i])
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(_meshes.map(lambda pair: mesh.serialize(*pair)), st.just(PANTS_TEXT)),
+       st.data())
+def test_line_mutations_raise_only_domain_errors(text, data):
+    mutated = text
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutated = _mutate(mutated, data.draw)
+    try:
+        mesh.parse(mutated)
+    except HexcurvError:
+        pass
