@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..tol import TAU_CAUSAL, TAU_SIGN
-from . import _NEXT, _PREV, _ROWS, BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, LIGHT, OK
-from . import SPACE, TIME, Arcs, _fail, disjoint_faces
+from . import _NEXT, _PREV, _ROWS, _SH_FILL, BAD_CENTER, BAD_HEIGHT, BAD_RANGE, BAD_SPLIT
+from . import LIGHT, OK, SPACE, TIME, Arcs, _fail, disjoint_faces
 
 # The thirteen position domains of a face center: the signs of
 # (h_0, h_1, h_2, q_0, q_1, q_2) in each, and the names of its time-like
@@ -139,14 +139,18 @@ def _coherent(a, b):
 def hexagon_arcs(lengths, ratios) -> Arcs:
     """The theta stage of hexagons given by side lengths and partial ratios
     (F x 3 each, side m from corner m to corner m + 1), one disjoint face
-    per row.  Lengths must be positive and small enough for cosh l to stay
-    finite; nothing is checked here."""
-    ch = np.cosh(np.asarray(lengths, dtype=float))
-    sh = np.sqrt((ch - 1.0) * (ch + 1.0))
-    chth = (ch[:, _NEXT] + ch * ch[:, _PREV]) / (sh * sh[:, _PREV])
+    per row.  Lengths must be positive; a face whose sinh l or cosh theta
+    overflows gets status BAD_RANGE and the regular hexagon's sides, as in
+    face_theta, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = np.cosh(np.asarray(lengths, dtype=float))
+        sh = np.sqrt((ch - 1.0) * (ch + 1.0))
+        chth = (ch[:, _NEXT] + ch * ch[:, _PREV]) / (sh * sh[:, _PREV])
+    big = ~np.isfinite(np.hstack((sh, chth))).all(axis=1)
+    ch[big], sh[big], chth[big] = 2.0, _SH_FILL, 2.0
     n = len(ch)
     prog = disjoint_faces(np.zeros((n, 3), dtype=int), np.zeros((n, 3)), np.zeros((n, 3)))
-    return Arcs(np.zeros(n, dtype=np.int64), np.full(n, -1), np.arccosh(chth), prog,
+    return Arcs(np.where(big, BAD_RANGE, OK), np.full(n, -1), np.arccosh(chth), prog,
                 ch, sh, chth, (ch.ravel(), sh.ravel(), np.ravel(ratios)))
 
 

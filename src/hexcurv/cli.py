@@ -75,12 +75,12 @@ def cmd_validate(args):
     doc = {
         "ok": True,
         "n_boundary": tri.n_boundary,
-        "edges": len(tri.edges),
-        "faces": len(tri.faces),
+        "edges": len(tri.edge_arrays[0]),
+        "faces": len(tri.face_ids),
         "family": spec.family,
         "warnings": tri.warnings,
     }
-    lines = [f"ok, N={tri.n_boundary}, |E|={len(tri.edges)}, |F|={len(tri.faces)}"]
+    lines = [f"ok, N={tri.n_boundary}, |E|={doc['edges']}, |F|={doc['faces']}"]
     lines += [f"warning: {w}" for w in tri.warnings]
     _emit(args, doc, lines)
     return 0

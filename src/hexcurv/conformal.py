@@ -271,6 +271,10 @@ _Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
 
 
 def _edges(spec: StructureSpec, tri) -> _Edges:
+    """The _Edges of spec on tri; tri keeps those of the last spec, so that
+    validation and SpecArrays read the spec's mappings once."""
+    if tri.edges_memo is not None and tri.edges_memo[0] is spec:
+        return tri.edges_memo[1]
     n, fam = tri.n_boundary, FAMILIES.index(spec.family)
     ids, a, b = tri.edge_arrays
     alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
@@ -281,7 +285,8 @@ def _edges(spec: StructureSpec, tri) -> _Edges:
     first = np.where(sb & ~sa, b, a)  # the special end, else a
     row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
     eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
-    return _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
+    tri.edges_memo = spec, _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
+    return tri.edges_memo[1]
 
 
 def _special_faces(tri, edges: _Edges) -> tuple:
@@ -436,9 +441,9 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     order[:, 6] = _couplings(fam, tri, e)
     if order.any():
         k, col = divmod(int(np.argmax(order.ravel() != 0)), 7)
-        face = tri.faces[k]
+        face = tri.face_ids[k]
         if col == 6:
             cls, text = _COUPLINGS[order[k, col] - 1]
-            raise cls(f"face {face.id}: {text}")
+            raise cls(f"face {face}: {text}")
         cls, text = RULES[order[k, col] - 1].error
-        raise cls(f"face {face.id} edge {e.ids[epos[k, col % 3]]}: {text}")
+        raise cls(f"face {face} edge {e.ids[epos[k, col % 3]]}: {text}")

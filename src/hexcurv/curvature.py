@@ -41,20 +41,20 @@ _ERRORS = {
 }
 
 
-def _raise_first(faces, arcs):
+def _raise_first(ids, vert, arcs):
     """Raise for the first failing face of arcs, and its first failing check;
-    a face on an edge that joins two special components fails first."""
+    a face on an edge that joins two special components fails first.  ids
+    and vert are the face ids and F x 3 vertices of the faces of arcs."""
     status, bad, double = arcs.status, arcs.bad, arcs.prog.double
-    k = int(np.argmax(status != OK)) if status.any() else len(faces)
+    k = int(np.argmax(status != OK)) if status.any() else len(ids)
     if double is not None and double[0] <= k:
-        face, m = faces[double[0]], double[1]
-        a, b = face.vertices[m], face.vertices[_NEXT[m]]
-        raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
-    if k == len(faces):
+        (j, m) = double
+        raise FamilyConstraint(f"edge ({vert[j, m]},{vert[j, _NEXT[m]]}) joins two special "
+                               "components")
+    if k == len(ids):
         return
-    face = faces[k]
     cls, text = _ERRORS[int(status[k])]
-    exc = cls(f"face {face.id}: " + text.format(int(bad[k])))
+    exc = cls(f"face {ids[k]}: " + text.format(int(bad[k])))
     if status[k] == BAD_EDGE:
         exc.edge = int(bad[k])
     raise exc
@@ -74,7 +74,7 @@ def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
     """(K, arcs): the total boundary-arc length per boundary component and
     the kernel's theta stage, which jacobian_from_arcs reuses."""
     arcs = _arcs(spec, tri, f)
-    _raise_first(tri.faces, arcs)
+    _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
     return _sums(arcs.prog.vert, arcs.theta, tri.n_boundary), arcs
 
 
@@ -89,7 +89,7 @@ def _jacobian_data(tri, arcs, du, slot) -> np.ndarray:
     for P J P^T.  Each entry sums its face-block values in face order, so
     both maps give the same bits.  Raises for the first failing face of the
     theta stage."""
-    _raise_first(tri.faces, arcs)
+    _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
     return _sums(slot, face_eval(arcs, du), len(tri.jacobian_pattern[1]))
 
 

@@ -15,14 +15,14 @@ may repeat a boundary component (validation warns, does not reject).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._kernels import _NEXT
 from .conformal import StructureSpec, validate_spec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
 
@@ -78,87 +78,95 @@ class Face:
     edge_ids: tuple  # (e_ij, e_jk, e_ki)
 
 
-@dataclass
 class Triangulation:
-    n_boundary: int
-    edges: list
-    faces: list
-    open_edges: bool = False
-    warnings: list = field(default_factory=list)
-    edge_by_id: dict = field(init=False)
-    # the conformal.SpecArrays of the last spec, kept by conformal.spec_arrays
-    spec_memo: object = field(default=None, init=False, repr=False, compare=False)
+    """A validated mesh held as arrays: edge_arrays, (ids, ends a, ends b)
+    in edge-list order; face_ids and face_arrays, (F x 3 vertex ids, F x 3
+    positions of the face edges in the edge list), in face order.
 
-    def __post_init__(self):
-        self.edge_by_id = {e.id: e for e in self.edges}
-        self._validate()
+    The constructor converts Edge and Face records once; parse builds the
+    arrays directly.  edges and faces are record views built on first use,
+    for API callers.  Raises DanglingReference or FamilyConstraint for the first
+    failing record: a repeated edge or face id; then face by face, a record
+    that is no triangle, its vertices, its sides in order; then a component
+    on no face; then edge by edge.
+    """
 
-    def _validate(self):
-        counts = {e.id: 0 for e in self.edges}
-        for face in self.faces:
-            if len(face.vertices) != 3 or len(face.edge_ids) != 3:
-                raise DanglingReference(f"face {face.id} is not a triangle record")
-            for v in face.vertices:
-                if not (0 <= v < self.n_boundary):
-                    raise DanglingReference(
-                        f"face {face.id} references unknown vertex {v}"
-                    )
-            vi, vj, vk = face.vertices
-            expect = [(vi, vj), (vj, vk), (vk, vi)]
-            for eid, (a, b) in zip(face.edge_ids, expect):
-                if eid not in self.edge_by_id:
-                    raise DanglingReference(
-                        f"face {face.id} references unknown edge {eid}"
-                    )
-                e = self.edge_by_id[eid]
-                if {e.a, e.b} != {a, b}:
-                    raise DanglingReference(
-                        f"face {face.id}: edge {eid} joins ({e.a},{e.b}), "
-                        f"expected ({a},{b})"
-                    )
-                counts[eid] += 1
-            if len(set(face.vertices)) < 3:
-                self.warnings.append(
-                    f"face {face.id} repeats a boundary component"
-                )
+    def __init__(self, n_boundary: int, edges, faces, open_edges: bool = False):
+        triangle = [len(f.vertices) == len(f.edge_ids) == 3 for f in faces]
+        rows = [(f.id, *f.vertices, *f.edge_ids) if t else (f.id,) + (0,) * 6
+                for f, t in zip(faces, triangle)]
+        self._setup(n_boundary, np.array([(e.id, e.a, e.b) for e in edges],
+                                         dtype=np.intp).reshape(-1, 3).T,
+                    np.array(rows, dtype=np.intp).reshape(-1, 7), open_edges,
+                    np.logical_not(triangle))
+
+    def _setup(self, n, edges, faces, open_edges, ragged):
+        """edges: (ids, ends a, ends b); faces: F x 7 rows (id, three
+        vertices, three edge ids); ragged: the faces that are no triangle."""
+        self.n_boundary, self.open_edges = n, open_edges
+        # the conformal.SpecArrays and conformal._Edges of the last spec
+        self.spec_memo = self.edges_memo = None
+        self.edge_arrays = ids, a, b = tuple(np.array(x, dtype=np.intp) for x in edges)
+        self.face_ids, vert, face_edges = faces[:, 0].copy(), faces[:, 1:4].copy(), faces[:, 4:]
+        order = np.argsort(ids, kind="stable")
+        for name, x, o in (("edge", ids, order), ("face", self.face_ids,
+                                                  np.argsort(self.face_ids, kind="stable"))):
+            again = o[1:][x[o][1:] == x[o][:-1]]
+            if again.size:
+                raise DanglingReference(f"{name} id {x[again.min()]} is repeated")
+        pos = np.append(order, len(ids))[np.searchsorted(ids[order], face_edges)]
+        ids_x, a_x, b_x = np.pad(np.stack((ids, a, b)), ((0, 0), (0, 1)))
+        known = (ids_x[pos] == face_edges) & (pos < len(ids))
+        ea, eb, nxt = a_x[pos], b_x[pos], vert[:, _NEXT]
+        joins = (ea == vert) & (eb == nxt) | (ea == nxt) & (eb == vert)
+        err = np.column_stack((ragged, (vert < 0) | (vert >= n),
+                               np.stack((~known, known & ~joins), axis=2).reshape(-1, 6)))
+        if err.any():
+            k, col = divmod(int(np.argmax(err.ravel())), 10)
+            fid, s = self.face_ids[k], (col - 4) // 2
+            raise DanglingReference(
+                f"face {fid} is not a triangle record" if col == 0 else
+                f"face {fid} references unknown vertex {vert[k, col - 1]}" if col < 4 else
+                f"face {fid} references unknown edge {face_edges[k, s]}" if col % 2 == 0 else
+                f"face {fid}: edge {face_edges[k, s]} joins ({ea[k, s]},{eb[k, s]}), "
+                f"expected ({vert[k, s]},{nxt[k, s]})")
         # a component on no face has K identically 0 and an empty Jacobian row
-        on_faces = {v for face in self.faces for v in face.vertices}
-        orphans = [v for v in range(self.n_boundary) if v not in on_faces]
-        if orphans:
-            raise DanglingReference(f"boundary component {orphans[0]} lies on no face")
-        for e in self.edges:
-            if not (0 <= e.a < self.n_boundary and 0 <= e.b < self.n_boundary):
-                raise DanglingReference(f"edge {e.id} references unknown vertex")
-            c = counts[e.id]
-            if c == 0 or c > 2:
-                raise DanglingReference(
-                    f"edge {e.id} belongs to {c} faces; expected 1 or 2"
-                )
-            if c == 1 and not self.open_edges:
-                raise FamilyConstraint(
-                    f"edge {e.id} is open; add the open-edges flag to accept"
-                )
-        if not self.open_edges and 2 * len(self.edges) != 3 * len(self.faces):
-            raise FamilyConstraint(
-                "closed-surface count 2|E| = 3|F| fails; "
-                "add the open-edges flag to accept"
-            )
+        on_faces = np.bincount(vert.ravel(), minlength=n)
+        if not on_faces.all():
+            raise DanglingReference(f"boundary component {np.argmin(on_faces)} lies on no face")
+        count = np.bincount(pos.ravel(), minlength=len(ids))
+        err = np.column_stack(((a < 0) | (a >= n) | (b < 0) | (b >= n),
+                               (count == 0) | (count > 2), (count == 1) & (not open_edges)))
+        if err.any():
+            k, col = divmod(int(np.argmax(err.ravel())), 3)
+            if col == 2:
+                raise FamilyConstraint(f"edge {ids[k]} is open; add the open-edges flag to accept")
+            raise DanglingReference(f"edge {ids[k]} references unknown vertex" if col == 0 else
+                                    f"edge {ids[k]} belongs to {count[k]} faces; expected 1 or 2")
+        self.face_arrays = vert, pos
+        self.warnings = [f"face {k} repeats a boundary component" for k in
+                         self.face_ids[~(vert != nxt).all(axis=1)].tolist()]
+
+    def __eq__(self, other):
+        if not isinstance(other, Triangulation):
+            return NotImplemented
+        return all(np.array_equal(x, y) for x, y in zip(*(
+            (t.n_boundary, t.open_edges, *t.edge_arrays, t.face_ids, *t.face_arrays)
+            for t in (self, other))))
+
+    __hash__ = None
 
     @cached_property
-    def edge_arrays(self) -> tuple:
-        """(ids, ends a, ends b) of the edges in edge-list order; built on first use."""
-        return tuple(np.fromiter(map(attrgetter(name), self.edges), np.intp, len(self.edges))
-                     for name in ("id", "a", "b"))
+    def edges(self) -> list:
+        """The Edge records in edge-list order, built on first use."""
+        return list(map(Edge, *(x.tolist() for x in self.edge_arrays)))
 
     @cached_property
-    def face_arrays(self) -> tuple:
-        """(F x 3 vertex ids, F x 3 positions of the face edges in the edge
-        list) in face order; built on first use."""
-        pos = {eid: k for k, eid in enumerate(self.edge_arrays[0].tolist())}
-        vert = np.array([f.vertices for f in self.faces], dtype=np.intp)
-        epos = np.array([[pos[e] for e in f.edge_ids] for f in self.faces],
-                        dtype=np.intp)
-        return vert.reshape(-1, 3), epos.reshape(-1, 3)
+    def faces(self) -> list:
+        """The Face records in face order, built on first use."""
+        vert, pos = self.face_arrays
+        return [Face(k, tuple(v), tuple(e)) for k, v, e in zip(
+            self.face_ids.tolist(), vert.tolist(), self.edge_arrays[0][pos].tolist())]
 
     @cached_property
     def jacobian_pattern(self) -> tuple:
@@ -197,12 +205,7 @@ class Triangulation:
         """All (face, corner index) incidences of boundary component i."""
         if not (0 <= i < self.n_boundary):
             raise OutOfRange(f"boundary component {i} out of range")
-        star = []
-        for face in self.faces:
-            for corner, v in enumerate(face.vertices):
-                if v == i:
-                    star.append((face, corner))
-        return star
+        return [(self.faces[k], c) for k, c in zip(*np.nonzero(self.face_arrays[0] == i))]
 
 
 # -- text format -------------------------------------------------------------
@@ -210,80 +213,159 @@ class Triangulation:
 def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     """Parse mesh text into validated objects.
 
-    Raises MeshFormatError carrying (line, message) diagnostics for syntax
-    trouble, and DanglingReference / FamilyConstraint for structural trouble.
+    The v, e and f records are grouped by kind, and each group is read with
+    one numpy conversion per column type, or line by line where it does not
+    read that way.  Raises MeshFormatError carrying (line, message)
+    diagnostics for syntax trouble, and DanglingReference / FamilyConstraint
+    for structural trouble.
     """
-    diags = []
-    alphas, etas = {}, {}
-    edges, faces = [], []
-    family = None
-    special: frozenset = frozenset()
-    open_edges = False
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    blocks, rest = {"v": [], "e": [], "f": []}, []
+    for ln, line in enumerate(lines, start=1):
+        head = line.split(None, 1)
+        if head and head[0] in blocks:
+            blocks[head[0]].append(line)
+        elif head:
+            rest.append(ln)
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    fast = {kind: _read_block(kind, block) for kind, block in blocks.items()}
+    slow = {kind: [] for kind, got in fast.items()
+            if got is None or kind == "v" and len(np.unique(got[0])) < len(blocks[kind])}
+    # the other records, and every record of a kind that does not read fast
+    diags, family, first, seen = [], None, None, {}
+    for ln in range(1, len(lines) + 1) if slow else rest:
+        parts = lines[ln - 1].split()
+        kind = parts[0] if parts else None
+        if kind is None or kind in blocks and kind not in slow:
             continue
-        parts = line.split()
-        kind = parts[0]
+        if kind not in _INTS:
+            diags.append((ln, f"unknown record {kind!r}"))
+            continue
         try:
-            if kind == "format":
-                if int(parts[1]) != FORMAT_VERSION:
+            fields = _read_line(parts)
+            if kind in slow:
+                if kind == "v" and seen.setdefault(fields[0], ln) != ln:
+                    raise ValueError(f"vertex {fields[0]} repeats line {seen[fields[0]]}")
+                slow[kind].append(fields)
+            elif kind == "format":
+                if fields[0] != FORMAT_VERSION:
                     diags.append((ln, f"unsupported format version {parts[1]}"))
-            elif kind == "v":
-                vid = int(parts[1])
-                kv = _keyvals(parts[2:])
-                alphas[vid] = int(kv["alpha"])
-            elif kind == "e":
-                eid, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-                kv = _keyvals(parts[4:])
-                etas[eid] = float(kv["eta"])
-                edges.append(Edge(eid, a, b))
-            elif kind == "f":
-                fid = int(parts[1])
-                vs = tuple(int(p) for p in parts[2:5])
-                es = tuple(int(p) for p in parts[5:8])
-                if len(vs) != 3 or len(es) != 3:
-                    raise ValueError("face needs 3 vertices and 3 edges")
-                faces.append(Face(fid, vs, es))
-            elif kind == "structure":
-                kv = _keyvals(parts[1:], allow_flags=("open-edges",))
-                family = kv["family"]
-                if "special" in kv and kv["special"]:
-                    special = frozenset(int(s) for s in kv["special"].split(","))
-                open_edges = "open-edges" in kv
+                elif len(parts) != 2:
+                    raise ValueError(f"expected 2 tokens, got {len(parts)}")
             else:
-                diags.append((ln, f"unknown record {kind!r}"))
+                family = fields["family"]
+                special = frozenset(map(int, fields["special"].split(","))) \
+                    if fields.get("special") else frozenset()
+                open_edges = "open-edges" in fields
+                extra = set(fields) - {"family", "special", "open-edges"}
+                if extra or len(fields) < len(parts) - 1:
+                    raise ValueError(f"unknown key {min(extra)!r}" if extra else "repeated key")
+                if first is not None:
+                    raise ValueError(f"repeats the structure record of line {first}")
         except (ValueError, KeyError, IndexError) as exc:
             diags.append((ln, f"bad {kind} record: {exc}"))
+        if kind == "structure" and first is None:
+            first = ln
     if family is None:
         diags.append((0, "missing structure record"))
     if diags:
         raise MeshFormatError(diags)
+    for kind, rows in slow.items():
+        n = _INTS[kind]
+        fast[kind] = (np.array([r[:n] for r in rows], dtype=np.intp).reshape(-1, n),
+                      np.array([r[n:] for r in rows]).ravel())
 
-    n = max(alphas) + 1 if alphas else 0
-    if sorted(alphas) != list(range(n)):
+    (vid, alpha), (edges, eta), (faces, _) = fast.values()
+    n = len(vid)
+    if n and (vid.min() != 0 or vid.max() != n - 1):  # the ids are distinct
         raise DanglingReference("vertex ids must be 0..N-1 without gaps")
-    for e in edges:
-        if e.a not in alphas or e.b not in alphas:
-            raise DanglingReference(f"edge {e.id} references unknown vertex")
-    tri = Triangulation(n, edges, faces, open_edges=open_edges)
-    spec = StructureSpec(family, alphas, etas, special=special)
+    eid, a, b = edges.T
+    bad = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+    if bad.any():
+        raise DanglingReference(f"edge {eid[np.argmax(bad)]} references unknown vertex")
+    tri = Triangulation.__new__(Triangulation)
+    tri._setup(n, edges.T, faces, open_edges, np.zeros(len(faces), dtype=bool))
+    spec = StructureSpec(family, dict(zip(vid.ravel().tolist(), alpha.tolist())),
+                         dict(zip(eid.tolist(), eta.tolist())), special=special)
     validate_spec(spec, tri)
     return tri, spec
 
 
-def _keyvals(parts, allow_flags=()):
-    kv = {}
-    for p in parts:
-        if p in allow_flags:
-            kv[p] = True
+# Per record kind: its integers after the kind token, the key and type of
+# the value after them, and its token count.
+_INTS = {"format": 1, "v": 1, "e": 3, "f": 7, "structure": 0}
+_KEY = {"v": ("alpha", int), "e": ("eta", float)}
+_WIDTH = {"v": 3, "e": 5, "f": 8}
+_INT = np.iinfo(np.intp)
+
+
+def _read_line(parts) -> list:
+    """The fields of one record read token by token: the numbers of a
+    format, v, e or f record (its alpha or eta last), or the key=value
+    fields of a structure record (a flag maps to True).  Raises ValueError,
+    KeyError or IndexError whose text is the line's diagnostic."""
+    kind, n = parts[0], _INTS[parts[0]]
+    nums = [int(p) for p in parts[1:n + 1]]
+    if len(nums) < n:
+        if kind == "f" and nums:
+            raise ValueError("face needs 3 vertices and 3 edges")
+        raise IndexError("list index out of range")
+    if kind == "format":
+        return nums
+    fields = {}
+    for p in parts[n + 1:] if kind != "f" else ():
+        if kind == "structure" and p == "open-edges":
+            fields[p] = True
         elif "=" in p:
-            k, v = p.split("=", 1)
-            kv[k] = v
+            key, value = p.split("=", 1)
+            fields[key] = value
         else:
             raise ValueError(f"expected key=value, got {p!r}")
-    return kv
+    if kind == "structure":
+        return fields
+    if kind in _KEY:
+        key, cast = _KEY[kind]
+        nums.append(cast(fields[key]))
+    if len(parts) != _WIDTH[kind]:
+        raise ValueError(f"expected {_WIDTH[kind]} tokens, got {len(parts)}")
+    if any(not _INT.min < x < _INT.max for x in nums[:n]):
+        raise ValueError("integer out of range")
+    return nums
+
+
+def _read_block(kind: str, block) -> tuple | None:
+    """(M x k integers, M values of the key) of the M records of one kind,
+    read with one numpy conversion per column type; None where a line does
+    not have the record's exact layout or a number does not read as int()
+    or float() reads it."""
+    m, width, n = len(block), _WIDTH[kind], _INTS[kind]
+    tokens = " ".join(block).split()
+    # every kind token starts a line, and those lie width tokens apart
+    if len(tokens) != width * m or tokens.count(kind) != m or tokens[::width].count(kind) != m:
+        return None
+    del tokens[::width]
+    columns = []
+    if kind in _KEY:
+        key, cast = _KEY[kind]
+        column = " " + " ".join(tokens[n::n + 1])
+        del tokens[n::n + 1]
+        if column.count(f" {key}=") != m or "(" in column:  # no nan(...) payload
+            return None
+        columns.append((column.replace(f" {key}=", " "), np.intp if cast is int else float, m))
+    columns.insert(0, (" ".join(tokens), np.intp, n * m))
+    out = []
+    for text, dtype, count in columns:
+        try:  # a sentinel 0 ends the text, so that a bare sign never reads as 0
+            values = np.fromstring(text + " 0", dtype=dtype, sep=" ")
+        except ValueError:
+            return None
+        if len(values) != count + 1 or dtype is np.intp and (
+                (values <= _INT.min) | (values >= _INT.max)).any():
+            return None
+        out.append(values[:-1])
+    return out[0].reshape(m, n), out[-1]
 
 
 def serialize(tri: Triangulation, spec: StructureSpec) -> str:

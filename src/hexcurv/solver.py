@@ -296,7 +296,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def energy_face(spec: StructureSpec, tri, k, u_from, u_to, tol=1e-9) -> float:
-    """Line integral of the arc-length 1-form of face tri.faces[k] along a
+    """Line integral of the arc-length 1-form of the k-th face along a
     straight u-segment.
 
     Composite Gauss-Legendre with panel doubling until the value settles;
@@ -304,8 +304,8 @@ def energy_face(spec: StructureSpec, tri, k, u_from, u_to, tol=1e-9) -> float:
     the result is path independent.  Each node runs the theta stage on the
     program of face k alone.
     """
-    face = tri.faces[k]
-    idx = list(face.vertices)
+    vert = tri.face_arrays[0][k:k + 1]
+    idx = vert[0]
     start = component_values(u_from, tri.n_boundary)
     dvec = component_values(u_to, tri.n_boundary)[idx] - start[idx]
     arrays = spec_arrays(spec, tri)
@@ -318,7 +318,7 @@ def energy_face(spec: StructureSpec, tri, k, u_from, u_to, tol=1e-9) -> float:
             raise PathLeavesDomain("integration segment exits the face polytope")
         arcs = face_theta(program, arrays.cov.to_f(upoint))
         try:
-            _raise_first([face], arcs)
+            _raise_first(tri.face_ids[k:k + 1], vert, arcs)
         except NotAdmissible as exc:
             raise PathLeavesDomain(str(exc)) from exc
         theta = arcs.theta[0].tolist()

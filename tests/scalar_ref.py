@@ -269,8 +269,8 @@ def face_centers(codes, alphas, etas, f):
 
 # -- scalar oracles of the weight table ---------------------------------------
 
-def _face_edges(tri, face):
-    return [tri.edge_by_id[eid] for eid in face.edge_ids]
+def _face_edges(by_id, face):
+    return [by_id[eid] for eid in face.edge_ids]
 
 
 def edge_code(spec: StructureSpec, a, b) -> int:
@@ -380,21 +380,21 @@ def _check_a1_edge(eta: float, aa: int, ab: int, where: str) -> None:
         )
 
 
-def _check_mixed1_face(spec: StructureSpec, tri, face) -> None:
+def _check_mixed1_face(spec: StructureSpec, by_id, face) -> None:
     s, others = _face_corners(spec, face)
     by_pair = {}
     for eid in face.edge_ids:
-        e = tri.edge_by_id[eid]
+        e = by_id[eid]
         by_pair.setdefault(frozenset((e.a, e.b)), []).append(e)
     if s is None:
         for eid in face.edge_ids:
-            e = tri.edge_by_id[eid]
+            e = by_id[eid]
             _check_a1_edge(spec.eta[eid], spec.alpha[e.a], spec.alpha[e.b],
                            f"face {face.id} edge {eid}")
         return
     m1, m2 = others
     a_s, a1, a2 = spec.alpha[s], spec.alpha[m1], spec.alpha[m2]
-    edges = _face_edges(tri, face)
+    edges = _face_edges(by_id, face)
     a_edges = [e for e in edges if not (e.a in spec.special or e.b in spec.special)]
     b_edges = [e for e in edges if e.a in spec.special or e.b in spec.special]
     for e in a_edges:
@@ -463,6 +463,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
             raise FamilyConstraint(f"edge {e.id} joins two special components")
     for face in tri.faces:
         _face_corners(spec, face)  # raises on two specials in one face
+    by_id = {e.id: e for e in tri.edges}
 
     if fam in ("A2", "MixedII"):
         for i, a in spec.alpha.items():
@@ -487,7 +488,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     elif fam == "MixedIII":
         for face in tri.faces:
             s, _ = _face_corners(spec, face)
-            edges = list(_face_edges(tri, face))
+            edges = list(_face_edges(by_id, face))
             if s is None:
                 for e in edges:
                     if spec.eta[e.id] <= 0.0:
@@ -510,7 +511,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
                     )
     elif fam == "MixedI":
         for face in tri.faces:
-            _check_mixed1_face(spec, tri, face)
+            _check_mixed1_face(spec, by_id, face)
 
 
 def unproven(spec: StructureSpec, tri) -> bool:

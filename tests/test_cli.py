@@ -74,6 +74,19 @@ def test_component_on_no_face_is_a_domain_error(tmp_path, capsys):
         assert "boundary component 3 lies on no face" in captured.err
 
 
+def test_repeated_edge_id_is_a_domain_error(tmp_path, capsys):
+    # under open-edges it once passed validation and broke the edge program
+    p = tmp_path / "repeated.mesh"
+    p.write_text(PANTS.replace("f 1 0 1 2 0 1 2\n", "").replace(
+        "e 2 2 0 eta=3", "e 1 1 2 eta=5\ne 2 2 0 eta=3").replace(
+        "family=A1", "family=A1 open-edges"))
+    fpath = tmp_path / "factors.txt"
+    fpath.write_text("f 0 0.0\nf 1 0.0\nf 2 0.0\n")
+    assert main(["curvature", str(p), "--factors", str(fpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: edge id 1 is repeated\n"
+
+
 def test_usage_error_exit_code(pants_file):
     with pytest.raises(SystemExit) as err:
         main(["validate", pants_file, "--bogus"])

@@ -484,14 +484,19 @@ def test_existence_verdict_matches_scalar_oracle_on_every_window():
 
 
 def test_parse_validates_without_spec_arrays(monkeypatch):
-    """parse validates on its own edge arrays: it builds no edge program and
-    no change of variables, and only MixedI and MixedIII read face arrays."""
+    """parse validates on the mesh arrays: it builds no edge program, no
+    change of variables and no Edge or Face views, and keeps the rule
+    inputs of its spec, which SpecArrays then reuses."""
     for name in ("SpecArrays", "EdgeProgram", "ChangeOfVariables"):
         monkeypatch.setattr(cf, name, None)
     rng = random.Random(8)
     for family, regime in _REGIMES:
         tri = sphere_triangulation(12, rng)
-        tri, _ = mesh.parse(mesh.serialize(tri, make_spec(family, tri, rng, regime=regime)))
+        tri, spec = mesh.parse(mesh.serialize(tri, make_spec(family, tri, rng, regime=regime)))
         assert tri.spec_memo is None
-        assert ("face_arrays" in vars(tri)) == (family in ("MixedI", "MixedIII"))
+        assert "edges" not in vars(tri) and "faces" not in vars(tri)
+        assert tri.edges_memo[0] is spec
+    monkeypatch.undo()
+    edges = tri.edges_memo[1]
+    assert cf.spec_arrays(spec, tri).edges is edges
 

@@ -4,13 +4,14 @@ the checks of the hexagon command's input."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcurv._kernels import SPACE, TIME
+from hexcurv._kernels import BAD_RANGE, OK, SPACE, TIME
 from hexcurv._kernels.center import DOMAINS, _cross, _mdot, face_centers, hexagon_arcs
 from hexcurv.cli import build_parser, cmd_hexagon
 from hexcurv.errors import DegenerateHexagon, IncompatibleSplits, InconsistentRatio
@@ -146,6 +147,19 @@ def test_face_center_plane_permutation_invariance():
     ca = alt / norm(alt, axis=1)[:, None]
     cb = c / norm(c, axis=1)[:, None]
     assert np.all(np.minimum(norm(ca - cb, axis=1), norm(ca + cb, axis=1)) < 1e-10)
+
+
+def test_overflowing_sides_fail_without_a_warning():
+    """A face whose sinh l or cosh theta overflows is BAD_RANGE, and its
+    record is finite filler, like every failed face's."""
+    sides = [[400.0] * 3, [400.0, 1.0, 1.0], [800.0] * 3, [1.0, 1.5, 2.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arcs = hexagon_arcs(sides, np.ones((4, 3)))
+        rec = face_centers(arcs)
+    assert rec.status.tolist() == [BAD_RANGE] * 3 + [OK]
+    assert all(np.isfinite(x).all() for x in rec)
+    assert np.allclose(arcs.theta[3], ORACLE_THETAS, rtol=0, atol=1e-15)
 
 
 def test_incompatible_splits_rejected():

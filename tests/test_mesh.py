@@ -263,6 +263,70 @@ def test_triangulation_diagnostics(n, edges, faces, open_edges, cls, message):
     assert type(err.value) is cls and str(err.value) == message
 
 
+# -- records that were once ignored or overwritten ------------------------------
+
+def test_repeated_vertex_record_is_a_format_error():
+    with pytest.raises(MeshFormatError) as err:
+        mesh.parse(PANTS_TEXT.replace("v 1 alpha=0\n", "v 1 alpha=0\nv 0 alpha=1\n"))
+    assert err.value.diagnostics == [(4, "bad v record: vertex 0 repeats line 2")]
+
+
+def test_second_structure_record_is_a_format_error():
+    with pytest.raises(MeshFormatError) as err:
+        mesh.parse(PANTS_TEXT + "structure family=A3\n")
+    assert err.value.diagnostics == [
+        (11, "bad structure record: repeats the structure record of line 10")]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("v 0 alpha=0", "v 0 alpha=0 beta=2", "bad v record: expected 3 tokens, got 4"),
+    ("v 0 alpha=0", "v 0 alpha=0 alpha=1", "bad v record: expected 3 tokens, got 4"),
+    ("e 0 0 1 eta=3", "e 0 0 1 eta=3 eta=4", "bad e record: expected 5 tokens, got 6"),
+    ("f 0 0 1 2 0 1 2", "f 0 0 1 2 0 1 2 7", "bad f record: expected 8 tokens, got 9"),
+    ("format 1", "format 1 2", "bad format record: expected 2 tokens, got 3"),
+    ("structure family=A1", "structure family=A1 family=A3", "bad structure record: repeated key"),
+    ("structure family=A1", "structure family=A1 colour=red",
+     "bad structure record: unknown key 'colour'"),
+])
+def test_extra_tokens_are_format_errors(old, new, message):
+    text = PANTS_TEXT.replace(old, new, 1)
+    ln = text.splitlines().index(new) + 1
+    with pytest.raises(MeshFormatError) as err:
+        mesh.parse(text)
+    assert err.value.diagnostics == [(ln, message)]
+
+
+def test_repeated_face_id_is_a_dangling_reference():
+    with pytest.raises(DanglingReference, match="^face id 0 is repeated$"):
+        mesh.parse(PANTS_TEXT.replace("f 1 0 1 2 0 1 2", "f 0 0 1 2 0 1 2"))
+
+
+def test_repeated_edge_id_is_a_dangling_reference():
+    """Under open-edges a repeated edge id used to overwrite the first
+    weight and fail later, in the edge program, with an IndexError."""
+    text = mesh.serialize(*_single_face_mesh()).replace("e 2 ", "e 1 1 2 eta=5\ne 2 ")
+    with pytest.raises(DanglingReference, match="^edge id 1 is repeated$"):
+        mesh.parse(text)
+    with pytest.raises(DanglingReference, match="^edge id 4 is repeated$"):
+        Triangulation(3, [Edge(4, 0, 1), Edge(1, 1, 2), Edge(4, 2, 0)],
+                      [Face(0, (0, 1, 2), (4, 1, 4))], open_edges=True)
+
+
+def test_numbers_read_as_int_and_float_read_them():
+    """Numbers the block conversion does not read go through int() and
+    float(), and ids beyond the index range are format errors."""
+    text = (PANTS_TEXT.replace("v 1 alpha=0", "v +1 alpha=0")
+            .replace("e 1 1 2 eta=3", "e 1 1 2 eta=3_0")
+            .replace("f 1 0 1 2 0 1 2", "f 1 0 1 2 0 1 \u0662"))
+    tri, spec = mesh.parse(text)
+    assert spec.eta[1] == 30.0 and tri == mesh.parse(PANTS_TEXT)[0]
+    for old, new in (("f 1 0 1 2 0 1 2", f"f {2**63} 0 1 2 0 1 2"),
+                     ("f 1 0 1 2 0 1 2", "f 1 0 1 2 0 1 +"),
+                     ("e 1 1 2 eta=3", "e 1 1 2 eta=nan(7)")):
+        with pytest.raises(MeshFormatError):
+            mesh.parse(PANTS_TEXT.replace(old, new))
+
+
 # -- properties of the text format ---------------------------------------------
 
 _FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
