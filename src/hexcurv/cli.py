@@ -179,13 +179,8 @@ def cmd_hexagon(args):
         kv += [(f"q_{c}", x) for c, x in zip("ijk", rec.q[0].tolist())]
     center_class = ("time-like", "space-like", "light-like")[branch]
     domain = "LightCone" if domain < 0 else DOMAINS[domain][1 + (branch == SPACE)]
-    doc = dict(kv)
-    doc["center_class"] = center_class
-    doc["domain"] = domain
-    lines = [f"{k} {_fmt(v)}" for k, v in kv]
-    lines.append(f"center_class {center_class}")
-    lines.append(f"domain {domain}")
-    _emit(args, doc, lines)
+    _emit(args, dict(kv, center_class=center_class, domain=domain),
+          [f"{k} {_fmt(v)}" for k, v in kv] + [f"center_class {center_class}", f"domain {domain}"])
     return 0
 
 
@@ -220,34 +215,21 @@ def cmd_solve(args):
     if args.initial:
         opts.initial = _read_records(args.initial, "f", tri.n_boundary)
     f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
-    lines = [f"f {i} {_fmt(f[i])}" for i in range(tri.n_boundary)]
-    report_lines = [
-        f"converged {int(rep.converged)}",
-        f"iterations {rep.iterations}",
-        f"residual {_fmt(rep.residual)}",
-        f"boundary_hits {rep.boundary_hits}",
-        f"existence_unproven {int(rep.existence_unproven)}",
-        f"quad_constant {_fmt(rep.quad_constant)}",
-    ]
+    report = {name: getattr(rep, name) for name in (
+        "converged", "iterations", "residual", "boundary_hits", "existence_unproven",
+        "quad_constant")}
+    report_lines = [f"{k} {_fmt(v) if isinstance(v, float) else int(v)}"
+                    for k, v in report.items()]
     report_lines += [f"trajectory {n} {_fmt(r)}" for n, r in enumerate(rep.trajectory)]
     report_lines += [f"note {note}" for note in rep.notes]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("\n".join(report_lines) + "\n")
-    doc = {
-        "f": {str(i): f[i] for i in range(tri.n_boundary)},
-        "report": {
-            "converged": rep.converged,
-            "iterations": rep.iterations,
-            "residual": rep.residual,
-            "boundary_hits": rep.boundary_hits,
-            "existence_unproven": rep.existence_unproven,
-            "quad_constant": None if math.isnan(rep.quad_constant) else rep.quad_constant,
-            "trajectory": rep.trajectory,
-            "notes": rep.notes,
-        },
-    }
-    _emit(args, doc, lines)
+    if math.isnan(rep.quad_constant):
+        report["quad_constant"] = None
+    doc = {"f": {str(i): f[i] for i in range(tri.n_boundary)},
+           "report": {**report, "trajectory": rep.trajectory, "notes": rep.notes}}
+    _emit(args, doc, [f"f {i} {_fmt(f[i])}" for i in range(tri.n_boundary)])
     return 0
 
 
@@ -272,46 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"hexcurv {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="parse and validate a mesh file")
-    sp.add_argument("mesh")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("curvature", help="boundary curvatures at given factors")
-    sp.add_argument("mesh")
-    sp.add_argument("--factors", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_curvature)
-
-    sp = sub.add_parser("jacobian", help="curvature Jacobian in u coordinates")
-    sp.add_argument("mesh")
-    sp.add_argument("--factors", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_jacobian)
-
-    sp = sub.add_parser("hexagon", help="full report for one hexagon")
-    sp.add_argument("--lengths", required=True)
-    sp.add_argument("--ratios")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_hexagon)
-
-    sp = sub.add_parser("check-identities", help="randomized identity suites")
-    sp.add_argument("--family", default="A1")
-    sp.add_argument("--samples", type=positive_int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_check_identities)
-
-    sp = sub.add_parser("solve", help="solve a prescribed-curvature problem")
-    sp.add_argument("mesh")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--tol", type=positive_float, default=1e-10)
-    sp.add_argument("--max-iter", type=positive_int, default=100)
-    sp.add_argument("--initial")
-    sp.add_argument("--report")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_solve)
+    mesh_file, factors = ("mesh", {}), ("--factors", {"required": True})
+    for name, func, help_text, arguments in (
+        ("validate", cmd_validate, "parse and validate a mesh file", [mesh_file]),
+        ("curvature", cmd_curvature, "boundary curvatures at given factors",
+         [mesh_file, factors]),
+        ("jacobian", cmd_jacobian, "curvature Jacobian in u coordinates", [mesh_file, factors]),
+        ("hexagon", cmd_hexagon, "full report for one hexagon",
+         [("--lengths", {"required": True}), ("--ratios", {})]),
+        ("check-identities", cmd_check_identities, "randomized identity suites",
+         [("--family", {"default": "A1"}),
+          ("--samples", {"type": positive_int, "default": 200}),
+          ("--seed", {"type": int, "default": 0})]),
+        ("solve", cmd_solve, "solve a prescribed-curvature problem",
+         [mesh_file, ("--target", {"required": True}),
+          ("--tol", {"type": positive_float, "default": 1e-10}),
+          ("--max-iter", {"type": positive_int, "default": 100}),
+          ("--initial", {}), ("--report", {})]),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(func=func)
     return p
 
 

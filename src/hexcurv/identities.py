@@ -125,6 +125,12 @@ def run_suite(family: str, samples: int, rng) -> dict:
     }
     points = sample_face_points(spec, tri, rng, samples)
     cov = spec_arrays(spec, tri).cov
+
+    def note(name, residual):
+        entry = res[name]
+        entry[0] += 1
+        entry[1] = max(entry[1], residual)
+
     for u in points:
         f = cov.to_f(component_values(u, tri.n_boundary))
         try:
@@ -135,40 +141,26 @@ def run_suite(family: str, samples: int, rng) -> dict:
             sp = split_values(arcs.ch[0], arcs.rho[0])
         except HexcurvError:
             continue
-        c = res["compatibility"]
-        c[0] += 1
-        c[1] = max(c[1], compatibility_residual_general(sp))
+        note("compatibility", compatibility_residual_general(sp))
         # the paper's center-distance matrix against the cosine-law one
         mc = face_eval(arcs, np.ones(3))[0]
-        g = res["center-distance-formula"]
-        g[0] += 1
-        g[1] = max(g[1], float(np.max(np.abs(rec.m[0] - mc)))
-                   / max(1.0, float(np.max(np.abs(mc)))))
+        note("center-distance-formula", float(np.max(np.abs(rec.m[0] - mc)))
+             / max(1.0, float(np.max(np.abs(mc)))))
         # diagonal identity, on the cosine-law matrix
-        g = res["reciprocal-cosh-diagonal"]
         lcosh = arcs.ch[0].tolist()
-        worst = max(
+        note("reciprocal-cosh-diagonal", max(
             abs(mc[0, 0] - (lcosh[0] * mc[1, 0] + lcosh[2] * mc[2, 0])),
             abs(mc[1, 1] - (lcosh[0] * mc[0, 1] + lcosh[1] * mc[2, 1])),
             abs(mc[2, 2] - (lcosh[2] * mc[0, 2] + lcosh[1] * mc[1, 2])),
-        )
-        g[0] += 1
-        g[1] = max(g[1], worst)
+        ))
         # symmetry and definiteness of the release u-Jacobian
-        s = res["u-symmetry"]
         jac = curvature.jacobian_from_arcs(tri, arcs, cov.derivative(f)).toarray()
-        s[0] += 1
-        s[1] = max(s[1], float(np.max(np.abs(jac - jac.T))))
-        nd = res["negative-definite"]
-        nd[0] += 1
-        if not curvature.is_negative_definite(jac):
-            nd[1] = max(nd[1], 2.0)
+        note("u-symmetry", float(np.max(np.abs(jac - jac.T))))
+        note("negative-definite", 0.0 if curvature.is_negative_definite(jac) else 2.0)
         # finite differences of the arcs against the analytic matrix
         fdres = _fd_residual(spec, tri, f, mc)
         if fdres is not None:
-            d = res["finite-difference"]
-            d[0] += 1
-            d[1] = max(d[1], fdres)
+            note("finite-difference", fdres)
     return {k: tuple(v) for k, v in res.items()}
 
 

@@ -92,13 +92,12 @@ class Triangulation:
     """
 
     def __init__(self, n_boundary: int, edges, faces, open_edges: bool = False):
-        triangle = [len(f.vertices) == len(f.edge_ids) == 3 for f in faces]
-        rows = [(f.id, *f.vertices, *f.edge_ids) if t else (f.id,) + (0,) * 6
-                for f, t in zip(faces, triangle)]
-        self._setup(n_boundary, np.array([(e.id, e.a, e.b) for e in edges],
-                                         dtype=np.intp).reshape(-1, 3).T,
-                    np.array(rows, dtype=np.intp).reshape(-1, 7), open_edges,
-                    np.logical_not(triangle))
+        ragged = [len(f.vertices) != 3 or len(f.edge_ids) != 3 for f in faces]
+        rows = [(f.id,) + (0,) * 6 if r else (f.id, *f.vertices, *f.edge_ids)
+                for f, r in zip(faces, ragged)]
+        edges = np.array([(e.id, e.a, e.b) for e in edges], dtype=np.intp).reshape(-1, 3).T
+        self._setup(n_boundary, edges, np.array(rows, dtype=np.intp).reshape(-1, 7),
+                    open_edges, np.array(ragged, dtype=bool))
 
     def _setup(self, n, edges, faces, open_edges, ragged):
         """edges: (ids, ends a, ends b); faces: F x 7 rows (id, three
@@ -108,12 +107,11 @@ class Triangulation:
         self.spec_memo = self.edges_memo = None
         self.edge_arrays = ids, a, b = tuple(np.array(x, dtype=np.intp) for x in edges)
         self.face_ids, vert, face_edges = faces[:, 0].copy(), faces[:, 1:4].copy(), faces[:, 4:]
-        order = np.argsort(ids, kind="stable")
-        for name, x, o in (("edge", ids, order), ("face", self.face_ids,
-                                                  np.argsort(self.face_ids, kind="stable"))):
-            again = o[1:][x[o][1:] == x[o][:-1]]
+        for name, x in (("edge", ids), ("face", self.face_ids)):
+            again = np.setdiff1d(np.arange(len(x)), np.unique(x, return_index=True)[1])
             if again.size:
-                raise DanglingReference(f"{name} id {x[again.min()]} is repeated")
+                raise DanglingReference(f"{name} id {x[again[0]]} is repeated")
+        order = np.argsort(ids, kind="stable")
         pos = np.append(order, len(ids))[np.searchsorted(ids[order], face_edges)]
         ids_x, a_x, b_x = np.pad(np.stack((ids, a, b)), ((0, 0), (0, 1)))
         known = (ids_x[pos] == face_edges) & (pos < len(ids))
@@ -153,8 +151,6 @@ class Triangulation:
         return all(np.array_equal(x, y) for x, y in zip(*(
             (t.n_boundary, t.open_edges, *t.edge_arrays, t.face_ids, *t.face_arrays)
             for t in (self, other))))
-
-    __hash__ = None
 
     @cached_property
     def edges(self) -> list:
@@ -234,7 +230,7 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     slow = {kind: [] for kind, got in fast.items()
             if got is None or kind == "v" and len(np.unique(got[0])) < len(blocks[kind])}
     # the other records, and every record of a kind that does not read fast
-    diags, family, first, seen = [], None, None, {}
+    diags, family, seen = [], None, {}
     for ln in range(1, len(lines) + 1) if slow else rest:
         parts = lines[ln - 1].split()
         kind = parts[0] if parts else None
@@ -245,16 +241,11 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
             continue
         try:
             fields = _read_line(parts)
-            if kind in slow:
-                if kind == "v" and seen.setdefault(fields[0], ln) != ln:
-                    raise ValueError(f"vertex {fields[0]} repeats line {seen[fields[0]]}")
-                slow[kind].append(fields)
-            elif kind == "format":
-                if fields[0] != FORMAT_VERSION:
-                    diags.append((ln, f"unsupported format version {parts[1]}"))
-                elif len(parts) != 2:
-                    raise ValueError(f"expected 2 tokens, got {len(parts)}")
-            else:
+            if kind == "format" and fields[0] != FORMAT_VERSION:
+                diags.append((ln, f"unsupported format version {parts[1]}"))
+            elif kind == "format" and len(parts) != 2:
+                raise ValueError(f"expected 2 tokens, got {len(parts)}")
+            elif kind == "structure":
                 family = fields["family"]
                 special = frozenset(map(int, fields["special"].split(","))) \
                     if fields.get("special") else frozenset()
@@ -262,12 +253,12 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
                 extra = set(fields) - {"family", "special", "open-edges"}
                 if extra or len(fields) < len(parts) - 1:
                     raise ValueError(f"unknown key {min(extra)!r}" if extra else "repeated key")
-                if first is not None:
-                    raise ValueError(f"repeats the structure record of line {first}")
+            once = fields[0] if kind == "v" else kind  # one structure record, one per vertex
+            if kind in ("v", "structure") and seen.setdefault(once, ln) != ln:
+                raise ValueError(f"repeats line {seen[once]}")
+            slow.get(kind, []).append(fields)
         except (ValueError, KeyError, IndexError) as exc:
             diags.append((ln, f"bad {kind} record: {exc}"))
-        if kind == "structure" and first is None:
-            first = ln
     if family is None:
         diags.append((0, "missing structure record"))
     if diags:
@@ -319,8 +310,7 @@ def _read_line(parts) -> list:
         if kind == "structure" and p == "open-edges":
             fields[p] = True
         elif "=" in p:
-            key, value = p.split("=", 1)
-            fields[key] = value
+            fields.update([p.split("=", 1)])
         else:
             raise ValueError(f"expected key=value, got {p!r}")
     if kind == "structure":
@@ -370,15 +360,12 @@ def _read_block(kind: str, block) -> tuple | None:
 
 def serialize(tri: Triangulation, spec: StructureSpec) -> str:
     """Canonical text form; parse(serialize(x)) == x."""
+    edges, pos = np.column_stack(tri.edge_arrays), tri.face_arrays[1]
+    faces = np.column_stack((tri.face_ids, tri.face_arrays[0], tri.edge_arrays[0][pos]))
     out = [f"format {FORMAT_VERSION}"]
-    for i in range(tri.n_boundary):
-        out.append(f"v {i} alpha={spec.alpha[i]}")
-    for e in sorted(tri.edges, key=lambda e: e.id):
-        out.append(f"e {e.id} {e.a} {e.b} eta={spec.eta[e.id]:.17g}")
-    for f in sorted(tri.faces, key=lambda f: f.id):
-        vi, vj, vk = f.vertices
-        ea, eb, ec = f.edge_ids
-        out.append(f"f {f.id} {vi} {vj} {vk} {ea} {eb} {ec}")
+    out += [f"v {i} alpha={spec.alpha[i]}" for i in range(tri.n_boundary)]
+    out += [f"e {k} {a} {b} eta={spec.eta[k]:.17g}" for k, a, b in sorted(edges.tolist())]
+    out += ["f " + " ".join(map(str, row)) for row in sorted(faces.tolist())]
     line = f"structure family={spec.family}"
     if spec.special:
         line += " special=" + ",".join(str(s) for s in sorted(spec.special))
