@@ -31,7 +31,7 @@ sinh d_ba, taken from its end a to its end b; a side that runs from b to
 a reads 1/rho, and its first corner takes the edge's derivative at b.
 
 Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
-5 factors outside the evaluable range or the edge rule's domain, 6
+5 factors or sides outside the evaluable range or the edge rule's domain, 6
 vanishing arc (cosh theta <= 1, which only rounding reaches).  The
 face-center record adds 2 degenerate split, 3 degenerate face center
 and 4 singular height.  A face reports its first failing check in the

@@ -48,7 +48,7 @@ def _raise_first(ids, vert, arcs):
     status, bad, double = arcs.status, arcs.bad, arcs.prog.double
     k = int(np.argmax(status != OK)) if status.any() else len(ids)
     if double is not None and double[0] <= k:
-        (j, m) = double
+        j, m = double
         raise FamilyConstraint(f"edge ({vert[j, m]},{vert[j, _NEXT[m]]}) joins two special "
                                "components")
     if k == len(ids):

@@ -55,8 +55,8 @@ class MeshFormatError(HexcurvError):
 
 
 class DanglingReference(HexcurvError):
-    """A record references an id that does not exist, or a boundary
-    component lies on no face."""
+    """A record references an id that does not exist or repeats one, or a
+    boundary component lies on no face."""
 
 
 class OutOfRange(HexcurvError):

@@ -8,9 +8,11 @@ The text format is line based, one record per line, `#` comments:
     f <id> <va> <vb> <vc> <ea> <eb> <ec>
     structure family=<tag> [special=<id,...>] [open-edges]
 
-Face edge ids are listed so that <ea> joins (va, vb), <eb> joins (vb, vc)
-and <ec> joins (vc, va).  Multi-edges and loop edges are allowed; a face
-may repeat a boundary component (validation warns, does not reject).
+Every record has exactly the tokens shown, ids are unique per record kind
+and there is one structure record.  Face edge ids are listed so that <ea>
+joins (va, vb), <eb> joins (vb, vc) and <ec> joins (vc, va).  Multi-edges
+and loop edges are allowed; a face may repeat a boundary component
+(validation warns, does not reject).
 """
 
 from __future__ import annotations
@@ -107,11 +109,12 @@ class Triangulation:
         self.spec_memo = self.edges_memo = None
         self.edge_arrays = ids, a, b = tuple(np.array(x, dtype=np.intp) for x in edges)
         self.face_ids, vert, face_edges = faces[:, 0].copy(), faces[:, 1:4].copy(), faces[:, 4:]
-        for name, x in (("edge", ids), ("face", self.face_ids)):
-            again = np.setdiff1d(np.arange(len(x)), np.unique(x, return_index=True)[1])
-            if again.size:
-                raise DanglingReference(f"{name} id {x[again[0]]} is repeated")
         order = np.argsort(ids, kind="stable")
+        for name, x, o in (("edge", ids, order),
+                           ("face", self.face_ids, np.argsort(self.face_ids, kind="stable"))):
+            again = o[1:][x[o][1:] == x[o][:-1]]  # each record whose id an earlier one has
+            if again.size:
+                raise DanglingReference(f"{name} id {x[again.min()]} is repeated")
         pos = np.append(order, len(ids))[np.searchsorted(ids[order], face_edges)]
         ids_x, a_x, b_x = np.pad(np.stack((ids, a, b)), ((0, 0), (0, 1)))
         known = (ids_x[pos] == face_edges) & (pos < len(ids))
