@@ -204,7 +204,7 @@ class Triangulation:
         """All (face, corner index) incidences of boundary component i."""
         if not (0 <= i < self.n_boundary):
             raise OutOfRange(f"boundary component {i} out of range")
-        return [(self.faces[k], c) for k, c in zip(*np.nonzero(self.face_arrays[0] == i))]
+        return [(self.faces[k], c) for k, c in np.argwhere(self.face_arrays[0] == i).tolist()]
 
 
 # -- text format -------------------------------------------------------------
