@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, mesh, solver
+from . import __version__, mesh
 from ._kernels import BAD_CENTER, BAD_SPLIT, LIGHT, SPACE
 from ._kernels.center import DOMAINS, DUAL_OUTSIDE, INCOHERENT, NO_DOMAIN
 from ._kernels.center import face_centers, hexagon_arcs
@@ -209,6 +209,8 @@ def cmd_check_identities(args):
 
 
 def cmd_solve(args):
+    from . import solver
+
     tri, spec = _read_mesh(args.mesh)
     target = _read_records(args.target, "K", tri.n_boundary)
     opts = solver.SolveOptions(tol_K=args.tol, max_iter=args.max_iter)

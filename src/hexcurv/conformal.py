@@ -22,13 +22,13 @@ import itertools
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from ._kernels import _NEXT, F_LIMIT, EdgeProgram
-from .errors import DomainViolation, FamilyConstraint, UnsupportedWeightRange
+from .errors import DomainViolation, FamilyConstraint, OutOfRange, UnsupportedWeightRange
 
 FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 
@@ -117,7 +117,8 @@ class ChangeOfVariables:
     """u <-> f and df/du of the components ids of a spec, on float arrays
     indexed like ids.  Each map checks its whole input first and raises
     DomainViolation for the first component outside its open domain; then
-    each law runs on its own components only, so no numpy warning fires."""
+    each law runs on its own components only, so no numpy warning fires.
+    The bounds are built once; a law on contiguous components reads a slice."""
 
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
@@ -126,7 +127,13 @@ class ChangeOfVariables:
         self.sign = 2.0 * special - 1.0
         self.f_lo, self.f_hi = _BOUNDS[self.law, 0].T
         self.lo, self.hi = _BOUNDS[self.law, 1 + special].T
-        self.groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
+        big = np.where(self.law >= _COSH, _EXP_MAX, np.inf)  # cosh, sinh overflow beyond
+        self.u_lo, self.u_hi = np.maximum(self.lo, -big), np.minimum(self.hi, big)
+        # exp(-f) overflows below -_EXP_MAX in every law but the linear one
+        self.f_min = np.where(self.law == _LIN, self.f_lo, np.maximum(self.f_lo, -_EXP_MAX))
+        groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
+        self.groups = [(k, slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1 else i)
+                       for k, i in groups]
 
     def _require(self, name: str, x, lo, hi) -> None:
         bad = ~((lo < x) & (x < hi))  # NaN fails too
@@ -143,15 +150,12 @@ class ChangeOfVariables:
 
     def to_f(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        big = np.where(self.law >= _COSH, _EXP_MAX, np.inf)  # cosh, sinh overflow beyond
-        self._require("u", u, np.maximum(self.lo, -big), np.minimum(self.hi, big))
+        self._require("u", u, self.u_lo, self.u_hi)
         return self._apply(0, self.sign * u)
 
     def to_u(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        # exp(-f) overflows below -_EXP_MAX in every law but the linear one
-        lo = np.where(self.law == _LIN, self.f_lo, np.maximum(self.f_lo, -_EXP_MAX))
-        self._require("f", f, lo, self.f_hi)
+        self._require("f", f, self.f_min, self.f_hi)
         return self.sign * self._apply(1, f)
 
     def derivative(self, f) -> np.ndarray:
@@ -162,11 +166,26 @@ class ChangeOfVariables:
 
 
 def component_values(x, n: int) -> np.ndarray:
-    """x[0], ..., x[n-1] as a float array; x is a mapping or an array
-    indexed by component."""
+    """x[0], ..., x[n-1] as a float array; x is a mapping with the keys
+    0..n-1 or an array-like of shape (n,).  Raises OutOfRange naming the
+    first missing or extra component, or the wrong shape."""
     if isinstance(x, np.ndarray) and x.shape == (n,):
         return x.astype(float, copy=False)
-    return np.array([x[i] for i in range(n)], dtype=float)
+    if not isinstance(x, Mapping):
+        out = np.asarray(x, dtype=float)
+        if out.shape != (n,):
+            raise OutOfRange(f"expected {n} component values, got shape {out.shape}")
+        return out
+    if len(x) == n:
+        try:
+            return np.array([x[i] for i in range(n)], dtype=float)
+        except KeyError:
+            pass
+    missing = next((i for i in range(n) if i not in x), None)
+    if missing is not None:
+        raise OutOfRange(f"no value for component {missing}")
+    extra = next(i for i in x if i not in range(n))
+    raise OutOfRange(f"component {extra} is not one of 0..{n - 1}")
 
 
 def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> dict:

@@ -27,7 +27,6 @@ the paper's center-distance formula, which the identity suites check.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from . import tol
 from ._kernels import _NEXT, BAD_ARC, BAD_EDGE, BAD_RANGE, OK, face_eval, face_theta
@@ -96,7 +95,10 @@ def _jacobian_data(tri, arcs, du, slot) -> np.ndarray:
 def jacobian_from_arcs(tri, arcs, du):
     """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
     components that share a face) from the theta stage at f; du is df/du
-    at f.  Raises for the first failing face of the theta stage."""
+    at f.  Raises for the first failing face of the theta stage; K alone
+    needs no scipy, so scipy.sparse is imported here."""
+    import scipy.sparse
+
     slot, rows, colptr = tri.jacobian_pattern
     n = tri.n_boundary
     return scipy.sparse.csc_array((_jacobian_data(tri, arcs, du, slot), rows, colptr),

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ._kernels import _NEXT
 from .conformal import StructureSpec, validate_spec
@@ -32,8 +30,8 @@ FORMAT_VERSION = 1
 
 
 def elimination_order(rows, colptr) -> tuple:
-    """(order, gather, rows, column pointers, diagonal) of a square pattern
-    given in canonical CSC form.
+    """(order, gather, rows, column pointers, diagonal, columns, matrix) of
+    a square pattern given in canonical CSC form.
 
     order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
     minimum-degree order of A + A^T, then its elimination-tree postorder),
@@ -42,10 +40,16 @@ def elimination_order(rows, colptr) -> tuple:
     pointers (C ints, as SuperLU takes them, so no factorization converts
     them); diagonal holds the positions of the diagonal entries in that
     data, column by column, and is shorter than the order where the pattern
-    lacks some.  The order depends on the pattern alone, so it is read off a
-    column diagonally dominant matrix with the pattern plus the diagonal,
-    which factors without pivoting.
+    lacks some; columns holds the column of every entry.  matrix, a scipy
+    CSC array of that pattern checked canonical here, is the one the Newton
+    solver gives each step's data.  The order depends on the pattern alone,
+    so it is read off a column diagonally dominant matrix with the pattern
+    plus the diagonal, which factors without pivoting.  scipy is imported on
+    first use: a parse needs none.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     n = len(colptr) - 1
     col = np.repeat(np.arange(n), np.diff(colptr))
     off, diag = rows != col, np.arange(n)
@@ -62,8 +66,11 @@ def elimination_order(rows, colptr) -> tuple:
     new_rows, new_cols = new_rows[gather], new_cols[gather]
     new_colptr = np.zeros(n + 1, dtype=np.intc)
     np.cumsum(np.bincount(new_cols, minlength=n), out=new_colptr[1:])
-    return (np.argsort(position), gather, new_rows.astype(np.intc), new_colptr,
-            np.flatnonzero(new_rows == new_cols))
+    matrix = scipy.sparse.csc_array((np.zeros(len(gather)), new_rows.astype(np.intc),
+                                     new_colptr), shape=(n, n))
+    matrix.has_canonical_format  # checked and cached now; splu reads the flag
+    return (np.argsort(position), gather, matrix.indices, matrix.indptr,
+            np.flatnonzero(new_rows == new_cols), new_cols.astype(np.intp), matrix)
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,9 @@ class Triangulation:
     @cached_property
     def jacobian_order(self) -> tuple:
         """elimination_order of jacobian_pattern, built on first use: the
-        Newton solver factors every Jacobian of this mesh in that order.
-        Every component lies on a face, so the pattern holds the diagonal."""
+        Newton solver factors every Jacobian of this mesh in that order, in
+        its kept matrix.  Every component lies on a face, so the pattern
+        holds the diagonal."""
         return elimination_order(*self.jacobian_pattern[1:])
 
     @cached_property

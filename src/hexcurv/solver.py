@@ -4,15 +4,17 @@ Inverts the curvature map: given a positive target vector, finds the
 factors whose boundary curvatures match it.  Works in the u-coordinates,
 where the Jacobian is symmetric and, outside the hyper-ideal split
 windows, negative definite.  Each Newton step sums the face blocks
-straight into the Jacobian permuted to its elimination order, builds one
-sparse array and factors it once; a Gershgorin certificate on that array
-decides definiteness, and only where it fails are the pivots read.
+straight into the Jacobian permuted to its elimination order, hands that
+data to the mesh's kept sparse array and factors it once; a Gershgorin
+certificate on that data decides definiteness, and only where it fails are
+the pivots read.
 Backtracking damping keeps iterates inside the admissible polytope and
 the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
-pattern, its elimination order with the diagonal positions, and the slot
-map into that order (Triangulation.jacobian_pattern, jacobian_order and
+pattern, its elimination order with the diagonal positions, the column
+index and the sparse array every step factors, and the slot map into that
+order (Triangulation.jacobian_pattern, jacobian_order and
 jacobian_factor_slot).  Per (spec, mesh): the default start, beside the
 spec's other arrays and its existence verdict on conformal.spec_arrays.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from ._kernels import face_theta
@@ -155,34 +156,37 @@ def _solve_step(data, g: np.ndarray, report: SolveReport, order: tuple):
 
     order is mesh.elimination_order of lam's pattern, and data the CSC data
     of P lam P^T = lam[perm][:, perm] under its rows and column pointers,
-    which SuperLU factors in its natural order.
+    which SuperLU factors in its natural order.  The step binds data to
+    order's kept matrix, writing into neither, so splu only reads its
+    canonical-format flag; the matrix holds data until the next step, and
+    the LU is freed on return.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
     report notes it.  The pivots are read only when a Gershgorin
     certificate fails.  Where every column j has 2 lam_jj + sum_i |lam_ij| < 0
-    (a negative diagonal, strictly dominant), so does every leading block
-    A_k of P lam P^T, whose eigenvalues then lie in the open left
-    half-plane: det A_k has the sign of (-1)^k, and the k-th pivot,
-    det A_k / det A_(k-1), is negative.  Reading the pivots, which builds L
-    and U, would say nothing new.
+    (a negative diagonal, strictly dominant; a bincount over order's column
+    index sums the columns), so does every leading block A_k of P lam P^T,
+    whose eigenvalues then lie in the open left half-plane: det A_k has the
+    sign of (-1)^k, and the k-th pivot, det A_k / det A_(k-1), is negative.
+    Reading the pivots, which builds L and U, would say nothing new.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
     panel_size=1, relax=1 cut it (README).
     """
-    perm, _, rows, colptr, diag = order
+    perm, _, _, _, diag, col, matrix = order
     n = len(g)
+    matrix.data = data
     try:
         lu = scipy.sparse.linalg.splu(
-            scipy.sparse.csc_array((data, rows, colptr), shape=(n, n)),
-            permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+            matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
             options={"SymmetricMode": True})
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
         return None
     certified = len(diag) == n and np.all(
-        2.0 * data[diag] + np.add.reduceat(np.abs(data), colptr[:-1]) < 0.0)
+        2.0 * data[diag] + np.bincount(col, weights=np.abs(data), minlength=n) < 0.0)
     if not certified and not (np.array_equal(lu.perm_r, lu.perm_c)
                               and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
@@ -239,7 +243,8 @@ def solve_prescribed_curvature(
             return dict(enumerate(f.tolist())), report
         if it == opts.max_iter:
             break
-        # the Jacobian, its LU and the arcs behind it are freed before any trial
+        # the LU and the arcs behind the Jacobian are freed before any trial;
+        # only its data stays, on the mesh's kept matrix
         step = _solve_step(
             _jacobian_data(tri, arcs, cov.derivative(f), tri.jacobian_factor_slot),
             K - tgt, report, tri.jacobian_order)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +278,21 @@ def test_solve_needs_positive_tolerance_and_iteration_budget(pants_file, tmp_pat
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and option[0] in captured.err
+
+
+def test_validate_and_hexagon_load_no_scipy_sparse(pants_file):
+    # the cold commands parse, validate and evaluate one hexagon; SuperLU
+    # and the sparse arrays are imported only by the commands that use them
+    script = (
+        "import sys\n"
+        "from hexcurv import cli\n"
+        "codes = (cli.main(['validate', sys.argv[1]]),\n"
+        "         cli.main(['hexagon', '--lengths', '1.0,1.3,1.6', '--json']))\n"
+        "sys.exit(codes != (0, 0) or 'scipy.sparse' in sys.modules)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script, pants_file], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hexcurv.errors import (
     FamilyConstraint,
     HexcurvError,
     NotAdmissible,
+    OutOfRange,
     UnsupportedWeightRange,
 )
 from hexcurv.mesh import Edge
@@ -500,3 +502,48 @@ def test_parse_validates_without_spec_arrays(monkeypatch):
     edges = tri.edges_memo[1]
     assert cf.spec_arrays(spec, tri).edges is edges
 
+
+
+def _malformed_vectors(n):
+    """(component vector, message part) pairs, each vector malformed for a
+    mesh of n components: a missing or extra key, or a wrong shape."""
+    full = {i: 0.1 for i in range(n)}
+    return [
+        ({i: 0.1 for i in range(n - 1)}, f"no value for component {n - 1}"),
+        ({i: 0.1 for i in range(1, n)}, "no value for component 0"),
+        ({**full, n: 0.1}, f"component {n} is not one of 0..{n - 1}"),
+        ({**full, "x": 0.1}, f"component x is not one of 0..{n - 1}"),
+        (np.full(n - 1, 0.1), f"got shape ({n - 1},)"),
+        (np.full((1, n), 0.1), f"got shape (1, {n})"),
+        (np.full(n + 1, 0.1), f"got shape ({n + 1},)"),
+        ([0.1] * (n + 1), f"got shape ({n + 1},)"),
+    ]
+
+
+def test_malformed_component_vectors_are_out_of_range():
+    # every entry point that reads a vector per component names what is
+    # wrong with it, instead of a KeyError, an IndexError or a silent cut
+    rng = random.Random(40)
+    tri = sphere_triangulation(40, rng)
+    spec = make_spec("A1", tri, rng)
+    u0 = solver.default_initial(spec, tri)
+    f0 = cf.f_from_u(spec, u0)
+    target = curvature.curvature_map(spec, tri, f0)
+    calls = {
+        "solve target": lambda x: solver.solve_prescribed_curvature(spec, tri, x),
+        "solve initial": lambda x: solver.solve_prescribed_curvature(
+            spec, tri, target, solver.SolveOptions(initial=x)),
+        "curvature_map": lambda x: curvature.curvature_map(spec, tri, x),
+        "curvature_and_jacobian": lambda x: curvature.curvature_and_jacobian(spec, tri, x),
+        "admissible": lambda x: cf.admissible(spec, tri, x),
+        "energy_face from": lambda x: solver.energy_face(spec, tri, 0, x, u0),
+        "energy_face to": lambda x: solver.energy_face(spec, tri, 0, u0, x),
+    }
+    for name, call in calls.items():
+        for x, message in _malformed_vectors(tri.n_boundary):
+            with pytest.raises(OutOfRange, match=re.escape(message)):
+                call(x)
+    # well-formed vectors of every kind still give the same values
+    arr = np.array([f0[i] for i in range(tri.n_boundary)])
+    for x in (f0, arr, arr.tolist(), tuple(arr)):
+        assert curvature.curvature_map(spec, tri, x).tobytes() == target.tobytes()

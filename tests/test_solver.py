@@ -255,7 +255,7 @@ def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
 
     def zero_first_row_and_column(tri, *args):
         data = build(tri, *args)
-        order, _, rows, colptr, _ = tri.jacobian_order
+        order, _, rows, colptr = tri.jacobian_order[:4]
         first = int(np.flatnonzero(order == 0)[0])  # component 0 in factor order
         cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
         data[(rows == first) | (cols == first)] = 0.0
@@ -384,7 +384,7 @@ class _CountingLU:
         return getattr(self._lu, name)
 
 
-@pytest.mark.parametrize("make", [
+_STEP_MATRICES = [
     pytest.param(lambda: _tridiagonal(40, -3.0, 1.0), id="definite-40"),
     pytest.param(lambda: _tridiagonal(600, -3.0, 1.0), id="definite-600"),
     # definite, but not strictly dominant: the pivots decide
@@ -402,7 +402,10 @@ class _CountingLU:
     pytest.param(lambda: _sphere_jacobian(600, shifted=True), id="sphere-shifted-600"),
     pytest.param(lambda: _sphere_jacobian(600, False, 600), id="flipped-sphere-600"),
     pytest.param(lambda: _sphere_jacobian(600, True, 600), id="flipped-sphere-shifted-600"),
-])
+]
+
+
+@pytest.mark.parametrize("make", _STEP_MATRICES)
 def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     lam = make()
     g = np.random.default_rng(lam.shape[0]).standard_normal(lam.shape[0])
@@ -420,6 +423,60 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     # L and U are never built for a certified matrix
     dominant = np.all(2.0 * np.diag(dense) + np.abs(dense).sum(axis=0) < 0.0)
     assert bool(reads) == (not dominant)
+
+
+@pytest.mark.parametrize("make", _STEP_MATRICES)
+def test_bincount_certificate_matches_the_dense_column_sums(make):
+    lam = make()
+    n = lam.shape[0]
+    order = mesh.elimination_order(lam.indices, lam.indptr)
+    perm, gather, rows, colptr, diag, col = order[:6]
+    data = lam.data[gather]
+    # the kept column index names the column of every entry of P lam P^T
+    assert np.array_equal(col, np.repeat(np.arange(n), np.diff(colptr)))
+    dense = lam.toarray()[np.ix_(perm, perm)]
+    sums = np.bincount(col, weights=np.abs(data), minlength=n)
+    assert np.allclose(sums, np.abs(dense).sum(axis=0), rtol=1e-15, atol=0.0)
+    certified = len(diag) == n and np.all(2.0 * data[diag] + sums < 0.0)
+    assert certified == np.all(2.0 * np.diag(dense) + np.abs(dense).sum(axis=0) < 0.0)
+
+
+def _reference_step(data, g, order):
+    """_solve_step's step from a fresh sparse array and splu with its options."""
+    perm, _, rows, colptr = order[:4]
+    n = len(g)
+    lu = scipy.sparse.linalg.splu(
+        scipy.sparse.csc_array((data, rows, colptr), shape=(n, n)),
+        permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+        options={"SymmetricMode": True})
+    step = np.empty(n)
+    step[perm] = lu.solve(g[perm])
+    return step
+
+
+def test_kept_matrix_serves_each_pattern_alone():
+    # steps alternate between two meshes and a tridiagonal pattern, all of
+    # N = 40; each equals a fresh factorization of its own data bit for bit
+    rng = random.Random(11)
+    sources = []
+    for tri in (sphere_triangulation(40, rng), flipped_sphere(40, rng, 40)):
+        spec = make_spec("A3", tri, rng)
+        sources.append((tri.jacobian_order, [
+            curvature.curvature_and_jacobian(spec, tri, f)[1]
+            for f in sample_admissible_f(spec, tri, rng, 3, scale=0.5)]))
+    lam = _tridiagonal(40, -3.0, 1.0)
+    sources.append((mesh.elimination_order(lam.indices, lam.indptr),
+                    [lam * s for s in (1.0, 2.0, 0.5)]))
+    kept = [order[6] for order, _ in sources]
+    assert len({id(matrix) for matrix in kept}) == len(kept)
+    gen = np.random.default_rng(11)
+    for k in range(3):
+        for (order, jacobians), matrix in zip(sources, kept):
+            data, g = jacobians[k].data[order[1]], gen.standard_normal(40)
+            report = solver.SolveReport(False, 0, math.inf)
+            step = solver._solve_step(data, g, report, order)
+            assert step.tobytes() == _reference_step(data, g, order).tobytes()
+            assert order[6] is matrix and matrix.data is data  # rebound, not copied
 
 
 def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
@@ -510,22 +567,28 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
     rejected = 0
     for spec, tri, target in _roundtrip_problems():
         solver.default_initial(spec, tri)  # kept, so admissible() sees only trials
-        tri.jacobian_order  # and the mesh's own sparse build comes first
-        counts = {"theta": 0, "jacobian": 0, "trials": 0, "sparse": 0}
-        with monkeypatch.context() as m:
-            m.setattr(curvature, "face_theta",
-                      _counting(counts, "theta", curvature.face_theta))
-            m.setattr(curvature, "face_eval",
-                      _counting(counts, "jacobian", curvature.face_eval))
-            m.setattr(scipy.sparse, "csc_array",
-                      _counting(counts, "sparse", scipy.sparse.csc_array))
-            m.setattr(solver, "admissible", _counting(counts, "trials", solver.admissible,
-                                                      lambda out: out.ok))
-            _, rep = solver.solve_prescribed_curvature(spec, tri, target)
-        assert rep.converged
-        assert counts["theta"] == counts["trials"] + 1
-        assert counts["jacobian"] == counts["sparse"] == rep.iterations
-        rejected += counts["trials"] - rep.iterations
+        tri.jacobian_order  # the mesh's own SuperLU call and kept matrix come first
+        sparse = 0  # sparse arrays constructed over both solves
+        for _ in range(2):  # two consecutive solves on the mesh
+            counts = {"theta": 0, "jacobian": 0, "trials": 0, "sparse": 0, "splu": 0}
+            with monkeypatch.context() as m:
+                m.setattr(curvature, "face_theta",
+                          _counting(counts, "theta", curvature.face_theta))
+                m.setattr(curvature, "face_eval",
+                          _counting(counts, "jacobian", curvature.face_eval))
+                m.setattr(scipy.sparse, "csc_array",
+                          _counting(counts, "sparse", scipy.sparse.csc_array))
+                m.setattr(scipy.sparse.linalg, "splu",
+                          _counting(counts, "splu", scipy.sparse.linalg.splu))
+                m.setattr(solver, "admissible", _counting(counts, "trials", solver.admissible,
+                                                          lambda out: out.ok))
+                _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+            assert rep.converged
+            assert counts["theta"] == counts["trials"] + 1
+            assert counts["jacobian"] == counts["splu"] == rep.iterations
+            rejected += counts["trials"] - rep.iterations
+            sparse += counts["sparse"]
+        assert sparse == 0  # every step factors the matrix kept with the order
     assert rejected > 0  # some trials were evaluated and rejected
 
 
