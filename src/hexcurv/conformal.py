@@ -118,7 +118,7 @@ class ChangeOfVariables:
     indexed like ids.  Each map checks its whole input first and raises
     DomainViolation for the first component outside its open domain; then
     each law runs on its own components only, so no numpy warning fires.
-    The bounds are built once; a law on contiguous components reads a slice."""
+    The bounds those checks read are built once."""
 
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
@@ -131,9 +131,7 @@ class ChangeOfVariables:
         self.u_lo, self.u_hi = np.maximum(self.lo, -big), np.minimum(self.hi, big)
         # exp(-f) overflows below -_EXP_MAX in every law but the linear one
         self.f_min = np.where(self.law == _LIN, self.f_lo, np.maximum(self.f_lo, -_EXP_MAX))
-        groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
-        self.groups = [(k, slice(i[0], i[-1] + 1) if i[-1] - i[0] == len(i) - 1 else i)
-                       for k, i in groups]
+        self.groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
 
     def _require(self, name: str, x, lo, hi) -> None:
         bad = ~((lo < x) & (x < hi))  # NaN fails too

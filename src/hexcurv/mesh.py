@@ -17,6 +17,7 @@ and loop edges are allowed; a face may repeat a boundary component
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,23 +30,26 @@ from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfR
 FORMAT_VERSION = 1
 
 
-def elimination_order(rows, colptr) -> tuple:
-    """(order, gather, rows, column pointers, diagonal, columns, matrix) of
-    a square pattern given in canonical CSC form.
+FactorOrder = namedtuple("FactorOrder", "order gather diagonal matrix")
+
+
+def elimination_order(rows, colptr) -> FactorOrder:
+    """FactorOrder(order, gather, diagonal, matrix) of a square pattern
+    given in canonical CSC form.
 
     order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
     minimum-degree order of A + A^T, then its elimination-tree postorder),
-    as an index array: P A P^T = A[order][:, order].  A's CSC data indexed
-    by gather is the CSC data of P A P^T under the returned rows and column
-    pointers (C ints, as SuperLU takes them, so no factorization converts
-    them); diagonal holds the positions of the diagonal entries in that
-    data, column by column, and is shorter than the order where the pattern
-    lacks some; columns holds the column of every entry.  matrix, a scipy
-    CSC array of that pattern checked canonical here, is the one the Newton
-    solver gives each step's data.  The order depends on the pattern alone,
-    so it is read off a column diagonally dominant matrix with the pattern
-    plus the diagonal, which factors without pivoting.  scipy is imported on
-    first use: a parse needs none.
+    as an index array: P A P^T = A[order][:, order].  matrix is a scipy CSC
+    array of P A P^T's pattern with zero data, its canonical form checked
+    here, and its row indices and column pointers C ints, as SuperLU takes
+    them, so no factorization converts or re-checks them.  A's CSC data
+    indexed by gather is the CSC data of P A P^T under matrix's indices;
+    diagonal holds the positions of the diagonal entries in that data,
+    column by column, and is shorter than the order where the pattern lacks
+    some.  The order depends on the pattern alone, so it is read off a
+    column diagonally dominant matrix with the pattern plus the diagonal,
+    which factors without pivoting.  scipy is imported on first use: a
+    parse needs none.
     """
     import scipy.sparse
     import scipy.sparse.linalg
@@ -69,8 +73,8 @@ def elimination_order(rows, colptr) -> tuple:
     matrix = scipy.sparse.csc_array((np.zeros(len(gather)), new_rows.astype(np.intc),
                                      new_colptr), shape=(n, n))
     matrix.has_canonical_format  # checked and cached now; splu reads the flag
-    return (np.argsort(position), gather, matrix.indices, matrix.indptr,
-            np.flatnonzero(new_rows == new_cols), new_cols.astype(np.intp), matrix)
+    return FactorOrder(np.argsort(position), gather, np.flatnonzero(new_rows == new_cols),
+                       matrix)
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,11 @@ class Triangulation:
         return slot, keys % n, colptr
 
     @cached_property
-    def jacobian_order(self) -> tuple:
+    def jacobian_order(self) -> FactorOrder:
         """elimination_order of jacobian_pattern, built on first use: the
-        Newton solver factors every Jacobian of this mesh in that order, in
-        its kept matrix.  Every component lies on a face, so the pattern
-        holds the diagonal."""
+        Newton solver factors every Jacobian of this mesh in that order, on
+        copies of its matrix.  Every component lies on a face, so the
+        pattern holds the diagonal."""
         return elimination_order(*self.jacobian_pattern[1:])
 
     @cached_property
@@ -203,7 +207,7 @@ class Triangulation:
         built on first use: the slot of each F x 3 x 3 face-block entry in
         the CSC data of P J P^T, into which the Newton solver sums the face
         blocks directly.  Every spec shares it."""
-        gather = self.jacobian_order[1]
+        gather = self.jacobian_order.gather
         place = np.empty_like(gather)
         place[gather] = np.arange(len(gather))
         return place[self.jacobian_pattern[0]]

@@ -4,19 +4,19 @@ Inverts the curvature map: given a positive target vector, finds the
 factors whose boundary curvatures match it.  Works in the u-coordinates,
 where the Jacobian is symmetric and, outside the hyper-ideal split
 windows, negative definite.  Each Newton step sums the face blocks
-straight into the Jacobian permuted to its elimination order, hands that
-data to the mesh's kept sparse array and factors it once; a Gershgorin
-certificate on that data decides definiteness, and only where it fails are
-the pivots read.
+straight into the Jacobian permuted to its elimination order, binds that
+data to a shallow copy of the mesh's kept sparse array and factors it
+once; a Gershgorin certificate on that data decides definiteness, and only
+where it fails are the pivots read.
 Backtracking damping keeps iterates inside the admissible polytope and
 the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
-pattern, its elimination order with the diagonal positions, the column
-index and the sparse array every step factors, and the slot map into that
-order (Triangulation.jacobian_pattern, jacobian_order and
-jacobian_factor_slot).  Per (spec, mesh): the default start, beside the
-spec's other arrays and its existence verdict on conformal.spec_arrays.
+pattern, its elimination order with the diagonal positions and the
+sparse array every step copies, and the slot map into that order
+(Triangulation.jacobian_pattern, jacobian_order and jacobian_factor_slot).
+Per (spec, mesh): the default start, beside the spec's other arrays and
+its existence verdict on conformal.spec_arrays.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
 once the trial is accepted and a step is needed, the Jacobian.
 """
@@ -155,28 +155,30 @@ def _solve_step(data, g: np.ndarray, report: SolveReport, order: tuple):
     None where SuperLU finds lam exactly singular.
 
     order is mesh.elimination_order of lam's pattern, and data the CSC data
-    of P lam P^T = lam[perm][:, perm] under its rows and column pointers,
-    which SuperLU factors in its natural order.  The step binds data to
-    order's kept matrix, writing into neither, so splu only reads its
-    canonical-format flag; the matrix holds data until the next step, and
-    the LU is freed on return.
+    of P lam P^T = lam[perm][:, perm] under its matrix's indices, which
+    SuperLU factors in its natural order.  The step binds data to a shallow
+    copy of that matrix, which shares its indices and its checked
+    canonical-format flag, so splu builds and checks no array; nothing of
+    the step, the kept matrix included, holds data or the LU after return.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
     report notes it.  The pivots are read only when a Gershgorin
     certificate fails.  Where every column j has 2 lam_jj + sum_i |lam_ij| < 0
-    (a negative diagonal, strictly dominant; a bincount over order's column
-    index sums the columns), so does every leading block A_k of P lam P^T,
-    whose eigenvalues then lie in the open left half-plane: det A_k has the
-    sign of (-1)^k, and the k-th pivot, det A_k / det A_(k-1), is negative.
-    Reading the pivots, which builds L and U, would say nothing new.
+    (a negative diagonal, strictly dominant), so does every leading block
+    A_k of P lam P^T, whose eigenvalues then lie in the open left
+    half-plane: det A_k has the sign of (-1)^k, and the k-th pivot,
+    det A_k / det A_(k-1), is negative.  Reading the pivots, which builds L
+    and U, would say nothing new.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
     panel_size=1, relax=1 cut it (README).
     """
-    perm, _, _, _, diag, col, matrix = order
-    n = len(g)
-    matrix.data = data
+    perm, diag, n = order.order, order.diagonal, len(g)
+    # a shallow copy of the kept matrix holding data; copy.copy makes the
+    # same copy through its generic reduce path, about 4% of an N=40 solve
+    matrix = object.__new__(type(order.matrix))
+    matrix.__dict__.update(vars(order.matrix), data=data)
     try:
         lu = scipy.sparse.linalg.splu(
             matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
@@ -186,7 +188,7 @@ def _solve_step(data, g: np.ndarray, report: SolveReport, order: tuple):
             raise
         return None
     certified = len(diag) == n and np.all(
-        2.0 * data[diag] + np.bincount(col, weights=np.abs(data), minlength=n) < 0.0)
+        2.0 * data[diag] + np.add.reduceat(np.abs(data), matrix.indptr[:-1]) < 0.0)
     if not certified and not (np.array_equal(lu.perm_r, lu.perm_c)
                               and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
@@ -243,8 +245,7 @@ def solve_prescribed_curvature(
             return dict(enumerate(f.tolist())), report
         if it == opts.max_iter:
             break
-        # the LU and the arcs behind the Jacobian are freed before any trial;
-        # only its data stays, on the mesh's kept matrix
+        # the Jacobian, its LU and the arcs behind it are freed before any trial
         step = _solve_step(
             _jacobian_data(tri, arcs, cov.derivative(f), tri.jacobian_factor_slot),
             K - tgt, report, tri.jacobian_order)

@@ -255,7 +255,8 @@ def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
 
     def zero_first_row_and_column(tri, *args):
         data = build(tri, *args)
-        order, _, rows, colptr = tri.jacobian_order[:4]
+        order, kept = tri.jacobian_order.order, tri.jacobian_order.matrix
+        rows, colptr = kept.indices, kept.indptr
         first = int(np.flatnonzero(order == 0)[0])  # component 0 in factor order
         cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
         data[(rows == first) | (cols == first)] = 0.0
@@ -365,9 +366,8 @@ def _sphere_jacobian(n, shifted, flips=0):
 
 def _factored(data, order):
     """The matrix P lam P^T that _solve_step factors, from its CSC data."""
-    rows, colptr = order[2:4]
-    n = len(colptr) - 1
-    return scipy.sparse.csc_array((data, rows, colptr), shape=(n, n))
+    kept = order.matrix
+    return scipy.sparse.csc_array((data, kept.indices, kept.indptr), shape=kept.shape)
 
 
 class _CountingLU:
@@ -414,7 +414,7 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     reads, splu = [], scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
-    step = solver._solve_step(lam.data[order[1]], g, report, order)
+    step = solver._solve_step(lam.data[order.gather], g, report, order)
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
     dense = lam.toarray()
     definite = np.linalg.eigvalsh(dense).max() < 0.0
@@ -425,36 +425,17 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     assert bool(reads) == (not dominant)
 
 
-@pytest.mark.parametrize("make", _STEP_MATRICES)
-def test_bincount_certificate_matches_the_dense_column_sums(make):
-    lam = make()
-    n = lam.shape[0]
-    order = mesh.elimination_order(lam.indices, lam.indptr)
-    perm, gather, rows, colptr, diag, col = order[:6]
-    data = lam.data[gather]
-    # the kept column index names the column of every entry of P lam P^T
-    assert np.array_equal(col, np.repeat(np.arange(n), np.diff(colptr)))
-    dense = lam.toarray()[np.ix_(perm, perm)]
-    sums = np.bincount(col, weights=np.abs(data), minlength=n)
-    assert np.allclose(sums, np.abs(dense).sum(axis=0), rtol=1e-15, atol=0.0)
-    certified = len(diag) == n and np.all(2.0 * data[diag] + sums < 0.0)
-    assert certified == np.all(2.0 * np.diag(dense) + np.abs(dense).sum(axis=0) < 0.0)
-
-
 def _reference_step(data, g, order):
     """_solve_step's step from a fresh sparse array and splu with its options."""
-    perm, _, rows, colptr = order[:4]
-    n = len(g)
     lu = scipy.sparse.linalg.splu(
-        scipy.sparse.csc_array((data, rows, colptr), shape=(n, n)),
-        permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-        options={"SymmetricMode": True})
-    step = np.empty(n)
-    step[perm] = lu.solve(g[perm])
+        _factored(data, order), permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
+        panel_size=1, options={"SymmetricMode": True})
+    step = np.empty(len(g))
+    step[order.order] = lu.solve(g[order.order])
     return step
 
 
-def test_kept_matrix_serves_each_pattern_alone():
+def test_kept_matrix_serves_each_pattern_alone(monkeypatch):
     # steps alternate between two meshes and a tridiagonal pattern, all of
     # N = 40; each equals a fresh factorization of its own data bit for bit
     rng = random.Random(11)
@@ -467,16 +448,29 @@ def test_kept_matrix_serves_each_pattern_alone():
     lam = _tridiagonal(40, -3.0, 1.0)
     sources.append((mesh.elimination_order(lam.indices, lam.indptr),
                     [lam * s for s in (1.0, 2.0, 0.5)]))
-    kept = [order[6] for order, _ in sources]
-    assert len({id(matrix) for matrix in kept}) == len(kept)
-    gen = np.random.default_rng(11)
+    kept = [order.matrix for order, _ in sources]
+    zeros = [matrix.data for matrix in kept]
+    factored, splu = [], scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda matrix, **kwargs: factored.append(matrix) or splu(matrix, **kwargs))
+    gen, datas = np.random.default_rng(11), []
     for k in range(3):
-        for (order, jacobians), matrix in zip(sources, kept):
-            data, g = jacobians[k].data[order[1]], gen.standard_normal(40)
+        for order, jacobians in sources:
+            data, g = jacobians[k].data[order.gather], gen.standard_normal(40)
             report = solver.SolveReport(False, 0, math.inf)
             step = solver._solve_step(data, g, report, order)
             assert step.tobytes() == _reference_step(data, g, order).tobytes()
-            assert order[6] is matrix and matrix.data is data  # rebound, not copied
+            assert factored[-2] is not order.matrix
+            assert factored[-2].indices is order.matrix.indices
+            datas.append(data)
+    # each step factored its own copy of a kept matrix, which still holds
+    # that step's data after the later steps
+    steps = factored[::2]
+    assert len({id(matrix) for matrix in steps}) == len(steps) == 9
+    assert all(matrix.data is data for matrix, data in zip(steps, datas))
+    # the kept matrices still hold the zero data they were built with
+    for matrix, data in zip(kept, zeros):
+        assert matrix.data is data and not data.any()
 
 
 def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
@@ -588,7 +582,7 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
             assert counts["jacobian"] == counts["splu"] == rep.iterations
             rejected += counts["trials"] - rep.iterations
             sparse += counts["sparse"]
-        assert sparse == 0  # every step factors the matrix kept with the order
+        assert sparse == 0  # every step factors a copy of the matrix kept with the order
     assert rejected > 0  # some trials were evaluated and rejected
 
 
@@ -619,7 +613,7 @@ def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
             assert K.tobytes() == K_ref.tobytes()
             assert g.tobytes() == (K_ref - target).tobytes()
             # the factored matrix is J permuted into the mesh's elimination order
-            perm = tri.jacobian_order[0]
+            perm = tri.jacobian_order.order
             assert lam.toarray().tobytes() == J_ref.toarray()[np.ix_(perm, perm)].tobytes()
         K_final = curvature.curvature_map(spec, tri, f_final)
         assert rep.residual == float(np.max(np.abs(K_final - target)))
