@@ -189,8 +189,7 @@ def cmd_check_identities(args):
 
     rng = random.Random(args.seed)
     summary = identities.run_suite(args.family, args.samples, rng)
-    lines = []
-    ok = True
+    lines, ok = [], True
     doc = {"family": args.family, "samples": args.samples, "seed": args.seed,
            "checks": {}}
     for name, (count, worst, bound) in sorted(summary.items()):

@@ -24,6 +24,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,11 +40,13 @@ EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B1, EDGE_B2, EDGE_B3 = range(6)
 
 @dataclass(frozen=True)
 class StructureSpec:
-    """Family tag plus all per-vertex / per-edge weights.
+    """Family tag plus all per-vertex / per-edge weights, as a value.
 
     alpha maps boundary components to {-1, 0, 1}; eta maps edge ids to the
     symmetric edge weight, a finite real; special lists the distinguished
-    boundary components of the mixed families (empty otherwise).
+    boundary components of the mixed families (empty otherwise).  alpha
+    and eta are copied into read-only mappings and special into a
+    frozenset, so changing the caller's containers later changes no spec.
     """
 
     family: str
@@ -52,6 +55,9 @@ class StructureSpec:
     special: frozenset = frozenset()
 
     def __post_init__(self):
+        for name in ("alpha", "eta"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "special", frozenset(self.special))
         if self.family not in FAMILIES:
             raise FamilyConstraint(f"unknown family {self.family!r}")
         for i, a in self.alpha.items():
@@ -60,6 +66,9 @@ class StructureSpec:
         for e, w in self.eta.items():
             if not math.isfinite(w):
                 raise FamilyConstraint(f"eta[{e}]={w} is not finite")
+
+    def __reduce__(self):  # a read-only mapping does not pickle
+        return StructureSpec, (self.family, dict(self.alpha), dict(self.eta), self.special)
 
 
 # -- change of variables ---------------------------------------------------
@@ -289,19 +298,27 @@ _Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
 
 def _edges(spec: StructureSpec, tri) -> _Edges:
     """The _Edges of spec on tri; tri keeps those of the last spec, so that
-    validation and SpecArrays read the spec's mappings once."""
+    validation and SpecArrays read the spec's mappings once.  Raises
+    FamilyConstraint naming the first component without an alpha, else the
+    first edge without an eta."""
     if tri.edges_memo is not None and tri.edges_memo[0] is spec:
         return tri.edges_memo[1]
     n, fam = tri.n_boundary, FAMILIES.index(spec.family)
     ids, a, b = tri.edge_arrays
-    alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
+    try:
+        alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
+        eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
+    except KeyError:
+        v = next((v for v in range(n) if v not in spec.alpha), None)
+        e = next((e for e in ids.tolist() if e not in spec.eta), None)
+        raise FamilyConstraint(f"no alpha for boundary component {v}" if v is not None
+                               else f"no eta for edge {e}") from None
     special = np.zeros(n, dtype=bool)
     special[[v for v in spec.special if v in range(n)]] = True
     sa, sb = special[a], special[b]
     code = fam % 3 + 3 * (sa | sb)
     first = np.where(sb & ~sa, b, a)  # the special end, else a
     row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
-    eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
     tri.edges_memo = spec, _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
     return tri.edges_memo[1]
 
@@ -424,11 +441,11 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     """The family, special set and weights of spec on tri, against RULES.
 
     Raises FamilyConstraint or UnsupportedWeightRange for the first
-    violation: the special set, an edge joining two special components,
-    the alphas A2 and MixedII require, then the weights.  Weights go in
-    edge-list order; on MixedI and MixedIII, whose weights also couple
-    within a face, in face order, and in a face its plain sides, then its
-    sides at the special corner, then the coupling.
+    violation: the special set, a missing alpha or eta, an edge joining
+    two special components, the alphas A2 and MixedII require, then the
+    weights.  Weights go in edge-list order; on MixedI and MixedIII, whose
+    weights also couple within a face, in face order, and in a face its
+    plain sides, then its sides at the special corner, then the coupling.
     """
     fam = spec.family
     if spec.special and not fam.startswith("Mixed"):

@@ -10,11 +10,12 @@ rule.  Only f is converted per call; f is a mapping or an array indexed by
 component.  curvature_and_arcs keeps the theta stage beside K, and
 jacobian_from_arcs builds the Jacobian from it without a second theta
 pass; the Newton solver evaluates each trial point that way.  One helper,
-_jacobian_data, sums the derivative stage's face blocks into CSC data
-under a slot map: the mesh's natural one for jacobian_from_arcs and
-curvature_and_jacobian, the one into the elimination order for the
-solver, with the same bits per entry.  Only the theta stage can fail, so
-a point whose K evaluates also has a Jacobian.
+_jacobian, builds every Jacobian: it sums the face blocks under the slot
+map of a layout the mesh keeps (mesh.Layout) into a copy of the layout's
+array, which owns its arrays; jacobian_from_arcs and
+curvature_and_jacobian read the natural layout, the solver the
+elimination order's, with the same bits per entry.  Only the theta stage
+can fail, so a point whose K evaluates also has a Jacobian.
 An edge that joins two special components is found once, when the program
 is built (EdgeProgram.double); evaluation raises FamilyConstraint for it
 unless a face before the one holding it fails first.  On a mesh of one
@@ -65,14 +66,10 @@ def _sums(index, values, n) -> np.ndarray:
     return out.astype(float, copy=False)  # without faces bincount gives ints
 
 
-def _arcs(spec: StructureSpec, tri, f):
-    return face_theta(spec_arrays(spec, tri).program, component_values(f, tri.n_boundary))
-
-
 def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
     """(K, arcs): the total boundary-arc length per boundary component and
     the kernel's theta stage, which jacobian_from_arcs reuses."""
-    arcs = _arcs(spec, tri, f)
+    arcs = face_theta(spec_arrays(spec, tri).program, component_values(f, tri.n_boundary))
     _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
     return _sums(arcs.prog.vert, arcs.theta, tri.n_boundary), arcs
 
@@ -82,36 +79,35 @@ def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     return curvature_and_arcs(spec, tri, f)[0]
 
 
-def _jacobian_data(tri, arcs, du, slot) -> np.ndarray:
-    """The CSC data of the u-Jacobian under a slot map of the F x 3 x 3
-    face-block entries: tri.jacobian_pattern's for J, tri.jacobian_factor_slot
-    for P J P^T.  Each entry sums its face-block values in face order, so
-    both maps give the same bits.  Raises for the first failing face of the
-    theta stage."""
+def _jacobian(tri, arcs, du, layout):
+    """The u-Jacobian from the theta stage at f, du being df/du at f, in a
+    layout of the mesh (tri.jacobian_layout for J, tri.jacobian_order for
+    P J P^T): the face blocks summed into its slots in face order, the same
+    bits per entry in every layout, in a new array of layout.matrix's class
+    with its checked format flags and its own copies of the index arrays.
+    Raises for the first failing face of the theta stage."""
     _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
-    return _sums(slot, face_eval(arcs, du), len(tri.jacobian_pattern[1]))
+    kept = layout.matrix
+    jac = object.__new__(type(kept))
+    jac.__dict__.update(vars(kept), data=_sums(layout.slot, face_eval(arcs, du), len(kept.data)),
+                        indices=kept.indices.copy(), indptr=kept.indptr.copy())
+    return jac
 
 
 def jacobian_from_arcs(tri, arcs, du):
     """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
     components that share a face) from the theta stage at f; du is df/du
-    at f.  Raises for the first failing face of the theta stage; K alone
-    needs no scipy, so scipy.sparse is imported here."""
-    import scipy.sparse
-
-    slot, rows, colptr = tri.jacobian_pattern
-    n = tri.n_boundary
-    return scipy.sparse.csc_array((_jacobian_data(tri, arcs, du, slot), rows, colptr),
-                                  shape=(n, n))
+    at f.  Raises for the first failing face of the theta stage."""
+    return _jacobian(tri, arcs, du, tri.jacobian_layout)
 
 
 def curvature_and_jacobian(spec: StructureSpec, tri, f):
-    """K and its u-Jacobian from one theta pass."""
+    """K and its u-Jacobian from one theta pass; f outside the domain of
+    df/du raises before any face is evaluated."""
     fv = component_values(f, tri.n_boundary)
     du = spec_arrays(spec, tri).cov.derivative(fv)
-    arcs = _arcs(spec, tri, fv)
-    return (_sums(arcs.prog.vert, arcs.theta, tri.n_boundary),
-            jacobian_from_arcs(tri, arcs, du))
+    K, arcs = curvature_and_arcs(spec, tri, fv)
+    return K, jacobian_from_arcs(tri, arcs, du)
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

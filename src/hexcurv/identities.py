@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import curvature, mesh, solver
-from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, face_eval
+from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, disjoint_faces, face_eval, face_theta
 from ._kernels.center import _sign, face_centers
 from .conformal import StructureSpec, component_values, polytope, spec_arrays
 from .errors import HexcurvError
@@ -109,79 +109,69 @@ def compatibility_residual_general(splits) -> float:
 def run_suite(family: str, samples: int, rng) -> dict:
     """Run every residual suite for one family.
 
-    Each sample is the single-face mesh's record at one admissible point;
-    samples whose theta stage or face center fails are skipped.  Returns
-    {check name: (count, worst residual, bound)}.
+    Each sample is the single-face mesh's face at one admissible point; all
+    samples are evaluated in one pass, as disjoint faces, and those whose
+    theta stage, face center or split fails are skipped.  The finite
+    differences come from one more theta pass over six shifted faces per
+    sample (each factor moved by +-1e-6); a sample with a failing shifted
+    face has none.  Returns {check name: (count, worst residual, bound)}.
     """
     spec = stock_spec(family)
     tri = mesh.single_face()
-    res = {
-        "compatibility": [0, 0.0, 1e-10],
-        "finite-difference": [0, 0.0, 1e-5],
-        "reciprocal-cosh-diagonal": [0, 0.0, 1e-10],
-        "center-distance-formula": [0, 0.0, 1e-9],
-        "u-symmetry": [0, 0.0, 1e-12],
-        "negative-definite": [0, 0.0, 1.0],
-    }
-    points = sample_face_points(spec, tri, rng, samples)
-    cov = spec_arrays(spec, tri).cov
+    arrays = spec_arrays(spec, tri)
+    cov, e, (vert, side) = arrays.cov, arrays.edges, tri.face_arrays
+    f = np.array([cov.to_f(component_values(u, tri.n_boundary))
+                  for u in sample_face_points(spec, tri, rng, samples)]).reshape(-1, 3)
 
-    def note(name, residual):
-        entry = res[name]
-        entry[0] += 1
-        entry[1] = max(entry[1], residual)
+    def theta_stage(f):  # the single face at each row of f, as disjoint faces
+        m = len(f)
+        return face_theta(disjoint_faces(np.tile(e.code[side], (m, 1)),
+                                         np.tile(e.alpha[vert], (m, 1)),
+                                         np.tile(e.eta[side], (m, 1))), f.ravel())
 
-    for u in points:
-        f = cov.to_f(component_values(u, tri.n_boundary))
+    arcs = theta_stage(f)
+    rec, rho = face_centers(arcs), arcs.rho
+    keep, compat = [], []
+    for k in np.flatnonzero(rec.status == OK).tolist():
         try:
-            _, arcs = curvature.curvature_and_arcs(spec, tri, f)
-            rec = face_centers(arcs)
-            if rec.status[0] != OK:
-                continue
-            sp = split_values(arcs.ch[0], arcs.rho[0])
+            compat.append(compatibility_residual_general(split_values(arcs.ch[k], rho[k])))
         except HexcurvError:
             continue
-        note("compatibility", compatibility_residual_general(sp))
-        # the paper's center-distance matrix against the cosine-law one
-        mc = face_eval(arcs, np.ones(3))[0]
-        note("center-distance-formula", float(np.max(np.abs(rec.m[0] - mc)))
-             / max(1.0, float(np.max(np.abs(mc)))))
-        # diagonal identity, on the cosine-law matrix
-        lcosh = arcs.ch[0].tolist()
-        note("reciprocal-cosh-diagonal", max(
-            abs(mc[0, 0] - (lcosh[0] * mc[1, 0] + lcosh[2] * mc[2, 0])),
-            abs(mc[1, 1] - (lcosh[0] * mc[0, 1] + lcosh[1] * mc[2, 1])),
-            abs(mc[2, 2] - (lcosh[2] * mc[0, 2] + lcosh[1] * mc[1, 2])),
-        ))
-        # symmetry and definiteness of the release u-Jacobian
-        jac = curvature.jacobian_from_arcs(tri, arcs, cov.derivative(f)).toarray()
-        note("u-symmetry", float(np.max(np.abs(jac - jac.T))))
-        note("negative-definite", 0.0 if curvature.is_negative_definite(jac) else 2.0)
-        # finite differences of the arcs against the analytic matrix
-        fdres = _fd_residual(spec, tri, f, mc)
-        if fdres is not None:
-            note("finite-difference", fdres)
-    return {k: tuple(v) for k, v in res.items()}
-
-
-def _fd_residual(spec, tri, f, mc, step=1e-6):
-    """Worst relative gap between mc = d theta / d f of the single face and
-    central differences of its arcs, or None where a perturbed point fails."""
-    worst = 0.0
-    for col in range(3):
-        fp, fm = f.copy(), f.copy()
-        fp[col] += step
-        fm[col] -= step
-        try:
-            tp = curvature.curvature_map(spec, tri, fp)
-            tm = curvature.curvature_map(spec, tri, fm)
-        except HexcurvError:
-            return None
-        for row in range(3):
-            num = (tp[row] - tm[row]) / (2.0 * step)
-            an = mc[row, col]
-            worst = max(worst, abs(an - num) / max(1e-8, abs(an), abs(num)))
-    return worst
+        keep.append(k)
+    # the paper's center-distance matrix against the cosine-law one
+    mc = face_eval(arcs, np.ones(f.size))[keep]
+    center = np.abs(rec.m[keep] - mc).max(axis=(1, 2), initial=0.0) / np.maximum(
+        1.0, np.abs(mc).max(axis=(1, 2), initial=0.0))
+    # diagonal identity on the cosine-law matrix: side a joins corners a, a + 1
+    ch = arcs.ch[keep]
+    diagonal = np.abs(mc[:, _ROWS, _ROWS] - (ch * mc[:, _NEXT, _ROWS] + ch[:, _PREV]
+                                             * mc[:, _PREV, _ROWS])).max(axis=1, initial=0.0)
+    # symmetry and definiteness of the u-Jacobian, the face block in u
+    jac = face_eval(arcs, np.array([cov.derivative(x) for x in f]).ravel())[keep]
+    # central differences of the arcs against the analytic matrix: row
+    # 2 col + s of a sample's shifted faces moves factor col by +-step
+    step = 1e-6
+    shifted = np.repeat(f[keep, None, :], 6, axis=1)
+    shifted[:, 0::2][:, _ROWS, _ROWS] += step
+    shifted[:, 1::2][:, _ROWS, _ROWS] -= step
+    moved = theta_stage(shifted.reshape(-1, 3))
+    theta = moved.theta.reshape(-1, 3, 2, 3)  # sample, col, sign, row
+    num = (theta[:, :, 0] - theta[:, :, 1]) / (2.0 * step)
+    an = mc.transpose(0, 2, 1)
+    fd = (np.abs(an - num) / np.maximum(np.maximum(1e-8, np.abs(an)), np.abs(num))).max(
+        axis=(1, 2), initial=0.0)[(moved.status == OK).reshape(-1, 6).all(axis=1)]
+    checks = {  # name: (residual per sample, bound)
+        "compatibility": (np.array(compat), 1e-10),
+        "finite-difference": (fd, 1e-5),
+        "reciprocal-cosh-diagonal": (diagonal, 1e-10),
+        "center-distance-formula": (center, 1e-9),
+        "u-symmetry": (np.abs(jac - jac.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0),
+                       1e-12),
+        "negative-definite": (np.array([0.0 if curvature.is_negative_definite(x) else 2.0
+                                        for x in jac]), 1.0),
+    }
+    return {name: (len(x), float(x.max(initial=0.0)), bound)
+            for name, (x, bound) in checks.items()}
 
 
 # -- hexagon-level identity blocks --------------------------------------------

@@ -13,6 +13,11 @@ and there is one structure record.  Face edge ids are listed so that <ea>
 joins (va, vb), <eb> joins (vb, vc) and <ec> joins (vc, va).  Multi-edges
 and loop edges are allowed; a face may repeat a boundary component
 (validation warns, does not reject).
+
+A mesh keeps the layout of its u-Jacobian (make_layout) in two orders:
+jacobian_layout, the natural one, and jacobian_order, the elimination
+order the Newton solver factors in.  Every Jacobian is a new copy of one
+of them (curvature._jacobian) and shares no array with the mesh.
 """
 
 from __future__ import annotations
@@ -30,30 +35,49 @@ from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfR
 FORMAT_VERSION = 1
 
 
-FactorOrder = namedtuple("FactorOrder", "order gather diagonal matrix")
+Layout = namedtuple("Layout", "matrix slot")
+FactorOrder = namedtuple("FactorOrder", Layout._fields + ("order", "diagonal"))
 
 
-def elimination_order(rows, colptr) -> FactorOrder:
-    """FactorOrder(order, gather, diagonal, matrix) of a square pattern
-    given in canonical CSC form.
+def make_layout(rows, colptr, slot) -> Layout:
+    """Layout(matrix, slot) of a square pattern in canonical CSC form.
+
+    matrix is a scipy CSC array of the pattern with zero data, its
+    canonical form checked here, and its arrays read-only, the row indices
+    and column pointers as C ints, as SuperLU takes them.  slot holds the
+    position in matrix's data of each source entry (the F x 3 x 3 face
+    blocks of a mesh).  scipy is imported on first use: a parse needs none.
+    """
+    import scipy.sparse
+
+    n = len(colptr) - 1
+    matrix = scipy.sparse.csc_array(
+        (np.zeros(len(rows)), np.array(rows, dtype=np.intc), np.array(colptr, dtype=np.intc)),
+        shape=(n, n))
+    matrix.has_canonical_format  # checked and cached now; copies carry the flag
+    for x in (matrix.data, matrix.indices, matrix.indptr):
+        x.flags.writeable = False
+    return Layout(matrix, slot)
+
+
+def elimination_order(layout: Layout) -> FactorOrder:
+    """The layout of P A P^T, for A in layout, with (order, diagonal).
 
     order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
     minimum-degree order of A + A^T, then its elimination-tree postorder),
-    as an index array: P A P^T = A[order][:, order].  matrix is a scipy CSC
-    array of P A P^T's pattern with zero data, its canonical form checked
-    here, and its row indices and column pointers C ints, as SuperLU takes
-    them, so no factorization converts or re-checks them.  A's CSC data
-    indexed by gather is the CSC data of P A P^T under matrix's indices;
-    diagonal holds the positions of the diagonal entries in that data,
-    column by column, and is shorter than the order where the pattern lacks
-    some.  The order depends on the pattern alone, so it is read off a
-    column diagonally dominant matrix with the pattern plus the diagonal,
-    which factors without pivoting.  scipy is imported on first use: a
-    parse needs none.
+    as an index array: P A P^T = A[order][:, order].  The slot map is
+    layout's composed with that permutation: the sources summed under it
+    give P A P^T's data with the same bits per entry.  diagonal holds the
+    positions of the diagonal entries in that data, column by column, and
+    is shorter than the order where the pattern lacks some.  The order
+    depends on the pattern alone, so it is read off a column diagonally
+    dominant matrix with the pattern plus the diagonal, which factors
+    without pivoting.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
+    rows, colptr = layout.matrix.indices, layout.matrix.indptr
     n = len(colptr) - 1
     col = np.repeat(np.arange(n), np.diff(colptr))
     off, diag = rows != col, np.arange(n)
@@ -66,15 +90,11 @@ def elimination_order(rows, colptr) -> FactorOrder:
         dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True}).perm_c
     new_rows, new_cols = position[rows], position[col]
-    gather = np.lexsort((new_rows, new_cols))
+    gather = np.lexsort((new_rows, new_cols))  # the new entries, by the old ones
     new_rows, new_cols = new_rows[gather], new_cols[gather]
-    new_colptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(np.bincount(new_cols, minlength=n), out=new_colptr[1:])
-    matrix = scipy.sparse.csc_array((np.zeros(len(gather)), new_rows.astype(np.intc),
-                                     new_colptr), shape=(n, n))
-    matrix.has_canonical_format  # checked and cached now; splu reads the flag
-    return FactorOrder(np.argsort(position), gather, np.flatnonzero(new_rows == new_cols),
-                       matrix)
+    new_colptr = np.searchsorted(new_cols, np.arange(n + 1))
+    return FactorOrder(*make_layout(new_rows, new_colptr, np.argsort(gather)[layout.slot]),
+                       np.argsort(position), np.flatnonzero(new_rows == new_cols))
 
 
 @dataclass(frozen=True)
@@ -179,38 +199,25 @@ class Triangulation:
             self.face_ids.tolist(), vert.tolist(), self.edge_arrays[0][pos].tolist())]
 
     @cached_property
-    def jacobian_pattern(self) -> tuple:
-        """(slot of each F x 3 x 3 face-block entry, row indices, column
-        pointers) of the u-Jacobian in canonical CSC form, built on first use;
-        entries at one (row, column), as in a face repeating a component,
-        share a slot.  It depends on the mesh alone, so every spec shares it,
-        as do jacobian_order and jacobian_factor_slot; the arrays that depend
-        on the spec are kept on spec_memo."""
+    def jacobian_layout(self) -> Layout:
+        """make_layout of the u-Jacobian's pattern, built on first use: one
+        stored entry per pair of components that share a face, and the slot
+        of each F x 3 x 3 face-block entry; entries at one (row, column), as
+        in a face repeating a component, share a slot.  It depends on the
+        mesh alone, so every spec shares it, as does jacobian_order; the
+        arrays that depend on the spec are kept on spec_memo."""
         vert, n = self.face_arrays[0], self.n_boundary
         keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
         keys, slot = np.unique(keys, return_inverse=True)
-        colptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=colptr[1:])
-        return slot, keys % n, colptr
+        return make_layout(keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slot)
 
     @cached_property
     def jacobian_order(self) -> FactorOrder:
-        """elimination_order of jacobian_pattern, built on first use: the
-        Newton solver factors every Jacobian of this mesh in that order, on
-        copies of its matrix.  Every component lies on a face, so the
-        pattern holds the diagonal."""
-        return elimination_order(*self.jacobian_pattern[1:])
-
-    @cached_property
-    def jacobian_factor_slot(self) -> np.ndarray:
-        """jacobian_pattern's slot map composed with jacobian_order's gather,
-        built on first use: the slot of each F x 3 x 3 face-block entry in
-        the CSC data of P J P^T, into which the Newton solver sums the face
-        blocks directly.  Every spec shares it."""
-        gather = self.jacobian_order.gather
-        place = np.empty_like(gather)
-        place[gather] = np.arange(len(gather))
-        return place[self.jacobian_pattern[0]]
+        """elimination_order of jacobian_layout, built on first use: the
+        Newton solver sums the face blocks of every Jacobian of this mesh
+        straight into its elimination order under this layout.  Every
+        component lies on a face, so the pattern holds the diagonal."""
+        return elimination_order(self.jacobian_layout)
 
     def vertex_star(self, i: int) -> list:
         """All (face, corner index) incidences of boundary component i."""

@@ -4,17 +4,16 @@ Inverts the curvature map: given a positive target vector, finds the
 factors whose boundary curvatures match it.  Works in the u-coordinates,
 where the Jacobian is symmetric and, outside the hyper-ideal split
 windows, negative definite.  Each Newton step sums the face blocks
-straight into the Jacobian permuted to its elimination order, binds that
-data to a shallow copy of the mesh's kept sparse array and factors it
-once; a Gershgorin certificate on that data decides definiteness, and only
-where it fails are the pivots read.
+straight into the Jacobian permuted to its elimination order, a new
+sparse array from curvature's one Jacobian helper, and factors it once; a
+Gershgorin certificate on its data decides definiteness, and only where
+it fails are the pivots read.
 Backtracking damping keeps iterates inside the admissible polytope and
 the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
-pattern, its elimination order with the diagonal positions and the
-sparse array every step copies, and the slot map into that order
-(Triangulation.jacobian_pattern, jacobian_order and jacobian_factor_slot).
+layout in its natural order and in its elimination order, with the
+diagonal positions (Triangulation.jacobian_layout and jacobian_order).
 Per (spec, mesh): the default start, beside the spec's other arrays and
 its existence verdict on conformal.spec_arrays.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
@@ -31,7 +30,7 @@ import scipy.sparse.linalg
 
 from ._kernels import face_theta
 from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
-from .curvature import _jacobian_data, _raise_first, curvature_and_arcs
+from .curvature import _jacobian, _raise_first, curvature_and_arcs
 from .errors import (
     HexcurvError,
     NoFeasibleStart,
@@ -150,45 +149,36 @@ def _repaired_start(spec: StructureSpec, tri) -> dict:
     )
 
 
-def _solve_step(data, g: np.ndarray, report: SolveReport, order: tuple):
+def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
     """lam^-1 g from one sparse LU factorization of the symmetric lam, or
     None where SuperLU finds lam exactly singular.
 
-    order is mesh.elimination_order of lam's pattern, and data the CSC data
-    of P lam P^T = lam[perm][:, perm] under its matrix's indices, which
-    SuperLU factors in its natural order.  The step binds data to a shallow
-    copy of that matrix, which shares its indices and its checked
-    canonical-format flag, so splu builds and checks no array; nothing of
-    the step, the kept matrix included, holds data or the LU after return.
+    order is mesh.elimination_order of lam's pattern, and lam, in order's
+    layout, holds P lam P^T = lam[perm][:, perm], which SuperLU factors in
+    its natural order; lam carries the layout's checked format flags.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
     pivot in D is negative; otherwise (a hyper-ideal split window) the
-    report notes it.  The pivots are read only when a Gershgorin
-    certificate fails.  Where every column j has 2 lam_jj + sum_i |lam_ij| < 0
-    (a negative diagonal, strictly dominant), so does every leading block
-    A_k of P lam P^T, whose eigenvalues then lie in the open left
-    half-plane: det A_k has the sign of (-1)^k, and the k-th pivot,
-    det A_k / det A_(k-1), is negative.  Reading the pivots, which builds L
-    and U, would say nothing new.
+    report notes it.  The pivots, which build L and U, are read only when
+    a Gershgorin certificate fails: where every column j has
+    2 lam_jj + sum_i |lam_ij| < 0, every leading block A_k of P lam P^T has
+    its eigenvalues in the open left half-plane, so every pivot
+    det A_k / det A_(k-1) is negative.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
     panel_size=1, relax=1 cut it (README).
     """
-    perm, diag, n = order.order, order.diagonal, len(g)
-    # a shallow copy of the kept matrix holding data; copy.copy makes the
-    # same copy through its generic reduce path, about 4% of an N=40 solve
-    matrix = object.__new__(type(order.matrix))
-    matrix.__dict__.update(vars(order.matrix), data=data)
+    perm, diag, n, data = order.order, order.diagonal, len(g), lam.data
     try:
         lu = scipy.sparse.linalg.splu(
-            matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+            lam, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
             options={"SymmetricMode": True})
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise
         return None
     certified = len(diag) == n and np.all(
-        2.0 * data[diag] + np.add.reduceat(np.abs(data), matrix.indptr[:-1]) < 0.0)
+        2.0 * data[diag] + np.add.reduceat(np.abs(data), lam.indptr[:-1]) < 0.0)
     if not certified and not (np.array_equal(lu.perm_r, lu.perm_c)
                               and np.all(lu.U.diagonal() < 0.0)):
         note = "jacobian indefinite at an iterate"
@@ -246,9 +236,9 @@ def solve_prescribed_curvature(
         if it == opts.max_iter:
             break
         # the Jacobian, its LU and the arcs behind it are freed before any trial
-        step = _solve_step(
-            _jacobian_data(tri, arcs, cov.derivative(f), tri.jacobian_factor_slot),
-            K - tgt, report, tri.jacobian_order)
+        order = tri.jacobian_order
+        step = _solve_step(_jacobian(tri, arcs, cov.derivative(f), order), K - tgt, report,
+                           order)
         if step is None:
             raise NotConverged(
                 f"jacobian exactly singular at residual {res}",

@@ -185,6 +185,17 @@ def test_check_identities_seeded_reproducible(family, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_failing_identity_check_is_reported_as_json(capsys):
+    # the A3 suite at seed 11 has a finite-difference residual above its
+    # bound; --json reports it in the document, with exit code 1
+    args = ["check-identities", "--family", "A3", "--samples", "500", "--seed", "11"]
+    assert main(args + ["--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["checks"]["finite-difference"]["pass"] is False
+    assert all(check["pass"] for name, check in doc["checks"].items()
+               if name != "finite-difference")
+
+
 def test_solve_roundtrip(pants_file, tmp_path, capsys):
     k = 2.0 * math.acosh(2.0)
     tpath = tmp_path / "target.txt"

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
 
@@ -547,3 +549,51 @@ def test_malformed_component_vectors_are_out_of_range():
     arr = np.array([f0[i] for i in range(tri.n_boundary)])
     for x in (f0, arr, arr.tolist(), tuple(arr)):
         assert curvature.curvature_map(spec, tri, x).tobytes() == target.tobytes()
+
+
+def test_structure_spec_is_a_value():
+    # the spec copies its weights: a later change to the caller's dicts
+    # reaches neither the spec nor the arrays derived from it
+    tri = mesh.pair_of_pants()
+    alpha, eta, special = {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)}, set()
+    spec = cf.StructureSpec("A3", alpha, eta, special=special)
+    f = np.array([0.3, 0.2, 0.1])
+    before = curvature.curvature_map(spec, tri, f)
+    eta[0], alpha[1] = -5.0, 7  # weights that fail validation
+    special.add(0)
+    del eta[2]
+    for fresh in (tri, mesh.pair_of_pants()):  # kept arrays, and arrays built anew
+        assert curvature.curvature_map(spec, fresh, f).tobytes() == before.tobytes()
+    assert dict(spec.eta) == {i: 2.0 for i in range(3)} and spec.alpha[1] == 0
+    assert spec.special == frozenset() and isinstance(spec.special, frozenset)
+    cf.validate_spec(spec, tri)
+    with pytest.raises(TypeError):
+        spec.eta[0] = 1.0
+    with pytest.raises(TypeError):
+        spec.alpha[0] = 1
+    # a spec made from the changed dicts reads the changed weights
+    with pytest.raises(FamilyConstraint, match="alpha\\[1\\]=7"):
+        cf.StructureSpec("A3", alpha, eta)
+    alpha[1] = 0
+    with pytest.raises(FamilyConstraint, match="weight must be positive"):
+        cf.validate_spec(cf.StructureSpec("A3", alpha, {**eta, 2: 2.0}), tri)
+    assert spec == cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert twin == spec and isinstance(twin.eta, type(spec.eta))
+
+
+@pytest.mark.parametrize("entry", ["validate_spec", "curvature_map", "spec_arrays"])
+def test_missing_weights_are_a_family_constraint(entry):
+    tri = mesh.pair_of_pants()
+    f = np.array([0.3, 0.2, 0.1])
+    call = {"validate_spec": lambda spec: cf.validate_spec(spec, tri),
+            "curvature_map": lambda spec: curvature.curvature_map(spec, tri, f),
+            "spec_arrays": lambda spec: cf.spec_arrays(spec, tri)}[entry]
+    alpha, eta = {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)}
+    for weights, message in (
+            (({0: 0}, {}), "no alpha for boundary component 1"),
+            (({0: 0, 2: 0}, eta), "no alpha for boundary component 1"),
+            ((alpha, {1: 2.0}), "no eta for edge 0"),
+            ((alpha, {0: 2.0, 2: 2.0, 7: 2.0}), "no eta for edge 1")):
+        with pytest.raises(FamilyConstraint, match=f"^{message}$"):
+            call(cf.StructureSpec("A1", *weights))

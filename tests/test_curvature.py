@@ -6,11 +6,11 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hexcurv import curvature, mesh, solver
+from hexcurv import curvature, identities, mesh, solver
 from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
 from hexcurv._kernels import face_eval, face_theta
 from hexcurv._kernels.center import face_centers
-from hexcurv.errors import FamilyConstraint, NotAdmissible
+from hexcurv.errors import FamilyConstraint, HexcurvError, NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 
 import scalar_ref
@@ -297,7 +297,7 @@ def test_sparse_jacobian_equals_dense_face_sum_bit_for_bit():
             assert lam.format == "csc" and lam.has_canonical_format
             assert lam.shape == (tri.n_boundary, tri.n_boundary)
             assert lam.toarray().tobytes() == _dense_jacobian(spec, tri, f).tobytes()
-    assert repeated.jacobian_pattern[1].tolist() == [0, 1, 0, 1]
+    assert repeated.jacobian_layout.matrix.indices.tolist() == [0, 1, 0, 1]
 
 
 def test_dict_and_array_factors_give_identical_results():
@@ -318,7 +318,8 @@ def test_dict_and_array_factors_give_identical_results():
 def test_jacobian_order_is_superlus_mmd_order(n):
     rng = random.Random(n)
     tri = sphere_triangulation(n, rng)
-    order, gather, diag, kept = tri.jacobian_order
+    layout = tri.jacobian_order
+    order, diag, kept = layout.order, layout.diagonal, layout.matrix
     rows, colptr = kept.indices, kept.indptr
     # the diagonal entry of every column, in column order
     assert np.array_equal(rows[diag], np.arange(n))
@@ -331,14 +332,111 @@ def test_jacobian_order_is_superlus_mmd_order(n):
                                           diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
             assert np.array_equal(np.argsort(lu.perm_c), order)
-            permuted = scipy.sparse.csc_array((lam.data[gather], rows, colptr),
-                                              shape=lam.shape)
-            assert permuted.has_canonical_format
-            assert permuted.toarray().tobytes() == \
-                lam.toarray()[np.ix_(order, order)].tobytes()
-            # the face blocks summed straight into P J P^T give the same bits
+            # the face blocks summed straight into P J P^T give J's bits,
+            # in a canonical CSC array of the kept pattern
             fv = np.array([f[i] for i in range(n)])
             arcs = curvature.curvature_and_arcs(spec, tri, fv)[1]
-            data = curvature._jacobian_data(tri, arcs, spec_arrays(spec, tri).cov.derivative(fv),
-                                            tri.jacobian_factor_slot)
-            assert data.tobytes() == permuted.data.tobytes()
+            permuted = curvature._jacobian(tri, arcs, spec_arrays(spec, tri).cov.derivative(fv),
+                                           layout)
+            assert type(permuted) is type(lam)
+            assert np.array_equal(permuted.indices, rows)
+            assert np.array_equal(permuted.indptr, colptr)
+            fresh = scipy.sparse.csc_array((permuted.data, permuted.indices, permuted.indptr),
+                                           shape=lam.shape)
+            assert fresh.has_canonical_format
+            dense = lam.toarray()[np.ix_(order, order)]
+            assert permuted.toarray().tobytes() == dense.tobytes()
+            cols = np.repeat(np.arange(n), np.diff(colptr))
+            assert permuted.data.tobytes() == dense[rows, cols].tobytes()
+
+
+def test_returned_jacobians_own_their_arrays():
+    # an in-place structural edit of one Jacobian reaches no later one
+    tri = mesh.pair_of_pants()
+    spec = StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
+    f = np.array([0.3, 0.2, 0.1])
+
+    def evaluated():
+        jac = curvature.curvature_and_jacobian(spec, tri, f)[1]
+        return jac, [x.tobytes() for x in (jac.data, jac.indices, jac.indptr)]
+
+    first, bits = evaluated()
+    first.data[1] = 0.0
+    first.eliminate_zeros()
+    second, after_eliminate = evaluated()
+    assert after_eliminate == bits
+    second.indices[:] = second.indices[::-1].copy()
+    second.indptr[1] += 1
+    third, after_write = evaluated()
+    assert after_write == bits
+    # two consecutive results share no array
+    fourth = evaluated()[0]
+    assert not any(np.shares_memory(x, y) for x in (third.data, third.indices, third.indptr)
+                   for y in (fourth.data, fourth.indices, fourth.indptr))
+    # the arrays both layouts of the mesh keep refuse writes
+    for layout in (tri.jacobian_layout, tri.jacobian_order):
+        for x in (layout.matrix.indices, layout.matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1
+
+
+def _identity_suite_per_sample(family, samples, seed):
+    """run_suite's residuals, one sample at a time through the mesh record:
+    curvature_and_arcs, jacobian_from_arcs and curvature_map at the
+    shifted factors."""
+    spec, tri = stock_spec(family), mesh.single_face()
+    cov = spec_arrays(spec, tri).cov
+    res = {name: [0, 0.0] for name in ("compatibility", "finite-difference",
+                                       "reciprocal-cosh-diagonal", "center-distance-formula",
+                                       "u-symmetry", "negative-definite")}
+
+    def note(name, value):
+        res[name] = [res[name][0] + 1, max(res[name][1], float(value))]
+
+    for u in sample_face_points(spec, tri, random.Random(seed), samples):
+        f = cov.to_f(np.array([u[i] for i in range(3)]))
+        try:
+            arcs = curvature.curvature_and_arcs(spec, tri, f)[1]
+            rec = face_centers(arcs)
+            if rec.status[0] != 0:
+                continue
+            splits = identities.split_values(arcs.ch[0], arcs.rho[0])
+        except HexcurvError:
+            continue
+        note("compatibility", identities.compatibility_residual_general(splits))
+        mc = face_eval(arcs, np.ones(3))[0]
+        note("center-distance-formula", float(np.max(np.abs(rec.m[0] - mc)))
+             / max(1.0, float(np.max(np.abs(mc)))))
+        c = arcs.ch[0].tolist()
+        note("reciprocal-cosh-diagonal", max(
+            abs(mc[0, 0] - (c[0] * mc[1, 0] + c[2] * mc[2, 0])),
+            abs(mc[1, 1] - (c[0] * mc[0, 1] + c[1] * mc[2, 1])),
+            abs(mc[2, 2] - (c[2] * mc[0, 2] + c[1] * mc[1, 2]))))
+        jac = curvature.jacobian_from_arcs(tri, arcs, cov.derivative(f)).toarray()
+        note("u-symmetry", np.max(np.abs(jac - jac.T)))
+        note("negative-definite", 0.0 if curvature.is_negative_definite(jac) else 2.0)
+        worst, step = 0.0, 1e-6
+        try:
+            for col in range(3):
+                fp, fm = f.copy(), f.copy()
+                fp[col] += step
+                fm[col] -= step
+                tp = curvature.curvature_map(spec, tri, fp)
+                tm = curvature.curvature_map(spec, tri, fm)
+                for row in range(3):
+                    num, an = (tp[row] - tm[row]) / (2.0 * step), mc[row, col]
+                    worst = max(worst, abs(an - num) / max(1e-8, abs(an), abs(num)))
+        except HexcurvError:
+            continue
+        note("finite-difference", worst)
+    return {name: tuple(v) for name, v in res.items()}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_identity_suite_is_the_per_sample_evaluation(family):
+    # the batched suite gives the counts and worst residuals of evaluating
+    # each sample alone through the mesh record, bit for bit
+    batched = identities.run_suite(family, 60, random.Random(7))
+    assert {name: v[:2] for name, v in batched.items()} == \
+        _identity_suite_per_sample(family, 60, 7)
+    assert all(type(v[1]) is float for v in batched.values())

@@ -251,19 +251,18 @@ def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
 
 
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
-    build, built = solver._jacobian_data, []
+    build, built = solver._jacobian, []
 
-    def zero_first_row_and_column(tri, *args):
-        data = build(tri, *args)
-        order, kept = tri.jacobian_order.order, tri.jacobian_order.matrix
-        rows, colptr = kept.indices, kept.indptr
-        first = int(np.flatnonzero(order == 0)[0])  # component 0 in factor order
+    def zero_first_row_and_column(tri, arcs, du, layout):
+        lam = build(tri, arcs, du, layout)
+        rows, colptr = lam.indices, lam.indptr
+        first = int(np.flatnonzero(layout.order == 0)[0])  # component 0 in factor order
         cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
-        data[(rows == first) | (cols == first)] = 0.0
-        built.append(data)
-        return data
+        lam.data[(rows == first) | (cols == first)] = 0.0
+        built.append(lam)
+        return lam
 
-    monkeypatch.setattr(solver, "_jacobian_data", zero_first_row_and_column)
+    monkeypatch.setattr(solver, "_jacobian", zero_first_row_and_column)
     with pytest.raises(NotConverged, match="exactly singular") as err:
         solver.solve_prescribed_curvature(pants_spec(), mesh.pair_of_pants(),
                                           {i: 2.0 for i in range(3)})
@@ -364,10 +363,20 @@ def _sphere_jacobian(n, shifted, flips=0):
     return (lam - mid).tocsc()
 
 
-def _factored(data, order):
-    """The matrix P lam P^T that _solve_step factors, from its CSC data."""
-    kept = order.matrix
-    return scipy.sparse.csc_array((data, kept.indices, kept.indptr), shape=kept.shape)
+def _order_of(lam):
+    """mesh.elimination_order of lam's pattern, each stored entry its own
+    source."""
+    return mesh.elimination_order(mesh.make_layout(lam.indices, lam.indptr,
+                                                   np.arange(lam.nnz)))
+
+
+def _in_order(lam, order):
+    """P lam P^T in order's layout, as _solve_step takes it, from lam's
+    entries (the sources of order's slot map)."""
+    data = np.empty(lam.nnz)
+    data[order.slot] = lam.data
+    return scipy.sparse.csc_array((data, order.matrix.indices, order.matrix.indptr),
+                                  shape=lam.shape)
 
 
 class _CountingLU:
@@ -410,11 +419,11 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     lam = make()
     g = np.random.default_rng(lam.shape[0]).standard_normal(lam.shape[0])
     report = solver.SolveReport(False, 0, math.inf)
-    order = mesh.elimination_order(lam.indices, lam.indptr)
+    order = _order_of(lam)
     reads, splu = [], scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
-    step = solver._solve_step(lam.data[order.gather], g, report, order)
+    step = solver._solve_step(_in_order(lam, order), g, report, order)
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
     dense = lam.toarray()
     definite = np.linalg.eigvalsh(dense).max() < 0.0
@@ -425,52 +434,61 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     assert bool(reads) == (not dominant)
 
 
-def _reference_step(data, g, order):
-    """_solve_step's step from a fresh sparse array and splu with its options."""
+def _reference_step(lam, g, order):
+    """_solve_step's step from a fresh sparse array of lam's entries and
+    splu with its options."""
+    fresh = scipy.sparse.csc_array((lam.data.copy(), lam.indices.copy(), lam.indptr.copy()),
+                                   shape=lam.shape)
     lu = scipy.sparse.linalg.splu(
-        _factored(data, order), permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
-        panel_size=1, options={"SymmetricMode": True})
+        fresh, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+        options={"SymmetricMode": True})
     step = np.empty(len(g))
     step[order.order] = lu.solve(g[order.order])
     return step
 
 
 def test_kept_matrix_serves_each_pattern_alone(monkeypatch):
-    # steps alternate between two meshes and a tridiagonal pattern, all of
-    # N = 40; each equals a fresh factorization of its own data bit for bit
+    # steps alternate between three meshes of N = 40; each factors a new
+    # array of its own, which equals a fresh factorization bit for bit
     rng = random.Random(11)
     sources = []
-    for tri in (sphere_triangulation(40, rng), flipped_sphere(40, rng, 40)):
+    for tri in (sphere_triangulation(40, rng), flipped_sphere(40, rng, 40),
+                sphere_triangulation(40, rng)):
         spec = make_spec("A3", tri, rng)
-        sources.append((tri.jacobian_order, [
-            curvature.curvature_and_jacobian(spec, tri, f)[1]
-            for f in sample_admissible_f(spec, tri, rng, 3, scale=0.5)]))
-    lam = _tridiagonal(40, -3.0, 1.0)
-    sources.append((mesh.elimination_order(lam.indices, lam.indptr),
-                    [lam * s for s in (1.0, 2.0, 0.5)]))
-    kept = [order.matrix for order, _ in sources]
-    zeros = [matrix.data for matrix in kept]
+        points = []
+        for f in sample_admissible_f(spec, tri, rng, 3, scale=0.5):
+            fv = np.array([f[i] for i in range(40)])
+            arcs = curvature.curvature_and_arcs(spec, tri, fv)[1]
+            points.append((arcs, spec_arrays(spec, tri).cov.derivative(fv)))
+        sources.append((tri, points))
+    kept = [tri.jacobian_order.matrix for tri, _ in sources]
+    arrays = [(matrix.data, matrix.indices, matrix.indptr) for matrix in kept]
     factored, splu = [], scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda matrix, **kwargs: factored.append(matrix) or splu(matrix, **kwargs))
-    gen, datas = np.random.default_rng(11), []
+    gen, steps = np.random.default_rng(11), []
     for k in range(3):
-        for order, jacobians in sources:
-            data, g = jacobians[k].data[order.gather], gen.standard_normal(40)
+        for tri, points in sources:
+            order = tri.jacobian_order
+            lam = curvature._jacobian(tri, *points[k], order)
+            data, g = lam.data.copy(), gen.standard_normal(40)
             report = solver.SolveReport(False, 0, math.inf)
-            step = solver._solve_step(data, g, report, order)
-            assert step.tobytes() == _reference_step(data, g, order).tobytes()
-            assert factored[-2] is not order.matrix
-            assert factored[-2].indices is order.matrix.indices
-            datas.append(data)
-    # each step factored its own copy of a kept matrix, which still holds
-    # that step's data after the later steps
-    steps = factored[::2]
-    assert len({id(matrix) for matrix in steps}) == len(steps) == 9
-    assert all(matrix.data is data for matrix, data in zip(steps, datas))
-    # the kept matrices still hold the zero data they were built with
-    for matrix, data in zip(kept, zeros):
+            step = solver._solve_step(lam, g, report, order)
+            assert step.tobytes() == _reference_step(lam, g, order).tobytes()
+            assert factored[-2] is lam
+            steps.append((lam, data))
+    # each step factored its own array, sharing no array with a kept matrix
+    # or another step, and that array still holds its step's data
+    assert len({id(lam) for lam, _ in steps}) == len(steps) == 9
+    owned = [x for lam, _ in steps for x in (lam.data, lam.indices, lam.indptr)]
+    owned += [x for kept_arrays in arrays for x in kept_arrays]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(owned) for y in owned[:i])
+    assert all(lam.data.tobytes() == data.tobytes() for lam, data in steps)
+    # the kept matrices still hold the read-only arrays they were built with
+    for matrix, (data, indices, indptr) in zip(kept, arrays):
         assert matrix.data is data and not data.any()
+        assert matrix.indices is indices and matrix.indptr is indptr
+        assert not (data.flags.writeable or indices.flags.writeable or indptr.flags.writeable)
 
 
 def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
@@ -509,9 +527,9 @@ def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
     tops, reads = [], []
     step, splu = solver._solve_step, scipy.sparse.linalg.splu
 
-    def recording(data, g, report, order):
-        tops.append(np.linalg.eigvalsh(_factored(data, order).toarray()).max())
-        return step(data, g, report, order)
+    def recording(lam, g, report, order):
+        tops.append(np.linalg.eigvalsh(lam.toarray()).max())
+        return step(lam, g, report, order)
 
     tri.jacobian_order  # the mesh's own SuperLU call comes first
     with monkeypatch.context() as m:
@@ -596,9 +614,9 @@ def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
             events.append(("eval", np.array(f), out[0]))
             return out
 
-        def recording_step(data, g, report, order):
-            events.append(("step", _factored(data, order), g))
-            return step(data, g, report, order)
+        def recording_step(lam, g, report, order):
+            events.append(("step", lam, g))
+            return step(lam, g, report, order)
 
         with monkeypatch.context() as m:
             m.setattr(solver, "curvature_and_arcs", recording_evaluate)
