@@ -139,13 +139,6 @@ class EdgeProgram:
         hit = self.pair[self.side].T
         self.double = divmod(int(np.argmax(hit)), 3) if hit.any() else None
 
-    def face(self, k):
-        """The program of face k alone; its corners keep their ids."""
-        edges, side = np.unique(self.side[:, k], return_inverse=True)
-        return EdgeProgram(self.vert[k:k + 1], self.ends[:, edges], self.codes[edges],
-                           self.alphas[:, edges], self.etas[edges], side.reshape(1, 3),
-                           self.pair[edges])
-
 
 def disjoint_faces(codes, alphas, etas):
     """The edge program of K disjoint faces from K x 3 side codes, corner

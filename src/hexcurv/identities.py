@@ -113,8 +113,9 @@ def run_suite(family: str, samples: int, rng) -> dict:
     samples are evaluated in one pass, as disjoint faces, and those whose
     theta stage, face center or split fails are skipped.  The finite
     differences come from one more theta pass over six shifted faces per
-    sample (each factor moved by +-1e-6); a sample with a failing shifted
-    face has none.  Returns {check name: (count, worst residual, bound)}.
+    sample (each factor moved by +-1e-5, near eps^(1/3)); a sample with a
+    failing shifted face has none.  Returns {check name: (count, worst
+    residual, bound)}.
     """
     spec = stock_spec(family)
     tri = mesh.single_face()
@@ -149,8 +150,9 @@ def run_suite(family: str, samples: int, rng) -> dict:
     # symmetry and definiteness of the u-Jacobian, the face block in u
     jac = face_eval(arcs, np.array([cov.derivative(x) for x in f]).ravel())[keep]
     # central differences of the arcs against the analytic matrix: row
-    # 2 col + s of a sample's shifted faces moves factor col by +-step
-    step = 1e-6
+    # 2 col + s of a sample's shifted faces moves factor col by +-step; a
+    # step near eps^(1/3) balances the difference's rounding and truncation
+    step = 1e-5
     shifted = np.repeat(f[keep, None, :], 6, axis=1)
     shifted[:, 0::2][:, _ROWS, _ROWS] += step
     shifted[:, 1::2][:, _ROWS, _ROWS] -= step

@@ -18,6 +18,11 @@ Per (spec, mesh): the default start, beside the spec's other arrays and
 its existence verdict on conformal.spec_arrays.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
 once the trial is accepted and a step is needed, the Jacobian.
+
+energy gives the difference of the mesh energy E, whose u-gradient is K,
+between two admissible points: a solution u* of K = tgt maximizes
+E(u) - tgt . u wherever J is negative definite (the variational principle
+behind rigidity).
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from ._kernels import face_theta
 from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
-from .curvature import _jacobian, _raise_first, curvature_and_arcs
+from .curvature import _jacobian, curvature_and_arcs, curvature_map
 from .errors import (
     HexcurvError,
     NoFeasibleStart,
@@ -286,52 +290,42 @@ def _quad_constant(traj) -> float:
     return max(cs) if cs else float("nan")
 
 
-# -- variational energy (diagnostic) ------------------------------------------
+# -- variational energy ------------------------------------------------------
 
+# 12-node Gauss-Legendre, panels doubled until two levels agree to
+# ENERGY_RTOL relative (absolute below 1)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+ENERGY_RTOL = 1e-9
 
 
-def energy_face(spec: StructureSpec, tri, k, u_from, u_to, tol=1e-9) -> float:
-    """Line integral of the arc-length 1-form of the k-th face along a
-    straight u-segment.
+def energy(spec: StructureSpec, tri, u_from, u_to) -> float:
+    """E(u_to) - E(u_from) for the mesh energy E, whose u-gradient is K:
+    the integral of K(a + t (b - a)) . (b - a) over t in [0, 1].
 
-    Composite Gauss-Legendre with panel doubling until the value settles;
-    the closed-form symmetry of the Jacobian makes the 1-form exact, so
-    the result is path independent.  Each node runs the theta stage on the
-    program of face k alone.
+    The Jacobian's symmetry makes K . du exact, so the value is path
+    independent; where J is negative definite E is strictly concave.  Each
+    quadrature node is one curvature_map pass.  The admissible polytope is
+    convex, so both ends admissible keep the segment inside it; a node
+    whose theta stage fails raises PathLeavesDomain.
     """
-    vert = tri.face_arrays[0][k:k + 1]
-    idx = vert[0]
-    start = component_values(u_from, tri.n_boundary)
-    dvec = component_values(u_to, tri.n_boundary)[idx] - start[idx]
-    arrays = spec_arrays(spec, tri)
-    program = arrays.program.face(k)
+    a, b = (component_values(u, tri.n_boundary) for u in (u_from, u_to))
+    if not (admissible(spec, tri, a).ok and admissible(spec, tri, b).ok):
+        raise PathLeavesDomain("integration segment ends outside the admissible polytope")
+    d, to_f = b - a, spec_arrays(spec, tri).cov.to_f
 
-    def integrand(t):
-        upoint = start.copy()
-        upoint[idx] += t * dvec
-        if not admissible(spec, tri, upoint).ok:
-            raise PathLeavesDomain("integration segment exits the face polytope")
-        arcs = face_theta(program, arrays.cov.to_f(upoint))
+    def slope(t):
         try:
-            _raise_first(tri.face_ids[k:k + 1], vert, arcs)
+            return curvature_map(spec, tri, to_f(a + t * d)) @ d
         except NotAdmissible as exc:
             raise PathLeavesDomain(str(exc)) from exc
-        theta = arcs.theta[0].tolist()
-        return sum(theta[pos] * dvec[pos] for pos in range(3))
 
     prev = None
-    panels = 1
-    for _ in range(12):
+    for level in range(12):
+        panels = 2 ** level
         half = 0.5 / panels
-        total = 0.0
-        for p in range(panels):
-            mid = (p + 0.5) / panels
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-                total += w * integrand(mid + half * x)
-        total *= half
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
+        total = half * sum(w * slope((p + 0.5) / panels + half * x)
+                           for p in range(panels) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+        if prev is not None and abs(total - prev) < ENERGY_RTOL * max(1.0, abs(total)):
+            return float(total)
         prev = total
-        panels *= 2
-    return prev
+    return float(prev)

@@ -3,7 +3,7 @@ and single-face samples evaluated as batches of disjoint faces."""
 
 import numpy as np
 
-from hexcurv import solver
+from hexcurv import identities, solver
 from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, SPACE, TIME, disjoint_faces, face_eval
 from hexcurv._kernels import face_theta
 from hexcurv._kernels.center import _mdot, face_centers
@@ -365,3 +365,16 @@ def random_hexagons(rng, n):
     r = np.where(neg, -rng.uniform(0.05, 0.95, (n, 2)) * np.exp(-lengths[:, :2]),
                  rng.uniform(0.1, 10.0, (n, 2)))
     return lengths, np.column_stack((r, 1.0 / (r[:, 0] * r[:, 1])))
+
+
+def plant_jacobian_error(monkeypatch, rel=1e-4):
+    """Make identities.run_suite read every analytic matrix with entry
+    (0, 1) off by rel, relative."""
+    real = identities.face_eval
+
+    def planted(arcs, du):
+        jac = real(arcs, du)
+        jac[:, 0, 1] *= 1.0 + rel
+        return jac
+
+    monkeypatch.setattr(identities, "face_eval", planted)

@@ -538,8 +538,8 @@ def test_malformed_component_vectors_are_out_of_range():
         "curvature_map": lambda x: curvature.curvature_map(spec, tri, x),
         "curvature_and_jacobian": lambda x: curvature.curvature_and_jacobian(spec, tri, x),
         "admissible": lambda x: cf.admissible(spec, tri, x),
-        "energy_face from": lambda x: solver.energy_face(spec, tri, 0, x, u0),
-        "energy_face to": lambda x: solver.energy_face(spec, tri, 0, u0, x),
+        "energy from": lambda x: solver.energy(spec, tri, x, u0),
+        "energy to": lambda x: solver.energy(spec, tri, u0, x),
     }
     for name, call in calls.items():
         for x, message in _malformed_vectors(tri.n_boundary):

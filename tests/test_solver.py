@@ -8,7 +8,8 @@ import pytest
 from hexcurv import conformal, curvature, mesh, solver
 from hexcurv._kernels import BAD_ARC, OK
 from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
-from hexcurv.errors import HexcurvError, NoFeasibleStart, NotConverged, PathLeavesDomain
+from hexcurv.errors import HexcurvError, NoFeasibleStart, NotAdmissible, NotConverged
+from hexcurv.errors import PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
 
 import scalar_ref
@@ -290,12 +291,9 @@ def test_energy_zero_segment_and_path_independence():
         spec = make_spec(fam, tri, rng)
         pts = sample_admissible_u(spec, tri, rng, 3, scale=0.4)
         a, b, c = pts
-        assert solver.energy_face(spec, tri, 0, a, a) == pytest.approx(0.0, abs=1e-12)
-        mid = {i: 0.5 * (a[i] + c[i]) for i in a}
-        direct = solver.energy_face(spec, tri, 0, a, b)
-        legs = solver.energy_face(spec, tri, 0, a, c) + solver.energy_face(
-            spec, tri, 0, c, b
-        )
+        assert solver.energy(spec, tri, a, a) == pytest.approx(0.0, abs=1e-12)
+        direct = solver.energy(spec, tri, a, b)
+        legs = solver.energy(spec, tri, a, c) + solver.energy(spec, tri, c, b)
         assert abs(direct - legs) < 1e-8
 
 
@@ -315,30 +313,39 @@ def test_energy_concavity_along_segment():
         assert s1 < s0 + 1e-12
 
 
-def test_energy_face_reads_its_own_face_of_the_mesh():
-    # each face of a sphere integrates its own record row: the same face
-    # alone, relabelled 0, 1, 2, gives the same energy
+def test_mesh_energy_is_the_sum_of_its_face_energies():
+    # K . du sums theta . du over the faces, so the energy of a sphere is
+    # the sum of the energies of its faces, each alone, relabelled 0, 1, 2
     rng = random.Random(14)
     tri = sphere_triangulation(8, rng)
     spec = make_spec("A3", tri, rng)
     a, b = sample_admissible_u(spec, tri, rng, 2, scale=0.5)
     alone = mesh.single_face()
-    for k, face in enumerate(tri.faces):
+    parts = []
+    for face in tri.faces:
         vs = face.vertices
         spec1 = StructureSpec("A3", {i: spec.alpha[v] for i, v in enumerate(vs)},
                               {i: spec.eta[e] for i, e in enumerate(face.edge_ids)})
         ua, ub = ({i: u[v] for i, v in enumerate(vs)} for u in (a, b))
-        assert solver.energy_face(spec, tri, k, a, b) == pytest.approx(
-            solver.energy_face(spec1, alone, 0, ua, ub), rel=1e-12)
+        parts.append(solver.energy(spec1, alone, ua, ub))
+    assert solver.energy(spec, tri, a, b) == pytest.approx(math.fsum(parts), rel=1e-12)
 
 
-def test_energy_path_leaves_domain():
+def test_energy_path_leaves_domain(monkeypatch):
     tri = mesh.single_face()
     spec = StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
     u0 = solver.default_initial(spec, tri)
     bad = {i: -3.0 for i in u0}
     with pytest.raises(PathLeavesDomain):
-        solver.energy_face(spec, tri, 0, u0, bad)
+        solver.energy(spec, tri, u0, bad)
+    # a theta stage that fails at a node between admissible ends
+
+    def failing(*args):
+        raise NotAdmissible("face 0: arc 1 vanishes")
+
+    monkeypatch.setattr(solver, "curvature_map", failing)
+    with pytest.raises(PathLeavesDomain, match="arc 1 vanishes"):
+        solver.energy(spec, tri, u0, u0)
 
 
 def _tridiagonal(n, diag, off):
