@@ -1,14 +1,14 @@
 """The six conformal structure families on ideal edges.
 
-The weight table RULES, which validate_spec, polytope and the existence
-verdict read as arrays over the edges, the per-vertex change of variables
-u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
-membership.  The edge rules themselves live once, in _kernels (one
-function per rule code, behind edge_state and the kernel's edge pass).
-spec_arrays(spec, tri) derives the arrays of a spec on a mesh once, the
-evaluation kernel's edge program among them; the mesh keeps those of the
-last spec it was used with.  Functions taking u or f accept a mapping or
-an array indexed by component; f_from_u and u_from_f map dicts to dicts
+The weight table RULES, which validation, the admissible polytope and
+the existence verdict read as arrays over the edges, the per-vertex change
+of variables u <-> f and df/du on arrays (ChangeOfVariables), and
+admissible-space membership.  The edge rules themselves live once, in
+_kernels (one function per rule code, behind edge_state and the kernel's
+edge pass).  spec_arrays(spec, tri) is the one record of a spec on a mesh
+(SpecArrays), each field built on first use; the mesh keeps the record of
+the last spec it was used with.  Functions taking u or f accept a mapping
+or an array indexed by component; f_from_u and u_from_f map dicts to dicts
 at the API boundary.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
@@ -24,12 +24,14 @@ import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from ._kernels import _NEXT, F_LIMIT, EdgeProgram
-from .errors import DomainViolation, FamilyConstraint, OutOfRange, UnsupportedWeightRange
+from .errors import DomainViolation, FamilyConstraint, NoFeasibleStart, OutOfRange
+from .errors import UnsupportedWeightRange
 
 FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 
@@ -296,91 +298,86 @@ _COUPLINGS = ((UnsupportedWeightRange, "weight combination outside supported win
 _Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
 
 
-def _edges(spec: StructureSpec, tri) -> _Edges:
-    """The _Edges of spec on tri; tri keeps those of the last spec, so that
-    validation and SpecArrays read the spec's mappings once.  Raises
-    FamilyConstraint naming the first component without an alpha, else the
-    first edge without an eta."""
-    if tri.edges_memo is not None and tri.edges_memo[0] is spec:
-        return tri.edges_memo[1]
-    n, fam = tri.n_boundary, FAMILIES.index(spec.family)
-    ids, a, b = tri.edge_arrays
-    try:
-        alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
-        eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
-    except KeyError:
-        v = next((v for v in range(n) if v not in spec.alpha), None)
-        e = next((e for e in ids.tolist() if e not in spec.eta), None)
-        raise FamilyConstraint(f"no alpha for boundary component {v}" if v is not None
-                               else f"no eta for edge {e}") from None
-    special = np.zeros(n, dtype=bool)
-    special[[v for v in spec.special if v in range(n)]] = True
-    sa, sb = special[a], special[b]
-    code = fam % 3 + 3 * (sa | sb)
-    first = np.where(sb & ~sa, b, a)  # the special end, else a
-    row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
-    tri.edges_memo = spec, _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
-    return tri.edges_memo[1]
-
-
-def _special_faces(tri, edges: _Edges) -> tuple:
+def _special_faces(arrays: SpecArrays) -> tuple:
     """Per face: whether exactly one corner c is special; then along the
     corners c, c + 1, c + 2 their alphas, and the weights of the sides c
     (from the special corner), c + 1 (between the plain corners) and c + 2
     (into the special corner), each 3 x F."""
-    vert, epos = tri.face_arrays
-    sp = edges.special[vert]
+    (vert, epos), e = arrays.face_arrays, arrays.edges
+    sp = e.special[vert]
     ring = (np.argmax(sp, axis=1)[:, None] + np.arange(3)) % 3
-    return (sp.sum(axis=1) == 1, np.take_along_axis(edges.alpha[vert], ring, 1).T,
-            np.take_along_axis(edges.eta[epos], ring, 1).T)
+    return (sp.sum(axis=1) == 1, np.take_along_axis(e.alpha[vert], ring, 1).T,
+            np.take_along_axis(e.eta[epos], ring, 1).T)
 
 
 class SpecArrays:
-    """The arrays of one spec on one mesh: edges, its inputs to RULES;
-    cov, the change of variables of every component; program, the
-    evaluation kernel's EdgeProgram of the faces in face order, each edge
-    oriented the way its first face side runs; unproven, whether no
-    existence theorem covers the configuration; polytope, set by
-    polytope() on first use; start, the default start in u, set by the
-    solver on first use."""
+    """The record of one spec on one mesh.  It keeps the mesh's arrays,
+    not the mesh, and builds each field on first use: edges, the spec's
+    inputs to RULES; cov, the change of variables of every component;
+    program, the evaluation kernel's EdgeProgram of the faces in face
+    order, each edge oriented the way its first face side runs; unproven,
+    whether no existence theorem covers the configuration; polytope, the
+    admissible polytope; start, the default start, a read-only point
+    inside the polytope."""
 
     def __init__(self, spec: StructureSpec, tri):
-        self.spec, self.polytope, self.start = spec, None, None
-        self.edges = e = _edges(spec, tri)
-        self.cov = ChangeOfVariables(spec, range(tri.n_boundary))
-        vert, epos = tri.face_arrays
+        self.spec, self.n = spec, tri.n_boundary
+        self.edge_arrays, self.face_arrays = tri.edge_arrays, tri.face_arrays
+
+    @cached_property
+    def edges(self) -> _Edges:
+        """Raises FamilyConstraint naming the first component without an
+        alpha, else the first edge without an eta."""
+        spec, n, (ids, a, b) = self.spec, self.n, self.edge_arrays
+        try:
+            alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
+            eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
+        except KeyError:
+            v = next((v for v in range(n) if v not in spec.alpha), None)
+            e = next((e for e in ids.tolist() if e not in spec.eta), None)
+            raise FamilyConstraint(f"no alpha for boundary component {v}" if v is not None
+                                   else f"no eta for edge {e}") from None
+        special = np.zeros(n, dtype=bool)
+        special[[v for v in spec.special if v in range(n)]] = True
+        sa, sb, fam = special[a], special[b], FAMILIES.index(spec.family)
+        code = fam % 3 + 3 * (sa | sb)
+        first = np.where(sb & ~sa, b, a)  # the special end, else a
+        row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
+        return _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
+
+    @cached_property
+    def cov(self) -> ChangeOfVariables:
+        return ChangeOfVariables(self.spec, range(self.n))
+
+    @cached_property
+    def program(self) -> EdgeProgram:
+        e, (vert, epos) = self.edges, self.face_arrays
         first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
         ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
-        self.program = EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta,
-                                   epos, e.double)
+        return EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta, epos,
+                           e.double)
+
+    @cached_property
+    def unproven(self) -> bool:
+        e = self.edges
         lo, hi = _PROVEN[:, e.row]
-        self.unproven = not np.all((lo <= e.eta) & (e.eta <= hi))
-        if spec.family == "MixedI" and not self.unproven:
-            # nor where a face at a special component has plain alphas 1, 1
-            one, (_, a1, a2), _ = _special_faces(tri, e)
-            self.unproven = bool(np.any(one & (a1 == 1) & (a2 == 1)))
+        if not np.all((lo <= e.eta) & (e.eta <= hi)):
+            return True
+        if self.spec.family != "MixedI":
+            return False
+        # nor where a face at a special component has plain alphas 1, 1
+        one, (_, a1, a2), _ = _special_faces(self)
+        return bool(np.any(one & (a1 == 1) & (a2 == 1)))
 
-
-def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
-    """The SpecArrays of (spec, tri), built on first use; tri keeps those of
-    the last spec object it was used with."""
-    if tri.spec_memo is None or tri.spec_memo.spec is not spec:
-        tri.spec_memo = SpecArrays(spec, tri)
-    return tri.spec_memo
-
-
-# -- admissible-space membership --------------------------------------------
-
-def polytope(spec: StructureSpec, tri) -> tuple:
-    """The admissible polytope of (spec, tri) as arrays (lo, hi, a, b,
-    pair_lo, pair_hi, edge): the chart lo < u_i < hi of every component, and
-    pair_lo < u_a + u_b < pair_hi for every edge whose pair bound in RULES is
-    finite on either side, in edge-list order.  Raises FamilyConstraint for
-    the first edge that joins two special components or whose weight lies
-    outside the domain of its bound."""
-    arrays = spec_arrays(spec, tri)
-    if arrays.polytope is None:
-        e = arrays.edges
+    @cached_property
+    def polytope(self) -> tuple:
+        """The admissible polytope as arrays (lo, hi, a, b, pair_lo,
+        pair_hi, edge): the chart lo < u_i < hi of every component, and
+        pair_lo < u_a + u_b < pair_hi for every edge whose pair bound in
+        RULES is finite on either side, in edge-list order.  Raises
+        FamilyConstraint for the first edge that joins two special
+        components or whose weight lies outside the domain of its bound."""
+        e = self.edges
         bad = e.double | ~(e.eta > _DOM[e.row])
         if bad.any():
             k = int(np.argmax(bad))
@@ -397,10 +394,63 @@ def polytope(spec: StructureSpec, tri) -> tuple:
                 if rule.hi is not None:
                     hi[at] = rule.hi(e.eta[at])
         keep = (lo > -np.inf) | (hi < np.inf)
-        arrays.polytope = (arrays.cov.lo, arrays.cov.hi, e.a[keep], e.b[keep], lo[keep],
-                           hi[keep], e.ids[keep])
-    return arrays.polytope
+        return self.cov.lo, self.cov.hi, e.a[keep], e.b[keep], lo[keep], hi[keep], e.ids[keep]
 
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The default start: each chart's base point, then up to 100
+        sweeps, each moving both ends of every pair bound that u nears
+        halfway toward its interior, in edge-list order, then clamping u
+        into the charts shrunk by a margin, until a sweep moves nothing.
+        The pair moves run in that order, one by one: each reads the moves
+        before it.  Raises NoFeasibleStart where the sweeps end outside the
+        polytope."""
+        poly = self.polytope
+        lo, hi = poly[:2]
+        with np.errstate(invalid="ignore"):  # lo + hi on a chart with no bound
+            base = np.where(hi == np.inf, np.where(lo == -np.inf, 0.0, lo + 0.5),
+                            np.where(lo == -np.inf, hi - 0.5, 0.5 * (lo + hi)))
+        pad = np.minimum(0.05, 0.05 * (hi - lo))
+        u, bounds = base.tolist(), list(zip(*(x.tolist() for x in poly[2:6])))
+        for _ in range(100):
+            moved = False
+            for a, b, p_lo, p_hi in bounds:
+                s = u[a] + u[b]
+                if math.isinf(p_hi):
+                    target = p_lo + 0.5 if s <= p_lo + 0.125 else None
+                elif math.isinf(p_lo):
+                    target = p_hi - 0.5 if s >= p_hi - 0.125 else None
+                else:
+                    near = min(s - p_lo, p_hi - s) <= 0.05 * (p_hi - p_lo)
+                    target = 0.5 * (p_lo + p_hi) if near else None
+                if target is not None:
+                    delta = 0.5 * (target - s)
+                    u[a] += delta
+                    if b != a:
+                        u[b] += delta
+                    moved = True
+            x = np.clip(u, lo + pad, hi - pad)
+            if not (moved or np.any(x != u)):
+                break  # every later sweep would move nothing either
+            u = x.tolist()
+        if not _admits(poly, x).ok:
+            raise NoFeasibleStart("feasibility repair failed after 100 sweeps; "
+                                  "weights sit at the edge of their validity range")
+        x.flags.writeable = False
+        return x
+
+
+def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
+    """The SpecArrays of (spec, tri) with its edges; tri keeps the record of
+    the last spec object it was used with.  Raises as SpecArrays.edges."""
+    if tri.spec_memo is None or tri.spec_memo.spec is not spec:
+        arrays = SpecArrays(spec, tri)
+        arrays.edges  # built now: tri keeps no record of a spec without its weights
+        tri.spec_memo = arrays
+    return tri.spec_memo
+
+
+# -- admissible-space membership --------------------------------------------
 
 @dataclass
 class Admissibility:
@@ -408,11 +458,8 @@ class Admissibility:
     violations: list  # names of the violated charts and edge constraints
 
 
-def admissible(spec: StructureSpec, tri, u) -> Admissibility:
-    """Check chart membership, then every edge constraint; u is a mapping
-    or an array indexed by component."""
-    lo, hi, a, b, pair_lo, pair_hi, edge = polytope(spec, tri)
-    uv = component_values(u, tri.n_boundary)
+def _admits(poly: tuple, uv: np.ndarray) -> Admissibility:
+    lo, hi, a, b, pair_lo, pair_hi, edge = poly
     bad = ~((lo < uv) & (uv < hi))
     if bad.any():
         return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(bad)])
@@ -421,12 +468,19 @@ def admissible(spec: StructureSpec, tri, u) -> Admissibility:
     return Admissibility(not bad.any(), [f"edge {e}" for e in edge[bad]])
 
 
+def admissible(spec: StructureSpec, tri, u) -> Admissibility:
+    """Check chart membership, then every edge constraint; u is a mapping
+    or an array indexed by component.  An Admissibility is always truthy:
+    read its ok."""
+    return _admits(spec_arrays(spec, tri).polytope, component_values(u, tri.n_boundary))
+
+
 # -- family / weight validation ---------------------------------------------
 
-def _couplings(family: str, tri, edges: _Edges) -> np.ndarray:
+def _couplings(arrays: SpecArrays) -> np.ndarray:
     """The code in _COUPLINGS of the coupling each face fails, or 0."""
-    one, (a_s, a1, a2), (e1, e_a, e2) = _special_faces(tri, edges)
-    if family == "MixedIII":  # a side at the special corner: eta <= 0 needs eta <= -e_a
+    one, (a_s, a1, a2), (e1, e_a, e2) = _special_faces(arrays)
+    if arrays.spec.family == "MixedIII":  # at the special corner eta <= 0 needs eta <= -e_a
         return one & ((e1 <= 0.0) & (e_a + e1 > 0.0) | (e2 <= 0.0) & (e_a + e2 > 0.0))
     # on plain alphas 1 and -1: the weights of the sides at the special corner
     pos, neg = np.where(a1 == 1, e1, e2), np.where(a1 == 1, e2, e1)
@@ -453,7 +507,8 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     for v in spec.special:
         if v not in spec.alpha:
             raise FamilyConstraint(f"special component {v} is not a vertex")
-    e = _edges(spec, tri)
+    arrays = spec_arrays(spec, tri)
+    e = arrays.edges
     if e.double.any():
         raise FamilyConstraint(f"edge {e.ids[np.argmax(e.double)]} joins two special "
                                "components")
@@ -472,7 +527,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     order = np.zeros((len(vert), 7), dtype=np.intp)
     np.put_along_axis(order, np.where(sp | sp[:, _NEXT], 3, 0) + np.arange(3),
                       bad[epos], axis=1)
-    order[:, 6] = _couplings(fam, tri, e)
+    order[:, 6] = _couplings(arrays)
     if order.any():
         k, col = divmod(int(np.argmax(order.ravel() != 0)), 7)
         face = tri.face_ids[k]

@@ -1,8 +1,10 @@
 """Randomized identity suites for the hexagon and curvature machinery.
 
-Each suite draws admissible samples for one structure family, evaluates a
-set of exact identities, and reports the worst residual against its bound.
-Used by the check-identities subcommand and by the test suite.
+Each suite draws admissible samples for one structure family around the
+spec's kept default start (conformal.spec_arrays), evaluates a set of
+exact identities, and reports the worst residual against its bound.  Used
+by the check-identities subcommand and by the test suite, it imports
+neither the solver nor scipy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import math
 
 import numpy as np
 
-from . import curvature, mesh, solver
+from . import curvature, mesh
 from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, disjoint_faces, face_eval, face_theta
 from ._kernels.center import _sign, face_centers
-from .conformal import StructureSpec, component_values, polytope, spec_arrays
+from .conformal import StructureSpec, component_values, spec_arrays
 from .errors import HexcurvError
 from .tol import TAU_SIGN
 
@@ -48,14 +50,15 @@ def stock_spec(family: str) -> StructureSpec:
 
 
 def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
-    """Admissible u samples around the feasible default.
+    """Admissible u samples around the default start of (spec, tri).
 
     min_slack keeps every chart bound and pairwise constraint at distance
     >= min_slack, so derivative magnitudes stay moderate (fixed-step
     finite differences and absolute residual bounds need that).
     """
-    u0 = solver.default_initial(spec, tri)
-    poly = [x.tolist() for x in polytope(spec, tri)]
+    arrays = spec_arrays(spec, tri)
+    u0 = arrays.start.tolist()
+    poly = [x.tolist() for x in arrays.polytope]
     (lo, hi), pairs = poly[:2], list(zip(*poly[2:6]))
 
     def slacks(u):  # python floats: most draws fail early, on a single face
@@ -73,9 +76,9 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
         tries += 1
         s = scale * rng.uniform(0.05, 1.0)
         u = {}
-        for i in u0:
-            ui = u0[i] + rng.uniform(-s, s)
-            u[i] = ui if lo[i] < ui < hi[i] else u0[i]
+        for i, u0i in enumerate(u0):
+            ui = u0i + rng.uniform(-s, s)
+            u[i] = ui if lo[i] < ui < hi[i] else u0i
         if all(x >= min_slack and x > 0.0 for x in slacks(u)):
             out.append(u)
     return out

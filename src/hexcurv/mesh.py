@@ -17,7 +17,8 @@ and loop edges are allowed; a face may repeat a boundary component
 A mesh keeps the layout of its u-Jacobian (make_layout) in two orders:
 jacobian_layout, the natural one, and jacobian_order, the elimination
 order the Newton solver factors in.  Every Jacobian is a new copy of one
-of them (curvature._jacobian) and shares no array with the mesh.
+of them (curvature._jacobian) and shares no array with the mesh.  Its
+spec_memo holds the record (conformal.SpecArrays) of its last spec.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ class Triangulation:
         """edges: (ids, ends a, ends b); faces: F x 7 rows (id, three
         vertices, three edge ids); ragged: the faces that are no triangle."""
         self.n_boundary, self.open_edges = n, open_edges
-        # the conformal.SpecArrays and conformal._Edges of the last spec
-        self.spec_memo = self.edges_memo = None
+        self.spec_memo = None  # the conformal.SpecArrays of the last spec
         self.edge_arrays = ids, a, b = tuple(np.array(x, dtype=np.intp) for x in edges)
         self.face_ids, vert, face_edges = faces[:, 0].copy(), faces[:, 1:4].copy(), faces[:, 4:]
         order = np.argsort(ids, kind="stable")
@@ -205,7 +205,7 @@ class Triangulation:
         of each F x 3 x 3 face-block entry; entries at one (row, column), as
         in a face repeating a component, share a slot.  It depends on the
         mesh alone, so every spec shares it, as does jacobian_order; the
-        arrays that depend on the spec are kept on spec_memo."""
+        arrays that depend on the spec are kept in spec_memo."""
         vert, n = self.face_arrays[0], self.n_boundary
         keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
         keys, slot = np.unique(keys, return_inverse=True)

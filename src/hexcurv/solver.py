@@ -14,8 +14,8 @@ the residual strictly decreasing.
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
 layout in its natural order and in its elimination order, with the
 diagonal positions (Triangulation.jacobian_layout and jacobian_order).
-Per (spec, mesh): the default start, beside the spec's other arrays and
-its existence verdict on conformal.spec_arrays.
+Per (spec, mesh): the default start and the existence verdict, fields of
+its record conformal.spec_arrays(spec, tri).
 Per iterate, one theta pass of the kernel gives the trial's residual and,
 once the trial is accepted and a step is needed, the Jacobian.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .conformal import StructureSpec, admissible, component_values, polytope, spec_arrays
+from .conformal import StructureSpec, admissible, component_values, spec_arrays
 from .curvature import _jacobian, curvature_and_arcs, curvature_map
 from .errors import (
     HexcurvError,
@@ -75,82 +75,9 @@ class SolveReport:
     notes: list = field(default_factory=list)
 
 
-def _chart_margin(lo: float, hi: float) -> tuple:
-    if math.isinf(lo) and math.isinf(hi):
-        return lo, hi
-    width = hi - lo
-    pad = 0.05 if math.isinf(width) else min(0.05, 0.05 * width)
-    return (lo + pad if not math.isinf(lo) else lo,
-            hi - pad if not math.isinf(hi) else hi)
-
-
 def default_initial(spec: StructureSpec, tri) -> dict:
-    """A point strictly inside every face polytope, as a new dict.
-
-    Starts from per-chart base points and repairs feasibility by sweeping
-    the pairwise constraints, nudging both coordinates of a violated pair
-    toward the constraint's interior.
-    """
-    return dict(enumerate(_kept_start(spec, tri).tolist()))
-
-
-def _kept_start(spec: StructureSpec, tri) -> np.ndarray:
-    """The default start, found once per (spec, mesh) and kept read-only
-    on spec_arrays(spec, tri).start; the solver reads it there."""
-    arrays = spec_arrays(spec, tri)
-    if arrays.start is None:
-        arrays.start = np.array(list(_repaired_start(spec, tri).values()))
-        arrays.start.flags.writeable = False
-    return arrays.start
-
-
-def _repaired_start(spec: StructureSpec, tri) -> dict:
-    poly = [x.tolist() for x in polytope(spec, tri)]
-    charts, bounds = list(zip(*poly[:2])), list(zip(*poly[2:6]))
-    u = {}
-    for i, (lo, hi) in enumerate(charts):
-        if math.isinf(lo) and math.isinf(hi):
-            u[i] = 0.0
-        elif math.isinf(hi):
-            u[i] = lo + 0.5
-        elif math.isinf(lo):
-            u[i] = hi - 0.5
-        else:
-            u[i] = 0.5 * (lo + hi)
-    margins = [_chart_margin(lo, hi) for lo, hi in charts]
-    for _ in range(100):
-        moved = False
-        for a, b, lo, hi in bounds:
-            s = u[a] + u[b]
-            if math.isinf(hi):
-                margin = 0.5
-                target = lo + margin if s <= lo + 0.25 * margin else None
-            elif math.isinf(lo):
-                margin = 0.5
-                target = hi - margin if s >= hi - 0.25 * margin else None
-            else:
-                mid = 0.5 * (lo + hi)
-                width = hi - lo
-                target = mid if min(s - lo, hi - s) <= 0.05 * width else None
-            if target is not None:
-                delta = 0.5 * (target - s)
-                u[a] += delta
-                if b != a:
-                    u[b] += delta
-                moved = True
-        for i, (lo, hi) in enumerate(margins):
-            clamped = min(max(u[i], lo), hi)
-            if clamped != u[i]:
-                u[i] = clamped
-                moved = True
-        if not moved and admissible(spec, tri, u).ok:
-            return u
-    if admissible(spec, tri, u).ok:
-        return u
-    raise NoFeasibleStart(
-        "feasibility repair failed after 100 sweeps; "
-        "weights sit at the edge of their validity range"
-    )
+    """The default start, spec_arrays(spec, tri).start, as a new dict."""
+    return dict(enumerate(spec_arrays(spec, tri).start.tolist()))
 
 
 def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
@@ -223,7 +150,7 @@ def solve_prescribed_curvature(
         if not admissible(spec, tri, u).ok:
             raise NoFeasibleStart("user initial point is not admissible")
     else:
-        u = _kept_start(spec, tri)
+        u = arrays.start
 
     f = cov.to_f(u)
     K, arcs = curvature_and_arcs(spec, tri, f)

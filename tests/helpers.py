@@ -10,7 +10,7 @@ from hexcurv._kernels.center import _mdot, face_centers
 from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
-from hexcurv.mesh import Edge, Face, Triangulation, pair_of_pants, single_face
+from hexcurv.mesh import Edge, Face, Triangulation, single_face
 
 
 def sphere_triangulation(n_vertices, rng):

@@ -8,12 +8,12 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from hexcurv import curvature, mesh, solver
 from hexcurv._kernels import SPACE, TIME, face_eval
 from hexcurv._kernels.center import DOMAINS, INCOHERENT, face_centers, hexagon_arcs
-from hexcurv.conformal import admissible, chart, component_values, f_from_u, polytope, u_from_f
+from hexcurv.conformal import admissible, chart, component_values, f_from_u, spec_arrays
+from hexcurv.conformal import u_from_f
 from hexcurv.errors import HexcurvError
 from hexcurv.identities import (
     compatibility_residual_general,
@@ -147,7 +147,7 @@ def test_criterion_05_jacobian_symmetry():
 
 
 def _near_boundary_point(spec, tri, u, rng, slack=1e-4):
-    _, _, a, b, pair_lo, pair_hi, _ = (x.tolist() for x in polytope(spec, tri))
+    _, _, a, b, pair_lo, pair_hi, _ = (x.tolist() for x in spec_arrays(spec, tri).polytope)
     if not a:
         return None
     k = rng.choice(range(len(a)))

@@ -303,9 +303,11 @@ def test_solve_needs_positive_tolerance_and_iteration_budget(pants_file, tmp_pat
     assert captured.out == "" and option[0] in captured.err
 
 
-def test_validate_curvature_and_hexagon_load_no_scipy_sparse(pants_file, tmp_path):
-    # the cold commands parse, validate, evaluate K and one hexagon; SuperLU
-    # and the sparse arrays are imported only by the commands that use them
+def test_validate_curvature_hexagon_and_check_identities_load_no_scipy_sparse(pants_file,
+                                                                             tmp_path):
+    # the cold commands parse, validate, evaluate K and one hexagon, and run
+    # the identity suites; SuperLU and the sparse arrays are imported only by
+    # the commands that use them
     factors = tmp_path / "factors.txt"
     factors.write_text("f 0 0.0\nf 1 0.0\nf 2 0.0\n")
     script = (
@@ -313,8 +315,9 @@ def test_validate_curvature_and_hexagon_load_no_scipy_sparse(pants_file, tmp_pat
         "from hexcurv import cli\n"
         "codes = (cli.main(['validate', sys.argv[1]]),\n"
         "         cli.main(['curvature', sys.argv[1], '--factors', sys.argv[2]]),\n"
-        "         cli.main(['hexagon', '--lengths', '1.0,1.3,1.6', '--json']))\n"
-        "sys.exit(codes != (0, 0, 0) or 'scipy.sparse' in sys.modules)\n"
+        "         cli.main(['hexagon', '--lengths', '1.0,1.3,1.6', '--json']),\n"
+        "         cli.main(['check-identities', '--family', 'MixedIII', '--samples', '20']))\n"
+        "sys.exit(codes != (0, 0, 0, 0) or 'scipy.sparse' in sys.modules)\n"
     )
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -219,7 +219,7 @@ def test_weight_outside_its_edge_rule_is_a_family_constraint(alpha, eta):
     spec = (cf.StructureSpec("A3", {i: 0 for i in range(3)}, weights) if alpha is None
             else cf.StructureSpec("A1", dict(enumerate(alpha)), weights))
     calls = [
-        lambda: cf.polytope(spec, tri),
+        lambda: cf.spec_arrays(spec, tri).polytope,
         lambda: solver.default_initial(spec, tri),
         lambda: cf.admissible(spec, tri, {i: -1.0 for i in range(3)}),
         lambda: solver.solve_prescribed_curvature(spec, tri, {i: 1.0 for i in range(3)}),
@@ -410,7 +410,7 @@ def _raised(fn, *args):
 def test_polytope_matches_scalar_oracle(case):
     tri, spec = case
     err, ref = _raised(lambda: [(e, scalar_ref.edge_constraint(spec, e)) for e in tri.edges])
-    got_err, got = _raised(cf.polytope, spec, tri)
+    got_err, got = _raised(lambda: cf.spec_arrays(spec, tri).polytope)
     assert (type(got_err), str(got_err)) == (type(err), str(err))
     if err is not None:
         return
@@ -465,7 +465,7 @@ def test_single_face_windows_match_scalar_oracle():
                 spec = cf.StructureSpec(fam, dict(enumerate(alpha)), eta, special)
                 err, _ = _raised(lambda: [scalar_ref.edge_constraint(spec, e)
                                           for e in tri.edges])
-                got, _ = _raised(cf.polytope, spec, tri)
+                got, _ = _raised(lambda: cf.spec_arrays(spec, tri).polytope)
                 assert str(got) == str(err)
                 rows.update(cf.spec_arrays(spec, tri).edges.row.tolist())
     assert rows == set(range(len(cf.RULES)))
@@ -488,20 +488,22 @@ def test_existence_verdict_matches_scalar_oracle_on_every_window():
 
 
 def test_parse_validates_without_spec_arrays(monkeypatch):
-    """parse validates on the mesh arrays: it builds no edge program, no
-    change of variables and no Edge or Face views, and keeps the rule
-    inputs of its spec, which SpecArrays then reuses."""
-    for name in ("SpecArrays", "EdgeProgram", "ChangeOfVariables"):
+    """parse validates on the mesh arrays: of its spec's record it builds
+    the rule inputs only, no edge program, change of variables, verdict,
+    polytope or start, and no Edge or Face views; later readers of the
+    record reuse those rule inputs."""
+    for name in ("EdgeProgram", "ChangeOfVariables"):
         monkeypatch.setattr(cf, name, None)
     rng = random.Random(8)
     for family, regime in _REGIMES:
         tri = sphere_triangulation(12, rng)
         tri, spec = mesh.parse(mesh.serialize(tri, make_spec(family, tri, rng, regime=regime)))
-        assert tri.spec_memo is None
+        assert tri.spec_memo.spec is spec
+        assert "edges" in vars(tri.spec_memo)
+        assert not {"cov", "program", "unproven", "polytope", "start"} & set(vars(tri.spec_memo))
         assert "edges" not in vars(tri) and "faces" not in vars(tri)
-        assert tri.edges_memo[0] is spec
     monkeypatch.undo()
-    edges = tri.edges_memo[1]
+    edges = tri.spec_memo.edges
     assert cf.spec_arrays(spec, tri).edges is edges
 
 

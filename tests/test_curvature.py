@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hexcurv import curvature, identities, mesh, solver
+from hexcurv import curvature, identities, mesh
 from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
 from hexcurv._kernels import face_eval, face_theta
 from hexcurv._kernels.center import face_centers

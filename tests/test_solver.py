@@ -1,5 +1,8 @@
+import functools
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import scipy.sparse
@@ -7,7 +10,7 @@ import pytest
 
 from hexcurv import conformal, curvature, mesh, solver
 from hexcurv._kernels import BAD_ARC, OK
-from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
+from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays
 from hexcurv.errors import HexcurvError, NoFeasibleStart, NotAdmissible, NotConverged
 from hexcurv.errors import PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
@@ -585,7 +588,6 @@ def _counting(counts, key, fn, counts_if=lambda out: True):
 def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
     rejected = 0
     for spec, tri, target in _roundtrip_problems():
-        solver.default_initial(spec, tri)  # kept, so admissible() sees only trials
         tri.jacobian_order  # the mesh's own SuperLU call and kept matrix come first
         sparse = 0  # sparse arrays constructed over both solves
         for _ in range(2):  # two consecutive solves on the mesh
@@ -651,10 +653,10 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
     # each reference on a fresh copy of the mesh, which keeps nothing yet
     fresh = [solver.default_initial(spec, sphere_triangulation(30, random.Random(21)))
              for spec in specs]
-    builds = []
-    repair = solver._repaired_start
-    monkeypatch.setattr(solver, "_repaired_start",
-                        lambda spec, tri_: builds.append(spec) or repair(spec, tri_))
+    builds, build = [], conformal.SpecArrays.start.func
+    counted = functools.cached_property(lambda arrays: builds.append(arrays.spec) or build(arrays))
+    counted.__set_name__(conformal.SpecArrays, "start")
+    monkeypatch.setattr(conformal.SpecArrays, "start", counted)
     for k in (0, 1, 0, 0, 2, 2, 1):
         u = solver.default_initial(specs[k], tri)
         assert u == fresh[k]
@@ -674,6 +676,24 @@ def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
             _, rep = solver.solve_prescribed_curvature(spec, tri, target)
         assert rep.converged and rep.iterations == 0 and len(builds) == built
         assert starts[k].tobytes() == np.array(list(f.values())).tobytes()
+
+
+def test_a_mesh_dropped_after_a_solve_is_freed_without_the_cycle_collector():
+    # the mesh's record of its spec keeps the mesh's arrays, not the mesh
+    rng = random.Random(23)
+    tri = sphere_triangulation(30, rng)
+    spec = make_spec("MixedIII", tri, rng)
+    target = curvature.curvature_map(spec, tri, sample_admissible_f(spec, tri, rng)[0])
+    gc.disable()
+    try:
+        _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        assert rep.converged and rep.iterations > 0
+        assert {"polytope", "start"} <= set(vars(tri.spec_memo))
+        kept = weakref.ref(tri)
+        del tri
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kwargs", [
