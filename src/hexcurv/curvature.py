@@ -7,13 +7,13 @@ evaluated one way: the edge program of the mesh record
 (_kernels.face_theta), whose edge pass evaluates each edge once by its own
 rule, and its derivative stage (_kernels.face_eval), the cosine-law chain
 rule.  Only f is converted per call; f is a mapping or an array indexed by
-component.  curvature_and_arcs keeps the theta stage beside K, and
-jacobian_from_arcs builds the Jacobian from it without a second theta
-pass; the Newton solver evaluates each trial point that way.  One helper,
-_jacobian, builds every Jacobian: it sums the face blocks under the slot
-map of a layout the mesh keeps (mesh.Layout) into a copy of the layout's
-array, which owns its arrays; jacobian_from_arcs and
-curvature_and_jacobian read the natural layout, the solver the
+component.  curvature_and_arcs keeps the theta stage beside K and raises
+for a failing face; one helper, _jacobian, builds every Jacobian from it
+without a second theta pass or a second check, and the Newton solver
+evaluates each trial point that way.  _jacobian sums the face blocks
+under the slot map of a layout the mesh keeps (mesh.Layout, both built by
+mesh.make_layout) into a copy of the layout's array, which owns its
+arrays; curvature_and_jacobian reads the natural layout, the solver the
 elimination order's, with the same bits per entry.  Only the theta stage
 can fail, so a point whose K evaluates also has a Jacobian.
 An edge that joins two special components is found once, when the program
@@ -68,7 +68,7 @@ def _sums(index, values, n) -> np.ndarray:
 
 def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
     """(K, arcs): the total boundary-arc length per boundary component and
-    the kernel's theta stage, which jacobian_from_arcs reuses."""
+    the kernel's theta stage, which _jacobian reuses."""
     arcs = face_theta(spec_arrays(spec, tri).program, component_values(f, tri.n_boundary))
     _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
     return _sums(arcs.prog.vert, arcs.theta, tri.n_boundary), arcs
@@ -85,8 +85,8 @@ def _jacobian(tri, arcs, du, layout):
     P J P^T): the face blocks summed into its slots in face order, the same
     bits per entry in every layout, in a new array of layout.matrix's class
     with its checked format flags and its own copies of the index arrays.
-    Raises for the first failing face of the theta stage."""
-    _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
+    The arcs must have evaluated: curvature_and_arcs raised for a failing
+    face."""
     kept = layout.matrix
     jac = object.__new__(type(kept))
     jac.__dict__.update(vars(kept), data=_sums(layout.slot, face_eval(arcs, du), len(kept.data)),
@@ -94,20 +94,14 @@ def _jacobian(tri, arcs, du, layout):
     return jac
 
 
-def jacobian_from_arcs(tri, arcs, du):
-    """The u-Jacobian (N x N scipy CSC array, one stored entry per pair of
-    components that share a face) from the theta stage at f; du is df/du
-    at f.  Raises for the first failing face of the theta stage."""
-    return _jacobian(tri, arcs, du, tri.jacobian_layout)
-
-
 def curvature_and_jacobian(spec: StructureSpec, tri, f):
-    """K and its u-Jacobian from one theta pass; f outside the domain of
-    df/du raises before any face is evaluated."""
+    """K and its u-Jacobian (N x N scipy CSC array, one stored entry per
+    pair of components that share a face) from one theta pass; f outside
+    the domain of df/du raises before any face is evaluated."""
     fv = component_values(f, tri.n_boundary)
     du = spec_arrays(spec, tri).cov.derivative(fv)
     K, arcs = curvature_and_arcs(spec, tri, fv)
-    return K, jacobian_from_arcs(tri, arcs, du)
+    return K, _jacobian(tri, arcs, du, tri.jacobian_layout)
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

@@ -14,11 +14,11 @@ joins (va, vb), <eb> joins (vb, vc) and <ec> joins (vc, va).  Multi-edges
 and loop edges are allowed; a face may repeat a boundary component
 (validation warns, does not reject).
 
-A mesh keeps the layout of its u-Jacobian (make_layout) in two orders:
-jacobian_layout, the natural one, and jacobian_order, the elimination
-order the Newton solver factors in.  Every Jacobian is a new copy of one
-of them (curvature._jacobian) and shares no array with the mesh.  Its
-spec_memo holds the record (conformal.SpecArrays) of its last spec.
+A mesh keeps the Layout of its u-Jacobian from make_layout in two orders:
+jacobian_layout, the natural one, and jacobian_order, the same pattern
+relabelled in the elimination order the Newton solver factors in.  Every
+Jacobian is a new copy of one (curvature._jacobian), sharing no array
+with the mesh.  Its spec_memo holds the conformal.SpecArrays of its spec.
 """
 
 from __future__ import annotations
@@ -36,66 +36,58 @@ from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfR
 FORMAT_VERSION = 1
 
 
-Layout = namedtuple("Layout", "matrix slot")
-FactorOrder = namedtuple("FactorOrder", Layout._fields + ("order", "diagonal"))
+Layout = namedtuple("Layout", "matrix slot order diagonal")
 
 
-def make_layout(rows, colptr, slot) -> Layout:
-    """Layout(matrix, slot) of a square pattern in canonical CSC form.
-
-    matrix is a scipy CSC array of the pattern with zero data, its
-    canonical form checked here, and its arrays read-only, the row indices
-    and column pointers as C ints, as SuperLU takes them.  slot holds the
-    position in matrix's data of each source entry (the F x 3 x 3 face
-    blocks of a mesh).  scipy is imported on first use: a parse needs none.
-    """
+def make_layout(rows, cols, n, slot=None, order=None) -> Layout:
+    """Layout(matrix, slot, order, diagonal) of the N x N pattern with
+    entries at (rows, cols): matrix is a scipy CSC array of the pattern,
+    one stored entry per distinct position, with zero data, its canonical
+    form checked here and its arrays read-only, the indices as C ints, as
+    SuperLU takes them.  slot holds the position in matrix's data of each
+    source entry (the F x 3 x 3 face blocks of a mesh): of each entry, or
+    of the entry slot names.  order is the permutation the entries are
+    numbered in (None: the natural one); diagonal holds the positions of
+    the diagonal entries, column by column, fewer than N where the pattern
+    lacks some.  scipy is imported on first use: a parse needs none."""
     import scipy.sparse
 
-    n = len(colptr) - 1
+    keys = (np.asarray(cols, dtype=np.intp) * n + rows).ravel()  # col*N + row
+    keys, inverse = np.unique(keys, return_inverse=True)
+    rows, cols = keys % n, keys // n
     matrix = scipy.sparse.csc_array(
-        (np.zeros(len(rows)), np.array(rows, dtype=np.intc), np.array(colptr, dtype=np.intc)),
-        shape=(n, n))
+        (np.zeros(len(keys)), rows.astype(np.intc),
+         np.searchsorted(cols, np.arange(n + 1)).astype(np.intc)), shape=(n, n))
     matrix.has_canonical_format  # checked and cached now; copies carry the flag
     for x in (matrix.data, matrix.indices, matrix.indptr):
         x.flags.writeable = False
-    return Layout(matrix, slot)
+    return Layout(matrix, inverse if slot is None else inverse[slot], order,
+                  np.flatnonzero(rows == cols))
 
 
-def elimination_order(layout: Layout) -> FactorOrder:
-    """The layout of P A P^T, for A in layout, with (order, diagonal).
-
-    order is the column order SuperLU's splu picks with MMD_AT_PLUS_A (the
-    minimum-degree order of A + A^T, then its elimination-tree postorder),
-    as an index array: P A P^T = A[order][:, order].  The slot map is
-    layout's composed with that permutation: the sources summed under it
-    give P A P^T's data with the same bits per entry.  diagonal holds the
-    positions of the diagonal entries in that data, column by column, and
-    is shorter than the order where the pattern lacks some.  The order
-    depends on the pattern alone, so it is read off a column diagonally
-    dominant matrix with the pattern plus the diagonal, which factors
-    without pivoting.
-    """
-    import scipy.sparse
+def elimination_order(layout: Layout) -> Layout:
+    """make_layout of P A P^T, for A in layout: A's entries, with A's
+    sources, relabelled by the column order SuperLU's splu picks with
+    MMD_AT_PLUS_A (the minimum-degree order of A + A^T, then its
+    elimination-tree postorder), which is the layout's order: P A P^T =
+    A[order][:, order], with the same bits per entry.  The order depends on
+    the pattern alone, so it is read off a column diagonally dominant
+    matrix with the pattern plus the diagonal, which factors without
+    pivoting, with the Newton step's SuperLU settings."""
     import scipy.sparse.linalg
 
-    rows, colptr = layout.matrix.indices, layout.matrix.indptr
-    n = len(colptr) - 1
-    col = np.repeat(np.arange(n), np.diff(colptr))
-    off, diag = rows != col, np.arange(n)
-    data = np.concatenate((np.full(off.sum(), -1.0),
-                           np.bincount(col[off], minlength=n) + 1.0))
-    dominant = scipy.sparse.csc_array(
-        (data, (np.concatenate((rows[off], diag)), np.concatenate((col[off], diag)))),
-        shape=(n, n))
+    kept, n = layout.matrix, len(layout.matrix.indptr) - 1
+    pattern = scipy.sparse.csc_array((np.full(kept.nnz, -1.0), kept.indices, kept.indptr),
+                                     shape=kept.shape)
+    pattern.data[layout.diagonal] = 0.0
+    dominant = pattern + scipy.sparse.diags_array(1.0 - pattern.sum(axis=0), format="csc")
     position = scipy.sparse.linalg.splu(
-        dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
         options={"SymmetricMode": True}).perm_c
-    new_rows, new_cols = position[rows], position[col]
-    gather = np.lexsort((new_rows, new_cols))  # the new entries, by the old ones
-    new_rows, new_cols = new_rows[gather], new_cols[gather]
-    new_colptr = np.searchsorted(new_cols, np.arange(n + 1))
-    return FactorOrder(*make_layout(new_rows, new_colptr, np.argsort(gather)[layout.slot]),
-                       np.argsort(position), np.flatnonzero(new_rows == new_cols))
+    order = np.empty(n, dtype=np.intp)
+    order[position] = np.arange(n)
+    cols = np.repeat(np.arange(n), np.diff(kept.indptr))
+    return make_layout(position[kept.indices], position[cols], n, layout.slot, order)
 
 
 @dataclass(frozen=True)
@@ -206,13 +198,11 @@ class Triangulation:
         in a face repeating a component, share a slot.  It depends on the
         mesh alone, so every spec shares it, as does jacobian_order; the
         arrays that depend on the spec are kept in spec_memo."""
-        vert, n = self.face_arrays[0], self.n_boundary
-        keys = (vert[:, None, :] * n + vert[:, :, None]).ravel()  # col*N + row
-        keys, slot = np.unique(keys, return_inverse=True)
-        return make_layout(keys % n, np.searchsorted(keys // n, np.arange(n + 1)), slot)
+        vert = self.face_arrays[0]
+        return make_layout(vert[:, :, None], vert[:, None, :], self.n_boundary)
 
     @cached_property
-    def jacobian_order(self) -> FactorOrder:
+    def jacobian_order(self) -> Layout:
         """elimination_order of jacobian_layout, built on first use: the
         Newton solver sums the face blocks of every Jacobian of this mesh
         straight into its elimination order under this layout.  Every

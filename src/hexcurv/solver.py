@@ -12,8 +12,8 @@ Backtracking damping keeps iterates inside the admissible polytope and
 the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
-layout in its natural order and in its elimination order, with the
-diagonal positions (Triangulation.jacobian_layout and jacobian_order).
+layout relabelled in its elimination order, with the diagonal positions
+(Triangulation.jacobian_order, a mesh.Layout).
 Per (spec, mesh): the default start and the existence verdict, fields of
 its record conformal.spec_arrays(spec, tri).
 Per iterate, one theta pass of the kernel gives the trial's residual and,
@@ -84,9 +84,10 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
     """lam^-1 g from one sparse LU factorization of the symmetric lam, or
     None where SuperLU finds lam exactly singular.
 
-    order is mesh.elimination_order of lam's pattern, and lam, in order's
-    layout, holds P lam P^T = lam[perm][:, perm], which SuperLU factors in
-    its natural order; lam carries the layout's checked format flags.
+    order is mesh.elimination_order's Layout of lam's pattern, and lam, in
+    that layout, holds P lam P^T = lam[perm][:, perm] for perm =
+    order.order, which SuperLU factors in its natural order; lam carries
+    the layout's checked format flags.
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
@@ -97,7 +98,7 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
     its eigenvalues in the open left half-plane, so every pivot
     det A_k / det A_(k-1) is negative.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
-    panel_size=1, relax=1 cut it (README).
+    panel_size=1, relax=1 cut it (README), here as where the order is read.
     """
     perm, diag, n, data = order.order, order.diagonal, len(g), lam.data
     try:

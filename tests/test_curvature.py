@@ -20,6 +20,7 @@ from helpers import (
     face_f,
     face_jacobians,
     fd_dtheta_df,
+    flipped_sphere,
     light_like_samples,
     make_spec,
     plant_jacobian_error,
@@ -281,13 +282,18 @@ def _dense_jacobian(spec, tri, f):
     return lam
 
 
+def _repeating_mesh():
+    """Two faces that both repeat component 0, so one face adds into
+    J[0, 0] four times: four face-block entries share one slot."""
+    edges = [mesh.Edge(0, 0, 0), mesh.Edge(1, 0, 1), mesh.Edge(2, 1, 0)]
+    return mesh.Triangulation(2, edges, [mesh.Face(0, (0, 0, 1), (0, 1, 2)),
+                                         mesh.Face(1, (0, 0, 1), (0, 1, 2))])
+
+
 def test_sparse_jacobian_equals_dense_face_sum_bit_for_bit():
     rng = random.Random(12)
     sphere = sphere_triangulation(40, rng)
-    # both faces repeat component 0, so one face adds into J[0, 0] four times
-    edges = [mesh.Edge(0, 0, 0), mesh.Edge(1, 0, 1), mesh.Edge(2, 1, 0)]
-    repeated = mesh.Triangulation(2, edges, [mesh.Face(0, (0, 0, 1), (0, 1, 2)),
-                                             mesh.Face(1, (0, 0, 1), (0, 1, 2))])
+    repeated = _repeating_mesh()
     cases = [(sphere, make_spec(fam, sphere, rng, regime="definite"))
              for fam in ALL_FAMILIES]
     cases.append((repeated, StructureSpec("A3", {0: 0, 1: 0},
@@ -315,17 +321,27 @@ def test_dict_and_array_factors_give_identical_results():
         assert Ja.toarray().tobytes() == J.toarray().tobytes()
 
 
-@pytest.mark.parametrize("n", [40, 400])
-def test_jacobian_order_is_superlus_mmd_order(n):
-    rng = random.Random(n)
-    tri = sphere_triangulation(n, rng)
-    layout = tri.jacobian_order
-    order, diag, kept = layout.order, layout.diagonal, layout.matrix
-    rows, colptr = kept.indices, kept.indptr
-    # the diagonal entry of every column, in column order
-    assert np.array_equal(rows[diag], np.arange(n))
-    assert np.all((colptr[:-1] <= diag) & (diag < colptr[1:]))
-    for fam in ALL_FAMILIES:
+@pytest.mark.parametrize("seed, build, families", [
+    pytest.param(40, lambda rng: sphere_triangulation(40, rng), ALL_FAMILIES, id="40"),
+    pytest.param(400, lambda rng: sphere_triangulation(400, rng), ALL_FAMILIES, id="400"),
+    # a factor with fill
+    pytest.param(400, lambda rng: flipped_sphere(400, rng, 400), ALL_FAMILIES,
+                 id="flipped-400"),
+    # the Mixed families reject the loop edge (0, 0) where component 0 is special
+    pytest.param(2, lambda rng: _repeating_mesh(), ("A1", "A2", "A3"),
+                 id="repeated-component"),
+])
+def test_jacobian_order_is_superlus_mmd_order(seed, build, families):
+    rng = random.Random(seed)
+    tri = build(rng)
+    n, layout = tri.n_boundary, tri.jacobian_order
+    # the diagonal entry of every column, in column order, in both layouts
+    for kept in (tri.jacobian_layout, layout):
+        rows, colptr, diag = kept.matrix.indices, kept.matrix.indptr, kept.diagonal
+        assert np.array_equal(rows[diag], np.arange(n))
+        assert np.all((colptr[:-1] <= diag) & (diag < colptr[1:]))
+    order, rows, colptr = layout.order, layout.matrix.indices, layout.matrix.indptr
+    for fam in families:
         spec = make_spec(fam, tri, rng, regime="definite")
         for f in sample_admissible_f(spec, tri, rng, 2, scale=0.5):
             lam = curvature.curvature_and_jacobian(spec, tri, f)[1]
@@ -383,7 +399,7 @@ def test_returned_jacobians_own_their_arrays():
 
 def _identity_suite_per_sample(family, samples, seed):
     """run_suite's residuals, one sample at a time through the mesh record:
-    curvature_and_arcs, jacobian_from_arcs and curvature_map at the
+    curvature_and_arcs, curvature._jacobian and curvature_map at the
     shifted factors."""
     spec, tri = stock_spec(family), mesh.single_face()
     cov = spec_arrays(spec, tri).cov
@@ -413,7 +429,7 @@ def _identity_suite_per_sample(family, samples, seed):
             abs(mc[0, 0] - (c[0] * mc[1, 0] + c[2] * mc[2, 0])),
             abs(mc[1, 1] - (c[0] * mc[0, 1] + c[1] * mc[2, 1])),
             abs(mc[2, 2] - (c[2] * mc[0, 2] + c[1] * mc[1, 2]))))
-        jac = curvature.jacobian_from_arcs(tri, arcs, cov.derivative(f)).toarray()
+        jac = curvature._jacobian(tri, arcs, cov.derivative(f), tri.jacobian_layout).toarray()
         note("u-symmetry", np.max(np.abs(jac - jac.T)))
         note("negative-definite", 0.0 if curvature.is_negative_definite(jac) else 2.0)
         worst, step = 0.0, 1e-5

@@ -1,6 +1,8 @@
-"""No module under src/ or tests/ imports a name it never reads."""
+"""No module under src/ or tests/ imports a name it never reads, and no
+top-level definition in src/hexcurv goes unread."""
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -32,3 +34,49 @@ def test_every_imported_name_is_read():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in files
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "imported and never read:\n" + "\n".join(found)
+
+
+def _reads(tree) -> collections.Counter:
+    """How often tree reads each name, as a name or as an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def unreferenced(defining: dict, reading: list) -> list:
+    """(path, line, name) of every top-level function, class and assigned
+    name (a namedtuple class is one) in the sources of defining, a mapping
+    of path to source, that no source in reading reads outside the
+    definition itself."""
+    read = sum((_reads(ast.parse(source)) for source in reading), collections.Counter())
+    found = []
+    for path, source in defining.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            own = _reads(node)
+            found += [(path, node.lineno, name) for name in names if read[name] == own[name]]
+    return found
+
+
+def test_the_scan_finds_planted_unreferenced_definitions():
+    source = ("from collections import namedtuple\n\n\ndef kept():\n    return LIMIT\n\n\n"
+              "def helper(n):\n    return helper(n - 1) if n else kept()\n\n\n"
+              "Left = namedtuple('Left', 'a b')\nLIMIT = 3\n")
+    assert unreferenced({"m.py": source}, [source, "print(LIMIT)\n"]) == [
+        ("m.py", 8, "helper"), ("m.py", 12, "Left")]
+
+
+def test_every_top_level_definition_is_read():
+    defining = {path.relative_to(ROOT): path.read_text(encoding="utf-8")
+                for path in sorted((ROOT / "src" / "hexcurv").rglob("*.py"))}
+    reading = [path.read_text(encoding="utf-8") for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    found = [f"{path}:{line}: {name}" for path, line, name in unreferenced(defining, reading)]
+    assert not found, "defined and never read:\n" + "\n".join(found)

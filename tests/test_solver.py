@@ -376,8 +376,8 @@ def _sphere_jacobian(n, shifted, flips=0):
 def _order_of(lam):
     """mesh.elimination_order of lam's pattern, each stored entry its own
     source."""
-    return mesh.elimination_order(mesh.make_layout(lam.indices, lam.indptr,
-                                                   np.arange(lam.nnz)))
+    cols = np.repeat(np.arange(lam.shape[1]), np.diff(lam.indptr))
+    return mesh.elimination_order(mesh.make_layout(lam.indices, cols, lam.shape[0]))
 
 
 def _in_order(lam, order):
