@@ -318,7 +318,14 @@ class SpecArrays:
     order, each edge oriented the way its first face side runs; unproven,
     whether no existence theorem covers the configuration; polytope, the
     admissible polytope; start, the default start, a read-only point
-    inside the polytope."""
+    inside the polytope.  newton, the Newton state at the default start
+    (solver.NewtonStart: f and K there and the SuperLU factor of the
+    Jacobian there with its definiteness verdict, or the fact that it is
+    exactly singular; no arcs, Jacobian or mesh), is None until the first
+    solve that steps from the start leaves it, since only the solver loads
+    scipy; every later solve from the start takes its first step from it."""
+
+    newton = None
 
     def __init__(self, spec: StructureSpec, tri):
         self.spec, self.n = spec, tri.n_boundary

@@ -5,17 +5,26 @@ factors whose boundary curvatures match it.  Works in the u-coordinates,
 where the Jacobian is symmetric and, outside the hyper-ideal split
 windows, negative definite.  Each Newton step sums the face blocks
 straight into the Jacobian permuted to its elimination order, a new
-sparse array from curvature's one Jacobian helper, and factors it once; a
-Gershgorin certificate on its data decides definiteness, and only where
-it fails are the pivots read.
+sparse array from curvature's one Jacobian helper, and factors it once
+(_factor); a Gershgorin certificate on its data decides definiteness, and
+only where it fails are the pivots read.  The step itself (_solve_step)
+solves with the factor and replays its verdict into the report.
 Backtracking damping keeps iterates inside the admissible polytope and
 the residual strictly decreasing.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
 layout relabelled in its elimination order, with the diagonal positions
 (Triangulation.jacobian_order, a mesh.Layout).
-Per (spec, mesh): the default start and the existence verdict, fields of
-its record conformal.spec_arrays(spec, tri).
+Per (spec, mesh): the default start, the existence verdict and the Newton
+state at the default start, fields of its record
+conformal.spec_arrays(spec, tri).  That state (NewtonStart: f and K at
+the start and the factor of the Jacobian there, or the fact that it is
+exactly singular) is kept by the first solve that steps from the default
+start; every later solve from the default start reads K there and takes
+its first step from the kept factor, so it makes one theta pass, one
+Jacobian and one factorization fewer, with the same bits.  A solve from a
+user initial point neither reads nor keeps it.  The record keeps that one
+LU for its life, which is the mesh's until it is used with another spec.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
 once the trial is accepted and a step is needed, the Jacobian.
 
@@ -28,6 +37,7 @@ behind rigidity).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +58,11 @@ from .errors import (
 # MAX_HALVINGS times per iteration
 DAMPING = 0.5
 MAX_HALVINGS = 60
+
+# The Newton state at the default start that SpecArrays.newton keeps: the
+# factors f and curvature K there, read-only, and _factor's factor of the
+# Jacobian there (None: exactly singular).
+NewtonStart = namedtuple("NewtonStart", "f K factor")
 
 
 @dataclass
@@ -80,9 +95,10 @@ def default_initial(spec: StructureSpec, tri) -> dict:
     return dict(enumerate(spec_arrays(spec, tri).start.tolist()))
 
 
-def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
-    """lam^-1 g from one sparse LU factorization of the symmetric lam, or
-    None where SuperLU finds lam exactly singular.
+def _factor(lam, order: tuple):
+    """(lu, definite): one sparse LU factorization of the symmetric lam and
+    whether lam is negative definite, or None where SuperLU finds lam
+    exactly singular.
 
     order is mesh.elimination_order's Layout of lam's pattern, and lam, in
     that layout, holds P lam P^T = lam[perm][:, perm] for perm =
@@ -91,16 +107,15 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
     Pivots stay on the diagonal unless one is exactly zero, which no
     definite matrix has.  Then P lam P^T = L U with U = D L^T, and by
     Sylvester's law of inertia lam is negative definite exactly when every
-    pivot in D is negative; otherwise (a hyper-ideal split window) the
-    report notes it.  The pivots, which build L and U, are read only when
-    a Gershgorin certificate fails: where every column j has
+    pivot in D is negative.  The pivots, which build L and U, are read only
+    when a Gershgorin certificate fails: where every column j has
     2 lam_jj + sum_i |lam_ij| < 0, every leading block A_k of P lam P^T has
     its eigenvalues in the open left half-plane, so every pivot
     det A_k / det A_(k-1) is negative.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
     panel_size=1, relax=1 cut it (README), here as where the order is read.
     """
-    perm, diag, n, data = order.order, order.diagonal, len(g), lam.data
+    diag, data = order.diagonal, lam.data
     try:
         lu = scipy.sparse.linalg.splu(
             lam, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
@@ -109,15 +124,25 @@ def _solve_step(lam, g: np.ndarray, report: SolveReport, order: tuple):
         if "exactly singular" not in str(err):
             raise
         return None
-    certified = len(diag) == n and np.all(
+    certified = len(diag) == lam.shape[0] and np.all(
         2.0 * data[diag] + np.add.reduceat(np.abs(data), lam.indptr[:-1]) < 0.0)
-    if not certified and not (np.array_equal(lu.perm_r, lu.perm_c)
-                              and np.all(lu.U.diagonal() < 0.0)):
+    return lu, bool(certified or (np.array_equal(lu.perm_r, lu.perm_c)
+                                  and np.all(lu.U.diagonal() < 0.0)))
+
+
+def _solve_step(factor, g: np.ndarray, report: SolveReport, order: tuple):
+    """lam^-1 g from _factor's factor of lam in order's layout, or None
+    where lam is exactly singular; where lam is not negative definite (a
+    hyper-ideal split window) the report notes it."""
+    if factor is None:
+        return None
+    lu, definite = factor
+    if not definite:
         note = "jacobian indefinite at an iterate"
         if note not in report.notes:
             report.notes.append(note)
-    step = np.empty(n)
-    step[perm] = lu.solve(g[perm])
+    step = np.empty(len(g))
+    step[order.order] = lu.solve(g[order.order])
     return step
 
 
@@ -145,16 +170,19 @@ def solve_prescribed_curvature(
             "a failed solve is not evidence either way about the target"
         )
 
-    cov = arrays.cov
+    cov, kept = arrays.cov, None
     if opts.initial is not None:
         u = cov.to_u(component_values(opts.initial, n))
         if not admissible(spec, tri, u).ok:
             raise NoFeasibleStart("user initial point is not admissible")
     else:
-        u = arrays.start
+        u, kept = arrays.start, arrays.newton
 
-    f = cov.to_f(u)
-    K, arcs = curvature_and_arcs(spec, tri, f)
+    if kept is None:
+        f = cov.to_f(u)
+        K, arcs = curvature_and_arcs(spec, tri, f)
+    else:
+        f, K, arcs = kept.f, kept.K, None
     res = float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
 
@@ -167,16 +195,23 @@ def solve_prescribed_curvature(
             return dict(enumerate(f.tolist())), report
         if it == opts.max_iter:
             break
-        # the Jacobian, its LU and the arcs behind it are freed before any trial
+        # the Jacobian and the arcs behind it are freed before any trial, and
+        # so is its LU unless the record keeps it with the default start
         order = tri.jacobian_order
-        step = _solve_step(_jacobian(tri, arcs, cov.derivative(f), order), K - tgt, report,
-                           order)
+        if it == 0 and kept is not None:
+            factor = kept.factor
+        else:
+            factor = _factor(_jacobian(tri, arcs, cov.derivative(f), order), order)
+            if it == 0 and opts.initial is None:
+                f.flags.writeable = K.flags.writeable = False
+                arrays.newton = NewtonStart(f, K, factor)
+        step = _solve_step(factor, K - tgt, report, order)
         if step is None:
             raise NotConverged(
                 f"jacobian exactly singular at residual {res}",
                 factors=dict(enumerate(f.tolist())), report=report,
             )
-        arcs = None
+        arcs = factor = None
         lam_scale = 1.0
         for _ in range(MAX_HALVINGS):
             u_trial = u - lam_scale * step

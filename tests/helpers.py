@@ -81,11 +81,12 @@ def _triangulation(nv, faces):
 
 
 def pick_special(tri, rng, want=None):
-    """Greedy special set: no two specials share a face."""
+    """Greedy special set: no two specials share a face, and none lies on a
+    loop edge, which would join two special components."""
     order = list(range(tri.n_boundary))
     rng.shuffle(order)
     special = set()
-    blocked = set()
+    blocked = {e.a for e in tri.edges if e.a == e.b}
     for v in order:
         if v in blocked:
             continue

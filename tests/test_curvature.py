@@ -7,7 +7,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from hexcurv import curvature, identities, mesh
-from hexcurv.conformal import StructureSpec, f_from_u, spec_arrays, u_from_f
+from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
+from hexcurv.conformal import validate_spec
 from hexcurv._kernels import face_eval, face_theta
 from hexcurv._kernels.center import face_centers
 from hexcurv.errors import FamilyConstraint, HexcurvError, NotAdmissible
@@ -23,6 +24,7 @@ from helpers import (
     flipped_sphere,
     light_like_samples,
     make_spec,
+    pick_special,
     plant_jacobian_error,
     sample_admissible_f,
     sphere_triangulation,
@@ -290,6 +292,23 @@ def _repeating_mesh():
                                          mesh.Face(1, (0, 0, 1), (0, 1, 2))])
 
 
+def test_make_spec_keeps_loop_edges_off_the_special_set():
+    # component 0 lies on the loop edge (0, 0), which would join two
+    # special components; the Mixed families pick component 1 instead
+    for seed in range(4):
+        for fam in ("MixedI", "MixedII", "MixedIII"):
+            tri = _repeating_mesh()
+            spec = make_spec(fam, tri, random.Random(seed))
+            assert spec.special == {1}
+            validate_spec(spec, tri)
+            assert admissible(spec, tri, spec_arrays(spec, tri).start).ok
+    # on loop-free meshes the picks are the ones made before loop edges
+    # were blocked
+    picks = [sorted(pick_special(sphere_triangulation(10, rng), rng))
+             for rng in map(random.Random, range(4))]
+    assert picks == [[0, 5, 9], [2, 5], [2, 5], [2, 4, 9]]
+
+
 def test_sparse_jacobian_equals_dense_face_sum_bit_for_bit():
     rng = random.Random(12)
     sphere = sphere_triangulation(40, rng)
@@ -327,9 +346,7 @@ def test_dict_and_array_factors_give_identical_results():
     # a factor with fill
     pytest.param(400, lambda rng: flipped_sphere(400, rng, 400), ALL_FAMILIES,
                  id="flipped-400"),
-    # the Mixed families reject the loop edge (0, 0) where component 0 is special
-    pytest.param(2, lambda rng: _repeating_mesh(), ("A1", "A2", "A3"),
-                 id="repeated-component"),
+    pytest.param(2, lambda rng: _repeating_mesh(), ALL_FAMILIES, id="repeated-component"),
 ])
 def test_jacobian_order_is_superlus_mmd_order(seed, build, families):
     rng = random.Random(seed)

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import pickle
 import random
 import weakref
 
@@ -76,6 +77,15 @@ def test_quadratic_tail_constant():
     assert rep.quad_constant < 1e6
 
 
+def _outcome(spec, tri, target, opts=None) -> bytes:
+    """f and every report field of a solve, or of its NotConverged, as bytes."""
+    try:
+        f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
+    except NotConverged as err:
+        f, rep = err.factors, err.report
+    return pickle.dumps((f, rep))
+
+
 def test_determinism():
     rng = random.Random(3)
     tri = sphere_triangulation(14, rng)
@@ -86,6 +96,24 @@ def test_determinism():
     assert f1 == f2
     assert r1.trajectory == r2.trajectory
     assert r1.iterations == r2.iterations
+    # solves that step first from the record's kept Newton state give the
+    # bytes of a solve on a freshly parsed copy of the mesh, whose record
+    # keeps nothing yet: six families at N=40, and a Jacobian whose factor
+    # has fill
+    cases = [(fam, sphere_triangulation(40, rng)) for fam in ALL_FAMILIES]
+    cases.append(("A3", flipped_sphere(40, rng, 40)))
+    for fam, tri in cases:
+        spec = make_spec(fam, tri, rng)
+        targets = [curvature.curvature_map(spec, tri, f)
+                   for f in sample_admissible_f(spec, tri, rng, 2, scale=0.6)]
+        for target in (targets[0], targets[1], targets[0]):
+            warm = _outcome(spec, tri, target)
+            cold_tri, cold_spec = mesh.parse(mesh.serialize(tri, spec))
+            assert cold_tri == tri and spec_arrays(cold_spec, cold_tri).newton is None
+            assert _outcome(cold_spec, cold_tri, target) == warm
+            assert spec_arrays(spec, tri).newton is not None
+    lu = spec_arrays(spec, tri).newton.factor[0]
+    assert lu.L.nnz + lu.U.nnz > tri.jacobian_order.matrix.nnz + tri.n_boundary
 
 
 def test_existence_unproven_flags():
@@ -139,13 +167,28 @@ def test_existence_verdict_is_kept_per_spec_and_mesh(monkeypatch):
         assert len(builds) == built + (k != 0)
 
 
-def test_user_initial_and_report_fields():
+def test_user_initial_and_report_fields(monkeypatch):
     tri = mesh.pair_of_pants()
     spec = pants_spec()
     opts = solver.SolveOptions(initial={i: 0.1 for i in range(3)})
     f, rep = solver.solve_prescribed_curvature(spec, tri, {i: 2.0 * ACOSH2 for i in range(3)}, opts)
     assert rep.converged and rep.residual <= opts.tol_K
     assert rep.trajectory[0] > rep.residual
+    # a user initial point, even the default start, neither reads nor
+    # builds the record's Newton state at the default start
+    target = {i: 1.5 * ACOSH2 for i in range(3)}
+    at_start = solver.SolveOptions(initial=f_from_u(spec, solver.default_initial(spec, tri)))
+    outcomes = []
+    for _ in range(2):  # without a kept state, then with one
+        kept = vars(spec_arrays(spec, tri)).get("newton")
+        with monkeypatch.context() as m:
+            m.setattr(conformal.SpecArrays, "newton", property(
+                lambda arrays: pytest.fail("the Newton state was read")))
+            outcomes.append(_outcome(spec, tri, target, at_start))
+        assert vars(spec_arrays(spec, tri)).get("newton") is kept
+        _outcome(spec, tri, target)  # a default solve keeps the state
+        assert spec_arrays(spec, tri).newton is not None
+    assert outcomes[0] == outcomes[1] == _outcome(spec, tri, target)
     with pytest.raises(NoFeasibleStart):
         solver.solve_prescribed_curvature(
             spec, tri, {i: 1.0 for i in range(3)},
@@ -267,11 +310,14 @@ def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
         return lam
 
     monkeypatch.setattr(solver, "_jacobian", zero_first_row_and_column)
-    with pytest.raises(NotConverged, match="exactly singular") as err:
-        solver.solve_prescribed_curvature(pants_spec(), mesh.pair_of_pants(),
-                                          {i: 2.0 for i in range(3)})
-    assert len(built) == 1
-    assert err.value.factors is not None and err.value.report.trajectory
+    tri, spec, outcomes = mesh.pair_of_pants(), pants_spec(), []
+    for _ in range(3):  # the record keeps the verdict: each solve raises alike
+        with pytest.raises(NotConverged, match="exactly singular") as err:
+            solver.solve_prescribed_curvature(spec, tri, {i: 2.0 for i in range(3)})
+        assert len(built) == 1
+        assert err.value.factors is not None and err.value.report.trajectory
+        outcomes.append(pickle.dumps((str(err.value), err.value.factors, err.value.report)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_other_factorization_errors_propagate(monkeypatch):
@@ -433,7 +479,7 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
     reads, splu = [], scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
-    step = solver._solve_step(_in_order(lam, order), g, report, order)
+    step = solver._solve_step(solver._factor(_in_order(lam, order), order), g, report, order)
     assert np.linalg.norm(lam @ step - g) <= 1e-12 * np.linalg.norm(g)
     dense = lam.toarray()
     definite = np.linalg.eigvalsh(dense).max() < 0.0
@@ -445,8 +491,8 @@ def test_newton_step_notes_exactly_the_indefinite_jacobians(make, monkeypatch):
 
 
 def _reference_step(lam, g, order):
-    """_solve_step's step from a fresh sparse array of lam's entries and
-    splu with its options."""
+    """The step of _factor and _solve_step from a fresh sparse array of
+    lam's entries and splu with its options."""
     fresh = scipy.sparse.csc_array((lam.data.copy(), lam.indices.copy(), lam.indptr.copy()),
                                    shape=lam.shape)
     lu = scipy.sparse.linalg.splu(
@@ -483,7 +529,7 @@ def test_kept_matrix_serves_each_pattern_alone(monkeypatch):
             lam = curvature._jacobian(tri, *points[k], order)
             data, g = lam.data.copy(), gen.standard_normal(40)
             report = solver.SolveReport(False, 0, math.inf)
-            step = solver._solve_step(lam, g, report, order)
+            step = solver._solve_step(solver._factor(lam, order), g, report, order)
             assert step.tobytes() == _reference_step(lam, g, order).tobytes()
             assert factored[-2] is lam
             steps.append((lam, data))
@@ -535,15 +581,15 @@ def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
     f0 = sample_admissible_f(spec, tri, rng, 1, scale=0.6)[0]
     K0 = curvature.curvature_map(spec, tri, f0)
     tops, reads = [], []
-    step, splu = solver._solve_step, scipy.sparse.linalg.splu
+    factor, splu = solver._factor, scipy.sparse.linalg.splu
 
-    def recording(lam, g, report, order):
+    def recording(lam, order):
         tops.append(np.linalg.eigvalsh(lam.toarray()).max())
-        return step(lam, g, report, order)
+        return factor(lam, order)
 
     tri.jacobian_order  # the mesh's own SuperLU call comes first
     with monkeypatch.context() as m:
-        m.setattr(solver, "_solve_step", recording)
+        m.setattr(solver, "_factor", recording)
         m.setattr(scipy.sparse.linalg, "splu",
                   lambda *args, **kwargs: _CountingLU(splu(*args, **kwargs), reads))
         _, rep = solver.solve_prescribed_curvature(
@@ -554,11 +600,22 @@ def _solve_recording_jacobians(fam, tri, seed, monkeypatch):
 
 def test_indefinite_note_follows_the_jacobians(monkeypatch):
     # the default MixedI window sits in the hyper-ideal split regime
-    rep, tops, reads = _solve_recording_jacobians("MixedI", mesh.pair_of_pants(), 0,
-                                                  monkeypatch)
+    tri = mesh.pair_of_pants()
+    rep, tops, reads = _solve_recording_jacobians("MixedI", tri, 0, monkeypatch)
     assert max(tops) > 0.0
     assert "jacobian indefinite at an iterate" in rep.notes
     assert reads
+    # the Jacobian at the start is indefinite too, and every later solve
+    # from the start replays that verdict from the kept factor: these
+    # targets take one Newton step, which factors nothing
+    assert tops[0] > 0.0
+    arrays = tri.spec_memo
+    for scale in (1.0 + 1e-7, 1.0 - 1e-7):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_factor", None)
+            _, rep = solver.solve_prescribed_curvature(arrays.spec, tri, scale * arrays.newton.K)
+        assert rep.converged and rep.iterations == 1
+        assert "jacobian indefinite at an iterate" in rep.notes
     # an A3 sphere's Jacobians are certified: no pivot is read, no L or U built
     rep, tops, reads = _solve_recording_jacobians(
         "A3", sphere_triangulation(10, random.Random(0)), 0, monkeypatch)
@@ -589,8 +646,11 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
     rejected = 0
     for spec, tri, target in _roundtrip_problems():
         tri.jacobian_order  # the mesh's own SuperLU call and kept matrix come first
-        sparse = 0  # sparse arrays constructed over both solves
-        for _ in range(2):  # two consecutive solves on the mesh
+        sparse = 0  # sparse arrays constructed over all solves
+        # two consecutive solves on the mesh, then one with an equal spec
+        # object, which gets a new record
+        equal = StructureSpec(spec.family, spec.alpha, spec.eta, spec.special)
+        for repeat, spec_ in zip((0, 1, 0), (spec, spec, equal)):
             counts = {"theta": 0, "jacobian": 0, "trials": 0, "sparse": 0, "splu": 0}
             with monkeypatch.context() as m:
                 m.setattr(curvature, "face_theta",
@@ -603,10 +663,12 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
                           _counting(counts, "splu", scipy.sparse.linalg.splu))
                 m.setattr(solver, "admissible", _counting(counts, "trials", solver.admissible,
                                                           lambda out: out.ok))
-                _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+                _, rep = solver.solve_prescribed_curvature(spec_, tri, target)
             assert rep.converged
-            assert counts["theta"] == counts["trials"] + 1
-            assert counts["jacobian"] == counts["splu"] == rep.iterations
+            # the repeat takes the curvature at the start and the first
+            # step's factor from the record
+            assert counts["theta"] == counts["trials"] + 1 - repeat
+            assert counts["jacobian"] == counts["splu"] == rep.iterations - repeat
             rejected += counts["trials"] - rep.iterations
             sparse += counts["sparse"]
         assert sparse == 0  # every step factors a copy of the matrix kept with the order
@@ -615,35 +677,50 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
 
 def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
     for spec, tri, target in _roundtrip_problems():
-        events = []
-        evaluate, step = solver.curvature_and_arcs, solver._solve_step
+        evaluate, factor, step = solver.curvature_and_arcs, solver._factor, solver._solve_step
+        for repeat in range(2):  # the repeat steps first from the record's factor
+            events, factored = [], []  # factored: (factor, lam), each factor kept alive
 
-        def recording_evaluate(spec_, tri_, f):
-            out = evaluate(spec_, tri_, f)
-            events.append(("eval", np.array(f), out[0]))
-            return out
+            def recording_evaluate(spec_, tri_, f):
+                out = evaluate(spec_, tri_, f)
+                events.append(("eval", np.array(f), out[0]))
+                return out
 
-        def recording_step(lam, g, report, order):
-            events.append(("step", lam, g))
-            return step(lam, g, report, order)
+            def recording_factor(lam, order):
+                out = factor(lam, order)
+                factored.append((out, lam.toarray()))
+                return out
 
-        with monkeypatch.context() as m:
-            m.setattr(solver, "curvature_and_arcs", recording_evaluate)
-            m.setattr(solver, "_solve_step", recording_step)
-            f_final, rep = solver.solve_prescribed_curvature(spec, tri, target)
-        steps = [k for k, e in enumerate(events) if e[0] == "step"]
-        assert len(steps) == rep.iterations
-        for k in steps:
-            _, f, K = events[k - 1]  # the accepted trial, or the start
-            _, lam, g = events[k]
-            K_ref, J_ref = curvature.curvature_and_jacobian(spec, tri, f)
-            assert K.tobytes() == K_ref.tobytes()
-            assert g.tobytes() == (K_ref - target).tobytes()
-            # the factored matrix is J permuted into the mesh's elimination order
-            perm = tri.jacobian_order.order
-            assert lam.toarray().tobytes() == J_ref.toarray()[np.ix_(perm, perm)].tobytes()
-        K_final = curvature.curvature_map(spec, tri, f_final)
-        assert rep.residual == float(np.max(np.abs(K_final - target)))
+            def recording_step(factor_, g, report, order):
+                events.append(("step", factor_, g))
+                return step(factor_, g, report, order)
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "curvature_and_arcs", recording_evaluate)
+                m.setattr(solver, "_factor", recording_factor)
+                m.setattr(solver, "_solve_step", recording_step)
+                f_final, rep = solver.solve_prescribed_curvature(spec, tri, target)
+            if repeat:
+                # the start's f and K from the record, before the first step
+                kept = spec_arrays(spec, tri).newton
+                events.insert(0, ("eval", kept.f, kept.K))
+                factored.append((kept.factor, lam0))
+            steps = [k for k, e in enumerate(events) if e[0] == "step"]
+            assert len(steps) == rep.iterations
+            assert len(factored) == rep.iterations
+            for k in steps:
+                _, f, K = events[k - 1]  # the accepted trial, or the start
+                _, factor_, g = events[k]
+                lam = next(lam for out, lam in factored if out is factor_)
+                K_ref, J_ref = curvature.curvature_and_jacobian(spec, tri, f)
+                assert K.tobytes() == K_ref.tobytes()
+                assert g.tobytes() == (K_ref - target).tobytes()
+                # the factored matrix is J permuted into the mesh's elimination order
+                perm = tri.jacobian_order.order
+                assert lam.tobytes() == J_ref.toarray()[np.ix_(perm, perm)].tobytes()
+            lam0 = next(lam for out, lam in factored if out is events[steps[0]][1])
+            K_final = curvature.curvature_map(spec, tri, f_final)
+            assert rep.residual == float(np.max(np.abs(K_final - target)))
 
 
 def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
@@ -684,13 +761,22 @@ def test_a_mesh_dropped_after_a_solve_is_freed_without_the_cycle_collector():
     tri = sphere_triangulation(30, rng)
     spec = make_spec("MixedIII", tri, rng)
     target = curvature.curvature_map(spec, tri, sample_admissible_f(spec, tri, rng)[0])
+    twice = sphere_triangulation(30, random.Random(23))  # solved twice below
     gc.disable()
     try:
         _, rep = solver.solve_prescribed_curvature(spec, tri, target)
         assert rep.converged and rep.iterations > 0
-        assert {"polytope", "start"} <= set(vars(tri.spec_memo))
+        assert {"polytope", "start", "newton"} <= set(vars(tri.spec_memo))
         kept = weakref.ref(tri)
         del tri
+        assert kept() is None
+        # the kept Newton state, SuperLU factor included, holds no mesh either
+        for _ in range(2):
+            _, rep = solver.solve_prescribed_curvature(spec, twice, target)
+            assert rep.converged and rep.iterations > 0
+        assert twice.spec_memo.newton is not None
+        kept = weakref.ref(twice)
+        del twice
         assert kept() is None
     finally:
         gc.enable()
