@@ -110,34 +110,32 @@ class EdgeProgram:
     """How F faces read E edges (see the module docstring for the layout).
 
     vert (F x 3) holds the corner ids.  Per edge, sorted by rule code:
-    ends (2 x E) the end ids a and b, codes, alphas (2 x E, at a and b),
-    etas, and pair, whether the edge joins two special components.
-    groups holds (code, slice of its edges) per code present.  side (3 x F)
-    is the edge of each face side and rev whether the side runs from b to
-    a; tail and head index the flattened 2 x E per-end values at the first
-    and second corner of each side.  double is (face, side) of the first
-    face side on an edge that joins two special components, or None.
+    ends (2 x E) the end ids a and b, codes, alphas (2 x E, at a and b)
+    and etas.  groups holds (code, slice of its edges) per code present.
+    side (3 x F) is the edge of each face side and rev whether the side
+    runs from b to a; tail and head index the flattened 2 x E per-end
+    values at the first and second corner of each side.  double is the
+    caller's (face, side) of the first face side that must fail, or None;
+    neither stage reads it.
 
     The constructor takes vert, then ends, codes, alphas and etas of the
-    edges in any one order, side (F x 3) as indices into it, and pair.
+    edges in any one order, side (F x 3) as indices into it, and double.
     """
 
-    def __init__(self, vert, ends, codes, alphas, etas, side, pair):
+    def __init__(self, vert, ends, codes, alphas, etas, side, double=None):
         n = len(codes)
         order = np.argsort(codes, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(n)
-        self.vert = np.asarray(vert, dtype=np.intp)
-        self.ends, self.codes, self.alphas, self.etas, self.pair = (
-            np.asarray(x)[..., order] for x in (ends, codes, alphas, etas, pair))
+        self.vert, self.double = np.asarray(vert, dtype=np.intp), double
+        self.ends, self.codes, self.alphas, self.etas = (
+            np.asarray(x)[..., order] for x in (ends, codes, alphas, etas))
         self.side = rank[np.transpose(side)]
         self.rev = self.vert.T != self.ends[0, self.side]
         self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
         starts = np.flatnonzero(np.diff(self.codes, prepend=-1)).tolist()
         self.groups = tuple((int(self.codes[s]), slice(s, t))
                             for s, t in zip(starts, [*starts[1:], n]))
-        hit = self.pair[self.side].T
-        self.double = divmod(int(np.argmax(hit)), 3) if hit.any() else None
 
 
 def disjoint_faces(codes, alphas, etas):
@@ -147,8 +145,7 @@ def disjoint_faces(codes, alphas, etas):
     vert = np.arange(np.size(codes)).reshape(-1, 3)
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 3)
     ends, ab = (np.stack((x.ravel(), x[:, _NEXT].ravel())) for x in (vert, alphas))
-    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert,
-                       np.zeros(vert.size, dtype=bool))
+    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert)
 
 
 def _fail(status, bad, fails):

@@ -334,7 +334,7 @@ class SpecArrays:
     @cached_property
     def edges(self) -> _Edges:
         """Raises FamilyConstraint naming the first component without an
-        alpha, else the first edge without an eta."""
+        alpha, else the first edge without an eta, else a special off the mesh."""
         spec, n, (ids, a, b) = self.spec, self.n, self.edge_arrays
         try:
             alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
@@ -344,8 +344,10 @@ class SpecArrays:
             e = next((e for e in ids.tolist() if e not in spec.eta), None)
             raise FamilyConstraint(f"no alpha for boundary component {v}" if v is not None
                                    else f"no eta for edge {e}") from None
+        for v in spec.special.difference(range(n)):  # the first one raises
+            raise FamilyConstraint(f"special component {v} is not a vertex")
         special = np.zeros(n, dtype=bool)
-        special[[v for v in spec.special if v in range(n)]] = True
+        special[list(map(int, spec.special))] = True  # a special True or 1.0 is 1
         sa, sb, fam = special[a], special[b], FAMILIES.index(spec.family)
         code = fam % 3 + 3 * (sa | sb)
         first = np.where(sb & ~sa, b, a)  # the special end, else a
@@ -361,8 +363,9 @@ class SpecArrays:
         e, (vert, epos) = self.edges, self.face_arrays
         first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
         ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
+        hit = e.double[epos]
         return EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta, epos,
-                           e.double)
+                           divmod(int(np.argmax(hit)), 3) if hit.any() else None)
 
     @cached_property
     def unproven(self) -> bool:
@@ -502,7 +505,8 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     """The family, special set and weights of spec on tri, against RULES.
 
     Raises FamilyConstraint or UnsupportedWeightRange for the first
-    violation: the special set, a missing alpha or eta, an edge joining
+    violation: specials on an A family, a missing alpha or eta, a special
+    component outside the mesh (as SpecArrays.edges), an edge joining
     two special components, the alphas A2 and MixedII require, then the
     weights.  Weights go in edge-list order; on MixedI and MixedIII, whose
     weights also couple within a face, in face order, and in a face its
@@ -511,9 +515,6 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     fam = spec.family
     if spec.special and not fam.startswith("Mixed"):
         raise FamilyConstraint(f"{fam} admits no special components")
-    for v in spec.special:
-        if v not in spec.alpha:
-            raise FamilyConstraint(f"special component {v} is not a vertex")
     arrays = spec_arrays(spec, tri)
     e = arrays.edges
     if e.double.any():

@@ -16,13 +16,13 @@ mesh.make_layout) into a copy of the layout's array, which owns its
 arrays; curvature_and_jacobian reads the natural layout, the solver the
 elimination order's, with the same bits per entry.  Only the theta stage
 can fail, so a point whose K evaluates also has a Jacobian.
-An edge that joins two special components is found once, when the program
-is built (EdgeProgram.double); evaluation raises FamilyConstraint for it
-unless a face before the one holding it fails first.  On a mesh of one
-face with three distinct corners, K is that face's arc triple and the
-Jacobian its 3 x 3 u-Jacobian; face_eval(arcs, ones) gives d theta / d f,
-and _kernels.center.face_centers(arcs) the face's hexagon geometry with
-the paper's center-distance formula, which the identity suites check.
+An edge that joins two special components is found once, by the record
+(EdgeProgram.double); evaluation raises FamilyConstraint for it unless an
+earlier face fails.  On a mesh of one face with three distinct corners, K
+is that face's arc triple and the Jacobian its 3 x 3 u-Jacobian;
+face_eval(arcs, ones) gives d theta / d f, and
+_kernels.center.face_centers(arcs) the face's hexagon geometry with the
+paper's center-distance formula, which the identity suites check.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ _ERRORS = {
 }
 
 
-def _raise_first(ids, vert, arcs):
+def _raise_first(ids, arcs):
     """Raise for the first failing face of arcs, and its first failing check;
     a face on an edge that joins two special components fails first.  ids
-    and vert are the face ids and F x 3 vertices of the faces of arcs."""
-    status, bad, double = arcs.status, arcs.bad, arcs.prog.double
+    are the face ids of the faces of arcs."""
+    status, bad, double, vert = arcs.status, arcs.bad, arcs.prog.double, arcs.prog.vert
     k = int(np.argmax(status != OK)) if status.any() else len(ids)
     if double is not None and double[0] <= k:
         j, m = double
@@ -70,7 +70,7 @@ def curvature_and_arcs(spec: StructureSpec, tri, f) -> tuple:
     """(K, arcs): the total boundary-arc length per boundary component and
     the kernel's theta stage, which _jacobian reuses."""
     arcs = face_theta(spec_arrays(spec, tri).program, component_values(f, tri.n_boundary))
-    _raise_first(tri.face_ids, tri.face_arrays[0], arcs)
+    _raise_first(tri.face_ids, arcs)
     return _sums(arcs.prog.vert, arcs.theta, tri.n_boundary), arcs
 
 
@@ -79,7 +79,7 @@ def curvature_map(spec: StructureSpec, tri, f) -> np.ndarray:
     return curvature_and_arcs(spec, tri, f)[0]
 
 
-def _jacobian(tri, arcs, du, layout):
+def _jacobian(arcs, du, layout):
     """The u-Jacobian from the theta stage at f, du being df/du at f, in a
     layout of the mesh (tri.jacobian_layout for J, tri.jacobian_order for
     P J P^T): the face blocks summed into its slots in face order, the same
@@ -101,7 +101,7 @@ def curvature_and_jacobian(spec: StructureSpec, tri, f):
     fv = component_values(f, tri.n_boundary)
     du = spec_arrays(spec, tri).cov.derivative(fv)
     K, arcs = curvature_and_arcs(spec, tri, fv)
-    return K, _jacobian(tri, arcs, du, tri.jacobian_layout)
+    return K, _jacobian(arcs, du, tri.jacobian_layout)
 
 
 def is_negative_definite(mat: np.ndarray) -> bool:

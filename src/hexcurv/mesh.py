@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _NEXT
-from .conformal import StructureSpec, validate_spec
+from .conformal import SpecArrays, StructureSpec, validate_spec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
 
 FORMAT_VERSION = 1
@@ -72,17 +72,17 @@ def elimination_order(layout: Layout) -> Layout:
     elimination-tree postorder), which is the layout's order: P A P^T =
     A[order][:, order], with the same bits per entry.  The order depends on
     the pattern alone, so it is read off a column diagonally dominant
-    matrix with the pattern plus the diagonal, which factors without
-    pivoting, with the Newton step's SuperLU settings."""
+    matrix of the pattern, -1 off the diagonal and the column's entry
+    count on it, which factors without pivoting where the pattern holds
+    the diagonal, with the Newton step's SuperLU settings."""
     import scipy.sparse.linalg
 
     kept, n = layout.matrix, len(layout.matrix.indptr) - 1
-    pattern = scipy.sparse.csc_array((np.full(kept.nnz, -1.0), kept.indices, kept.indptr),
-                                     shape=kept.shape)
-    pattern.data[layout.diagonal] = 0.0
-    dominant = pattern + scipy.sparse.diags_array(1.0 - pattern.sum(axis=0), format="csc")
+    data = np.full(kept.nnz, -1.0)
+    data[layout.diagonal] = np.diff(kept.indptr)[kept.indices[layout.diagonal]]
     position = scipy.sparse.linalg.splu(
-        dominant, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+        scipy.sparse.csc_array((data, kept.indices, kept.indptr), shape=kept.shape),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
         options={"SymmetricMode": True}).perm_c
     order = np.empty(n, dtype=np.intp)
     order[position] = np.arange(n)
@@ -371,16 +371,18 @@ def _read_block(kind: str, block) -> tuple | None:
 
 
 def serialize(tri: Triangulation, spec: StructureSpec) -> str:
-    """Canonical text form; parse(serialize(x)) == x."""
-    edges, pos = np.column_stack(tri.edge_arrays), tri.face_arrays[1]
+    """Canonical text form; parse(serialize(x)) == x.  The weights and
+    specials come from a new SpecArrays record, raising as its edges do."""
+    e, pos = SpecArrays(spec, tri).edges, tri.face_arrays[1]
     faces = np.column_stack((tri.face_ids, tri.face_arrays[0], tri.edge_arrays[0][pos]))
     out = [f"format {FORMAT_VERSION}"]
-    out += [f"v {i} alpha={spec.alpha[i]}" for i in range(tri.n_boundary)]
-    out += [f"e {k} {a} {b} eta={spec.eta[k]:.17g}" for k, a, b in sorted(edges.tolist())]
+    out += [f"v {i} alpha={a}" for i, a in enumerate(e.alpha.tolist())]
+    out += [f"e {k} {a} {b} eta={w:.17g}"
+            for k, a, b, w in sorted(zip(*(x.tolist() for x in (e.ids, e.a, e.b, e.eta))))]
     out += ["f " + " ".join(map(str, row)) for row in sorted(faces.tolist())]
     line = f"structure family={spec.family}"
-    if spec.special:
-        line += " special=" + ",".join(str(s) for s in sorted(spec.special))
+    if e.special.any():
+        line += " special=" + ",".join(map(str, np.flatnonzero(e.special).tolist()))
     if tri.open_edges:
         line += " open-edges"
     out.append(line)

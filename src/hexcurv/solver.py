@@ -201,7 +201,7 @@ def solve_prescribed_curvature(
         if it == 0 and kept is not None:
             factor = kept.factor
         else:
-            factor = _factor(_jacobian(tri, arcs, cov.derivative(f), order), order)
+            factor = _factor(_jacobian(arcs, cov.derivative(f), order), order)
             if it == 0 and opts.initial is None:
                 f.flags.writeable = K.flags.writeable = False
                 arrays.newton = NewtonStart(f, K, factor)

@@ -1,8 +1,7 @@
-"""Centralized numeric tolerances.
-
-Every comparison threshold used by the geometry and solver modules lives
-here so the tolerance story stays auditable in one place.
-"""
+"""Thresholds of the face-center record, the identity suites, the hexagon
+command's side lengths and the definiteness check.  Other limits live
+where they are read: _kernels.F_LIMIT, solver.SolveOptions,
+solver.ENERGY_RTOL and the margins of conformal.SpecArrays.start."""
 
 # Causal bucketing of |x*x| for (Euclidean-normalized) face centers.
 TAU_CAUSAL = 1e-10

@@ -456,7 +456,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     if not fam.startswith("Mixed") and spec.special:
         raise FamilyConstraint(f"{fam} admits no special components")
     for v in spec.special:
-        if v not in spec.alpha:
+        if v not in range(tri.n_boundary):
             raise FamilyConstraint(f"special component {v} is not a vertex")
     for e in tri.edges:
         if e.a in spec.special and e.b in spec.special:

@@ -584,13 +584,33 @@ def test_structure_spec_is_a_value():
         assert twin == spec and isinstance(twin.eta, type(spec.eta))
 
 
-@pytest.mark.parametrize("entry", ["validate_spec", "curvature_map", "spec_arrays"])
+# every entry that reads a spec against the pair of pants
+_ENTRIES = {
+    "spec_arrays": cf.spec_arrays,
+    "validate_spec": cf.validate_spec,
+    "curvature_map": lambda spec, tri: curvature.curvature_map(spec, tri, [0.3, 0.2, 0.1]),
+    "solve_prescribed_curvature": lambda spec, tri: solver.solve_prescribed_curvature(
+        spec, tri, {i: 1.0 for i in range(3)}),
+    "serialize": lambda spec, tri: mesh.serialize(tri, spec),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("alpha", [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0, 7: 0}],
+                         ids=["no-alpha-7", "alpha-7"])
+def test_a_special_component_off_the_mesh_is_rejected(entry, alpha):
+    # with or without an alpha of its own, component 7 is none of the mesh's
+    tri = mesh.pair_of_pants()
+    spec = cf.StructureSpec("MixedIII", alpha, {0: 2.0, 1: 3.0, 2: 1.5},
+                            special=frozenset({7}))
+    with pytest.raises(FamilyConstraint, match="^special component 7 is not a vertex$"):
+        _ENTRIES[entry](spec, tri)
+    assert tri.spec_memo is None
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
 def test_missing_weights_are_a_family_constraint(entry):
     tri = mesh.pair_of_pants()
-    f = np.array([0.3, 0.2, 0.1])
-    call = {"validate_spec": lambda spec: cf.validate_spec(spec, tri),
-            "curvature_map": lambda spec: curvature.curvature_map(spec, tri, f),
-            "spec_arrays": lambda spec: cf.spec_arrays(spec, tri)}[entry]
     alpha, eta = {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)}
     for weights, message in (
             (({0: 0}, {}), "no alpha for boundary component 1"),
@@ -598,4 +618,4 @@ def test_missing_weights_are_a_family_constraint(entry):
             ((alpha, {1: 2.0}), "no eta for edge 0"),
             ((alpha, {0: 2.0, 2: 2.0, 7: 2.0}), "no eta for edge 1")):
         with pytest.raises(FamilyConstraint, match=f"^{message}$"):
-            call(cf.StructureSpec("A1", *weights))
+            _ENTRIES[entry](cf.StructureSpec("A1", *weights), tri)

@@ -370,8 +370,7 @@ def test_jacobian_order_is_superlus_mmd_order(seed, build, families):
             # in a canonical CSC array of the kept pattern
             fv = np.array([f[i] for i in range(n)])
             arcs = curvature.curvature_and_arcs(spec, tri, fv)[1]
-            permuted = curvature._jacobian(tri, arcs, spec_arrays(spec, tri).cov.derivative(fv),
-                                           layout)
+            permuted = curvature._jacobian(arcs, spec_arrays(spec, tri).cov.derivative(fv), layout)
             assert type(permuted) is type(lam)
             assert np.array_equal(permuted.indices, rows)
             assert np.array_equal(permuted.indptr, colptr)
@@ -446,7 +445,7 @@ def _identity_suite_per_sample(family, samples, seed):
             abs(mc[0, 0] - (c[0] * mc[1, 0] + c[2] * mc[2, 0])),
             abs(mc[1, 1] - (c[0] * mc[0, 1] + c[1] * mc[2, 1])),
             abs(mc[2, 2] - (c[2] * mc[0, 2] + c[1] * mc[1, 2]))))
-        jac = curvature._jacobian(tri, arcs, cov.derivative(f), tri.jacobian_layout).toarray()
+        jac = curvature._jacobian(arcs, cov.derivative(f), tri.jacobian_layout).toarray()
         note("u-symmetry", np.max(np.abs(jac - jac.T)))
         note("negative-definite", 0.0 if curvature.is_negative_definite(jac) else 2.0)
         worst, step = 0.0, 1e-5

@@ -1,5 +1,6 @@
-"""No module under src/ or tests/ imports a name it never reads, and no
-top-level definition in src/hexcurv goes unread."""
+"""No module under src/ or tests/ imports a name it never reads, no
+top-level definition in src/hexcurv goes unread, and no function there
+takes a parameter it never reads."""
 
 import ast
 import collections
@@ -80,3 +81,39 @@ def test_every_top_level_definition_is_read():
                for path in sorted((ROOT / top).rglob("*.py"))]
     found = [f"{path}:{line}: {name}" for path, line, name in unreferenced(defining, reading)]
     assert not found, "defined and never read:\n" + "\n".join(found)
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, name) of every parameter of a function or lambda in
+    source that its body never reads; self and cls excepted.  A read in a
+    nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p) for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_the_scan_finds_planted_unread_parameters():
+    source = ("class C:\n    def m(self, x, *rest, key=None):\n        return x\n\n\n"
+              "def outer(a, b, **kw):\n    def inner(c):\n        return a + c\n"
+              "    return inner\n\n\nsq = lambda v, w: v * v\n")
+    assert unread_parameters(source) == [
+        (2, "m", "key"), (2, "m", "rest"), (6, "outer", "b"), (6, "outer", "kw"),
+        (12, "<lambda>", "w")]
+
+
+def test_every_parameter_is_read():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}({param})"
+             for path in sorted((ROOT / "src" / "hexcurv").rglob("*.py"))
+             for line, name, param in unread_parameters(path.read_text(encoding="utf-8"))]
+    assert not found, "parameters never read:\n" + "\n".join(found)

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -117,6 +120,53 @@ def test_self_adjacent_face_two_corners():
     assert any("repeats" in w for w in tri.warnings)
     star = tri.vertex_star(0)
     assert len(star) == 2 and {c for _, c in star} == {0, 1}
+
+
+def test_serialize_writes_alphas_as_parse_reads_them():
+    # alphas given as a bool or a float, from a record that leaves the
+    # mesh's kept one in place
+    tri, spec = mesh.parse(PANTS_TEXT)
+    kept = tri.spec_memo
+    for alpha in ({0: True, 1: 1.0, 2: 0}, {0: -1.0, 1: 0.0, 2: False}):
+        other = StructureSpec("A1", alpha, {0: 2.0, 1: 2, 2: 0.5})
+        text = mesh.serialize(tri, other)
+        assert "alpha=True" not in text and "alpha=1.0" not in text
+        assert mesh.parse(text) == (tri, other)
+        assert tri.spec_memo is kept
+
+
+# sha256 of perfbench.inputs.mesh_text(family, n, random.Random(1)): every
+# benchmark problem is parsed from such a text, so a byte change in
+# serialize or in the generators changes what the benchmark measures
+_BENCH_TEXTS = {
+    ("A1", 40): "4f1134fdc4bc9d79b18d4cd1921bd83819e2c540cc801246c1b2968732cd4b8e",
+    ("A1", 400): "bb3f97495fa18dc923997be5ff59d2e86c504996c7ed448bf048b4271f629504",
+    ("A2", 40): "998a9c9fa52ab364f438e6da9e896f12ad6386e26af21c1ed8f5e5faabe5f840",
+    ("A2", 400): "6ab57ca5e9a3b918aac3010926c8d5910dee092cdca474a584a03205e248b4da",
+    ("A3", 40): "dce5d25d4371c84042be57912ac4fef8ef852ae342381bc2ee6439e36f949e0b",
+    ("A3", 400): "b399fcab5777856a7bf63721fedfecbba92bafd780cd125246634e5379a1b5db",
+    ("MixedI", 40): "ad66f2a07ce1454179fbd0ea3e872749811fce66b38369ab242c5f50319c3d7e",
+    ("MixedI", 400): "06833aca5dba1387a1eb263a50116d5657f91906ef17993fe45ca6d82fb01ea9",
+    ("MixedII", 40): "81993af5e00cd00342f7dfb4f6949f9fff952a5b74fd0e8352e1cedb3c1a452b",
+    ("MixedII", 400): "d18f231f103ea89c250d3d98bb1df8e874ab423e0539b45dec2cd7bc0b463c94",
+    ("MixedIII", 40): "b8b0b4aa0eea21afd9233735a441b0113b6903ba70709b552416a02a04b2d82c",
+    ("MixedIII", 400): "3c4d4f6d0d36d63e9efbc7fb2f3383f2b515f25eab71e41bdd6ce4c0a1f6711d",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("family, n", list(_BENCH_TEXTS))
+def test_benchmark_mesh_texts_are_pinned(bench_inputs, family, n):
+    text = bench_inputs.mesh_text(family, n, random.Random(1))
+    assert hashlib.sha256(text.encode()).hexdigest() == _BENCH_TEXTS[family, n]
 
 
 def test_empty_mesh_serializes_header_only():

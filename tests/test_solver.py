@@ -300,8 +300,8 @@ def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
     build, built = solver._jacobian, []
 
-    def zero_first_row_and_column(tri, arcs, du, layout):
-        lam = build(tri, arcs, du, layout)
+    def zero_first_row_and_column(arcs, du, layout):
+        lam = build(arcs, du, layout)
         rows, colptr = lam.indices, lam.indptr
         first = int(np.flatnonzero(layout.order == 0)[0])  # component 0 in factor order
         cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
@@ -526,7 +526,7 @@ def test_kept_matrix_serves_each_pattern_alone(monkeypatch):
     for k in range(3):
         for tri, points in sources:
             order = tri.jacobian_order
-            lam = curvature._jacobian(tri, *points[k], order)
+            lam = curvature._jacobian(*points[k], order)
             data, g = lam.data.copy(), gen.standard_normal(40)
             report = solver.SolveReport(False, 0, math.inf)
             step = solver._solve_step(solver._factor(lam, order), g, report, order)
