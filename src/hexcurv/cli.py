@@ -217,8 +217,8 @@ def cmd_solve(args):
         opts.initial = _read_records(args.initial, "f", tri.n_boundary)
     f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
     report = {name: getattr(rep, name) for name in (
-        "converged", "iterations", "residual", "boundary_hits", "existence_unproven",
-        "quad_constant")}
+        "converged", "iterations", "chord_steps", "residual", "boundary_hits",
+        "existence_unproven", "quad_constant")}
     report_lines = [f"{k} {_fmt(v) if isinstance(v, float) else int(v)}"
                     for k, v in report.items()]
     report_lines += [f"trajectory {n} {_fmt(r)}" for n, r in enumerate(rep.trajectory)]

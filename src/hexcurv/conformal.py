@@ -187,7 +187,7 @@ def component_values(x, n: int) -> np.ndarray:
         return out
     if len(x) == n:
         try:
-            return np.array([x[i] for i in range(n)], dtype=float)
+            return np.fromiter(map(x.__getitem__, range(n)), float, n)
         except KeyError:
             pass
     missing = next((i for i in range(n) if i not in x), None)

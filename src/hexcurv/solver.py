@@ -10,7 +10,17 @@ sparse array from curvature's one Jacobian helper, and factors it once
 only where it fails are the pivots read.  The step itself (_solve_step)
 solves with the factor and replays its verdict into the report.
 Backtracking damping keeps iterates inside the admissible polytope and
-the residual strictly decreasing.
+the residual strictly decreasing.  The Jacobian and its arcs are freed
+before the line search; the step's LU is kept through it.  Where the last
+step took the residual from r_prev to r with r * r <= tol_K * r_prev, its
+contraction predicts tol_K in one more step, and a chord step comes
+first: one full trial u - lam_prev^-1 (K - tgt) with that LU and no new
+Jacobian (the Newton-chord or Shamanskii method, Kelley, Iterative
+Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5).  It ends
+the solve where it is admissible and reaches tol_K; otherwise the Newton
+step follows at the same iterate, whose arcs are still alive, so the
+dropped trial costs one theta pass.  A chord step is thus only ever the
+last step, and the report counts it in chord_steps.
 
 What stays fixed is built once and kept.  Per mesh: the Jacobian's
 layout relabelled in its elimination order, with the diagonal positions
@@ -26,7 +36,7 @@ Jacobian and one factorization fewer, with the same bits.  A solve from a
 user initial point neither reads nor keeps it.  The record keeps that one
 LU for its life, which is the mesh's until it is used with another spec.
 Per iterate, one theta pass of the kernel gives the trial's residual and,
-once the trial is accepted and a step is needed, the Jacobian.
+once the trial is accepted and a Newton step is needed, the Jacobian.
 
 energy gives the difference of the mesh energy E, whose u-gradient is K,
 between two admissible points: a solution u* of K = tgt maximizes
@@ -88,6 +98,7 @@ class SolveReport:
     existence_unproven: bool = False
     quad_constant: float = float("nan")
     notes: list = field(default_factory=list)
+    chord_steps: int = 0
 
 
 def default_initial(spec: StructureSpec, tri) -> dict:
@@ -186,61 +197,77 @@ def solve_prescribed_curvature(
     res = float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
 
+    prev_res = 0.0  # the residual before the last step; 0 allows no chord trial
     for it in range(opts.max_iter + 1):
         report.iterations = it
         report.residual = res
         if res <= opts.tol_K:
             report.converged = True
-            report.quad_constant = _quad_constant(report.trajectory)
+            report.quad_constant = _quad_constant(report.trajectory[:it + 1 - report.chord_steps])
             return dict(enumerate(f.tolist())), report
         if it == opts.max_iter:
             break
-        # the Jacobian and the arcs behind it are freed before any trial, and
-        # so is its LU unless the record keeps it with the default start
-        order = tri.jacobian_order
-        if it == 0 and kept is not None:
-            factor = kept.factor
-        else:
-            factor = _factor(_jacobian(arcs, cov.derivative(f), order), order)
-            if it == 0 and opts.initial is None:
-                f.flags.writeable = K.flags.writeable = False
-                arrays.newton = NewtonStart(f, K, factor)
-        step = _solve_step(factor, K - tgt, report, order)
-        if step is None:
-            raise NotConverged(
-                f"jacobian exactly singular at residual {res}",
-                factors=dict(enumerate(f.tolist())), report=report,
-            )
-        arcs = factor = None
-        lam_scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            u_trial = u - lam_scale * step
-            lam_scale *= DAMPING
-            if not admissible(spec, tri, u_trial).ok:
-                report.boundary_hits += 1
-                continue
-            try:
-                f_trial = cov.to_f(u_trial)
-                K_trial, arcs = curvature_and_arcs(spec, tri, f_trial)
-            except HexcurvError:
-                report.boundary_hits += 1
-                continue
-            res_trial = float(np.max(np.abs(K_trial - tgt)))
-            if res_trial < res:
-                u, f, K, res = u_trial, f_trial, K_trial, res_trial
-                break
-            arcs = None  # no rejected trial's arrays stay alive
-        else:
-            report.residual = res
-            raise NotConverged(
-                f"damping budget exhausted at residual {res}",
-                factors=dict(enumerate(f.tolist())), report=report,
-            )
+        order, trial = tri.jacobian_order, None
+        if res * res <= opts.tol_K * prev_res:
+            # the last step's contraction predicts tol_K in one more step: a
+            # full chord trial with that step's factor ends the solve if it
+            # reaches tol_K, and is dropped otherwise
+            trial = _trial(spec, tri, cov, u - _solve_step(factor, K - tgt, report, order),
+                           tgt, report)
+            if trial is not None and trial[4] <= opts.tol_K:
+                report.chord_steps += 1
+            else:
+                trial = None
+        if trial is None:
+            # the Jacobian and the arcs behind it are freed before any trial;
+            # its LU is kept for a chord trial at the next iterate
+            if it == 0 and kept is not None:
+                factor = kept.factor
+            else:
+                factor = None  # the last step's LU is freed before the next is built
+                factor = _factor(_jacobian(arcs, cov.derivative(f), order), order)
+                if it == 0 and opts.initial is None:
+                    f.flags.writeable = K.flags.writeable = False
+                    arrays.newton = NewtonStart(f, K, factor)
+            step = _solve_step(factor, K - tgt, report, order)
+            if step is None:
+                raise NotConverged(
+                    f"jacobian exactly singular at residual {res}",
+                    factors=dict(enumerate(f.tolist())), report=report,
+                )
+            arcs, lam_scale = None, 1.0
+            for _ in range(MAX_HALVINGS):
+                trial = _trial(spec, tri, cov, u - lam_scale * step, tgt, report)
+                lam_scale *= DAMPING
+                if trial is not None and trial[4] < res:
+                    break
+                trial = None  # no rejected trial's arrays stay alive
+            else:
+                report.residual = res
+                raise NotConverged(
+                    f"damping budget exhausted at residual {res}",
+                    factors=dict(enumerate(f.tolist())), report=report,
+                )
+        prev_res, (u, f, K, arcs, res) = res, trial
         report.trajectory.append(res)
     raise NotConverged(
         f"no convergence in {opts.max_iter} iterations (residual {res})",
         factors=dict(enumerate(f.tolist())), report=report,
     )
+
+
+def _trial(spec, tri, cov, u, tgt, report: SolveReport):
+    """(u, f, K, arcs, residual) at the trial point u, or None where u is
+    not admissible or an edge or arc degenerates there (a boundary hit)."""
+    if admissible(spec, tri, u).ok:
+        try:
+            f = cov.to_f(u)
+            K, arcs = curvature_and_arcs(spec, tri, f)
+            return u, f, K, arcs, float(np.max(np.abs(K - tgt)))
+        except HexcurvError:
+            pass
+    report.boundary_hits += 1
+    return None
 
 
 def _quad_constant(traj) -> float:

@@ -220,6 +220,7 @@ def test_solve_roundtrip(pants_file, tmp_path, capsys):
         assert abs(float(line.split()[2])) < 1e-8
     report = rpath.read_text()
     assert "converged 1" in report
+    assert "chord_steps 0" in report.splitlines()  # the start is the solution
     assert "existence_unproven 0" in report
 
 
@@ -228,12 +229,15 @@ def test_solve_json_with_initial(pants_file, tmp_path, capsys):
     tpath = tmp_path / "target.txt"
     tpath.write_text(f"K 0 {k!r}\nK 1 {k!r}\nK 2 {k!r}\n")
     ipath = tmp_path / "init.txt"
-    ipath.write_text("f 0 0.05\nf 1 0.05\nf 2 0.05\n")
-    assert main(["solve", pants_file, "--target", str(tpath),
-                 "--initial", str(ipath), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["report"]["converged"] is True
-    assert abs(doc["f"]["0"]) < 1e-8
+    # from 0.02 the last step is a chord step, from 0.05 a Newton step
+    for start, chord_steps in (("0.05", 0), ("0.02", 1)):
+        ipath.write_text(f"f 0 {start}\nf 1 {start}\nf 2 {start}\n")
+        assert main(["solve", pants_file, "--target", str(tpath),
+                     "--initial", str(ipath), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["report"]["converged"] is True
+        assert (doc["report"]["iterations"], doc["report"]["chord_steps"]) == (4, chord_steps)
+        assert abs(doc["f"]["0"]) < 1e-8
 
 
 def test_missing_file_is_an_error(pants_file, tmp_path, capsys):

@@ -566,7 +566,7 @@ def test_factors_with_fill_solve_the_rigidity_roundtrip(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
     f, rep = solver.solve_prescribed_curvature(
         spec, tri, {i: K0[i] for i in range(tri.n_boundary)})
-    assert rep.converged and rep.iterations == len(factors) > 0
+    assert rep.converged and rep.iterations - rep.chord_steps == len(factors) > 0
     assert max(abs(f[i] - f0[i]) for i in f0) < 1e-8
     for lam, lu in factors:
         assert lu.L.nnz + lu.U.nnz > lam.nnz + tri.n_boundary
@@ -621,7 +621,7 @@ def test_indefinite_note_follows_the_jacobians(monkeypatch):
         "A3", sphere_triangulation(10, random.Random(0)), 0, monkeypatch)
     assert max(tops) < 0.0
     assert not any("indefinite" in note for note in rep.notes)
-    assert len(tops) == rep.iterations > 0 and not reads
+    assert len(tops) == rep.iterations - rep.chord_steps > 0 and not reads
 
 
 def _roundtrip_problems():
@@ -666,9 +666,11 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
                 _, rep = solver.solve_prescribed_curvature(spec_, tri, target)
             assert rep.converged
             # the repeat takes the curvature at the start and the first
-            # step's factor from the record
+            # step's factor from the record; a chord step builds no Jacobian
+            # and factors nothing
             assert counts["theta"] == counts["trials"] + 1 - repeat
-            assert counts["jacobian"] == counts["splu"] == rep.iterations - repeat
+            assert (counts["jacobian"] == counts["splu"]
+                    == rep.iterations - repeat - rep.chord_steps)
             rejected += counts["trials"] - rep.iterations
             sparse += counts["sparse"]
         assert sparse == 0  # every step factors a copy of the matrix kept with the order
@@ -676,6 +678,7 @@ def test_one_theta_pass_per_trial_point_and_one_jacobian_per_step(monkeypatch):
 
 
 def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
+    all_chords = 0
     for spec, tri, target in _roundtrip_problems():
         evaluate, factor, step = solver.curvature_and_arcs, solver._factor, solver._solve_step
         for repeat in range(2):  # the repeat steps first from the record's factor
@@ -706,21 +709,106 @@ def test_accepted_iterates_carry_the_exact_K_and_J(monkeypatch):
                 events.insert(0, ("eval", kept.f, kept.K))
                 factored.append((kept.factor, lam0))
             steps = [k for k, e in enumerate(events) if e[0] == "step"]
-            assert len(steps) == rep.iterations
-            assert len(factored) == rep.iterations
-            for k in steps:
+            assert len(steps) == rep.iterations  # no chord trial is rejected here
+            assert len(factored) == rep.iterations - rep.chord_steps
+            chords = 0
+            for n, k in enumerate(steps):
                 _, f, K = events[k - 1]  # the accepted trial, or the start
                 _, factor_, g = events[k]
-                lam = next(lam for out, lam in factored if out is factor_)
                 K_ref, J_ref = curvature.curvature_and_jacobian(spec, tri, f)
                 assert K.tobytes() == K_ref.tobytes()
                 assert g.tobytes() == (K_ref - target).tobytes()
+                if n and factor_ is events[steps[n - 1]][1]:
+                    chords += 1  # a chord step solves with the step before's factor
+                    continue
+                lam = next(lam for out, lam in factored if out is factor_)
                 # the factored matrix is J permuted into the mesh's elimination order
                 perm = tri.jacobian_order.order
                 assert lam.tobytes() == J_ref.toarray()[np.ix_(perm, perm)].tobytes()
+            assert chords == rep.chord_steps
+            all_chords += chords
             lam0 = next(lam for out, lam in factored if out is events[steps[0]][1])
             K_final = curvature.curvature_map(spec, tri, f_final)
             assert rep.residual == float(np.max(np.abs(K_final - target)))
+    assert all_chords > 0
+
+
+def test_a_rejected_chord_trial_falls_through_to_the_newton_step(monkeypatch):
+    # the contraction of the step to 3.1e-7 predicts tol_K in one more step,
+    # but the chord trial from that step's factor lands above tol_K
+    rng = random.Random(31)
+    tri = sphere_triangulation(10, rng)
+    spec = make_spec("A1", tri, rng)
+    target = curvature.curvature_map(spec, tri, sample_admissible_f(spec, tri, rng, 1, 0.9)[0])
+    tri.jacobian_order  # the mesh's own SuperLU call comes first
+    events = []
+    evaluate, factor, step = solver.curvature_and_arcs, solver._factor, solver._solve_step
+    counts = {"jacobian": 0, "splu": 0}
+    with monkeypatch.context() as m:
+        m.setattr(solver, "curvature_and_arcs", lambda spec_, tri_, f: events.append(
+            ("eval", np.array(f), evaluate(spec_, tri_, f))) or events[-1][2])
+        m.setattr(solver, "_factor", lambda lam, order: events.append(
+            ("factor", lam.toarray(), factor(lam, order))) or events[-1][2])
+        m.setattr(solver, "_solve_step", lambda factor_, g, report, order: events.append(
+            ("step", factor_, g.copy())) or step(factor_, g, report, order))
+        m.setattr(curvature, "face_eval", _counting(counts, "jacobian", curvature.face_eval))
+        m.setattr(scipy.sparse.linalg, "splu", _counting(counts, "splu", scipy.sparse.linalg.splu))
+        _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+    assert rep.converged and rep.chord_steps == 0
+    assert counts["jacobian"] == counts["splu"] == rep.iterations
+    # one step more than there are iterations: the chord trial, which
+    # solves with the factor of the step before
+    steps = [k for k, e in enumerate(events) if e[0] == "step"]
+    chords = [k for n, k in enumerate(steps) if n and events[k][1] is events[steps[n - 1]][1]]
+    assert len(steps) == rep.iterations + 1 and len(chords) == 1
+    # then one theta pass at its point, the Jacobian at the iterate it left
+    # and the Newton step there, whose first trial ends the solve
+    k = chords[0]
+    assert [e[0] for e in events[k - 1:]] == ["eval", "step", "eval", "factor", "step", "eval"]
+    (_, f, (K, _)), (_, _, g), (_, _, (K_chord, _)) = events[k - 1:k + 2]
+    (_, lam, newton), (_, newton_, g_) = events[k + 2:k + 4]
+    assert newton_ is newton and g_.tobytes() == g.tobytes()
+    residual = lambda K_: np.max(np.abs(K_ - target))
+    assert solver.SolveOptions().tol_K < residual(K_chord) < residual(K)
+    perm = tri.jacobian_order.order
+    J = curvature.curvature_and_jacobian(spec, tri, f)[1].toarray()
+    assert lam.tobytes() == J[np.ix_(perm, perm)].tobytes()
+
+
+def test_quad_constant_reads_the_newton_steps_only():
+    traj = [1.0, 0.5, 0.25, 0.125, 0.0625]  # ratios r[n+1] / r[n]^2: 0.5, 1, 2, 4
+    assert (solver._quad_constant(traj), solver._quad_constant(traj[:-1])) == (4.0, 2.0)
+    # a chord step ends the trajectory; its ratio is left out
+    chorded = 0
+    for spec, tri, target in _roundtrip_problems():
+        _, rep = solver.solve_prescribed_curvature(spec, tri, target)
+        newton = rep.trajectory[:len(rep.trajectory) - rep.chord_steps]
+        assert rep.quad_constant == solver._quad_constant(newton)
+        chorded += rep.quad_constant != solver._quad_constant(rep.trajectory)
+    assert chorded > 0
+
+
+def test_a_repeat_solve_counts_its_first_step_as_newton(monkeypatch):
+    # the first step of a solve from the default start is a Newton step,
+    # whether it factors the Jacobian there or reads the record's factor
+    rng = random.Random(7)
+    tri = sphere_triangulation(40, rng)
+    spec = make_spec("A3", tri, rng)
+    arrays = spec_arrays(spec, tri)
+    K0 = curvature.curvature_map(spec, tri, arrays.cov.to_f(arrays.start))
+    solver.solve_prescribed_curvature(spec, tri, 1.01 * K0)  # keeps the Newton state
+    for scale in (1.0 + 1e-4, 1.0 - 1e-4):
+        # a freshly parsed copy of the mesh keeps nothing and factors at the start
+        cold_tri, cold_spec = mesh.parse(mesh.serialize(tri, spec))
+        cold = _outcome(cold_spec, cold_tri, scale * K0)
+        splu = []
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse.linalg, "splu", lambda *args, **kw: splu.append(1))
+            f, rep = solver.solve_prescribed_curvature(spec, tri, scale * K0)
+        assert not splu and pickle.dumps((f, rep)) == cold
+        # the first step from the kept factor, the second a chord step
+        assert (rep.iterations, rep.chord_steps) == (2, 1)
+        assert rep.quad_constant == rep.trajectory[1] / rep.trajectory[0] ** 2
 
 
 def test_default_start_is_kept_per_spec_and_mesh(monkeypatch):
