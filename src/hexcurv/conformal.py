@@ -62,12 +62,18 @@ class StructureSpec:
         object.__setattr__(self, "special", frozenset(self.special))
         if self.family not in FAMILIES:
             raise FamilyConstraint(f"unknown family {self.family!r}")
-        for i, a in self.alpha.items():
-            if a not in (-1, 0, 1):
-                raise FamilyConstraint(f"alpha[{i}]={a} outside {{-1,0,1}}")
-        for e, w in self.eta.items():
-            if not math.isfinite(w):
-                raise FamilyConstraint(f"eta[{e}]={w} is not finite")
+        try:  # one test of all alphas; the loop only names the first bad one
+            alphas_ok = set(self.alpha.values()) <= {-1, 0, 1}
+        except TypeError:  # an unhashable alpha
+            alphas_ok = False
+        if not alphas_ok:
+            for i, a in self.alpha.items():
+                if a not in (-1, 0, 1):
+                    raise FamilyConstraint(f"alpha[{i}]={a} outside {{-1,0,1}}")
+        if not all(map(math.isfinite, self.eta.values())):
+            for e, w in self.eta.items():
+                if not math.isfinite(w):
+                    raise FamilyConstraint(f"eta[{e}]={w} is not finite")
 
     def __reduce__(self):  # a read-only mapping does not pickle
         return StructureSpec, (self.family, dict(self.alpha), dict(self.eta), self.special)
@@ -337,8 +343,8 @@ class SpecArrays:
         alpha, else the first edge without an eta, else a special off the mesh."""
         spec, n, (ids, a, b) = self.spec, self.n, self.edge_arrays
         try:
-            alpha = np.array([spec.alpha[v] for v in range(n)], dtype=np.intp)
-            eta = np.array([spec.eta[e] for e in ids.tolist()], dtype=float)
+            alpha = np.fromiter(map(spec.alpha.__getitem__, range(n)), np.intp, n)
+            eta = np.fromiter(map(spec.eta.__getitem__, ids.tolist()), float, len(ids))
         except KeyError:
             v = next((v for v in range(n) if v not in spec.alpha), None)
             e = next((e for e in ids.tolist() if e not in spec.eta), None)

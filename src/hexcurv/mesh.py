@@ -139,7 +139,8 @@ class Triangulation:
             if again.size:
                 raise DanglingReference(f"{name} id {x[again.min()]} is repeated")
         pos = np.append(order, len(ids))[np.searchsorted(ids[order], face_edges)]
-        ids_x, a_x, b_x = np.pad(np.stack((ids, a, b)), ((0, 0), (0, 1)))
+        ids_x, a_x, b_x = padded = np.zeros((3, len(ids) + 1), dtype=np.intp)
+        padded[:, :-1] = ids, a, b
         known = (ids_x[pos] == face_edges) & (pos < len(ids))
         ea, eb, nxt = a_x[pos], b_x[pos], vert[:, _NEXT]
         joins = (ea == vert) & (eb == nxt) | (ea == nxt) & (eb == vert)
@@ -221,66 +222,40 @@ class Triangulation:
 def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     """Parse mesh text into validated objects.
 
-    The v, e and f records are grouped by kind, and each group is read with
-    one numpy conversion per column type, or line by line where it does not
-    read that way.  Raises MeshFormatError carrying (line, message)
-    diagnostics for syntax trouble, and DanglingReference / FamilyConstraint
-    for structural trouble.
+    The v, e and f records are read as blocks, in the layout serialize
+    writes.  A kind's block is the slice of the text from its first line
+    that starts with the kind and a space to the end of the last such line
+    before the first line of another kind; numpy checks the slice's layout
+    and converts its integer and key columns with one np.fromstring each,
+    without splitting it into lines or tokens (_read_block).  Everything
+    else is read line by line, the one source of diagnostics: the lines
+    outside the blocks, every line of a kind whose slice does not read as
+    a block, and the whole text where a record of a block's kind lies
+    outside the block.  Raises MeshFormatError carrying (line, message)
+    diagnostics for syntax trouble, and DanglingReference /
+    FamilyConstraint for structural trouble.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    blocks, rest = {"v": [], "e": [], "f": []}, []
-    for ln, line in enumerate(lines, start=1):
-        head = line.split(None, 1)
-        if head and head[0] in blocks:
-            blocks[head[0]].append(line)
-        elif head:
-            rest.append(ln)
+    blocks, starts = {}, {}
+    for kind in _WIDTH if text.isascii() else ():  # numpy reads ASCII as int() and float() do
+        at = 0 if text.startswith(f"{kind} ") else text.find(f"\n{kind} ") + 1
+        if text.startswith(f"{kind} ", at):
+            starts[kind] = at
+    bounds = sorted(starts.values()) + [len(text)]
+    for kind, at in starts.items():  # each block ends before the next begins
+        if got := _read_block(text, kind, at, bounds[bounds.index(at) + 1]):
+            blocks[kind] = got
+    if "v" in blocks:
+        ids = np.sort(blocks["v"].ints, axis=None)
+        if (ids[1:] == ids[:-1]).any():
+            del blocks["v"]  # a repeated vertex record is diagnosed line by line
+    read = _read_lines(text, blocks)
+    if read is None:  # a v, e or f record outside its kind's block
+        blocks = {}
+        read = _read_lines(text, blocks)
+    family, special, open_edges, columns = read
+    columns.update((kind, (got.ints, got.values)) for kind, got in blocks.items())
 
-    fast = {kind: _read_block(kind, block) for kind, block in blocks.items()}
-    slow = {kind: [] for kind, got in fast.items()
-            if got is None or kind == "v" and len(np.unique(got[0])) < len(blocks[kind])}
-    # the other records, and every record of a kind that does not read fast
-    diags, family, seen = [], None, {}
-    for ln in range(1, len(lines) + 1) if slow else rest:
-        parts = lines[ln - 1].split()
-        kind = parts[0] if parts else None
-        if kind is None or kind in blocks and kind not in slow:
-            continue
-        if kind not in _INTS:
-            diags.append((ln, f"unknown record {kind!r}"))
-            continue
-        try:
-            fields = _read_line(parts)
-            if kind == "format" and fields[0] != FORMAT_VERSION:
-                diags.append((ln, f"unsupported format version {parts[1]}"))
-            elif kind == "format" and len(parts) != 2:
-                raise ValueError(f"expected 2 tokens, got {len(parts)}")
-            elif kind == "structure":
-                family = fields["family"]
-                special = frozenset(map(int, fields["special"].split(","))) \
-                    if fields.get("special") else frozenset()
-                open_edges = "open-edges" in fields
-                extra = set(fields) - {"family", "special", "open-edges"}
-                if extra or len(fields) < len(parts) - 1:
-                    raise ValueError(f"unknown key {min(extra)!r}" if extra else "repeated key")
-            once = fields[0] if kind == "v" else kind  # one structure record, one per vertex
-            if kind in ("v", "structure") and seen.setdefault(once, ln) != ln:
-                raise ValueError(f"repeats line {seen[once]}")
-            slow.get(kind, []).append(fields)
-        except (ValueError, KeyError, IndexError) as exc:
-            diags.append((ln, f"bad {kind} record: {exc}"))
-    if family is None:
-        diags.append((0, "missing structure record"))
-    if diags:
-        raise MeshFormatError(diags)
-    for kind, rows in slow.items():
-        n = _INTS[kind]
-        fast[kind] = (np.array([r[:n] for r in rows], dtype=np.intp).reshape(-1, n),
-                      np.array([r[n:] for r in rows]).ravel())
-
-    (vid, alpha), (edges, eta), (faces, _) = fast.values()
+    (vid, alpha), (edges, eta), (faces, _) = (columns[kind] for kind in _WIDTH)
     n = len(vid)
     if n and (vid.min() != 0 or vid.max() != n - 1):  # the ids are distinct
         raise DanglingReference("vertex ids must be 0..N-1 without gaps")
@@ -302,6 +277,65 @@ _INTS = {"format": 1, "v": 1, "e": 3, "f": 7, "structure": 0}
 _KEY = {"v": ("alpha", int), "e": ("eta", float)}
 _WIDTH = {"v": 3, "e": 5, "f": 8}
 _INT = np.iinfo(np.intp)
+# Per kind read as a block, the separators of its line in the layout
+# serialize writes: a space before each integer and before the key, the
+# key's '=', and the newline.
+_SEPARATORS = {kind: np.frombuffer(b" " * _INTS[kind] + b" =" * (kind in _KEY) + b"\n", np.uint8)
+               for kind in _WIDTH}
+
+_Block = namedtuple("_Block", "start stop ints values")
+
+
+def _read_lines(text: str, blocks: dict) -> tuple | None:
+    """(family, special, open_edges, {kind: (M x k integers, M values)})
+    of the text outside the blocks, read line by line, the kinds without a
+    block among the v, e and f; None where a record of a kind in blocks
+    lies outside its block.  Raises MeshFormatError with the diagnostics
+    of every bad line, in line order."""
+    rows = {kind: [] for kind in _WIDTH if kind not in blocks}
+    diags, family, seen, ln, at = [], None, {}, 0, 0
+    cuts = sorted((got.start, got.stop, len(got.ints)) for got in blocks.values())
+    for start, stop, m in cuts + [(len(text), len(text), 0)]:
+        for line in text[at:start].splitlines():
+            ln += 1
+            parts = line.split("#", 1)[0].split()
+            kind = parts[0] if parts else None
+            if kind in blocks:
+                return None
+            if kind is None:
+                continue
+            if kind not in _INTS:
+                diags.append((ln, f"unknown record {kind!r}"))
+                continue
+            try:
+                fields = _read_line(parts)
+                if kind == "format" and fields[0] != FORMAT_VERSION:
+                    diags.append((ln, f"unsupported format version {parts[1]}"))
+                elif kind == "format" and len(parts) != 2:
+                    raise ValueError(f"expected 2 tokens, got {len(parts)}")
+                elif kind == "structure":
+                    family = fields["family"]
+                    special = frozenset(map(int, fields["special"].split(","))) \
+                        if fields.get("special") else frozenset()
+                    open_edges = "open-edges" in fields
+                    extra = set(fields) - {"family", "special", "open-edges"}
+                    if extra or len(fields) < len(parts) - 1:
+                        raise ValueError(f"unknown key {min(extra)!r}" if extra else "repeated key")
+                once = fields[0] if kind == "v" else kind  # one structure record, one per vertex
+                if kind in ("v", "structure") and seen.setdefault(once, ln) != ln:
+                    raise ValueError(f"repeats line {seen[once]}")
+                rows.get(kind, []).append(fields)
+            except (ValueError, KeyError, IndexError) as exc:
+                diags.append((ln, f"bad {kind} record: {exc}"))
+        ln, at = ln + m, stop
+    if family is None:
+        diags.append((0, "missing structure record"))
+    if diags:
+        raise MeshFormatError(diags)
+    columns = {kind: (np.array([r[:_INTS[kind]] for r in got], dtype=np.intp).reshape(
+        -1, _INTS[kind]), np.array([r[_INTS[kind]:] for r in got]).ravel())
+        for kind, got in rows.items()}
+    return family, special, open_edges, columns
 
 
 def _read_line(parts) -> list:
@@ -337,56 +371,94 @@ def _read_line(parts) -> list:
     return nums
 
 
-def _read_block(kind: str, block) -> tuple | None:
-    """(M x k integers, M values of the key) of the M records of one kind,
-    read with one numpy conversion per column type; None where a line does
-    not have the record's exact layout or a number does not read as int()
-    or float() reads it."""
-    m, width, n = len(block), _WIDTH[kind], _INTS[kind]
-    tokens = " ".join(block).split()
-    # every kind token starts a line, and those lie width tokens apart
-    if len(tokens) != width * m or tokens.count(kind) != m or tokens[::width].count(kind) != m:
+def _read_block(text: str, kind: str, start: int, bound: int) -> _Block | None:
+    """The records of one kind as one _Block: text[start:stop], from the
+    line at start, which starts with the kind and a space, to the end of
+    the last such line before bound, its M x k integers and its M values
+    of the key.  None where a line of the slice is not the kind, then the
+    integers, then key=value where the kind has a key, one space between
+    tokens and a newline at its end, or a number does not read as int() or
+    float() reads it in an ASCII text.
+
+    Numpy finds the separators of the slice, spaces, '=' and newlines, and
+    checks that each line has them where that layout puts them; the kind
+    letter and the key are checked at their places.  A copy with the kind
+    letters and keys blanked is read as the integers, an int value with
+    them; float values are gathered into a text of their own and left out
+    of the copy.  No token holds whitespace, and an empty token reads as no
+    number and a bare sign joins the next, so as many numbers read as the
+    layout has tokens shows that each token read as one number."""
+    stop = text.find("\n", max(start, text.rfind(f"\n{kind} ", start, bound) + 1)) + 1
+    block = text[start:stop]
+    if not stop or any(c in block for c in "\0\t\v\f\r("):
+        return None  # whitespace numpy skips inside a token, or a nan(...) payload
+    n, (key, cast), layout = _INTS[kind], _KEY.get(kind, ("", None)), _SEPARATORS[kind]
+    chars = np.frombuffer(block.encode(), np.uint8)
+    cuts = np.flatnonzero((chars == 32) | (chars == 61) | (chars == 10))
+    if len(cuts) % len(layout):
         return None
-    del tokens[::width]
-    columns = []
-    if kind in _KEY:
-        key, cast = _KEY[kind]
-        column = " " + " ".join(tokens[n::n + 1])
-        del tokens[n::n + 1]
-        if column.count(f" {key}=") != m or "(" in column:  # no nan(...) payload
+    cuts = cuts.reshape(-1, len(layout))
+    m, letter = len(cuts), cuts[:, 0] - 1  # each line's first character
+    if not (letter[0] == 0 and (letter[1:] == cuts[:-1, -1] + 1).all()
+            and (chars[cuts] == layout).all() and (chars[letter] == ord(kind)).all()):
+        return None
+    numbers = chars.copy()
+    numbers[letter] = 32
+    values = np.zeros(0)
+    if key:
+        at = cuts[:, n, None] + np.arange(1, len(key) + 1)
+        if not ((cuts[:, -2] == at[:, -1] + 1).all()
+                and (chars[at] == np.frombuffer(key.encode(), np.uint8)).all()):
             return None
-        columns.append((column.replace(f" {key}=", " "), np.intp if cast is int else float, m))
-    columns.insert(0, (" ".join(tokens), np.intp, n * m))
-    out = []
-    for text, dtype, count in columns:
-        try:  # a sentinel 0 ends the text, so that a bare sign never reads as 0
-            values = np.fromstring(text + " 0", dtype=dtype, sep=" ")
-        except ValueError:
-            return None
-        if len(values) != count + 1 or dtype is np.intp and (
-                (values <= _INT.min) | (values >= _INT.max)).any():
-            return None
-        out.append(values[:-1])
-    return out[0].reshape(m, n), out[-1]
+        numbers[at] = numbers[cuts[:, -2]] = 32  # the key and its '='
+    if cast is float:  # the value tokens, each from its '=' to its newline
+        ends = cuts[:, -2:].ravel() + 1
+        runs, value = ends.copy(), np.zeros((m, 2), dtype=bool)
+        runs[1:] -= ends[:-1]
+        value[:, 1] = True
+        value = np.repeat(value.ravel(), runs)
+        values, numbers = _read_numbers(chars[value], float, m), numbers[~value]
+    width = n + (cast is int)
+    ints = _read_numbers(numbers, np.intp, width * m)
+    if ints is None or values is None:
+        return None
+    ints = ints.reshape(m, width)
+    return _Block(start, stop, ints[:, :n], ints[:, n] if cast is int else values)
+
+
+def _read_numbers(chars, dtype, count) -> np.ndarray | None:
+    """The count numbers of the text chars holds, read with one
+    np.fromstring; None where it does not read as count numbers of dtype,
+    or an integer lies outside the open range of np.intp."""
+    try:  # a sentinel 0 ends the text, so that a bare sign never reads as 0
+        values = np.fromstring(chars.tobytes() + b" 0", dtype=dtype, sep=" ")
+    except ValueError:
+        return None
+    if len(values) != count + 1 or dtype is np.intp and (
+            (values <= _INT.min) | (values >= _INT.max)).any():
+        return None
+    return values[:-1]
 
 
 def serialize(tri: Triangulation, spec: StructureSpec) -> str:
     """Canonical text form; parse(serialize(x)) == x.  The weights and
     specials come from a new SpecArrays record, raising as its edges do."""
     e, pos = SpecArrays(spec, tri).edges, tri.face_arrays[1]
+    edges = np.argsort(e.ids, kind="stable")
     faces = np.column_stack((tri.face_ids, tri.face_arrays[0], tri.edge_arrays[0][pos]))
-    out = [f"format {FORMAT_VERSION}"]
-    out += [f"v {i} alpha={a}" for i, a in enumerate(e.alpha.tolist())]
-    out += [f"e {k} {a} {b} eta={w:.17g}"
-            for k, a, b, w in sorted(zip(*(x.tolist() for x in (e.ids, e.a, e.b, e.eta))))]
-    out += ["f " + " ".join(map(str, row)) for row in sorted(faces.tolist())]
+    faces = faces[np.argsort(tri.face_ids, kind="stable")]
+    out = [f"format {FORMAT_VERSION}\n"]
+    out += map("v {} alpha={}\n".format, range(len(e.alpha)), e.alpha.tolist())
+    out += map("e {} {} {} eta={:.17g}\n".format,
+               *(x[edges].tolist() for x in (e.ids, e.a, e.b, e.eta)))
+    out += map("f {} {} {} {} {} {} {}\n".format, *faces.T.tolist())
     line = f"structure family={spec.family}"
     if e.special.any():
         line += " special=" + ",".join(map(str, np.flatnonzero(e.special).tolist()))
     if tri.open_edges:
         line += " open-edges"
     out.append(line)
-    return "\n".join(out) + "\n"
+    return "".join(out) + "\n"
 
 
 # -- stock meshes ------------------------------------------------------------

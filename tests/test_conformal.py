@@ -584,6 +584,17 @@ def test_structure_spec_is_a_value():
         assert twin == spec and isinstance(twin.eta, type(spec.eta))
 
 
+@pytest.mark.parametrize("alpha, eta, message", [
+    ({0: 0, 1: 2, 2: -2}, {}, "alpha[1]=2 outside {-1,0,1}"),
+    ({0: 1.0, 1: True, 2: 0.5}, {}, "alpha[2]=0.5 outside {-1,0,1}"),
+    ({0: 0, 1: [1], 2: 2}, {}, "alpha[1]=[1] outside {-1,0,1}"),  # unhashable
+    ({0: 0}, {3: 1.0, 4: math.inf, 5: math.nan}, "eta[4]=inf is not finite"),
+])
+def test_structure_spec_names_its_first_bad_weight(alpha, eta, message):
+    with pytest.raises(FamilyConstraint, match=f"^{re.escape(message)}$"):
+        cf.StructureSpec("A1", alpha, eta)
+
+
 # every entry that reads a spec against the pair of pants
 _ENTRIES = {
     "spec_arrays": cf.spec_arrays,

@@ -232,6 +232,12 @@ def test_face_edge_mismatch_rejected():
     ("format 1", "format x",
      [(1, "bad format record: invalid literal for int() with base 10: 'x'")]),
     ("v 0 alpha=0", "w 0 alpha=0", [(2, "unknown record 'w'")]),
+    # inside the lines of a kind that would otherwise read as one block
+    ("v 1 alpha=0", "w 1 alpha=0", [(3, "unknown record 'w'")]),
+    ("v 2 alpha=0", "v 2 a=0", [(4, "bad v record: 'alpha'")]),
+    ("v 1 alpha=0", "v 1 gamma=0", [(3, "bad v record: 'alpha'")]),
+    ("v 1 alpha=0", "v- 1 alpha=0", [(3, "unknown record 'v-'")]),
+    ("e 1 1 2 eta=3", "e 1 1 2 eta=", [(6, "bad e record: could not convert string to float: ''")]),
 ])
 def test_malformed_record_diagnostics(old, new, diagnostics):
     with pytest.raises(MeshFormatError) as err:
@@ -371,6 +377,7 @@ def test_numbers_read_as_int_and_float_read_them():
     tri, spec = mesh.parse(text)
     assert spec.eta[1] == 30.0 and tri == mesh.parse(PANTS_TEXT)[0]
     for old, new in (("f 1 0 1 2 0 1 2", f"f {2**63} 0 1 2 0 1 2"),
+                     ("f 1 0 1 2 0 1 2", f"f {-2**63} 0 1 2 0 1 2"),
                      ("f 1 0 1 2 0 1 2", "f 1 0 1 2 0 1 +"),
                      ("e 1 1 2 eta=3", "e 1 1 2 eta=nan(7)")):
         with pytest.raises(MeshFormatError):
@@ -420,7 +427,8 @@ def _mutate(text, draw):
     lines = text.splitlines()
     k = draw(st.integers(0, len(lines) - 1))
     tokens = lines[k].split()
-    op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "repeat line"]))
+    op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "repeat line"][
+        0 if tokens else 3:]))  # a blank line has no token to move
     if op == "repeat line":
         lines.insert(draw(st.integers(0, len(lines))), lines[k])
     elif op == "truncate":
@@ -437,14 +445,51 @@ def _mutate(text, draw):
     return "\n".join(lines) + "\n"
 
 
+def _outcome(text):
+    """parse's result, or the class and diagnostics of the error it raises."""
+    try:
+        return mesh.parse(text)
+    except HexcurvError as exc:
+        return type(exc), getattr(exc, "diagnostics", str(exc))
+
+
+def _records(text):
+    """The kinds of the lines of text that _read_line reads, in order."""
+    return [p[0] for p in (line.split("#", 1)[0].split() for line in text.splitlines())
+            if p and p[0] in mesh._INTS]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.one_of(_meshes.map(lambda pair: mesh.serialize(*pair)), st.just(PANTS_TEXT)),
        st.data())
 def test_line_mutations_raise_only_domain_errors(text, data):
+    """A mutated text parses as the copy with every line indented by one
+    space, which no block reads, or both raise the same class with the same
+    diagnostics."""
     mutated = text
     for _ in range(data.draw(st.integers(1, 3))):
         mutated = _mutate(mutated, data.draw)
-    try:
-        mesh.parse(mutated)
-    except HexcurvError:
-        pass
+    indented = "".join(" " + line for line in mutated.splitlines(keepends=True))
+    with pytest.MonkeyPatch.context() as patch:
+        kinds, read_line = [], mesh._read_line
+        patch.setattr(mesh, "_read_line", lambda parts: kinds.append(parts[0]) or read_line(parts))
+        expected = _outcome(indented)
+        assert kinds == _records(indented)  # every record went through the line reader
+    assert _outcome(mutated) == expected
+
+
+@pytest.mark.parametrize("family, n", [(family, 40) for family in _FAMILIES] + [("A1", 3000)])
+def test_serialized_meshes_read_as_blocks(monkeypatch, family, n):
+    """The v, e and f records of a serialized mesh are read as blocks, also
+    with comments and blank lines between them: only the format and
+    structure records go through the line reader."""
+    tri, spec = _sphere_mesh(family, n, 3)
+    text = mesh.serialize(tri, spec)
+    kinds, read_line = [], mesh._read_line
+    monkeypatch.setattr(mesh, "_read_line", lambda parts: kinds.append(parts[0]) or read_line(parts))
+    assert mesh.parse(text) == (tri, spec)
+    assert kinds == ["format", "structure"]
+    kinds.clear()
+    spaced = "# header\n" + text.replace("\ne ", "\n\n# edges\ne ", 1).replace("\nf ", "\n  \nf ", 1)
+    assert mesh.parse(spaced) == (tri, spec)
+    assert kinds == ["format", "structure"]
