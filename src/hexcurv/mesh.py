@@ -222,17 +222,14 @@ class Triangulation:
 def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     """Parse mesh text into validated objects.
 
-    The v, e and f records are read as blocks, in the layout serialize
-    writes.  A kind's block is the slice of the text from its first line
-    that starts with the kind and a space to the end of the last such line
-    before the first line of another kind; numpy checks the slice's layout
-    and converts its integer and key columns with one np.fromstring each,
-    without splitting it into lines or tokens (_read_block).  Everything
-    else is read line by line, the one source of diagnostics: the lines
-    outside the blocks, every line of a kind whose slice does not read as
-    a block, and the whole text where a record of a block's kind lies
-    outside the block.  Raises MeshFormatError carrying (line, message)
-    diagnostics for syntax trouble, and DanglingReference /
+    The v, e and f records are read as blocks: a kind's lines, from its
+    first line that starts with the kind and a space to its last before
+    another kind's first, as one slice of the text, never split into lines
+    or tokens (_read_block).  The line reader, the one source of
+    diagnostics, reads the rest, each kind whose slice is not in the layout
+    serialize writes, and the whole text where a v, e or f record lies
+    outside its kind's block.  Raises MeshFormatError carrying (line,
+    message) diagnostics for syntax trouble, and DanglingReference /
     FamilyConstraint for structural trouble.
     """
     blocks, starts = {}, {}
@@ -294,8 +291,8 @@ def _read_lines(text: str, blocks: dict) -> tuple | None:
     of every bad line, in line order."""
     rows = {kind: [] for kind in _WIDTH if kind not in blocks}
     diags, family, seen, ln, at = [], None, {}, 0, 0
-    cuts = sorted((got.start, got.stop, len(got.ints)) for got in blocks.values())
-    for start, stop, m in cuts + [(len(text), len(text), 0)]:
+    spans = sorted((got.start, got.stop, len(got.ints)) for got in blocks.values())
+    for start, stop, m in spans + [(len(text), len(text), 0)]:
         for line in text[at:start].splitlines():
             ln += 1
             parts = line.split("#", 1)[0].split()
@@ -373,24 +370,21 @@ def _read_line(parts) -> list:
 
 def _read_block(text: str, kind: str, start: int, bound: int) -> _Block | None:
     """The records of one kind as one _Block: text[start:stop], from the
-    line at start, which starts with the kind and a space, to the end of
-    the last such line before bound, its M x k integers and its M values
-    of the key.  None where a line of the slice is not the kind, then the
-    integers, then key=value where the kind has a key, one space between
-    tokens and a newline at its end, or a number does not read as int() or
-    float() reads it in an ASCII text.
+    line at start to the end of the last line before bound that starts with
+    the kind and a space, its M x k integers and its M values of the key.
+    None where a line of the slice does not have the layout serialize
+    writes, or a number does not read as int() or float() reads it.
 
-    Numpy finds the separators of the slice, spaces, '=' and newlines, and
-    checks that each line has them where that layout puts them; the kind
-    letter and the key are checked at their places.  A copy with the kind
-    letters and keys blanked is read as the integers, an int value with
-    them; float values are gathered into a text of their own and left out
-    of the copy.  No token holds whitespace, and an empty token reads as no
-    number and a bare sign joins the next, so as many numbers read as the
-    layout has tokens shows that each token read as one number."""
+    Numpy finds the slice's separators (spaces, '=', newlines) and checks
+    them, the kind letters and the keys at their places.  The integers, an
+    int value with them, are read from a copy with the letters and keys
+    blanked, float values from a text of their own.  No token holds
+    whitespace, an empty token reads as no number and a bare sign joins the
+    next, so a count of numbers equal to the count of tokens shows that
+    each token read as one number."""
     stop = text.find("\n", max(start, text.rfind(f"\n{kind} ", start, bound) + 1)) + 1
     block = text[start:stop]
-    if not stop or any(c in block for c in "\0\t\v\f\r("):
+    if not stop or any(c in block for c in "\t\v\f\r("):
         return None  # whitespace numpy skips inside a token, or a nan(...) payload
     n, (key, cast), layout = _INTS[kind], _KEY.get(kind, ("", None)), _SEPARATORS[kind]
     chars = np.frombuffer(block.encode(), np.uint8)

@@ -341,6 +341,9 @@ def test_second_structure_record_is_a_format_error():
     ("f 0 0 1 2 0 1 2", "f 0 0 1 2 0 1 2 7", "bad f record: expected 8 tokens, got 9"),
     ("format 1", "format 1 2", "bad format record: expected 2 tokens, got 3"),
     ("structure family=A1", "structure family=A1 family=A3", "bad structure record: repeated key"),
+    # two records' tokens on one line, which the block reader must not split
+    ("f 0 0 1 2 0 1 2\nf 1 0 1 2 0 1 2", "f 0 0 1 2 0 1 2 f 1 0 1 2 0 1 2",
+     "bad f record: expected 8 tokens, got 16"),
     ("structure family=A1", "structure family=A1 colour=red",
      "bad structure record: unknown key 'colour'"),
 ])
@@ -379,6 +382,7 @@ def test_numbers_read_as_int_and_float_read_them():
     for old, new in (("f 1 0 1 2 0 1 2", f"f {2**63} 0 1 2 0 1 2"),
                      ("f 1 0 1 2 0 1 2", f"f {-2**63} 0 1 2 0 1 2"),
                      ("f 1 0 1 2 0 1 2", "f 1 0 1 2 0 1 +"),
+                     *(("f 1 0 1 2 0 1 2", f"f 1 0 1 2 0 1 +{space}2") for space in "\t\v\f\r"),
                      ("e 1 1 2 eta=3", "e 1 1 2 eta=nan(7)")):
         with pytest.raises(MeshFormatError):
             mesh.parse(PANTS_TEXT.replace(old, new))
