@@ -431,12 +431,15 @@ def _mutate(text, draw):
     lines = text.splitlines()
     k = draw(st.integers(0, len(lines) - 1))
     tokens = lines[k].split()
-    op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "repeat line"][
+    op = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "repeat line", "insert"][
         0 if tokens else 3:]))  # a blank line has no token to move
     if op == "repeat line":
         lines.insert(draw(st.integers(0, len(lines))), lines[k])
     elif op == "truncate":
         lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+    elif op == "insert":  # a separator, sign or other character a block must not misread
+        at = draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + draw(st.sampled_from(" \t\r=+-.#(")) + lines[k][at:]
     else:
         i, j = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
         if op == "drop":
