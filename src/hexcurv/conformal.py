@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -40,6 +41,96 @@ FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B1, EDGE_B2, EDGE_B3 = range(6)
 
 
+class Weights(Mapping):
+    """A read-only mapping of distinct integer keys to numbers, held as two
+    read-only arrays: ids, the keys in ascending order, and data, their
+    values.  The constructor copies both and sorts them by key where they
+    are not in order; it raises ValueError for a repeated key.  Items read
+    as Python ints and floats, from a dict built on the first item access
+    or iteration; an equality test of two Weights compares the arrays."""
+
+    def __init__(self, ids, data):
+        ids, data = np.array(ids, dtype=np.intp), np.array(data)
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids, data = ids[order], data[order]
+            if (ids[1:] == ids[:-1]).any():
+                raise ValueError("a key is repeated")
+        ids.flags.writeable = data.flags.writeable = False
+        self.ids, self.data = ids, data
+
+    @cached_property
+    def _items(self) -> dict:
+        return dict(zip(self.ids.tolist(), self.data.tolist()))
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if isinstance(other, Weights):
+            return np.array_equal(self.ids, other.ids) and np.array_equal(self.data, other.data)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Weights({self._items!r})"
+
+    def __reduce__(self):
+        return Weights, (self.ids, self.data)
+
+
+def _weights(name: str, m) -> Weights:
+    """The weights m of a spec as Weights: alpha (name "alpha"), each value
+    in {-1, 0, 1}, as np.intp; else eta, finite reals, as floats.  m is a
+    Weights, kept as it is where its values have that type, or anything
+    dict() takes, whose keys must be integers.  All values are checked in
+    one array pass; m's items are walked only to name the first bad one."""
+    if not isinstance(m, Weights):
+        m = m if isinstance(m, Mapping) else dict(m)
+        try:
+            ids = np.fromiter(map(operator.index, m), np.intp, len(m))
+        except (TypeError, OverflowError):
+            raise FamilyConstraint(f"{name} keys must be integers") from None
+        try:
+            data = np.array(list(m.values()))
+        except ValueError:  # values of unequal shapes
+            data = None
+    else:
+        ids, data = m.ids, m.data
+    alpha, dtype = name == "alpha", np.intp if name == "alpha" else float
+    if data is None or data.shape != ids.shape or data.dtype.kind not in "biuf" or not (
+            ((data == -1) | (data == 0) | (data == 1)).all() if alpha
+            else np.isfinite(data).all()):
+        for k, x in m.items():
+            if alpha and x not in (-1, 0, 1):
+                raise FamilyConstraint(f"alpha[{k}]={x} outside {{-1,0,1}}")
+            if not (alpha or math.isfinite(x)):
+                raise FamilyConstraint(f"eta[{k}]={x} is not finite")
+        # each value equals one of -1, 0, 1, or is a finite real
+        data = np.array([{-1: -1, 0: 0, 1: 1}[x] if alpha else float(x) for x in m.values()])
+    if isinstance(m, Weights) and data.dtype == dtype:
+        return m
+    return Weights(ids, data.astype(dtype))
+
+
+def _take(w: Weights, keys: np.ndarray) -> tuple:
+    """(w's values at keys, the position in keys of the first key w lacks,
+    or None): w's own array where keys are its ids, else one searchsorted."""
+    if np.array_equal(w.ids, keys):
+        return w.data, None
+    at = np.searchsorted(w.ids, keys)
+    found = at < len(w.ids)
+    found[found] = w.ids[at[found]] == keys[found]
+    if not found.all():
+        return None, int(np.argmin(found))
+    return w.data[at], None
+
+
 @dataclass(frozen=True)
 class StructureSpec:
     """Family tag plus all per-vertex / per-edge weights, as a value.
@@ -47,8 +138,12 @@ class StructureSpec:
     alpha maps boundary components to {-1, 0, 1}; eta maps edge ids to the
     symmetric edge weight, a finite real; special lists the distinguished
     boundary components of the mixed families (empty otherwise).  alpha
-    and eta are copied into read-only mappings and special into a
-    frozenset, so changing the caller's containers later changes no spec.
+    and eta are held as Weights, np.intp and float arrays sorted by key: a
+    Weights is kept as it is, any other mapping copied into one, and
+    special is copied into a frozenset, so changing the caller's containers
+    later changes no spec.  Raises FamilyConstraint for an unknown family,
+    then a key that is no integer or the first bad alpha, then likewise
+    for eta.
     """
 
     family: str
@@ -57,26 +152,11 @@ class StructureSpec:
     special: frozenset = frozenset()
 
     def __post_init__(self):
-        for name in ("alpha", "eta"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "special", frozenset(self.special))
         if self.family not in FAMILIES:
             raise FamilyConstraint(f"unknown family {self.family!r}")
-        try:  # one test of all alphas; the loop only names the first bad one
-            alphas_ok = set(self.alpha.values()) <= {-1, 0, 1}
-        except TypeError:  # an unhashable alpha
-            alphas_ok = False
-        if not alphas_ok:
-            for i, a in self.alpha.items():
-                if a not in (-1, 0, 1):
-                    raise FamilyConstraint(f"alpha[{i}]={a} outside {{-1,0,1}}")
-        if not all(map(math.isfinite, self.eta.values())):
-            for e, w in self.eta.items():
-                if not math.isfinite(w):
-                    raise FamilyConstraint(f"eta[{e}]={w} is not finite")
-
-    def __reduce__(self):  # a read-only mapping does not pickle
-        return StructureSpec, (self.family, dict(self.alpha), dict(self.eta), self.special)
+        for name in ("alpha", "eta"):
+            object.__setattr__(self, name, _weights(name, getattr(self, name)))
 
 
 # -- change of variables ---------------------------------------------------
@@ -117,30 +197,48 @@ _BOUNDS = np.array([[(c.lo, c.hi) for c in law[3:]] for law in _LAWS])
 _EXP_MAX = math.log(sys.float_info.max)  # exp, cosh and sinh overflow beyond
 
 
-def _law(spec: StructureSpec, i) -> int:
-    if spec.family in ("A3", "MixedIII"):
-        return _EXP
-    if spec.family in ("A2", "MixedII"):
-        return _COS if i in spec.special else _SIN
-    return (_LIN, _SINH, _COSH)[spec.alpha[i]]
+def _law(family: str, alpha, special):
+    """The law of each component, elementwise from its alpha (read by A1
+    and MixedI only) and whether it is special."""
+    if family in ("A3", "MixedIII"):
+        return np.full(np.shape(special), _EXP)
+    if family in ("A2", "MixedII"):
+        return np.where(special, _COS, _SIN)
+    return np.array((_LIN, _SINH, _COSH))[alpha]
 
 
 def chart(spec: StructureSpec, i) -> Chart:
     """The u-domain of boundary component i under the family chart."""
-    return _LAWS[_law(spec, i)][5 if i in spec.special else 4]
+    special, alpha = i in spec.special, None
+    if spec.family in ("A1", "MixedI"):
+        if i not in spec.alpha:
+            raise FamilyConstraint(f"no alpha for boundary component {i}")
+        alpha = spec.alpha[i]
+    return _LAWS[_law(spec.family, alpha, special)][5 if special else 4]
 
 
 class ChangeOfVariables:
     """u <-> f and df/du of the components ids of a spec, on float arrays
-    indexed like ids.  Each map checks its whole input first and raises
+    indexed like ids.  Each component's law and sign come from the spec's
+    arrays: its alpha, where the family's law reads alpha, and whether it
+    is special.  Each map checks its whole input first and raises
     DomainViolation for the first component outside its open domain; then
     each law runs on its own components only, so no numpy warning fires.
-    The bounds those checks read are built once."""
+    The bounds those checks read are built once.  Raises FamilyConstraint
+    naming the first component without an alpha that the law reads."""
 
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
-        special = np.array([i in spec.special for i in ids], dtype=np.intp)
-        self.law = np.array([_law(spec, i) for i in ids], dtype=np.intp)
+        keys = np.asarray(ids)
+        if keys.dtype.kind not in "biuf":  # a key that is no number is no component
+            keys = np.array([i if isinstance(i, numbers.Real) else np.nan for i in ids])
+        special = np.isin(keys, [i for i in spec.special if isinstance(i, numbers.Real)])
+        alpha = None
+        if spec.family in ("A1", "MixedI"):
+            alpha, missing = _take(spec.alpha, keys)
+            if missing is not None:
+                raise FamilyConstraint(f"no alpha for boundary component {ids[missing]}")
+        self.law = _law(spec.family, alpha, special)
         self.sign = 2.0 * special - 1.0
         self.f_lo, self.f_hi = _BOUNDS[self.law, 0].T
         self.lo, self.hi = _BOUNDS[self.law, 1 + special].T
@@ -339,17 +437,18 @@ class SpecArrays:
 
     @cached_property
     def edges(self) -> _Edges:
-        """Raises FamilyConstraint naming the first component without an
-        alpha, else the first edge without an eta, else a special off the mesh."""
+        """The spec's alphas of the components 0..n-1 and etas of the edge
+        ids in edge-list order, read from its Weights, with no lookup where
+        the keys are those ids in that order, as parse gives them.  Raises
+        FamilyConstraint naming the first component without an alpha, else
+        the first edge without an eta, else a special off the mesh."""
         spec, n, (ids, a, b) = self.spec, self.n, self.edge_arrays
-        try:
-            alpha = np.fromiter(map(spec.alpha.__getitem__, range(n)), np.intp, n)
-            eta = np.fromiter(map(spec.eta.__getitem__, ids.tolist()), float, len(ids))
-        except KeyError:
-            v = next((v for v in range(n) if v not in spec.alpha), None)
-            e = next((e for e in ids.tolist() if e not in spec.eta), None)
-            raise FamilyConstraint(f"no alpha for boundary component {v}" if v is not None
-                                   else f"no eta for edge {e}") from None
+        alpha, v = _take(spec.alpha, np.arange(n))
+        if v is not None:
+            raise FamilyConstraint(f"no alpha for boundary component {v}")
+        eta, e = _take(spec.eta, ids)
+        if e is not None:
+            raise FamilyConstraint(f"no eta for edge {ids[e]}")
         for v in spec.special.difference(range(n)):  # the first one raises
             raise FamilyConstraint(f"special component {v} is not a vertex")
         special = np.zeros(n, dtype=bool)
@@ -362,7 +461,7 @@ class SpecArrays:
 
     @cached_property
     def cov(self) -> ChangeOfVariables:
-        return ChangeOfVariables(self.spec, range(self.n))
+        return ChangeOfVariables(self.spec, np.arange(self.n))
 
     @cached_property
     def program(self) -> EdgeProgram:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _NEXT
-from .conformal import SpecArrays, StructureSpec, validate_spec
+from .conformal import SpecArrays, StructureSpec, Weights, validate_spec
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
 
 FORMAT_VERSION = 1
@@ -110,11 +110,13 @@ class Triangulation:
     positions of the face edges in the edge list), in face order.
 
     The constructor converts Edge and Face records once; parse builds the
-    arrays directly.  edges and faces are record views built on first use,
-    for API callers.  Raises DanglingReference or FamilyConstraint for the first
-    failing record: a repeated edge or face id; then face by face, a record
-    that is no triangle, its vertices, its sides in order; then a component
-    on no face; then edge by edge.
+    arrays directly.  Where the edge ids are 0..E-1 in edge-list order, as
+    in every serialized mesh, each face side's id is its position; other
+    ids are found by one sort.  edges and faces are record views built on
+    first use, for API callers.  Raises DanglingReference or
+    FamilyConstraint for the first failing record: a repeated edge or face
+    id; then face by face, a record that is no triangle, its vertices, its
+    sides in order; then a component on no face; then edge by edge.
     """
 
     def __init__(self, n_boundary: int, edges, faces, open_edges: bool = False):
@@ -132,16 +134,23 @@ class Triangulation:
         self.spec_memo = None  # the conformal.SpecArrays of the last spec
         self.edge_arrays = ids, a, b = tuple(np.array(x, dtype=np.intp) for x in edges)
         self.face_ids, vert, face_edges = faces[:, 0].copy(), faces[:, 1:4].copy(), faces[:, 4:]
-        order = np.argsort(ids, kind="stable")
+        m = len(ids)
+        # no order where each edge id is its position, as serialize writes them
+        order = None if np.array_equal(ids, np.arange(m)) else np.argsort(ids, kind="stable")
         for name, x, o in (("edge", ids, order),
                            ("face", self.face_ids, np.argsort(self.face_ids, kind="stable"))):
+            if o is None:
+                continue  # ids that are positions repeat none
             again = o[1:][x[o][1:] == x[o][:-1]]  # each record whose id an earlier one has
             if again.size:
                 raise DanglingReference(f"{name} id {x[again.min()]} is repeated")
-        pos = np.append(order, len(ids))[np.searchsorted(ids[order], face_edges)]
-        ids_x, a_x, b_x = padded = np.zeros((3, len(ids) + 1), dtype=np.intp)
+        if order is None:  # an unknown id points at the padding
+            pos = np.where((face_edges >= 0) & (face_edges < m), face_edges, m)
+        else:
+            pos = np.append(order, m)[np.searchsorted(ids[order], face_edges)]
+        ids_x, a_x, b_x = padded = np.zeros((3, m + 1), dtype=np.intp)
         padded[:, :-1] = ids, a, b
-        known = (ids_x[pos] == face_edges) & (pos < len(ids))
+        known = (ids_x[pos] == face_edges) & (pos < m)
         ea, eb, nxt = a_x[pos], b_x[pos], vert[:, _NEXT]
         joins = (ea == vert) & (eb == nxt) | (ea == nxt) & (eb == vert)
         err = np.column_stack((ragged, (vert < 0) | (vert >= n),
@@ -159,7 +168,7 @@ class Triangulation:
         on_faces = np.bincount(vert.ravel(), minlength=n)
         if not on_faces.all():
             raise DanglingReference(f"boundary component {np.argmin(on_faces)} lies on no face")
-        count = np.bincount(pos.ravel(), minlength=len(ids))
+        count = np.bincount(pos.ravel(), minlength=m)
         err = np.column_stack(((a < 0) | (a >= n) | (b < 0) | (b >= n),
                                (count == 0) | (count > 2), (count == 1) & (not open_edges)))
         if err.any():
@@ -228,7 +237,9 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     or tokens (_read_block).  The line reader, the one source of
     diagnostics, reads the rest, each kind whose slice is not in the layout
     serialize writes, and the whole text where a v, e or f record lies
-    outside its kind's block.  Raises MeshFormatError carrying (line,
+    outside its kind's block.  The vertex-id and alpha columns and the
+    edge-id and eta columns go to the spec as conformal.Weights, with no
+    dict between.  Raises MeshFormatError carrying (line,
     message) diagnostics for syntax trouble, and DanglingReference /
     FamilyConstraint for structural trouble.
     """
@@ -262,8 +273,7 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
         raise DanglingReference(f"edge {eid[np.argmax(bad)]} references unknown vertex")
     tri = Triangulation.__new__(Triangulation)
     tri._setup(n, edges.T, faces, open_edges, np.zeros(len(faces), dtype=bool))
-    spec = StructureSpec(family, dict(zip(vid.ravel().tolist(), alpha.tolist())),
-                         dict(zip(eid.tolist(), eta.tolist())), special=special)
+    spec = StructureSpec(family, Weights(vid.ravel(), alpha), Weights(eid, eta), special=special)
     validate_spec(spec, tri)
     return tri, spec
 

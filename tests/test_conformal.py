@@ -133,6 +133,25 @@ def test_u_roundtrip_all_families():
         assert np.all(np.abs(back - u) < 1e-12 * np.maximum(1.0, np.abs(u)))
 
 
+def test_change_of_variables_reads_the_alpha_the_spec_holds():
+    # an alpha of 1.0 or True reads as 1, as SpecArrays reads it
+    eta, u = {0: 2.0}, {0: -0.5, 1: -0.7, 2: -0.9}
+    ones = spec1("A1", {0: 1, 1: 1, 2: 1}, eta)
+    for alpha in ({0: 1.0, 1: 1.0, 2: 1.0}, {0: True, 1: 1.0, 2: 1}):
+        spec = spec1("A1", alpha, eta)
+        assert cf.f_from_u(spec, u) == cf.f_from_u(ones, u)
+        f = cf.f_from_u(ones, u)
+        assert cf.u_from_f(spec, f) == cf.u_from_f(ones, f)
+
+
+def test_change_of_variables_names_a_component_without_alpha():
+    # as SpecArrays.edges names it
+    spec = spec1("A1", {0: 0, 1: 1, 2: -1}, {0: 2.0, 1: 2.0, 2: 2.0})
+    for call, x in ((cf.f_from_u, {0: -1.0, 5: -1.0}), (cf.u_from_f, {0: 1.0, 5: 1.0})):
+        with pytest.raises(FamilyConstraint, match="^no alpha for boundary component 5$"):
+            call(spec, x)
+
+
 def test_dfdu_examples_and_fd():
     def dfdu(spec, f):
         return cf.ChangeOfVariables(spec, [0]).derivative(np.array([f]))[0]
@@ -582,6 +601,41 @@ def test_structure_spec_is_a_value():
     assert spec == cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
     for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
         assert twin == spec and isinstance(twin.eta, type(spec.eta))
+    # a parsed spec holds its weights in read-only arrays and is the same value
+    # as a spec built from plain dicts of them
+    rng = random.Random(4)
+    tri = sphere_triangulation(30, rng)
+    tri, spec = mesh.parse(mesh.serialize(tri, make_spec("MixedI", tri, rng)))
+    plain = cf.StructureSpec(spec.family, dict(spec.alpha), dict(spec.eta), set(spec.special))
+    for weights in (spec.alpha, spec.eta):
+        assert type(weights) is cf.Weights
+        for x in (weights.ids, weights.data):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0
+    assert spec == plain and plain == spec and spec.alpha == dict(plain.alpha)
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert twin == spec and type(twin) is type(spec)
+        assert type(twin.alpha) is type(twin.eta) is cf.Weights
+        assert not (twin.eta.data.flags.writeable or twin.alpha.ids.flags.writeable)
+
+
+def test_structure_spec_items_are_python_numbers():
+    # whatever number types the caller gave; an alpha True or 1.0 reads as 1
+    spec = cf.StructureSpec("A1", {0: True, 1: 1.0, 2: np.int8(-1), 3: 0.0},
+                            {0: 2, 1: np.float32(0.5), 2: True})
+    assert spec.alpha == {0: 1, 1: 1, 2: -1, 3: 0} and spec.eta == {0: 2.0, 1: 0.5, 2: 1.0}
+    for weights, kind in ((spec.alpha, int), (spec.eta, float)):
+        assert all(type(k) is int for k in weights)
+        assert all(type(x) is kind for x in weights.values())
+    tri, parsed = mesh.parse(mesh.serialize(*_pants_a1()))
+    assert all(type(x) is int for x in parsed.alpha.values())
+    assert all(type(x) is float for x in parsed.eta.values())
+    assert list(parsed.alpha.items()) == [(0, 0), (1, 1), (2, 0)]
+
+
+def _pants_a1():
+    return mesh.pair_of_pants(), cf.StructureSpec("A1", {0: 0, 1: 1, 2: 0}, {0: 2.5, 1: 3.0, 2: 1.5})
 
 
 @pytest.mark.parametrize("alpha, eta, message", [

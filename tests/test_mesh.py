@@ -485,6 +485,54 @@ def test_line_mutations_raise_only_domain_errors(text, data):
     assert _outcome(mutated) == expected
 
 
+def _relabel_edges(text, new_id):
+    """text with each edge id e replaced by new_id[e], in the e and f records."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "e":
+            tokens[1] = str(new_id[int(tokens[1])])
+        elif tokens[0] == "f":
+            tokens[5:] = (str(new_id[int(e)]) for e in tokens[5:])
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("relabel", ["positions", "shuffled", "gap", "negative"])
+def test_edge_ids_need_not_be_positions(relabel):
+    """Edge ids that are the edges' positions (as serialize writes them)
+    and any other distinct ids give the same mesh, read by blocks or by
+    lines, and the same diagnostics for a face side that names no edge or
+    the wrong one."""
+    tri, spec = _sphere_mesh("A1", 12, 5)
+    m = len(tri.edges)
+    new_id = {"positions": list(range(m)), "shuffled": random.Random(2).sample(range(m), m),
+              "gap": [e + (e >= m // 2) for e in range(m)],
+              "negative": [e - 3 for e in range(m)]}[relabel]
+    text = _relabel_edges(mesh.serialize(tri, spec), new_id)
+    want = Triangulation(tri.n_boundary, [Edge(new_id[e.id], e.a, e.b) for e in tri.edges],
+                         [Face(f.id, f.vertices, tuple(new_id[e] for e in f.edge_ids))
+                          for f in tri.faces])
+    indented = "".join(" " + line for line in text.splitlines(keepends=True))
+    for got, got_spec in (mesh.parse(text), mesh.parse(indented)):
+        assert got == want
+        assert got.face_arrays[1].tobytes() == tri.face_arrays[1].tobytes()
+        assert got_spec.eta == {new_id[e]: w for e, w in spec.eta.items()}
+    face = want.faces[0]
+    (va, vb, vc), side = face.vertices, face.edge_ids
+    ends = {e.id: (e.a, e.b) for e in want.edges}[side[1]]
+    first = f"f {face.id} {va} {vb} {vc} {side[0]} "
+    assert first in text
+    for bad, message in (
+            (max(new_id) + 1, f"face {face.id} references unknown edge {max(new_id) + 1}"),
+            (min(new_id) - 1, f"face {face.id} references unknown edge {min(new_id) - 1}"),
+            (side[1], f"face {face.id}: edge {side[1]} joins ({ends[0]},{ends[1]}), "
+                      f"expected ({va},{vb})")):
+        with pytest.raises(DanglingReference) as err:
+            mesh.parse(text.replace(first, f"f {face.id} {va} {vb} {vc} {bad} ", 1))
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("family, n", [(family, 40) for family in _FAMILIES] + [("A1", 3000)])
 def test_serialized_meshes_read_as_blocks(monkeypatch, family, n):
     """The v, e and f records of a serialized mesh are read as blocks, also
