@@ -1,9 +1,11 @@
 """The six conformal structure families on ideal edges.
 
-The weight table RULES, which validation, the admissible polytope and
-the existence verdict read as arrays over the edges, the per-vertex change
-of variables u <-> f and df/du on arrays (ChangeOfVariables), and
-admissible-space membership.  The edge rules themselves live once, in
+A spec (StructureSpec) holds its weights as Weights: read-only mappings
+backed by arrays of sorted integer keys and their values.  The weight
+table RULES, which validation, the admissible polytope and the existence
+verdict read as arrays over the edges, the per-vertex change of variables
+u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
+membership.  The edge rules themselves live once, in
 _kernels (one function per rule code, behind edge_state and the kernel's
 edge pass).  spec_arrays(spec, tri) is the one record of a spec on a mesh
 (SpecArrays), each field built on first use; the mesh keeps the record of

@@ -606,6 +606,11 @@ def test_structure_spec_is_a_value():
     rng = random.Random(4)
     tri = sphere_triangulation(30, rng)
     tri, spec = mesh.parse(mesh.serialize(tri, make_spec("MixedI", tri, rng)))
+    # neither parse nor a solve reads the weights through a dict
+    arrays = cf.spec_arrays(spec, tri)
+    target = curvature.curvature_map(spec, tri, arrays.cov.to_f(arrays.start))
+    solver.solve_prescribed_curvature(spec, tri, 1.01 * target)
+    assert "_items" not in vars(spec.alpha) and "_items" not in vars(spec.eta)
     plain = cf.StructureSpec(spec.family, dict(spec.alpha), dict(spec.eta), set(spec.special))
     for weights in (spec.alpha, spec.eta):
         assert type(weights) is cf.Weights
