@@ -633,14 +633,11 @@ def test_structure_spec_items_are_python_numbers():
     for weights, kind in ((spec.alpha, int), (spec.eta, float)):
         assert all(type(k) is int for k in weights)
         assert all(type(x) is kind for x in weights.values())
-    tri, parsed = mesh.parse(mesh.serialize(*_pants_a1()))
+    pants = cf.StructureSpec("A1", {0: 0, 1: 1, 2: 0}, {0: 2.5, 1: 3.0, 2: 1.5})
+    tri, parsed = mesh.parse(mesh.serialize(mesh.pair_of_pants(), pants))
     assert all(type(x) is int for x in parsed.alpha.values())
     assert all(type(x) is float for x in parsed.eta.values())
     assert list(parsed.alpha.items()) == [(0, 0), (1, 1), (2, 0)]
-
-
-def _pants_a1():
-    return mesh.pair_of_pants(), cf.StructureSpec("A1", {0: 0, 1: 1, 2: 0}, {0: 2.5, 1: 3.0, 2: 1.5})
 
 
 @pytest.mark.parametrize("alpha, eta, message", [
