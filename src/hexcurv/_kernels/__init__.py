@@ -4,10 +4,10 @@ Evaluates F hexagonal faces on E edges in two numpy passes over an edge
 program (EdgeProgram), built once per spec and mesh.  Each hexagon side
 l is an edge quantity, fixed by the factors at the edge's two ends, its
 weight and its rule, and an interior edge is a side of two faces.  So the
-theta stage (face_theta) first runs an edge pass: each rule code runs
-once, on its own edges only, and gives cosh l, sinh l and the partial
-ratio rho of every edge.  It then gathers cosh l and sinh l to the face
-sides and applies the hexagon cosine law
+theta stage (face_theta) first runs the edge pass, the one per-lane
+entry to the edge rules: each rule code once, on its own edges, for cosh
+l, sinh l and the partial ratio rho of every edge.  It then gathers cosh
+l and sinh l to the face sides and applies the hexagon cosine law
 
     cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
 
@@ -83,27 +83,6 @@ def _rule(code, aa, ab, fa, fb, eta):
         root, rho = np.sqrt(xa * xb), np.sqrt(xa / xb)
     ch = root + ee if code % 2 else ee - root
     return ok, ch, (-rho if code >= 3 else rho)
-
-
-def edge_state(code, aa, ab, fa, fb, eta):
-    """(ok, cosh l, ratio sinh d_ab / sinh d_ba) of the edge rules, lane by lane.
-
-    Arguments broadcast together.  Codes 0-2 are the plain
-    sqrt(1 + alpha e^{2f}), sqrt(e^{2f} - 1) and cosh(f_b - f_a) rules,
-    codes 3-5 their sign-flipped versions.  Each code present runs once,
-    on its own lanes.  ok is False where the factors leave the rule's
-    domain (a non-positive square-root argument); there cosh l and the
-    ratio are 0.
-    """
-    code, aa, ab, fa, fb, eta = np.broadcast_arrays(code, aa, ab, fa, fb, eta)
-    ok = np.ones(code.shape, dtype=bool)
-    ch, rho = np.zeros(code.shape), np.zeros(code.shape)
-    for c in np.unique(code).tolist():
-        at = code == c
-        good, ch[at], rho[at] = _rule(c, aa[at], ab[at], fa[at], fb[at], eta[at])
-        if good is not None:
-            ok[at] = good
-    return ok, np.where(ok, ch, 0.0), np.where(ok, rho, 0.0)
 
 
 class EdgeProgram:
@@ -184,6 +163,20 @@ class Arcs(NamedTuple):
         return np.where(self.status == OK, r, 1.0).T
 
 
+def _edge_pass(prog: EdgeProgram, f):
+    """(ok, cosh l, rho) of every edge of prog at finite factors f, in
+    program order, each rule code once on its own edges; ok marks the lanes
+    outside a rule's domain, which keep its filler values."""
+    (a, b), (aa, ab), n = prog.ends, prog.alphas, len(prog.codes)
+    ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
+    for code, at in prog.groups:
+        good, ch[at], rho[at] = _rule(code, aa[at], ab[at], f[a[at]], f[b[at]],
+                                      prog.etas[at])
+        if good is not None:
+            ok[at] = good
+    return ok, ch, rho
+
+
 def face_theta(prog: EdgeProgram, f) -> Arcs:
     """The theta stage of every face of prog at factors f, indexed by
     vertex id; theta is F x 3."""
@@ -194,14 +187,7 @@ def face_theta(prog: EdgeProgram, f) -> Arcs:
     if not in_range.all():
         status[~in_range[prog.vert].all(axis=1)] = BAD_RANGE
         f = np.where(in_range, f, 0.0)
-    # edge pass: each rule code once, on its own edges
-    (a, b), (aa, ab), n = prog.ends, prog.alphas, len(prog.codes)
-    ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
-    for code, at in prog.groups:
-        good, ch[at], rho[at] = _rule(code, aa[at], ab[at], f[a[at]], f[b[at]],
-                                      prog.etas[at])
-        if good is not None:
-            ok[at] = good
+    ok, ch, rho = _edge_pass(prog, f)
     if not (ok.all() and ch.min(initial=2.0) > 1.0):
         fails = np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE)
         _fail(status, bad, fails[prog.side])

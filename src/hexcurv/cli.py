@@ -188,11 +188,11 @@ def cmd_check_identities(args):
     from . import identities
 
     rng = random.Random(args.seed)
-    summary = identities.run_suite(args.family, args.samples, rng)
+    checks, branches = identities.run_suite(args.family, args.samples, rng)
     lines, ok = [], True
     doc = {"family": args.family, "samples": args.samples, "seed": args.seed,
-           "checks": {}}
-    for name, (count, worst, bound) in sorted(summary.items()):
+           "checks": {}, "branches": branches}
+    for name, (count, worst, bound) in sorted(checks.items()):
         passed = worst < bound and count > 0
         ok = ok and passed
         doc["checks"][name] = {
@@ -202,6 +202,7 @@ def cmd_check_identities(args):
             f"{name} count={count} worst={_fmt(worst)} bound={_fmt(bound)} "
             f"{'pass' if passed else 'FAIL'}"
         )
+    lines.append("branches " + " ".join(f"{name}={n}" for name, n in branches.items()))
     doc["ok"] = ok
     _emit(args, doc, lines)
     return 0 if ok else 1

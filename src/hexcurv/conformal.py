@@ -5,13 +5,12 @@ backed by arrays of sorted integer keys and their values.  The weight
 table RULES, which validation, the admissible polytope and the existence
 verdict read as arrays over the edges, the per-vertex change of variables
 u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
-membership.  The edge rules themselves live once, in
-_kernels (one function per rule code, behind edge_state and the kernel's
-edge pass).  spec_arrays(spec, tri) is the one record of a spec on a mesh
-(SpecArrays), each field built on first use; the mesh keeps the record of
-the last spec it was used with.  Functions taking u or f accept a mapping
-or an array indexed by component; f_from_u and u_from_f map dicts to dicts
-at the API boundary.
+membership.  The edge rules themselves live once, in _kernels (one
+function per rule code, behind the kernel's edge pass).  spec_arrays(spec,
+tri) is the one record of a spec on a mesh (SpecArrays), each field built
+on first use; the mesh keeps the record of the last spec it was used
+with.  Functions taking u or f accept a mapping or an array indexed by
+component; f_from_u and u_from_f map dicts to dicts at the API boundary.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -49,7 +48,7 @@ class Weights(Mapping):
     values.  The constructor copies both and sorts them by key where they
     are not in order; it raises ValueError for a repeated key.  Items read
     as Python ints and floats, from a dict built on the first item access
-    or iteration; an equality test of two Weights compares the arrays."""
+    or iteration; two Weights compare and hash by their arrays' values."""
 
     def __init__(self, ids, data):
         ids, data = np.array(ids, dtype=np.intp), np.array(data)
@@ -78,6 +77,9 @@ class Weights(Mapping):
         if isinstance(other, Weights):
             return np.array_equal(self.ids, other.ids) and np.array_equal(self.data, other.data)
         return super().__eq__(other)
+
+    def __hash__(self):
+        return hash((tuple(self.ids.tolist()), tuple(self.data.tolist())))
 
     def __repr__(self) -> str:
         return f"Weights({self._items!r})"

@@ -1,10 +1,11 @@
 """Randomized identity suites for the hexagon and curvature machinery.
 
-Each suite draws admissible samples for one structure family around the
+run_suite draws admissible samples for one structure family around the
 spec's kept default start (conformal.spec_arrays), evaluates a set of
-exact identities, and reports the worst residual against its bound.  Used
-by the check-identities subcommand and by the test suite, it imports
-neither the solver nor scipy.
+exact identities, among them the paper's center-distance identity blocks
+of each causal branch, and reports the worst residual against its bound
+and the samples per branch.  Used by the check-identities subcommand and
+by the test suite, it imports neither the solver nor scipy.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import math
 import numpy as np
 
 from . import curvature, mesh
-from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, disjoint_faces, face_eval, face_theta
+from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, TIME, disjoint_faces, face_eval, face_theta
 from ._kernels.center import _sign, face_centers
 from .conformal import StructureSpec, component_values, spec_arrays
 from .errors import HexcurvError
 from .tol import TAU_SIGN
+
+BRANCHES = ("time-like", "space-like", "light-like")  # by branch code
 
 
 @functools.cache
@@ -109,7 +112,7 @@ def compatibility_residual_general(splits) -> float:
     return abs(lhs - rhs)
 
 
-def run_suite(family: str, samples: int, rng) -> dict:
+def run_suite(family: str, samples: int, rng) -> tuple:
     """Run every residual suite for one family.
 
     Each sample is the single-face mesh's face at one admissible point; all
@@ -117,8 +120,10 @@ def run_suite(family: str, samples: int, rng) -> dict:
     theta stage, face center or split fails are skipped.  The finite
     differences come from one more theta pass over six shifted faces per
     sample (each factor moved by +-1e-5, near eps^(1/3)); a sample with a
-    failing shifted face has none.  Returns {check name: (count, worst
-    residual, bound)}.
+    failing shifted face has none.  The paper's identity blocks run on the
+    kept samples whose face center has a position domain, from the same
+    face-center record.  Returns ({check name: (count, worst residual,
+    bound)}, {causal branch: number of kept samples}).
     """
     spec = stock_spec(family)
     tri = mesh.single_face()
@@ -150,6 +155,9 @@ def run_suite(family: str, samples: int, rng) -> dict:
     ch = arcs.ch[keep]
     diagonal = np.abs(mc[:, _ROWS, _ROWS] - (ch * mc[:, _NEXT, _ROWS] + ch[:, _PREV]
                                              * mc[:, _PREV, _ROWS])).max(axis=1, initial=0.0)
+    # the paper's identity blocks of each branch, on kept samples with a domain
+    placed = np.array(keep, dtype=np.intp)[rec.domain[keep] >= 0]
+    blocks = np.where(rec.branch == TIME, time_like_residual(rec), space_like_residual(rec))
     # symmetry and definiteness of the u-Jacobian, the face block in u
     jac = face_eval(arcs, np.array([cov.derivative(x) for x in f]).ravel())[keep]
     # central differences of the arcs against the analytic matrix: row
@@ -174,17 +182,21 @@ def run_suite(family: str, samples: int, rng) -> dict:
                        1e-12),
         "negative-definite": (np.array([0.0 if curvature.is_negative_definite(x) else 2.0
                                         for x in jac]), 1.0),
+        "center-distance-identities": (blocks[placed], 1e-8),
+        "sign-coherence": (np.where(sign_coherence_ok(rec), 0.0, 2.0)[placed], 1.0),
     }
-    return {name: (len(x), float(x.max(initial=0.0)), bound)
-            for name, (x, bound) in checks.items()}
+    return ({name: (len(x), float(x.max(initial=0.0)), bound)
+             for name, (x, bound) in checks.items()},
+            {name: int(np.count_nonzero(rec.branch[keep] == code))
+             for code, name in enumerate(BRANCHES)})
 
 
 # -- hexagon-level identity blocks --------------------------------------------
 #
 # Each block reads a face-center record (Centers) and gives one value per
 # face; it is meaningful on faces with a domain, whose center is time-like
-# or space-like.  For corner a, b runs over the other two corners and c is
-# the third one.
+# or space-like, and run_suite reads it there.  For corner a, b runs over
+# the other two corners and c is the third one.
 
 _B = np.array([_NEXT, _PREV])
 _C = np.array([_PREV, _NEXT])

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._kernels import _NEXT
 from .conformal import SpecArrays, StructureSpec, Weights, validate_spec
-from .errors import DanglingReference, FamilyConstraint, MeshFormatError, OutOfRange
+from .errors import DanglingReference, FamilyConstraint, MeshFormatError
 
 FORMAT_VERSION = 1
 
@@ -218,12 +218,6 @@ class Triangulation:
         straight into its elimination order under this layout.  Every
         component lies on a face, so the pattern holds the diagonal."""
         return elimination_order(self.jacobian_layout)
-
-    def vertex_star(self, i: int) -> list:
-        """All (face, corner index) incidences of boundary component i."""
-        if not (0 <= i < self.n_boundary):
-            raise OutOfRange(f"boundary component {i} out of range")
-        return [(self.faces[k], c) for k, c in np.argwhere(self.face_arrays[0] == i).tolist()]
 
 
 # -- text format -------------------------------------------------------------

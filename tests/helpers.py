@@ -4,8 +4,8 @@ and single-face samples evaluated as batches of disjoint faces."""
 import numpy as np
 
 from hexcurv import identities, solver
-from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, SPACE, TIME, disjoint_faces, face_eval
-from hexcurv._kernels import face_theta
+from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, disjoint_faces, face_eval
+from hexcurv._kernels import _edge_pass, face_theta
 from hexcurv._kernels.center import _mdot, face_centers
 from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
@@ -198,7 +198,6 @@ def sample_admissible_f(spec, tri, rng, n=1, scale=1.0):
 
 
 ALL_FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
-BRANCH = {TIME: "time-like", SPACE: "space-like", LIGHT: "light-like"}
 _FACE_MESHES = {}
 
 
@@ -232,6 +231,21 @@ def stack_faces(samples):
     codes, alphas, etas = (np.array([r[i] for r in rows]).reshape(-1, 3) for i in range(3))
     f = np.array([component_values(f, 3) for _, f in samples]).ravel()
     return face_theta(disjoint_faces(codes, alphas, etas), f)
+
+
+def edge_lanes(code, aa, ab, fa, fb, eta):
+    """(ok, cosh l, partial ratio) of one edge per lane, through the
+    kernel's edge pass: lane k is side 0 of disjoint face k, from corner 0
+    (alpha aa, factor fa) to corner 1 (ab, fb), beside two cosh-difference
+    filler sides.  Arguments broadcast together; where ok is False, cosh l
+    and the ratio are the rule's filler values."""
+    args = np.broadcast_arrays(code, aa, ab, fa, fb, eta)
+    code, aa, ab, fa, fb, eta = (np.ravel(x) for x in args)
+    fill, zero, one = np.full(code.size, 2), np.zeros(code.size), np.ones(code.size)
+    prog = disjoint_faces(np.column_stack((code, fill, fill)), np.column_stack((aa, ab, zero)),
+                          np.column_stack((eta, one, one)))
+    lanes = _edge_pass(prog, np.column_stack((fa, fb, zero)).ravel())
+    return tuple(x[prog.side[0]].reshape(args[0].shape) for x in lanes)
 
 
 def face_jacobians(samples):
@@ -285,7 +299,7 @@ def branch_samples(rng, want, cap=40000):
         drawn = [(c, state) for c, state in batch if c is not None]
         status, _, branch = face_centers(stack_faces([c for c, _ in drawn]))[:3]
         for (c, state), ok, code in zip(drawn, status == OK, branch.tolist()):
-            bucket = buckets.get(BRANCH[code])
+            bucket = buckets.get(identities.BRANCHES[code])
             if ok and bucket is not None and len(bucket) < want:
                 bucket.append(c)
                 if min(map(len, buckets.values())) >= want:
@@ -379,3 +393,29 @@ def plant_jacobian_error(monkeypatch, rel=1e-4):
         return jac
 
     monkeypatch.setattr(identities, "face_eval", planted)
+
+
+def plant_height_error(monkeypatch, rel=1e-6):
+    """Make identities.run_suite read every face-center record with its
+    distances h off by rel, relative."""
+    real = identities.face_centers
+
+    def planted(arcs):
+        rec = real(arcs)
+        return rec._replace(h=rec.h * (1.0 + rel))
+
+    monkeypatch.setattr(identities, "face_centers", planted)
+
+
+def plant_flipped_q(monkeypatch):
+    """Make identities.run_suite read every face-center record with the
+    distances q of its first face with a position domain negated."""
+    real = identities.face_centers
+
+    def planted(arcs):
+        rec = real(arcs)
+        q = rec.q.copy()
+        q[np.argmax(rec.domain >= 0)] *= -1.0
+        return rec._replace(q=q)
+
+    monkeypatch.setattr(identities, "face_centers", planted)

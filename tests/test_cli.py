@@ -187,6 +187,23 @@ def test_check_identities_seeded_reproducible(family, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("family", ["A1", "A2", "A3", "MixedI", "MixedII", "MixedIII"])
+def test_check_identities_reports_branch_counts(family, capsys):
+    # every kept sample lies in one causal branch; the paper's identity
+    # blocks run, and pass, on the samples with a position domain
+    args = ["check-identities", "--family", family, "--samples", "40", "--seed", "11"]
+    assert main(args + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    branches = doc["branches"]
+    assert sorted(branches) == ["light-like", "space-like", "time-like"]
+    assert sum(branches.values()) == doc["checks"]["compatibility"]["count"]
+    for name in ("center-distance-identities", "sign-coherence"):
+        assert doc["checks"][name]["pass"] is True and doc["checks"][name]["count"] > 0
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "branches " + " ".join(
+        f"{name}={branches[name]}" for name in ("time-like", "space-like", "light-like"))
+
+
 def test_identity_suites_pass_at_seed_11(capsys):
     # with step 1e-6 the A3 finite difference read its own rounding on a
     # near-zero entry (3.56e-5 against the 1e-5 bound); step 1e-5 does not

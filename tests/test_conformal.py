@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hexcurv import conformal as cf
 from hexcurv import curvature, mesh, solver
-from hexcurv._kernels import edge_state
 from hexcurv.errors import (
     DomainViolation,
     FamilyConstraint,
@@ -24,7 +23,8 @@ from hexcurv.errors import (
 from hexcurv.mesh import Edge
 
 import scalar_ref
-from helpers import ALL_FAMILIES, make_spec, sample_admissible_u, sphere_triangulation
+from helpers import ALL_FAMILIES, edge_lanes, make_spec, sample_admissible_u
+from helpers import sphere_triangulation
 
 
 def spec1(family, alphas, etas, special=()):
@@ -38,7 +38,7 @@ def edge_rule(spec, edge, f):
     """(cosh l, partial ratio oriented a -> b) of one edge by the kernel's
     edge rules."""
     a, b = edge.a, edge.b
-    ok, ch, rho = edge_state(scalar_ref.edge_code(spec, a, b), spec.alpha[a], spec.alpha[b],
+    ok, ch, rho = edge_lanes(scalar_ref.edge_code(spec, a, b), spec.alpha[a], spec.alpha[b],
                              f[a], f[b], spec.eta[edge.id])
     assert ok
     return float(ch), float(rho)
@@ -52,7 +52,7 @@ def face_edge_rules(spec, tri, fs):
     side = prog.side[:, 0]
     assert not prog.rev.any()  # each edge runs the way its one face side does
     fa, fb = (np.asarray(fs)[:, e] for e in prog.ends[:, side])
-    return edge_state(prog.codes[side], *prog.alphas[:, side], fa, fb, prog.etas[side])
+    return edge_lanes(prog.codes[side], *prog.alphas[:, side], fa, fb, prog.etas[side])
 
 
 def test_edge_length_a1_plain():
@@ -638,6 +638,25 @@ def test_structure_spec_items_are_python_numbers():
     assert all(type(x) is int for x in parsed.alpha.values())
     assert all(type(x) is float for x in parsed.eta.values())
     assert list(parsed.alpha.items()) == [(0, 0), (1, 1), (2, 0)]
+
+
+def test_structure_spec_hashes_as_the_value_it_equals():
+    # a parsed spec and its twin from plain dicts find each other in a set
+    # and as a dict key; an int weight hashes as the float of the same number
+    rng = random.Random(4)
+    tri = sphere_triangulation(30, rng)
+    spec = mesh.parse(mesh.serialize(tri, make_spec("MixedI", tri, rng)))[1]
+    plain = cf.StructureSpec(spec.family, dict(spec.alpha), dict(spec.eta), set(spec.special))
+    assert spec == plain and hash(spec) == hash(plain)
+    assert plain in {spec} and spec in {plain}
+    assert {spec: 1}[plain] == 1 and {plain: 2}[spec] == 2
+    ints, floats = cf.Weights([0, 1], [1, 0]), cf.Weights([1, 0], [0.0, 1.0])
+    assert ints == floats and hash(ints) == hash(floats)
+    assert hash(cf.StructureSpec("A3", {0: 0}, {0: 1})) == hash(
+        cf.StructureSpec("A3", {0: 0}, {0: 1.0}))
+    other = cf.StructureSpec(spec.family, dict(spec.alpha), {**spec.eta, 0: spec.eta[0] + 1.0},
+                             set(spec.special))
+    assert other not in {spec}
 
 
 @pytest.mark.parametrize("alpha, eta, message", [

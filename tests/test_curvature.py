@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from hexcurv import curvature, identities, mesh
 from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
 from hexcurv.conformal import validate_spec
-from hexcurv._kernels import face_eval, face_theta
+from hexcurv._kernels import TIME, face_eval, face_theta
 from hexcurv._kernels.center import face_centers
 from hexcurv.errors import FamilyConstraint, HexcurvError, NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
@@ -25,6 +25,8 @@ from helpers import (
     light_like_samples,
     make_spec,
     pick_special,
+    plant_flipped_q,
+    plant_height_error,
     plant_jacobian_error,
     sample_admissible_f,
     sphere_triangulation,
@@ -414,14 +416,16 @@ def test_returned_jacobians_own_their_arrays():
 
 
 def _identity_suite_per_sample(family, samples, seed):
-    """run_suite's residuals, one sample at a time through the mesh record:
-    curvature_and_arcs, curvature._jacobian and curvature_map at the
-    shifted factors."""
+    """run_suite's residuals and branch counts, one sample at a time
+    through the mesh record: curvature_and_arcs, curvature._jacobian and
+    curvature_map at the shifted factors."""
     spec, tri = stock_spec(family), mesh.single_face()
     cov = spec_arrays(spec, tri).cov
     res = {name: [0, 0.0] for name in ("compatibility", "finite-difference",
                                        "reciprocal-cosh-diagonal", "center-distance-formula",
-                                       "u-symmetry", "negative-definite")}
+                                       "u-symmetry", "negative-definite",
+                                       "center-distance-identities", "sign-coherence")}
+    branches = dict.fromkeys(identities.BRANCHES, 0)
 
     def note(name, value):
         res[name] = [res[name][0] + 1, max(res[name][1], float(value))]
@@ -437,6 +441,12 @@ def _identity_suite_per_sample(family, samples, seed):
         except HexcurvError:
             continue
         note("compatibility", identities.compatibility_residual_general(splits))
+        branches[identities.BRANCHES[rec.branch[0]]] += 1
+        if rec.domain[0] >= 0:  # the blocks of the sample's branch
+            block = (identities.time_like_residual if rec.branch[0] == TIME
+                     else identities.space_like_residual)
+            note("center-distance-identities", block(rec)[0])
+            note("sign-coherence", 0.0 if identities.sign_coherence_ok(rec)[0] else 2.0)
         mc = face_eval(arcs, np.ones(3))[0]
         note("center-distance-formula", float(np.max(np.abs(rec.m[0] - mc)))
              / max(1.0, float(np.max(np.abs(mc)))))
@@ -462,17 +472,19 @@ def _identity_suite_per_sample(family, samples, seed):
         except HexcurvError:
             continue
         note("finite-difference", worst)
-    return {name: tuple(v) for name, v in res.items()}
+    return {name: tuple(v) for name, v in res.items()}, branches
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_identity_suite_is_the_per_sample_evaluation(family):
     # the batched suite gives the counts and worst residuals of evaluating
-    # each sample alone through the mesh record, bit for bit
-    batched = identities.run_suite(family, 60, random.Random(7))
-    assert {name: v[:2] for name, v in batched.items()} == \
+    # each sample alone through the mesh record, bit for bit, and its
+    # branch counts
+    checks, branches = identities.run_suite(family, 60, random.Random(7))
+    assert ({name: v[:2] for name, v in checks.items()}, branches) == \
         _identity_suite_per_sample(family, 60, 7)
-    assert all(type(v[1]) is float for v in batched.values())
+    assert all(type(v[1]) is float for v in checks.values())
+    assert checks["center-distance-identities"][0] > 0
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -481,6 +493,25 @@ def test_finite_difference_check_finds_a_planted_error(family, monkeypatch):
     # check, so the step that keeps its rounding below the bound keeps
     # its power
     plant_jacobian_error(monkeypatch)
-    count, worst, bound = identities.run_suite(family, 500, random.Random(11))[
+    count, worst, bound = identities.run_suite(family, 500, random.Random(11))[0][
         "finite-difference"]
+    assert count > 0 and worst > bound
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_center_distance_identity_check_finds_a_planted_error(family, monkeypatch):
+    # distances h off by 1e-6 relative fail the identity blocks, and only them
+    plant_height_error(monkeypatch)
+    checks = identities.run_suite(family, 200, random.Random(11))[0]
+    failed = {name for name, (count, worst, bound) in checks.items()
+              if not (count > 0 and worst < bound)}
+    assert failed == {"center-distance-identities"}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_sign_coherence_check_finds_a_flipped_q(family, monkeypatch):
+    # one sample with the signs of its q negated fails the sign check
+    plant_flipped_q(monkeypatch)
+    count, worst, bound = identities.run_suite(family, 200, random.Random(11))[0][
+        "sign-coherence"]
     assert count > 0 and worst > bound

@@ -1,6 +1,7 @@
 """No module under src/ or tests/ imports a name it never reads, no
-top-level definition in src/hexcurv goes unread, and no function there
-takes a parameter it never reads."""
+definition in src/hexcurv goes unread by the library itself unless it is
+on the allowlist below, and no function there takes a parameter it never
+reads."""
 
 import ast
 import collections
@@ -37,33 +38,65 @@ def test_every_imported_name_is_read():
     assert not found, "imported and never read:\n" + "\n".join(found)
 
 
+# Definitions in src/hexcurv that the library itself never reads, and why
+# each stays: public API for callers, or a name perfbench reads (it keeps
+# its own copies of everything else it needs).
+ALLOWED = {
+    "f_from_u": "public API: the factors of coordinates, as dicts",
+    "u_from_f": "public API: the coordinates of factors, as dicts",
+    "serialize": "public API: the text of a mesh and spec, which parse reads back",
+    "pair_of_pants": "public API: the stock two-face mesh",
+    "default_initial": "public API: the default start as a dict",
+    "energy": "public API: the variational energy between two points",
+    "Admissibility.violations": "public API: the bounds admissible finds violated",
+    "BACKEND": "perfbench's environment line names the kernel backend",
+    "chart": "perfbench's admissible-point sampler reads each component's chart",
+    "Chart.contains": "perfbench's sampler keeps each coordinate inside its chart",
+}
+
+
 def _reads(tree) -> collections.Counter:
-    """How often tree reads each name, as a name or as an attribute."""
+    """How often tree reads each name, as a name, as an attribute or as a
+    string constant that is an identifier (as getattr takes it)."""
     return collections.Counter(
-        node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier())
+
+
+def _defined(node) -> list:
+    """The names a statement defines: a function's or class's, or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return []
 
 
 def unreferenced(defining: dict, reading: list) -> list:
     """(path, line, name) of every top-level function, class and assigned
-    name (a namedtuple class is one) in the sources of defining, a mapping
-    of path to source, that no source in reading reads outside the
-    definition itself."""
+    name (a namedtuple class is one), and every method, property and class
+    attribute of a top-level class (named Class.member; dunder methods
+    excepted), in the sources of defining, a mapping of path to source,
+    that no source in reading reads by name outside the definition itself."""
     read = sum((_reads(ast.parse(source)) for source in reading), collections.Counter())
     found = []
     for path, source in defining.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-            else:
-                continue
+        body = ast.parse(source).body
+        members = [(node, f"{cls.name}.") for cls in body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body]
+        for node, prefix in [(node, "") for node in body] + members:
             own = _reads(node)
-            found += [(path, node.lineno, name) for name in names if read[name] == own[name]]
-    return found
+            found += [(path, node.lineno, prefix + name) for name in _defined(node)
+                      if read[name] == own[name]
+                      and not (name.startswith("__") and name.endswith("__"))]
+    return sorted(found, key=lambda x: (str(x[0]), x[1]))
 
 
 def test_the_scan_finds_planted_unreferenced_definitions():
@@ -74,13 +107,45 @@ def test_the_scan_finds_planted_unreferenced_definitions():
         ("m.py", 8, "helper"), ("m.py", 12, "Left")]
 
 
+def test_the_scan_finds_a_planted_test_only_method():
+    # the library reads the property, and the class attribute through
+    # getattr; only a test reads peek, and poke only itself
+    library = ("class Box:\n    size = 3\n\n    def __init__(self, n):\n        self.n = n\n\n"
+               "    @property\n    def full(self):\n        return self.n > 2\n\n"
+               "    def peek(self):\n        return self.n\n\n"
+               "    def poke(self):\n        return self.poke()\n\n\n"
+               "print(Box(1).full, getattr(Box, 'size'))\n")
+    test = "print(Box(2).peek())\n"
+    assert unreferenced({"m.py": library}, [library]) == [
+        ("m.py", 11, "Box.peek"), ("m.py", 14, "Box.poke")]
+    assert unreferenced({"m.py": library}, [library, test]) == [("m.py", 14, "Box.poke")]
+
+
+def _sources(*tops) -> list:
+    return [path.read_text(encoding="utf-8") for top in tops
+            for path in sorted((ROOT / top).rglob("*.py"))]
+
+
+def _library() -> dict:
+    return {path.relative_to(ROOT): path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src" / "hexcurv").rglob("*.py"))}
+
+
 def test_every_top_level_definition_is_read():
-    defining = {path.relative_to(ROOT): path.read_text(encoding="utf-8")
-                for path in sorted((ROOT / "src" / "hexcurv").rglob("*.py"))}
-    reading = [path.read_text(encoding="utf-8") for top in ("src", "tests", "perfbench")
-               for path in sorted((ROOT / top).rglob("*.py"))]
-    found = [f"{path}:{line}: {name}" for path, line, name in unreferenced(defining, reading)]
+    # by the library, the tests or perfbench: allowlisted names too
+    found = [f"{path}:{line}: {name}" for path, line, name
+             in unreferenced(_library(), _sources("src", "tests", "perfbench"))]
     assert not found, "defined and never read:\n" + "\n".join(found)
+
+
+def test_the_library_reads_every_definition():
+    # nothing in src/hexcurv is read only from tests/ or perfbench/, except
+    # the allowlisted names, and each of those is one the library does not read
+    found = unreferenced(_library(), _sources("src"))
+    extra = [f"{path}:{line}: {name}" for path, line, name in found if name not in ALLOWED]
+    assert not extra, "read only outside the library:\n" + "\n".join(extra)
+    stale = set(ALLOWED) - {name for _, _, name in found}
+    assert not stale, f"allowlisted, yet the library reads them: {sorted(stale)}"
 
 
 def unread_parameters(source: str) -> list:

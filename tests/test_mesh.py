@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hexcurv import mesh
 from hexcurv.conformal import StructureSpec
 from hexcurv.errors import DanglingReference, FamilyConstraint, HexcurvError, MeshFormatError
-from hexcurv.errors import OutOfRange
 from hexcurv.mesh import Edge, Face, Triangulation
 
 from helpers import make_spec, sphere_triangulation
@@ -103,23 +102,13 @@ structure family=A1
     assert tri.open_edges
 
 
-def test_vertex_star():
-    tri = mesh.pair_of_pants()
-    for i in range(3):
-        star = tri.vertex_star(i)
-        assert len(star) == 2
-        assert [f.id for f, _ in star] == [0, 1]
-    with pytest.raises(OutOfRange):
-        tri.vertex_star(3)
-
-
 def test_self_adjacent_face_two_corners():
     edges = [Edge(0, 0, 0), Edge(1, 0, 1), Edge(2, 1, 0)]
     faces = [Face(0, (0, 0, 1), (0, 1, 2))]
     tri = Triangulation(2, edges, faces, open_edges=True)
     assert any("repeats" in w for w in tri.warnings)
-    star = tri.vertex_star(0)
-    assert len(star) == 2 and {c for _, c in star} == {0, 1}
+    corners = tri.face_arrays[0][0].tolist()
+    assert [c for c, i in enumerate(corners) if i == 0] == [0, 1]
 
 
 def test_serialize_writes_alphas_as_parse_reads_them():
