@@ -395,27 +395,8 @@ def plant_jacobian_error(monkeypatch, rel=1e-4):
     monkeypatch.setattr(identities, "face_eval", planted)
 
 
-def plant_height_error(monkeypatch, rel=1e-6):
-    """Make identities.run_suite read every face-center record with its
-    distances h off by rel, relative."""
+def plant_record_error(monkeypatch, edit):
+    """Make identities.run_suite read every face-center record rec as
+    edit(rec)."""
     real = identities.face_centers
-
-    def planted(arcs):
-        rec = real(arcs)
-        return rec._replace(h=rec.h * (1.0 + rel))
-
-    monkeypatch.setattr(identities, "face_centers", planted)
-
-
-def plant_flipped_q(monkeypatch):
-    """Make identities.run_suite read every face-center record with the
-    distances q of its first face with a position domain negated."""
-    real = identities.face_centers
-
-    def planted(arcs):
-        rec = real(arcs)
-        q = rec.q.copy()
-        q[np.argmax(rec.domain >= 0)] *= -1.0
-        return rec._replace(q=q)
-
-    monkeypatch.setattr(identities, "face_centers", planted)
+    monkeypatch.setattr(identities, "face_centers", lambda arcs: edit(real(arcs)))

@@ -25,9 +25,8 @@ from helpers import (
     light_like_samples,
     make_spec,
     pick_special,
-    plant_flipped_q,
-    plant_height_error,
     plant_jacobian_error,
+    plant_record_error,
     sample_admissible_f,
     sphere_triangulation,
     stack_faces,
@@ -501,7 +500,7 @@ def test_finite_difference_check_finds_a_planted_error(family, monkeypatch):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_center_distance_identity_check_finds_a_planted_error(family, monkeypatch):
     # distances h off by 1e-6 relative fail the identity blocks, and only them
-    plant_height_error(monkeypatch)
+    plant_record_error(monkeypatch, lambda rec: rec._replace(h=rec.h * (1.0 + 1e-6)))
     checks = identities.run_suite(family, 200, random.Random(11))[0]
     failed = {name for name, (count, worst, bound) in checks.items()
               if not (count > 0 and worst < bound)}
@@ -511,7 +510,12 @@ def test_center_distance_identity_check_finds_a_planted_error(family, monkeypatc
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_sign_coherence_check_finds_a_flipped_q(family, monkeypatch):
     # one sample with the signs of its q negated fails the sign check
-    plant_flipped_q(monkeypatch)
+    def flip(rec):
+        q = rec.q.copy()
+        q[np.argmax(rec.domain >= 0)] *= -1.0  # the first sample with a domain
+        return rec._replace(q=q)
+
+    plant_record_error(monkeypatch, flip)
     count, worst, bound = identities.run_suite(family, 200, random.Random(11))[0][
         "sign-coherence"]
     assert count > 0 and worst > bound
