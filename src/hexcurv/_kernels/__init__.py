@@ -165,8 +165,8 @@ class Arcs(NamedTuple):
 
 def _edge_pass(prog: EdgeProgram, f):
     """(ok, cosh l, rho) of every edge of prog at finite factors f, in
-    program order, each rule code once on its own edges; ok marks the lanes
-    outside a rule's domain, which keep its filler values."""
+    program order, each rule code once on its own edges; ok is False on the
+    lanes outside a rule's domain, which keep its filler values."""
     (a, b), (aa, ab), n = prog.ends, prog.alphas, len(prog.codes)
     ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
     for code, at in prog.groups:

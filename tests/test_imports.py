@@ -55,15 +55,16 @@ ALLOWED = {
 }
 
 
-def _reads(tree) -> collections.Counter:
-    """How often tree reads each name, as a name, as an attribute or as a
-    string constant that is an identifier (as getattr takes it)."""
+def _reads(tree, strings: bool) -> collections.Counter:
+    """How often tree reads each name, as a name or an attribute, and, if
+    strings, as a string constant that is an identifier (as getattr takes
+    it)."""
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else
         node.attr if isinstance(node, ast.Attribute) else node.value
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        or strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.isidentifier())
 
 
@@ -79,20 +80,25 @@ def _defined(node) -> list:
     return []
 
 
-def unreferenced(defining: dict, reading: list) -> list:
+def unreferenced(defining: dict, library: list, others: list = ()) -> list:
     """(path, line, name) of every top-level function, class and assigned
     name (a namedtuple class is one), and every method, property and class
     attribute of a top-level class (named Class.member; dunder methods
-    excepted), in the sources of defining, a mapping of path to source,
-    that no source in reading reads by name outside the definition itself."""
-    read = sum((_reads(ast.parse(source)) for source in reading), collections.Counter())
+    excepted), in the sources of defining, a mapping of path to library
+    source, that no source in library or others reads by name outside the
+    definition itself.  A string naming it counts as a read in library
+    sources only, so an allowlist's keys in a test read nothing."""
+    read = sum((_reads(ast.parse(source), True) for source in library),
+               collections.Counter())
+    read += sum((_reads(ast.parse(source), False) for source in others),
+                collections.Counter())
     found = []
     for path, source in defining.items():
         body = ast.parse(source).body
         members = [(node, f"{cls.name}.") for cls in body if isinstance(cls, ast.ClassDef)
                    for node in cls.body]
         for node, prefix in [(node, "") for node in body] + members:
-            own = _reads(node)
+            own = _reads(node, True)
             found += [(path, node.lineno, prefix + name) for name in _defined(node)
                       if read[name] == own[name]
                       and not (name.startswith("__") and name.endswith("__"))]
@@ -103,7 +109,7 @@ def test_the_scan_finds_planted_unreferenced_definitions():
     source = ("from collections import namedtuple\n\n\ndef kept():\n    return LIMIT\n\n\n"
               "def helper(n):\n    return helper(n - 1) if n else kept()\n\n\n"
               "Left = namedtuple('Left', 'a b')\nLIMIT = 3\n")
-    assert unreferenced({"m.py": source}, [source, "print(LIMIT)\n"]) == [
+    assert unreferenced({"m.py": source}, [source], ["print(LIMIT)\n"]) == [
         ("m.py", 8, "helper"), ("m.py", 12, "Left")]
 
 
@@ -118,7 +124,16 @@ def test_the_scan_finds_a_planted_test_only_method():
     test = "print(Box(2).peek())\n"
     assert unreferenced({"m.py": library}, [library]) == [
         ("m.py", 11, "Box.peek"), ("m.py", 14, "Box.poke")]
-    assert unreferenced({"m.py": library}, [library, test]) == [("m.py", 14, "Box.poke")]
+    assert unreferenced({"m.py": library}, [library], [test]) == [("m.py", 14, "Box.poke")]
+
+
+def test_the_scan_reads_no_allowlist_string_in_a_test():
+    # a test naming a definition in a string, as an allowlist's key does,
+    # does not read it; the library naming it in a string, for getattr, does
+    library = "def spare():\n    return 1\n"
+    allowlist = "ALLOWED = {'spare': 'public API'}\n"
+    assert unreferenced({"m.py": library}, [library], [allowlist]) == [("m.py", 1, "spare")]
+    assert unreferenced({"m.py": library}, [library, allowlist]) == []
 
 
 def _sources(*tops) -> list:
@@ -134,7 +149,7 @@ def _library() -> dict:
 def test_every_top_level_definition_is_read():
     # by the library, the tests or perfbench: allowlisted names too
     found = [f"{path}:{line}: {name}" for path, line, name
-             in unreferenced(_library(), _sources("src", "tests", "perfbench"))]
+             in unreferenced(_library(), _sources("src"), _sources("tests", "perfbench"))]
     assert not found, "defined and never read:\n" + "\n".join(found)
 
 
