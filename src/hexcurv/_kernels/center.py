@@ -7,7 +7,7 @@ perpendiculars in the face center, and derives d theta / d f from the
 signed distances of the center to the edge geodesics.  Its matrix equals
 the cosine-law one of face_eval wherever the center exists; the identity
 suites check the two against each other, and the test suite holds a
-scalar twin of the status, branch, sigma and matrix.  The same record
+scalar twin of the status, branch and matrix.  The same record
 carries the rest of the hexagon: the dual splits of the boundary arcs,
 the signed distances h and q of the center and its position domain,
 which the hexagon command and the paper's identity blocks
@@ -59,7 +59,6 @@ class Centers(NamedTuple):
 
     status, bad   the theta stage's, extended by the center checks
     branch        causal class of the face center (TIME, SPACE, LIGHT)
-    sigma         its causal value, x . x of the Euclidean-normalized center
     m             F x 3 x 3, m[k, a, b] = d theta_a / d f of corner b by
                   the center-distance formula
     v, p          F x 3 x 3, row a the unit space-like normal of the arc at
@@ -83,7 +82,6 @@ class Centers(NamedTuple):
     status: np.ndarray
     bad: np.ndarray
     branch: np.ndarray
-    sigma: np.ndarray
     m: np.ndarray
     v: np.ndarray
     p: np.ndarray
@@ -285,5 +283,5 @@ def face_centers(arcs: Arcs) -> Centers:
     domain[~inside.all(axis=1)] = DUAL_OUTSIDE
     domain[~(found & k0.all(axis=1))] = NO_DOMAIN
     has = (domain >= 0)[:, None]
-    return Centers(status, bad, branch, sigma, m, v, p, centers, center, d, dual,
+    return Centers(status, bad, branch, m, v, p, centers, center, d, dual,
                    np.where(has, h, 0.0), np.where(has, q, 0.0), domain)

@@ -20,6 +20,7 @@ from . import __version__, mesh
 from ._kernels import BAD_CENTER, BAD_SPLIT, LIGHT, SPACE
 from ._kernels.center import DOMAINS, DUAL_OUTSIDE, INCOHERENT, NO_DOMAIN
 from ._kernels.center import face_centers, hexagon_arcs
+from .conformal import Weights
 from .curvature import curvature_and_jacobian, curvature_map
 from .errors import DegenerateHexagon, DualCenterOutside, HexcurvError
 from .errors import IncompatibleSplits, InconsistentRatio, UnclassifiableSigns
@@ -38,9 +39,9 @@ def _read_mesh(path):
 
 
 def _read_records(path, tag, n):
-    """{id: value} from '<tag> <id> <value>' lines, one per component 0..n-1,
-    each value finite."""
-    out, ids = {}, []
+    """The values of '<tag> <id> <value>' lines, one per component 0..n-1,
+    each value finite, as a Weights keyed 0..n-1."""
+    ids, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             parts = raw.split("#", 1)[0].split()
@@ -50,16 +51,17 @@ def _read_records(path, tag, n):
                 if parts[0] != tag or len(parts) != 3:
                     raise ValueError(raw)
                 ids.append(int(parts[1]))
-                out[ids[-1]] = float(parts[2])
+                values.append(float(parts[2]))
             except ValueError:
                 raise HexcurvError(
                     f"{path}: expected '{tag} <id> <value>' records") from None
     if sorted(ids) != list(range(n)):
         raise HexcurvError(f"{path}: needs one record per component 0..{n - 1}")
-    bad = [i for i in ids if not math.isfinite(out[i])]
-    if bad:
-        raise HexcurvError(f"{path}: value of '{tag} {bad[0]}' is not finite")
-    return out
+    values = np.array(values)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise HexcurvError(f"{path}: value of '{tag} {ids[np.argmax(bad)]}' is not finite")
+    return Weights(ids, values)
 
 
 def _emit(args, doc, lines):
@@ -229,9 +231,10 @@ def cmd_solve(args):
             fh.write("\n".join(report_lines) + "\n")
     if math.isnan(rep.quad_constant):
         report["quad_constant"] = None
-    doc = {"f": {str(i): f[i] for i in range(tri.n_boundary)},
+    f = f.data.tolist()
+    doc = {"f": {str(i): x for i, x in enumerate(f)},
            "report": {**report, "trajectory": rep.trajectory, "notes": rep.notes}}
-    _emit(args, doc, [f"f {i} {_fmt(f[i])}" for i in range(tri.n_boundary)])
+    _emit(args, doc, [f"f {i} {_fmt(x)}" for i, x in enumerate(f)])
     return 0
 
 

@@ -10,7 +10,10 @@ function per rule code, behind the kernel's edge pass).  spec_arrays(spec,
 tri) is the one record of a spec on a mesh (SpecArrays), each field built
 on first use; the mesh keeps the record of the last spec it was used
 with.  Functions taking u or f accept a mapping or an array indexed by
-component; f_from_u and u_from_f map dicts to dicts at the API boundary.
+component, and read a Weights keyed 0..N-1 as its own array
+(component_values).  Per-component results are Weights too: f_from_u and
+u_from_f map a mapping to a Weights with its keys, and read a Weights
+argument's arrays, never its items.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -45,7 +48,7 @@ EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B1, EDGE_B2, EDGE_B3 = range(6)
 class Weights(Mapping):
     """A read-only mapping of distinct integer keys to numbers, held as two
     read-only arrays: ids, the keys in ascending order, and data, their
-    values.  The constructor copies both and sorts them by key where they
+    values; a spec's weights and every per-component result are Weights.  The constructor copies both and sorts them by key where they
     are not in order; it raises ValueError for a repeated key.  Items read
     as Python ints and floats, from a dict built on the first item access
     or iteration; two Weights compare and hash by their arrays' values."""
@@ -234,8 +237,6 @@ class ChangeOfVariables:
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
         keys = np.asarray(ids)
-        if keys.dtype.kind not in "biuf":  # a key that is no number is no component
-            keys = np.array([i if isinstance(i, numbers.Real) else np.nan for i in ids])
         special = np.isin(keys, [i for i in spec.special if isinstance(i, numbers.Real)])
         alpha = None
         if spec.family in ("A1", "MixedI"):
@@ -284,10 +285,14 @@ class ChangeOfVariables:
 
 def component_values(x, n: int) -> np.ndarray:
     """x[0], ..., x[n-1] as a float array; x is a mapping with the keys
-    0..n-1 or an array-like of shape (n,).  Raises OutOfRange naming the
+    0..n-1 or an array-like of shape (n,).  A Weights with those keys gives
+    its own data, with no item read: its keys are sorted and distinct, so n
+    of them from 0 to n-1 are exactly 0..n-1.  Raises OutOfRange naming the
     first missing or extra component, or the wrong shape."""
     if isinstance(x, np.ndarray) and x.shape == (n,):
         return x.astype(float, copy=False)
+    if isinstance(x, Weights) and len(x.ids) == n > 0 and x.ids[0] == 0 and x.ids[-1] == n - 1:
+        return x.data.astype(float, copy=False)
     if not isinstance(x, Mapping):
         out = np.asarray(x, dtype=float)
         if out.shape != (n,):
@@ -305,12 +310,33 @@ def component_values(x, n: int) -> np.ndarray:
     raise OutOfRange(f"component {extra} is not one of 0..{n - 1}")
 
 
-def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> dict:
-    return dict(zip(f, ChangeOfVariables(spec, list(f)).to_u(list(f.values())).tolist()))
+def _components(x: Mapping) -> Weights:
+    """x as a Weights of float values, x itself where it is one; raises
+    OutOfRange naming the first key that is no integer."""
+    if isinstance(x, Weights):
+        return x
+    keys = list(x)
+    try:
+        ids = np.fromiter(map(operator.index, keys), np.intp, len(keys))
+    except (TypeError, OverflowError):
+        for k in keys:  # the first key that is no integer raises
+            try:
+                np.intp(operator.index(k))
+            except (TypeError, OverflowError):
+                raise OutOfRange(f"component {k!r} is not an integer") from None
+    return Weights(ids, np.asarray(list(x.values()), dtype=float))
 
 
-def f_from_u(spec: StructureSpec, u: Mapping[int, float]) -> dict:
-    return dict(zip(u, ChangeOfVariables(spec, list(u)).to_f(list(u.values())).tolist()))
+def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> Weights:
+    """The coordinates u of the factors f, keyed as f, as a Weights."""
+    f = _components(f)
+    return Weights(f.ids, ChangeOfVariables(spec, f.ids).to_u(f.data))
+
+
+def f_from_u(spec: StructureSpec, u: Mapping[int, float]) -> Weights:
+    """The factors f of the coordinates u, keyed as u, as a Weights."""
+    u = _components(u)
+    return Weights(u.ids, ChangeOfVariables(spec, u.ids).to_f(u.data))
 
 
 # -- the weight table --------------------------------------------------------

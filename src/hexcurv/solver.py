@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
 
-from .conformal import StructureSpec, admissible, component_values, spec_arrays
+from .conformal import StructureSpec, Weights, admissible, component_values, spec_arrays
 from .curvature import _jacobian, curvature_and_arcs, curvature_map
 from .errors import (
     HexcurvError,
@@ -79,7 +80,7 @@ NewtonStart = namedtuple("NewtonStart", "f K factor")
 class SolveOptions:
     tol_K: float = 1e-10
     max_iter: int = 100
-    initial: dict | None = None  # factor values; None selects the family default
+    initial: Mapping[int, float] | np.ndarray | None = None  # factors; None: the default
 
     def __post_init__(self):
         if not (self.tol_K > 0.0 and math.isfinite(self.tol_K)):
@@ -104,6 +105,12 @@ class SolveReport:
 def default_initial(spec: StructureSpec, tri) -> dict:
     """The default start, spec_arrays(spec, tri).start, as a new dict."""
     return dict(enumerate(spec_arrays(spec, tri).start.tolist()))
+
+
+def _result(f: np.ndarray) -> Weights:
+    """The factors f of the components 0..N-1, as the read-only Weights a
+    solve returns and NotConverged carries."""
+    return Weights(np.arange(len(f)), f)
 
 
 def _factor(lam, order: tuple):
@@ -162,10 +169,11 @@ def solve_prescribed_curvature(
 ):
     """Find factors f with curvature equal to the target vector.
 
-    target maps boundary components to positive reals (dict or array).
-    Returns (f, report); raises NotConverged with the best iterate attached
-    when the iteration or damping budget runs out or a Jacobian is exactly
-    singular.
+    target maps boundary components to positive reals (a mapping, such as
+    a Weights, or an array).  Returns (f, report), f the factors as a
+    read-only Weights keyed 0..N-1; raises NotConverged with the best
+    iterate attached as such a Weights (factors) when the iteration or
+    damping budget runs out or a Jacobian is exactly singular.
     """
     opts = opts or SolveOptions()
     n = tri.n_boundary
@@ -204,7 +212,7 @@ def solve_prescribed_curvature(
         if res <= opts.tol_K:
             report.converged = True
             report.quad_constant = _quad_constant(report.trajectory[:it + 1 - report.chord_steps])
-            return dict(enumerate(f.tolist())), report
+            return _result(f), report
         if it == opts.max_iter:
             break
         order, trial = tri.jacobian_order, None
@@ -233,7 +241,7 @@ def solve_prescribed_curvature(
             if step is None:
                 raise NotConverged(
                     f"jacobian exactly singular at residual {res}",
-                    factors=dict(enumerate(f.tolist())), report=report,
+                    factors=_result(f), report=report,
                 )
             arcs, lam_scale = None, 1.0
             for _ in range(MAX_HALVINGS):
@@ -246,13 +254,13 @@ def solve_prescribed_curvature(
                 report.residual = res
                 raise NotConverged(
                     f"damping budget exhausted at residual {res}",
-                    factors=dict(enumerate(f.tolist())), report=report,
+                    factors=_result(f), report=report,
                 )
         prev_res, (u, f, K, arcs, res) = res, trial
         report.trajectory.append(res)
     raise NotConverged(
         f"no convergence in {opts.max_iter} iterations (residual {res})",
-        factors=dict(enumerate(f.tolist())), report=report,
+        factors=_result(f), report=report,
     )
 
 

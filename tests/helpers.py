@@ -6,7 +6,7 @@ import numpy as np
 from hexcurv import identities, solver
 from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, disjoint_faces, face_eval
 from hexcurv._kernels import _edge_pass, face_theta
-from hexcurv._kernels.center import _mdot, face_centers
+from hexcurv._kernels.center import _edot, _mdot, face_centers
 from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
@@ -308,6 +308,17 @@ def branch_samples(rng, want, cap=40000):
     return buckets
 
 
+def causal_value(rec):
+    """x . x of the Euclidean-normalized center of each face of a
+    face-center record, 0 where it has none: the value face_centers sorts
+    the causal branches by.  Bit for bit on light-like centers, which the
+    record keeps unnormalized; within rounding elsewhere."""
+    c = rec.center
+    norm = np.sqrt(_edot(c, c))[:, None]
+    chat = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
+    return _mdot(chat, chat)
+
+
 def light_like_samples(rng, want, cap=4000):
     """(spec, f) samples with a light-like face center: a loop drawing one
     pair of faces at a time bisects between those whose causal values
@@ -320,8 +331,8 @@ def light_like_samples(rng, want, cap=4000):
         return (spec, *(face_f(spec, p) for p in pts)) if len(pts) == 2 else None
 
     def centers(specs, f):
-        status, _, branch, sigma = face_centers(stack_faces(list(zip(specs, f))))[:4]
-        return status == OK, branch, sigma
+        rec = face_centers(stack_faces(list(zip(specs, f))))
+        return rec.status == OK, rec.branch, causal_value(rec)
 
     for batch in _draw_batches(rng, draw, cap):
         drawn = [(c, state) for c, state in batch if c is not None]

@@ -152,6 +152,21 @@ def test_change_of_variables_names_a_component_without_alpha():
             call(spec, x)
 
 
+def test_change_of_variables_names_a_key_that_is_no_integer():
+    # on every family, as a spec's weights name theirs; True is the integer
+    # 1 there, and here
+    a1 = spec1("A1", {0: 0, 1: 0}, {0: 2.0})
+    a3 = spec1("A3", {0: 0, 1: 0}, {0: 2.0})
+    for spec in (a1, a3):
+        for call, x in ((cf.f_from_u, -0.5), (cf.u_from_f, 0.5)):
+            for key in ("a", None, 0.5):
+                with pytest.raises(OutOfRange, match=f"^component {re.escape(repr(key))} "
+                                                     "is not an integer$"):
+                    call(spec, {0: x, key: x})
+            out = call(spec, {True: x, 0: x})
+            assert out == call(spec, {0: x, 1: x}) and out.ids.tolist() == [0, 1]
+
+
 def test_dfdu_examples_and_fd():
     def dfdu(spec, f):
         return cf.ChangeOfVariables(spec, [0]).derivative(np.array([f]))[0]

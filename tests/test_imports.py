@@ -42,8 +42,8 @@ def test_every_imported_name_is_read():
 # each stays: public API for callers, or a name perfbench reads (it keeps
 # its own copies of everything else it needs).
 ALLOWED = {
-    "f_from_u": "public API: the factors of coordinates, as dicts",
-    "u_from_f": "public API: the coordinates of factors, as dicts",
+    "f_from_u": "public API: the factors of coordinates, as read-only Weights",
+    "u_from_f": "public API: the coordinates of factors, as read-only Weights",
     "serialize": "public API: the text of a mesh and spec, which parse reads back",
     "pair_of_pants": "public API: the stock two-face mesh",
     "default_initial": "public API: the default start as a dict",
@@ -55,15 +55,16 @@ ALLOWED = {
 }
 
 
-def _reads(tree, strings: bool) -> collections.Counter:
-    """How often tree reads each name, as a name or an attribute, and, if
-    strings, as a string constant that is an identifier (as getattr takes
-    it)."""
+def _reads(tree, strings: bool, names: bool = True) -> collections.Counter:
+    """How often tree reads each name, as an attribute, as a name if names,
+    and, if strings, as a string constant that is an identifier (as getattr
+    takes it)."""
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else
         node.attr if isinstance(node, ast.Attribute) else node.value
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        if (isinstance(node, ast.Attribute) or names and isinstance(node, ast.Name))
+        and isinstance(node.ctx, ast.Load)
         or strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.isidentifier())
 
@@ -85,22 +86,25 @@ def unreferenced(defining: dict, library: list, others: list = ()) -> list:
     name (a namedtuple class is one), and every method, property and class
     attribute of a top-level class (named Class.member; dunder methods
     excepted), in the sources of defining, a mapping of path to library
-    source, that no source in library or others reads by name outside the
-    definition itself.  A string naming it counts as a read in library
-    sources only, so an allowlist's keys in a test read nothing."""
-    read = sum((_reads(ast.parse(source), True) for source in library),
-               collections.Counter())
-    read += sum((_reads(ast.parse(source), False) for source in others),
-                collections.Counter())
+    source, that no source in library or others reads outside the
+    definition itself.  A top-level name is read as a name or an attribute;
+    a class member only as an attribute, so a local of the same name reads
+    nothing.  A string naming it counts as a read in library sources only,
+    so an allowlist's keys in a test read nothing."""
+    sources = [(source, True) for source in library] + [(source, False) for source in others]
+    read, attributes = (sum((_reads(ast.parse(source), strings, names) for source, strings
+                             in sources), collections.Counter()) for names in (True, False))
     found = []
     for path, source in defining.items():
         body = ast.parse(source).body
-        members = [(node, f"{cls.name}.") for cls in body if isinstance(cls, ast.ClassDef)
+        members = [(node, cls.name) for cls in body if isinstance(cls, ast.ClassDef)
                    for node in cls.body]
-        for node, prefix in [(node, "") for node in body] + members:
-            own = _reads(node, True)
-            found += [(path, node.lineno, prefix + name) for name in _defined(node)
-                      if read[name] == own[name]
+        for node, cls in [(node, None) for node in body] + members:
+            own = _reads(node, True, cls is None)
+            count = read if cls is None else attributes
+            found += [(path, node.lineno, name if cls is None else f"{cls}.{name}")
+                      for name in _defined(node)
+                      if count[name] == own[name]
                       and not (name.startswith("__") and name.endswith("__"))]
     return sorted(found, key=lambda x: (str(x[0]), x[1]))
 
@@ -125,6 +129,17 @@ def test_the_scan_finds_a_planted_test_only_method():
     assert unreferenced({"m.py": library}, [library]) == [
         ("m.py", 11, "Box.peek"), ("m.py", 14, "Box.poke")]
     assert unreferenced({"m.py": library}, [library], [test]) == [("m.py", 14, "Box.poke")]
+
+
+def test_the_scan_reads_no_member_by_a_local_of_its_name():
+    # the library binds and reads a local named like the field; only a test
+    # reads the field, as an attribute
+    library = ("from typing import NamedTuple\n\n\nclass Rec(NamedTuple):\n"
+               "    size: int\n\n\ndef make(n):\n    size = n + 1\n    return Rec(size)\n\n\n"
+               "print(make(1))\n")
+    test = "print(make(2).size)\n"
+    assert unreferenced({"m.py": library}, [library]) == [("m.py", 5, "Rec.size")]
+    assert unreferenced({"m.py": library}, [library], [test]) == []
 
 
 def test_the_scan_reads_no_allowlist_string_in_a_test():

@@ -11,6 +11,8 @@ from hexcurv._kernels import LIGHT, SPACE, TIME
 from hexcurv._kernels.center import NO_DOMAIN, _cross, _mdot, face_centers, hexagon_arcs
 from hexcurv.tol import TAU_CAUSAL
 
+from helpers import causal_value
+
 
 def V(*x):
     return np.array(x, dtype=float)
@@ -68,7 +70,7 @@ def test_causal_classification():
         if rec.branch[0] == LIGHT:
             break
         lo, hi = (mid, hi) if rec.branch[0] == TIME else (lo, mid)
-    assert rec.branch[0] == LIGHT and abs(rec.sigma[0]) <= TAU_CAUSAL
+    assert rec.branch[0] == LIGHT and abs(causal_value(rec)[0]) <= TAU_CAUSAL
     # a light-like center has no domain, h or q
     assert rec.domain[0] == NO_DOMAIN and not rec.h.any() and not rec.q.any()
 
@@ -82,7 +84,7 @@ def test_causal_class_boost_invariant():
     ratios = np.column_stack((r, 1.0 / (r[:, 0] * r[:, 1])))
     rec = face_centers(hexagon_arcs(lengths, ratios))
     turned = face_centers(hexagon_arcs(lengths[:, [1, 2, 0]], ratios[:, [1, 2, 0]]))
-    sure = (rec.domain >= 0) & (np.abs(rec.sigma) > 1e-6)
+    sure = (rec.domain >= 0) & (np.abs(causal_value(rec)) > 1e-6)
     assert sure.sum() > 100
     assert np.array_equal(rec.branch[sure], turned.branch[sure])
     assert np.allclose(rec.h[sure][:, [1, 2, 0]], turned.h[sure], atol=1e-9)

@@ -13,6 +13,7 @@ from hexcurv import conformal, curvature, mesh, solver
 from hexcurv._kernels import BAD_ARC, OK
 from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays
 from hexcurv.errors import HexcurvError, NoFeasibleStart, NotAdmissible, NotConverged
+from hexcurv.errors import OutOfRange
 from hexcurv.errors import PathLeavesDomain
 from hexcurv.mesh import Edge, Face, Triangulation
 
@@ -877,3 +878,49 @@ def test_a_mesh_dropped_after_a_solve_is_freed_without_the_cycle_collector():
 def test_solve_options_reject_unusable_budgets(kwargs):
     with pytest.raises(ValueError):
         solver.SolveOptions(**kwargs)
+
+
+def test_weights_in_read_like_a_dict_in():
+    # solve's f, NotConverged.factors and the results of f_from_u and
+    # u_from_f, fed back as they are and as dicts of their items: the same
+    # bytes out, and no item dict built on the way
+    rng = random.Random(25)
+    tri = sphere_triangulation(40, rng)
+    n = tri.n_boundary
+    for fam in ALL_FAMILIES:
+        spec = make_spec(fam, tri, rng)
+        u0 = solver.default_initial(spec, tri)
+        f = f_from_u(spec, sample_admissible_u(spec, tri, rng, 1, scale=0.3)[0])
+        target = curvature.curvature_map(spec, tri, f)
+        f_sol = solver.solve_prescribed_curvature(spec, tri, target)[0]
+        with pytest.raises(NotConverged) as err:
+            solver.solve_prescribed_curvature(spec, tri, target, solver.SolveOptions(max_iter=1))
+        for x in (f, f_sol, err.value.factors):
+            u = conformal.u_from_f(spec, x)
+            assert type(x) is type(u) is conformal.Weights
+            items = [dict(zip(w.ids.tolist(), w.data.tolist())) for w in (x, u)]
+
+            def outcomes(f, u):
+                K, jac = curvature.curvature_and_jacobian(spec, tri, f)
+                solved, rep = solver.solve_prescribed_curvature(
+                    spec, tri, target, solver.SolveOptions(initial=f))
+                return [curvature.curvature_map(spec, tri, f).tobytes(), K.tobytes(),
+                        jac.data.tobytes(), jac.indices.tobytes(), jac.indptr.tobytes(),
+                        conformal.admissible(spec, tri, u), solver.energy(spec, tri, u0, u),
+                        solved.data.tobytes(), pickle.dumps(rep)]
+
+            assert outcomes(x, u) == outcomes(*items)
+            for w in (x, u):
+                assert "_items" not in vars(w)
+                with pytest.raises(TypeError):
+                    w[0] = 1.0
+        # keys other than 0..n-1 raise as a dict with them does
+        data = np.arange(1.0, n + 1.0)
+        for ids in (np.arange(1, n + 1), np.r_[0:n - 1, n], np.arange(n - 1)):
+            w = conformal.Weights(ids, data[:len(ids)])
+            messages = []
+            for x in (w, dict(w)):
+                with pytest.raises(OutOfRange) as bad:
+                    curvature.curvature_map(spec, tri, x)
+                messages.append(str(bad.value))
+            assert messages[0] == messages[1]
