@@ -5,9 +5,12 @@ program (EdgeProgram), built once per spec and mesh.  Each hexagon side
 l is an edge quantity, fixed by the factors at the edge's two ends, its
 weight and its rule, and an interior edge is a side of two faces.  So the
 theta stage (face_theta) first runs the edge pass, the one per-lane
-entry to the edge rules: each rule code once, on its own edges, for cosh
-l, sinh l and the partial ratio rho of every edge.  It then gathers cosh
-l and sinh l to the face sides and applies the hexagon cosine law
+entry to the edge rules: each root law (rule code mod 3) once, on its own
+edges, for cosh l, sinh l and the partial ratio rho of every edge; the
+flipped codes 3 to 5 are the plain codes with the root and rho negated,
+so a spec's program, whose codes share one law, takes one call.  It
+then gathers cosh l and sinh l to the face sides and applies the
+hexagon cosine law
 
     cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
 
@@ -62,18 +65,20 @@ _ROWS = np.arange(3)
 _SH_FILL = math.sqrt(3.0)  # sinh of the filler edge, cosh l = 2
 
 
-def _rule(code, aa, ab, fa, fb, eta):
-    """(ok, cosh l, rho) of one edge rule code on its lanes.
+def _rule(law, aa, ab, fa, fb, eta, s, r):
+    """(ok, cosh l, rho) of one root law on its lanes: cosh l = eta
+    e^{f_a + f_b} + s root and rho = r times the law's partial ratio, with
+    the signs s and r of each lane's rule code (EdgeProgram.signs).
 
-    ok is None for the cosh-difference rules, which hold everywhere; the
-    square-root rules evaluate lanes outside their domain on finite
+    ok is numpy True for the cosh-difference law, which holds everywhere;
+    the square-root laws evaluate lanes outside their domain on finite
     filler, which callers mask by ok.
     """
     ee = eta * np.exp(fa + fb)
-    if code % 3 == 2:
-        ok, root, rho = None, np.cosh(fb - fa), np.exp(fa - fb)
+    if law == 2:
+        ok, root, rho = np.True_, np.cosh(fb - fa), np.exp(fa - fb)
     else:
-        if code % 3 == 0:
+        if law == 0:
             xa, xb = 1.0 + aa * np.exp(2.0 * fa), 1.0 + ab * np.exp(2.0 * fb)
         else:
             xa, xb = np.expm1(2.0 * fa), np.expm1(2.0 * fb)
@@ -81,21 +86,23 @@ def _rule(code, aa, ab, fa, fb, eta):
         if not ok.all():
             xa, xb = np.where(ok, xa, 1.0), np.where(ok, xb, 1.0)
         root, rho = np.sqrt(xa * xb), np.sqrt(xa / xb)
-    ch = root + ee if code % 2 else ee - root
-    return ok, ch, (-rho if code >= 3 else rho)
+    return ok, ee + s * root, r * rho
 
 
 class EdgeProgram:
     """How F faces read E edges (see the module docstring for the layout).
 
-    vert (F x 3) holds the corner ids.  Per edge, sorted by rule code:
-    ends (2 x E) the end ids a and b, codes, alphas (2 x E, at a and b)
-    and etas.  groups holds (code, slice of its edges) per code present.
-    side (3 x F) is the edge of each face side and rev whether the side
-    runs from b to a; tail and head index the flattened 2 x E per-end
-    values at the first and second corner of each side.  double is the
-    caller's (face, side) of the first face side that must fail, or None;
-    neither stage reads it.
+    vert (F x 3) holds the corner ids.  Per edge, sorted by root law (rule
+    code mod 3): ends (2 x E) the end ids a and b, codes, alphas (2 x E, at
+    a and b), etas and signs (2 x E): s, the sign of the root in cosh l
+    (+1 on odd codes), and r, the sign of rho (-1 on the flipped codes 3 to
+    5).  groups holds (law, slice of its edges) per law present; a spec's
+    program has one.  side (3 x F) is the edge of each face side and rev
+    whether the side runs from b to a; tail and head index the flattened
+    2 x E per-end values at the first and second corner of each side.
+    status and bad are the theta stage's read-only all-OK record of the F
+    faces.  double is the caller's (face, side) of the first face side
+    that must fail, or None; neither stage reads it.
 
     The constructor takes vert, then ends, codes, alphas and etas of the
     edges in any one order, side (F x 3) as indices into it, and double.
@@ -103,18 +110,22 @@ class EdgeProgram:
 
     def __init__(self, vert, ends, codes, alphas, etas, side, double=None):
         n = len(codes)
-        order = np.argsort(codes, kind="stable")
+        order = np.argsort(np.asarray(codes) % 3, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(n)
         self.vert, self.double = np.asarray(vert, dtype=np.intp), double
         self.ends, self.codes, self.alphas, self.etas = (
             np.asarray(x)[..., order] for x in (ends, codes, alphas, etas))
+        self.signs = np.where([self.codes % 2 == 1, self.codes < 3], 1.0, -1.0)
         self.side = rank[np.transpose(side)]
         self.rev = self.vert.T != self.ends[0, self.side]
         self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
-        starts = np.flatnonzero(np.diff(self.codes, prepend=-1)).tolist()
-        self.groups = tuple((int(self.codes[s]), slice(s, t))
+        law = self.codes % 3
+        starts = np.flatnonzero(np.diff(law, prepend=-1)).tolist()
+        self.groups = tuple((int(law[s]), slice(s, t))
                             for s, t in zip(starts, [*starts[1:], n]))
+        self.status, self.bad = (np.full(len(self.vert), x, dtype=np.int64) for x in (OK, -1))
+        self.status.flags.writeable = self.bad.flags.writeable = False
 
 
 def disjoint_faces(codes, alphas, etas):
@@ -128,22 +139,23 @@ def disjoint_faces(codes, alphas, etas):
 
 
 def _fail(status, bad, fails):
-    """Give each face still OK the first non-zero code of fails (3 x F)."""
+    """New (status, bad) that give each face still OK the first non-zero
+    code of fails (3 x F) and its position."""
     pos = np.argmax(fails != OK, axis=0)
     code = fails[pos, np.arange(len(status))]
     hit = (status == OK) & (code != OK)
-    status[hit] = code[hit]
-    bad[hit] = pos[hit]
+    return np.where(hit, code, status), np.where(hit, pos, bad)
 
 
 class Arcs(NamedTuple):
     """The theta stage of every face: status and bad position (see the
-    module docstring), the arcs theta, the program, cosh and sinh of the
-    face sides, cosh of the arcs (all four F x 3 views of 3 x F arrays),
-    and edge, the (cosh l, sinh l, rho) of every program edge, which the
-    derivative stage reuses.  Failed edges carry the filler cosh l = 2
-    beside a finite non-zero rho, and failed faces the regular hexagon's
-    sides, or cosh theta = 2 at a vanishing arc."""
+    module docstring; read-only where no face fails), the arcs theta, the
+    program, cosh and sinh of the face sides, cosh of the arcs (all four
+    F x 3 views of 3 x F arrays), and edge, the (cosh l, sinh l, rho) of
+    every program edge, which the derivative stage reuses.  Failed edges
+    carry the filler cosh l = 2 beside a finite non-zero rho, and failed
+    faces the regular hexagon's sides, or cosh theta = 2 at a vanishing
+    arc."""
 
     status: np.ndarray
     bad: np.ndarray
@@ -165,32 +177,35 @@ class Arcs(NamedTuple):
 
 def _edge_pass(prog: EdgeProgram, f):
     """(ok, cosh l, rho) of every edge of prog at finite factors f, in
-    program order, each rule code once on its own edges; ok is False on the
-    lanes outside a rule's domain, which keep its filler values."""
-    (a, b), (aa, ab), n = prog.ends, prog.alphas, len(prog.codes)
+    program order, one _rule call per root law on its own edges: a
+    one-law program returns that call's arrays, and ok may be numpy True
+    for all edges.  ok is False on the lanes outside a rule's domain,
+    which keep its filler values."""
+    (a, b), (aa, ab), (s, r) = prog.ends, prog.alphas, prog.signs
+    if len(prog.groups) == 1:
+        return _rule(prog.groups[0][0], aa, ab, f[a], f[b], prog.etas, s, r)
+    n = len(prog.codes)
     ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
-    for code, at in prog.groups:
-        good, ch[at], rho[at] = _rule(code, aa[at], ab[at], f[a[at]], f[b[at]],
-                                      prog.etas[at])
-        if good is not None:
-            ok[at] = good
+    for law, at in prog.groups:
+        ok[at], ch[at], rho[at] = _rule(law, aa[at], ab[at], f[a[at]], f[b[at]],
+                                        prog.etas[at], s[at], r[at])
     return ok, ch, rho
 
 
 def face_theta(prog: EdgeProgram, f) -> Arcs:
     """The theta stage of every face of prog at factors f, indexed by
-    vertex id; theta is F x 3."""
+    vertex id; theta is F x 3.  status and bad are prog's read-only
+    all-OK arrays unless a face fails."""
     f = np.asarray(f, dtype=float)
-    status = np.zeros(len(prog.vert), dtype=np.int64)
-    bad = np.full(len(prog.vert), -1, dtype=np.int64)
+    status, bad = prog.status, prog.bad
     in_range = np.abs(f) <= F_LIMIT
     if not in_range.all():
-        status[~in_range[prog.vert].all(axis=1)] = BAD_RANGE
+        status = np.where(in_range[prog.vert].all(axis=1), OK, BAD_RANGE)
         f = np.where(in_range, f, 0.0)
     ok, ch, rho = _edge_pass(prog, f)
     if not (ok.all() and ch.min(initial=2.0) > 1.0):
         fails = np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE)
-        _fail(status, bad, fails[prog.side])
+        status, bad = _fail(status, bad, fails[prog.side])
         ch = np.where(fails == OK, ch, 2.0)
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
     chs, shs = ch[prog.side], sh[prog.side]
@@ -201,7 +216,7 @@ def face_theta(prog: EdgeProgram, f) -> Arcs:
     chth = (chs[_NEXT] + chs * chs[_PREV]) / (shs * shs[_PREV])
     if not chth.min(initial=2.0) > 1.0:
         arc = chth > 1.0
-        _fail(status, bad, np.where(arc, OK, BAD_ARC))
+        status, bad = _fail(status, bad, np.where(arc, OK, BAD_ARC))
         chth = np.where(arc, chth, 2.0)
     return Arcs(status, bad, np.arccosh(chth).T, prog, chs.T, shs.T, chth.T,
                 (ch, sh, rho))

@@ -159,7 +159,6 @@ def face_centers(arcs: Arcs) -> Centers:
     that fails only the height check keeps its geometry and domain.
     """
     ch, sh, rho, chth = arcs.ch, arcs.sh, arcs.rho, arcs.chth
-    status, bad = arcs.status.copy(), arcs.bad.copy()
 
     # edge splits: kind 0 puts the edge center on the geodesic, kind 1
     # (hyper-ideal center) uses the real partial offsets
@@ -167,7 +166,7 @@ def face_centers(arcs: Arcs) -> Centers:
     den = 1.0 + rho * ch
     k0 = np.abs(num) < np.abs(den)
     k1 = np.abs(num) > np.abs(den)
-    _fail(status, bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
+    status, bad = _fail(arcs.status, arcs.bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
     live = (status == OK)[:, None]
     k0 &= live
     k1 &= live
@@ -180,7 +179,8 @@ def face_centers(arcs: Arcs) -> Centers:
     dba = np.where(k1, ch - sh * w, sh - ch * t) * inv
     r1, r2 = -dab, np.where(k1, dba, -dba)
     # a split center rounded onto an end leaves a zero partial, a divisor below
-    _fail(status, bad, np.where((k0 | k1) & ((dab == 0.0) | (dba == 0.0)), BAD_SPLIT, OK).T)
+    rounded = (k0 | k1) & ((dab == 0.0) | (dba == 0.0))
+    status, bad = _fail(status, bad, np.where(rounded, BAD_SPLIT, OK).T)
 
     # canonical embedding: v0 on the x1 axis, v1 in the x1-x3 plane
     shth0 = np.sqrt((chth[:, 0] - 1.0) * (chth[:, 0] + 1.0))
@@ -205,7 +205,7 @@ def face_centers(arcs: Arcs) -> Centers:
     nrm = np.sqrt(_edot(craw, craw))
     scale = np.sqrt(_edot(n1, n1) * _edot(n2, n2))
     flat = (nrm <= 1e-14 * scale) | (nrm == 0.0)
-    status[(status == OK) & flat] = BAD_CENTER
+    status = np.where((status == OK) & flat, BAD_CENTER, status)
     found = status == OK
     chat = _div(craw, nrm[:, None], found[:, None])
     sigma = _mdot(chat, chat)
@@ -219,7 +219,7 @@ def face_centers(arcs: Arcs) -> Centers:
     ratio = _div(hnum, hden, found[:, None] & (hden != 0.0))
     ratio = np.where((branch == LIGHT)[:, None], np.copysign(1.0, ratio), ratio)
     steep = (branch == SPACE)[:, None] & (np.abs(ratio) > 1e12)
-    _fail(status, bad, np.where((hden == 0.0) | steep, BAD_HEIGHT, OK).T)
+    status, bad = _fail(status, bad, np.where((hden == 0.0) | steep, BAD_HEIGHT, OK).T)
 
     # Rows divide by the partial at the opposite endpoint.  For an edge
     # with a hyper-ideal center the two partials carry conjugate imaginary

@@ -3,17 +3,17 @@
 A spec (StructureSpec) holds its weights as Weights: read-only mappings
 backed by arrays of sorted integer keys and their values.  The weight
 table RULES, which validation, the admissible polytope and the existence
-verdict read as arrays over the edges, the per-vertex change of variables
-u <-> f and df/du on arrays (ChangeOfVariables), and admissible-space
-membership.  The edge rules themselves live once, in _kernels (one
-function per rule code, behind the kernel's edge pass).  spec_arrays(spec,
-tri) is the one record of a spec on a mesh (SpecArrays), each field built
-on first use; the mesh keeps the record of the last spec it was used
-with.  Functions taking u or f accept a mapping or an array indexed by
-component, and read a Weights keyed 0..N-1 as its own array
-(component_values).  Per-component results are Weights too: f_from_u and
-u_from_f map a mapping to a Weights with its keys, and read a Weights
-argument's arrays, never its items.
+verdict read as arrays over the edges, the per-vertex change of
+variables u <-> f and df/du on arrays (ChangeOfVariables), and
+admissible-space membership.  The edge rules themselves live once, in
+_kernels (one function of the three root laws, behind the kernel's edge
+pass).  spec_arrays(spec, tri) is the one record of a spec on a mesh
+(SpecArrays), each field built on first use; the mesh keeps the record
+of the last spec it was used with.  Functions taking u or f accept a
+mapping or an array indexed by component, and read a Weights keyed
+0..N-1 as its own array (component_values).  Per-component results are
+Weights too: f_from_u and u_from_f map a mapping to a Weights with its
+keys, and read a Weights argument's arrays, never its items.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the

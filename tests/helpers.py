@@ -244,7 +244,8 @@ def edge_lanes(code, aa, ab, fa, fb, eta):
     fill, zero, one = np.full(code.size, 2), np.zeros(code.size), np.ones(code.size)
     prog = disjoint_faces(np.column_stack((code, fill, fill)), np.column_stack((aa, ab, zero)),
                           np.column_stack((eta, one, one)))
-    lanes = _edge_pass(prog, np.column_stack((fa, fb, zero)).ravel())
+    ok, ch, rho = _edge_pass(prog, np.column_stack((fa, fb, zero)).ravel())
+    lanes = np.broadcast_to(ok, ch.shape), ch, rho
     return tuple(x[prog.side[0]].reshape(args[0].shape) for x in lanes)
 
 

@@ -30,6 +30,7 @@ import random
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -406,6 +407,74 @@ def test_a_failing_shared_edge_fails_both_faces():
             assert (arcs.status[hit] == status).all() and not arcs.status[~np.array(hit)].any()
             assert np.all(np.isfinite(arcs.theta))
             assert np.all(np.isfinite(kern.face_eval(arcs, np.ones(n))))
+
+
+def test_a_spec_program_makes_one_rule_call_per_theta_pass(monkeypatch):
+    # a spec's edges share one root law (the family's code mod 3), flipped
+    # codes included, so a theta pass calls the edge rule once
+    calls, rule = [], kern._rule
+    monkeypatch.setattr(kern, "_rule", lambda law, *args: calls.append(law) or rule(law, *args))
+    rng = random.Random(26)
+    for fam in ALL_FAMILIES:
+        sphere = sphere_triangulation(40, rng)
+        for spec, tri in ((make_spec(fam, sphere, rng), sphere),
+                          (stock_spec(fam), face_mesh(stock_spec(fam)))):
+            arrays = spec_arrays(spec, tri)
+            calls.clear()
+            arcs = kern.face_theta(arrays.program, arrays.cov.to_f(arrays.start))
+            assert not arcs.status.any()
+            assert calls == [ALL_FAMILIES.index(fam) % 3], (fam, tri.n_boundary, calls)
+
+
+def test_mixed_law_program_matches_its_one_code_programs():
+    # one disjoint-face program of all six codes runs the per-law loop; lane
+    # for lane it gives the bytes of each code's faces evaluated alone, on
+    # lanes inside and outside each rule's domain
+    rng = random.Random(26)
+    codes = np.repeat(np.arange(6), 80)
+    rng.shuffle(codes)
+    alphas = np.array([[rng.choice((-1, 0, 1)) for _ in range(3)] for _ in codes])
+    etas = np.array([[rng.uniform(-0.5, 5.0) for _ in range(3)] for _ in codes])
+    f = np.array([rng.uniform(-1.2, 1.2) for _ in range(alphas.size)])
+    sides = np.repeat(codes[:, None], 3, axis=1)
+    mixed = disjoint_faces(sides, alphas, etas)
+    assert [law for law, _ in mixed.groups] == [0, 1, 2]
+    ok, ch, rho = kern._edge_pass(mixed, f)
+    lanes = [x[mixed.side] for x in (np.broadcast_to(ok, ch.shape), ch, rho)]
+    arcs = kern.face_theta(mixed, f)
+    for code in range(6):
+        at = np.flatnonzero(codes == code)
+        alone = disjoint_faces(sides[at], alphas[at], etas[at])
+        assert len(alone.groups) == 1
+        fk = f.reshape(-1, 3)[at].ravel()
+        one_ok, one_ch, one_rho = kern._edge_pass(alone, fk)
+        one = [x[alone.side] for x in (np.broadcast_to(one_ok, one_ch.shape), one_ch, one_rho)]
+        for x, y in zip(lanes, one):
+            assert x[:, at].tobytes() == y.tobytes(), code
+        one_arcs = kern.face_theta(alone, fk)
+        for name in ("theta", "status", "bad"):
+            assert getattr(arcs, name)[at].tobytes() == getattr(one_arcs, name).tobytes()
+        # some faces evaluate and some fail; the square-root laws also
+        # leave their domain on some lanes
+        assert 0 < (one_arcs.status == kern.OK).sum() < len(at), code
+        assert (code % 3 == 2) == one[0].all(), code
+
+
+def test_theta_status_is_kept_all_ok_and_copied_where_a_face_fails():
+    # a passing theta pass returns its program's read-only all-OK status
+    # and bad; a failing one returns its own arrays, which keep their codes
+    prog = disjoint_faces(np.zeros((2, 3), dtype=int), np.zeros((2, 3)), np.full((2, 3), 3.0))
+    for f, fail in (([-1.0] * 3, (kern.BAD_EDGE, 0)), ([200.0, 0.0, 0.0], (kern.BAD_RANGE, -1)),
+                    ([20.0, 0.0, 0.0], (kern.BAD_ARC, 0))):
+        failed = kern.face_theta(prog, np.r_[np.zeros(3), f])
+        passed = kern.face_theta(prog, np.zeros(6))
+        face_centers(passed)  # reads the kept arrays, writes none
+        assert passed.status is prog.status and passed.bad is prog.bad
+        assert passed.status.tolist() == [kern.OK] * 2 and passed.bad.tolist() == [-1] * 2
+        assert list(zip(failed.status.tolist(), failed.bad.tolist())) == [(kern.OK, -1), fail]
+    for kept in (prog.status, prog.bad):
+        with pytest.raises(ValueError):
+            kept[0] = kern.BAD_EDGE
 
 
 def test_edge_partials_are_the_length_derivatives():
