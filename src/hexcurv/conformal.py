@@ -44,6 +44,10 @@ FAMILIES = ("A1", "A2", "A3", "MixedI", "MixedII", "MixedIII")
 # on plain edges, 3 more on the flipped edges at a special component.
 EDGE_A1, EDGE_A2, EDGE_A3, EDGE_B1, EDGE_B2, EDGE_B3 = range(6)
 
+# The largest |eta| (5.1e19): cosh l <= (|eta| + 1) e^(2 F_LIMIT) ~ 1e150, so products of two
+# cosh l and sinh l, as the cosine law takes them, stay finite
+ETA_LIMIT = 1e150 * math.exp(-2.0 * F_LIMIT)
+
 
 class Weights(Mapping):
     """A read-only mapping of distinct integer keys to numbers, held as two
@@ -93,8 +97,8 @@ class Weights(Mapping):
 
 def _weights(name: str, m) -> Weights:
     """The weights m of a spec as Weights: alpha (name "alpha"), each value
-    in {-1, 0, 1}, as np.intp; else eta, finite reals, as floats.  m is a
-    Weights, kept as it is where its values have that type, or anything
+    in {-1, 0, 1}, as np.intp; else eta, reals within ETA_LIMIT, as floats.
+    m is a Weights, kept as it is where its values have that type, or any
     dict() takes, whose keys must be integers.  All values are checked in
     one array pass; m's items are walked only to name the first bad one."""
     if not isinstance(m, Weights):
@@ -112,13 +116,16 @@ def _weights(name: str, m) -> Weights:
     alpha, dtype = name == "alpha", np.intp if name == "alpha" else float
     if data is None or data.shape != ids.shape or data.dtype.kind not in "biuf" or not (
             ((data == -1) | (data == 0) | (data == 1)).all() if alpha
-            else np.isfinite(data).all()):
+            else (np.abs(data) <= ETA_LIMIT).all()):
         for k, x in m.items():
             if alpha and x not in (-1, 0, 1):
                 raise FamilyConstraint(f"alpha[{k}]={x} outside {{-1,0,1}}")
-            if not (alpha or math.isfinite(x)):
-                raise FamilyConstraint(f"eta[{k}]={x} is not finite")
-        # each value equals one of -1, 0, 1, or is a finite real
+            if not alpha and (not hasattr(x, "__float__") or np.ndim(x) or np.iscomplexobj(x)):
+                raise FamilyConstraint(f"eta[{k}]={x!r} is not a real number")
+            if not (alpha or abs(x) <= ETA_LIMIT):  # NaN neither
+                why = f"has |eta| > {ETA_LIMIT:.3g}" if abs(x) < math.inf else "is not finite"
+                raise FamilyConstraint(f"eta[{k}]={x} {why}")
+        # each value equals one of -1, 0, 1, or is a real within ETA_LIMIT
         data = np.array([{-1: -1, 0: 0, 1: 1}[x] if alpha else float(x) for x in m.values()])
     if isinstance(m, Weights) and data.dtype == dtype:
         return m
@@ -143,7 +150,7 @@ class StructureSpec:
     """Family tag plus all per-vertex / per-edge weights, as a value.
 
     alpha maps boundary components to {-1, 0, 1}; eta maps edge ids to the
-    symmetric edge weight, a finite real; special lists the distinguished
+    symmetric edge weight, a real, |eta| <= ETA_LIMIT; special lists the distinguished
     boundary components of the mixed families (empty otherwise).  alpha
     and eta are held as Weights, np.intp and float arrays sorted by key: a
     Weights is kept as it is, any other mapping copied into one, and
@@ -431,6 +438,8 @@ _COUPLINGS = ((UnsupportedWeightRange, "weight combination outside supported win
 # per component its alpha and whether it is special.
 _Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
 
+Polytope = namedtuple("Polytope", "lo hi a b pair_lo pair_hi edge")
+
 
 def _special_faces(arrays: SpecArrays) -> tuple:
     """Per face: whether exactly one corner c is special; then along the
@@ -515,12 +524,11 @@ class SpecArrays:
         return bool(np.any(one & (a1 == 1) & (a2 == 1)))
 
     @cached_property
-    def polytope(self) -> tuple:
-        """The admissible polytope as arrays (lo, hi, a, b, pair_lo,
-        pair_hi, edge): the chart lo < u_i < hi of every component, and
-        pair_lo < u_a + u_b < pair_hi for every edge whose pair bound in
-        RULES is finite on either side, in edge-list order.  Raises
-        FamilyConstraint for the first edge that joins two special
+    def polytope(self) -> Polytope:
+        """The admissible polytope: the chart lo < u_i < hi of every
+        component, and pair_lo < u_a + u_b < pair_hi for every edge whose
+        pair bound in RULES is finite on either side, in edge-list order.
+        Raises FamilyConstraint for the first edge that joins two special
         components or whose weight lies outside the domain of its bound."""
         e = self.edges
         bad = e.double | ~(e.eta > _DOM[e.row])
@@ -539,7 +547,7 @@ class SpecArrays:
                 if rule.hi is not None:
                     hi[at] = rule.hi(e.eta[at])
         keep = (lo > -np.inf) | (hi < np.inf)
-        return self.cov.lo, self.cov.hi, e.a[keep], e.b[keep], lo[keep], hi[keep], e.ids[keep]
+        return Polytope(self.cov.lo, self.cov.hi, *(x[keep] for x in (e.a, e.b, lo, hi, e.ids)))
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -603,7 +611,15 @@ class Admissibility:
     violations: list  # names of the violated charts and edge constraints
 
 
-def _admits(poly: tuple, uv: np.ndarray) -> Admissibility:
+def slack(poly: Polytope, u) -> np.ndarray:
+    """The slacks u - lo, hi - u, s - pair_lo and pair_hi - s (s = u_a +
+    u_b) of poly's bounds at the points u, an (..., N) array, as one
+    (..., 2N + 2P) array: u lies inside poly where all are positive."""
+    s = u[..., poly.a] + u[..., poly.b]
+    return np.concatenate((u - poly.lo, poly.hi - u, s - poly.pair_lo, poly.pair_hi - s), -1)
+
+
+def _admits(poly: Polytope, uv: np.ndarray) -> Admissibility:
     lo, hi, a, b, pair_lo, pair_hi, edge = poly
     bad = ~((lo < uv) & (uv < hi))
     if bad.any():

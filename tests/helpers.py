@@ -7,7 +7,7 @@ from hexcurv import identities, solver
 from hexcurv._kernels import _NEXT, _PREV, LIGHT, OK, disjoint_faces, face_eval
 from hexcurv._kernels import _edge_pass, face_theta
 from hexcurv._kernels.center import _edot, _mdot, face_centers
-from hexcurv.conformal import StructureSpec, admissible, chart, component_values, f_from_u
+from hexcurv.conformal import StructureSpec, admissible, component_values, f_from_u
 from hexcurv.conformal import spec_arrays
 from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.mesh import Edge, Face, Triangulation, single_face
@@ -172,6 +172,8 @@ def make_spec(family, tri, rng, regime="default"):
 def sample_admissible_u(spec, tri, rng, n=1, scale=1.0, max_tries=20000):
     """Random admissible u points near the feasible default."""
     u0 = solver.default_initial(spec, tri)
+    poly = spec_arrays(spec, tri).polytope
+    lo, hi = poly.lo.tolist(), poly.hi.tolist()
     out = []
     tries = 0
     while len(out) < n and tries < max_tries:
@@ -179,18 +181,15 @@ def sample_admissible_u(spec, tri, rng, n=1, scale=1.0, max_tries=20000):
         s = scale * rng.uniform(0.1, 1.0)
         u = {}
         for i in u0:
-            ch = chart(spec, i)
             ui = u0[i] + rng.uniform(-s, s)
-            if not ch.contains(ui):
-                ui = u0[i]
-            u[i] = ui
+            u[i] = ui if lo[i] < ui < hi[i] else u0[i]
         if admissible(spec, tri, u).ok:
             out.append(u)
     if len(out) < n:
         raise RuntimeError(
             f"sampler found {len(out)}/{n} admissible points for {spec.family}"
         )
-    return out if n > 1 else out
+    return out
 
 
 def sample_admissible_f(spec, tri, rng, n=1, scale=1.0):

@@ -12,7 +12,7 @@ import numpy as np
 from hexcurv import curvature, mesh, solver
 from hexcurv._kernels import SPACE, TIME, face_eval
 from hexcurv._kernels.center import DOMAINS, INCOHERENT, face_centers, hexagon_arcs
-from hexcurv.conformal import admissible, chart, component_values, f_from_u, spec_arrays
+from hexcurv.conformal import admissible, component_values, f_from_u, spec_arrays
 from hexcurv.conformal import u_from_f
 from hexcurv.errors import HexcurvError
 from hexcurv.identities import (
@@ -147,7 +147,8 @@ def test_criterion_05_jacobian_symmetry():
 
 
 def _near_boundary_point(spec, tri, u, rng, slack=1e-4):
-    _, _, a, b, pair_lo, pair_hi, _ = (x.tolist() for x in spec_arrays(spec, tri).polytope)
+    poly = spec_arrays(spec, tri).polytope
+    a, b, pair_lo, pair_hi = (x.tolist() for x in (poly.a, poly.b, poly.pair_lo, poly.pair_hi))
     if not a:
         return None
     k = rng.choice(range(len(a)))
@@ -162,11 +163,7 @@ def _near_boundary_point(spec, tri, u, rng, slack=1e-4):
     v[a[k]] += delta / 2.0
     if b[k] != a[k]:
         v[b[k]] += delta / 2.0
-    if not all(chart(spec, i).contains(v[i]) for i in v):
-        return None
-    if not admissible(spec, tri, v).ok:
-        return None
-    return v
+    return v if admissible(spec, tri, v).ok else None
 
 
 def test_criterion_06_negative_definiteness():

@@ -65,6 +65,20 @@ def test_non_finite_weight_rejected(tmp_path, capsys, weight):
     assert captured.out == "" and "not finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "curvature"])
+def test_weight_beyond_the_evaluable_range_rejected(tmp_path, capsys, command):
+    # at eta = 1e200 the theta stage's products overflow; parse rejects it
+    p = tmp_path / "huge.mesh"
+    p.write_text(PANTS.replace("eta=3", "eta=1e200", 1).replace("A1", "A3"))
+    fpath = tmp_path / "factors.txt"
+    fpath.write_text("f 0 0.0\nf 1 0.0\nf 2 0.0\n")
+    factors = ["--factors", str(fpath)] if command == "curvature" else []
+    assert main([command, str(p), *factors]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Warning" not in captured.err
+    assert "eta[0]=1e+200 has |eta| > 5.15e+19" in captured.err
+
+
 def test_component_on_no_face_is_a_domain_error(tmp_path, capsys):
     # its K is identically 0, so a solve would factor a singular Jacobian
     p = tmp_path / "orphan.mesh"

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -118,12 +119,12 @@ def test_u_roundtrip_all_families():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
+        poly = cf.spec_arrays(spec, tri).polytope
         ids, us = [], []
         for _ in range(10000):
             i = rng.randrange(3)
-            ch = cf.chart(spec, i)
-            lo = ch.lo if math.isfinite(ch.lo) else -4.0
-            hi = ch.hi if math.isfinite(ch.hi) else 4.0
+            lo = poly.lo[i] if math.isfinite(poly.lo[i]) else -4.0
+            hi = poly.hi[i] if math.isfinite(poly.hi[i]) else 4.0
             pad = 1e-3 * (hi - lo)
             ids.append(i)
             us.append(rng.uniform(lo + pad, hi - pad))
@@ -183,6 +184,7 @@ def test_dfdu_examples_and_fd():
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
         cov = cf.ChangeOfVariables(spec, range(3))
+        poly = cf.spec_arrays(spec, tri).polytope
         for u in sample_admissible_u(spec, tri, rng, 30):
             u = np.array([u[i] for i in range(3)])
             df = cov.derivative(cov.to_f(u))
@@ -191,7 +193,7 @@ def test_dfdu_examples_and_fd():
                 up, um = u.copy(), u.copy()
                 up[i] += h
                 um[i] -= h
-                if not (cf.chart(spec, i).contains(up[i]) and cf.chart(spec, i).contains(um[i])):
+                if not (poly.lo[i] < um[i] and up[i] < poly.hi[i]):
                     continue
                 num = (cov.to_f(up)[i] - cov.to_f(um)[i]) / (2 * h)
                 assert df[i] == pytest.approx(num, rel=1e-7, abs=1e-7)
@@ -239,6 +241,56 @@ def test_admissible_names_each_violated_bound_once():
     assert cf.admissible(mixed, tri, {0: 1.0, 1: -0.5, 2: -0.5}).ok
     res = cf.admissible(mixed, tri, {0: 1.0, 1: -0.2, 2: -0.5})
     assert not res.ok and res.violations == ["edge 0"]
+
+
+@functools.cache
+def _polytope(case):
+    """The polytope and start of an N=12 sphere of each family, by index
+    into ALL_FAMILIES, or (case 6) of a pair of pants whose edges at a
+    special alpha=0 component bound u_a + u_b from above."""
+    rng, tri = random.Random(case), mesh.pair_of_pants()
+    if case < 6:
+        tri = sphere_triangulation(12, rng)
+    spec = (make_spec(ALL_FAMILIES[case], tri, rng) if case < 6 else cf.StructureSpec(
+        "MixedI", {0: 0, 1: -1, 2: -1}, {0: 2.0, 1: 3.0, 2: 2.0}, special=frozenset({0})))
+    arrays = cf.spec_arrays(spec, tri)
+    return arrays.polytope, arrays.start
+
+
+@pytest.mark.parametrize("case", range(7))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_admits_reads_the_sign_of_every_slack(case, data):
+    # lane for lane, lo < u < hi is u - lo > 0 and hi - u > 0, and likewise
+    # for the pair bounds, at infinite and NaN lanes and at exact bounds too
+    poly, start = _polytope(case)
+    n = len(poly.lo)
+    u = start + np.array(data.draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n)))
+    for upper in data.draw(st.lists(st.booleans(), max_size=3)):
+        bound = poly.pair_hi if upper else poly.pair_lo
+        at = np.flatnonzero(np.isfinite(bound))
+        if len(at):  # u_b = bound - u_a, then ulp steps of the smaller end to s = bound
+            k = at[data.draw(st.integers(0, len(at) - 1))]
+            a, b = poly.a[k], poly.b[k]
+            if not poly.lo[b] < bound[k] - u[a] < poly.hi[b]:
+                a, b = b, a  # move the end whose chart holds the tie
+            u[b] = bound[k] - u[a]
+            j = a if abs(u[a]) < abs(u[b]) else b
+            for _ in range(4):
+                s = u[a] + u[b]
+                if s != bound[k]:
+                    u[j] = np.nextafter(u[j], math.inf if s < bound[k] else -math.inf)
+    lanes = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 4)), max_size=3)
+    for i, kind in data.draw(lanes) if data.draw(st.booleans()) else ():
+        u[i] = (math.inf, -math.inf, math.nan, poly.lo[i], poly.hi[i])[kind]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        bad = ~(cf.slack(poly, u) > 0.0)
+    p = len(poly.a)
+    charts, pairs = bad[:n] | bad[n:2 * n], bad[2 * n:2 * n + p] | bad[2 * n + p:]
+    res = cf._admits(poly, u)
+    assert res.ok == (not bad.any())
+    assert res.violations == ([f"chart of u[{i}]" for i in np.flatnonzero(charts)]
+                              if charts.any() else [f"edge {e}" for e in poly.edge[pairs]])
 
 
 @pytest.mark.parametrize("alpha, eta", [
@@ -296,11 +348,12 @@ def test_admissible_matches_edge_lengths():
     tri = mesh.single_face()
     for fam in ALL_FAMILIES:
         spec = make_spec(fam, tri, rng)
+        poly = cf.spec_arrays(spec, tri).polytope
         us = []
         for _ in range(800):
             u0 = sample_admissible_u(spec, tri, rng, 1)[0]
             u = {i: u0[i] + rng.uniform(-1.5, 1.5) for i in u0}
-            if all(cf.chart(spec, i).contains(u[i]) for i in u):
+            if all(poly.lo[i] < u[i] < poly.hi[i] for i in u):
                 us.append(u)
         assert len(us) > 100
         cov = cf.spec_arrays(spec, tri).cov
@@ -450,8 +503,9 @@ def test_polytope_matches_scalar_oracle(case):
         return
     ref = [(pb.a, pb.b, e.id, pb.lo, pb.hi) for e, pb in ref if pb is not None]
     a, b, edge, lo, hi = (list(x) for x in zip(*ref)) if ref else ([],) * 5
-    assert (got[2].tolist(), got[3].tolist(), got[6].tolist()) == (a, b, edge)
-    for x, y in ((got[4], lo), (got[5], hi)):  # numpy's libm and math may differ by an ulp
+    assert (got.a.tolist(), got.b.tolist(), got.edge.tolist()) == (a, b, edge)
+    # numpy's libm and math may differ by an ulp
+    for x, y in ((got.pair_lo, lo), (got.pair_hi, hi)):
         y = np.array(y, dtype=float)
         fin = np.isfinite(y)
         assert np.array_equal(x[~fin], y[~fin])
@@ -677,10 +731,32 @@ def test_structure_spec_hashes_as_the_value_it_equals():
     ({0: 1.0, 1: True, 2: 0.5}, {}, "alpha[2]=0.5 outside {-1,0,1}"),
     ({0: 0, 1: [1], 2: 2}, {}, "alpha[1]=[1] outside {-1,0,1}"),  # unhashable
     ({0: 0}, {3: 1.0, 4: math.inf, 5: math.nan}, "eta[4]=inf is not finite"),
+    # beyond ETA_LIMIT cosh l overflows the cosine law's products
+    ({0: 0}, cf.Weights([3, 4, 5], [1.0, 1e200, math.nan]),
+     "eta[4]=1e+200 has |eta| > 5.15e+19"),
+    ({0: 0}, {3: -1e20, 4: math.inf}, "eta[3]=-1e+20 has |eta| > 5.15e+19"),
+    ({0: 0}, {3: 10**400}, f"eta[3]={10**400} has |eta| > 5.15e+19"),
+    ({0: 0}, {3: 1.0, 4: "x", 5: math.inf}, "eta[4]='x' is not a real number"),
+    ({0: 0}, {3: None}, "eta[3]=None is not a real number"),
+    ({0: 0}, {3: 1j}, "eta[3]=1j is not a real number"),
+    ({0: 0}, {3: [1.0]}, "eta[3]=[1.0] is not a real number"),
 ])
 def test_structure_spec_names_its_first_bad_weight(alpha, eta, message):
     with pytest.raises(FamilyConstraint, match=f"^{re.escape(message)}$"):
         cf.StructureSpec("A1", alpha, eta)
+
+
+def test_the_largest_weight_evaluates_at_the_largest_factors():
+    # cosh l = ETA_LIMIT e^300 + 1 = 1e150, and the cosine law's products stay finite
+    tri, f = mesh.pair_of_pants(), [150.0, 150.0, -150.0]
+    spec = cf.StructureSpec("A1", {i: 0 for i in range(3)}, {0: cf.ETA_LIMIT, 1: 3.0, 2: 3.0})
+    K, J = curvature.curvature_and_jacobian(spec, tri, f)
+    assert curvature.curvature_and_arcs(spec, tri, f)[1].ch.max() == pytest.approx(1e150)
+    assert np.isfinite(K).all() and np.isfinite(J.data).all()
+    above = np.nextafter(cf.ETA_LIMIT, math.inf)
+    message = f"eta[0]={above} has |eta| > 5.15e+19"
+    with pytest.raises(FamilyConstraint, match=f"^{re.escape(message)}$"):
+        cf.StructureSpec("A1", {}, {0: above})
 
 
 # every entry that reads a spec against the pair of pants

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -29,6 +30,7 @@ from helpers import (
     plant_jacobian_error,
     plant_record_error,
     sample_admissible_f,
+    sample_admissible_u,
     sphere_triangulation,
     stack_faces,
 )
@@ -434,12 +436,12 @@ def _identity_suite_per_sample(family, samples, seed):
         f = cov.to_f(np.array([u[i] for i in range(3)]))
         try:
             arcs = curvature.curvature_and_arcs(spec, tri, f)[1]
-            rec = face_centers(arcs)
-            if rec.status[0] != 0:
-                continue
-            splits = identities.split_values(arcs.ch[0], arcs.rho[0])
         except HexcurvError:
             continue
+        rec = face_centers(arcs)
+        if rec.status[0] != 0:
+            continue
+        splits = identities.split_values(arcs.ch[0], arcs.rho[0])
         note("compatibility", identities.compatibility_residual_general(splits))
         branches[identities.BRANCHES[rec.branch[0]]] += 1
         if rec.domain[0] >= 0:  # the blocks of the sample's branch
@@ -473,6 +475,57 @@ def _identity_suite_per_sample(family, samples, seed):
             continue
         note("finite-difference", worst)
     return {name: tuple(v) for name, v in res.items()}, branches
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_split_values_holds_on_every_face_with_a_center(family):
+    # face_centers fails a face with BAD_SPLIT wherever split_values would
+    # raise, on the same cosh l, sinh l and rho, so run_suite needs no guard
+    spec = stock_spec(family)
+    pts = sample_face_points(spec, mesh.single_face(), random.Random(2), 2000, 1.3, 0.0)
+    arcs = stack_faces([(spec, face_f(spec, u)) for u in pts])
+    ch, rho = arcs.ch, arcs.rho
+    for k in np.flatnonzero(face_centers(arcs).status == 0).tolist():
+        identities.split_values(ch[k], rho[k])
+
+
+def _drawn(sample, rng) -> str:
+    try:
+        got = sample(rng)
+    except RuntimeError as exc:
+        got = str(exc)
+    return repr((got, rng.random()))
+
+
+# Per family, the sha256 of the draws of test_samplers_keep_their_draws:
+# each call's points (or RuntimeError message), then rng's next value, as
+# the loops that drew one try at a time gave them
+_DRAWN = dict(zip(ALL_FAMILIES, (
+    "d7ef44fdf10491701f6965fd1cd2fb9ebf10421d022d6ad96c9b11cfeb20961c",
+    "0d34f948cf54b1fb9d8c85c92bc39d25679b046c36f7f6c246ca3eff3c3e47e5",
+    "6ead00771ab8ad2450af7227760432bf6fff465799e0ac2bb0ec5a1bd951634f",
+    "9c36991012bf6dedee3358e9b85266942e978c82103e9f3101a396fffe0a7390",
+    "f58bffdbd4716f88a29356d29158c1416c30214623d664bf0d478a5bbdd25a4c",
+    "0726ff2d7ae30570fd8bccd0366ae604e5a20330eadf1681fc5deaf0048bd14f")))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_samplers_keep_their_draws(family):
+    # the block sampler draws the points, short returns included, and
+    # leaves rng's stream as drawing one try at a time did; so does the
+    # test helper, which reads the polytope's chart arrays
+    drawn, spec, face = [], stock_spec(family), mesh.single_face()
+    for seed in (0, 7, 11):
+        for n, scale, min_slack in ((1, 1.2, 0.25), (2, 1.2, 0.25), (3, 0.5, 0.25),
+                                    (500, 1.0, 0.25), (2000, 1.3, 0.0)):
+            drawn.append(_drawn(lambda rng: sample_face_points(
+                spec, face, rng, n, scale, min_slack), random.Random(seed)))
+    for seed in range(3):
+        rng = random.Random(seed)
+        tri = sphere_triangulation(40, rng)
+        s = make_spec(family, tri, rng)
+        drawn += [_drawn(lambda rng: sample_admissible_u(s, tri, rng, n), rng) for n in (1, 30)]
+    assert hashlib.sha256("".join(drawn).encode()).hexdigest() == _DRAWN[family]
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
