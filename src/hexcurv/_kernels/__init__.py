@@ -101,19 +101,18 @@ class EdgeProgram:
     whether the side runs from b to a; tail and head index the flattened
     2 x E per-end values at the first and second corner of each side.
     status and bad are the theta stage's read-only all-OK record of the F
-    faces.  double is the caller's (face, side) of the first face side
-    that must fail, or None; neither stage reads it.
+    faces.
 
     The constructor takes vert, then ends, codes, alphas and etas of the
-    edges in any one order, side (F x 3) as indices into it, and double.
+    edges in any one order, and side (F x 3) as indices into it.
     """
 
-    def __init__(self, vert, ends, codes, alphas, etas, side, double=None):
+    def __init__(self, vert, ends, codes, alphas, etas, side):
         n = len(codes)
         order = np.argsort(np.asarray(codes) % 3, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(n)
-        self.vert, self.double = np.asarray(vert, dtype=np.intp), double
+        self.vert = np.asarray(vert, dtype=np.intp)
         self.ends, self.codes, self.alphas, self.etas = (
             np.asarray(x)[..., order] for x in (ends, codes, alphas, etas))
         self.signs = np.where([self.codes % 2 == 1, self.codes < 3], 1.0, -1.0)

@@ -8,12 +8,13 @@ variables u <-> f and df/du on arrays (ChangeOfVariables), and
 admissible-space membership.  The edge rules themselves live once, in
 _kernels (one function of the three root laws, behind the kernel's edge
 pass).  spec_arrays(spec, tri) is the one record of a spec on a mesh
-(SpecArrays), each field built on first use; the mesh keeps the record
-of the last spec it was used with.  Functions taking u or f accept a
-mapping or an array indexed by component, and read a Weights keyed
-0..N-1 as its own array (component_values).  Per-component results are
-Weights too: f_from_u and u_from_f map a mapping to a Weights with its
-keys, and read a Weights argument's arrays, never its items.
+(SpecArrays), made for a spec it validated, each field built on first
+use; the mesh keeps the record of the last spec it was used with.
+Functions taking u or f accept a mapping or an array indexed by
+component, and read a Weights keyed 0..N-1 as its own array
+(component_values).  Per-component results are Weights too: f_from_u
+and u_from_f map a mapping to a Weights with its keys, and read a
+Weights argument's arrays, never its items.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -120,7 +121,7 @@ def _weights(name: str, m) -> Weights:
         for k, x in m.items():
             if alpha and x not in (-1, 0, 1):
                 raise FamilyConstraint(f"alpha[{k}]={x} outside {{-1,0,1}}")
-            if not alpha and (not hasattr(x, "__float__") or np.ndim(x) or np.iscomplexobj(x)):
+            if not (alpha or _is_real(x)):
                 raise FamilyConstraint(f"eta[{k}]={x!r} is not a real number")
             if not (alpha or abs(x) <= ETA_LIMIT):  # NaN neither
                 why = f"has |eta| > {ETA_LIMIT:.3g}" if abs(x) < math.inf else "is not finite"
@@ -130,6 +131,12 @@ def _weights(name: str, m) -> Weights:
     if isinstance(m, Weights) and data.dtype == dtype:
         return m
     return Weights(ids, data.astype(dtype))
+
+
+def _is_real(x) -> bool:
+    """Whether x is one real number: it has __float__ (no string, None or
+    list does), and is no complex and no array of dimension 1 or more."""
+    return hasattr(x, "__float__") and not (np.ndim(x) or np.iscomplexobj(x))
 
 
 def _take(w: Weights, keys: np.ndarray) -> tuple:
@@ -157,7 +164,7 @@ class StructureSpec:
     special is copied into a frozenset, so changing the caller's containers
     later changes no spec.  Raises FamilyConstraint for an unknown family,
     then a key that is no integer or the first bad alpha, then likewise
-    for eta.
+    for eta, then specials on a family other than the mixed ones.
     """
 
     family: str
@@ -171,6 +178,8 @@ class StructureSpec:
             raise FamilyConstraint(f"unknown family {self.family!r}")
         for name in ("alpha", "eta"):
             object.__setattr__(self, name, _weights(name, getattr(self, name)))
+        if self.special and not self.family.startswith("Mixed"):
+            raise FamilyConstraint(f"{self.family} admits no special components")
 
 
 # -- change of variables ---------------------------------------------------
@@ -290,24 +299,41 @@ class ChangeOfVariables:
         return -self.sign * self._apply(2, np.where(np.abs(f) <= F_LIMIT, f, 0.0))
 
 
+def _floats(values, n: int, ids=None) -> np.ndarray:
+    """n values, a sequence or an array, as a float array read by one array
+    pass; where it reads no reals, the first value that is no real number
+    raises DomainViolation naming its id in ids (default: its position).
+    Raises OutOfRange for a shape other than (n,)."""
+    try:
+        out = np.asarray(values)
+    except ValueError:  # values of unequal shapes: some value is a sequence
+        out = None
+    if out is None or out.ndim == 1 and out.dtype.kind not in "biuf":
+        for k, x in enumerate(values):
+            if not _is_real(x):
+                raise DomainViolation(f"component {k if ids is None else ids[k]}={x!r} "
+                                      "is not a real number")
+        out = np.asarray(values, dtype=float)
+    if out.shape != (n,):
+        raise OutOfRange(f"expected {n} component values, got shape {out.shape}")
+    return out.astype(float, copy=False)
+
+
 def component_values(x, n: int) -> np.ndarray:
     """x[0], ..., x[n-1] as a float array; x is a mapping with the keys
     0..n-1 or an array-like of shape (n,).  A Weights with those keys gives
     its own data, with no item read: its keys are sorted and distinct, so n
     of them from 0 to n-1 are exactly 0..n-1.  Raises OutOfRange naming the
-    first missing or extra component, or the wrong shape."""
-    if isinstance(x, np.ndarray) and x.shape == (n,):
-        return x.astype(float, copy=False)
+    first missing or extra component, or the wrong shape, and as _floats."""
     if isinstance(x, Weights) and len(x.ids) == n > 0 and x.ids[0] == 0 and x.ids[-1] == n - 1:
-        return x.data.astype(float, copy=False)
+        x = x.data
+    if isinstance(x, np.ndarray) and x.shape == (n,) and x.dtype.kind in "biuf":
+        return x.astype(float, copy=False)
     if not isinstance(x, Mapping):
-        out = np.asarray(x, dtype=float)
-        if out.shape != (n,):
-            raise OutOfRange(f"expected {n} component values, got shape {out.shape}")
-        return out
+        return _floats(x, n)
     if len(x) == n:
         try:
-            return np.fromiter(map(x.__getitem__, range(n)), float, n)
+            return _floats(list(map(x.__getitem__, range(n))), n)
         except KeyError:
             pass
     missing = next((i for i in range(n) if i not in x), None)
@@ -318,9 +344,9 @@ def component_values(x, n: int) -> np.ndarray:
 
 
 def _components(x: Mapping) -> Weights:
-    """x as a Weights of float values, x itself where it is one; raises
-    OutOfRange naming the first key that is no integer."""
-    if isinstance(x, Weights):
+    """x as a Weights of float values, x itself where it is one of reals;
+    raises OutOfRange naming the first key that is no integer, else as _floats."""
+    if isinstance(x, Weights) and x.data.dtype.kind in "biuf":
         return x
     keys = list(x)
     try:
@@ -331,7 +357,7 @@ def _components(x: Mapping) -> Weights:
                 np.intp(operator.index(k))
             except (TypeError, OverflowError):
                 raise OutOfRange(f"component {k!r} is not an integer") from None
-    return Weights(ids, np.asarray(list(x.values()), dtype=float))
+    return Weights(ids, _floats(list(x.values()), len(ids), ids))
 
 
 def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> Weights:
@@ -357,9 +383,9 @@ def _ge(x: float) -> float:
 # the special end, or at end a, alpha at the other end).  Validation admits
 # the weights eta > admit and raises error, a (class, message) pair, for the
 # others.  The pair bound lo(eta) < u_a + u_b < hi(eta) (None: unbounded) is
-# defined for eta > dom; polytope raises for the others.  An existence
+# defined, never NaN, on the weights validation admits.  An existence
 # theorem covers the edge where proven[0] <= eta <= proven[1].
-Rule = namedtuple("Rule", "families code pairs admit error dom lo hi proven")
+Rule = namedtuple("Rule", "families code pairs admit error lo hi proven")
 
 _ANY, _ALWAYS, _NEVER = -math.inf, (-math.inf, math.inf), (math.inf, -math.inf)
 _ALL = [(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1)]
@@ -377,56 +403,48 @@ def _cos_bound(eta):
 
 RULES = (
     # the plain rules; A1's is symmetric in its ends
-    Rule(_A1, EDGE_A1, [(0, 0)], 0.0, _PLAIN, 0.0, lambda eta: np.log(2.0 / eta), None,
+    Rule(_A1, EDGE_A1, [(0, 0)], 0.0, _PLAIN, lambda eta: np.log(2.0 / eta), None, _ALWAYS),
+    Rule(_A1, EDGE_A1, [(0, 1), (1, 0)], 0.0, _PLAIN, lambda eta: np.log(1.0 / eta), None,
          _ALWAYS),
-    Rule(_A1, EDGE_A1, [(0, 1), (1, 0)], 0.0, _PLAIN, 0.0, lambda eta: np.log(1.0 / eta),
-         None, _ALWAYS),
-    Rule(_A1, EDGE_A1, [(0, -1), (-1, 0)], 0.0, _PLAIN, 0.0,
-         lambda eta: np.log(1.0 / eta), None, _NEVER),
-    Rule(_A1, EDGE_A1, [(1, 1)], 1.0, _EQUAL, _ge(1.0), lambda eta: -np.arccosh(eta), None,
-         _ALWAYS),
-    Rule(_A1, EDGE_A1, [(-1, -1)], 1.0, _EQUAL, _ge(1.0), lambda eta: -np.arccosh(eta),
-         None, _NEVER),
-    Rule(_A1, EDGE_A1, [(1, -1), (-1, 1)], 0.0, _PLAIN, _ANY, lambda eta: np.arcsinh(-eta),
-         None, _NEVER),
-    Rule(("A2",), EDGE_A2, _ALL, _ge(-1.0), (FamilyConstraint, "weight below -1"),
-         _ge(-1.0), _cos_bound, None, (-1.0, 0.0)),
-    Rule(("MixedII",), EDGE_A2, _ALL, _ge(1.0), _FLOOR_1, _ge(-1.0), _cos_bound, None,
+    Rule(_A1, EDGE_A1, [(0, -1), (-1, 0)], 0.0, _PLAIN, lambda eta: np.log(1.0 / eta), None,
          _NEVER),
-    Rule(_A3, EDGE_A3, _ALL, 0.0, _POSITIVE, _ge(0.0), lambda eta: -np.sqrt(2.0 * eta),
-         None, _ALWAYS),
+    Rule(_A1, EDGE_A1, [(1, 1)], 1.0, _EQUAL, lambda eta: -np.arccosh(eta), None, _ALWAYS),
+    Rule(_A1, EDGE_A1, [(-1, -1)], 1.0, _EQUAL, lambda eta: -np.arccosh(eta), None, _NEVER),
+    Rule(_A1, EDGE_A1, [(1, -1), (-1, 1)], 0.0, _PLAIN, lambda eta: np.arcsinh(-eta), None,
+         _NEVER),
+    Rule(("A2",), EDGE_A2, _ALL, _ge(-1.0), (FamilyConstraint, "weight below -1"), _cos_bound,
+         None, (-1.0, 0.0)),
+    Rule(("MixedII",), EDGE_A2, _ALL, _ge(1.0), _FLOOR_1, _cos_bound, None, _NEVER),
+    Rule(_A3, EDGE_A3, _ALL, 0.0, _POSITIVE, lambda eta: -np.sqrt(2.0 * eta), None, _ALWAYS),
     # the flipped rules at a special component
-    Rule(("MixedI",), EDGE_B1, [(0, 0)], 0.0, _POSITIVE, _ANY, None, None, _ALWAYS),
+    Rule(("MixedI",), EDGE_B1, [(0, 0)], 0.0, _POSITIVE, None, None, _ALWAYS),
     Rule(("MixedI",), EDGE_B1, [(1, 1)], -1.0,
-         (UnsupportedWeightRange, "weight <= -1 window excluded"), _ANY, None, None, _ALWAYS),
+         (UnsupportedWeightRange, "weight <= -1 window excluded"), None, None, _ALWAYS),
     Rule(("MixedI",), EDGE_B1, [(1, 0)], _ge(0.0),
-         (UnsupportedWeightRange, "negative weight window excluded"), _ANY, None,
+         (UnsupportedWeightRange, "negative weight window excluded"), None,
          lambda eta: np.where(eta < 0.0, np.log(-1.0 / eta), np.inf), _ALWAYS),
-    Rule(("MixedI",), EDGE_B1, [(-1, 0)], 0.0, _POSITIVE, 0.0,
-         lambda eta: np.log(1.0 / eta), None, _NEVER),
-    Rule(("MixedI",), EDGE_B1, [(0, 1)], _ANY, None, _ANY,
+    Rule(("MixedI",), EDGE_B1, [(-1, 0)], 0.0, _POSITIVE, lambda eta: np.log(1.0 / eta), None,
+         _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(0, 1)], _ANY, None,
          lambda eta: np.where(eta < 0.0, np.log(-eta), -np.inf), None, _ALWAYS),
-    Rule(("MixedI",), EDGE_B1, [(-1, 1)], _ANY, None, _ANY, lambda eta: np.arcsinh(-eta),
-         None, _NEVER),
-    Rule(("MixedI",), EDGE_B1, [(0, -1)], 0.0, _POSITIVE, 0.0, None, np.log, _NEVER),
-    Rule(("MixedI",), EDGE_B1, [(1, -1)], _ANY, None, _ANY, None, np.arcsinh, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(-1, 1)], _ANY, None, lambda eta: np.arcsinh(-eta), None,
+         _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(0, -1)], 0.0, _POSITIVE, None, np.log, _NEVER),
+    Rule(("MixedI",), EDGE_B1, [(1, -1)], _ANY, None, None, np.arcsinh, _NEVER),
     Rule(("MixedI",), EDGE_B1, [(-1, -1)], 1.0, (FamilyConstraint, "weight must exceed 1"),
-         _ge(1.0), lambda eta: -np.arccosh(eta), np.arccosh, _NEVER),
-    Rule(("MixedII",), EDGE_B2, _ALL, _ge(1.0), _FLOOR_1, _ge(-1.0),
+         lambda eta: -np.arccosh(eta), np.arccosh, _NEVER),
+    Rule(("MixedII",), EDGE_B2, _ALL, _ge(1.0), _FLOOR_1,
          lambda eta: np.where(eta <= 1.0, -np.arcsin(eta), -np.inf), None, _NEVER),
-    Rule(("MixedIII",), EDGE_B3, _ALL, _ANY, None, _ANY,
+    Rule(("MixedIII",), EDGE_B3, _ALL, _ANY, None,
          lambda eta: np.where(eta <= 0.0, np.sqrt(-2.0 * eta), -np.inf), None, _ALWAYS),
 )
 
-# The row of each (family, code, alpha pair).  A spec of an A family with
-# special components fails validation; its flipped edges read the rows of
-# the mixed family with the same plain rule.
+# The row of each (family, code, alpha pair)
 _ROW = np.zeros((len(FAMILIES), 6, 3, 3), dtype=np.intp)
 for _k, _rule in enumerate(RULES):
     for _fam, (_p, _q) in itertools.product(_rule.families, _rule.pairs):
         _ROW[FAMILIES.index(_fam), _rule.code, _p + 1, _q + 1] = _k
-_ROW[:3, 3:] = _ROW[3:, 3:]
-_ADMIT, _DOM = (np.array([getattr(r, name) for r in RULES]) for name in ("admit", "dom"))
+_ADMIT = np.array([r.admit for r in RULES])
 _PROVEN = np.array([r.proven for r in RULES]).T
 
 # The within-face weight couplings of MixedI and MixedIII, by code 1, 2.
@@ -434,9 +452,9 @@ _COUPLINGS = ((UnsupportedWeightRange, "weight combination outside supported win
               (FamilyConstraint, "incompatible weights on opposite edges"))
 
 # A spec's inputs to RULES on a mesh: per edge in edge-list order its id,
-# ends a and b, rule code, row, weight and whether both ends are special;
-# per component its alpha and whether it is special.
-_Edges = namedtuple("_Edges", "ids a b code row eta double alpha special")
+# ends a and b, rule code, row and weight; per component its alpha and
+# whether it is special.
+_Edges = namedtuple("_Edges", "ids a b code row eta alpha special")
 
 Polytope = namedtuple("Polytope", "lo hi a b pair_lo pair_hi edge")
 
@@ -454,24 +472,25 @@ def _special_faces(arrays: SpecArrays) -> tuple:
 
 
 class SpecArrays:
-    """The record of one spec on one mesh.  It keeps the mesh's arrays,
-    not the mesh, and builds each field on first use: edges, the spec's
-    inputs to RULES; cov, the change of variables of every component;
-    program, the evaluation kernel's EdgeProgram of the faces in face
-    order, each edge oriented the way its first face side runs; unproven,
-    whether no existence theorem covers the configuration; polytope, the
-    admissible polytope; start, the default start, a read-only point
-    inside the polytope.  newton, the Newton state at the default start
-    (solver.NewtonStart: f and K there and the SuperLU factor of the
-    Jacobian there with its definiteness verdict, or the fact that it is
-    exactly singular; no arcs, Jacobian or mesh), is None until the first
-    solve that steps from the start leaves it, since only the solver loads
-    scipy; every later solve from the start takes its first step from it."""
+    """The record of one spec on one mesh; every field but edges takes the
+    spec as valid.  It keeps the mesh's arrays, not the mesh, and builds
+    each field on first use: edges, the spec's inputs to RULES; cov, the
+    change of variables of every component; program, the evaluation
+    kernel's EdgeProgram of the faces in face order, each edge oriented the
+    way its first face side runs; unproven, whether no existence theorem
+    covers the configuration; polytope, the admissible polytope; start,
+    the default start, a read-only point inside the polytope.  newton, the
+    Newton state at the default start (solver.NewtonStart: f and K there
+    and the SuperLU factor of the Jacobian there with its definiteness
+    verdict, or the fact that it is exactly singular; no arcs, Jacobian or
+    mesh), is None until the first solve that steps from the start leaves
+    it, since only the solver loads scipy; every later solve from the
+    start takes its first step from it."""
 
     newton = None
 
     def __init__(self, spec: StructureSpec, tri):
-        self.spec, self.n = spec, tri.n_boundary
+        self.spec, self.n, self.face_ids = spec, tri.n_boundary, tri.face_ids
         self.edge_arrays, self.face_arrays = tri.edge_arrays, tri.face_arrays
 
     @cached_property
@@ -496,7 +515,7 @@ class SpecArrays:
         code = fam % 3 + 3 * (sa | sb)
         first = np.where(sb & ~sa, b, a)  # the special end, else a
         row = _ROW[fam, code, alpha[first] + 1, alpha[a + b - first] + 1]
-        return _Edges(ids, a, b, code, row, eta, sa & sb, alpha, special)
+        return _Edges(ids, a, b, code, row, eta, alpha, special)
 
     @cached_property
     def cov(self) -> ChangeOfVariables:
@@ -507,9 +526,7 @@ class SpecArrays:
         e, (vert, epos) = self.edges, self.face_arrays
         first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
         ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
-        hit = e.double[epos]
-        return EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta, epos,
-                           divmod(int(np.argmax(hit)), 3) if hit.any() else None)
+        return EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta, epos)
 
     @cached_property
     def unproven(self) -> bool:
@@ -527,17 +544,8 @@ class SpecArrays:
     def polytope(self) -> Polytope:
         """The admissible polytope: the chart lo < u_i < hi of every
         component, and pair_lo < u_a + u_b < pair_hi for every edge whose
-        pair bound in RULES is finite on either side, in edge-list order.
-        Raises FamilyConstraint for the first edge that joins two special
-        components or whose weight lies outside the domain of its bound."""
+        pair bound in RULES is finite on either side, in edge-list order."""
         e = self.edges
-        bad = e.double | ~(e.eta > _DOM[e.row])
-        if bad.any():
-            k = int(np.argmax(bad))
-            if e.double[k]:
-                raise FamilyConstraint(f"edge ({e.a[k]},{e.b[k]}) joins two special components")
-            raise FamilyConstraint(f"edge {e.ids[k]}: weight {float(e.eta[k])} outside "
-                                   "the range of its edge rule")
         lo, hi = np.full(len(e.eta), -np.inf), np.full(len(e.eta), np.inf)
         with np.errstate(all="ignore"):  # np.where evaluates both branches
             for k in np.unique(e.row).tolist():
@@ -594,11 +602,12 @@ class SpecArrays:
 
 
 def spec_arrays(spec: StructureSpec, tri) -> SpecArrays:
-    """The SpecArrays of (spec, tri) with its edges; tri keeps the record of
-    the last spec object it was used with.  Raises as SpecArrays.edges."""
+    """The SpecArrays of (spec, tri) with its edges, the spec validated
+    against the mesh (_validate) when the record is built; tri keeps the
+    record of the last spec object it was used with, none that fails."""
     if tri.spec_memo is None or tri.spec_memo.spec is not spec:
         arrays = SpecArrays(spec, tri)
-        arrays.edges  # built now: tri keeps no record of a spec without its weights
+        _validate(arrays)
         tri.spec_memo = arrays
     return tri.spec_memo
 
@@ -624,7 +633,8 @@ def _admits(poly: Polytope, uv: np.ndarray) -> Admissibility:
     bad = ~((lo < uv) & (uv < hi))
     if bad.any():
         return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(bad)])
-    s = uv[a] + uv[b]
+    with np.errstate(over="ignore"):  # an overflowed sum gets the verdict of its sign
+        s = uv[a] + uv[b]
     bad = ~((pair_lo < s) & (s < pair_hi))
     return Admissibility(not bad.any(), [f"edge {e}" for e in edge[bad]])
 
@@ -652,25 +662,19 @@ def _couplings(arrays: SpecArrays) -> np.ndarray:
         | one & (a_s == 1) & (a1 == -1) & (a2 == -1) & ((e1 <= 0.0) | (e2 <= 0.0))))
 
 
-def validate_spec(spec: StructureSpec, tri) -> None:
-    """The family, special set and weights of spec on tri, against RULES.
-
-    Raises FamilyConstraint or UnsupportedWeightRange for the first
-    violation: specials on an A family, a missing alpha or eta, a special
-    component outside the mesh (as SpecArrays.edges), an edge joining
-    two special components, the alphas A2 and MixedII require, then the
-    weights.  Weights go in edge-list order; on MixedI and MixedIII, whose
-    weights also couple within a face, in face order, and in a face its
-    plain sides, then its sides at the special corner, then the coupling.
-    """
-    fam = spec.family
-    if spec.special and not fam.startswith("Mixed"):
-        raise FamilyConstraint(f"{fam} admits no special components")
-    arrays = spec_arrays(spec, tri)
-    e = arrays.edges
-    if e.double.any():
-        raise FamilyConstraint(f"edge {e.ids[np.argmax(e.double)]} joins two special "
-                               "components")
+def _validate(arrays: SpecArrays) -> None:
+    """The family, special set and weights of arrays' spec on its mesh,
+    against RULES.  Raises FamilyConstraint or UnsupportedWeightRange for
+    the first violation: a missing alpha or eta, a special component
+    outside the mesh (as SpecArrays.edges), an edge joining two special
+    components, the alphas A2 and MixedII require, then the weights.
+    Weights go in edge-list order; on MixedI and MixedIII, whose weights
+    also couple within a face, in face order, and in a face its plain
+    sides, then its sides at the special corner, then the coupling."""
+    fam, e = arrays.spec.family, arrays.edges
+    double = e.special[e.a] & e.special[e.b]
+    if double.any():
+        raise FamilyConstraint(f"edge {e.ids[np.argmax(double)]} joins two special components")
     if fam in ("A2", "MixedII") and np.any(e.alpha != -1):
         raise FamilyConstraint(f"{fam} requires alpha=-1 "
                                f"(component {np.argmax(e.alpha != -1)})")
@@ -681,7 +685,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
             cls, text = RULES[e.row[k]].error
             raise cls(f"edge {e.ids[k]}: {text}")
         return
-    vert, epos = tri.face_arrays
+    vert, epos = arrays.face_arrays
     sp = e.special[vert]
     order = np.zeros((len(vert), 7), dtype=np.intp)
     np.put_along_axis(order, np.where(sp | sp[:, _NEXT], 3, 0) + np.arange(3),
@@ -689,7 +693,7 @@ def validate_spec(spec: StructureSpec, tri) -> None:
     order[:, 6] = _couplings(arrays)
     if order.any():
         k, col = divmod(int(np.argmax(order.ravel() != 0)), 7)
-        face = tri.face_ids[k]
+        face = arrays.face_ids[k]
         if col == 6:
             cls, text = _COUPLINGS[order[k, col] - 1]
             raise cls(f"face {face}: {text}")

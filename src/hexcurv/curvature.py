@@ -15,10 +15,9 @@ under the slot map of a layout the mesh keeps (mesh.Layout, both built by
 mesh.make_layout) into a copy of the layout's array, which owns its
 arrays; curvature_and_jacobian reads the natural layout, the solver the
 elimination order's, with the same bits per entry.  Only the theta stage
-can fail, so a point whose K evaluates also has a Jacobian.
-An edge that joins two special components is found once, by the record
-(EdgeProgram.double); evaluation raises FamilyConstraint for it unless an
-earlier face fails.  On a mesh of one face with three distinct corners, K
+can fail, so a point whose K evaluates also has a Jacobian.  The record
+validates the spec when it is built, so evaluation raises only for the
+faces.  On a mesh of one face with three distinct corners, K
 is that face's arc triple and the Jacobian its 3 x 3 u-Jacobian;
 face_eval(arcs, ones) gives d theta / d f, and
 _kernels.center.face_centers(arcs) the face's hexagon geometry with the
@@ -30,9 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tol
-from ._kernels import _NEXT, BAD_ARC, BAD_EDGE, BAD_RANGE, OK, face_eval, face_theta
+from ._kernels import BAD_ARC, BAD_EDGE, BAD_RANGE, OK, face_eval, face_theta
 from .conformal import StructureSpec, component_values, spec_arrays
-from .errors import FamilyConstraint, NotAdmissible
+from .errors import NotAdmissible
 
 _ERRORS = {
     BAD_EDGE: (NotAdmissible, "edge position {} degenerates"),
@@ -42,17 +41,12 @@ _ERRORS = {
 
 
 def _raise_first(ids, arcs):
-    """Raise for the first failing face of arcs, and its first failing check;
-    a face on an edge that joins two special components fails first.  ids
-    are the face ids of the faces of arcs."""
-    status, bad, double, vert = arcs.status, arcs.bad, arcs.prog.double, arcs.prog.vert
-    k = int(np.argmax(status != OK)) if status.any() else len(ids)
-    if double is not None and double[0] <= k:
-        j, m = double
-        raise FamilyConstraint(f"edge ({vert[j, m]},{vert[j, _NEXT[m]]}) joins two special "
-                               "components")
-    if k == len(ids):
+    """Raise for the first failing face of arcs, and its first failing
+    check; ids are the face ids of the faces of arcs."""
+    status, bad = arcs.status, arcs.bad
+    if not status.any():
         return
+    k = int(np.argmax(status != OK))
     cls, text = _ERRORS[int(status[k])]
     exc = cls(f"face {ids[k]}: " + text.format(int(bad[k])))
     if status[k] == BAD_EDGE:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _NEXT
-from .conformal import SpecArrays, StructureSpec, Weights, validate_spec
+from .conformal import SpecArrays, StructureSpec, Weights, spec_arrays
 from .errors import DanglingReference, FamilyConstraint, MeshFormatError
 
 FORMAT_VERSION = 1
@@ -268,7 +268,7 @@ def parse(text: str) -> tuple[Triangulation, StructureSpec]:
     tri = Triangulation.__new__(Triangulation)
     tri._setup(n, edges.T, faces, open_edges, np.zeros(len(faces), dtype=bool))
     spec = StructureSpec(family, Weights(vid.ravel(), alpha), Weights(eid, eta), special=special)
-    validate_spec(spec, tri)
+    spec_arrays(spec, tri)  # validates the spec; tri keeps its record
     return tri, spec
 
 
@@ -439,8 +439,8 @@ def _read_numbers(chars, dtype, count) -> np.ndarray | None:
 
 
 def serialize(tri: Triangulation, spec: StructureSpec) -> str:
-    """Canonical text form; parse(serialize(x)) == x.  The weights and
-    specials come from a new SpecArrays record, raising as its edges do."""
+    """Canonical text form; parse(serialize(x)) == x.  The weights and specials
+    come from a new SpecArrays record, not validated, raising as its edges do."""
     e, pos = SpecArrays(spec, tri).edges, tri.face_arrays[1]
     edges = np.argsort(e.ids, kind="stable")
     faces = np.column_stack((tri.face_ids, tri.face_arrays[0], tri.edge_arrays[0][pos]))

@@ -274,11 +274,9 @@ def _face_edges(by_id, face):
 
 
 def edge_code(spec: StructureSpec, a, b) -> int:
-    """Edge rule code for the edge joining boundary components a and b."""
-    sa, sb = a in spec.special, b in spec.special
-    if sa and sb:
-        raise FamilyConstraint(f"edge ({a},{b}) joins two special components")
-    return FAMILIES.index(spec.family) % 3 + 3 * (sa or sb)
+    """Edge rule code for the edge joining boundary components a and b of
+    a valid spec, which has at most one special end."""
+    return FAMILIES.index(spec.family) % 3 + 3 * (a in spec.special or b in spec.special)
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,8 @@ def _a1_pair_bound(aa: int, ab: int, eta: float):
 
 
 def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
-    """The membership constraint contributed by one edge, or None.
+    """The membership constraint contributed by one edge of a spec that
+    passed validate_spec, or None.
 
     Exact under the family charts: the constraint holds iff the edge length
     is real and positive.
@@ -313,46 +312,41 @@ def edge_constraint(spec: StructureSpec, edge) -> PairBound | None:
     eta = spec.eta[edge.id]
     code = edge_code(spec, i, j)
     lo, hi = -math.inf, math.inf
-    try:
-        if code == EDGE_A1:
-            lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
-        elif code == EDGE_A2:
-            # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
-            if eta < 1.0:
-                lo = -math.acos(-eta)
-        elif code == EDGE_A3:
-            lo = -math.sqrt(2.0 * eta)
-        elif code == EDGE_B3:
-            if eta <= 0.0:
-                lo = math.sqrt(-2.0 * eta)
-        elif code == EDGE_B2:
-            if eta <= 1.0:
-                lo = -math.asin(min(eta, 1.0))
-        else:  # EDGE_B1: depends on the alpha pair, special endpoint first
-            s, m = (i, j) if i in spec.special else (j, i)
-            asm = (spec.alpha[s], spec.alpha[m])
-            if asm == (0, 0) or asm == (1, 1):
-                pass  # eta range validated separately; no u constraint
-            elif asm == (1, 0):
-                if eta < 0.0:
-                    hi = math.log(-1.0 / eta)
-            elif asm == (-1, 0):
-                lo = math.log(1.0 / eta)
-            elif asm == (0, 1):
-                if eta < 0.0:
-                    lo = math.log(-eta)
-            elif asm == (-1, 1):
-                lo = math.asinh(-eta)
-            elif asm == (0, -1):
-                hi = math.log(eta)
-            elif asm == (1, -1):
-                hi = math.asinh(eta)
-            else:  # (-1, -1)
-                lo, hi = -math.acosh(eta), math.acosh(eta)
-    except (ValueError, ZeroDivisionError):  # math rejects such weights
-        raise FamilyConstraint(
-            f"edge {edge.id}: weight {eta} outside the range of its edge rule"
-        ) from None
+    if code == EDGE_A1:
+        lo = _a1_pair_bound(spec.alpha[i], spec.alpha[j], eta)
+    elif code == EDGE_A2:
+        # cosh l > 1 reduces to cos(u_a + u_b) > -eta on the chart
+        if eta < 1.0:
+            lo = -math.acos(-eta)
+    elif code == EDGE_A3:
+        lo = -math.sqrt(2.0 * eta)
+    elif code == EDGE_B3:
+        if eta <= 0.0:
+            lo = math.sqrt(-2.0 * eta)
+    elif code == EDGE_B2:
+        if eta <= 1.0:
+            lo = -math.asin(min(eta, 1.0))
+    else:  # EDGE_B1: depends on the alpha pair, special endpoint first
+        s, m = (i, j) if i in spec.special else (j, i)
+        asm = (spec.alpha[s], spec.alpha[m])
+        if asm == (0, 0) or asm == (1, 1):
+            pass  # eta range validated separately; no u constraint
+        elif asm == (1, 0):
+            if eta < 0.0:
+                hi = math.log(-1.0 / eta)
+        elif asm == (-1, 0):
+            lo = math.log(1.0 / eta)
+        elif asm == (0, 1):
+            if eta < 0.0:
+                lo = math.log(-eta)
+        elif asm == (-1, 1):
+            lo = math.asinh(-eta)
+        elif asm == (0, -1):
+            hi = math.log(eta)
+        elif asm == (1, -1):
+            hi = math.asinh(eta)
+        else:  # (-1, -1)
+            lo, hi = -math.acosh(eta), math.acosh(eta)
     if lo == -math.inf and hi == math.inf:
         return None
     return PairBound(i, j, lo, hi)

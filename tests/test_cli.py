@@ -106,6 +106,26 @@ def test_repeated_edge_id_is_a_domain_error(tmp_path, capsys):
     assert captured.out == "" and captured.err == "error: edge id 1 is repeated\n"
 
 
+@pytest.mark.parametrize("structure, initial, message", [
+    ("family=MixedIII special=1,2", None, "edge 1 joins two special components"),
+    ("family=A3 special=0", None, "A3 admits no special components"),
+    # A1 at alpha 0 charts the whole line; u_0 + u_1 overflows at these factors
+    ("family=A1", "f 0 1e308\nf 1 1e308\nf 2 0\n", "user initial point is not admissible"),
+], ids=["double-special", "a3-special", "far-initial"])
+def test_malformed_input_ends_in_one_error_line(tmp_path, capsys, structure, initial, message):
+    p = tmp_path / "pants.mesh"
+    p.write_text(PANTS.replace("family=A1", structure))
+    argv = ["validate", str(p)]
+    if initial is not None:
+        (tmp_path / "target.txt").write_text("K 0 1.0\nK 1 1.0\nK 2 1.0\n")
+        (tmp_path / "initial.txt").write_text(initial)
+        argv = ["solve", str(p), "--target", str(tmp_path / "target.txt"),
+                "--initial", str(tmp_path / "initial.txt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code(pants_file):
     with pytest.raises(SystemExit) as err:
         main(["validate", pants_file, "--bogus"])

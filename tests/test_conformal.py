@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -300,19 +301,28 @@ def test_admits_reads_the_sign_of_every_slack(case, data):
     (None, -1.0),  # A3 rule: square root of a negative weight
 ])
 def test_weight_outside_its_edge_rule_is_a_family_constraint(alpha, eta):
+    # such a weight fails validation, and every reader of the spec on the
+    # mesh raises validation's error for it, before it evaluates anything
     tri = mesh.pair_of_pants()  # edge 1 joins components 1 and 2
     weights = {0: 3.0, 1: eta, 2: 3.0}
     spec = (cf.StructureSpec("A3", {i: 0 for i in range(3)}, weights) if alpha is None
             else cf.StructureSpec("A1", dict(enumerate(alpha)), weights))
+    text, u = mesh.serialize(tri, spec), [-1.0] * 3
+    err, _ = _raised(mesh.parse, text)
+    assert type(err) is FamilyConstraint and re.match(r"edge 1: .*weight", str(err))
     calls = [
-        lambda: cf.spec_arrays(spec, tri).polytope,
+        lambda: cf.spec_arrays(spec, tri),
+        lambda: curvature.curvature_map(spec, tri, [0.3, 0.2, 0.1]),
+        lambda: curvature.curvature_and_jacobian(spec, tri, [0.3, 0.2, 0.1]),
+        lambda: cf.admissible(spec, tri, u),
         lambda: solver.default_initial(spec, tri),
-        lambda: cf.admissible(spec, tri, {i: -1.0 for i in range(3)}),
         lambda: solver.solve_prescribed_curvature(spec, tri, {i: 1.0 for i in range(3)}),
+        lambda: solver.energy(spec, tri, u, u),
     ]
     for call in calls:
-        with pytest.raises(FamilyConstraint, match=r"^edge 1: weight"):
+        with pytest.raises(FamilyConstraint, match=f"^{re.escape(str(err))}$"):
             call()
+        assert tri.spec_memo is None
 
 
 def test_change_of_variables_names_the_first_bad_component():
@@ -403,18 +413,18 @@ def test_length_factor_derivative_is_coth_split():
 def test_family_constraint_validation():
     tri = mesh.pair_of_pants()
     with pytest.raises(FamilyConstraint):
-        cf.validate_spec(
+        cf.spec_arrays(
             cf.StructureSpec("A1", {0: 0, 1: 0, 2: 0}, {0: -1.0, 1: 3.0, 2: 3.0}),
             tri,
         )
     with pytest.raises(FamilyConstraint):
-        cf.validate_spec(
+        cf.spec_arrays(
             cf.StructureSpec("A1", {0: 1, 1: 1, 2: 0}, {0: 0.5, 1: 3.0, 2: 3.0}),
             tri,
         )
     # two special components always share a face on the pair of pants
     with pytest.raises(FamilyConstraint):
-        cf.validate_spec(
+        cf.spec_arrays(
             cf.StructureSpec(
                 "MixedIII", {0: 0, 1: 0, 2: 0}, {0: 3.0, 1: 3.0, 2: 3.0},
                 special=frozenset({0, 2}),
@@ -423,6 +433,11 @@ def test_family_constraint_validation():
         )
     with pytest.raises(FamilyConstraint):
         cf.StructureSpec("A1", {0: 2}, {})
+    # specials on an A family raise when the spec is built, after its weights
+    with pytest.raises(FamilyConstraint, match="^A3 admits no special components$"):
+        cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)}, {0})
+    with pytest.raises(FamilyConstraint, match=r"^alpha\[0\]=2"):
+        cf.StructureSpec("A3", {0: 2}, {}, {0})
 
 
 def test_mixed1_unsupported_windows():
@@ -433,7 +448,7 @@ def test_mixed1_unsupported_windows():
         special=frozenset({0}),
     )
     with pytest.raises(UnsupportedWeightRange):
-        cf.validate_spec(spec, tri)
+        cf.spec_arrays(spec, tri)
 
 
 def test_mixed2_weight_floor():
@@ -443,7 +458,7 @@ def test_mixed2_weight_floor():
         special=frozenset({0}),
     )
     with pytest.raises(FamilyConstraint):
-        cf.validate_spec(spec, tri)
+        cf.spec_arrays(spec, tri)
 
 
 def test_all_make_spec_windows_validate():
@@ -452,7 +467,7 @@ def test_all_make_spec_windows_validate():
         for n in (4, 12):
             tri = sphere_triangulation(n, rng)
             spec = make_spec(fam, tri, rng)
-            cf.validate_spec(spec, tri)
+            cf.spec_arrays(spec, tri)
 
 
 # -- the weight table against the scalar oracles in scalar_ref -----------------
@@ -464,9 +479,11 @@ _WEIGHTS = [-6.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 5e-324, -5e-324]
 
 
 def _edited(regime, seed, share):
-    """A make_spec window on a small sphere with a share of its alphas and
-    weights redrawn, to boundary values of the windows or any real weight,
-    and perhaps one more special component, beside another one."""
+    """(mesh, StructureSpec arguments) of a make_spec window on a small
+    sphere with a share of its alphas and weights redrawn, to boundary
+    values of the windows or any real weight, and perhaps one more special
+    component, beside another one; on an A family the spec raises when it
+    is built."""
     family, regime = regime
     rng = random.Random(seed)
     tri = sphere_triangulation(rng.randrange(4, 10), rng)
@@ -478,7 +495,7 @@ def _edited(regime, seed, share):
     special = set(spec.special)
     if rng.random() < share / 2:
         special.add(rng.randrange(tri.n_boundary))
-    return tri, cf.StructureSpec(family, alpha, eta, frozenset(special))
+    return tri, (family, alpha, eta, frozenset(special))
 
 
 _edited_specs = st.builds(_edited, st.sampled_from(_REGIMES), st.integers(0, 2**32),
@@ -492,16 +509,23 @@ def _raised(fn, *args):
         return exc, None
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_edited_specs)
-def test_polytope_matches_scalar_oracle(case):
-    tri, spec = case
-    err, ref = _raised(lambda: [(e, scalar_ref.edge_constraint(spec, e)) for e in tri.edges])
-    got_err, got = _raised(lambda: cf.spec_arrays(spec, tri).polytope)
-    assert (type(got_err), str(got_err)) == (type(err), str(err))
+def _oracle_polytope(args, tri):
+    """The scalar oracle's pair bounds of the spec of args on tri, once its
+    scalar validation passed: (a, b, edge id, lo, hi) per bounded edge."""
+    spec = cf.StructureSpec(*args)
+    scalar_ref.validate_spec(spec, tri)
+    bounds = [(e, scalar_ref.edge_constraint(spec, e)) for e in tri.edges]
+    return [(pb.a, pb.b, e.id, pb.lo, pb.hi) for e, pb in bounds if pb is not None]
+
+
+def _assert_polytope(args, tri):
+    """spec_arrays's polytope of the spec of args raises the oracle's class,
+    and where neither raises, it has the oracle's pair bounds."""
+    err, ref = _raised(_oracle_polytope, args, tri)
+    got_err, got = _raised(lambda: cf.spec_arrays(cf.StructureSpec(*args), tri).polytope)
+    assert type(got_err) is type(err), (err, got_err)
     if err is not None:
         return
-    ref = [(pb.a, pb.b, e.id, pb.lo, pb.hi) for e, pb in ref if pb is not None]
     a, b, edge, lo, hi = (list(x) for x in zip(*ref)) if ref else ([],) * 5
     assert (got.a.tolist(), got.b.tolist(), got.edge.tolist()) == (a, b, edge)
     # numpy's libm and math may differ by an ulp
@@ -514,22 +538,29 @@ def test_polytope_matches_scalar_oracle(case):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_edited_specs)
+def test_polytope_matches_scalar_oracle(case):
+    _assert_polytope(case[1], case[0])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edited_specs)
 def test_validate_spec_matches_scalar_oracle(case):
-    tri, spec = case
-    err, _ = _raised(scalar_ref.validate_spec, spec, tri)
-    got, _ = _raised(cf.validate_spec, spec, tri)
+    tri, args = case
+    err, _ = _raised(lambda: scalar_ref.validate_spec(cf.StructureSpec(*args), tri))
+    got, arrays = _raised(lambda: cf.spec_arrays(cf.StructureSpec(*args), tri))
     assert type(got) is type(err), (err, got)
     if err is None:
-        assert cf.spec_arrays(spec, tri).unproven == scalar_ref.unproven(spec, tri)
+        assert arrays.unproven == scalar_ref.unproven(arrays.spec, tri)
 
 
 def test_single_face_windows_match_scalar_oracle():
     """One face, its corner 0 special in the mixed families, every alpha
     pattern, and weights from the window boundaries.  On every weight
-    triple validate_spec raises the oracle's class, and the verdict of a
+    triple validation raises the oracle's class, and the verdict of a
     valid spec is the oracle's; with one weight varied and the others 2,
-    polytope raises the oracle's message.  Every row of RULES is read, and
-    both error classes come from edges and from couplings."""
+    the polytope raises the oracle's class or has its bounds.  Every row of
+    RULES is read, and both error classes come from edges and from
+    couplings."""
     tri, rows, raised = mesh.single_face(), set(), set()
     weights = (-2.0, -1.0, 0.0, 1.0, 2.0)
     for fam in cf.FAMILIES:
@@ -542,20 +573,17 @@ def test_single_face_windows_match_scalar_oracle():
                 spec = cf.StructureSpec(fam, dict(enumerate(alpha)), dict(enumerate(eta)),
                                         special)
                 err, _ = _raised(scalar_ref.validate_spec, spec, tri)
-                got, _ = _raised(cf.validate_spec, spec, tri)
+                got, _ = _raised(cf.spec_arrays, spec, tri)
                 assert type(got) is type(err), (spec, err, got)
                 if err is None:
                     assert cf.spec_arrays(spec, tri).unproven == scalar_ref.unproven(spec, tri)
                 else:
                     raised.add((type(err), "edge" in str(got).split(":")[0]))
             for k, w in itertools.product(range(3), weights):
-                eta = {e: w if e == k else 2.0 for e in range(3)}
-                spec = cf.StructureSpec(fam, dict(enumerate(alpha)), eta, special)
-                err, _ = _raised(lambda: [scalar_ref.edge_constraint(spec, e)
-                                          for e in tri.edges])
-                got, _ = _raised(lambda: cf.spec_arrays(spec, tri).polytope)
-                assert str(got) == str(err)
-                rows.update(cf.spec_arrays(spec, tri).edges.row.tolist())
+                args = (fam, dict(enumerate(alpha)), {e: w if e == k else 2.0 for e in range(3)},
+                        special)
+                _assert_polytope(args, tri)
+                rows.update(cf.SpecArrays(cf.StructureSpec(*args), tri).edges.row.tolist())
     assert rows == set(range(len(cf.RULES)))
     assert raised == {(FamilyConstraint, True), (UnsupportedWeightRange, True),
                       (FamilyConstraint, False), (UnsupportedWeightRange, False)}
@@ -573,6 +601,37 @@ def test_existence_verdict_matches_scalar_oracle_on_every_window():
                 assert cf.spec_arrays(spec, tri).unproven == want, (family, regime, n)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_every_pair_bound_is_defined_on_the_weights_validation_admits():
+    # so the polytope needs no domain of its own: on every row, at the least
+    # weight above admit, at the window edges, at 1, 1e6 and ETA_LIMIT, no
+    # bound is NaN
+    edges = [x for w in (-1.0, 0.0, 1.0) for x in (np.nextafter(w, -np.inf), w,
+                                                     np.nextafter(w, np.inf))]
+    for rule in cf.RULES:
+        least = np.nextafter(rule.admit, np.inf) if rule.admit > -np.inf else -cf.ETA_LIMIT
+        eta = np.array([least, *edges, -0.5, 0.5, 2.0, 1e6, cf.ETA_LIMIT])
+        eta = eta[eta > rule.admit]
+        for bound in (rule.lo, rule.hi):
+            if bound is not None:
+                with np.errstate(all="ignore"):  # np.where evaluates both branches
+                    assert not np.isnan(bound(eta)).any(), (rule, eta)
+
+
+def test_a_failing_spec_leaves_the_kept_record():
+    # spec_arrays keeps no record of a spec that fails validation: the mesh
+    # keeps the record of the last valid spec, which later calls reuse
+    tri = mesh.pair_of_pants()
+    good = cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    kept = cf.spec_arrays(good, tri)
+    for bad in (cf.StructureSpec("A3", {i: 0 for i in range(3)}, {0: 3.0, 1: -1.0, 2: 3.0}),
+                cf.StructureSpec("MixedIII", {i: 0 for i in range(3)},
+                                 {i: 3.0 for i in range(3)}, special={1, 2}),
+                cf.StructureSpec("A3", {0: 0}, {i: 3.0 for i in range(3)})):
+        with pytest.raises(FamilyConstraint):
+            cf.spec_arrays(bad, tri)
+        assert tri.spec_memo is kept and cf.spec_arrays(good, tri) is kept
 
 
 def test_parse_validates_without_spec_arrays(monkeypatch):
@@ -641,6 +700,65 @@ def test_malformed_component_vectors_are_out_of_range():
         assert curvature.curvature_map(spec, tri, x).tobytes() == target.tobytes()
 
 
+_NON_REALS = ["a", "0.5", None, 1j, np.complex128(0.5), [1.0, 2.0], np.array([0.5])]
+
+
+@pytest.mark.parametrize("bad", _NON_REALS, ids=repr)
+def test_non_real_component_values_are_a_domain_violation(bad):
+    # a string, even one of a number, None, a complex or a sequence is no
+    # component value: every entry that reads a vector per component names
+    # it, instead of a raw TypeError or ValueError, or a silent NaN
+    tri = mesh.pair_of_pants()
+    spec = cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    u0 = solver.default_initial(spec, tri)
+    target = curvature.curvature_map(spec, tri, cf.f_from_u(spec, u0))
+    calls = {
+        "f_from_u": lambda x: cf.f_from_u(spec, x),
+        "u_from_f": lambda x: cf.u_from_f(spec, x),
+        "curvature_map": lambda x: curvature.curvature_map(spec, tri, x),
+        "curvature_and_jacobian": lambda x: curvature.curvature_and_jacobian(spec, tri, x),
+        "admissible": lambda x: cf.admissible(spec, tri, x),
+        "solve target": lambda x: solver.solve_prescribed_curvature(spec, tri, x),
+        "solve initial": lambda x: solver.solve_prescribed_curvature(
+            spec, tri, target, solver.SolveOptions(initial=x)),
+        "energy": lambda x: solver.energy(spec, tri, u0, x),
+    }
+    column = np.empty(3, dtype=object)
+    column[:] = [-0.5, bad, -0.5]
+    vectors = [{0: -0.5, 1: bad, 2: -0.5}, [-0.5, bad, -0.5], column]
+    for name, call in calls.items():
+        for x in vectors[:1] if name in ("f_from_u", "u_from_f") else vectors:
+            with pytest.raises(DomainViolation, match=f"^component 1={re.escape(repr(bad))} "
+                                                      "is not a real number$"):
+                call(x)
+
+
+def test_real_component_values_are_read_without_a_walk(monkeypatch):
+    # a float array, a Weights of reals and a dict of reals are read by one
+    # array pass each; only a vector that holds no array of reals is walked
+    rng = random.Random(40)
+    tri = sphere_triangulation(40, rng)
+    spec = make_spec("A1", tri, rng)
+    f0 = cf.f_from_u(spec, solver.default_initial(spec, tri))
+    want = curvature.curvature_map(spec, tri, f0)
+    monkeypatch.setattr(cf, "_is_real", None)
+    for x in (f0, f0.data, dict(f0), list(f0.values())):
+        assert curvature.curvature_map(spec, tri, x).tobytes() == want.tobytes()
+    assert cf.u_from_f(spec, dict(f0)) == cf.u_from_f(spec, f0)
+
+
+def test_admissible_far_out_on_an_unbounded_chart_warns_nothing():
+    # A1 at alpha 0 charts the whole line, so both ends of a pair bound may
+    # sit at +-1e308, where u_a + u_b overflows: the verdict holds, silently
+    tri = mesh.pair_of_pants()
+    spec = cf.StructureSpec("A1", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf.admissible(spec, tri, [1e308, 1e308, 0.0]).violations == ["edge 0"]
+        assert cf.admissible(spec, tri, [-1e308, -1e308, 0.0]).violations == [
+            "edge 0", "edge 1", "edge 2"]
+
+
 def test_structure_spec_is_a_value():
     # the spec copies its weights: a later change to the caller's dicts
     # reaches neither the spec nor the arrays derived from it
@@ -656,7 +774,7 @@ def test_structure_spec_is_a_value():
         assert curvature.curvature_map(spec, fresh, f).tobytes() == before.tobytes()
     assert dict(spec.eta) == {i: 2.0 for i in range(3)} and spec.alpha[1] == 0
     assert spec.special == frozenset() and isinstance(spec.special, frozenset)
-    cf.validate_spec(spec, tri)
+    cf.spec_arrays(spec, tri)
     with pytest.raises(TypeError):
         spec.eta[0] = 1.0
     with pytest.raises(TypeError):
@@ -666,7 +784,7 @@ def test_structure_spec_is_a_value():
         cf.StructureSpec("A3", alpha, eta)
     alpha[1] = 0
     with pytest.raises(FamilyConstraint, match="weight must be positive"):
-        cf.validate_spec(cf.StructureSpec("A3", alpha, {**eta, 2: 2.0}), tri)
+        cf.spec_arrays(cf.StructureSpec("A3", alpha, {**eta, 2: 2.0}), tri)
     assert spec == cf.StructureSpec("A3", {i: 0 for i in range(3)}, {i: 2.0 for i in range(3)})
     for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
         assert twin == spec and isinstance(twin.eta, type(spec.eta))
@@ -762,7 +880,7 @@ def test_the_largest_weight_evaluates_at_the_largest_factors():
 # every entry that reads a spec against the pair of pants
 _ENTRIES = {
     "spec_arrays": cf.spec_arrays,
-    "validate_spec": cf.validate_spec,
+    "admissible": lambda spec, tri: cf.admissible(spec, tri, [-1.0] * 3),
     "curvature_map": lambda spec, tri: curvature.curvature_map(spec, tri, [0.3, 0.2, 0.1]),
     "solve_prescribed_curvature": lambda spec, tri: solver.solve_prescribed_curvature(
         spec, tri, {i: 1.0 for i in range(3)}),

@@ -9,7 +9,6 @@ import scipy.sparse.linalg
 
 from hexcurv import curvature, identities, mesh
 from hexcurv.conformal import StructureSpec, admissible, f_from_u, spec_arrays, u_from_f
-from hexcurv.conformal import validate_spec
 from hexcurv._kernels import TIME, face_eval, face_theta
 from hexcurv._kernels.center import face_centers
 from hexcurv.errors import FamilyConstraint, HexcurvError, NotAdmissible
@@ -90,11 +89,11 @@ def test_first_failing_face_and_check_are_reported():
             assert err.value.edge == edge
 
 
-def test_edge_joining_two_special_components_is_found_once_and_raised_in_face_order():
-    # face 7 has the edge (1,2) between two special components at side 1,
-    # face 3 a factor outside the evaluable range; the edge program records
-    # the first such side when it is built, and evaluation raises for
-    # whichever face comes first
+def test_edge_joining_two_special_components_is_found_once_by_validation():
+    # face 7 has the edge 11 = (1,2) between two special components, face 3
+    # a factor outside the evaluable range; validation finds the edge when
+    # the record is built, so every reader raises for it, in either face
+    # order and at any factors, and the mesh keeps no record of the spec
     edges = [mesh.Edge(10 + k, a, b) for k, (a, b) in
              enumerate(((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))]
     a = mesh.Face(7, (0, 1, 2), (10, 11, 12))
@@ -102,18 +101,14 @@ def test_edge_joining_two_special_components_is_found_once_and_raised_in_face_or
     spec = StructureSpec("MixedIII", {i: 0 for i in range(6)},
                          {10 + k: 3.0 for k in range(6)}, special=frozenset({1, 2}))
     out = {0: 0.0, 1: 0.0, 2: 0.0, 3: 200.0, 4: 0.0, 5: 0.0}
-    double = (FamilyConstraint, r"^edge \(1,2\) joins two special components$")
-    for faces, f, (cls, match) in (
-        ([a, b], out, double),
-        ([b, a], out, (NotAdmissible, "^face 3: factor magnitudes exceed")),
-        ([b, a], {i: 0.0 for i in range(6)}, double),
-        ([a, b], {**out, 0: 200.0}, double),  # the edge comes before the range
-    ):
+    for faces, f in (([a, b], out), ([b, a], out), ([b, a], {i: 0.0 for i in range(6)})):
         tri = mesh.Triangulation(6, edges, faces, open_edges=True)
-        assert spec_arrays(spec, tri).program.double == (faces.index(a), 1)
-        for evaluate in (curvature.curvature_map, curvature.curvature_and_jacobian):
-            with pytest.raises(cls, match=match):
+        for evaluate in (curvature.curvature_map, curvature.curvature_and_jacobian,
+                         admissible, lambda spec, tri, f: spec_arrays(spec, tri)):
+            with pytest.raises(FamilyConstraint,
+                               match="^edge 11 joins two special components$"):
                 evaluate(spec, tri, f)
+            assert tri.spec_memo is None
 
 
 def test_error_names_first_failure_of_the_per_face_loop():
@@ -304,7 +299,6 @@ def test_make_spec_keeps_loop_edges_off_the_special_set():
             tri = _repeating_mesh()
             spec = make_spec(fam, tri, random.Random(seed))
             assert spec.special == {1}
-            validate_spec(spec, tri)
             assert admissible(spec, tri, spec_arrays(spec, tri).start).ok
     # on loop-free meshes the picks are the ones made before loop edges
     # were blocked

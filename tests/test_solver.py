@@ -236,9 +236,7 @@ def infeasible_mixed1():
 
 def test_no_feasible_start_on_contradictory_weights():
     tri, spec = infeasible_mixed1()
-    from hexcurv.conformal import validate_spec
-
-    validate_spec(spec, tri)
+    spec_arrays(spec, tri)  # the spec is valid
     with pytest.raises(NoFeasibleStart):
         solver.default_initial(spec, tri)
 
