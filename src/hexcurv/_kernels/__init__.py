@@ -8,9 +8,10 @@ theta stage (face_theta) first runs the edge pass, the one per-lane
 entry to the edge rules: each root law (rule code mod 3) once, on its own
 edges, for cosh l, sinh l and the partial ratio rho of every edge; the
 flipped codes 3 to 5 are the plain codes with the root and rho negated,
-so a spec's program, whose codes share one law, takes one call.  It
-then gathers cosh l and sinh l to the face sides and applies the
-hexagon cosine law
+so a spec's program, whose codes share one law, takes one call.  Each
+check is one reduction, with per-lane masks only where it fails (small
+F pays more for numpy calls than for arithmetic).  It then gathers
+cosh l and sinh l to the face sides and applies the hexagon cosine law
 
     cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
 
@@ -70,13 +71,13 @@ def _rule(law, aa, ab, fa, fb, eta, s, r):
     e^{f_a + f_b} + s root and rho = r times the law's partial ratio, with
     the signs s and r of each lane's rule code (EdgeProgram.signs).
 
-    ok is numpy True for the cosh-difference law, which holds everywhere;
-    the square-root laws evaluate lanes outside their domain on finite
-    filler, which callers mask by ok.
+    ok is True for the cosh-difference law, which holds everywhere; the
+    square-root laws evaluate lanes outside their domain on finite filler,
+    which callers mask by ok.
     """
     ee = eta * np.exp(fa + fb)
     if law == 2:
-        ok, root, rho = np.True_, np.cosh(fb - fa), np.exp(fa - fb)
+        ok, root, rho = True, np.cosh(fb - fa), np.exp(fa - fb)
     else:
         if law == 0:
             xa, xb = 1.0 + aa * np.exp(2.0 * fa), 1.0 + ab * np.exp(2.0 * fb)
@@ -97,11 +98,12 @@ class EdgeProgram:
     a and b), etas and signs (2 x E): s, the sign of the root in cosh l
     (+1 on odd codes), and r, the sign of rho (-1 on the flipped codes 3 to
     5).  groups holds (law, slice of its edges) per law present; a spec's
-    program has one.  side (3 x F) is the edge of each face side and rev
-    whether the side runs from b to a; tail and head index the flattened
-    2 x E per-end values at the first and second corner of each side.
-    status and bad are the theta stage's read-only all-OK record of the F
-    faces.
+    program has one.  _rows keeps the rows the edge rules read as one
+    tuple: alphas at a and b, ends a and b, etas, and signs s and r.  side
+    (3 x F) is the edge of each face side and rev whether the side runs
+    from b to a; tail and head index the flattened 2 x E per-end values at
+    the first and second corner of each side.  status and bad are the
+    theta stage's read-only all-OK record of the F faces.
 
     The constructor takes vert, then ends, codes, alphas and etas of the
     edges in any one order, and side (F x 3) as indices into it.
@@ -116,6 +118,7 @@ class EdgeProgram:
         self.ends, self.codes, self.alphas, self.etas = (
             np.asarray(x)[..., order] for x in (ends, codes, alphas, etas))
         self.signs = np.where([self.codes % 2 == 1, self.codes < 3], 1.0, -1.0)
+        self._rows = (*self.alphas, *self.ends, self.etas, *self.signs)
         self.side = rank[np.transpose(side)]
         self.rev = self.vert.T != self.ends[0, self.side]
         self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
@@ -176,39 +179,40 @@ class Arcs(NamedTuple):
 
 def _edge_pass(prog: EdgeProgram, f):
     """(ok, cosh l, rho) of every edge of prog at finite factors f, in
-    program order, one _rule call per root law on its own edges: a
-    one-law program returns that call's arrays, and ok may be numpy True
-    for all edges.  ok is False on the lanes outside a rule's domain,
-    which keep its filler values."""
-    (a, b), (aa, ab), (s, r) = prog.ends, prog.alphas, prog.signs
+    program order, one _rule call per root law on its own edges, read off
+    the kept rows of prog: a one-law program returns that call's arrays,
+    and ok may be True for all edges.  ok is False on the lanes outside a
+    rule's domain, which keep its filler values."""
     if len(prog.groups) == 1:
-        return _rule(prog.groups[0][0], aa, ab, f[a], f[b], prog.etas, s, r)
+        aa, ab, a, b, eta, s, r = prog._rows
+        return _rule(prog.groups[0][0], aa, ab, f[a], f[b], eta, s, r)
     n = len(prog.codes)
     ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
     for law, at in prog.groups:
-        ok[at], ch[at], rho[at] = _rule(law, aa[at], ab[at], f[a[at]], f[b[at]],
-                                        prog.etas[at], s[at], r[at])
+        aa, ab, a, b, eta, s, r = (x[at] for x in prog._rows)
+        ok[at], ch[at], rho[at] = _rule(law, aa, ab, f[a], f[b], eta, s, r)
     return ok, ch, rho
 
 
 def face_theta(prog: EdgeProgram, f) -> Arcs:
     """The theta stage of every face of prog at factors f, indexed by
     vertex id; theta is F x 3.  status and bad are prog's read-only
-    all-OK arrays unless a face fails."""
+    all-OK arrays themselves unless a face fails: status is prog.status
+    reads as "no face failed", and only a fresh status is searched."""
     f = np.asarray(f, dtype=float)
     status, bad = prog.status, prog.bad
-    in_range = np.abs(f) <= F_LIMIT
-    if not in_range.all():
+    if not np.abs(f).max(initial=0.0) <= F_LIMIT:
+        in_range = np.abs(f) <= F_LIMIT
         status = np.where(in_range[prog.vert].all(axis=1), OK, BAD_RANGE)
         f = np.where(in_range, f, 0.0)
     ok, ch, rho = _edge_pass(prog, f)
-    if not (ok.all() and ch.min(initial=2.0) > 1.0):
+    if not ((ok is True or ok.all()) and ch.min(initial=2.0) > 1.0):
         fails = np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE)
         status, bad = _fail(status, bad, fails[prog.side])
         ch = np.where(fails == OK, ch, 2.0)
     sh = np.sqrt((ch - 1.0) * (ch + 1.0))
     chs, shs = ch[prog.side], sh[prog.side]
-    if status.any():  # failed faces evaluate the regular hexagon
+    if status is not prog.status and status.any():  # failed faces: the regular hexagon
         live = status == OK
         chs, shs = np.where(live, chs, 2.0), np.where(live, shs, _SH_FILL)
     # cosine law: corner a lies between sides a and a - 1, opposite side a + 1

@@ -246,9 +246,10 @@ class ChangeOfVariables:
     arrays: its alpha, where the family's law reads alpha, and whether it
     is special.  Each map checks its whole input first and raises
     DomainViolation for the first component outside its open domain; then
-    each law runs on its own components only, so no numpy warning fires.
-    The bounds those checks read are built once.  Raises FamilyConstraint
-    naming the first component without an alpha that the law reads."""
+    each law runs on its own components only (a one-law map on the whole
+    vector), so no numpy warning fires.  Its bounds are built once.
+    Raises FamilyConstraint naming the first component without an alpha
+    that the law reads."""
 
     def __init__(self, spec: StructureSpec, ids):
         self.family, self.ids = spec.family, ids
@@ -260,7 +261,7 @@ class ChangeOfVariables:
             if missing is not None:
                 raise FamilyConstraint(f"no alpha for boundary component {ids[missing]}")
         self.law = _law(spec.family, alpha, special)
-        self.sign = 2.0 * special - 1.0
+        self.sign, self._neg_sign = 2.0 * special - 1.0, 1.0 - 2.0 * special
         self.f_lo, self.f_hi = _BOUNDS[self.law, 0].T
         self.lo, self.hi = _BOUNDS[self.law, 1 + special].T
         big = np.where(self.law >= _COSH, _EXP_MAX, np.inf)  # cosh, sinh overflow beyond
@@ -270,13 +271,15 @@ class ChangeOfVariables:
         self.groups = [(k, np.flatnonzero(self.law == k)) for k in set(self.law.tolist())]
 
     def _require(self, name: str, x, lo, hi) -> None:
-        bad = ~((lo < x) & (x < hi))  # NaN fails too
-        if bad.any():
-            k = int(np.argmax(bad))
+        inside = (lo < x) & (x < hi)  # NaN fails too
+        if not inside.all():
+            k = int(np.argmin(inside))
             raise DomainViolation(f"{name}[{self.ids[k]}]={x[k]} outside "
                                   f"({lo[k]}, {hi[k]}) for {self.family}")
 
     def _apply(self, which: int, x) -> np.ndarray:
+        if len(self.groups) == 1:
+            return _LAWS[self.groups[0][0]][which](x)
         out = np.empty(len(x))
         for law, idx in self.groups:
             out[idx] = _LAWS[law][which](x[idx])
@@ -296,7 +299,9 @@ class ChangeOfVariables:
         """df/du; filler where |f| > F_LIMIT, which the kernel rejects."""
         f = np.asarray(f, dtype=float)
         self._require("f", f, self.f_lo, self.f_hi)
-        return -self.sign * self._apply(2, np.where(np.abs(f) <= F_LIMIT, f, 0.0))
+        if not np.abs(f).max(initial=0.0) <= F_LIMIT:
+            f = np.where(np.abs(f) <= F_LIMIT, f, 0.0)
+        return self._neg_sign * self._apply(2, f)
 
 
 def _floats(values, n: int, ids=None) -> np.ndarray:
@@ -630,13 +635,14 @@ def slack(poly: Polytope, u) -> np.ndarray:
 
 def _admits(poly: Polytope, uv: np.ndarray) -> Admissibility:
     lo, hi, a, b, pair_lo, pair_hi, edge = poly
-    bad = ~((lo < uv) & (uv < hi))
-    if bad.any():
-        return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(bad)])
+    inside = (lo < uv) & (uv < hi)
+    if not inside.all():
+        return Admissibility(False, [f"chart of u[{i}]" for i in np.flatnonzero(~inside)])
     with np.errstate(over="ignore"):  # an overflowed sum gets the verdict of its sign
         s = uv[a] + uv[b]
-    bad = ~((pair_lo < s) & (s < pair_hi))
-    return Admissibility(not bad.any(), [f"edge {e}" for e in edge[bad]])
+    inside = (pair_lo < s) & (s < pair_hi)
+    ok = bool(inside.all())
+    return Admissibility(ok, [] if ok else [f"edge {e}" for e in edge[~inside]])
 
 
 def admissible(spec: StructureSpec, tri, u) -> Admissibility:

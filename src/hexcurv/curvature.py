@@ -42,9 +42,10 @@ _ERRORS = {
 
 def _raise_first(ids, arcs):
     """Raise for the first failing face of arcs, and its first failing
-    check; ids are the face ids of the faces of arcs."""
+    check; ids are the face ids of the faces of arcs.  The program's kept
+    all-OK status itself means none failed; only a fresh one is searched."""
     status, bad = arcs.status, arcs.bad
-    if not status.any():
+    if status is arcs.prog.status or not status.any():
         return
     k = int(np.argmax(status != OK))
     cls, text = _ERRORS[int(status[k])]

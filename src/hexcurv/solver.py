@@ -47,6 +47,8 @@ behind rigidity).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -83,10 +85,12 @@ class SolveOptions:
     initial: Mapping[int, float] | np.ndarray | None = None  # factors; None: the default
 
     def __post_init__(self):
-        if not (self.tol_K > 0.0 and math.isfinite(self.tol_K)):
-            raise ValueError("tol_K must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        tol, n = self.tol_K, self.max_iter
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and tol > 0.0 and math.isfinite(tol)):
+            raise ValueError(f"tol_K must be a positive finite real number, not {tol!r}")
+        if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, not {n!r}")
 
 
 @dataclass

@@ -352,6 +352,63 @@ def test_change_of_variables_names_the_first_bad_component():
         curvature.curvature_and_jacobian(a3, tri, {0: 400.0, 1: 0.0, 2: 0.0})
 
 
+def _maps_by_component(cov, which, x):
+    """_LAWS[law][which] of each component of cov alone, on a one-element
+    array, with the sign that map takes there."""
+    out = []
+    for law, sign, xi in zip(cov.law.tolist(), cov.sign.tolist(), x.tolist()):
+        if which == 0:
+            out.append(cf._LAWS[law][0](np.array([sign * xi]))[0])
+        elif which == 1:
+            out.append(sign * cf._LAWS[law][1](np.array([xi]))[0])
+        else:
+            xi = xi if abs(xi) <= cf.F_LIMIT else 0.0  # the kernel rejects the filler's lanes
+            out.append(-sign * cf._LAWS[law][2](np.array([xi]))[0])
+    return np.array(out)
+
+
+def _first_outside(lo, x, hi):
+    return next(i for i in range(len(x)) if not lo[i] < x[i] < hi[i])
+
+
+@pytest.mark.parametrize("family, special, laws", [
+    ("A3", (), 1), ("MixedIII", (1, 4), 1), ("A1", (), 3), ("MixedII", (2, 3), 2),
+])
+def test_change_of_variables_is_its_laws_component_by_component(family, special, laws):
+    # a one-law map applies its law to the whole vector, a mixed one each
+    # law to its own components: the bytes of each component's law alone;
+    # a value outside a domain is named as the first one in component order
+    rng = random.Random(30)
+    n = 12
+    spec = spec1(family, {i: i % 3 - 1 if family == "A1" else -1 for i in range(n)}, {},
+                 special)
+    cov = cf.ChangeOfVariables(spec, list(range(n)))
+    assert len(set(cov.law.tolist())) == laws
+    lo, hi = np.maximum(cov.u_lo, -3.0), np.minimum(cov.u_hi, 3.0)
+    for _ in range(50):
+        u = lo + (hi - lo) * np.array([rng.uniform(0.01, 0.99) for _ in range(n)])
+        f = cov.to_f(u)
+        assert f.tobytes() == _maps_by_component(cov, 0, u).tobytes()
+        assert cov.to_u(f).tobytes() == _maps_by_component(cov, 1, f).tobytes()
+        # at the kernel's limit, and past it where the law's domain reaches
+        for k, x in zip(rng.sample(range(n), 3), rng.sample([cf.F_LIMIT, -cf.F_LIMIT, 200.0,
+                                                            -200.0, -1e300], 3)):
+            if cov.f_lo[k] < x < cov.f_hi[k]:
+                f[k] = x
+        assert cov.derivative(f).tobytes() == _maps_by_component(cov, 2, f).tobytes()
+        for name, x, call, bounds in (("u", u, cov.to_f, (cov.u_lo, cov.u_hi)),
+                                      ("f", f, cov.to_u, (cov.f_min, cov.f_hi)),
+                                      ("f", f, cov.derivative, (cov.f_lo, cov.f_hi))):
+            x = x.copy()
+            x[rng.sample(range(n), 2)] = rng.sample([math.nan, math.inf, -math.inf, 1e300,
+                                                     -1e300, 0.0], 2)
+            if all(bounds[0] < x) and all(x < bounds[1]):
+                continue
+            k = _first_outside(bounds[0], x, bounds[1])
+            with pytest.raises(DomainViolation, match=rf"^{name}\[{k}\]={re.escape(str(x[k]))} "):
+                call(x)
+
+
 def test_admissible_matches_edge_lengths():
     # membership agrees with per-edge positivity everywhere sampled
     rng = random.Random(2)

@@ -27,16 +27,17 @@ farther than tol(sigma) from the light-like band edge TAU_CAUSAL.
 
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
 
 from hexcurv import _kernels as kern
+from hexcurv import curvature
 from hexcurv._kernels.center import face_centers
 from hexcurv.conformal import StructureSpec, spec_arrays
+from hexcurv.errors import NotAdmissible
 from hexcurv.identities import sample_face_points, stock_spec
 from hexcurv.mesh import pair_of_pants
 from hexcurv.tol import TAU_CAUSAL
@@ -90,10 +91,10 @@ def _batched(rows):
 # -- first-order difference bound ----------------------------------------------
 
 class _Tape(list):
-    """Results of one scalar evaluation: (u_z |z|, ((parent, dz/dparent), ...))."""
+    """Results of one scalar evaluation: (u_z |z|, [(parent, dz/dparent), ...])."""
 
     def rec(self, value, ulps, parents, elementary=False):
-        parents = tuple((p.id, d) for p, d in parents if isinstance(p, _T))
+        parents = [(p.id, d) for p, d in parents if isinstance(p, _T)]
         if not parents and not elementary:
             return value  # correctly rounded on equal inputs: both kernels agree
         out = _T(value)
@@ -183,17 +184,16 @@ def _tolerance(monkeypatch, outputs):
     monkeypatch.setattr(scalar_ref, "math", _TapedMath(tape))
     ys = outputs()
     monkeypatch.setattr(scalar_ref, "math", math)
-    # result z = sum of dz/dparent * parent + its own difference:
-    # (I - D) z = delta, so dy/dz is row y of (I - D)^-1
-    n = len(tape)
-    edges = [(i, p, d) for i, (_, parents) in enumerate(tape) for p, d in parents]
-    i, p, d = (np.array(x) for x in zip(*edges))
-    lower = scipy.sparse.identity(n, format="csr") - scipy.sparse.csr_matrix(
-        (d, (i, p)), shape=(n, n))
-    pick = np.zeros((n, len(ys)))
+    # result z = sum of dz/dparent * parent + its own difference; the tape
+    # lists parents before their results, so one reverse sweep over it
+    # gives dy/dz of every output y at once
+    adj = np.zeros((len(tape), len(ys)))
     for k, y in enumerate(ys):
-        pick[y.id, k] = 1.0
-    adj = scipy.sparse.linalg.spsolve_triangular(lower.T.tocsr(), pick, lower=False)
+        adj[y.id, k] = 1.0
+    rows = list(adj)  # views, updated in place
+    for row, (_, parents) in zip(reversed(rows), reversed(tape)):
+        for p, d in parents:
+            rows[p] += d * row
     weight = np.array([w for w, _ in tape])
     return 2.0 * EPS * (np.abs(adj).T @ weight)
 
@@ -472,9 +472,83 @@ def test_theta_status_is_kept_all_ok_and_copied_where_a_face_fails():
         assert passed.status is prog.status and passed.bad is prog.bad
         assert passed.status.tolist() == [kern.OK] * 2 and passed.bad.tolist() == [-1] * 2
         assert list(zip(failed.status.tolist(), failed.bad.tolist())) == [(kern.OK, -1), fail]
+        # evaluation reads the kept record as "no face failed" by identity;
+        # a fresh status is searched, and raises for its failing face only
+        curvature._raise_first([7, 9], passed)
+        curvature._raise_first([7, 9], passed._replace(status=passed.status.copy()))
+        with pytest.raises(NotAdmissible, match="^face 9: "):
+            curvature._raise_first([7, 9], failed)
     for kept in (prog.status, prog.bad):
         with pytest.raises(ValueError):
             kept[0] = kern.BAD_EDGE
+
+
+_PLANTED = (math.nan, math.inf, -math.inf, np.nextafter(kern.F_LIMIT, math.inf),
+            -np.nextafter(kern.F_LIMIT, math.inf), kern.F_LIMIT, -kern.F_LIMIT)
+
+
+def _limit_face():
+    """A disjoint face that evaluates with a corner at -F_LIMIT: (codes,
+    alphas, weights, factors)."""
+    return [3, 3, 3], [0, 0, 0], [1.0, 1.0, 1.0], [-kern.F_LIMIT, 140.0, 140.0]
+
+
+def _range_cases(rng):
+    """(program, factors) of a one-law program, an A3 sphere's at its
+    start, and of a mixed-law disjoint program on which some faces fail,
+    with _limit_face last."""
+    tri = sphere_triangulation(40, rng)
+    arrays = spec_arrays(make_spec("A3", tri, rng), tri)
+    yield arrays.program, arrays.cov.to_f(arrays.start)
+    codes = np.repeat(np.arange(6), 8)
+    rng.shuffle(codes)
+    rows = [(np.full(3, c), [rng.choice((-1, 0, 1)) for _ in range(3)],
+             [rng.uniform(-0.5, 5.0) for _ in range(3)],
+             [rng.uniform(-1.2, 1.2) for _ in range(3)]) for c in codes] + [_limit_face()]
+    sides, alphas, etas, f = (np.array(x) for x in zip(*rows))
+    yield disjoint_faces(sides, alphas, etas), f.ravel()
+
+
+def test_range_check_fails_exactly_the_faces_at_an_out_of_range_factor():
+    # NaN, +-inf and the next floats past +-F_LIMIT fail every face at
+    # them, with no side position, and no other face: those keep the bytes
+    # of a pass without them; +-F_LIMIT itself is in range
+    rng = random.Random(30)
+    for prog, f in _range_cases(rng):
+        clean = kern.face_theta(prog, f)
+        assert (clean.status is prog.status) == (len(prog.groups) == 1)
+        for _ in range(40):
+            at = rng.sample(range(len(f)), rng.randint(1, 3))
+            g = f.copy()
+            g[at] = [rng.choice(_PLANTED) for _ in at]
+            out = ~(np.abs(g) <= kern.F_LIMIT)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arcs = kern.face_theta(prog, g)
+                ref = kern.face_theta(prog, np.where(out, f, g))
+            hit = out[prog.vert].any(axis=1)
+            assert not ((ref.status == kern.BAD_RANGE) & (ref.bad == -1)).any()
+            assert (arcs.status[hit] == kern.BAD_RANGE).all() and (arcs.bad[hit] == -1).all()
+            # failed faces evaluate the regular hexagon
+            assert (arcs.ch[hit] == 2.0).all() and (arcs.sh[hit] == kern._SH_FILL).all()
+            for name in ("theta", "status", "bad", "ch", "sh", "chth"):
+                assert getattr(arcs, name)[~hit].tobytes() == getattr(ref, name)[~hit].tobytes()
+            assert (arcs.status is prog.status) == (ref.status is prog.status and not hit.any())
+
+
+def test_a_face_at_the_limit_keeps_the_all_ok_record():
+    # a corner at -F_LIMIT evaluates, and the pass returns the program's
+    # all-OK record itself; one float further fails the range check
+    codes, alphas, etas, f = _limit_face()
+    prog = disjoint_faces([codes], [alphas], [etas])
+    for k in range(3):
+        at = np.roll(f, k)
+        arcs = kern.face_theta(prog, at)
+        assert arcs.status is prog.status and arcs.bad is prog.bad
+        assert np.all(np.isfinite(arcs.theta)) and arcs.theta.max() > 280.0
+        beyond = np.where(at == -kern.F_LIMIT, np.nextafter(at, -math.inf), at)
+        past = kern.face_theta(prog, beyond)
+        assert (past.status.tolist(), past.bad.tolist()) == ([kern.BAD_RANGE], [-1])
 
 
 def test_edge_partials_are_the_length_derivatives():

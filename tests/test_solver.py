@@ -1,3 +1,4 @@
+import fractions
 import functools
 import gc
 import math
@@ -872,10 +873,29 @@ def test_a_mesh_dropped_after_a_solve_is_freed_without_the_cycle_collector():
 @pytest.mark.parametrize("kwargs", [
     {"tol_K": 0.0}, {"tol_K": -1.0}, {"tol_K": math.nan}, {"tol_K": math.inf},
     {"max_iter": 0}, {"max_iter": -3},
+    # values of the wrong type: before, a solve died in range() or in a
+    # comparison, or took True for 1 iteration
+    {"max_iter": 2.5}, {"max_iter": 3.0}, {"max_iter": True}, {"max_iter": np.True_},
+    {"max_iter": "3"}, {"max_iter": None}, {"max_iter": np.int64(0)},
+    {"tol_K": "a"}, {"tol_K": True}, {"tol_K": np.True_}, {"tol_K": None}, {"tol_K": 1e-10j},
+    {"tol_K": [1e-10]},
 ])
 def test_solve_options_reject_unusable_budgets(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         solver.SolveOptions(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 100}, {"max_iter": np.int64(100)}, {"tol_K": 1}, {"tol_K": np.float32(1e-6)},
+    {"tol_K": fractions.Fraction(1, 10**10)},
+])
+def test_solve_options_take_integer_budgets_and_real_tolerances(kwargs):
+    opts = solver.SolveOptions(**kwargs)
+    spec = StructureSpec("A3", {i: 0 for i in range(3)}, {i: 3.0 for i in range(3)})
+    tri = mesh.pair_of_pants()
+    target = curvature.curvature_map(spec, tri, [0.1, 0.2, 0.3])
+    _, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
+    assert rep.converged and 0 < rep.iterations <= 100 and rep.residual <= opts.tol_K
 
 
 def test_weights_in_read_like_a_dict_in():
