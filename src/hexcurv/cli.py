@@ -33,28 +33,36 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _read_text(path) -> str:
+    """The text of the file at path; one that is not UTF-8 is a
+    HexcurvError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise HexcurvError(f"{path}: not UTF-8 text") from None
+
+
 def _read_mesh(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return mesh.parse(fh.read())
+    return mesh.parse(_read_text(path))
 
 
 def _read_records(path, tag, n):
     """The values of '<tag> <id> <value>' lines, one per component 0..n-1,
     each value finite, as a Weights keyed 0..n-1."""
     ids, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            try:
-                if parts[0] != tag or len(parts) != 3:
-                    raise ValueError(raw)
-                ids.append(int(parts[1]))
-                values.append(float(parts[2]))
-            except ValueError:
-                raise HexcurvError(
-                    f"{path}: expected '{tag} <id> <value>' records") from None
+    for raw in _read_text(path).split("\n"):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            if parts[0] != tag or len(parts) != 3:
+                raise ValueError(raw)
+            ids.append(int(parts[1]))
+            values.append(float(parts[2]))
+        except ValueError:
+            raise HexcurvError(
+                f"{path}: expected '{tag} <id> <value>' records") from None
     if sorted(ids) != list(range(n)):
         raise HexcurvError(f"{path}: needs one record per component 0..{n - 1}")
     values = np.array(values)

@@ -64,7 +64,9 @@ class OutOfRange(HexcurvError):
 
 
 class NotConverged(HexcurvError):
-    """Newton solve exhausted its iteration or damping budget."""
+    """Newton solve ended without convergence: its iteration or damping
+    budget ran out or a Jacobian was exactly singular.  Carries the last
+    accepted iterate (factors) and the solve's report."""
 
     def __init__(self, message, factors=None, report=None):
         super().__init__(message)

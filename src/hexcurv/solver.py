@@ -22,21 +22,21 @@ step follows at the same iterate, whose arcs are still alive, so the
 dropped trial costs one theta pass.  A chord step is thus only ever the
 last step, and the report counts it in chord_steps.
 
-What stays fixed is built once and kept.  Per mesh: the Jacobian's
-layout relabelled in its elimination order, with the diagonal positions
-(Triangulation.jacobian_order, a mesh.Layout).
-Per (spec, mesh): the default start, the existence verdict and the Newton
-state at the default start, fields of its record
-conformal.spec_arrays(spec, tri).  That state (NewtonStart: f and K at
-the start and the factor of the Jacobian there, or the fact that it is
-exactly singular) is kept by the first solve that steps from the default
-start; every later solve from the default start reads K there and takes
-its first step from the kept factor, so it makes one theta pass, one
-Jacobian and one factorization fewer, with the same bits.  A solve from a
-user initial point neither reads nor keeps it.  The record keeps that one
-LU for its life, which is the mesh's until it is used with another spec.
-Per iterate, one theta pass of the kernel gives the trial's residual and,
-once the trial is accepted and a Newton step is needed, the Jacobian.
+What stays fixed is built once and kept.  Per mesh, read once per solve:
+the Jacobian's layout in its elimination order, with the diagonal
+positions (Triangulation.jacobian_order, a mesh.Layout).  Per (spec,
+mesh), fields of its record conformal.spec_arrays(spec, tri): the default
+start, the existence verdict and the Newton state there (NewtonStart: f,
+K and the Jacobian's factor, None where it is exactly singular).  The
+first solve that steps from the default start keeps that state; every
+later one loads it before its first iteration and steps first from the
+kept factor, so it makes one theta pass, one Jacobian and one
+factorization fewer, with the same bits.  A solve from a user initial
+point neither reads nor keeps it.  The record keeps that one LU for its
+life, which is the mesh's until it is used with another spec.  Per
+iterate, one theta pass gives the trial's residual and the arcs from
+which a Newton step there builds its Jacobian; the kept start alone has
+no arcs.
 
 energy gives the difference of the mesh energy E, whose u-gradient is K,
 between two admissible points: a solution u* of K = tgt maximizes
@@ -72,9 +72,8 @@ from .errors import (
 DAMPING = 0.5
 MAX_HALVINGS = 60
 
-# The Newton state at the default start that SpecArrays.newton keeps: the
-# factors f and curvature K there, read-only, and _factor's factor of the
-# Jacobian there (None: exactly singular).
+# SpecArrays.newton, the Newton state at the default start: f and K there,
+# read-only, and _factor's factor of the Jacobian there (None: singular).
 NewtonStart = namedtuple("NewtonStart", "f K factor")
 
 
@@ -135,7 +134,7 @@ def _factor(lam, order: tuple):
     its eigenvalues in the open left half-plane, so every pivot
     det A_k / det A_(k-1) is negative.
     The factor has little fill, so SuperLU's panel bookkeeping dominates:
-    panel_size=1, relax=1 cut it (README), here as where the order is read.
+    panel_size=1, relax=1 cut it (BENCH_9.json), as where the order is read.
     """
     diag, data = order.diagonal, lam.data
     try:
@@ -153,11 +152,8 @@ def _factor(lam, order: tuple):
 
 
 def _solve_step(factor, g: np.ndarray, report: SolveReport, order: tuple):
-    """lam^-1 g from _factor's factor of lam in order's layout, or None
-    where lam is exactly singular; where lam is not negative definite (a
-    hyper-ideal split window) the report notes it."""
-    if factor is None:
-        return None
+    """lam^-1 g from _factor's factor of lam in order's layout; where lam is
+    not negative definite (a hyper-ideal split window) the report notes it."""
     lu, definite = factor
     if not definite:
         note = "jacobian indefinite at an iterate"
@@ -175,9 +171,12 @@ def solve_prescribed_curvature(
 
     target maps boundary components to positive reals (a mapping, such as
     a Weights, or an array).  Returns (f, report), f the factors as a
-    read-only Weights keyed 0..N-1; raises NotConverged with the best
-    iterate attached as such a Weights (factors) when the iteration or
-    damping budget runs out or a Jacobian is exactly singular.
+    read-only Weights keyed 0..N-1.  Otherwise raises NotConverged with
+    factors, the last accepted iterate as such a Weights, and the report,
+    whose residual r is max|K(factors) - target| and whose trajectory holds
+    iterations + 1 residuals; the message names the ending: "no convergence
+    in <max_iter> iterations (residual r)", "jacobian exactly singular at
+    residual r" or "damping budget exhausted at residual r".
     """
     opts = opts or SolveOptions()
     n = tri.n_boundary
@@ -202,24 +201,24 @@ def solve_prescribed_curvature(
         u, kept = arrays.start, arrays.newton
 
     if kept is None:
-        f = cov.to_f(u)
+        f, factor = cov.to_f(u), None
         K, arcs = curvature_and_arcs(spec, tri, f)
     else:
-        f, K, arcs = kept.f, kept.K, None
-    res = float(np.max(np.abs(K - tgt)))
+        (f, K, factor), arcs = kept, None
+    order, res = tri.jacobian_order, float(np.max(np.abs(K - tgt)))
     report.trajectory.append(res)
 
     prev_res = 0.0  # the residual before the last step; 0 allows no chord trial
     for it in range(opts.max_iter + 1):
-        report.iterations = it
-        report.residual = res
+        report.iterations, report.residual = it, res
         if res <= opts.tol_K:
             report.converged = True
             report.quad_constant = _quad_constant(report.trajectory[:it + 1 - report.chord_steps])
             return _result(f), report
         if it == opts.max_iter:
+            why = f"no convergence in {opts.max_iter} iterations (residual {res})"
             break
-        order, trial = tri.jacobian_order, None
+        trial = None
         if res * res <= opts.tol_K * prev_res:
             # the last step's contraction predicts tol_K in one more step: a
             # full chord trial with that step's factor ends the solve if it
@@ -233,20 +232,16 @@ def solve_prescribed_curvature(
         if trial is None:
             # the Jacobian and the arcs behind it are freed before any trial;
             # its LU is kept for a chord trial at the next iterate
-            if it == 0 and kept is not None:
-                factor = kept.factor
-            else:
+            if arcs is not None:  # every iterate but the kept start
                 factor = None  # the last step's LU is freed before the next is built
                 factor = _factor(_jacobian(arcs, cov.derivative(f), order), order)
                 if it == 0 and opts.initial is None:
                     f.flags.writeable = K.flags.writeable = False
                     arrays.newton = NewtonStart(f, K, factor)
+            if factor is None:
+                why = f"jacobian exactly singular at residual {res}"
+                break
             step = _solve_step(factor, K - tgt, report, order)
-            if step is None:
-                raise NotConverged(
-                    f"jacobian exactly singular at residual {res}",
-                    factors=_result(f), report=report,
-                )
             arcs, lam_scale = None, 1.0
             for _ in range(MAX_HALVINGS):
                 trial = _trial(spec, tri, cov, u - lam_scale * step, tgt, report)
@@ -255,17 +250,11 @@ def solve_prescribed_curvature(
                     break
                 trial = None  # no rejected trial's arrays stay alive
             else:
-                report.residual = res
-                raise NotConverged(
-                    f"damping budget exhausted at residual {res}",
-                    factors=_result(f), report=report,
-                )
+                why = f"damping budget exhausted at residual {res}"
+                break
         prev_res, (u, f, K, arcs, res) = res, trial
         report.trajectory.append(res)
-    raise NotConverged(
-        f"no convergence in {opts.max_iter} iterations (residual {res})",
-        factors=_result(f), report=report,
-    )
+    raise NotConverged(why, factors=_result(f), report=report)
 
 
 def _trial(spec, tri, cov, u, tgt, report: SolveReport):

@@ -111,10 +111,12 @@ def test_repeated_edge_id_is_a_domain_error(tmp_path, capsys):
     ("family=A3 special=0", None, "A3 admits no special components"),
     # A1 at alpha 0 charts the whole line; u_0 + u_1 overflows at these factors
     ("family=A1", "f 0 1e308\nf 1 1e308\nf 2 0\n", "user initial point is not admissible"),
-], ids=["double-special", "a3-special", "far-initial"])
+    # "\udcff" stands for the byte 0xff, which no UTF-8 text holds
+    ("family=A1 # \udcff", None, "{mesh}: not UTF-8 text"),
+], ids=["double-special", "a3-special", "far-initial", "not-utf8"])
 def test_malformed_input_ends_in_one_error_line(tmp_path, capsys, structure, initial, message):
     p = tmp_path / "pants.mesh"
-    p.write_text(PANTS.replace("family=A1", structure))
+    p.write_bytes(PANTS.replace("family=A1", structure).encode("utf-8", "surrogateescape"))
     argv = ["validate", str(p)]
     if initial is not None:
         (tmp_path / "target.txt").write_text("K 0 1.0\nK 1 1.0\nK 2 1.0\n")
@@ -123,7 +125,7 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, capsys, structure, ini
                 "--initial", str(tmp_path / "initial.txt")]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert captured.out == "" and captured.err == f"error: {message.format(mesh=p)}\n"
 
 
 def test_usage_error_exit_code(pants_file):
@@ -316,13 +318,15 @@ def test_factor_records_name_each_component_once(pants_file, tmp_path, capsys,
         assert captured.out == "" and message in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", pytest.param("\udcff", id="not-utf8")])
 @pytest.mark.parametrize("option, tag", [("--factors", "f"), ("--target", "K"),
                                          ("--initial", "f")])
 def test_non_finite_records_name_their_file(pants_file, tmp_path, capsys, option,
                                             tag, value):
+    # "\udcff" stands for the byte 0xff, which no UTF-8 text holds
     bad = tmp_path / "bad.txt"
-    bad.write_text(f"{tag} 0 1.0\n{tag} 1 {value}\n{tag} 2 1.0\n")
+    bad.write_bytes(f"{tag} 0 1.0\n{tag} 1 {value}\n{tag} 2 1.0\n".encode(
+        "utf-8", "surrogateescape"))
     target = tmp_path / "K.txt"
     target.write_text("K 0 1.0\nK 1 1.0\nK 2 1.0\n")
     args = {"--factors": ["curvature", pants_file, "--factors", str(bad)],
@@ -331,8 +335,8 @@ def test_non_finite_records_name_their_file(pants_file, tmp_path, capsys, option
                           "--initial", str(bad)]}[option]
     assert main(args) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{bad}: value of '{tag} 1' is not finite" in captured.err
+    message = "not UTF-8 text" if value == "\udcff" else f"value of '{tag} 1' is not finite"
+    assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "two"])

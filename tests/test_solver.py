@@ -242,15 +242,45 @@ def test_no_feasible_start_on_contradictory_weights():
         solver.default_initial(spec, tri)
 
 
-def test_not_converged_carries_best_iterate():
-    tri = mesh.pair_of_pants()
-    spec = pants_spec()
+def _zero_first_row_and_column(built):
+    """A stand-in for solver._jacobian whose Jacobian has component 0's row
+    and column zeroed, so SuperLU finds it exactly singular; each Jacobian
+    it builds is appended to built."""
+    build = solver._jacobian
+
+    def jacobian(arcs, du, layout):
+        lam = build(arcs, du, layout)
+        rows, colptr = lam.indices, lam.indptr
+        first = int(np.flatnonzero(layout.order == 0)[0])  # component 0 in factor order
+        cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
+        lam.data[(rows == first) | (cols == first)] = 0.0
+        built.append(lam)
+        return lam
+
+    return jacobian
+
+
+@pytest.mark.parametrize("target, max_iter, singular, message", [
+    (2.0, 1, False, "no convergence in 1 iterations (residual {})"),
+    (1e-9, 100, False, "damping budget exhausted at residual {}"),
+    (2.0, 100, True, "jacobian exactly singular at residual {}"),
+], ids=["iteration-budget", "damping-budget", "singular-jacobian"])
+def test_not_converged_carries_best_iterate(monkeypatch, target, max_iter, singular, message):
+    # each way a solve ends without convergence carries the iterate whose
+    # residual the message and the report give, and its whole trajectory
+    if singular:
+        monkeypatch.setattr(solver, "_jacobian", _zero_first_row_and_column([]))
+    tri, spec = mesh.pair_of_pants(), pants_spec()
+    tgt = {i: target for i in range(3)}
     with pytest.raises(NotConverged) as err:
-        solver.solve_prescribed_curvature(
-            spec, tri, {i: 2.0 for i in range(3)}, solver.SolveOptions(max_iter=1)
-        )
-    assert err.value.factors is not None
-    assert err.value.report.trajectory
+        solver.solve_prescribed_curvature(spec, tri, tgt, solver.SolveOptions(max_iter=max_iter))
+    report = err.value.report
+    assert str(err.value) == message.format(report.residual)
+    assert report.converged is False
+    assert len(report.trajectory) == report.iterations + 1
+    assert report.trajectory[-1] == report.residual
+    K = curvature.curvature_map(spec, tri, err.value.factors)
+    assert np.max(np.abs(K - target)) == report.residual
 
 
 @pytest.mark.parametrize("fam", ["A1", "A3", "MixedIII", "MixedI"])
@@ -298,18 +328,8 @@ def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
 
 
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
-    build, built = solver._jacobian, []
-
-    def zero_first_row_and_column(arcs, du, layout):
-        lam = build(arcs, du, layout)
-        rows, colptr = lam.indices, lam.indptr
-        first = int(np.flatnonzero(layout.order == 0)[0])  # component 0 in factor order
-        cols = np.repeat(np.arange(len(colptr) - 1), np.diff(colptr))
-        lam.data[(rows == first) | (cols == first)] = 0.0
-        built.append(lam)
-        return lam
-
-    monkeypatch.setattr(solver, "_jacobian", zero_first_row_and_column)
+    built = []
+    monkeypatch.setattr(solver, "_jacobian", _zero_first_row_and_column(built))
     tri, spec, outcomes = mesh.pair_of_pants(), pants_spec(), []
     for _ in range(3):  # the record keeps the verdict: each solve raises alike
         with pytest.raises(NotConverged, match="exactly singular") as err:
