@@ -22,7 +22,7 @@ from ._kernels.center import DOMAINS, DUAL_OUTSIDE, INCOHERENT, NO_DOMAIN
 from ._kernels.center import face_centers, hexagon_arcs
 from .conformal import Weights
 from .curvature import curvature_and_jacobian, curvature_map
-from .errors import DegenerateHexagon, DualCenterOutside, HexcurvError
+from .errors import DegenerateHexagon, DualCenterOutside, HexcurvError, NotConverged
 from .errors import IncompatibleSplits, InconsistentRatio, UnclassifiableSigns
 from .tol import LEN_MAX, TAU_LEN
 
@@ -226,7 +226,20 @@ def cmd_solve(args):
     opts = solver.SolveOptions(tol_K=args.tol, max_iter=args.max_iter)
     if args.initial:
         opts.initial = _read_records(args.initial, "f", tri.n_boundary)
-    f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
+    try:
+        f, rep = solver.solve_prescribed_curvature(spec, tri, target, opts)
+    except NotConverged as exc:
+        # the report and the JSON document of the last accepted iterate;
+        # main prints the one error line
+        _solve_output(args, exc.factors, exc.report)
+        raise
+    _solve_output(args, f, rep)
+    return 0
+
+
+def _solve_output(args, f, rep):
+    """Write the --report file and print the factors; of a solve that did
+    not converge only the --json document is printed."""
     report = {name: getattr(rep, name) for name in (
         "converged", "iterations", "chord_steps", "residual", "boundary_hits",
         "existence_unproven", "quad_constant")}
@@ -242,8 +255,8 @@ def cmd_solve(args):
     f = f.data.tolist()
     doc = {"f": {str(i): x for i, x in enumerate(f)},
            "report": {**report, "trajectory": rep.trajectory, "notes": rep.notes}}
-    _emit(args, doc, [f"f {i} {_fmt(x)}" for i, x in enumerate(f)])
-    return 0
+    if args.json or rep.converged:
+        _emit(args, doc, [f"f {i} {_fmt(x)}" for i, x in enumerate(f)])
 
 
 def positive_int(text: str) -> int:

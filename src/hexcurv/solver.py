@@ -9,18 +9,22 @@ sparse array from curvature's one Jacobian helper, and factors it once
 (_factor); a Gershgorin certificate on its data decides definiteness, and
 only where it fails are the pivots read.  The step itself (_solve_step)
 solves with the factor and replays its verdict into the report.
-Backtracking damping keeps iterates inside the admissible polytope and
-the residual strictly decreasing.  The Jacobian and its arcs are freed
-before the line search; the step's LU is kept through it.  Where the last
-step took the residual from r_prev to r with r * r <= tol_K * r_prev, its
-contraction predicts tol_K in one more step, and a chord step comes
-first: one full trial u - lam_prev^-1 (K - tgt) with that LU and no new
-Jacobian (the Newton-chord or Shamanskii method, Kelley, Iterative
-Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5).  It ends
-the solve where it is admissible and reaches tol_K; otherwise the Newton
-step follows at the same iterate, whose arcs are still alive, so the
-dropped trial costs one theta pass.  A chord step is thus only ever the
-last step, and the report counts it in chord_steps.
+Backtracking keeps iterates inside the admissible polytope and the
+residual strictly decreasing.  A full step that leaves the polytope is
+cut to BOUNDARY_FRACTION of the step fraction t_max < 1 at which it meets
+the boundary, read from conformal.slack (the fraction-to-the-boundary rule
+of interior-point methods, Nocedal and Wright, Numerical Optimization,
+2nd ed., section 19.2); every other rejected trial halves the step.  The
+Jacobian and its arcs are freed before the line search; the step's LU is
+kept through it.  Where the last step took the residual from r_prev to r
+with r * r <= tol_K * r_prev, its contraction predicts tol_K in one more
+step, and a chord step comes first: one full trial u - lam_prev^-1 (K -
+tgt) with that LU and no new Jacobian (the Newton-chord or Shamanskii
+method, Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995, ch. 5).  It ends the solve where it is admissible and reaches
+tol_K; otherwise the Newton step follows at the same iterate, whose arcs
+are still alive, so the dropped trial costs one theta pass.  A chord step
+is thus only ever the last step, and the report counts it in chord_steps.
 
 What stays fixed is built once and kept.  Per mesh, read once per solve:
 the Jacobian's layout in its elimination order, with the diagonal
@@ -56,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .conformal import StructureSpec, Weights, admissible, component_values, spec_arrays
+from .conformal import StructureSpec, Weights, admissible, component_values, slack, spec_arrays
 from .curvature import _jacobian, curvature_and_arcs, curvature_map
 from .errors import (
     HexcurvError,
@@ -67,9 +71,11 @@ from .errors import (
 )
 
 
-# backtracking: each rejected trial scales the step by DAMPING, at most
-# MAX_HALVINGS times per iteration
+# backtracking: at most MAX_HALVINGS trials per Newton step; a full step
+# that leaves the polytope is cut to BOUNDARY_FRACTION of its way to the
+# boundary, every other rejected trial scales the step by DAMPING
 DAMPING = 0.5
+BOUNDARY_FRACTION = 0.8
 MAX_HALVINGS = 60
 
 # SpecArrays.newton, the Newton state at the default start: f and K there,
@@ -243,11 +249,13 @@ def solve_prescribed_curvature(
                 break
             step = _solve_step(factor, K - tgt, report, order)
             arcs, lam_scale = None, 1.0
-            for _ in range(MAX_HALVINGS):
+            for k in range(MAX_HALVINGS):
                 trial = _trial(spec, tri, cov, u - lam_scale * step, tgt, report)
-                lam_scale *= DAMPING
                 if trial is not None and trial[4] < res:
                     break
+                # a full step that leaves the polytope is cut short of its boundary
+                t_max = _to_boundary(arrays.polytope, u, step) if k == 0 and trial is None else 1.0
+                lam_scale = BOUNDARY_FRACTION * t_max if t_max < 1.0 else lam_scale * DAMPING
                 trial = None  # no rejected trial's arrays stay alive
             else:
                 why = f"damping budget exhausted at residual {res}"
@@ -269,6 +277,16 @@ def _trial(spec, tri, cov, u, tgt, report: SolveReport):
             pass
     report.boundary_hits += 1
     return None
+
+
+def _to_boundary(poly, u, step) -> float:
+    """The step fraction t at which u - t step meets poly's boundary (inf
+    where it never does): each slack falls at the rate of the step's own
+    slack under zero bounds."""
+    with np.errstate(over="ignore"):  # an overflowed pair sum reads as inf
+        rate = slack(poly._replace(lo=0.0, hi=0.0, pair_lo=0.0, pair_hi=0.0), step)
+    ahead = rate > 0.0
+    return float(np.min(slack(poly, u)[ahead] / rate[ahead], initial=np.inf))
 
 
 def _quad_constant(traj) -> float:

@@ -293,6 +293,30 @@ def test_solve_json_with_initial(pants_file, tmp_path, capsys):
         assert abs(doc["f"]["0"]) < 1e-8
 
 
+def test_failed_solve_writes_its_report_and_json(pants_file, tmp_path, capsys):
+    # target 1e-9 exhausts the damping budget: the report file and the JSON
+    # document hold the last accepted iterate, beside the one error line
+    tpath, rpath = tmp_path / "tiny.txt", tmp_path / "report.txt"
+    tpath.write_text("K 0 1e-9\nK 1 1e-9\nK 2 1e-9\n")
+    assert main(["solve", pants_file, "--target", str(tpath),
+                 "--report", str(rpath), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: damping budget exhausted") and err.count("\n") == 1
+    doc = json.loads(out)
+    report = doc["report"]
+    assert report["converged"] is False
+    assert len(report["trajectory"]) == report["iterations"] + 1
+    assert report["residual"] == report["trajectory"][-1]
+    assert sorted(doc["f"]) == ["0", "1", "2"]
+    lines = rpath.read_text().splitlines()
+    assert "converged 0" in lines
+    assert f"iterations {report['iterations']}" in lines
+    assert sum(line.startswith("trajectory ") for line in lines) == report["iterations"] + 1
+    # without --json the failed solve prints nothing on stdout
+    assert main(["solve", pants_file, "--target", str(tpath)]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_is_an_error(pants_file, tmp_path, capsys):
     missing = str(tmp_path / "nowhere.txt")
     assert main(["validate", missing]) == 1

@@ -302,6 +302,54 @@ def test_hard_targets_return_or_raise_not_converged(fam):
             assert err.factors is not None and err.report.trajectory
 
 
+# Newton iterations of the N=40 probe solves, seeds 0-7 (Random(1000 s +
+# 40), MixedI in its definite window), from the default start to c K0,
+# None where the solve raises NotConverged: with the line search halving
+# every rejected trial, and with a full step that leaves the polytope cut
+# to BOUNDARY_FRACTION of its way to the boundary.
+HALVING_ITERATIONS = {
+    1.5: {"A1": [6, 5, 6, 5, 7, 6, 6, 6], "A2": [6, 6, 6, 6, 6, 6, 6, 6],
+          "A3": [6, 6, 6, 7, 6, 6, 6, 6], "MixedI": [5, 7, 7, 6, 6, 8, 7, 7],
+          "MixedII": [5, 5, 5, 5, 5, 5, 5, 5], "MixedIII": [5, 7, 7, 7, 7, 7, 6, 7]},
+    3.0: {"A1": [15, 11, 13, 11, None, 12, 16, 11], "A2": [9, 10, 11, 8, 8, 11, 11, 11],
+          "A3": [11, 9, 11, 9, 12, 11, 11, 9],
+          "MixedI": [None, None, None, None, 14, None, 17, None],
+          "MixedII": [None] * 8, "MixedIII": [None] * 8},
+}
+CUT_ITERATIONS = {
+    1.5: {"A1": [8, 6, 5, 6, 6, 6, 6, 5], "A2": [5, 5, 5, 6, 6, 5, 5, 5],
+          "A3": [5, 6, 5, 7, 5, 5, 5, 6], "MixedI": [6, 8, 7, 6, 7, 7, 7, 8],
+          "MixedII": [6, 5, 5, 5, 5, 5, 5, 5], "MixedIII": [7, 6, 7, 6, 6, 8, 7, 7]},
+    3.0: {"A1": [13, 10, 11, 12, None, 12, 14, 10], "A2": [9, 9, 9, 8, 8, 10, 10, 10],
+          "A3": [9, 10, 9, 12, 10, 10, 11, 9],
+          "MixedI": [None, None, None, None, 15, None, 15, None],
+          "MixedII": [None] * 8, "MixedIII": [None] * 8},
+}
+
+
+def test_the_boundary_cut_keeps_the_probe_grid_converging():
+    # the same solves converge as with halving, and the grid takes fewer
+    # iterations at each target, though some solves take more
+    for c, families in CUT_ITERATIONS.items():
+        for fam, want in families.items():
+            got = []
+            for seed in range(8):
+                rng = random.Random(1000 * seed + 40)
+                tri = sphere_triangulation(40, rng)
+                spec = make_spec(fam, tri, rng, regime="definite" if fam == "MixedI" else "default")
+                arrays = spec_arrays(spec, tri)
+                K0 = curvature.curvature_map(spec, tri, arrays.cov.to_f(arrays.start))
+                try:
+                    got.append(solver.solve_prescribed_curvature(spec, tri, c * K0)[1].iterations)
+                except NotConverged:
+                    got.append(None)
+            assert got == want, (c, fam)
+            assert [n is None for n in got] == [n is None for n in HALVING_ITERATIONS[c][fam]]
+        total = [sum(n for row in table[c].values() for n in row if n is not None)
+                 for table in (CUT_ITERATIONS, HALVING_ITERATIONS)]
+        assert total[0] < total[1]
+
+
 def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
     # arcs of 5e-10 lie below what cosh theta resolves in doubles, so the
     # solve meets trial points whose arcs round to zero: the theta stage
@@ -325,6 +373,105 @@ def test_trials_with_a_vanishing_arc_are_rejected(monkeypatch):
     assert err.value.factors is not None
     K = curvature.curvature_map(pants_spec(), mesh.pair_of_pants(), err.value.factors)
     assert np.max(np.abs(K - 1e-9)) == err.value.report.residual
+
+
+def _line_searches(monkeypatch, spec, tri, target):
+    """A solve from the default start, recorded: (u, step, trials) per
+    call of solver._solve_step, u the iterate it steps from and trials the
+    (point, result) of each solver._trial after it; and the solve's report."""
+    searches, iterates = [], [spec_arrays(spec, tri).start]
+    solve_step, trial = solver._solve_step, solver._trial
+
+    def recording_step(factor, g, report, order):
+        if len(report.trajectory) > len(iterates):  # the last search's last trial was accepted
+            iterates.append(searches[-1][2][-1][0])
+        step = solve_step(factor, g, report, order)
+        searches.append((iterates[-1], step, []))
+        return step
+
+    def recording_trial(spec_, tri_, cov, u, tgt, report):
+        out = trial(spec_, tri_, cov, u, tgt, report)
+        searches[-1][2].append((u, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_solve_step", recording_step)
+        m.setattr(solver, "_trial", recording_trial)
+        try:
+            report = solver.solve_prescribed_curvature(spec, tri, target)[1]
+        except NotConverged as err:
+            report = err.report
+    return searches, report
+
+
+def _to_boundary(poly, u, step) -> float:
+    """The t at which u - t step meets poly's boundary, from the slack of u
+    and that of the step under zero bounds, the rate at which each falls."""
+    at_u = conformal.slack(poly, u)
+    rate = conformal.slack(poly._replace(lo=0.0, hi=0.0, pair_lo=0.0, pair_hi=0.0), step)
+    finite = np.isfinite(at_u)
+    assert np.allclose(rate[finite], at_u[finite] - conformal.slack(poly, u - step)[finite],
+                       rtol=1e-9, atol=1e-9)
+    return min((s / r for s, r in zip(at_u.tolist(), rate.tolist()) if r > 0.0),
+               default=math.inf)
+
+
+def _check_schedule(spec, tri, searches) -> list:
+    """Asserts that each line search tries u - step first, then, where that
+    point leaves the polytope, u - BOUNDARY_FRACTION t_max step, and halves
+    after every other rejection, and that every trial point that passed the
+    theta stage is admissible; returns the t_max of each cut."""
+    poly, cuts = spec_arrays(spec, tri).polytope, []
+    for u, step, trials in searches:
+        scale = 1.0
+        for k, (point, out) in enumerate(trials):
+            assert np.array_equal(point, u - scale * step)
+            inside = admissible(spec, tri, point).ok
+            assert out is None or inside
+            if k == 0 and not inside:
+                cuts.append(_to_boundary(poly, u, step))
+                assert cuts[-1] < 1.0
+                scale = solver.BOUNDARY_FRACTION * cuts[-1]
+            else:
+                scale *= solver.DAMPING
+    return cuts
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_a_full_step_that_leaves_the_polytope_is_cut_short_of_its_boundary(fam, monkeypatch):
+    # seed 0 of the N=40 probe grid at 1.5 K0: the first full step leaves
+    # the polytope, and the next trial goes BOUNDARY_FRACTION of the way
+    # to where the step meets its boundary
+    rng = random.Random(40)
+    tri = sphere_triangulation(40, rng)
+    spec = make_spec(fam, tri, rng, regime="definite" if fam == "MixedI" else "default")
+    arrays = spec_arrays(spec, tri)
+    K0 = curvature.curvature_map(spec, tri, arrays.cov.to_f(arrays.start))
+    searches, report = _line_searches(monkeypatch, spec, tri, 1.5 * K0)
+    assert report.converged
+    u, step, trials = searches[0]
+    assert not admissible(spec, tri, trials[0][0]).ok and trials[0][1] is None
+    t_max = _to_boundary(arrays.polytope, u, step)
+    assert t_max < 1.0
+    assert np.array_equal(trials[1][0], u - (solver.BOUNDARY_FRACTION * t_max) * step)
+    # t_max is where the ray leaves the polytope
+    assert np.all(conformal.slack(arrays.polytope, u - (1.0 - 1e-6) * t_max * step) > 0.0)
+    assert np.any(conformal.slack(arrays.polytope, u - (1.0 + 1e-6) * t_max * step) < 0.0)
+    assert _check_schedule(spec, tri, searches)[0] == t_max
+
+
+def test_a_full_step_rejected_inside_the_polytope_is_halved(monkeypatch):
+    # target 1e-9 on the pants: the last Newton step's trial points lie
+    # inside the polytope, but their arcs vanish, so its line search halves
+    # from the full step until the damping budget runs out
+    spec, tri = pants_spec(), mesh.pair_of_pants()
+    searches, report = _line_searches(monkeypatch, spec, tri, {i: 1e-9 for i in range(3)})
+    assert not report.converged
+    assert _check_schedule(spec, tri, searches) == []
+    u, step, trials = searches[-1]
+    assert len(trials) == solver.MAX_HALVINGS
+    assert trials[0][1] is None and admissible(spec, tri, trials[0][0]).ok
+    assert np.array_equal(trials[1][0], u - solver.DAMPING * step)
 
 
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
