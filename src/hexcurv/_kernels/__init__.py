@@ -8,7 +8,9 @@ theta stage (face_theta) first runs the edge pass, the one per-lane
 entry to the edge rules: each root law (rule code mod 3) once, on its own
 edges, for cosh l, sinh l and the partial ratio rho of every edge; the
 flipped codes 3 to 5 are the plain codes with the root and rho negated,
-so a spec's program, whose codes share one law, takes one call.  Each
+so a spec's program, whose codes share one law, takes one call.  Edges
+keep the program's order and alpha is per vertex, so a square-root law's
+factor, 1 + alpha e^{2f} or e^{2f} - 1, is taken once per vertex.  Each
 check is one reduction, with per-lane masks only where it fails (small
 F pays more for numpy calls than for arithmetic).  It then gathers
 cosh l and sinh l to the face sides and applies the hexagon cosine law
@@ -66,23 +68,23 @@ _ROWS = np.arange(3)
 _SH_FILL = math.sqrt(3.0)  # sinh of the filler edge, cosh l = 2
 
 
-def _rule(law, aa, ab, fa, fb, eta, s, r):
-    """(ok, cosh l, rho) of one root law on its lanes: cosh l = eta
+def _rule(law, alpha, f, a, b, eta, s, r):
+    """(ok, cosh l, rho) of one root law on the edges a -> b: cosh l = eta
     e^{f_a + f_b} + s root and rho = r times the law's partial ratio, with
-    the signs s and r of each lane's rule code (EdgeProgram.signs).
+    the signs s and r of each lane's rule code (EdgeProgram.signs); alpha
+    and f per vertex id, a square-root law's factor taken once per vertex.
 
     ok is True for the cosh-difference law, which holds everywhere; the
     square-root laws evaluate lanes outside their domain on finite filler,
     which callers mask by ok.
     """
+    fa, fb = f[a], f[b]
     ee = eta * np.exp(fa + fb)
     if law == 2:
         ok, root, rho = True, np.cosh(fb - fa), np.exp(fa - fb)
     else:
-        if law == 0:
-            xa, xb = 1.0 + aa * np.exp(2.0 * fa), 1.0 + ab * np.exp(2.0 * fb)
-        else:
-            xa, xb = np.expm1(2.0 * fa), np.expm1(2.0 * fb)
+        x = 1.0 + alpha * np.exp(2.0 * f) if law == 0 else np.expm1(2.0 * f)
+        xa, xb = x[a], x[b]
         ok = (xa > 0.0) & (xb > 0.0)
         if not ok.all():
             xa, xb = np.where(ok, xa, 1.0), np.where(ok, xb, 1.0)
@@ -93,51 +95,45 @@ def _rule(law, aa, ab, fa, fb, eta, s, r):
 class EdgeProgram:
     """How F faces read E edges (see the module docstring for the layout).
 
-    vert (F x 3) holds the corner ids.  Per edge, sorted by root law (rule
-    code mod 3): ends (2 x E) the end ids a and b, codes, alphas (2 x E, at
-    a and b), etas and signs (2 x E): s, the sign of the root in cosh l
-    (+1 on odd codes), and r, the sign of rho (-1 on the flipped codes 3 to
-    5).  groups holds (law, slice of its edges) per law present; a spec's
-    program has one.  _rows keeps the rows the edge rules read as one
-    tuple: alphas at a and b, ends a and b, etas, and signs s and r.  side
-    (3 x F) is the edge of each face side and rev whether the side runs
-    from b to a; tail and head index the flattened 2 x E per-end values at
-    the first and second corner of each side.  status and bad are the
-    theta stage's read-only all-OK record of the F faces.
+    vert (F x 3) holds the corner ids and alpha the alpha of each vertex
+    id.  Per edge, in the order given: ends (2 x E) the end ids a and b,
+    codes, etas and signs (2 x E): s, the sign of the root in cosh l (+1 on
+    odd codes), and r, the sign of rho (-1 on the flipped codes 3 to 5).
+    groups holds (law, indices of its edges) per root law (rule code mod 3)
+    present; a spec's program has one.  _rows keeps the per-edge rows the
+    edge rules read as one tuple: ends a and b, etas, and signs s and r.
+    side (3 x F) is the edge of each face side and rev whether the side
+    runs from b to a; tail and head index the flattened 2 x E per-end
+    values at the first and second corner of each side.  status and bad
+    are the theta stage's read-only all-OK record of the F faces.
 
-    The constructor takes vert, then ends, codes, alphas and etas of the
+    The constructor takes vert, alpha, then ends, codes and etas of the
     edges in any one order, and side (F x 3) as indices into it.
     """
 
-    def __init__(self, vert, ends, codes, alphas, etas, side):
-        n = len(codes)
-        order = np.argsort(np.asarray(codes) % 3, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
+    def __init__(self, vert, alpha, ends, codes, etas, side):
         self.vert = np.asarray(vert, dtype=np.intp)
-        self.ends, self.codes, self.alphas, self.etas = (
-            np.asarray(x)[..., order] for x in (ends, codes, alphas, etas))
+        self.alpha = np.asarray(alpha, dtype=float)
+        self.ends, self.codes, self.etas = (np.asarray(x) for x in (ends, codes, etas))
         self.signs = np.where([self.codes % 2 == 1, self.codes < 3], 1.0, -1.0)
-        self._rows = (*self.alphas, *self.ends, self.etas, *self.signs)
-        self.side = rank[np.transpose(side)]
+        self._rows = (*self.ends, self.etas, *self.signs)
+        self.side = np.ascontiguousarray(np.transpose(side), dtype=np.intp)
         self.rev = self.vert.T != self.ends[0, self.side]
+        n = len(self.codes)
         self.tail, self.head = self.side + n * self.rev, self.side + n * ~self.rev
         law = self.codes % 3
-        starts = np.flatnonzero(np.diff(law, prepend=-1)).tolist()
-        self.groups = tuple((int(law[s]), slice(s, t))
-                            for s, t in zip(starts, [*starts[1:], n]))
+        self.groups = tuple((k, np.flatnonzero(law == k)) for k in np.unique(law).tolist())
         self.status, self.bad = (np.full(len(self.vert), x, dtype=np.int64) for x in (OK, -1))
         self.status.flags.writeable = self.bad.flags.writeable = False
 
 
 def disjoint_faces(codes, alphas, etas):
     """The edge program of K disjoint faces from K x 3 side codes, corner
-    alphas and side weights: face k has corners 3k, 3k + 1 and 3k + 2, and
-    each side is its own edge, run forward."""
+    alphas and side weights: face k has the vertices 3k, 3k + 1 and 3k + 2,
+    and each side is its own edge, run forward."""
     vert = np.arange(np.size(codes)).reshape(-1, 3)
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 3)
-    ends, ab = (np.stack((x.ravel(), x[:, _NEXT].ravel())) for x in (vert, alphas))
-    return EdgeProgram(vert, ends, np.ravel(codes), ab, np.ravel(etas), vert)
+    ends = np.stack((vert.ravel(), vert[:, _NEXT].ravel()))
+    return EdgeProgram(vert, np.ravel(alphas), ends, np.ravel(codes), np.ravel(etas), vert)
 
 
 def _fail(status, bad, fails):
@@ -184,13 +180,11 @@ def _edge_pass(prog: EdgeProgram, f):
     and ok may be True for all edges.  ok is False on the lanes outside a
     rule's domain, which keep its filler values."""
     if len(prog.groups) == 1:
-        aa, ab, a, b, eta, s, r = prog._rows
-        return _rule(prog.groups[0][0], aa, ab, f[a], f[b], eta, s, r)
+        return _rule(prog.groups[0][0], prog.alpha, f, *prog._rows)
     n = len(prog.codes)
     ok, ch, rho = np.ones(n, dtype=bool), np.empty(n), np.empty(n)
     for law, at in prog.groups:
-        aa, ab, a, b, eta, s, r = (x[at] for x in prog._rows)
-        ok[at], ch[at], rho[at] = _rule(law, aa, ab, f[a], f[b], eta, s, r)
+        ok[at], ch[at], rho[at] = _rule(law, prog.alpha, f, *(x[at] for x in prog._rows))
     return ok, ch, rho
 
 

@@ -531,7 +531,7 @@ class SpecArrays:
         e, (vert, epos) = self.edges, self.face_arrays
         first = np.unique(epos, return_index=True)[1]  # every edge lies on a face
         ends = np.stack((vert.ravel()[first], vert[:, _NEXT].ravel()[first]))
-        return EdgeProgram(vert, ends, e.code, e.alpha[ends].astype(float), e.eta, epos)
+        return EdgeProgram(vert, e.alpha, ends, e.code, e.eta, epos)
 
     @cached_property
     def unproven(self) -> bool:

@@ -283,10 +283,10 @@ def _to_boundary(poly, u, step) -> float:
     """The step fraction t at which u - t step meets poly's boundary (inf
     where it never does): each slack falls at the rate of the step's own
     slack under zero bounds."""
-    with np.errstate(over="ignore"):  # an overflowed pair sum reads as inf
+    # an overflowed pair sum reads as inf, and so does the ratio of a slack that does not fall
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rate = slack(poly._replace(lo=0.0, hi=0.0, pair_lo=0.0, pair_hi=0.0), step)
-    ahead = rate > 0.0
-    return float(np.min(slack(poly, u)[ahead] / rate[ahead], initial=np.inf))
+        return float(np.min(np.where(rate > 0.0, slack(poly, u) / rate, np.inf), initial=np.inf))
 
 
 def _quad_constant(traj) -> float:

@@ -219,7 +219,7 @@ def face_record(spec):
     off its edge program."""
     prog = spec_arrays(spec, face_mesh(spec)).program
     side = prog.side[:, 0]
-    return prog.codes[side], prog.alphas[prog.rev[:, 0].astype(int), side], prog.etas[side]
+    return prog.codes[side], prog.alpha[prog.vert[0]], prog.etas[side]
 
 
 def stack_faces(samples):

@@ -386,6 +386,35 @@ def test_solve_needs_positive_tolerance_and_iteration_budget(pants_file, tmp_pat
     assert captured.out == "" and option[0] in captured.err
 
 
+@pytest.mark.parametrize("tol", ["1e-3", "1e-6"])
+def test_solve_stops_at_its_tolerance(pants_file, tmp_path, capsys, tol):
+    # --tol sets the residual bound: the solve ends at the first iterate
+    # under it
+    tpath = tmp_path / "target.txt"
+    tpath.write_text("K 0 2.5\nK 1 2.5\nK 2 2.5\n")
+    assert main(["solve", pants_file, "--target", str(tpath), "--tol", tol, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["converged"] is True
+    assert report["residual"] == report["trajectory"][-1] <= float(tol)
+    assert min(report["trajectory"][:-1]) > float(tol)
+
+
+def test_check_identities_names_an_unknown_family(capsys):
+    assert main(["check-identities", "--family", "B7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unknown family 'B7'\n"
+
+
+def test_target_records_with_another_tag_name_their_file(pants_file, tmp_path, capsys):
+    # a factor file given as the target
+    bad = tmp_path / "factors.txt"
+    bad.write_text("f 0 1.0\nf 1 1.0\nf 2 1.0\n")
+    assert main(["solve", pants_file, "--target", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: expected 'K <id> <value>' records\n"
+
+
 def test_validate_curvature_hexagon_and_check_identities_load_no_scipy_sparse(pants_file,
                                                                              tmp_path):
     # the cold commands parse, validate, evaluate K and one hexagon, and run

@@ -6,6 +6,8 @@ import pickle
 import random
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ def face_edge_rules(spec, tri, fs):
     side = prog.side[:, 0]
     assert not prog.rev.any()  # each edge runs the way its one face side does
     fa, fb = (np.asarray(fs)[:, e] for e in prog.ends[:, side])
-    return edge_lanes(prog.codes[side], *prog.alphas[:, side], fa, fb, prog.etas[side])
+    return edge_lanes(prog.codes[side], *prog.alpha[prog.ends[:, side]], fa, fb, prog.etas[side])
 
 
 def test_edge_length_a1_plain():
@@ -915,10 +917,43 @@ def test_structure_spec_hashes_as_the_value_it_equals():
     ({0: 0}, {3: None}, "eta[3]=None is not a real number"),
     ({0: 0}, {3: 1j}, "eta[3]=1j is not a real number"),
     ({0: 0}, {3: [1.0]}, "eta[3]=[1.0] is not a real number"),
+    ({0: 0, 0.5: 0}, {}, "alpha keys must be integers"),
+    ({"0": 0}, {}, "alpha keys must be integers"),
+    ({0: 0}, {1.0: 2.0}, "eta keys must be integers"),
+    ({0: 0}, {10**30: 2.0}, "eta keys must be integers"),  # beyond every array index
 ])
 def test_structure_spec_names_its_first_bad_weight(alpha, eta, message):
     with pytest.raises(FamilyConstraint, match=f"^{re.escape(message)}$"):
         cf.StructureSpec("A1", alpha, eta)
+
+
+def test_unknown_family_is_a_family_constraint():
+    with pytest.raises(FamilyConstraint, match="^unknown family 'B7'$"):
+        cf.StructureSpec("B7", {0: 0}, {0: 1.0})
+
+
+def test_a_repeated_weights_key_is_a_value_error():
+    with pytest.raises(ValueError, match="^a key is repeated$"):
+        cf.Weights([0, 2, 0], [1.0, 2.0, 3.0])
+
+
+def test_fraction_and_decimal_weights_and_values_read_as_their_floats():
+    # a Fraction or Decimal is a real number with no array dtype: the
+    # weights and the component values holding them are walked, and read as
+    # the floats of the same numbers
+    tri = mesh.pair_of_pants()
+    exact = cf.StructureSpec("A1", {0: Fraction(1), 1: Decimal(0), 2: Fraction(0)},
+                             {0: Fraction(5, 2), 1: Decimal("3.0"), 2: Decimal("2.25")})
+    spec = cf.StructureSpec("A1", {0: 1, 1: 0, 2: 0}, {0: 2.5, 1: 3.0, 2: 2.25})
+    assert exact == spec
+    assert exact.alpha.data.tobytes() == spec.alpha.data.tobytes()
+    assert exact.eta.data.tobytes() == spec.eta.data.tobytes()
+    values = [Fraction(3, 10), Decimal("0.2"), Fraction(1, 10)]
+    want = curvature.curvature_map(spec, tri, [0.3, 0.2, 0.1])
+    for x in (values, dict(enumerate(values))):
+        assert curvature.curvature_map(exact, tri, x).tobytes() == want.tobytes()
+    floats = {0: 0.3, 1: 0.2, 2: 0.1}
+    assert cf.u_from_f(exact, dict(enumerate(values))) == cf.u_from_f(spec, floats)
 
 
 def test_the_largest_weight_evaluates_at_the_largest_factors():

@@ -460,6 +460,36 @@ def test_mixed_law_program_matches_its_one_code_programs():
         assert (code % 3 == 2) == one[0].all(), code
 
 
+def test_a_vertex_on_two_square_root_laws_takes_each_laws_factor():
+    # faces whose sides are coded (0, 1, 2) or (3, 4, 5), rotated, put one
+    # corner of each on edges of both square-root laws; the mixed program
+    # takes each law's vertex factor there and gives, lane for lane, the
+    # bytes of each edge in a program of its code alone, on lanes inside
+    # and outside each rule's domain
+    rng = random.Random(33)
+    sides = np.array([np.roll(rng.choice(((0, 1, 2), (3, 4, 5))), rng.randrange(3))
+                      for _ in range(240)])
+    alphas = np.array([[rng.choice((-1, 0, 1)) for _ in range(3)] for _ in sides])
+    etas = np.array([[rng.uniform(-0.5, 5.0) for _ in range(3)] for _ in sides])
+    f = np.array([rng.uniform(-1.2, 1.2) for _ in range(alphas.size)])
+    mixed = disjoint_faces(sides, alphas, etas)
+    laws = np.zeros((alphas.size, 3), dtype=bool)
+    for end in mixed.ends:
+        laws[end, mixed.codes % 3] = True
+    assert (laws[:, 0] & laws[:, 1]).sum() == len(sides)
+    ok, ch, rho = kern._edge_pass(mixed, f)
+    lanes = [x[mixed.side] for x in (np.broadcast_to(ok, ch.shape), ch, rho)]
+    for code in range(6):
+        alone = disjoint_faces(np.full_like(sides, code), alphas, etas)
+        assert len(alone.groups) == 1
+        one_ok, one_ch, one_rho = kern._edge_pass(alone, f)
+        one = [x[alone.side] for x in (np.broadcast_to(one_ok, one_ch.shape), one_ch, one_rho)]
+        at = sides.T == code
+        for x, y in zip(lanes, one):
+            assert x[at].tobytes() == y[at].tobytes(), code
+        assert (code % 3 == 2) == one[0][at].all() and one[0][at].any(), code
+
+
 def test_theta_status_is_kept_all_ok_and_copied_where_a_face_fails():
     # a passing theta pass returns its program's read-only all-OK status
     # and bad; a failing one returns its own arrays, which keep their codes

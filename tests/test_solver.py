@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import random
+import warnings
 import weakref
 
 import numpy as np
@@ -472,6 +473,46 @@ def test_a_full_step_rejected_inside_the_polytope_is_halved(monkeypatch):
     assert len(trials) == solver.MAX_HALVINGS
     assert trials[0][1] is None and admissible(spec, tri, trials[0][0]).ok
     assert np.array_equal(trials[1][0], u - solver.DAMPING * step)
+
+
+def _masked_to_boundary(poly, u, step) -> float:
+    """The boundary ray over the falling slacks alone, gathered by mask."""
+    with np.errstate(all="ignore"):
+        rate = conformal.slack(poly._replace(lo=0.0, hi=0.0, pair_lo=0.0, pair_hi=0.0), step)
+        ahead = rate > 0.0
+        return float(np.min(conformal.slack(poly, u)[ahead] / rate[ahead], initial=np.inf))
+
+
+def test_the_boundary_ray_is_the_minimum_over_the_falling_slacks():
+    # _to_boundary takes the minimum over every quotient, with inf where a
+    # slack does not fall; that is the float of the masked minimum, also
+    # where step components vanish, the step is zero or a pair sum of the
+    # step overflows
+    rng, nprng = random.Random(33), np.random.default_rng(33)
+    seen = set()
+    for fam in ALL_FAMILIES:
+        tri = sphere_triangulation(40, rng)
+        spec = make_spec(fam, tri, rng)
+        poly, n = spec_arrays(spec, tri).polytope, tri.n_boundary
+        for point in [spec_arrays(spec, tri).start, *sample_admissible_u(spec, tri, rng, 3)]:
+            u = np.array([point[i] for i in range(n)])
+            for kind in range(4):
+                step = nprng.normal(scale=rng.choice((0.1, 1.0, 10.0)), size=n)
+                if kind == 1:
+                    step[nprng.random(n) < 0.5] = 0.0
+                elif kind == 2:
+                    step[:] = 0.0
+                elif kind == 3:
+                    k = rng.randrange(len(poly.a))
+                    step[[poly.a[k], poly.b[k]]] = rng.choice((1.0, -1.0)) * 1e308
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    t_max = solver._to_boundary(poly, u, step)
+                ref = _masked_to_boundary(poly, u, step)
+                assert np.float64(t_max).tobytes() == np.float64(ref).tobytes(), (fam, kind)
+                seen.add("inf" if t_max == math.inf else "0" if t_max == 0.0
+                         else "short" if t_max < 1.0 else "long")
+    assert seen == {"inf", "0", "short", "long"}
 
 
 def test_exactly_singular_jacobian_ends_as_not_converged(monkeypatch):
