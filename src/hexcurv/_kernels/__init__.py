@@ -4,16 +4,18 @@ Evaluates F hexagonal faces on E edges in two numpy passes over an edge
 program (EdgeProgram), built once per spec and mesh.  Each hexagon side
 l is an edge quantity, fixed by the factors at the edge's two ends, its
 weight and its rule, and an interior edge is a side of two faces.  So the
-theta stage (face_theta) first runs the edge pass, the one per-lane
-entry to the edge rules: each root law (rule code mod 3) once, on its own
-edges, for cosh l, sinh l and the partial ratio rho of every edge; the
-flipped codes 3 to 5 are the plain codes with the root and rho negated,
-so a spec's program, whose codes share one law, takes one call.  Edges
-keep the program's order and alpha is per vertex, so a square-root law's
-factor, 1 + alpha e^{2f} or e^{2f} - 1, is taken once per vertex.  Each
-check is one reduction, with per-lane masks only where it fails (small
-F pays more for numpy calls than for arithmetic).  It then gathers
-cosh l and sinh l to the face sides and applies the hexagon cosine law
+theta stage (face_theta) checks the factor range, then runs the edge pass,
+the one per-lane entry to the edge rules: each root law (rule code mod 3)
+once, on its own edges, for cosh l and the partial ratio rho of every
+edge; the flipped codes 3 to 5 are the plain codes with the root and rho
+negated, so a spec's program, whose codes share one law, takes one call.
+Edges keep the program's order and alpha is per vertex, so a square-root
+law's factor, 1 + alpha e^{2f} or e^{2f} - 1, is taken once per vertex.
+Each check is one reduction, with per-lane masks only where it fails
+(small F pays more for numpy calls than for arithmetic).  Then the one
+side pass (_sides), which center.hexagon_arcs runs on side lengths too,
+checks the edges, gathers cosh l and sinh l to the face sides and
+applies the hexagon cosine law
 
     cosh theta_a = (cosh l_o + cosh l_p cosh l_q) / (sinh l_p sinh l_q)
 
@@ -199,7 +201,12 @@ def face_theta(prog: EdgeProgram, f) -> Arcs:
         in_range = np.abs(f) <= F_LIMIT
         status = np.where(in_range[prog.vert].all(axis=1), OK, BAD_RANGE)
         f = np.where(in_range, f, 0.0)
-    ok, ch, rho = _edge_pass(prog, f)
+    return _sides(prog, status, bad, *_edge_pass(prog, f))
+
+
+def _sides(prog: EdgeProgram, status, bad, ok, ch, rho) -> Arcs:
+    """The side pass: the theta stage from the faces' status and bad so far
+    and each edge's (ok, cosh l, rho), in program order."""
     if not ((ok is True or ok.all()) and ch.min(initial=2.0) > 1.0):
         fails = np.where(ok, np.where(ch <= 1.0, BAD_EDGE, OK), BAD_RANGE)
         status, bad = _fail(status, bad, fails[prog.side])

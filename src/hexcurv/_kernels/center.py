@@ -11,11 +11,11 @@ scalar twin of the status, branch and matrix.  The same record
 carries the rest of the hexagon: the dual splits of the boundary arcs,
 the signed distances h and q of the center and its position domain,
 which the hexagon command and the paper's identity blocks
-(hexcurv.identities) read.  hexagon_arcs gives the theta stage of
-hexagons given by side lengths and partial ratios.  Status codes extend
-those of the theta stage with BAD_SPLIT, BAD_CENTER and BAD_HEIGHT (see
-the package docstring); callers read them, and no evaluation raises for
-them.
+(hexcurv.identities) read.  hexagon_arcs runs the kernel's one side pass
+on side lengths and partial ratios, so they fail as factors do.  Status
+codes extend those of the theta stage with BAD_SPLIT, BAD_CENTER and
+BAD_HEIGHT (see the package docstring); callers read them, and no
+evaluation raises for them.
 """
 
 from typing import NamedTuple
@@ -23,8 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ..tol import TAU_CAUSAL, TAU_SIGN
-from . import _NEXT, _PREV, _ROWS, _SH_FILL, BAD_CENTER, BAD_HEIGHT, BAD_RANGE, BAD_SPLIT
-from . import LIGHT, OK, SPACE, TIME, Arcs, _fail, disjoint_faces
+from . import _NEXT, _PREV, _ROWS, BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, LIGHT, OK, SPACE, TIME
+from . import Arcs, _fail, _sides, disjoint_faces
+
+CH_MAX = 1e154  # the largest cosh l of a side (l ~ 355.3) whose cosine law stays finite
 
 # The thirteen position domains of a face center: the signs of
 # (h_0, h_1, h_2, q_0, q_1, q_2) in each, and the names of its time-like
@@ -135,21 +137,14 @@ def _coherent(a, b):
 
 
 def hexagon_arcs(lengths, ratios) -> Arcs:
-    """The theta stage of hexagons given by side lengths and partial ratios
-    (F x 3 each, side m from corner m to corner m + 1), one disjoint face
-    per row.  Lengths must be positive; a face whose sinh l or cosh theta
-    overflows gets status BAD_RANGE and the regular hexagon's sides, as in
-    face_theta, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(np.asarray(lengths, dtype=float))
-        sh = np.sqrt((ch - 1.0) * (ch + 1.0))
-        chth = (ch[:, _NEXT] + ch * ch[:, _PREV]) / (sh * sh[:, _PREV])
-    big = ~np.isfinite(np.hstack((sh, chth))).all(axis=1)
-    ch[big], sh[big], chth[big] = 2.0, _SH_FILL, 2.0
-    n = len(ch)
-    prog = disjoint_faces(np.zeros((n, 3), dtype=int), np.zeros((n, 3)), np.zeros((n, 3)))
-    return Arcs(np.where(big, BAD_RANGE, OK), np.full(n, -1), np.arccosh(chth), prog,
-                ch, sh, chth, (ch.ravel(), sh.ravel(), np.ravel(ratios)))
+    """The theta stage of hexagons given by positive side lengths and partial
+    ratios (F x 3 each, side m from corner m to corner m + 1), one disjoint
+    face per row, by face_theta's side pass, without a warning: a face fails
+    at its first side whose cosh l is NaN or above CH_MAX (BAD_RANGE) or
+    rounds to 1 (BAD_EDGE), then at an arc that rounds to 0 (BAD_ARC)."""
+    prog = disjoint_faces(*np.zeros((3, len(lengths), 3), dtype=int))
+    ch = np.cosh(np.clip(lengths, -400.0, 400.0)).ravel()
+    return _sides(prog, prog.status, prog.bad, ch <= CH_MAX, ch, np.ravel(ratios))
 
 
 def face_centers(arcs: Arcs) -> Centers:
@@ -167,7 +162,8 @@ def face_centers(arcs: Arcs) -> Centers:
     k0 = np.abs(num) < np.abs(den)
     k1 = np.abs(num) > np.abs(den)
     status, bad = _fail(arcs.status, arcs.bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
-    live = (status == OK)[:, None]
+    live = (status == OK)[:, None]  # faces failed so far embed finite filler
+    ch, sh, chth = (np.where(live, x, 1.0) for x in (ch, sh, chth))
     k0 &= live
     k1 &= live
     t = _div(num, den, k0)

@@ -13,8 +13,8 @@ use; the mesh keeps the record of the last spec it was used with.
 Functions taking u or f accept a mapping or an array indexed by
 component, and read a Weights keyed 0..N-1 as its own array
 (component_values).  Per-component results are Weights too: f_from_u
-and u_from_f map a mapping to a Weights with its keys, and read a
-Weights argument's arrays, never its items.
+and u_from_f map a mapping to a Weights with its keys, an array to one
+keyed 0..len - 1, and read a Weights argument's arrays, never its items.
 
 Family tags: A1, A2, A3 (uniform edge rule) and MixedI, MixedII, MixedIII
 (faces holding one distinguished "special" boundary component use the
@@ -348,11 +348,15 @@ def component_values(x, n: int) -> np.ndarray:
     raise OutOfRange(f"component {extra} is not one of 0..{n - 1}")
 
 
-def _components(x: Mapping) -> Weights:
-    """x as a Weights of float values, x itself where it is one of reals;
-    raises OutOfRange naming the first key that is no integer, else as _floats."""
+def _components(x) -> Weights:
+    """x, a mapping or an array of components 0..len(x) - 1, as a Weights of
+    float values, x itself where it is one of reals; raises OutOfRange
+    naming the first key that is no integer, else as _floats."""
     if isinstance(x, Weights) and x.data.dtype.kind in "biuf":
         return x
+    if not isinstance(x, Mapping):  # no len: one value, which _floats rejects
+        n = len(x) if np.iterable(x) and hasattr(x, "__len__") else 1
+        return Weights(np.arange(n), _floats(x, n))
     keys = list(x)
     try:
         ids = np.fromiter(map(operator.index, keys), np.intp, len(keys))
@@ -365,13 +369,13 @@ def _components(x: Mapping) -> Weights:
     return Weights(ids, _floats(list(x.values()), len(ids), ids))
 
 
-def u_from_f(spec: StructureSpec, f: Mapping[int, float]) -> Weights:
+def u_from_f(spec: StructureSpec, f) -> Weights:
     """The coordinates u of the factors f, keyed as f, as a Weights."""
     f = _components(f)
     return Weights(f.ids, ChangeOfVariables(spec, f.ids).to_u(f.data))
 
 
-def f_from_u(spec: StructureSpec, u: Mapping[int, float]) -> Weights:
+def f_from_u(spec: StructureSpec, u) -> Weights:
     """The factors f of the coordinates u, keyed as u, as a Weights."""
     u = _components(u)
     return Weights(u.ids, ChangeOfVariables(spec, u.ids).to_f(u.data))

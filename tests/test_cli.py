@@ -5,9 +5,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from hexcurv import errors
+from hexcurv import cli, errors
+from hexcurv._kernels import BAD_CENTER
+from hexcurv._kernels.center import INCOHERENT
 from hexcurv.cli import build_parser, cmd_hexagon, main
 
 from helpers import plant_jacobian_error
@@ -212,6 +215,21 @@ def test_hexagon_light_like_center(capsys):
 def test_hexagon_malformed_input_is_a_domain_error(args, capsys):
     assert main(["hexagon", *args]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("status", BAD_CENTER, "edge perpendiculars do not meet in a line"),
+    ("domain", INCOHERENT, "the signs of h and q match no position domain"),
+])
+def test_hexagon_exits_no_random_hexagon_reaches(monkeypatch, capsys, field, value, message):
+    # no valid input is known to reach these records, so each is planted on
+    # the record of a valid hexagon
+    real = cli.face_centers
+    monkeypatch.setattr(cli, "face_centers",
+                        lambda arcs: real(arcs)._replace(**{field: np.array([value])}))
+    assert main(["hexagon", "--lengths", "0.7,1.3,2.1", "--ratios", "2,0.25,2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("family", ["A1", "A2", "A3", "MixedI", "MixedII", "MixedIII"])

@@ -2,6 +2,7 @@
 lengths and partial ratios (hexcurv._kernels.center), its contracts, and
 the checks of the hexagon command's input."""
 
+import itertools
 import math
 import random
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcurv._kernels import BAD_RANGE, OK, SPACE, TIME
+from hexcurv._kernels import BAD_ARC, BAD_EDGE, BAD_RANGE, OK, SPACE, TIME
 from hexcurv._kernels.center import DOMAINS, _cross, _mdot, face_centers, hexagon_arcs
 from hexcurv.cli import build_parser, cmd_hexagon
 from hexcurv.errors import DegenerateHexagon, IncompatibleSplits, InconsistentRatio
@@ -160,6 +161,37 @@ def test_overflowing_sides_fail_without_a_warning():
     assert rec.status.tolist() == [BAD_RANGE] * 3 + [OK]
     assert all(np.isfinite(x).all() for x in rec)
     assert np.allclose(arcs.theta[3], ORACLE_THETAS, rtol=0, atol=1e-15)
+
+
+def test_side_lengths_fail_by_the_kernel_rules():
+    """Side lengths fail as factors do, through the kernel's one side pass:
+    a face takes the code of its first failing side, BAD_RANGE where cosh l
+    is NaN or above CH_MAX, BAD_EDGE where it rounds to 1, then BAD_ARC
+    where an arc rounds to 0; both records stay finite, without a warning."""
+    values = [1e-300, 1e-160, 1e-100, 1e-20, 1e-9, 2e-8, 1e-7, 0.5, 10.0, 300.0, 340.0,
+              346.0, 347.0, 350.0, 354.0, 356.0, 400.0, 800.0, math.inf, math.nan]
+    pairs = list(itertools.product(values, values))
+    lengths = np.array([(a, b, 1.0) for a, b in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arcs = hexagon_arcs(lengths, np.ones_like(lengths))
+        rec = face_centers(arcs)
+        # a negative length, outside the contract, reads as its magnitude
+        assert hexagon_arcs([[-1000.0, 1.0, 1.0]], np.ones((1, 3))).status.tolist() == [BAD_RANGE]
+    fields = [arcs.status, arcs.bad, arcs.theta, arcs.ch, arcs.sh, arcs.chth, *arcs.edge, *rec]
+    assert all(np.isfinite(x).all() for x in fields)
+    status = arcs.status.tolist()
+    counts = {code: status.count(code) for code in (BAD_RANGE, BAD_EDGE, BAD_ARC, OK)}
+    assert counts == {BAD_RANGE: 150, BAD_EDGE: 150, BAD_ARC: 36, OK: 64}
+    for (a, b), code, bad in zip(pairs, status, arcs.bad.tolist()):
+        first = next((k for k, l in enumerate((a, b)) if not 1e-9 < l <= 354.0), None)
+        if first is not None:  # cosh l rounds to 1 exactly where l <= 1e-9 here
+            assert (code, bad) == ((BAD_EDGE if (a, b)[first] <= 1e-9 else BAD_RANGE), first)
+        elif 300.0 <= min(a, b):  # the arc at corner 1, between the long sides 0 and 1
+            assert (code, bad) == (BAD_ARC, 1)
+        else:
+            assert (code, bad) == (OK, -1)
+    assert (rec.status[arcs.status != OK] == arcs.status[arcs.status != OK]).all()
 
 
 def test_incompatible_splits_rejected():

@@ -360,6 +360,13 @@ def test_repeated_edge_id_is_a_dangling_reference():
                       [Face(0, (0, 1, 2), (4, 1, 4))], open_edges=True)
 
 
+def test_a_mesh_equals_no_other_kind_of_object():
+    # Triangulation.__eq__ leaves other types to their own __eq__
+    tri = mesh.pair_of_pants()
+    assert not tri == 3 and tri != 3 and tri != "pants" and tri != None  # noqa: E711
+    assert tri == mesh.parse(PANTS_TEXT)[0] and tri != mesh.single_face()
+
+
 def test_numbers_read_as_int_and_float_read_them():
     """Numbers the block conversion does not read go through int() and
     float(), and ids beyond the index range are format errors."""
