@@ -27,9 +27,11 @@ eta e^{f_a + f_b}, sinh l * dl/df_a = s droot/df_a + eta e^{f_a + f_b}
 equals cosh l + 1/rho, and sinh l * dl/df_b equals cosh l + rho; the
 stage takes both once per edge.  It is singular only where sinh l or
 sinh theta vanishes, which the theta stage rejects, so it has no status
-of its own.  center.face_centers gives every face's hexagon geometry
-and the paper's center-distance formula in one record; the test suite
-holds a scalar reference of both stages and of that formula.
+of its own; at cosh theta = c above CH_MAX, where (c - 1)(c + 1) would
+overflow, it takes sinh theta as sqrt(c - 1) sqrt(c + 1).
+center.face_centers gives every face's hexagon geometry and the paper's
+center-distance formula in one record; the test suite holds a scalar
+reference of both stages and of that formula.
 
 Layout.  Both stages work on 3 x F face-side arrays: row m is side m or
 corner m of every face, so the shifts a + 1 and a - 1 pick whole rows.
@@ -42,11 +44,12 @@ Status codes of the theta stage: 0 ok, 1 degenerate edge (cosh l <= 1),
 5 factors or sides outside the evaluable range or the edge rule's domain, 6
 vanishing arc (cosh theta <= 1, which only rounding reaches).  The
 face-center record adds 2 degenerate split, 3 degenerate face center
-and 4 singular height.  A face reports its first failing check in the
-order range, edge, arc, split, center, height, with the edge or corner
-position for per-edge and per-arc checks (else -1); later steps mask its
-lanes out.  Branch codes: 0 time-like, 1 space-like, 2 light-like face
-center.
+and 4 singular height, and gives 5 to an arc whose cosh theta exceeds
+CH_MAX, where the embedding would overflow.  A face reports its first
+failing check in the order range, edge, arc, arc range, split, center,
+height, with the edge or corner position for per-edge and per-arc checks
+(else -1); later steps mask its lanes out.  Branch codes: 0 time-like, 1
+space-like, 2 light-like face center.
 """
 
 import math
@@ -61,6 +64,9 @@ TIME, SPACE, LIGHT = range(3)
 
 # factor magnitudes beyond this overflow the double-precision pipeline
 F_LIMIT = 150.0
+# the largest cosh of a side or an arc whose (cosh - 1)(cosh + 1) stays
+# finite, as do the cosine law's products of two cosh l (l ~ 355.3)
+CH_MAX = 1e154
 
 # index triples over the three corners / edges of a face
 _NEXT = np.array([1, 2, 0])  # second endpoint of edge m
@@ -241,7 +247,10 @@ def face_eval(arcs: Arcs, du):
         J[a, a - 1] =  d_a (second_{a+1} - c_{a-1} first_{a-1})
     """
     sh, chth = arcs.sh.T, arcs.chth.T
-    shth = np.sqrt((chth - 1.0) * (chth + 1.0))
+    c = chth if chth.max(initial=0.0) <= CH_MAX else np.minimum(chth, CH_MAX)
+    shth = np.sqrt((c - 1.0) * (c + 1.0))
+    if c is not chth:  # (c - 1)(c + 1) overflows above CH_MAX: factored there
+        shth = np.where(chth > CH_MAX, np.sqrt(chth - 1.0) * np.sqrt(chth + 1.0), shth)
     d = sh[_NEXT] / (shth * sh * sh[_PREV])
     # dl/df . df/du of each edge at its ends a and b, then at each side's corners
     ch_e, sh_e, rho_e = arcs.edge

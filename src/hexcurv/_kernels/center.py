@@ -23,10 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..tol import TAU_CAUSAL, TAU_SIGN
-from . import _NEXT, _PREV, _ROWS, BAD_CENTER, BAD_HEIGHT, BAD_SPLIT, LIGHT, OK, SPACE, TIME
-from . import Arcs, _fail, _sides, disjoint_faces
-
-CH_MAX = 1e154  # the largest cosh l of a side (l ~ 355.3) whose cosine law stays finite
+from . import _NEXT, _PREV, _ROWS, BAD_CENTER, BAD_HEIGHT, BAD_RANGE, BAD_SPLIT, CH_MAX, LIGHT
+from . import OK, SPACE, TIME, Arcs, _fail, _sides, disjoint_faces
 
 # The thirteen position domains of a face center: the signs of
 # (h_0, h_1, h_2, q_0, q_1, q_2) in each, and the names of its time-like
@@ -154,6 +152,9 @@ def face_centers(arcs: Arcs) -> Centers:
     that fails only the height check keeps its geometry and domain.
     """
     ch, sh, rho, chth = arcs.ch, arcs.sh, arcs.rho, arcs.chth
+    status, bad = arcs.status, arcs.bad
+    if not chth.max(initial=0.0) <= CH_MAX:  # sinh theta overflows: no embedding
+        status, bad = _fail(status, bad, np.where(chth > CH_MAX, BAD_RANGE, OK).T)
 
     # edge splits: kind 0 puts the edge center on the geodesic, kind 1
     # (hyper-ideal center) uses the real partial offsets
@@ -161,7 +162,7 @@ def face_centers(arcs: Arcs) -> Centers:
     den = 1.0 + rho * ch
     k0 = np.abs(num) < np.abs(den)
     k1 = np.abs(num) > np.abs(den)
-    status, bad = _fail(arcs.status, arcs.bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
+    status, bad = _fail(status, bad, np.where(k0 | k1, OK, BAD_SPLIT).T)
     live = (status == OK)[:, None]  # faces failed so far embed finite filler
     ch, sh, chth = (np.where(live, x, 1.0) for x in (ch, sh, chth))
     k0 &= live

@@ -195,10 +195,9 @@ class Chart:
         return self.lo < u < self.hi
 
 
-_REAL = Chart(-math.inf, math.inf)
-_NEG = Chart(-math.inf, 0.0)
-_POS = Chart(0.0, math.inf)
-_TRIG = Chart(-math.pi / 2.0, 0.0)
+# open intervals (lo, hi)
+_REAL, _NEG, _POS = (-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf)
+_TRIG = (-math.pi / 2.0, 0.0)
 
 
 # Laws of the change of variables.  With s = 1 on special components and
@@ -216,7 +215,7 @@ _LAWS = (  # (F, H, G, domain of f, chart of a plain component, of a special one
     (lambda v: -np.log(np.sinh(v)), lambda f: np.arcsinh(np.exp(-f)),
      lambda f: np.sqrt(1.0 + np.exp(2.0 * f)), _REAL, _NEG, _POS),
 )
-_BOUNDS = np.array([[(c.lo, c.hi) for c in law[3:]] for law in _LAWS])
+_BOUNDS = np.array([law[3:] for law in _LAWS])
 _EXP_MAX = math.log(sys.float_info.max)  # exp, cosh and sinh overflow beyond
 
 
@@ -237,7 +236,7 @@ def chart(spec: StructureSpec, i) -> Chart:
         if i not in spec.alpha:
             raise FamilyConstraint(f"no alpha for boundary component {i}")
         alpha = spec.alpha[i]
-    return _LAWS[_law(spec.family, alpha, special)][5 if special else 4]
+    return Chart(*_BOUNDS[_law(spec.family, alpha, special), 2 if special else 1].tolist())
 
 
 class ChangeOfVariables:

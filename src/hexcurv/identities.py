@@ -1,11 +1,12 @@
 """Randomized identity suites for the hexagon and curvature machinery.
 
 run_suite draws admissible samples for one structure family around the
-spec's kept default start (conformal.spec_arrays), evaluates a set of
-exact identities, among them the paper's center-distance identity blocks
-of each causal branch, and reports the worst residual against its bound
-and the samples per branch.  Used by the check-identities subcommand and
-by the test suite, it imports neither the solver nor scipy.
+spec's kept default start (conformal.spec_arrays), one (k, N) array
+(sample_face_points) that one change of variables maps to factors, evaluates
+a set of exact identities, among them the paper's center-distance identity
+blocks of each causal branch, and reports the worst residual against its
+bound and the samples per branch.  Used by the check-identities subcommand
+and by the test suite, it imports neither the solver nor scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import curvature, mesh
 from ._kernels import _NEXT, _PREV, _ROWS, LIGHT, OK, TIME, disjoint_faces, face_eval, face_theta
 from ._kernels.center import _sign, face_centers
-from .conformal import StructureSpec, component_values, slack, spec_arrays
+from .conformal import ChangeOfVariables, StructureSpec, slack, spec_arrays
 from .errors import HexcurvError
 from .tol import TAU_SIGN
 
@@ -53,14 +54,15 @@ def stock_spec(family: str) -> StructureSpec:
 
 
 def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
-    """Admissible u samples around the default start u0 of (spec, tri): per
-    try, u0 + rng.uniform(-s, s) per coordinate inside its chart, s = scale *
+    """Admissible u samples around the default start u0 of (spec, tri), in
+    draw order as the k <= n rows of a (k, N) array: per try, u0 +
+    rng.uniform(-s, s) per coordinate inside its chart, s = scale *
     rng.uniform(0.05, 1.0), kept where every slack is >= min_slack, so that
-    derivatives stay moderate; at most 400 n tries, run in array blocks whose
+    derivatives stay moderate; at most 400 n tries, in array blocks whose
     last is redrawn up to its last kept try, as one try at a time draws."""
     arrays = spec_arrays(spec, tri)
     u0, poly = arrays.start, arrays.polytope
-    width, out, tries = len(u0) + 1, [], 0  # draws per try
+    width, out, tries = len(u0) + 1, np.empty((0, len(u0))), 0  # draws per try
     while len(out) < n and tries < 400 * n:
         block = min(max(16, 24 * (n - len(out))), 4096, 65536 // width, 400 * n - tries)
         state = rng.getstate()
@@ -74,9 +76,9 @@ def sample_face_points(spec, tri, rng, n, scale=1.0, min_slack=0.25):
             rng.setstate(state)
             block = int(kept[-1]) + 1
             np.fromiter(iter(rng.random, None), float, block * width)
-        out += u[kept].tolist()
+        out = np.concatenate((out, u[kept]))
         tries += block
-    return [dict(enumerate(x)) for x in out]
+    return out
 
 
 def split_values(ch, rho):
@@ -107,9 +109,10 @@ def compatibility_residual_general(splits) -> float:
 def run_suite(family: str, samples: int, rng) -> tuple:
     """Run every residual suite for one family.
 
-    Each sample is the single-face mesh's face at one admissible point; all
-    samples are evaluated in one pass, as disjoint faces, and those whose
-    theta stage or face center fails are skipped.  The finite
+    Each sample is the single-face mesh's face at one admissible point; one
+    change of variables over the samples' stacked components gives f and
+    df/du, and all samples are evaluated in one pass, as disjoint faces;
+    those whose theta stage or face center fails are skipped.  The finite
     differences come from one more theta pass over six shifted faces per
     sample (each factor moved by +-1e-5, near eps^(1/3)); a sample with a
     failing shifted face has none.  The paper's identity blocks run on the
@@ -117,18 +120,15 @@ def run_suite(family: str, samples: int, rng) -> tuple:
     face-center record.  Returns ({check name: (count, worst residual,
     bound)}, {causal branch: number of kept samples}).
     """
-    spec = stock_spec(family)
-    tri = mesh.single_face()
-    arrays = spec_arrays(spec, tri)
-    cov, e, (vert, side) = arrays.cov, arrays.edges, tri.face_arrays
-    f = np.array([cov.to_f(component_values(u, tri.n_boundary))
-                  for u in sample_face_points(spec, tri, rng, samples)]).reshape(-1, 3)
+    spec, tri = stock_spec(family), mesh.single_face()
+    e, (vert, side) = spec_arrays(spec, tri).edges, tri.face_arrays
+    u = sample_face_points(spec, tri, rng, samples)
+    cov = ChangeOfVariables(spec, np.tile(np.arange(tri.n_boundary), len(u)))
+    f = cov.to_f(u.ravel()).reshape(u.shape)
 
     def theta_stage(f):  # the single face at each row of f, as disjoint faces
-        m = len(f)
-        return face_theta(disjoint_faces(np.tile(e.code[side], (m, 1)),
-                                         np.tile(e.alpha[vert], (m, 1)),
-                                         np.tile(e.eta[side], (m, 1))), f.ravel())
+        rows = (np.tile(x, (len(f), 1)) for x in (e.code[side], e.alpha[vert], e.eta[side]))
+        return face_theta(disjoint_faces(*rows), f.ravel())
 
     arcs = theta_stage(f)
     rec, rho = face_centers(arcs), arcs.rho
@@ -147,7 +147,7 @@ def run_suite(family: str, samples: int, rng) -> tuple:
     placed = np.array(keep, dtype=np.intp)[rec.domain[keep] >= 0]
     blocks = np.where(rec.branch == TIME, time_like_residual(rec), space_like_residual(rec))
     # symmetry and definiteness of the u-Jacobian, the face block in u
-    jac = face_eval(arcs, np.array([cov.derivative(x) for x in f]).ravel())[keep]
+    jac = face_eval(arcs, cov.derivative(f.ravel()))[keep]
     # central differences of the arcs against the analytic matrix: row
     # 2 col + s of a sample's shifted faces moves factor col by +-step; a
     # step near eps^(1/3) balances the difference's rounding and truncation

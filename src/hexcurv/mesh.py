@@ -35,6 +35,13 @@ from .errors import DanglingReference, FamilyConstraint, MeshFormatError
 
 FORMAT_VERSION = 1
 
+# SuperLU's settings for the Newton step's factor (solver._factor) and for
+# reading its elimination order here, so the order and the step cannot drift
+# apart: pivots stay on the diagonal, and the factor has little fill, so
+# panel_size=1, relax=1 cut SuperLU's panel bookkeeping (BENCH_9.json)
+_SUPERLU = {"diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1,
+            "options": {"SymmetricMode": True}}
+
 
 Layout = namedtuple("Layout", "matrix slot order diagonal")
 
@@ -74,7 +81,7 @@ def elimination_order(layout: Layout) -> Layout:
     the pattern alone, so it is read off a column diagonally dominant
     matrix of the pattern, -1 off the diagonal and the column's entry
     count on it, which factors without pivoting where the pattern holds
-    the diagonal, with the Newton step's SuperLU settings."""
+    the diagonal, with the Newton step's SuperLU settings (_SUPERLU)."""
     import scipy.sparse.linalg
 
     kept, n = layout.matrix, len(layout.matrix.indptr) - 1
@@ -82,8 +89,7 @@ def elimination_order(layout: Layout) -> Layout:
     data[layout.diagonal] = np.diff(kept.indptr)[kept.indices[layout.diagonal]]
     position = scipy.sparse.linalg.splu(
         scipy.sparse.csc_array((data, kept.indices, kept.indptr), shape=kept.shape),
-        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-        options={"SymmetricMode": True}).perm_c
+        permc_spec="MMD_AT_PLUS_A", **_SUPERLU).perm_c
     order = np.empty(n, dtype=np.intp)
     order[position] = np.arange(n)
     cols = np.repeat(np.arange(n), np.diff(kept.indptr))

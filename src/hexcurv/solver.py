@@ -69,6 +69,7 @@ from .errors import (
     NotConverged,
     PathLeavesDomain,
 )
+from .mesh import _SUPERLU
 
 
 # backtracking: at most MAX_HALVINGS trials per Newton step; a full step
@@ -139,14 +140,11 @@ def _factor(lam, order: tuple):
     2 lam_jj + sum_i |lam_ij| < 0, every leading block A_k of P lam P^T has
     its eigenvalues in the open left half-plane, so every pivot
     det A_k / det A_(k-1) is negative.
-    The factor has little fill, so SuperLU's panel bookkeeping dominates:
-    panel_size=1, relax=1 cut it (BENCH_9.json), as where the order is read.
+    SuperLU runs with the settings the order is read with (mesh._SUPERLU).
     """
     diag, data = order.diagonal, lam.data
     try:
-        lu = scipy.sparse.linalg.splu(
-            lam, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-            options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(lam, permc_spec="NATURAL", **_SUPERLU)
     except RuntimeError as err:
         if "exactly singular" not in str(err):
             raise

@@ -293,7 +293,7 @@ def branch_samples(rng, want, cap=40000):
     def draw(rng):
         spec = stock_spec(rng.choice(ALL_FAMILIES))
         pts = sample_face_points(spec, face_mesh(spec), rng, 1, scale=1.2)
-        return (spec, face_f(spec, pts[0])) if pts else None
+        return (spec, face_f(spec, pts[0])) if len(pts) else None
 
     for batch in _draw_batches(rng, draw, cap):
         drawn = [(c, state) for c, state in batch if c is not None]

@@ -159,7 +159,7 @@ def _near_boundary_point(spec, tri, u, rng, slack=1e-4):
         delta = (pair_hi[k] - slack) - s
     else:
         return None
-    v = dict(u)
+    v = u.copy()
     v[a[k]] += delta / 2.0
     if b[k] != a[k]:
         v[b[k]] += delta / 2.0
@@ -288,7 +288,7 @@ def test_criterion_11_convexity_witness():
         pts = sample_face_points(spec, tri, rng, 2000, scale=1.3, min_slack=0.0)
         assert len(pts) == 2000, fam
         for a, b in zip(pts[::2], pts[1::2]):
-            mid = {i: 0.5 * (a[i] + b[i]) for i in a}
+            mid = 0.5 * (a + b)
             assert admissible(spec, tri, mid).ok, fam
     report(11, "midpoints of 1000 admissible pairs stay admissible, all families")
 

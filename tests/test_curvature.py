@@ -507,13 +507,14 @@ _DRAWN = dict(zip(ALL_FAMILIES, (
 def test_samplers_keep_their_draws(family):
     # the block sampler draws the points, short returns included, and
     # leaves rng's stream as drawing one try at a time did; so does the
-    # test helper, which reads the polytope's chart arrays
+    # test helper, which reads the polytope's chart arrays; the sampler's
+    # rows are hashed as the per-point dicts the one-try loops returned
     drawn, spec, face = [], stock_spec(family), mesh.single_face()
     for seed in (0, 7, 11):
         for n, scale, min_slack in ((1, 1.2, 0.25), (2, 1.2, 0.25), (3, 0.5, 0.25),
                                     (500, 1.0, 0.25), (2000, 1.3, 0.0)):
-            drawn.append(_drawn(lambda rng: sample_face_points(
-                spec, face, rng, n, scale, min_slack), random.Random(seed)))
+            drawn.append(_drawn(lambda rng: [dict(enumerate(u)) for u in sample_face_points(
+                spec, face, rng, n, scale, min_slack).tolist()], random.Random(seed)))
     for seed in range(3):
         rng = random.Random(seed)
         tri = sphere_triangulation(40, rng)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexcurv._kernels import BAD_ARC, BAD_EDGE, BAD_RANGE, OK, SPACE, TIME
+from hexcurv._kernels import BAD_ARC, BAD_EDGE, BAD_RANGE, CH_MAX, OK, SPACE, TIME
 from hexcurv._kernels.center import DOMAINS, _cross, _mdot, face_centers, hexagon_arcs
 from hexcurv.cli import build_parser, cmd_hexagon
 from hexcurv.errors import DegenerateHexagon, IncompatibleSplits, InconsistentRatio
@@ -161,6 +161,19 @@ def test_overflowing_sides_fail_without_a_warning():
     assert rec.status.tolist() == [BAD_RANGE] * 3 + [OK]
     assert all(np.isfinite(x).all() for x in rec)
     assert np.allclose(arcs.theta[3], ORACLE_THETAS, rtol=0, atol=1e-15)
+
+
+def test_an_arc_above_ch_max_has_no_embedding():
+    """A face whose cosh theta exceeds CH_MAX passes the theta stage; its
+    face-center record is BAD_RANGE at that corner, and finite filler,
+    without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arcs = hexagon_arcs([[2e-8, 340.0, 1.0]], [[1.0, math.exp(-340.0), math.exp(340.0)]])
+        rec = face_centers(arcs)
+    assert arcs.status.tolist() == [OK] and arcs.chth[0, 0] > CH_MAX
+    assert (rec.status.tolist(), rec.bad.tolist()) == ([BAD_RANGE], [0])
+    assert all(np.isfinite(x).all() for x in rec)
 
 
 def test_side_lengths_fail_by_the_kernel_rules():

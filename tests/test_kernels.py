@@ -49,6 +49,11 @@ from helpers import sample_admissible_f, sphere_triangulation, stack_faces
 
 EPS = np.finfo(float).eps
 
+# an A3 face (open edges) whose arc at corner 0 has cosh theta 4.5e155 at
+# the factors 140, 140, 140: theta_0 = 359.1
+HUGE_ARC = StructureSpec("A3", dict.fromkeys(range(3), 0), {
+    0: 4.995455133830506e-122, 1: 5e19, 2: 4.995455133830506e-122})
+
 CASES = [
     ((0, 0, 0), (0, 0, 0), (2.0, 5.0), (-1.2, 1.2)),
     ((0, 0, 0), (1, 0, 1), (2.0, 5.0), (-1.2, 1.2)),
@@ -606,9 +611,9 @@ def test_edge_partials_are_the_length_derivatives():
         assert np.max(np.abs(closed - fd) / np.maximum(1.0, np.abs(fd))) < 1e-6
 
 
-def _theta_mp(codes, alphas, etas, f):
-    """The arcs of one face in mpmath: the six edge rules, then the cosine
-    law, with nothing taken from the kernel but the rule of each edge."""
+def _cosh_l_mp(codes, alphas, etas, f):
+    """cosh l of the three sides of one face in mpmath, by the six edge
+    rules; each is affine in its side's eta."""
     ch = []
     for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
         if codes[m] % 3 == 0:
@@ -619,6 +624,13 @@ def _theta_mp(codes, alphas, etas, f):
         else:
             root = mpmath.cosh(f[b] - f[a])
         ch.append((root if codes[m] % 2 else -root) + etas[m] * mpmath.exp(f[a] + f[b]))
+    return ch
+
+
+def _theta_mp(codes, alphas, etas, f):
+    """The arcs of one face in mpmath: the six edge rules, then the cosine
+    law, with nothing taken from the kernel but the rule of each edge."""
+    ch = _cosh_l_mp(codes, alphas, etas, f)
     sh = [mpmath.sqrt(c * c - 1) for c in ch]
     # corner a lies between edges a and a - 1, opposite edge a + 1
     return [mpmath.acosh((ch[(a + 1) % 3] + ch[a] * ch[a - 1]) / (sh[a] * sh[a - 1]))
@@ -635,18 +647,41 @@ def test_release_jacobian_matches_40_digit_cosine_law():
         spec = stock_spec(fam)
         samples += [(spec, face_f(spec, u))
                     for u in sample_face_points(spec, face_mesh(spec), rng, 10)]
+    # and the face whose arc at corner 0 has cosh theta 4.5e155, above
+    # CH_MAX, where the stage takes sinh theta factored; its short sides'
+    # cosh l - 1 = 2.2e-15 is a difference that doubles round by 0.2%, so
+    # its reference takes the etas at which the rules give the kernel's
+    # cosh l exactly
+    samples.append((HUGE_ARC, np.full(3, 140.0)))
     arcs = stack_faces(samples)
-    assert len(samples) == 60 and not arcs.status.any()
+    assert len(samples) == 61 and not arcs.status.any() and arcs.chth[60, 0] > kern.CH_MAX
     worst = 0.0
     with mpmath.workdps(40):
-        for (spec, f), jac in zip(samples, kern.face_eval(arcs, np.ones(arcs.theta.size))):
-            row = [x.tolist() for x in face_record(spec)]
+        for (spec, f), jac, ch in zip(samples, kern.face_eval(arcs, np.ones(arcs.theta.size)),
+                                      arcs.ch.tolist()):
+            codes, alphas, etas = [x.tolist() for x in face_record(spec)]
+            if spec is HUGE_ARC:
+                zero, one = (_cosh_l_mp(codes, alphas, [x] * 3, f) for x in (0, 1))
+                etas = [(c - z) / (o - z) for c, z, o in zip(ch, zero, one)]
             ref = np.zeros((3, 3))
             for a in range(3):
                 for b in range(3):
                     ref[a, b] = mpmath.diff(lambda x: _theta_mp(
-                        *row, [x if c == b else f[c] for c in range(3)])[a], f[b])
+                        codes, alphas, etas, [x if c == b else f[c] for c in range(3)])[a], f[b])
             err = np.max(np.abs(jac - ref)) / np.max(np.abs(ref))
             assert err < 1e-12, (spec.family, err)
             worst = max(worst, err)
-    print(f"worst |J - J_40| / max|J_40| {worst:.2e} over 60 faces")
+    print(f"worst |J - J_40| / max|J_40| {worst:.2e} over 61 faces")
+
+
+def test_an_arc_above_ch_max_keeps_its_jacobian_row():
+    # (cosh theta - 1)(cosh theta + 1) overflows at HUGE_ARC's corner 0,
+    # which the theta stage accepts; the u-Jacobian keeps row 0, finite and
+    # symmetric, with no warning (pytest makes a RuntimeWarning an error)
+    lam = curvature.curvature_and_jacobian(HUGE_ARC, face_mesh(HUGE_ARC),
+                                           np.full(3, 140.0))[1].toarray()
+    assert np.isfinite(lam).all() and (lam[0] != 0.0).all()
+    assert np.max(np.abs(lam - lam.T)) <= 1e-12 * np.max(np.abs(lam))
+    # and the face-center record gives it no embedding
+    rec = face_centers(stack_faces([(HUGE_ARC, np.full(3, 140.0))]))
+    assert (rec.status.tolist(), rec.bad.tolist()) == ([kern.BAD_RANGE], [0])
